@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -79,21 +80,27 @@ class ContactRecord:
 
 @dataclass
 class MyContactsTable:
-    """Per-device contact evidence, keyed by digest (no duplicates)."""
+    """Per-device contact evidence, keyed by digest (no duplicates) and
+    indexed by pseudonym, both in insertion order."""
 
-    records: dict[bytes, ContactRecord] = field(default_factory=dict)
+    records: dict[bytes, ContactRecord] = field(default_factory=dict, init=False)
+    _by_rpi: dict[bytes, list[ContactRecord]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def add(self, record: ContactRecord) -> bool:
         if record.hash in self.records:
             return False
         self.records[record.hash] = record
+        self._by_rpi.setdefault(record.rpi_low, []).append(record)
+        self._by_rpi.setdefault(record.rpi_high, []).append(record)
         return True
 
     def hashes(self) -> set[bytes]:
         return set(self.records)
 
-    def records_for(self, rpi: bytes) -> list[ContactRecord]:
-        return [r for r in self.records.values() if rpi in (r.rpi_low, r.rpi_high)]
+    def records_for(self, rpi: bytes) -> Sequence[ContactRecord]:
+        return self._by_rpi.get(rpi, ())
 
     def __len__(self) -> int:
         return len(self.records)

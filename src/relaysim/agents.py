@@ -104,6 +104,16 @@ class RebroadcastAdversary:
 
 
 @dataclass
+class DownloadedChunk:
+    """A downloaded chunk's RPI index and this device's matches against its
+    first ``cursor`` observations."""
+
+    index: gaen.RpiIndex
+    matches: list[gaen.ExposureMatch] = field(default_factory=list)
+    cursor: int = 0
+
+
+@dataclass
 class ExposureState:
     gaen_alert: bool = False
     risk_score: float = 0.0
@@ -112,7 +122,11 @@ class ExposureState:
 
 
 class HonestDevice:
-    """A protocol-running device, optionally with the hash defense enabled."""
+    """A protocol-running device, optionally with the hash defense enabled.
+
+    ``rpi_indexes`` maps a chunk's keys to their RPI index.  Devices of one
+    run share it, so each chunk is expanded once however many download it.
+    """
 
     def __init__(
         self,
@@ -122,12 +136,14 @@ class HonestDevice:
         *,
         params: SimParams,
         actguard_enabled: bool = False,
+        rpi_indexes: dict[tuple[int, tuple], gaen.RpiIndex] | None = None,
     ):
         self.name = name
         self.seed = seed
         self.position = position
         self.params = params
         self.actguard_enabled = actguard_enabled
+        self.rpi_indexes = {} if rpi_indexes is None else rpi_indexes
 
         self.teks: dict[int, gaen.Tek] = {}
         self.current_rpi: gaen.Rpi | None = None
@@ -138,7 +154,7 @@ class HonestDevice:
         self.contacts = actguard.MyContactsTable() if actguard_enabled else None
         self.positive_table = actguard.PositiveTable() if actguard_enabled else None
 
-        self.downloaded: dict[int, list[gaen.Tek]] = {}
+        self.downloaded: dict[int, DownloadedChunk] = {}
         self.last_chunk_index = 0
         self.exposure = ExposureState()
 
@@ -245,32 +261,49 @@ class HonestDevice:
         new_ids = []
         for chunk, batch in fetched:
             self.last_chunk_index = max(self.last_chunk_index, chunk.index)
-            self.downloaded[chunk.index] = [
-                gaen.Tek(bytes=b, day_index=d) for b, d in chunk.teks
-            ]
+            self.downloaded[chunk.index] = DownloadedChunk(self._rpi_index(chunk.teks))
             if batch is not None and self.positive_table is not None:
                 self.positive_table.add(chunk.index, batch)
             new_ids.append(chunk.index)
         return new_ids
 
+    def _rpi_index(self, teks: tuple[tuple[bytes, int], ...]) -> gaen.RpiIndex:
+        key = (self.params.rotation_seconds, teks)
+        index = self.rpi_indexes.get(key)
+        if index is None:
+            index = gaen.build_rpi_index(
+                [gaen.Tek(bytes=b, day_index=d) for b, d in teks],
+                rotation_seconds=self.params.rotation_seconds,
+            )
+            self.rpi_indexes[key] = index
+        return index
+
     def evaluate_exposure(self) -> ExposureState:
-        """Recompute alert and verdicts from everything downloaded so far."""
+        """Match new observations, then recompute alert and verdicts.
+
+        Each downloaded chunk is matched only against the observations
+        stored since it was last matched; the risk score and the verdicts
+        are then recomputed over all matches of every chunk.
+        """
         all_matches: list[gaen.ExposureMatch] = []
         verdicts: dict[int, actguard.Verdict] = {}
         matched: dict[int, int] = {}
+        stored = len(self.observations)
         for diagnosis_id in sorted(self.downloaded):
-            matches = gaen.match_observations(
-                self.downloaded[diagnosis_id],
-                self.observations,
-                self.params.clock_tolerance_seconds,
-                rotation_seconds=self.params.rotation_seconds,
-            )
-            if not matches:
+            chunk = self.downloaded[diagnosis_id]
+            if chunk.cursor < stored:
+                chunk.matches += gaen.match_indexed(
+                    chunk.index,
+                    self.observations[chunk.cursor :],
+                    self.params.clock_tolerance_seconds,
+                )
+                chunk.cursor = stored
+            if not chunk.matches:
                 continue
-            all_matches.extend(matches)
-            matched[diagnosis_id] = len(matches)
+            all_matches.extend(chunk.matches)
+            matched[diagnosis_id] = len(chunk.matches)
             if self.actguard_enabled:
-                verdicts[diagnosis_id] = self._verdict_for(diagnosis_id, matches)
+                verdicts[diagnosis_id] = self._verdict_for(diagnosis_id, chunk.matches)
         risk = gaen.risk_score(
             all_matches,
             beacon_interval_seconds=self.params.tick_seconds,
@@ -288,11 +321,16 @@ class HonestDevice:
     def _verdict_for(
         self, diagnosis_id: int, matches: list[gaen.ExposureMatch]
     ) -> actguard.Verdict:
-        # One verdict per diagnosis: confirmation by any match wins.
+        # One verdict per diagnosis: confirmation by any match wins, else the
+        # first match's verdict.  A match's verdict depends only on its RPI,
+        # so each distinct RPI is verified once, in first-match order.
         assert self.contacts is not None and self.positive_table is not None
         batch = self.positive_table.get(diagnosis_id)
-        first: actguard.Verdict | None = None
+        first_by_rpi: dict[bytes, gaen.ExposureMatch] = {}
         for match in matches:
+            first_by_rpi.setdefault(match.rpi, match)
+        first: actguard.Verdict | None = None
+        for match in first_by_rpi.values():
             verdict = actguard.verify_exposure(
                 match,
                 self.contacts,

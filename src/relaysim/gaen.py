@@ -25,7 +25,9 @@ from __future__ import annotations
 import hmac
 import hashlib
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
@@ -173,6 +175,63 @@ def rpi_window(day_index: int, interval_index: int, rotation_seconds: int) -> tu
     return start, start + rotation_seconds
 
 
+class IndexedRpi(NamedTuple):
+    """One expanded pseudonym of a diagnosed key, ready to match."""
+
+    tek: Tek
+    aemk: bytes
+    interval_index: int
+    start: int  # validity window [start, end) in sim seconds
+    end: int
+
+
+RpiIndex = dict[bytes, list[IndexedRpi]]
+
+
+def build_rpi_index(diagnosis_teks: list[Tek], *, rotation_seconds: int = 7200) -> RpiIndex:
+    """Expand a chunk's keys once into an index from RPI bytes to pseudonyms.
+
+    The index depends only on the keys and the rotation period, so one
+    index can serve every device that downloads the chunk.
+    """
+    index: RpiIndex = {}
+    for tek in diagnosis_teks:
+        aemk = derive_aemk(tek)
+        for rpi in expand_diagnosis_key(tek, rotation_seconds=rotation_seconds):
+            start, end = rpi_window(tek.day_index, rpi.interval_index, rotation_seconds)
+            index.setdefault(rpi.bytes, []).append(
+                IndexedRpi(tek, aemk, rpi.interval_index, start, end)
+            )
+    return index
+
+
+def match_indexed(
+    index: RpiIndex, observations: Iterable[Observation], clock_tolerance: int = 0
+) -> list[ExposureMatch]:
+    """Match observations, in order, against one chunk's RPI index.
+
+    A match requires byte equality with an expanded RPI *and* a scan time
+    inside that RPI's validity window widened by ``clock_tolerance`` on both
+    sides (half-open, so a scan at exactly window_end + tolerance misses).
+    The decrypted transmit power rides along for risk scoring.  Matching a
+    list in slices yields the same matches as matching it whole.
+    """
+    matches: list[ExposureMatch] = []
+    for obs in observations:
+        for entry in index.get(obs.rpi, ()):
+            if entry.start - clock_tolerance <= obs.scan_time < entry.end + clock_tolerance:
+                matches.append(
+                    ExposureMatch(
+                        tek=entry.tek,
+                        rpi=obs.rpi,
+                        interval_index=entry.interval_index,
+                        tx_power_dbm=decrypt_aem(entry.aemk, obs.rpi, obs.aem),
+                        observation=obs,
+                    )
+                )
+    return matches
+
+
 def match_observations(
     diagnosis_teks: list[Tek],
     store: list[Observation],
@@ -182,32 +241,11 @@ def match_observations(
 ) -> list[ExposureMatch]:
     """Find stored observations that belong to diagnosed keys.
 
-    A match requires byte equality with an expanded RPI *and* a scan time
-    inside that RPI's validity window widened by ``clock_tolerance`` on both
-    sides (half-open, so a scan at exactly window_end + tolerance misses).
-    The decrypted transmit power rides along for risk scoring.
+    Builds the keys' RPI index and matches the whole store against it; see
+    :func:`match_indexed` for what counts as a match.
     """
-    index: dict[bytes, list[tuple[Tek, bytes, Rpi]]] = {}
-    for tek in diagnosis_teks:
-        aemk = derive_aemk(tek)
-        for rpi in expand_diagnosis_key(tek, rotation_seconds=rotation_seconds):
-            index.setdefault(rpi.bytes, []).append((tek, aemk, rpi))
-
-    matches: list[ExposureMatch] = []
-    for obs in store:
-        for tek, aemk, rpi in index.get(obs.rpi, ()):
-            start, end = rpi_window(tek.day_index, rpi.interval_index, rotation_seconds)
-            if start - clock_tolerance <= obs.scan_time < end + clock_tolerance:
-                matches.append(
-                    ExposureMatch(
-                        tek=tek,
-                        rpi=obs.rpi,
-                        interval_index=rpi.interval_index,
-                        tx_power_dbm=decrypt_aem(aemk, obs.rpi, obs.aem),
-                        observation=obs,
-                    )
-                )
-    return matches
+    index = build_rpi_index(diagnosis_teks, rotation_seconds=rotation_seconds)
+    return match_indexed(index, store, clock_tolerance)
 
 
 def risk_score(

@@ -7,6 +7,7 @@ so the tick loop never has to re-check them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 SECONDS_PER_DAY = 86400
@@ -49,6 +50,10 @@ class SimParams:
     otp_ttl_seconds: int = 3600
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.rotation_seconds <= 0 or SECONDS_PER_DAY % self.rotation_seconds:
             raise ValueError(
                 f"rotation_seconds must divide a day evenly, got {self.rotation_seconds}"
@@ -65,6 +70,10 @@ class SimParams:
             raise ValueError("ble_range_m must be positive")
         if self.tek_retention_days <= 0:
             raise ValueError("tek_retention_days must be positive")
+        if self.neighborhood_cells < 0:
+            raise ValueError("neighborhood_cells must be >= 0")
+        if self.neighborhood_buckets < 0:
+            raise ValueError("neighborhood_buckets must be >= 0")
 
     @property
     def intervals_per_day(self) -> int:

@@ -185,6 +185,14 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
             )
         )
 
+    try:
+        params = SimParams.from_dict(data.get("params", {}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad params section: {exc}") from exc
+
+    # Diagnoses run at the first tick at or after their time; none follows
+    # the last tick.
+    last_tick = (duration // params.tick_seconds - 1) * params.tick_seconds
     by_name = {a.name: a for a in actors}
     events = []
     for e in data.get("diagnosis_events", []):
@@ -196,6 +204,12 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
             raise ConfigError(f"diagnosis target {target!r} is not an honest actor")
         if not 0 <= at_time < duration:
             raise ConfigError(f"diagnosis for {target!r} at t={at_time} is outside the run")
+        if at_time > last_tick:
+            last = f"at t={last_tick}" if last_tick >= 0 else "(the run has no tick)"
+            raise ConfigError(
+                f"diagnosis for {target!r} at t={at_time} comes after the last tick"
+                f" {last}, so it would never run"
+            )
         events.append(DiagnosisEvent(actor=target, at_time=at_time))
     events.sort(key=lambda e: (e.at_time, e.actor))
 
@@ -204,11 +218,6 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
         relay_delay=int(attack_data.get("relay_delay", 0)),
         replay_ttl=int(attack_data.get("replay_ttl", 7200)),
     )
-
-    try:
-        params = SimParams.from_dict(data.get("params", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad params section: {exc}") from exc
 
     return ScenarioConfig(
         name=name,
@@ -300,12 +309,12 @@ class World:
         )
         self.database = MaliciousDatabase()
         self.events: list[dict] = []
-        self.upload_payloads: list[bytes] = []
 
         self.devices: dict[str, HonestDevice] = {}
         self.sniffers: dict[str, SnifferAdversary] = {}
         self.rebroadcasters: dict[str, RebroadcastAdversary] = {}
         self._specs: dict[str, ActorSpec] = {}
+        rpi_indexes: dict = {}  # shared by every device of this run
         for spec in sorted(config.actors, key=lambda a: a.name):
             self._specs[spec.name] = spec
             pos = spec.position_at(0, config.places)
@@ -316,6 +325,7 @@ class World:
                     pos,
                     params=self.params,
                     actguard_enabled=spec.actguard,
+                    rpi_indexes=rpi_indexes,
                 )
             elif spec.role == "sniffer":
                 self.sniffers[spec.name] = SnifferAdversary(spec.name, pos, spec.place)
@@ -417,7 +427,6 @@ class World:
         except BackendError as exc:
             self._log(now, "upload_rejected", actor=actor, reason=str(exc))
             return
-        self.upload_payloads.append(payload)
         self._log(
             now,
             "diagnosis",

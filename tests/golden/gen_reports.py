@@ -42,10 +42,6 @@ CROWD_SHAPES = {
 }
 
 
-def crowd_config_paths() -> list[Path]:
-    return sorted(REPORTS.glob("*.config.json"))
-
-
 def report_bytes(name: str) -> bytes:
     """Canonical report of a bundled scenario or of a committed crowd config."""
     if name in builtin_scenario_names():
@@ -56,7 +52,7 @@ def report_bytes(name: str) -> bytes:
 
 
 def golden_names() -> list[str]:
-    crowds = [p.name[: -len(".config.json")] for p in crowd_config_paths()]
+    crowds = [p.name[: -len(".config.json")] for p in sorted(REPORTS.glob("*.config.json"))]
     return builtin_scenario_names() + crowds
 
 

@@ -71,3 +71,42 @@ def offset_north_m(point: tuple[float, float], meters: float) -> tuple[float, fl
     """Move a point north by a given arc length."""
     dlat = math.degrees(meters / 6371000.0)
     return (point[0] + dlat, point[1])
+
+
+def aem_tx_power(aemk: bytes, rpi: bytes, aem: bytes) -> int:
+    """Decrypt an AEM's transmit power by XOR with the same keystream."""
+    ks = hmac.new(aemk, b"SIM-AEM" + rpi, hashlib.sha256).digest()[:4]
+    return struct.unpack(">i", bytes(c ^ k for c, k in zip(aem, ks)))[0]
+
+
+def naive_verdict(match_rpis, records, batch, neighborhood_cells, neighborhood_buckets):
+    """Verify every match against every contact record, one match at a time.
+
+    ``records`` are (rpi_low, rpi_high, cell_lat, cell_lon, bucket) tuples.
+    Returns (verdict name, rpi): the first match whose records' digest
+    neighborhood meets the batch confirms; otherwise the first match's
+    verdict stands.  No batch at all is Unverifiable.
+    """
+
+    def verdict(rpi):
+        if not batch:
+            return "Unverifiable"
+        for lo, hi, lat, lon, bucket in records:
+            if rpi not in (lo, hi):
+                continue
+            for dlat in range(-neighborhood_cells, neighborhood_cells + 1):
+                for dlon in range(-neighborhood_cells, neighborhood_cells + 1):
+                    for db in range(-neighborhood_buckets, neighborhood_buckets + 1):
+                        quantized = struct.pack(">qqq", lat + dlat, lon + dlon, bucket + db)
+                        if hashlib.sha256(lo + hi + quantized).digest() in batch:
+                            return "ConfirmedContact"
+        return "RelaySuspected"
+
+    first = None
+    for rpi in match_rpis:
+        kind = verdict(rpi)
+        if kind == "ConfirmedContact":
+            return kind, rpi
+        if first is None:
+            first = (kind, rpi)
+    return first

@@ -117,6 +117,17 @@ class TestRecordContact:
             record.rpi_low, record.rpi_high, record.cell, record.bucket
         )
 
+    def test_records_for_finds_either_endpoint_in_insertion_order(self):
+        table = actguard.MyContactsTable()
+        other = bytes(16)
+        first = actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 0)
+        actguard.record_contact(table, GOLDEN_RPI_A, other, (0.0, 0.0), 0)
+        last = actguard.record_contact(table, GOLDEN_RPI_B, GOLDEN_RPI_A, (0.0, 0.0), 300)
+        actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 10)  # duplicate
+        assert list(table.records_for(GOLDEN_RPI_B)) == [first, last]
+        assert len(table.records_for(GOLDEN_RPI_A)) == 3
+        assert list(table.records_for(b"\x01" * 16)) == []
+
 
 class TestVerifyExposure:
     def _table_with_contact(self, position=(0.0, 0.0), t=100):

@@ -199,6 +199,19 @@ class TestMatching:
             expected = brute_force_matches(teks, observations, tolerance, 7200)
             assert got == expected
 
+    def test_matching_in_slices_equals_matching_whole(self):
+        rpis = gaen.expand_diagnosis_key(GOLDEN_TEK)
+        observations = [_obs(rpis[t // 7200].bytes, t) for t in range(0, 30000, 1700)]
+        observations.insert(3, _obs(bytes(16), 100))
+        index = gaen.build_rpi_index([GOLDEN_TEK])
+        whole = gaen.match_observations([GOLDEN_TEK], observations)
+        cuts = [0, 5, 11, len(observations)]
+        sliced = [
+            m for lo, hi in zip(cuts, cuts[1:]) for m in gaen.match_indexed(index, observations[lo:hi])
+        ]
+        assert len(whole) == len(observations) - 1
+        assert sliced == whole
+
 
 class TestRiskScore:
     def test_empty_matches(self):

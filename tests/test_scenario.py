@@ -83,6 +83,27 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="params"):
             scenario.load_config(_minimal_config(params={"rotation_seconds": 7000}))
 
+    @pytest.mark.parametrize("field", ["neighborhood_cells", "neighborhood_buckets"])
+    def test_negative_neighborhood_rejected(self, field):
+        # -1 would make the verifier's search empty and flag genuine contacts.
+        with pytest.raises(ConfigError, match=field):
+            scenario.load_config(_minimal_config(params={field: -1}))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_param_rejected(self, value):
+        with pytest.raises(ConfigError, match="alert_threshold_minutes must be finite"):
+            scenario.load_config(_minimal_config(params={"alert_threshold_minutes": value}))
+
+    def test_diagnosis_after_last_tick_rejected(self):
+        # Ticks run at 0, 10, ..., 590: a diagnosis at 595 would never run.
+        data = _minimal_config(diagnosis_events=[{"actor": "b", "at_time": 595}])
+        with pytest.raises(ConfigError, match="last tick at t=590"):
+            scenario.load_config(data)
+        data["diagnosis_events"] = [{"actor": "b", "at_time": 590}]
+        world = scenario.World(scenario.load_config(data))
+        world.run()
+        assert [e["t"] for e in world.events if e["event"] == "diagnosis"] == [590]
+
     def test_seed_override(self):
         config = scenario.load_config(_minimal_config(), seed_override=99)
         assert config.seed == 99

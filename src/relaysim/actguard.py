@@ -80,24 +80,28 @@ class ContactRecord:
 
 @dataclass
 class MyContactsTable:
-    """Per-device contact evidence, keyed by digest (no duplicates) and
-    indexed by pseudonym, both in insertion order."""
+    """Per-device contact evidence: one row per (rpi_low, rpi_high, cell,
+    bucket), hence per digest, also indexed by pseudonym; both in insertion
+    order."""
 
-    records: dict[bytes, ContactRecord] = field(default_factory=dict, init=False)
+    records: dict[tuple, ContactRecord] = field(default_factory=dict, init=False)
     _by_rpi: dict[bytes, list[ContactRecord]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def add(self, record: ContactRecord) -> bool:
-        if record.hash in self.records:
-            return False
-        self.records[record.hash] = record
-        self._by_rpi.setdefault(record.rpi_low, []).append(record)
-        self._by_rpi.setdefault(record.rpi_high, []).append(record)
-        return True
+    def add(self, lo: bytes, hi: bytes, cell: GeoCell, bucket: TimeBucket) -> ContactRecord:
+        """The contact's row; only a row not yet in the table is hashed."""
+        key = (lo, hi, cell, bucket)
+        record = self.records.get(key)
+        if record is None:
+            record = ContactRecord(lo, hi, cell, bucket, contact_hash(lo, hi, cell, bucket))
+            self.records[key] = record
+            self._by_rpi.setdefault(lo, []).append(record)
+            self._by_rpi.setdefault(hi, []).append(record)
+        return record
 
     def hashes(self) -> set[bytes]:
-        return set(self.records)
+        return {record.hash for record in self.records.values()}
 
     def records_for(self, rpi: bytes) -> Sequence[ContactRecord]:
         return self._by_rpi.get(rpi, ())
@@ -145,18 +149,15 @@ def record_contact(
     """Insert the contact's record for the current cell and bucket.
 
     Idempotent: repeat sightings of the same peer inside one bucket collapse
-    onto one row.  The scanner hashes with its *own* position; the verifier's
-    neighborhood search absorbs the small disagreement between genuinely
-    co-located endpoints.
+    onto one row, hashed once.  The scanner hashes with its *own* position;
+    the verifier's neighborhood search absorbs the small disagreement between
+    genuinely co-located endpoints.
     """
     cell, bucket = quantize(
         own_position, timestamp, cell_size_deg=cell_size_deg, bucket_seconds=bucket_seconds
     )
     lo, hi = sorted((own_rpi, peer_rpi))
-    digest = contact_hash(lo, hi, cell, bucket)
-    record = ContactRecord(rpi_low=lo, rpi_high=hi, cell=cell, bucket=bucket, hash=digest)
-    table.add(record)
-    return record
+    return table.add(lo, hi, cell, bucket)
 
 
 def verify_exposure(

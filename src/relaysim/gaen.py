@@ -32,7 +32,7 @@ from typing import NamedTuple
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from .params import SECONDS_PER_DAY
+from .params import SECONDS_PER_DAY, TX_POWER_MAX, TX_POWER_MIN
 
 TEK_LENGTH = 16
 KEY_LENGTH = 16
@@ -44,9 +44,6 @@ AEMK_LABEL = b"SIM-AEMK"
 TEK_LABEL = b"SIM-TEK"
 RPI_LABEL = b"SIM-RPI"
 AEM_LABEL = b"SIM-AEM"
-
-TX_POWER_MIN = -127
-TX_POWER_MAX = 127
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ from dataclasses import dataclass, fields
 
 SECONDS_PER_DAY = 86400
 
+# Transmit powers an AEM may carry: GAEN's signed-byte range.
+TX_POWER_MIN = -127
+TX_POWER_MAX = 127
+
 
 @dataclass(frozen=True)
 class SimParams:
@@ -64,6 +68,10 @@ class SimParams:
             )
         if self.tick_seconds <= 0:
             raise ValueError("tick_seconds must be positive")
+        if not TX_POWER_MIN <= self.tx_power_dbm <= TX_POWER_MAX:
+            raise ValueError(
+                f"tx_power_dbm must be in [{TX_POWER_MIN}, {TX_POWER_MAX}], got {self.tx_power_dbm}"
+            )
         if self.cell_size_deg <= 0:
             raise ValueError("cell_size_deg must be positive")
         if self.ble_range_m <= 0:

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .gaen import AEM_LENGTH, RPI_LENGTH
+from .params import SimParams
+
 SERVICE_UUID = 0xFD6F
-RPI_LENGTH = 16
-AEM_LENGTH = 4
 PACKET_LENGTH = 2 + RPI_LENGTH + AEM_LENGTH
 
 EARTH_RADIUS_M = 6371000.0
@@ -46,22 +47,10 @@ def haversine_m(a: tuple[float, float], b: tuple[float, float]) -> float:
     return 2 * EARTH_RADIUS_M * math.asin(math.sqrt(h))
 
 
-def in_range(
-    a: tuple[float, float], b: tuple[float, float], *, ble_range_m: float = 10.0
-) -> bool:
-    return haversine_m(a, b) <= ble_range_m
-
-
-def path_loss_db(
-    distance_m: float,
-    *,
-    ref_db: float = 40.0,
-    per_decade_db: float = 20.0,
-    min_distance_m: float = 0.1,
-) -> float:
-    """Log-distance loss, clamped below min_distance_m to keep log10 sane."""
-    d = max(distance_m, min_distance_m)
-    return ref_db + per_decade_db * math.log10(d)
+def path_loss_db(distance_m: float, params: SimParams) -> float:
+    """Log-distance loss, clamped below min_path_distance_m to keep log10 sane."""
+    d = max(distance_m, params.min_path_distance_m)
+    return params.path_loss_ref_db + params.path_loss_per_decade_db * math.log10(d)
 
 
 @dataclass(frozen=True)
@@ -82,22 +71,6 @@ class Place:
         return (self.lat, self.lon)
 
 
-@dataclass
-class SimClock:
-    """Discrete simulation clock; strictly monotone."""
-
-    now: int = 0
-    tick_seconds: int = 10
-
-    def __post_init__(self) -> None:
-        if self.tick_seconds <= 0:
-            raise ValueError("tick_seconds must be positive")
-
-    def advance(self) -> int:
-        self.now += self.tick_seconds
-        return self.now
-
-
 @dataclass(frozen=True)
 class Station:
     """One radio participant for a single tick: position plus outgoing packets."""
@@ -116,39 +89,41 @@ class Delivery:
     rssi: float
 
 
-def broadcast_step(
-    stations: list[Station],
-    *,
-    ble_range_m: float = 10.0,
-    path_loss_ref_db: float = 40.0,
-    path_loss_per_decade_db: float = 20.0,
-    min_path_distance_m: float = 0.1,
-) -> list[Delivery]:
-    """Deliver every station's packets to every other station in range.
+LinkTable = dict[str, tuple[tuple[str, float], ...]]
 
-    Output order is fixed (sender name, then receiver name, then packet
-    order) so identical world states always produce identical delivery
-    lists.  rssi = tx_power - path_loss(distance); no interference or loss.
+
+def link_table(stations: list[Station], params: SimParams) -> LinkTable:
+    """For each sender, the (receiver name, rssi) of every station in range,
+    in receiver-name order.  rssi = tx_power - path_loss(distance), so a
+    table stays valid until a station moves or changes power.
     """
     ordered = sorted(stations, key=lambda s: s.name)
-    deliveries: list[Delivery] = []
+    table: LinkTable = {}
     for sender in ordered:
-        if not sender.packets:
-            continue
+        links = []
         for receiver in ordered:
             if receiver.name == sender.name:
                 continue
             distance = haversine_m(sender.position, receiver.position)
-            if distance > ble_range_m:
+            if distance > params.ble_range_m:
                 continue
-            rssi = sender.tx_power_dbm - path_loss_db(
-                distance,
-                ref_db=path_loss_ref_db,
-                per_decade_db=path_loss_per_decade_db,
-                min_distance_m=min_path_distance_m,
-            )
+            links.append((receiver.name, sender.tx_power_dbm - path_loss_db(distance, params)))
+        table[sender.name] = tuple(links)
+    return table
+
+
+def broadcast_step(stations: list[Station], links: LinkTable) -> list[Delivery]:
+    """Deliver every station's packets along its links.
+
+    Output order is fixed (sender name, then receiver name, then packet
+    order) so identical world states always produce identical delivery
+    lists.  No interference or loss.
+    """
+    deliveries: list[Delivery] = []
+    for sender in sorted(stations, key=lambda s: s.name):
+        for receiver, rssi in links[sender.name]:
             for packet in sender.packets:
                 deliveries.append(
-                    Delivery(sender=sender.name, receiver=receiver.name, packet=packet, rssi=rssi)
+                    Delivery(sender=sender.name, receiver=receiver, packet=packet, rssi=rssi)
                 )
     return deliveries

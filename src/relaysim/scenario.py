@@ -9,6 +9,9 @@ Tick phasing (fixed): radio delivery -> adversary capture -> adversary
 rebroadcast bookkeeping -> honest recording -> scheduled diagnoses ->
 exposure checks.  A packet captured in one tick is therefore never back on
 the air before the next tick, matching the causal order of a real relay.
+The radio link table (who hears whom, at what rssi) is rebuilt only on a
+tick where a station moved, and each actor is handed only the deliveries
+addressed to it.
 """
 
 from __future__ import annotations
@@ -302,7 +305,7 @@ class World:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.params = config.params
-        self.clock = radio.SimClock(now=0, tick_seconds=self.params.tick_seconds)
+        self.now = 0
         self.backend = BackendStore(
             rng=random.Random(f"relaysim-otp:{config.seed}"),
             retention_days=self.params.tek_retention_days,
@@ -342,6 +345,8 @@ class World:
         self._logged_captures: set[bytes] = set()
         self._logged_relays: dict[str, set[bytes]] = {n: set() for n in self.rebroadcasters}
         self._logged_matches: dict[str, set[int]] = {n: set() for n in self.devices}
+        self._link_key: tuple | None = None
+        self._links: radio.LinkTable = {}
 
     def _log(self, t: int, event: str, **fields) -> None:
         self.events.append({"t": t, "event": event, **fields})
@@ -379,21 +384,26 @@ class World:
                 )
         return stations
 
-    def step(self) -> None:
-        now = self.clock.now
-        self._move_actors(now)
+    def deliver(self, stations: list[radio.Station]) -> dict[str, list[radio.Delivery]]:
+        """Deliveries by receiver, in delivery order; the link table is rebuilt
+        only when a station's position or power differs from the last call."""
+        key = tuple((s.name, s.position, s.tx_power_dbm) for s in stations)
+        if key != self._link_key:
+            self._links = radio.link_table(stations, self.params)
+            self._link_key = key
+        by_receiver: dict[str, list[radio.Delivery]] = {}
+        for d in radio.broadcast_step(stations, self._links):
+            by_receiver.setdefault(d.receiver, []).append(d)
+        return by_receiver
 
-        deliveries = radio.broadcast_step(
-            self._stations(now),
-            ble_range_m=self.params.ble_range_m,
-            path_loss_ref_db=self.params.path_loss_ref_db,
-            path_loss_per_decade_db=self.params.path_loss_per_decade_db,
-            min_path_distance_m=self.params.min_path_distance_m,
-        )
+    def step(self) -> None:
+        now = self.now
+        self._move_actors(now)
+        by_receiver = self.deliver(self._stations(now))
 
         for name in sorted(self.sniffers):
             sniffer = self.sniffers[name]
-            for packet in sniffer.sniff_tick(deliveries, self.database, now):
+            for packet in sniffer.sniff_tick(by_receiver.get(name, []), self.database, now):
                 if packet not in self._logged_captures:
                     self._logged_captures.add(packet)
                     self._log(now, "capture", actor=name, place=sniffer.place_name, packet=packet.hex())
@@ -406,7 +416,7 @@ class World:
                     self._log(now, "relay", actor=name, packet=packet.hex())
 
         for name in sorted(self.devices):
-            self.devices[name].receive(deliveries, now)
+            self.devices[name].receive(by_receiver.get(name, []), now)
 
         while self._pending_diagnoses and self._pending_diagnoses[0].at_time <= now:
             event = self._pending_diagnoses.pop(0)
@@ -417,7 +427,7 @@ class World:
             device.exposure_check(self.backend, now)
             self._log_new_matches(name, now)
 
-        self.clock.advance()
+        self.now += self.params.tick_seconds
 
     def _run_diagnosis(self, actor: str, now: int) -> None:
         device = self.devices[actor]

@@ -4,7 +4,9 @@ Everything here is written from primitives (stdlib hmac/hashlib, textbook
 formulas) on purpose: the derivation chain re-implements RFC 5869 by hand
 instead of using the cryptography package, the matcher is a quadratic
 cross-product scan instead of an index, and the distance uses the spherical
-law of cosines instead of the haversine form.
+law of cosines instead of the haversine form.  The one exception is the
+fan-out oracle, which keeps the package's distance and path-loss arithmetic
+so that rssi values compare exactly.
 """
 
 from __future__ import annotations
@@ -110,3 +112,27 @@ def naive_verdict(match_rpis, records, batch, neighborhood_cells, neighborhood_b
         if first is None:
             first = (kind, rpi)
     return first
+
+
+def naive_deliveries(stations, params):
+    """Examine every sender/receiver pair afresh, with no link table:
+    deliveries in sender, receiver, packet order."""
+    from relaysim.radio import Delivery, haversine_m, path_loss_db
+
+    ordered = sorted(stations, key=lambda s: s.name)
+    deliveries = []
+    for sender in ordered:
+        if not sender.packets:
+            continue
+        for receiver in ordered:
+            if receiver.name == sender.name:
+                continue
+            distance = haversine_m(sender.position, receiver.position)
+            if distance > params.ble_range_m:
+                continue
+            rssi = sender.tx_power_dbm - path_loss_db(distance, params)
+            for packet in sender.packets:
+                deliveries.append(
+                    Delivery(sender=sender.name, receiver=receiver.name, packet=packet, rssi=rssi)
+                )
+    return deliveries

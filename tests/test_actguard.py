@@ -92,6 +92,20 @@ class TestRecordContact:
             actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), t)
         assert len(table) == 1
 
+    def test_repeat_sightings_hash_once_per_bucket(self, monkeypatch):
+        hashed = []
+        real = actguard.contact_hash
+        monkeypatch.setattr(
+            actguard, "contact_hash", lambda *args: hashed.append(args) or real(*args)
+        )
+        table = actguard.MyContactsTable()
+        for t in (0, 10, 20, 290):
+            actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), t)
+        actguard.record_contact(table, GOLDEN_RPI_B, GOLDEN_RPI_A, (0.0, 0.0), 150)
+        assert len(hashed) == 1
+        actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 300)
+        assert len(hashed) == 2
+
     def test_consecutive_buckets_grow_table(self):
         table = actguard.MyContactsTable()
         actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 299)

@@ -1,0 +1,78 @@
+"""A world's cached link table against the all-pairs fan-out, tick by tick."""
+
+import math
+
+from hypothesis import given, strategies as st
+
+from relaysim import radio, scenario
+
+from oracles import naive_deliveries
+
+# Offsets within +-12.5 m of a common point on each axis: pairs land on both
+# sides of the 10 m range.
+OFFSET_M = st.tuples(st.floats(-12.5, 12.5), st.floats(-12.5, 12.5))
+POWER = st.sampled_from([-30, -20, 0])
+
+
+def _position(origin, offset_m):
+    dlat = math.degrees(offset_m[0] / 6371000.0)
+    dlon = math.degrees(offset_m[1] / 6371000.0) / math.cos(math.radians(origin[0]))
+    return (origin[0] + dlat, origin[1] + dlon)
+
+
+@st.composite
+def _runs(draw):
+    """Stations' first offsets and powers, then per tick the moves
+    (station index, new offset or None to stay, new power) and every
+    station's packets."""
+    n = draw(st.integers(2, 8))
+    origin = (draw(st.floats(-80.0, 80.0)), draw(st.floats(-179.0, 179.0)))
+    start = draw(st.lists(OFFSET_M, min_size=n, max_size=n))
+    powers = draw(st.lists(POWER, min_size=n, max_size=n))
+    packets = st.lists(st.binary(min_size=1, max_size=4), max_size=2)
+    ticks = draw(
+        st.lists(
+            st.tuples(
+                st.lists(
+                    st.tuples(st.integers(0, n - 1), st.none() | OFFSET_M, POWER), max_size=3
+                ),
+                st.lists(packets, min_size=n, max_size=n),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return origin, start, powers, ticks
+
+
+@given(_runs())
+def test_cached_fanout_equals_all_pairs(run):
+    origin, offsets, powers, ticks = run
+    config = scenario.load_config(
+        {"name": "fanout", "duration": 10, "places": [], "actors": []}
+    )
+    world = scenario.World(config)
+    names = [f"s{i}" for i in range(len(offsets))]
+    offsets, powers = list(offsets), list(powers)
+    previous = None
+    for moves, packets in ticks:
+        for i, offset, power in moves:
+            offsets[i] = offsets[i] if offset is None else offset
+            powers[i] = power
+        stations = [
+            radio.Station(name, _position(origin, offset), power, tuple(pk))
+            for name, offset, power, pk in zip(names, offsets, powers, packets)
+        ]
+        radio_state = [(s.position, s.tx_power_dbm) for s in stations]
+        links = world._links
+
+        by_receiver = world.deliver(stations)
+
+        naive = naive_deliveries(stations, config.params)
+        expected: dict[str, list[radio.Delivery]] = {}
+        for d in naive:
+            expected.setdefault(d.receiver, []).append(d)
+        assert by_receiver == expected
+        assert radio.broadcast_step(stations, world._links) == naive
+        assert (world._links is not links) == (radio_state != previous)
+        previous = radio_state

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relaysim import radio
+from relaysim.params import SimParams
 
 from oracles import law_of_cosines_m, offset_north_m
 
@@ -49,10 +50,20 @@ class TestCodec:
         assert radio.decode_advertisement(packet) == (rpi, aem)
 
 
+def _station(name, position, packets=()):
+    return radio.Station(name=name, position=position, tx_power_dbm=-20, packets=tuple(packets))
+
+
+def _hears(a, b, params=SimParams()):
+    """Whether a station at b hears one at a."""
+    links = radio.link_table([_station("a", a), _station("b", b)], params)
+    return [receiver for receiver, _ in links["a"]] == ["b"]
+
+
 class TestRange:
     def test_identical_positions_in_range(self):
         p = (45.0, 11.0)
-        assert radio.in_range(p, p)
+        assert _hears(p, p)
 
     def test_nine_meters_in_eleven_out(self):
         origin = (45.0, 11.0)
@@ -61,13 +72,13 @@ class TestRange:
         # sanity-check the constructed offsets with the independent formula
         assert law_of_cosines_m(origin, near) == pytest.approx(9.0, abs=0.01)
         assert law_of_cosines_m(origin, far) == pytest.approx(11.0, abs=0.01)
-        assert radio.in_range(origin, near, ble_range_m=10.0)
-        assert not radio.in_range(origin, far, ble_range_m=10.0)
+        assert _hears(origin, near, SimParams(ble_range_m=10.0))
+        assert not _hears(origin, far, SimParams(ble_range_m=10.0))
 
     def test_symmetry(self):
         a = (45.0, 11.0)
         b = offset_north_m(a, 8.0)
-        assert radio.in_range(a, b) == radio.in_range(b, a)
+        assert _hears(a, b) == _hears(b, a)
 
     def test_haversine_agrees_with_independent_formula(self):
         a = (44.5, 10.9)
@@ -77,20 +88,20 @@ class TestRange:
 
 class TestPathLoss:
     def test_reference_values(self):
-        assert radio.path_loss_db(1.0) == pytest.approx(40.0)
-        assert radio.path_loss_db(10.0) == pytest.approx(60.0)
+        assert radio.path_loss_db(1.0, SimParams()) == pytest.approx(40.0)
+        assert radio.path_loss_db(10.0, SimParams()) == pytest.approx(60.0)
 
     def test_clamped_below_min_distance(self):
-        assert radio.path_loss_db(0.0) == radio.path_loss_db(0.1)
+        assert radio.path_loss_db(0.0, SimParams()) == radio.path_loss_db(0.1, SimParams())
 
     def test_rssi_monotone_in_distance(self):
         tx = -20
-        rssi = [tx - radio.path_loss_db(d) for d in (1.0, 5.0, 10.0)]
+        rssi = [tx - radio.path_loss_db(d, SimParams()) for d in (1.0, 5.0, 10.0)]
         assert rssi[0] > rssi[1] > rssi[2]
 
 
-def _station(name, position, packets=()):
-    return radio.Station(name=name, position=position, tx_power_dbm=-20, packets=tuple(packets))
+def _broadcast(stations):
+    return radio.broadcast_step(stations, radio.link_table(stations, SimParams()))
 
 
 class TestBroadcast:
@@ -100,7 +111,7 @@ class TestBroadcast:
             _station("adv", (45.0, 11.0), [packet]),
             _station("scan", (45.0, 11.0)),
         ]
-        deliveries = radio.broadcast_step(stations)
+        deliveries = _broadcast(stations)
         assert len(deliveries) == 1
         assert deliveries[0].sender == "adv"
         assert deliveries[0].receiver == "scan"
@@ -112,7 +123,7 @@ class TestBroadcast:
             _station("a", (0.0, 0.0), [packet]),
             _station("b", (0.01, 0.0), [packet]),  # ~1.1 km away
         ]
-        assert radio.broadcast_step(stations) == []
+        assert _broadcast(stations) == []
 
     def test_delivery_order_deterministic(self):
         packet = radio.encode_advertisement(GOLDEN_RPI, GOLDEN_AEM)
@@ -121,8 +132,8 @@ class TestBroadcast:
             _station("a", (45.0, 11.0), [packet]),
             _station("b", (45.0, 11.0)),
         ]
-        first = radio.broadcast_step(stations)
-        second = radio.broadcast_step(list(reversed(stations)))
+        first = _broadcast(stations)
+        second = _broadcast(list(reversed(stations)))
         assert first == second
         assert [(d.sender, d.receiver) for d in first] == [
             ("a", "b"), ("a", "c"), ("c", "a"), ("c", "b"),
@@ -137,7 +148,7 @@ class TestBroadcast:
                 _station("tx", origin, [packet]),
                 _station("rx", offset_north_m(origin, meters)),
             ]
-            (delivery,) = radio.broadcast_step(stations)
+            (delivery,) = _broadcast(stations)
             rssi_by_distance.append(delivery.rssi)
         assert rssi_by_distance[0] > rssi_by_distance[1] > rssi_by_distance[2]
 
@@ -152,21 +163,8 @@ def test_no_delivery_ever_leaks_past_range(lat_a, lon_a, dlat, dlon):
     packet = radio.encode_advertisement(GOLDEN_RPI, GOLDEN_AEM)
     a = (lat_a, lon_a)
     b = (lat_a + dlat, lon_a + dlon)
-    deliveries = radio.broadcast_step(
-        [_station("a", a, [packet]), _station("b", b, [packet])]
-    )
+    deliveries = _broadcast([_station("a", a, [packet]), _station("b", b, [packet])])
     if radio.haversine_m(a, b) > 10.0:
         assert deliveries == []
     else:
         assert len(deliveries) == 2
-
-
-class TestSimClock:
-    def test_monotone_advance(self):
-        clock = radio.SimClock(now=0, tick_seconds=10)
-        assert clock.advance() == 10
-        assert clock.advance() == 20
-
-    def test_positive_tick_required(self):
-        with pytest.raises(ValueError):
-            radio.SimClock(now=0, tick_seconds=0)

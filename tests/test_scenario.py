@@ -5,6 +5,7 @@ import json
 import pytest
 
 from relaysim import scenario
+from relaysim.params import SimParams
 from relaysim.scenario import ConfigError
 
 
@@ -94,6 +95,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="alert_threshold_minutes must be finite"):
             scenario.load_config(_minimal_config(params={"alert_threshold_minutes": value}))
 
+    @pytest.mark.parametrize("value", [-128, 128])
+    def test_out_of_range_tx_power_rejected(self, value):
+        # The AEM cannot carry it; before, the run failed at the first tick.
+        with pytest.raises(ConfigError, match="tx_power_dbm"):
+            scenario.load_config(_minimal_config(params={"tx_power_dbm": value}))
+        for edge in (-127, 127):
+            scenario.run(scenario.load_config(_minimal_config(params={"tx_power_dbm": edge})))
+
     def test_diagnosis_after_last_tick_rejected(self):
         # Ticks run at 0, 10, ..., 590: a diagnosis at 595 would never run.
         data = _minimal_config(diagnosis_events=[{"actor": "b", "at_time": 595}])
@@ -108,6 +117,12 @@ class TestLoadConfig:
         config = scenario.load_config(_minimal_config(), seed_override=99)
         assert config.seed == 99
         assert config.raw["seed"] == 99
+
+
+class TestSimParams:
+    def test_positive_tick_required(self):
+        with pytest.raises(ValueError, match="tick_seconds"):
+            SimParams(tick_seconds=0)
 
 
 class TestRun:
@@ -153,6 +168,17 @@ class TestRun:
         report = scenario.run(scenario.load_config(data))
         assert report.actor("a")["gaen_alert"] is False
         assert report.actor("a")["observations"] == 30
+
+    def test_walking_into_range_is_heard_from_that_tick_on(self):
+        # b starts ~1.1 km away and arrives at a's place at t=300
+        data = _minimal_config()
+        data["actors"][1]["position"] = [0.01, 0.0]
+        data["actors"][1]["movement"] = {"waypoints": [{"at": 300, "lat": 0.0, "lon": 0.0}]}
+        world = scenario.World(scenario.load_config(data))
+        world.run()
+        for name in ("a", "b"):
+            scan_times = [o.scan_time for o in world.devices[name].observations]
+            assert scan_times == list(range(300, 600, 10))
 
     def test_self_report_never_alerts(self):
         report = scenario.run(scenario.load_config(_minimal_config()))

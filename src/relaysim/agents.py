@@ -12,29 +12,43 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 from . import actguard, gaen, radio
 from .backend import BackendError, BackendStore, encode_diagnosis_payload
 from .params import SECONDS_PER_DAY, SimParams
 
 
-@dataclass(frozen=True)
-class DatabaseEntry:
+class DatabaseEntry(NamedTuple):
     packet: bytes
     capture_time: int
     source_place: str
 
 
+_capture_time = attrgetter("capture_time")
+
+
 @dataclass
 class MaliciousDatabase:
-    """Append-only packet exchange between the two adversary roles."""
+    """Append-only packet exchange between the two adversary roles.
+
+    Entries are kept in capture order.  ``positions`` maps each distinct
+    packet to the indexes of its entries, ascending, so a reader can work
+    per distinct packet instead of per captured copy.
+    """
 
     entries: list[DatabaseEntry] = field(default_factory=list)
+    positions: dict[bytes, list[int]] = field(default_factory=dict)
 
     def append(self, packet: bytes, capture_time: int, source_place: str) -> None:
-        self.entries.append(
-            DatabaseEntry(packet=packet, capture_time=capture_time, source_place=source_place)
-        )
+        if self.entries and capture_time < self.entries[-1].capture_time:
+            raise ValueError(
+                f"capture at t={capture_time} precedes the last one"
+                f" at t={self.entries[-1].capture_time}"
+            )
+        self.positions.setdefault(packet, []).append(len(self.entries))
+        self.entries.append(DatabaseEntry(packet, capture_time, source_place))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -47,7 +61,7 @@ class SnifferAdversary:
         self.name = name
         self.position = position
         self.place_name = place_name or name
-        self.capture_log: list[tuple[bytes, int]] = []
+        self.captures = 0
 
     def outgoing_packets(self) -> tuple[bytes, ...]:
         return ()
@@ -63,8 +77,8 @@ class SnifferAdversary:
             if radio.decode_advertisement(d.packet) is None:
                 continue
             database.append(d.packet, capture_time=now, source_place=self.place_name)
-            self.capture_log.append((d.packet, now))
             captured.append(d.packet)
+        self.captures += len(captured)
         return captured
 
 
@@ -74,7 +88,9 @@ class RebroadcastAdversary:
     An entry goes on the air once its relay delay has elapsed and keeps
     being replayed every tick until ``replay_ttl`` seconds after capture,
     the longest the pseudonym inside could still be valid.  Byte-identical
-    entries collapse to one transmission per tick.
+    entries collapse to one transmission per tick, ordered by each packet's
+    first eligible capture.  A tick costs one bisect per distinct packet in
+    the database, however many copies of it were captured.
     """
 
     def __init__(
@@ -95,11 +111,20 @@ class RebroadcastAdversary:
 
     def rebroadcast_tick(self, database: MaliciousDatabase, now: int) -> tuple[bytes, ...]:
         # Entries arrive in capture order, so the eligibility window
-        # (now - ttl, now - delay] is a contiguous slice.
+        # (now - ttl, now - delay] is the slice [lo, hi) of entries.  A packet
+        # is eligible when its first position at or after lo is below hi.
         entries = database.entries
-        lo = bisect.bisect_right(entries, now - self.replay_ttl, key=lambda e: e.capture_time)
-        hi = bisect.bisect_right(entries, now - self.relay_delay, key=lambda e: e.capture_time)
-        self.replay_queue = tuple(dict.fromkeys(e.packet for e in entries[lo:hi]))
+        lo = bisect.bisect_right(entries, now - self.replay_ttl, key=_capture_time)
+        hi = bisect.bisect_right(entries, now - self.relay_delay, key=_capture_time)
+        firsts = []
+        if lo < hi:
+            for packet, positions in database.positions.items():
+                if positions[-1] >= lo:
+                    first = positions[bisect.bisect_left(positions, lo)]
+                    if first < hi:
+                        firsts.append((first, packet))
+            firsts.sort()
+        self.replay_queue = tuple(packet for _, packet in firsts)
         return self.replay_queue
 
 
@@ -126,6 +151,9 @@ class HonestDevice:
 
     ``rpi_indexes`` maps a chunk's keys to their RPI index.  Devices of one
     run share it, so each chunk is expanded once however many download it.
+    Besides the observations in scan order, a device keeps the positions of
+    each observed RPI's observations, so matching touches only the
+    observations a chunk can match.
     """
 
     def __init__(
@@ -151,6 +179,7 @@ class HonestDevice:
         self._current_slot: tuple[int, int] | None = None  # (day, interval)
 
         self.observations: list[gaen.Observation] = []
+        self._positions_by_rpi: dict[bytes, list[int]] = {}
         self.contacts = actguard.MyContactsTable() if actguard_enabled else None
         self.positive_table = actguard.PositiveTable() if actguard_enabled else None
 
@@ -198,8 +227,9 @@ class HonestDevice:
         """Store one observation per protocol delivery; own echoes are dropped."""
         self.ensure_interval(now)
         assert self.current_rpi is not None
-        stored = 0
         own = self.current_rpi.bytes
+        observations = self.observations
+        before = len(observations)
         for d in deliveries:
             if d.receiver != self.name:
                 continue
@@ -209,12 +239,8 @@ class HonestDevice:
             rpi, aem = decoded
             if rpi == own:
                 continue
-            self.observations.append(
-                gaen.Observation(
-                    rpi=rpi, aem=aem, rssi=d.rssi, scan_time=now, location=self.position
-                )
-            )
-            stored += 1
+            self._positions_by_rpi.setdefault(rpi, []).append(len(observations))
+            observations.append(gaen.Observation(rpi, aem, d.rssi, now, self.position))
             if self.contacts is not None:
                 actguard.record_contact(
                     self.contacts,
@@ -225,7 +251,7 @@ class HonestDevice:
                     cell_size_deg=self.params.cell_size_deg,
                     bucket_seconds=self.params.bucket_seconds,
                 )
-        return stored
+        return len(observations) - before
 
     # --- diagnosis and exposure checking -----------------------------------
 
@@ -282,7 +308,8 @@ class HonestDevice:
         """Match new observations, then recompute alert and verdicts.
 
         Each downloaded chunk is matched only against the observations
-        stored since it was last matched; the risk score and the verdicts
+        stored since it was last matched whose RPI its index holds, in scan
+        order; the others cannot match it.  The risk score and the verdicts
         are then recomputed over all matches of every chunk.
         """
         all_matches: list[gaen.ExposureMatch] = []
@@ -294,7 +321,7 @@ class HonestDevice:
             if chunk.cursor < stored:
                 chunk.matches += gaen.match_indexed(
                     chunk.index,
-                    self.observations[chunk.cursor :],
+                    self._observations_in(chunk.index, chunk.cursor),
                     self.params.clock_tolerance_seconds,
                 )
                 chunk.cursor = stored
@@ -317,6 +344,16 @@ class HonestDevice:
             matches_by_diagnosis=matched,
         )
         return self.exposure
+
+    def _observations_in(self, index: gaen.RpiIndex, start: int) -> list[gaen.Observation]:
+        """Observations from position ``start`` on whose RPI ``index`` holds,
+        in scan order."""
+        positions: list[int] = []
+        for rpi in self._positions_by_rpi.keys() & index.keys():
+            at = self._positions_by_rpi[rpi]
+            positions += at[bisect.bisect_left(at, start) :]
+        positions.sort()
+        return [self.observations[i] for i in positions]
 
     def _verdict_for(
         self, diagnosis_id: int, matches: list[gaen.ExposureMatch]

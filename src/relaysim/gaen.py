@@ -68,8 +68,7 @@ class Rpi:
     interval_index: int
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """One advertisement as stored by the scanning device.
 
     ``location`` is the scanner's own position at scan time; the packet
@@ -83,8 +82,7 @@ class Observation:
     location: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class ExposureMatch:
+class ExposureMatch(NamedTuple):
     """An observation that matched a diagnosed device's expanded RPI."""
 
     tek: Tek
@@ -210,22 +208,20 @@ def match_indexed(
     A match requires byte equality with an expanded RPI *and* a scan time
     inside that RPI's validity window widened by ``clock_tolerance`` on both
     sides (half-open, so a scan at exactly window_end + tolerance misses).
-    The decrypted transmit power rides along for risk scoring.  Matching a
-    list in slices yields the same matches as matching it whole.
+    The decrypted transmit power rides along for risk scoring; a packet
+    heard many times is decrypted once per call.  Matching a list in slices
+    yields the same matches as matching it whole.
     """
     matches: list[ExposureMatch] = []
+    tx_powers: dict[tuple[bytes, bytes, bytes], int] = {}
     for obs in observations:
         for entry in index.get(obs.rpi, ()):
             if entry.start - clock_tolerance <= obs.scan_time < entry.end + clock_tolerance:
-                matches.append(
-                    ExposureMatch(
-                        tek=entry.tek,
-                        rpi=obs.rpi,
-                        interval_index=entry.interval_index,
-                        tx_power_dbm=decrypt_aem(entry.aemk, obs.rpi, obs.aem),
-                        observation=obs,
-                    )
-                )
+                key = (entry.aemk, obs.rpi, obs.aem)
+                tx = tx_powers.get(key)
+                if tx is None:
+                    tx = tx_powers[key] = decrypt_aem(entry.aemk, obs.rpi, obs.aem)
+                matches.append(ExposureMatch(entry.tek, obs.rpi, entry.interval_index, tx, obs))
     return matches
 
 

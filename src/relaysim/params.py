@@ -2,7 +2,8 @@
 
 Everything an operator might tune lives here with its default; scenario
 configs override fields by name.  Values are validated once at construction
-so the tick loop never has to re-check them.
+(an int field takes only an int, a float field any finite number) so the
+tick loop never has to re-check them.
 """
 
 from __future__ import annotations
@@ -56,7 +57,12 @@ class SimParams:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
+            if f.type == "int":
+                if type(value) is not int:
+                    raise TypeError(f"{f.name} must be an integer, got {value!r}")
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"{f.name} must be a number, got {value!r}")
+            elif not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if self.rotation_seconds <= 0 or SECONDS_PER_DAY % self.rotation_seconds:
             raise ValueError(

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gaen import AEM_LENGTH, RPI_LENGTH
 from .params import SimParams
 
 SERVICE_UUID = 0xFD6F
 PACKET_LENGTH = 2 + RPI_LENGTH + AEM_LENGTH
+_UUID_PREFIX = SERVICE_UUID.to_bytes(2, "little")
 
 EARTH_RADIUS_M = 6371000.0
 
@@ -25,14 +27,14 @@ def encode_advertisement(rpi: bytes, aem: bytes) -> bytes:
         raise ValueError(f"rpi must be {RPI_LENGTH} bytes, got {len(rpi)}")
     if len(aem) != AEM_LENGTH:
         raise ValueError(f"aem must be {AEM_LENGTH} bytes, got {len(aem)}")
-    return SERVICE_UUID.to_bytes(2, "little") + rpi + aem
+    return _UUID_PREFIX + rpi + aem
 
 
 def decode_advertisement(data: bytes) -> tuple[bytes, bytes] | None:
     """Parse a protocol packet; returns None for anything else."""
     if len(data) != PACKET_LENGTH:
         return None
-    if int.from_bytes(data[:2], "little") != SERVICE_UUID:
+    if data[:2] != _UUID_PREFIX:
         return None
     return data[2 : 2 + RPI_LENGTH], data[2 + RPI_LENGTH :]
 
@@ -81,8 +83,9 @@ class Station:
     packets: tuple[bytes, ...] = ()
 
 
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
+    """One packet heard by one receiver in one tick."""
+
     sender: str
     receiver: str
     packet: bytes
@@ -123,7 +126,5 @@ def broadcast_step(stations: list[Station], links: LinkTable) -> list[Delivery]:
     for sender in sorted(stations, key=lambda s: s.name):
         for receiver, rssi in links[sender.name]:
             for packet in sender.packets:
-                deliveries.append(
-                    Delivery(sender=sender.name, receiver=receiver, packet=packet, rssi=rssi)
-                )
+                deliveries.append(Delivery(sender.name, receiver, packet, rssi))
     return deliveries

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -106,6 +106,21 @@ _TOP_LEVEL_KEYS = {
 _ACTOR_KEYS = {"name", "role", "place", "actguard", "position", "movement"}
 
 
+def _objects(section: dict, key: str, owner: str = "scenario") -> list[dict]:
+    """The list of JSON objects under ``key``, or a ConfigError naming it."""
+    items = section.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
+        raise ConfigError(f"{owner}: {key} must be a list of objects")
+    return items
+
+
+def _field(item: dict, key: str, owner: str):
+    try:
+        return item[key]
+    except KeyError:
+        raise ConfigError(f"{owner} has no {key!r}") from None
+
+
 def load_config(source: str | Path | dict, *, seed_override: int | None = None) -> ScenarioConfig:
     """Parse and validate a scenario from a file path or an in-memory dict."""
     if isinstance(source, dict):
@@ -126,11 +141,13 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
         raise ConfigError("duration must be a positive number of seconds")
 
     places: dict[str, radio.Place] = {}
-    for p in data.get("places", []):
+    for i, p in enumerate(_objects(data, "places")):
+        place_name = str(_field(p, "name", f"place #{i}"))
+        owner = f"place {place_name!r}"
         place = radio.Place(
-            name=str(p["name"]),
-            lat=float(p["lat"]),
-            lon=float(p["lon"]),
+            name=place_name,
+            lat=float(_field(p, "lat", owner)),
+            lon=float(_field(p, "lon", owner)),
             radius_m=float(p.get("radius_m", 20.0)),
         )
         if place.name in places:
@@ -139,13 +156,13 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
 
     actors: list[ActorSpec] = []
     seen = set()
-    for a in data.get("actors", []):
+    for i, a in enumerate(_objects(data, "actors")):
         unknown = set(a) - _ACTOR_KEYS
         if unknown:
             raise ConfigError(
                 f"unknown actor key(s) for {a.get('name', '?')!r}: {', '.join(sorted(unknown))}"
             )
-        actor_name = str(a["name"])
+        actor_name = str(_field(a, "name", f"actor #{i}"))
         if actor_name in seen:
             raise ConfigError(f"duplicate actor name {actor_name!r}")
         seen.add(actor_name)
@@ -170,9 +187,14 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
                 raise ConfigError(
                     f"actor {actor_name!r}: movement must be \"stationary\" or a waypoints object"
                 )
+            where = f"actor {actor_name!r} waypoint"
             wps = [
-                Waypoint(at=int(w["at"]), lat=float(w["lat"]), lon=float(w["lon"]))
-                for w in movement.get("waypoints", [])
+                Waypoint(
+                    at=int(_field(w, "at", where)),
+                    lat=float(_field(w, "lat", where)),
+                    lon=float(_field(w, "lon", where)),
+                )
+                for w in _objects(movement, "waypoints", f"actor {actor_name!r}")
             ]
             if any(b.at <= a_.at for a_, b in zip(wps, wps[1:])):
                 raise ConfigError(f"actor {actor_name!r}: waypoint times must increase")
@@ -198,9 +220,9 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
     last_tick = (duration // params.tick_seconds - 1) * params.tick_seconds
     by_name = {a.name: a for a in actors}
     events = []
-    for e in data.get("diagnosis_events", []):
-        target = str(e["actor"])
-        at_time = int(e["at_time"])
+    for i, e in enumerate(_objects(data, "diagnosis_events")):
+        target = str(_field(e, "actor", f"diagnosis event #{i}"))
+        at_time = int(_field(e, "at_time", f"diagnosis event #{i}"))
         if target not in by_name:
             raise ConfigError(f"diagnosis event names unknown actor {target!r}")
         if by_name[target].role != "honest":
@@ -217,10 +239,16 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
     events.sort(key=lambda e: (e.at_time, e.actor))
 
     attack_data = data.get("attack", {})
-    attack = AttackSpec(
-        relay_delay=int(attack_data.get("relay_delay", 0)),
-        replay_ttl=int(attack_data.get("replay_ttl", 7200)),
-    )
+    if not isinstance(attack_data, dict):
+        raise ConfigError("attack must be an object")
+    unknown = set(attack_data) - {f.name for f in fields(AttackSpec)}
+    if unknown:
+        raise ConfigError(f"unknown attack key(s): {', '.join(sorted(unknown))}")
+    attack = AttackSpec(**attack_data)
+    for key, least in (("relay_delay", 0), ("replay_ttl", 1)):
+        value = getattr(attack, key)
+        if type(value) is not int or value < least:
+            raise ConfigError(f"attack {key} must be an integer >= {least}, got {value!r}")
 
     return ScenarioConfig(
         name=name,
@@ -493,7 +521,7 @@ class World:
             elif spec.role == "sniffer":
                 actors[name] = {
                     "role": "sniffer",
-                    "captures": len(self.sniffers[name].capture_log),
+                    "captures": self.sniffers[name].captures,
                 }
             else:
                 actors[name] = {

@@ -2,7 +2,7 @@
 
 Endpoints (JSON bodies, lowercase hex, frozen by golden fixtures):
 
-    POST /otp                {"ttl": n}?          -> 200 {"code": ...}
+    POST /otp                {"ttl": n}?          -> 200 {"code": ...} | 400
     POST /diagnosis          {otp, teks, hashes?} -> 200 {"diagnosis_id": n} | 403
     GET  /chunks?since=N                          -> 200 [{index, published_at, teks}]
     GET  /hashes/<id>                             -> 200 {"hashes": [...]} | 404
@@ -73,8 +73,12 @@ class BackendHTTPServer:
 
     # request handlers, called under the lock
 
-    def handle_otp(self, body: dict) -> tuple[int, bytes]:
-        ttl = int(body.get("ttl", self.otp_ttl))
+    def handle_otp(self, body: object) -> tuple[int, bytes]:
+        if not isinstance(body, dict):
+            return 400, canonical_json({"error": "otp request must be a json object"})
+        ttl = body.get("ttl", self.otp_ttl)
+        if type(ttl) is not int or ttl < 0:
+            return 400, canonical_json({"error": "ttl must be a non-negative integer"})
         otp = self.store.authorize_otp(ttl, now=int(self.clock()))
         return 200, canonical_json({"code": otp.code})
 
@@ -116,13 +120,22 @@ def _make_handler(server: BackendHTTPServer):
             self.end_headers()
             self.wfile.write(body)
 
-        def _read_body(self) -> bytes:
-            length = int(self.headers.get("Content-Length", "0"))
-            return self.rfile.read(length) if length else b""
+        def _read_body(self) -> bytes | None:
+            """The request body, or None when Content-Length is not a
+            non-negative decimal integer."""
+            length = self.headers.get("Content-Length", "0").strip()
+            if not (length.isascii() and length.isdigit()):
+                return None
+            return self.rfile.read(int(length))
 
         def do_POST(self) -> None:
             path = urlparse(self.path).path
             raw = self._read_body()
+            if raw is None:
+                # The body's extent is unknown, so the connection cannot be reused.
+                self.close_connection = True
+                self._reply(400, canonical_json({"error": "bad content-length"}))
+                return
             with server._lock:
                 if path == "/otp":
                     try:

@@ -136,3 +136,13 @@ def naive_deliveries(stations, params):
                     Delivery(sender=sender.name, receiver=receiver.name, packet=packet, rssi=rssi)
                 )
     return deliveries
+
+
+def naive_replay_queue(captures, now, relay_delay, replay_ttl):
+    """Scan every capture: the distinct packets captured inside the replay
+    window (now - replay_ttl, now - relay_delay], in first-capture order.
+
+    ``captures`` are (packet, capture_time) pairs in capture order.
+    """
+    window = [p for p, t in captures if now - replay_ttl < t <= now - relay_delay]
+    return tuple(dict.fromkeys(window))

@@ -1,6 +1,7 @@
 """Device and adversary behavior: rotation, scanning, relaying, uploading."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relaysim import gaen, radio
 from relaysim.agents import (
@@ -11,6 +12,8 @@ from relaysim.agents import (
 )
 from relaysim.backend import BackendStore, BackendUnavailable, OtpError
 from relaysim.params import SimParams
+
+from oracles import naive_replay_queue
 
 PARAMS = SimParams()
 HERE = (44.63, 10.94)
@@ -101,7 +104,7 @@ class TestSniffer:
         packet, _, _ = _peer_packet()
         for t in (0, 10, 20):
             sniffer.sniff_tick([_delivery("adv2", packet, sender="victim")], db, t)
-        assert len(db) == 3
+        assert len(db) == sniffer.captures == 3
         assert [e.capture_time for e in db.entries] == [0, 10, 20]
         assert all(e.packet == packet for e in db.entries)
         assert all(e.source_place == "Y" for e in db.entries)
@@ -111,7 +114,7 @@ class TestSniffer:
         db = MaliciousDatabase()
         bogus = (0x1809).to_bytes(2, "little") + bytes(20)
         sniffer.sniff_tick([_delivery("adv2", bogus, sender="thermometer")], db, 0)
-        assert len(db) == 0
+        assert len(db) == sniffer.captures == 0
 
     def test_only_own_deliveries_captured(self):
         sniffer = SnifferAdversary("adv2", HERE, "Y")
@@ -162,6 +165,41 @@ class TestRebroadcaster:
         for t in (0, 10, 20):
             db.append(packet, capture_time=t, source_place="Y")
         assert adv.rebroadcast_tick(db, 30) == (packet,)
+
+    def test_out_of_order_capture_rejected(self):
+        db = MaliciousDatabase()
+        db.append(b"a", capture_time=10, source_place="Y")
+        with pytest.raises(ValueError, match="precedes"):
+            db.append(b"b", capture_time=9, source_place="Y")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                # capture one of a few packets, so copies repeat
+                st.tuples(st.just("capture"), st.integers(0, 4), st.integers(0, 30)),
+                st.tuples(st.just("tick"), st.integers(0, 30)),
+            ),
+            max_size=60,
+        ),
+        relay_delay=st.integers(0, 90),
+        replay_ttl=st.integers(1, 150),
+    )
+    def test_replay_queue_equals_window_scan(self, ops, relay_delay, replay_ttl):
+        adv = RebroadcastAdversary("adv1", HERE, relay_delay=relay_delay, replay_ttl=replay_ttl)
+        db = MaliciousDatabase()
+        captures = []
+        now = 0
+        for op in ops:
+            now += op[-1]
+            if op[0] == "capture":
+                packet = bytes([op[1]]) * 22
+                db.append(packet, capture_time=now, source_place="Y")
+                captures.append((packet, now))
+            else:
+                expected = naive_replay_queue(captures, now, relay_delay, replay_ttl)
+                assert adv.rebroadcast_tick(db, now) == expected
+                assert adv.replay_queue == expected
 
 
 class TestDiagnosisUpload:

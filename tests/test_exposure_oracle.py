@@ -2,10 +2,12 @@
 
 Hypothesis drives two observing devices, which share one RPI-index table,
 through any interleaving of meetings with three peers (observations plus,
-for defended devices, contact records), diagnoses of those peers, backend
-polls and evaluations.  After every evaluation each observer's
-``ExposureState`` must equal what brute-force matching and the per-match
-naive verifier compute from everything it has stored and downloaded.
+for defended devices, contact records), peer clocks running ahead (so an
+observation can fall before its RPI's validity window), diagnoses of those
+peers, backend polls and evaluations.  After every evaluation each observer's
+``ExposureState`` and its per-chunk matches, in scan order, must equal what
+brute-force matching and the per-match naive verifier compute from
+everything it has stored and downloaded.
 """
 
 import random
@@ -32,9 +34,11 @@ meet = st.tuples(
     st.sampled_from([-45.0, -90.0]),  # rssi: attenuation under / over threshold
     st.one_of(st.integers(1, 25), st.integers(25, 9000)),  # seconds since last op
 )
+# from now on the peer advertises the RPI of this many seconds ahead
+lead = st.tuples(st.just("lead"), st.integers(0, len(PEERS) - 1), st.sampled_from([0, 30, 700]))
 diagnose = st.tuples(st.just("diagnose"), st.integers(0, len(PEERS) - 1))
 ops = st.lists(
-    st.one_of(meet, diagnose, st.just(("poll",)), st.just(("evaluate",))), max_size=30
+    st.one_of(meet, lead, diagnose, st.just(("poll",)), st.just(("evaluate",))), max_size=30
 )
 
 
@@ -50,7 +54,7 @@ def _reference_match(tek: gaen.Tek, obs: gaen.Observation, rotation: int) -> gae
 
 
 def _reference_state(device: HonestDevice, backend: BackendStore, now: int):
-    """(alert, score, matches per diagnosis, verdicts) from scratch."""
+    """(alert, score, matches per diagnosis in scan order, verdicts) from scratch."""
     params = device.params
     position = {obs: i for i, obs in enumerate(device.observations)}
     table = device.contacts.records.values() if device.contacts is not None else ()
@@ -58,7 +62,7 @@ def _reference_state(device: HonestDevice, backend: BackendStore, now: int):
         (r.rpi_low, r.rpi_high, r.cell.lat_index, r.cell.lon_index, r.bucket.index)
         for r in table
     ]
-    all_matches, counts, verdicts = [], {}, {}
+    all_matches, per_diagnosis, verdicts = [], {}, {}
     for chunk in backend.fetch_chunks(0, now):
         if chunk.index > device.last_chunk_index:
             continue
@@ -74,7 +78,7 @@ def _reference_state(device: HonestDevice, backend: BackendStore, now: int):
             for b, d, obs in sorted(found, key=lambda m: position[m[2]])
         ]
         all_matches += matches
-        counts[chunk.index] = len(matches)
+        per_diagnosis[chunk.index] = matches
         if device.actguard_enabled:
             verdicts[chunk.index] = naive_verdict(
                 [m.rpi for m in matches],
@@ -89,21 +93,51 @@ def _reference_state(device: HonestDevice, backend: BackendStore, now: int):
         attenuation_threshold_db=params.attenuation_threshold_db,
         alert_threshold_minutes=params.alert_threshold_minutes,
     )
-    return risk.alert, risk.score, counts, verdicts
+    return risk.alert, risk.score, per_diagnosis, verdicts
 
 
 def _check(device: HonestDevice, backend: BackendStore, now: int) -> None:
     state = device.evaluate_exposure()
+    matches = {d: chunk.matches for d, chunk in device.downloaded.items() if chunk.matches}
+    assert state.matches_by_diagnosis == {d: len(m) for d, m in matches.items()}
     got = (
         state.gaen_alert,
         state.risk_score,
-        state.matches_by_diagnosis,
+        matches,
         {d: (v.kind.value, v.rpi) for d, v in state.verdicts.items()},
     )
     assert got == _reference_state(device, backend, now)
 
 
 @settings(max_examples=50, deadline=None)
+@example(
+    # The peer's clock runs 10 s ahead at 7190, so the first sighting of its
+    # second-interval RPI falls before that RPI's window; the next sighting,
+    # at 7200, falls inside.  Only that one may match.
+    ops=[("lead", 0, 10), ("meet", 0, 0, False, -45.0, 7190), ("lead", 0, 0),
+         ("meet", 0, 0, False, -45.0, 10), ("diagnose", 0), ("poll",), ("evaluate",)],
+    tolerance=0,
+    cells=1,
+    buckets=1,
+)
+@example(
+    # A sighting after the chunk was matched: the second evaluation must match
+    # only that new sighting, not the first one again.
+    ops=[("meet", 0, 0, False, -45.0, 10), ("diagnose", 0), ("poll",), ("evaluate",),
+         ("meet", 0, 0, False, -45.0, 10), ("evaluate",)],
+    tolerance=0,
+    cells=1,
+    buckets=1,
+)
+@example(
+    # Relayed sightings in five rotation intervals and no confirmation: the
+    # verdict names the first-sighted RPI, so matching must keep scan order.
+    ops=[("meet", 0, 0, True, -45.0, 10)] + [("meet", 0, 0, True, -45.0, 7200)] * 4
+    + [("diagnose", 0), ("poll",), ("evaluate",)],
+    tolerance=0,
+    cells=1,
+    buckets=1,
+)
 @example(
     # Relayed in the first rotation interval, met in person in the second:
     # the second RPI's confirmation must win over the first match's verdict.
@@ -136,13 +170,14 @@ def test_incremental_exposure_equals_from_scratch(ops, tolerance, cells, buckets
         for n, g in PEERS
     ]
     now = 0
+    leads = [0] * len(peers)
     for op in ops:
         if op[0] == "meet":
             _, o, p, relayed, rssi, dt = op
             now += dt
             observer, peer = observers[o], peers[p]
             observer.ensure_interval(now)
-            peer.ensure_interval(now)
+            peer.ensure_interval(now + leads[p])
             observer.position = FAR if relayed else HERE
             observer.receive(
                 [radio.Delivery(peer.name, observer.name, peer.current_packet, rssi)], now
@@ -151,6 +186,8 @@ def test_incremental_exposure_equals_from_scratch(ops, tolerance, cells, buckets
                 peer.receive(
                     [radio.Delivery(observer.name, peer.name, observer.current_packet, rssi)], now
                 )
+        elif op[0] == "lead":
+            leads[op[1]] = op[2]
         elif op[0] == "diagnose":
             peer = peers[op[1]]
             peer.ensure_interval(now)

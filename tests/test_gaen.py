@@ -166,12 +166,16 @@ class TestMatching:
         assert len(gaen.match_observations([GOLDEN_TEK], [just_inside], tol)) == 1
 
     def test_decrypted_power_rides_along(self):
+        # Each sighting's own AEM is decrypted, also when its RPI repeats.
         aemk = gaen.derive_aemk(GOLDEN_TEK)
         rpi = gaen.expand_diagnosis_key(GOLDEN_TEK)[1]
-        aem = gaen.encrypt_aem(aemk, rpi.bytes, -7)
-        obs = _obs(rpi.bytes, scan_time=7200 + 50, aem=aem)
-        (match,) = gaen.match_observations([GOLDEN_TEK], [obs])
-        assert match.tx_power_dbm == -7
+        powers = [-7, -30, -7]
+        observations = [
+            _obs(rpi.bytes, scan_time=7200 + 50 + i, aem=gaen.encrypt_aem(aemk, rpi.bytes, p))
+            for i, p in enumerate(powers)
+        ]
+        matches = gaen.match_observations([GOLDEN_TEK], observations)
+        assert [m.tx_power_dbm for m in matches] == powers
 
     def test_agrees_with_brute_force_oracle(self):
         rng = random.Random(2024)

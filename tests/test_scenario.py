@@ -103,6 +103,50 @@ class TestLoadConfig:
         for edge in (-127, 127):
             scenario.run(scenario.load_config(_minimal_config(params={"tx_power_dbm": edge})))
 
+    @pytest.mark.parametrize(
+        "overrides, offender",
+        [
+            ({"places": [{"lat": 0.0, "lon": 0.0}]}, "place #0 has no 'name'"),
+            ({"places": [{"name": "P", "lon": 0.0}]}, "place 'P' has no 'lat'"),
+            ({"places": [{"name": "P", "lat": 0.0}]}, "place 'P' has no 'lon'"),
+            ({"places": {"P": {"lat": 0.0, "lon": 0.0}}}, "places must be a list"),
+            ({"actors": "a,b"}, "actors must be a list"),
+            ({"actors": [{"role": "honest", "place": "P"}]}, "actor #0 has no 'name'"),
+            (
+                {"actors": [{"name": "a", "place": "P", "movement": {"waypoints": [{"at": 5}]}}]},
+                "actor 'a' waypoint has no 'lat'",
+            ),
+            ({"diagnosis_events": [{"actor": "b"}]}, "diagnosis event #0 has no 'at_time'"),
+            ({"attack": {"relay_dealy": 60}}, "unknown attack key.*relay_dealy"),
+            ({"attack": {"relay_delay": -1}}, "relay_delay must be an integer >= 0"),
+            ({"attack": {"replay_ttl": 0}}, "replay_ttl must be an integer >= 1"),
+            ({"attack": {"replay_ttl": 7200.5}}, "replay_ttl must be an integer >= 1"),
+        ],
+    )
+    def test_malformed_section_names_offender(self, overrides, offender):
+        with pytest.raises(ConfigError, match=offender):
+            scenario.load_config(_minimal_config(**overrides))
+
+    @pytest.mark.parametrize(
+        "params, field",
+        [
+            ({"tx_power_dbm": 1.5}, "tx_power_dbm"),
+            ({"tick_seconds": 2.5}, "tick_seconds"),
+            ({"tick_seconds": True}, "tick_seconds"),
+            ({"ble_range_m": True}, "ble_range_m"),
+            ({"ble_range_m": "10"}, "ble_range_m"),
+        ],
+    )
+    def test_param_of_wrong_type_rejected(self, params, field):
+        # Before, these loaded and the run failed mid-way (or ran with 1).
+        with pytest.raises(ConfigError, match=f"{field} must be an? (integer|number)"):
+            scenario.load_config(_minimal_config(params=params))
+
+    def test_json_int_accepted_for_float_param(self):
+        config = scenario.load_config(_minimal_config(params={"ble_range_m": 12}))
+        assert config.params.ble_range_m == 12
+        scenario.run(config)
+
     def test_diagnosis_after_last_tick_rejected(self):
         # Ticks run at 0, 10, ..., 590: a diagnosis at 595 would never run.
         data = _minimal_config(diagnosis_events=[{"actor": "b", "at_time": 595}])

@@ -49,6 +49,38 @@ def test_bad_since_parameter_400(server):
     conn.close()
 
 
+@pytest.mark.parametrize(
+    "body",
+    [b"[]", b'"ttl"', b"7", b'{"ttl": "soon"}', b'{"ttl": 60.5}', b'{"ttl": true}', b'{"ttl": -1}'],
+)
+def test_bad_otp_request_400(server, body):
+    conn = HTTPConnection("127.0.0.1", server.port, timeout=10)
+    conn.request("POST", "/otp", body=body)
+    response = conn.getresponse()
+    assert response.status == 400
+    assert b"error" in response.read()
+    # The connection stays usable.
+    conn.request("POST", "/otp", body=b'{"ttl": 0}')
+    assert conn.getresponse().status == 200
+    conn.close()
+
+
+@pytest.mark.parametrize("length", ["-1", "ten", "1.5", "", "\u00b2"])
+def test_bad_content_length_400(server, length):
+    conn = HTTPConnection("127.0.0.1", server.port, timeout=10)
+    conn.putrequest("POST", "/otp")
+    conn.putheader("Content-Length", length)
+    conn.endheaders()
+    response = conn.getresponse()
+    assert response.status == 400
+    conn.close()
+    # The handler thread did not hang or die: the server still answers.
+    conn = HTTPConnection("127.0.0.1", server.port, timeout=10)
+    conn.request("POST", "/otp", body=b"{}")
+    assert conn.getresponse().status == 200
+    conn.close()
+
+
 def test_concurrent_clients_see_sequential_semantics(server):
     codes: list[str] = []
     lock = threading.Lock()

@@ -11,6 +11,9 @@ and say why in CHANGES.md:
 ``--crowd-configs`` first rebuilds the two crowd configs from the
 benchmark's crowd generator (``bench/crowd.py``) with the small shapes
 below; the tests read the committed JSON and never import ``bench``.
+``multi_adversary.config.json`` is written by hand: ``scenario1`` plus a
+second sniffer and a second rebroadcaster and two devices walking into Y,
+so that captures and relays of several adversaries share one tick.
 """
 
 import argparse

@@ -11,7 +11,7 @@ from golden.gen_reports import REPORTS, golden_names, report_bytes
 
 def test_golden_set_is_complete():
     reports = [p.stem for p in REPORTS.glob("*.json") if not p.name.endswith(".config.json")]
-    assert len(golden_names()) == 7
+    assert len(golden_names()) == 8
     assert sorted(reports) == sorted(golden_names())
 
 

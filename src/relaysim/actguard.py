@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .gaen import ExposureMatch
+from .params import SimParams
 
 CONTACT_HASH_LENGTH = 32
 
@@ -46,18 +47,14 @@ class TimeBucket:
 
 
 def quantize(
-    position: tuple[float, float],
-    timestamp: int,
-    *,
-    cell_size_deg: float = 0.001,
-    bucket_seconds: int = 300,
+    position: tuple[float, float], timestamp: int, params: SimParams
 ) -> tuple[GeoCell, TimeBucket]:
     lat, lon = position
     cell = GeoCell(
-        lat_index=math.floor(lat / cell_size_deg),
-        lon_index=math.floor(lon / cell_size_deg),
+        lat_index=math.floor(lat / params.cell_size_deg),
+        lon_index=math.floor(lon / params.cell_size_deg),
     )
-    return cell, TimeBucket(index=timestamp // bucket_seconds)
+    return cell, TimeBucket(index=timestamp // params.bucket_seconds)
 
 
 def contact_hash(rpi_a: bytes, rpi_b: bytes, cell: GeoCell, bucket: TimeBucket) -> bytes:
@@ -142,9 +139,7 @@ def record_contact(
     peer_rpi: bytes,
     own_position: tuple[float, float],
     timestamp: int,
-    *,
-    cell_size_deg: float = 0.001,
-    bucket_seconds: int = 300,
+    params: SimParams,
 ) -> ContactRecord:
     """Insert the contact's record for the current cell and bucket.
 
@@ -153,9 +148,7 @@ def record_contact(
     the verifier's neighborhood search absorbs the small disagreement between
     genuinely co-located endpoints.
     """
-    cell, bucket = quantize(
-        own_position, timestamp, cell_size_deg=cell_size_deg, bucket_seconds=bucket_seconds
-    )
+    cell, bucket = quantize(own_position, timestamp, params)
     lo, hi = sorted((own_rpi, peer_rpi))
     return table.add(lo, hi, cell, bucket)
 
@@ -166,8 +159,7 @@ def verify_exposure(
     positive_batch: frozenset[bytes] | None,
     *,
     diagnosis_id: int,
-    neighborhood_cells: int = 1,
-    neighborhood_buckets: int = 1,
+    params: SimParams,
 ) -> Verdict:
     """Judge one matched exposure against a diagnosed user's hash batch.
 
@@ -179,6 +171,8 @@ def verify_exposure(
     if not positive_batch:
         return Verdict(kind=VerdictKind.UNVERIFIABLE, diagnosis_id=diagnosis_id, rpi=match.rpi)
 
+    neighborhood_cells = params.neighborhood_cells
+    neighborhood_buckets = params.neighborhood_buckets
     for record in my_table.records_for(match.rpi):
         for dlat in range(-neighborhood_cells, neighborhood_cells + 1):
             for dlon in range(-neighborhood_cells, neighborhood_cells + 1):

@@ -6,6 +6,11 @@ scoring) plus, optionally, the contact-hash defense.  Adversaries run no
 protocol app at all: the sniffer only captures in-range packets into the
 shared database, the rebroadcaster only retransmits captured bytes verbatim.
 Neither ever stores observations or uploads keys.
+
+Every actor has the one shape the world loop uses: ``name``, ``position``,
+``outgoing_packets(now)``, ``on_deliveries(deliveries, now)`` returning the
+events to log, ``report_row()``, and a class-level ``phase`` that orders
+the actors' turns within a tick (see :mod:`relaysim.scenario`).
 """
 
 from __future__ import annotations
@@ -17,13 +22,12 @@ from typing import NamedTuple
 
 from . import actguard, gaen, radio
 from .backend import BackendError, BackendStore, encode_diagnosis_payload
-from .params import SECONDS_PER_DAY, SimParams
+from .params import SECONDS_PER_DAY, AttackSpec, SimParams
 
 
 class DatabaseEntry(NamedTuple):
     packet: bytes
     capture_time: int
-    source_place: str
 
 
 _capture_time = attrgetter("capture_time")
@@ -41,45 +45,66 @@ class MaliciousDatabase:
     entries: list[DatabaseEntry] = field(default_factory=list)
     positions: dict[bytes, list[int]] = field(default_factory=dict)
 
-    def append(self, packet: bytes, capture_time: int, source_place: str) -> None:
+    def append(self, packet: bytes, capture_time: int) -> bool:
+        """Record one capture; True when the packet was never captured before."""
         if self.entries and capture_time < self.entries[-1].capture_time:
             raise ValueError(
                 f"capture at t={capture_time} precedes the last one"
                 f" at t={self.entries[-1].capture_time}"
             )
-        self.positions.setdefault(packet, []).append(len(self.entries))
-        self.entries.append(DatabaseEntry(packet, capture_time, source_place))
+        positions = self.positions.setdefault(packet, [])
+        positions.append(len(self.entries))
+        self.entries.append(DatabaseEntry(packet, capture_time))
+        return len(positions) == 1
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
 class SnifferAdversary:
-    """Captures in-range protocol packets; never transmits anything."""
+    """Captures in-range protocol packets into ``database``; never transmits
+    anything."""
 
-    def __init__(self, name: str, position: tuple[float, float], place_name: str = ""):
+    phase = 0
+
+    def __init__(
+        self,
+        name: str,
+        position: tuple[float, float],
+        place_name: str,
+        database: MaliciousDatabase,
+    ):
         self.name = name
         self.position = position
-        self.place_name = place_name or name
+        self.place_name = place_name
+        self.database = database
         self.captures = 0
 
-    def outgoing_packets(self) -> tuple[bytes, ...]:
+    def outgoing_packets(self, now: int) -> tuple[bytes, ...]:
         return ()
 
-    def sniff_tick(
-        self, deliveries: list[radio.Delivery], database: MaliciousDatabase, now: int
-    ) -> list[bytes]:
-        """Append every protocol packet delivered to us; returns the captures."""
-        captured = []
+    def sniff_tick(self, deliveries: list[radio.Delivery], now: int) -> list[dict]:
+        """Append every protocol packet delivered to us; returns a capture
+        event for each one no sniffer had captured before, in delivery order."""
+        events = []
         for d in deliveries:
             if d.receiver != self.name:
                 continue
             if radio.decode_advertisement(d.packet) is None:
                 continue
-            database.append(d.packet, capture_time=now, source_place=self.place_name)
-            captured.append(d.packet)
-        self.captures += len(captured)
-        return captured
+            self.captures += 1
+            if self.database.append(d.packet, now):
+                events.append(
+                    {"t": now, "event": "capture", "actor": self.name,
+                     "place": self.place_name, "packet": d.packet.hex()}
+                )
+        return events
+
+    def on_deliveries(self, deliveries: list[radio.Delivery], now: int) -> list[dict]:
+        return self.sniff_tick(deliveries, now)
+
+    def report_row(self) -> dict:
+        return {"role": "sniffer", "captures": self.captures}
 
 
 class RebroadcastAdversary:
@@ -93,26 +118,31 @@ class RebroadcastAdversary:
     the database, however many copies of it were captured.
     """
 
+    phase = 1
+
     def __init__(
         self,
         name: str,
         position: tuple[float, float],
-        *,
-        relay_delay: int = 0,
-        replay_ttl: int = 7200,
-        tx_power_dbm: int = -20,
+        attack: AttackSpec,
+        database: MaliciousDatabase,
     ):
         self.name = name
         self.position = position
-        self.relay_delay = relay_delay
-        self.replay_ttl = replay_ttl
-        self.tx_power_dbm = tx_power_dbm
+        self.relay_delay = attack.relay_delay
+        self.replay_ttl = attack.replay_ttl
+        self.database = database
         self.replay_queue: tuple[bytes, ...] = ()
+        self._relayed: set[bytes] = set()
 
-    def rebroadcast_tick(self, database: MaliciousDatabase, now: int) -> tuple[bytes, ...]:
+    def outgoing_packets(self, now: int) -> tuple[bytes, ...]:
+        return self.rebroadcast_tick(now)
+
+    def rebroadcast_tick(self, now: int) -> tuple[bytes, ...]:
         # Entries arrive in capture order, so the eligibility window
         # (now - ttl, now - delay] is the slice [lo, hi) of entries.  A packet
         # is eligible when its first position at or after lo is below hi.
+        database = self.database
         entries = database.entries
         lo = bisect.bisect_right(entries, now - self.replay_ttl, key=_capture_time)
         hi = bisect.bisect_right(entries, now - self.relay_delay, key=_capture_time)
@@ -126,6 +156,22 @@ class RebroadcastAdversary:
             firsts.sort()
         self.replay_queue = tuple(packet for _, packet in firsts)
         return self.replay_queue
+
+    def on_deliveries(self, deliveries: list[radio.Delivery], now: int) -> list[dict]:
+        """A relay event for each packet of this tick's replay queue that is
+        on the air for the first time; what it hears is of no use to it."""
+        if self._relayed.issuperset(self.replay_queue):  # the common case
+            return []
+        new = [p for p in self.replay_queue if p not in self._relayed]  # queue has no repeats
+        self._relayed.update(new)
+        return [{"t": now, "event": "relay", "actor": self.name, "packet": p.hex()} for p in new]
+
+    def report_row(self) -> dict:
+        return {
+            "role": "rebroadcaster",
+            "relay_delay": self.relay_delay,
+            "replay_ttl": self.replay_ttl,
+        }
 
 
 @dataclass
@@ -155,6 +201,8 @@ class HonestDevice:
     each observed RPI's observations, so matching touches only the
     observations a chunk can match.
     """
+
+    phase = 2
 
     def __init__(
         self,
@@ -186,6 +234,7 @@ class HonestDevice:
         self.downloaded: dict[int, DownloadedChunk] = {}
         self.last_chunk_index = 0
         self.exposure = ExposureState()
+        self._reported_matches: set[int] = set()
 
     # --- key schedule ---------------------------------------------------
 
@@ -211,15 +260,16 @@ class HonestDevice:
         tek = self._tek_for_day(day)
         rpik = gaen.derive_rpik(tek)
         aemk = gaen.derive_aemk(tek)
-        rpi = gaen.derive_rpi(rpik, interval, rotation_seconds=self.params.rotation_seconds)
+        rpi = gaen.derive_rpi(rpik, interval, self.params)
         aem = gaen.encrypt_aem(aemk, rpi.bytes, self.params.tx_power_dbm)
         self.current_rpi = rpi
         self.current_packet = radio.encode_advertisement(rpi.bytes, aem)
         self._current_slot = (day, interval)
         return True
 
-    def outgoing_packets(self) -> tuple[bytes, ...]:
-        return (self.current_packet,) if self.current_packet else ()
+    def outgoing_packets(self, now: int) -> tuple[bytes, ...]:
+        self.ensure_interval(now)
+        return (self.current_packet,)
 
     # --- scanning ---------------------------------------------------------
 
@@ -242,16 +292,12 @@ class HonestDevice:
             self._positions_by_rpi.setdefault(rpi, []).append(len(observations))
             observations.append(gaen.Observation(rpi, aem, d.rssi, now, self.position))
             if self.contacts is not None:
-                actguard.record_contact(
-                    self.contacts,
-                    own,
-                    rpi,
-                    self.position,
-                    now,
-                    cell_size_deg=self.params.cell_size_deg,
-                    bucket_seconds=self.params.bucket_seconds,
-                )
+                actguard.record_contact(self.contacts, own, rpi, self.position, now, self.params)
         return len(observations) - before
+
+    def on_deliveries(self, deliveries: list[radio.Delivery], now: int) -> tuple[()]:
+        self.receive(deliveries, now)
+        return ()
 
     # --- diagnosis and exposure checking -----------------------------------
 
@@ -298,8 +344,7 @@ class HonestDevice:
         index = self.rpi_indexes.get(key)
         if index is None:
             index = gaen.build_rpi_index(
-                [gaen.Tek(bytes=b, day_index=d) for b, d in teks],
-                rotation_seconds=self.params.rotation_seconds,
+                [gaen.Tek(bytes=b, day_index=d) for b, d in teks], self.params
             )
             self.rpi_indexes[key] = index
         return index
@@ -322,7 +367,7 @@ class HonestDevice:
                 chunk.matches += gaen.match_indexed(
                     chunk.index,
                     self._observations_in(chunk.index, chunk.cursor),
-                    self.params.clock_tolerance_seconds,
+                    self.params,
                 )
                 chunk.cursor = stored
             if not chunk.matches:
@@ -331,12 +376,7 @@ class HonestDevice:
             matched[diagnosis_id] = len(chunk.matches)
             if self.actguard_enabled:
                 verdicts[diagnosis_id] = self._verdict_for(diagnosis_id, chunk.matches)
-        risk = gaen.risk_score(
-            all_matches,
-            beacon_interval_seconds=self.params.tick_seconds,
-            attenuation_threshold_db=self.params.attenuation_threshold_db,
-            alert_threshold_minutes=self.params.alert_threshold_minutes,
-        )
+        risk = gaen.risk_score(all_matches, self.params)
         self.exposure = ExposureState(
             gaen_alert=risk.alert,
             risk_score=risk.score,
@@ -373,8 +413,7 @@ class HonestDevice:
                 self.contacts,
                 batch,
                 diagnosis_id=diagnosis_id,
-                neighborhood_cells=self.params.neighborhood_cells,
-                neighborhood_buckets=self.params.neighborhood_buckets,
+                params=self.params,
             )
             if verdict.kind is actguard.VerdictKind.CONFIRMED_CONTACT:
                 return verdict
@@ -392,3 +431,30 @@ class HonestDevice:
         if new_ids:
             self.evaluate_exposure()
         return self.exposure
+
+    def match_events(self, now: int) -> list[dict]:
+        """A match event for each diagnosis first matched since the last call."""
+        matched = self.exposure.matches_by_diagnosis
+        if len(matched) == len(self._reported_matches):  # a diagnosis, once matched, stays
+            return []
+        new = sorted(matched.keys() - self._reported_matches)
+        self._reported_matches.update(new)
+        return [
+            {"t": now, "event": "match", "actor": self.name, "diagnosis_id": d,
+             "matches": matched[d]}
+            for d in new
+        ]
+
+    def report_row(self) -> dict:
+        return {
+            "role": "honest",
+            "actguard": self.actguard_enabled,
+            "gaen_alert": self.exposure.gaen_alert,
+            "risk_score": self.exposure.risk_score,
+            "observations": len(self.observations),
+            "contact_records": len(self.contacts) if self.contacts is not None else 0,
+            "verdicts": [
+                {"diagnosis_id": d, "verdict": v.kind.value, "rpi": v.rpi.hex()}
+                for d, v in sorted(self.exposure.verdicts.items())
+            ],
+        }

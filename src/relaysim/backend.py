@@ -19,7 +19,7 @@ import secrets
 from dataclasses import dataclass
 
 from .gaen import Tek
-from .params import SECONDS_PER_DAY
+from .params import SECONDS_PER_DAY, SimParams
 
 OTP_BYTES = 16
 
@@ -61,13 +61,14 @@ class TekChunk:
 class BackendStore:
     """In-memory single-writer store; reads are snapshot-consistent.
 
-    ``rng`` seeds OTP generation for reproducible simulation runs; leave it
-    None for real deployments to fall back to ``secrets``.
+    Keys and chunks are kept for ``params.tek_retention_days``.  ``rng``
+    seeds OTP generation for reproducible simulation runs; leave it None for
+    real deployments to fall back to ``secrets``.
     """
 
-    def __init__(self, *, rng: random.Random | None = None, retention_days: int = 14):
+    def __init__(self, params: SimParams, *, rng: random.Random | None = None):
         self._rng = rng
-        self._retention_days = retention_days
+        self._retention_days = params.tek_retention_days
         self._otps: dict[str, Otp] = {}
         self._chunks: list[TekChunk] = []
         self._batches: dict[int, frozenset[bytes]] = {}

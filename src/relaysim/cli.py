@@ -9,6 +9,7 @@ from pathlib import Path
 
 from . import scenario
 from .backend import BackendStore
+from .params import SimParams
 from .wire import BackendHTTPServer
 
 
@@ -56,8 +57,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "serve-backend":
-        store = BackendStore()  # secrets-backed OTPs outside simulation runs
-        server = BackendHTTPServer(store, clock=lambda: int(time.time()), host=args.host, port=args.port)
+        params = SimParams()
+        store = BackendStore(params)  # secrets-backed OTPs outside simulation runs
+        server = BackendHTTPServer(
+            store, lambda: int(time.time()), params, host=args.host, port=args.port
+        )
         print(f"backend listening on http://{args.host}:{server.port}", file=sys.stderr)
         try:
             server.serve_forever()

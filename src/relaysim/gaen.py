@@ -32,7 +32,7 @@ from typing import NamedTuple
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from .params import SECONDS_PER_DAY, TX_POWER_MAX, TX_POWER_MIN
+from .params import SECONDS_PER_DAY, TX_POWER_MAX, TX_POWER_MIN, SimParams
 
 TEK_LENGTH = 16
 KEY_LENGTH = 16
@@ -120,17 +120,9 @@ def derive_aemk(tek: Tek) -> bytes:
     return _hkdf16(tek.bytes, AEMK_LABEL)
 
 
-def intervals_per_day(rotation_seconds: int) -> int:
-    if rotation_seconds <= 0 or SECONDS_PER_DAY % rotation_seconds:
-        raise ValueError(
-            f"rotation_seconds must divide a day evenly, got {rotation_seconds}"
-        )
-    return SECONDS_PER_DAY // rotation_seconds
-
-
-def derive_rpi(rpik: bytes, interval_index: int, *, rotation_seconds: int = 7200) -> Rpi:
+def derive_rpi(rpik: bytes, interval_index: int, params: SimParams) -> Rpi:
     """Pseudonym for one rotation window; the index must fall within the day."""
-    n = intervals_per_day(rotation_seconds)
+    n = params.intervals_per_day
     if not 0 <= interval_index < n:
         raise ValueError(f"interval_index {interval_index} outside [0, {n})")
     mac = hmac.new(rpik, RPI_LABEL + struct.pack(">I", interval_index), hashlib.sha256)
@@ -157,11 +149,10 @@ def decrypt_aem(aemk: bytes, rpi: bytes, aem: bytes) -> int:
     return struct.unpack(">i", plain)[0]
 
 
-def expand_diagnosis_key(tek: Tek, *, rotation_seconds: int = 7200) -> list[Rpi]:
+def expand_diagnosis_key(tek: Tek, params: SimParams) -> list[Rpi]:
     """All pseudonyms a published daily key resolves to, in interval order."""
     rpik = derive_rpik(tek)
-    n = intervals_per_day(rotation_seconds)
-    return [derive_rpi(rpik, i, rotation_seconds=rotation_seconds) for i in range(n)]
+    return [derive_rpi(rpik, i, params) for i in range(params.intervals_per_day)]
 
 
 def rpi_window(day_index: int, interval_index: int, rotation_seconds: int) -> tuple[int, int]:
@@ -183,7 +174,7 @@ class IndexedRpi(NamedTuple):
 RpiIndex = dict[bytes, list[IndexedRpi]]
 
 
-def build_rpi_index(diagnosis_teks: list[Tek], *, rotation_seconds: int = 7200) -> RpiIndex:
+def build_rpi_index(diagnosis_teks: list[Tek], params: SimParams) -> RpiIndex:
     """Expand a chunk's keys once into an index from RPI bytes to pseudonyms.
 
     The index depends only on the keys and the rotation period, so one
@@ -192,8 +183,8 @@ def build_rpi_index(diagnosis_teks: list[Tek], *, rotation_seconds: int = 7200) 
     index: RpiIndex = {}
     for tek in diagnosis_teks:
         aemk = derive_aemk(tek)
-        for rpi in expand_diagnosis_key(tek, rotation_seconds=rotation_seconds):
-            start, end = rpi_window(tek.day_index, rpi.interval_index, rotation_seconds)
+        for rpi in expand_diagnosis_key(tek, params):
+            start, end = rpi_window(tek.day_index, rpi.interval_index, params.rotation_seconds)
             index.setdefault(rpi.bytes, []).append(
                 IndexedRpi(tek, aemk, rpi.interval_index, start, end)
             )
@@ -201,17 +192,19 @@ def build_rpi_index(diagnosis_teks: list[Tek], *, rotation_seconds: int = 7200) 
 
 
 def match_indexed(
-    index: RpiIndex, observations: Iterable[Observation], clock_tolerance: int = 0
+    index: RpiIndex, observations: Iterable[Observation], params: SimParams
 ) -> list[ExposureMatch]:
     """Match observations, in order, against one chunk's RPI index.
 
     A match requires byte equality with an expanded RPI *and* a scan time
-    inside that RPI's validity window widened by ``clock_tolerance`` on both
-    sides (half-open, so a scan at exactly window_end + tolerance misses).
+    inside that RPI's validity window widened by ``clock_tolerance_seconds``
+    on both sides (half-open, so a scan at exactly window_end + tolerance
+    misses).
     The decrypted transmit power rides along for risk scoring; a packet
     heard many times is decrypted once per call.  Matching a list in slices
     yields the same matches as matching it whole.
     """
+    clock_tolerance = params.clock_tolerance_seconds
     matches: list[ExposureMatch] = []
     tx_powers: dict[tuple[bytes, bytes, bytes], int] = {}
     for obs in observations:
@@ -226,36 +219,26 @@ def match_indexed(
 
 
 def match_observations(
-    diagnosis_teks: list[Tek],
-    store: list[Observation],
-    clock_tolerance: int = 0,
-    *,
-    rotation_seconds: int = 7200,
+    diagnosis_teks: list[Tek], store: list[Observation], params: SimParams
 ) -> list[ExposureMatch]:
     """Find stored observations that belong to diagnosed keys.
 
     Builds the keys' RPI index and matches the whole store against it; see
     :func:`match_indexed` for what counts as a match.
     """
-    index = build_rpi_index(diagnosis_teks, rotation_seconds=rotation_seconds)
-    return match_indexed(index, store, clock_tolerance)
+    return match_indexed(build_rpi_index(diagnosis_teks, params), store, params)
 
 
-def risk_score(
-    matches: list[ExposureMatch],
-    *,
-    beacon_interval_seconds: int = 10,
-    attenuation_threshold_db: float = 60.0,
-    alert_threshold_minutes: float = 10.0,
-) -> RiskResult:
+def risk_score(matches: list[ExposureMatch], params: SimParams) -> RiskResult:
     """Aggregate matched observations into a duration-weighted score.
 
     Matches of the same RPI are grouped into contact episodes; a gap longer
-    than two beacon intervals ends an episode.  Each episode contributes its
-    duration in minutes if its mean attenuation (tx_power - rssi) stays at
-    or below the threshold, else nothing.  The alert flag compares the total
-    against the configured threshold.
+    than two beacon intervals (ticks) ends an episode.  Each episode
+    contributes its duration in minutes if its mean attenuation
+    (tx_power - rssi) stays at or below the threshold, else nothing.  The
+    alert flag compares the total against the configured threshold.
     """
+    beacon_interval_seconds = params.tick_seconds
     by_rpi: dict[bytes, list[ExposureMatch]] = {}
     for m in matches:
         by_rpi.setdefault(m.rpi, []).append(m)
@@ -275,6 +258,6 @@ def risk_score(
             last = ep[-1].observation.scan_time
             minutes = (last - first + beacon_interval_seconds) / 60.0
             attenuation = sum(m.tx_power_dbm - m.observation.rssi for m in ep) / len(ep)
-            if attenuation <= attenuation_threshold_db:
+            if attenuation <= params.attenuation_threshold_db:
                 score += minutes
-    return RiskResult(score=score, alert=score >= alert_threshold_minutes)
+    return RiskResult(score=score, alert=score >= params.alert_threshold_minutes)

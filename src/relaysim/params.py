@@ -1,9 +1,11 @@
-"""Protocol and world parameters shared across the simulator.
+"""Protocol, world and attack parameters shared across the simulator.
 
-Everything an operator might tune lives here with its default; scenario
-configs override fields by name.  Values are validated once at construction
-(an int field takes only an int, a float field any finite number) so the
-tick loop never has to re-check them.
+Everything an operator might tune lives here with its default, and nowhere
+else: functions take the ``SimParams`` (or ``AttackSpec``) they need rather
+than re-declaring a default.  Scenario configs override fields by name.
+Values are validated once at construction (an int field takes only an int,
+a float field any finite number) so the tick loop never has to re-check
+them.
 """
 
 from __future__ import annotations
@@ -101,3 +103,12 @@ class SimParams:
         if unknown:
             raise ValueError(f"unknown parameter(s): {', '.join(sorted(unknown))}")
         return cls(**overrides)
+
+
+@dataclass(frozen=True)
+class AttackSpec:
+    """A capture is replayed from ``relay_delay`` until ``replay_ttl``
+    seconds after it was made."""
+
+    relay_delay: int = 0
+    replay_ttl: int = 7200

@@ -5,13 +5,15 @@ attack section, scheduled diagnoses, and parameter overrides.  Running one
 is fully deterministic: the config seed fixes every key, pseudonym, OTP
 code, and therefore the report bytes.
 
-Tick phasing (fixed): radio delivery -> adversary capture -> adversary
-rebroadcast bookkeeping -> honest recording -> scheduled diagnoses ->
-exposure checks.  A packet captured in one tick is therefore never back on
-the air before the next tick, matching the causal order of a real relay.
-The radio link table (who hears whom, at what rssi) is rebuilt only on a
-tick where a station moved, and each actor is handed only the deliveries
-addressed to it.
+Tick phasing (fixed): every actor's ``outgoing_packets`` (the
+rebroadcaster's replay queue is computed here, from earlier captures) ->
+radio delivery -> every actor's ``on_deliveries`` in ascending ``phase``
+(sniffer captures 0, rebroadcaster relay events 1, honest recording 2),
+then name -> scheduled diagnoses -> exposure checks.  A packet captured in
+one tick is therefore never back on the air before the next tick, matching
+the causal order of a real relay.  The radio link table (who hears whom, at
+what rssi) is rebuilt only on a tick where a station moved, and each actor
+is handed only the deliveries addressed to it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .agents import (
     SnifferAdversary,
 )
 from .backend import BackendError, BackendStore
-from .params import SimParams
+from .params import AttackSpec, SimParams
 
 ROLES = ("honest", "sniffer", "rebroadcaster")
 
@@ -70,12 +72,6 @@ class ActorSpec:
 class DiagnosisEvent:
     actor: str
     at_time: int
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    relay_delay: int = 0
-    replay_ttl: int = 7200
 
 
 @dataclass
@@ -121,6 +117,15 @@ def _field(item: dict, key: str, owner: str):
         raise ConfigError(f"{owner} has no {key!r}") from None
 
 
+def _as(kind: type, value, what: str):
+    """``kind(value)`` for ``int`` or ``float``, or a ConfigError naming ``what``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):  # int(inf) overflows
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what} must be {noun}, got {value!r}") from None
+
+
 def load_config(source: str | Path | dict, *, seed_override: int | None = None) -> ScenarioConfig:
     """Parse and validate a scenario from a file path or an in-memory dict."""
     if isinstance(source, dict):
@@ -135,8 +140,8 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
         data["seed"] = seed_override
 
     name = str(data.get("name", "unnamed"))
-    seed = int(data.get("seed", 0))
-    duration = int(data.get("duration", 0))
+    seed = _as(int, data.get("seed", 0), "seed")
+    duration = _as(int, data.get("duration", 0), "duration")
     if duration <= 0:
         raise ConfigError("duration must be a positive number of seconds")
 
@@ -144,12 +149,15 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
     for i, p in enumerate(_objects(data, "places")):
         place_name = str(_field(p, "name", f"place #{i}"))
         owner = f"place {place_name!r}"
-        place = radio.Place(
-            name=place_name,
-            lat=float(_field(p, "lat", owner)),
-            lon=float(_field(p, "lon", owner)),
-            radius_m=float(p.get("radius_m", 20.0)),
-        )
+        try:
+            place = radio.Place(
+                name=place_name,
+                lat=_as(float, _field(p, "lat", owner), f"{owner} lat"),
+                lon=_as(float, _field(p, "lon", owner), f"{owner} lon"),
+                radius_m=_as(float, p.get("radius_m", 20.0), f"{owner} radius_m"),
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if place.name in places:
             raise ConfigError(f"duplicate place name {place.name!r}")
         places[place.name] = place
@@ -177,9 +185,11 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
             raise ConfigError(f"actor {actor_name!r}: only honest actors can run the defense")
         position = None
         if "position" in a:
-            if len(a["position"]) != 2:
+            if not isinstance(a["position"], list) or len(a["position"]) != 2:
                 raise ConfigError(f"actor {actor_name!r}: position must be [lat, lon]")
-            position = (float(a["position"][0]), float(a["position"][1]))
+            lat, lon = a["position"]
+            where = f"actor {actor_name!r} position"
+            position = (_as(float, lat, f"{where} lat"), _as(float, lon, f"{where} lon"))
         waypoints: tuple[Waypoint, ...] = ()
         movement = a.get("movement", "stationary")
         if movement != "stationary":
@@ -190,9 +200,9 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
             where = f"actor {actor_name!r} waypoint"
             wps = [
                 Waypoint(
-                    at=int(_field(w, "at", where)),
-                    lat=float(_field(w, "lat", where)),
-                    lon=float(_field(w, "lon", where)),
+                    at=_as(int, _field(w, "at", where), f"{where} at"),
+                    lat=_as(float, _field(w, "lat", where), f"{where} lat"),
+                    lon=_as(float, _field(w, "lon", where), f"{where} lon"),
                 )
                 for w in _objects(movement, "waypoints", f"actor {actor_name!r}")
             ]
@@ -221,8 +231,9 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
     by_name = {a.name: a for a in actors}
     events = []
     for i, e in enumerate(_objects(data, "diagnosis_events")):
-        target = str(_field(e, "actor", f"diagnosis event #{i}"))
-        at_time = int(_field(e, "at_time", f"diagnosis event #{i}"))
+        owner = f"diagnosis event #{i}"
+        target = str(_field(e, "actor", owner))
+        at_time = _as(int, _field(e, "at_time", owner), f"{owner} at_time")
         if target not in by_name:
             raise ConfigError(f"diagnosis event names unknown actor {target!r}")
         if by_name[target].role != "honest":
@@ -328,89 +339,60 @@ def emit_report(report: ScenarioReport, fmt: str = "json") -> bytes:
 
 
 class World:
-    """Single-owner state machine advanced tick by tick."""
+    """Single-owner state machine advanced tick by tick.
+
+    ``actors`` holds every actor in name order; the tick loop uses only the
+    interface they share.  Diagnoses and exposure checks concern the honest
+    ``devices`` alone.
+    """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.params = config.params
         self.now = 0
-        self.backend = BackendStore(
-            rng=random.Random(f"relaysim-otp:{config.seed}"),
-            retention_days=self.params.tek_retention_days,
-        )
+        self.backend = BackendStore(self.params, rng=random.Random(f"relaysim-otp:{config.seed}"))
         self.database = MaliciousDatabase()
         self.events: list[dict] = []
 
-        self.devices: dict[str, HonestDevice] = {}
-        self.sniffers: dict[str, SnifferAdversary] = {}
-        self.rebroadcasters: dict[str, RebroadcastAdversary] = {}
-        self._specs: dict[str, ActorSpec] = {}
         rpi_indexes: dict = {}  # shared by every device of this run
-        for spec in sorted(config.actors, key=lambda a: a.name):
-            self._specs[spec.name] = spec
-            pos = spec.position_at(0, config.places)
-            if spec.role == "honest":
-                self.devices[spec.name] = HonestDevice(
-                    spec.name,
-                    _device_seed(config.seed, spec.name),
-                    pos,
-                    params=self.params,
-                    actguard_enabled=spec.actguard,
-                    rpi_indexes=rpi_indexes,
-                )
-            elif spec.role == "sniffer":
-                self.sniffers[spec.name] = SnifferAdversary(spec.name, pos, spec.place)
-            else:
-                self.rebroadcasters[spec.name] = RebroadcastAdversary(
-                    spec.name,
-                    pos,
-                    relay_delay=config.attack.relay_delay,
-                    replay_ttl=config.attack.replay_ttl,
-                    tx_power_dbm=self.params.tx_power_dbm,
-                )
+        specs = sorted(config.actors, key=lambda a: a.name)
+        self.actors = [self._new_actor(spec, rpi_indexes) for spec in specs]
+        self.devices = {a.name: a for a in self.actors if isinstance(a, HonestDevice)}
+        self._movers = [(spec, a) for spec, a in zip(specs, self.actors) if spec.waypoints]
+        self._by_phase = sorted(self.actors, key=lambda a: a.phase)  # stable: name order within
 
         self._pending_diagnoses = list(config.diagnosis_events)
-        self._logged_captures: set[bytes] = set()
-        self._logged_relays: dict[str, set[bytes]] = {n: set() for n in self.rebroadcasters}
-        self._logged_matches: dict[str, set[int]] = {n: set() for n in self.devices}
         self._link_key: tuple | None = None
         self._links: radio.LinkTable = {}
+
+    def _new_actor(self, spec: ActorSpec, rpi_indexes: dict):
+        position = spec.position_at(0, self.config.places)
+        if spec.role == "sniffer":
+            return SnifferAdversary(spec.name, position, spec.place, self.database)
+        if spec.role == "rebroadcaster":
+            return RebroadcastAdversary(spec.name, position, self.config.attack, self.database)
+        return HonestDevice(
+            spec.name,
+            _device_seed(self.config.seed, spec.name),
+            position,
+            params=self.params,
+            actguard_enabled=spec.actguard,
+            rpi_indexes=rpi_indexes,
+        )
 
     def _log(self, t: int, event: str, **fields) -> None:
         self.events.append({"t": t, "event": event, **fields})
 
     def _move_actors(self, now: int) -> None:
-        for name, spec in self._specs.items():
-            if not spec.waypoints:
-                continue
-            pos = spec.position_at(now, self.config.places)
-            if name in self.devices:
-                self.devices[name].position = pos
-            elif name in self.sniffers:
-                self.sniffers[name].position = pos
-            else:
-                self.rebroadcasters[name].position = pos
+        for spec, actor in self._movers:
+            actor.position = spec.position_at(now, self.config.places)
 
     def _stations(self, now: int) -> list[radio.Station]:
-        stations = []
-        for name in sorted(self._specs):
-            if name in self.devices:
-                dev = self.devices[name]
-                dev.ensure_interval(now)
-                stations.append(
-                    radio.Station(name, dev.position, self.params.tx_power_dbm, dev.outgoing_packets())
-                )
-            elif name in self.sniffers:
-                s = self.sniffers[name]
-                stations.append(radio.Station(name, s.position, self.params.tx_power_dbm, ()))
-            else:
-                r = self.rebroadcasters[name]
-                stations.append(
-                    radio.Station(
-                        name, r.position, r.tx_power_dbm, r.rebroadcast_tick(self.database, now)
-                    )
-                )
-        return stations
+        tx_power = self.params.tx_power_dbm
+        return [
+            radio.Station(a.name, a.position, tx_power, a.outgoing_packets(now))
+            for a in self.actors
+        ]
 
     def deliver(self, stations: list[radio.Station]) -> dict[str, list[radio.Delivery]]:
         """Deliveries by receiver, in delivery order; the link table is rebuilt
@@ -428,32 +410,16 @@ class World:
         now = self.now
         self._move_actors(now)
         by_receiver = self.deliver(self._stations(now))
-
-        for name in sorted(self.sniffers):
-            sniffer = self.sniffers[name]
-            for packet in sniffer.sniff_tick(by_receiver.get(name, []), self.database, now):
-                if packet not in self._logged_captures:
-                    self._logged_captures.add(packet)
-                    self._log(now, "capture", actor=name, place=sniffer.place_name, packet=packet.hex())
-
-        for name in sorted(self.rebroadcasters):
-            adv = self.rebroadcasters[name]
-            for packet in adv.replay_queue:
-                if packet not in self._logged_relays[name]:
-                    self._logged_relays[name].add(packet)
-                    self._log(now, "relay", actor=name, packet=packet.hex())
-
-        for name in sorted(self.devices):
-            self.devices[name].receive(by_receiver.get(name, []), now)
+        for actor in self._by_phase:
+            self.events += actor.on_deliveries(by_receiver.get(actor.name, []), now)
 
         while self._pending_diagnoses and self._pending_diagnoses[0].at_time <= now:
             event = self._pending_diagnoses.pop(0)
             self._run_diagnosis(event.actor, now)
 
-        for name in sorted(self.devices):
-            device = self.devices[name]
+        for device in self.devices.values():
             device.exposure_check(self.backend, now)
-            self._log_new_matches(name, now)
+            self.events += device.match_events(now)
 
         self.now += self.params.tick_seconds
 
@@ -475,67 +441,23 @@ class World:
             payload=payload.decode(),
         )
 
-    def _log_new_matches(self, name: str, now: int) -> None:
-        state = self.devices[name].exposure
-        for diagnosis_id in sorted(state.matches_by_diagnosis):
-            if diagnosis_id not in self._logged_matches[name]:
-                self._logged_matches[name].add(diagnosis_id)
-                self._log(
-                    now,
-                    "match",
-                    actor=name,
-                    diagnosis_id=diagnosis_id,
-                    matches=state.matches_by_diagnosis[diagnosis_id],
-                )
-
     def run(self) -> ScenarioReport:
         ticks = self.config.duration // self.params.tick_seconds
         for _ in range(ticks):
             self.step()
-        for name in sorted(self.devices):
-            self.devices[name].evaluate_exposure()
-            self._log_new_matches(name, self.config.duration)
+        for device in self.devices.values():
+            device.evaluate_exposure()
+            self.events += device.match_events(self.config.duration)
         return self._report()
 
     def _report(self) -> ScenarioReport:
-        actors: dict[str, dict] = {}
-        for name, spec in self._specs.items():
-            if spec.role == "honest":
-                dev = self.devices[name]
-                actors[name] = {
-                    "role": "honest",
-                    "actguard": dev.actguard_enabled,
-                    "gaen_alert": dev.exposure.gaen_alert,
-                    "risk_score": dev.exposure.risk_score,
-                    "observations": len(dev.observations),
-                    "contact_records": len(dev.contacts) if dev.contacts is not None else 0,
-                    "verdicts": [
-                        {
-                            "diagnosis_id": d,
-                            "verdict": v.kind.value,
-                            "rpi": v.rpi.hex(),
-                        }
-                        for d, v in sorted(dev.exposure.verdicts.items())
-                    ],
-                }
-            elif spec.role == "sniffer":
-                actors[name] = {
-                    "role": "sniffer",
-                    "captures": self.sniffers[name].captures,
-                }
-            else:
-                actors[name] = {
-                    "role": "rebroadcaster",
-                    "relay_delay": self.rebroadcasters[name].relay_delay,
-                    "replay_ttl": self.rebroadcasters[name].replay_ttl,
-                }
         return ScenarioReport(
             {
                 "scenario": self.config.name,
                 "seed": self.config.seed,
                 "duration": self.config.duration,
                 "tick_seconds": self.params.tick_seconds,
-                "actors": actors,
+                "actors": {a.name: a.report_row() for a in self.actors},
                 "events": self.events,
                 "backend": {
                     "chunks": self.backend.chunk_count,

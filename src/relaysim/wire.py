@@ -27,28 +27,32 @@ from .backend import (
     encode_chunks,
     encode_hash_batch,
 )
+from .params import SimParams
 
-DEFAULT_OTP_TTL = 3600
+# Longest wait for the next bytes of a request body.  A client that declares
+# more than it sends gets a 400 after this long instead of holding a thread.
+BODY_READ_TIMEOUT_SECONDS = 5.0
 
 
 class BackendHTTPServer:
     """Serve a BackendStore over HTTP from a background thread.
 
     ``clock`` supplies the store's notion of now; inject a controllable
-    callable in tests, pass ``time.time`` for a real deployment.
+    callable in tests, pass ``time.time`` for a real deployment.  An OTP
+    request without a ``ttl`` gets ``params.otp_ttl_seconds``.
     """
 
     def __init__(
         self,
         store: BackendStore,
         clock: Callable[[], int],
+        params: SimParams,
         host: str = "127.0.0.1",
         port: int = 0,
-        otp_ttl: int = DEFAULT_OTP_TTL,
     ):
         self.store = store
         self.clock = clock
-        self.otp_ttl = otp_ttl
+        self.otp_ttl = params.otp_ttl_seconds
         self._lock = threading.Lock()
         handler = _make_handler(self)
         self._httpd = ThreadingHTTPServer((host, port), handler)
@@ -120,21 +124,33 @@ def _make_handler(server: BackendHTTPServer):
             self.end_headers()
             self.wfile.write(body)
 
-        def _read_body(self) -> bytes | None:
-            """The request body, or None when Content-Length is not a
-            non-negative decimal integer."""
+        def _read_body(self) -> bytes | str:
+            """The request body, or why it cannot be had: Content-Length is
+            not a non-negative decimal integer, or the body ends (or stalls)
+            before that many bytes."""
             length = self.headers.get("Content-Length", "0").strip()
             if not (length.isascii() and length.isdigit()):
-                return None
-            return self.rfile.read(int(length))
+                return "bad content-length"
+            self.connection.settimeout(BODY_READ_TIMEOUT_SECONDS)
+            try:
+                raw = self.rfile.read(int(length))
+            except TimeoutError:
+                return "body shorter than content-length"
+            finally:
+                self.connection.settimeout(None)
+            return raw if len(raw) == int(length) else "body shorter than content-length"
 
         def do_POST(self) -> None:
             path = urlparse(self.path).path
             raw = self._read_body()
-            if raw is None:
-                # The body's extent is unknown, so the connection cannot be reused.
+            if isinstance(raw, str):
+                # The body's extent is unknown, so the connection cannot be
+                # reused; a client that already left gets no answer.
                 self.close_connection = True
-                self._reply(400, canonical_json({"error": "bad content-length"}))
+                try:
+                    self._reply(400, canonical_json({"error": raw}))
+                except ConnectionError:
+                    pass
                 return
             with server._lock:
                 if path == "/otp":

@@ -13,6 +13,7 @@ from http.client import HTTPConnection
 from pathlib import Path
 
 from relaysim.backend import BackendStore
+from relaysim.params import SimParams
 from relaysim.wire import BackendHTTPServer
 
 DAY = 86400
@@ -32,8 +33,9 @@ class ManualClock:
 
 def main() -> None:
     clock = ManualClock(100 * DAY)
-    store = BackendStore(rng=random.Random("wire-golden"))
-    server = BackendHTTPServer(store, clock)
+    params = SimParams()
+    store = BackendStore(params, rng=random.Random("wire-golden"))
+    server = BackendHTTPServer(store, clock, params)
     server.start()
     conn = HTTPConnection("127.0.0.1", server.port)
 

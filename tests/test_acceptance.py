@@ -13,11 +13,13 @@ from contextlib import contextmanager
 from relaysim import actguard, gaen, scenario
 from relaysim.actguard import GeoCell, TimeBucket
 from relaysim.backend import BackendStore, OtpError
+from relaysim.params import SimParams
 from relaysim.wire import BackendHTTPServer
 
 from conftest import ManualClock, replay_wire_fixtures
 from oracles import brute_force_matches
 
+PARAMS = SimParams()
 BUNDLED = ["no_attack", "relay_gaen_only", "replay_expired", "scenario1", "scenario2"]
 
 
@@ -89,7 +91,7 @@ def test_criterion_5_matching_oracle_equivalence():
             for _ in range(rng.randint(5, 40)):
                 if rng.random() < 0.7:
                     tek = rng.choice(teks)
-                    rpi = rng.choice(gaen.expand_diagnosis_key(tek))
+                    rpi = rng.choice(gaen.expand_diagnosis_key(tek, PARAMS))
                     start = tek.day_index * 86400 + rpi.interval_index * 7200
                     t = max(0, start + rng.randint(-9000, 16000))
                     rpi_bytes = rpi.bytes
@@ -109,7 +111,9 @@ def test_criterion_5_matching_oracle_equivalence():
             tolerance = rng.choice([0, 0, 30, 600])
             got = {
                 (m.tek.bytes, m.tek.day_index, m.observation)
-                for m in gaen.match_observations(diagnosis, observations, tolerance)
+                for m in gaen.match_observations(
+                    diagnosis, observations, SimParams(clock_tolerance_seconds=tolerance)
+                )
             }
             expected = brute_force_matches(diagnosis, observations, tolerance, 7200)
             assert got == expected, f"instance {instance} diverged"
@@ -207,7 +211,7 @@ def test_criterion_8_privacy_of_uploads():
                     continue
                 seed = scenario._device_seed(config.seed, spec.name)
                 tek = gaen.generate_tek(seed, 0)
-                rpis.update(r.bytes.hex() for r in gaen.expand_diagnosis_key(tek))
+                rpis.update(r.bytes.hex() for r in gaen.expand_diagnosis_key(tek, PARAMS))
             # plus anything that actually went over the air
             for event in report.data["events"]:
                 if event["event"] in ("capture", "relay"):
@@ -247,7 +251,7 @@ def _collect_ints(node) -> set:
 def test_criterion_9_backend_contracts():
     with criterion(9, "chunk indices, serving cutoff, OTP lifecycle, wire goldens"):
         day = 86400
-        store = BackendStore(rng=random.Random(909))
+        store = BackendStore(PARAMS, rng=random.Random(909))
         teks = [gaen.generate_tek(b"c9", 100)]
         for expected in (1, 2, 3):
             otp = store.authorize_otp(3600, now=100 * day)
@@ -295,7 +299,8 @@ def test_criterion_9_backend_contracts():
                 seen.add(entry["otp"])
 
         clock = ManualClock(100 * day)
-        wire = BackendHTTPServer(BackendStore(rng=random.Random("wire-golden")), clock)
+        store = BackendStore(PARAMS, rng=random.Random("wire-golden"))
+        wire = BackendHTTPServer(store, clock, PARAMS)
         wire.start()
         try:
             assert replay_wire_fixtures(wire, clock) >= 14

@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 
 from relaysim import actguard, gaen
 from relaysim.actguard import GeoCell, TimeBucket, VerdictKind
+from relaysim.params import SimParams
 
+PARAMS = SimParams()
 GOLDEN_RPI_A = bytes(range(16))
 GOLDEN_RPI_B = bytes(range(16, 32))
 # sha256(rpi_low || rpi_high || cell_lat:int64be || cell_lon:int64be || bucket:int64be)
@@ -22,22 +24,22 @@ def _match(rpi: bytes) -> gaen.ExposureMatch:
 
 class TestQuantize:
     def test_origin(self):
-        cell, bucket = actguard.quantize((0.0, 0.0), 0)
+        cell, bucket = actguard.quantize((0.0, 0.0), 0, PARAMS)
         assert cell == GeoCell(0, 0)
         assert bucket == TimeBucket(0)
 
     def test_floor_on_latitude(self):
-        cell, _ = actguard.quantize((0.0019, 0.0), 0, cell_size_deg=0.001)
+        cell, _ = actguard.quantize((0.0019, 0.0), 0, SimParams(cell_size_deg=0.001))
         assert cell.lat_index == 1
 
     def test_bucket_boundary(self):
-        _, before = actguard.quantize((0.0, 0.0), 299, bucket_seconds=300)
-        _, after = actguard.quantize((0.0, 0.0), 301, bucket_seconds=300)
+        _, before = actguard.quantize((0.0, 0.0), 299, SimParams(bucket_seconds=300))
+        _, after = actguard.quantize((0.0, 0.0), 301, SimParams(bucket_seconds=300))
         assert before == TimeBucket(0)
         assert after == TimeBucket(1)
 
     def test_negative_coordinates_floor_down(self):
-        cell, _ = actguard.quantize((-0.0001, -0.0001), 0, cell_size_deg=0.001)
+        cell, _ = actguard.quantize((-0.0001, -0.0001), 0, SimParams(cell_size_deg=0.001))
         assert cell == GeoCell(-1, -1)
 
 
@@ -89,7 +91,7 @@ class TestRecordContact:
     def test_same_bucket_deduplicates(self):
         table = actguard.MyContactsTable()
         for t in (0, 10, 20):
-            actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), t)
+            actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), t, PARAMS)
         assert len(table) == 1
 
     def test_repeat_sightings_hash_once_per_bucket(self, monkeypatch):
@@ -100,16 +102,16 @@ class TestRecordContact:
         )
         table = actguard.MyContactsTable()
         for t in (0, 10, 20, 290):
-            actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), t)
-        actguard.record_contact(table, GOLDEN_RPI_B, GOLDEN_RPI_A, (0.0, 0.0), 150)
+            actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), t, PARAMS)
+        actguard.record_contact(table, GOLDEN_RPI_B, GOLDEN_RPI_A, (0.0, 0.0), 150, PARAMS)
         assert len(hashed) == 1
-        actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 300)
+        actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 300, PARAMS)
         assert len(hashed) == 2
 
     def test_consecutive_buckets_grow_table(self):
         table = actguard.MyContactsTable()
-        actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 299)
-        actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 301)
+        actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 299, PARAMS)
+        actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 301, PARAMS)
         assert len(table) == 2
 
     def test_both_endpoints_derive_equal_hashes(self):
@@ -117,13 +119,15 @@ class TestRecordContact:
         here = (44.6312, 10.9421)
         mine = actguard.MyContactsTable()
         theirs = actguard.MyContactsTable()
-        actguard.record_contact(mine, GOLDEN_RPI_A, GOLDEN_RPI_B, here, 450)
-        actguard.record_contact(theirs, GOLDEN_RPI_B, GOLDEN_RPI_A, here, 450)
+        actguard.record_contact(mine, GOLDEN_RPI_A, GOLDEN_RPI_B, here, 450, PARAMS)
+        actguard.record_contact(theirs, GOLDEN_RPI_B, GOLDEN_RPI_A, here, 450, PARAMS)
         assert mine.hashes() == theirs.hashes()
 
     def test_record_retains_inputs_for_reverification(self):
         table = actguard.MyContactsTable()
-        record = actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0015, 0.0), 310)
+        record = actguard.record_contact(
+            table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0015, 0.0), 310, PARAMS
+        )
         assert record.rpi_low < record.rpi_high
         assert record.cell == GeoCell(1, 0)
         assert record.bucket == TimeBucket(1)
@@ -134,10 +138,11 @@ class TestRecordContact:
     def test_records_for_finds_either_endpoint_in_insertion_order(self):
         table = actguard.MyContactsTable()
         other = bytes(16)
-        first = actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 0)
-        actguard.record_contact(table, GOLDEN_RPI_A, other, (0.0, 0.0), 0)
-        last = actguard.record_contact(table, GOLDEN_RPI_B, GOLDEN_RPI_A, (0.0, 0.0), 300)
-        actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 10)  # duplicate
+        first = actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 0, PARAMS)
+        actguard.record_contact(table, GOLDEN_RPI_A, other, (0.0, 0.0), 0, PARAMS)
+        last = actguard.record_contact(table, GOLDEN_RPI_B, GOLDEN_RPI_A, (0.0, 0.0), 300, PARAMS)
+        # duplicate
+        actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 10, PARAMS)
         assert list(table.records_for(GOLDEN_RPI_B)) == [first, last]
         assert len(table.records_for(GOLDEN_RPI_A)) == 3
         assert list(table.records_for(b"\x01" * 16)) == []
@@ -146,24 +151,28 @@ class TestRecordContact:
 class TestVerifyExposure:
     def _table_with_contact(self, position=(0.0, 0.0), t=100):
         table = actguard.MyContactsTable()
-        record = actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, position, t)
+        record = actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, position, t, PARAMS)
         return table, record
 
     def test_absent_batch_unverifiable(self):
         table, _ = self._table_with_contact()
-        verdict = actguard.verify_exposure(_match(GOLDEN_RPI_B), table, None, diagnosis_id=1)
+        verdict = actguard.verify_exposure(
+            _match(GOLDEN_RPI_B), table, None, diagnosis_id=1, params=PARAMS
+        )
         assert verdict.kind is VerdictKind.UNVERIFIABLE
         assert verdict.diagnosis_id == 1
 
     def test_empty_batch_unverifiable(self):
         table, _ = self._table_with_contact()
-        verdict = actguard.verify_exposure(_match(GOLDEN_RPI_B), table, frozenset(), diagnosis_id=1)
+        verdict = actguard.verify_exposure(
+            _match(GOLDEN_RPI_B), table, frozenset(), diagnosis_id=1, params=PARAMS
+        )
         assert verdict.kind is VerdictKind.UNVERIFIABLE
 
     def test_exact_hash_confirms(self):
         table, record = self._table_with_contact()
         verdict = actguard.verify_exposure(
-            _match(GOLDEN_RPI_B), table, frozenset({record.hash}), diagnosis_id=1
+            _match(GOLDEN_RPI_B), table, frozenset({record.hash}), diagnosis_id=1, params=PARAMS
         )
         assert verdict.kind is VerdictKind.CONFIRMED_CONTACT
         assert verdict.rpi == GOLDEN_RPI_B
@@ -178,7 +187,7 @@ class TestVerifyExposure:
             record.bucket,
         )
         verdict = actguard.verify_exposure(
-            _match(GOLDEN_RPI_B), table, frozenset({neighbor}), diagnosis_id=1
+            _match(GOLDEN_RPI_B), table, frozenset({neighbor}), diagnosis_id=1, params=PARAMS
         )
         assert verdict.kind is VerdictKind.CONFIRMED_CONTACT
 
@@ -192,7 +201,7 @@ class TestVerifyExposure:
             record.bucket,
         )
         verdict = actguard.verify_exposure(
-            _match(GOLDEN_RPI_B), table, frozenset({far}), diagnosis_id=1
+            _match(GOLDEN_RPI_B), table, frozenset({far}), diagnosis_id=1, params=PARAMS
         )
         assert verdict.kind is VerdictKind.RELAY_SUSPECTED
 
@@ -200,15 +209,17 @@ class TestVerifyExposure:
         table, _ = self._table_with_contact()
         rng = random.Random(5)
         batch = frozenset(rng.randbytes(32) for _ in range(20))
-        verdict = actguard.verify_exposure(_match(GOLDEN_RPI_B), table, batch, diagnosis_id=2)
+        verdict = actguard.verify_exposure(
+            _match(GOLDEN_RPI_B), table, batch, diagnosis_id=2, params=PARAMS
+        )
         assert verdict.kind is VerdictKind.RELAY_SUSPECTED
 
 
 class TestTables:
     def test_my_contacts_keyed_by_hash(self):
         table = actguard.MyContactsTable()
-        r1 = actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 10)
-        actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 20)
+        r1 = actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 10, PARAMS)
+        actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 20, PARAMS)
         assert table.hashes() == {r1.hash}
 
     def test_positive_table_absent_vs_present(self):

@@ -11,7 +11,7 @@ from relaysim.agents import (
     SnifferAdversary,
 )
 from relaysim.backend import BackendStore, BackendUnavailable, OtpError
-from relaysim.params import SimParams
+from relaysim.params import AttackSpec, SimParams
 
 from oracles import naive_replay_queue
 
@@ -30,7 +30,7 @@ def _delivery(receiver, packet, *, sender="peer", rssi=-45.0):
 
 def _peer_packet(seed=b"peerseed", day=0, interval=0, tx=-20):
     tek = gaen.generate_tek(seed, day)
-    rpi = gaen.derive_rpi(gaen.derive_rpik(tek), interval)
+    rpi = gaen.derive_rpi(gaen.derive_rpik(tek), interval, PARAMS)
     aem = gaen.encrypt_aem(gaen.derive_aemk(tek), rpi.bytes, tx)
     return radio.encode_advertisement(rpi.bytes, aem), tek, rpi
 
@@ -40,7 +40,7 @@ class TestHonestDevice:
         dev = _device()
         dev.ensure_interval(0)
         tek = gaen.generate_tek(dev.seed, 0)
-        expected = gaen.derive_rpi(gaen.derive_rpik(tek), 0)
+        expected = gaen.derive_rpi(gaen.derive_rpik(tek), 0, PARAMS)
         assert dev.current_rpi == expected
 
     def test_rotation_at_two_hour_boundary(self):
@@ -99,78 +99,77 @@ class TestHonestDevice:
 
 class TestSniffer:
     def test_capture_appends_per_tick(self):
-        sniffer = SnifferAdversary("adv2", HERE, "Y")
         db = MaliciousDatabase()
+        sniffer = SnifferAdversary("adv2", HERE, "Y", db)
         packet, _, _ = _peer_packet()
         for t in (0, 10, 20):
-            sniffer.sniff_tick([_delivery("adv2", packet, sender="victim")], db, t)
+            sniffer.sniff_tick([_delivery("adv2", packet, sender="victim")], t)
         assert len(db) == sniffer.captures == 3
         assert [e.capture_time for e in db.entries] == [0, 10, 20]
         assert all(e.packet == packet for e in db.entries)
-        assert all(e.source_place == "Y" for e in db.entries)
 
     def test_non_protocol_packet_not_captured(self):
-        sniffer = SnifferAdversary("adv2", HERE, "Y")
         db = MaliciousDatabase()
+        sniffer = SnifferAdversary("adv2", HERE, "Y", db)
         bogus = (0x1809).to_bytes(2, "little") + bytes(20)
-        sniffer.sniff_tick([_delivery("adv2", bogus, sender="thermometer")], db, 0)
+        sniffer.sniff_tick([_delivery("adv2", bogus, sender="thermometer")], 0)
         assert len(db) == sniffer.captures == 0
 
     def test_only_own_deliveries_captured(self):
-        sniffer = SnifferAdversary("adv2", HERE, "Y")
         db = MaliciousDatabase()
+        sniffer = SnifferAdversary("adv2", HERE, "Y", db)
         packet, _, _ = _peer_packet()
-        sniffer.sniff_tick([_delivery("other", packet, sender="victim")], db, 0)
+        sniffer.sniff_tick([_delivery("other", packet, sender="victim")], 0)
         assert len(db) == 0
 
     def test_never_transmits(self):
-        sniffer = SnifferAdversary("adv2", HERE, "Y")
-        assert sniffer.outgoing_packets() == ()
+        sniffer = SnifferAdversary("adv2", HERE, "Y", MaliciousDatabase())
+        assert sniffer.outgoing_packets(0) == ()
 
 
 class TestRebroadcaster:
     def test_empty_database_transmits_nothing(self):
-        adv = RebroadcastAdversary("adv1", HERE)
-        assert adv.rebroadcast_tick(MaliciousDatabase(), 100) == ()
+        adv = RebroadcastAdversary("adv1", HERE, AttackSpec(), MaliciousDatabase())
+        assert adv.rebroadcast_tick(100) == ()
 
     def test_relay_delay_gates_transmission(self):
-        adv = RebroadcastAdversary("adv1", HERE, relay_delay=60, replay_ttl=7200)
         db = MaliciousDatabase()
+        adv = RebroadcastAdversary("adv1", HERE, AttackSpec(relay_delay=60, replay_ttl=7200), db)
         packet, _, _ = _peer_packet()
-        db.append(packet, capture_time=0, source_place="Y")
-        assert adv.rebroadcast_tick(db, 50) == ()
-        assert adv.rebroadcast_tick(db, 60) == (packet,)
+        db.append(packet, capture_time=0)
+        assert adv.rebroadcast_tick(50) == ()
+        assert adv.rebroadcast_tick(60) == (packet,)
 
     def test_replay_stops_after_ttl(self):
-        adv = RebroadcastAdversary("adv1", HERE, relay_delay=0, replay_ttl=7200)
         db = MaliciousDatabase()
+        adv = RebroadcastAdversary("adv1", HERE, AttackSpec(relay_delay=0, replay_ttl=7200), db)
         packet, _, _ = _peer_packet()
-        db.append(packet, capture_time=100, source_place="Y")
-        assert adv.rebroadcast_tick(db, 7200) == (packet,)
-        assert adv.rebroadcast_tick(db, 7300) == ()
+        db.append(packet, capture_time=100)
+        assert adv.rebroadcast_tick(7200) == (packet,)
+        assert adv.rebroadcast_tick(7300) == ()
 
     def test_replay_is_verbatim(self):
-        adv = RebroadcastAdversary("adv1", HERE, relay_delay=0)
         db = MaliciousDatabase()
+        adv = RebroadcastAdversary("adv1", HERE, AttackSpec(relay_delay=0), db)
         packet, _, _ = _peer_packet()
-        db.append(packet, capture_time=0, source_place="Y")
-        (replayed,) = adv.rebroadcast_tick(db, 10)
+        db.append(packet, capture_time=0)
+        (replayed,) = adv.rebroadcast_tick(10)
         assert replayed == packet
         assert any(e.packet == replayed for e in db.entries)
 
     def test_identical_captures_collapse_per_tick(self):
-        adv = RebroadcastAdversary("adv1", HERE, relay_delay=0)
         db = MaliciousDatabase()
+        adv = RebroadcastAdversary("adv1", HERE, AttackSpec(relay_delay=0), db)
         packet, _, _ = _peer_packet()
         for t in (0, 10, 20):
-            db.append(packet, capture_time=t, source_place="Y")
-        assert adv.rebroadcast_tick(db, 30) == (packet,)
+            db.append(packet, capture_time=t)
+        assert adv.rebroadcast_tick(30) == (packet,)
 
     def test_out_of_order_capture_rejected(self):
         db = MaliciousDatabase()
-        db.append(b"a", capture_time=10, source_place="Y")
+        db.append(b"a", capture_time=10)
         with pytest.raises(ValueError, match="precedes"):
-            db.append(b"b", capture_time=9, source_place="Y")
+            db.append(b"b", capture_time=9)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -186,25 +185,26 @@ class TestRebroadcaster:
         replay_ttl=st.integers(1, 150),
     )
     def test_replay_queue_equals_window_scan(self, ops, relay_delay, replay_ttl):
-        adv = RebroadcastAdversary("adv1", HERE, relay_delay=relay_delay, replay_ttl=replay_ttl)
         db = MaliciousDatabase()
+        attack = AttackSpec(relay_delay=relay_delay, replay_ttl=replay_ttl)
+        adv = RebroadcastAdversary("adv1", HERE, attack, db)
         captures = []
         now = 0
         for op in ops:
             now += op[-1]
             if op[0] == "capture":
                 packet = bytes([op[1]]) * 22
-                db.append(packet, capture_time=now, source_place="Y")
+                db.append(packet, capture_time=now)
                 captures.append((packet, now))
             else:
                 expected = naive_replay_queue(captures, now, relay_delay, replay_ttl)
-                assert adv.rebroadcast_tick(db, now) == expected
+                assert adv.rebroadcast_tick(now) == expected
                 assert adv.replay_queue == expected
 
 
 class TestDiagnosisUpload:
     def test_chunk_index_increments(self):
-        backend = BackendStore()
+        backend = BackendStore(PARAMS)
         a, b = _device("a"), _device("b")
         for dev in (a, b):
             dev.ensure_interval(0)
@@ -215,7 +215,7 @@ class TestDiagnosisUpload:
         assert (id1, id2) == (1, 2)
 
     def test_reused_otp_rejected_without_state_change(self):
-        backend = BackendStore()
+        backend = BackendStore(PARAMS)
         dev = _device()
         dev.ensure_interval(0)
         otp = backend.authorize_otp(3600, now=0)
@@ -227,7 +227,7 @@ class TestDiagnosisUpload:
         assert dev.teks == before
 
     def test_no_defense_means_no_hash_batch(self):
-        backend = BackendStore()
+        backend = BackendStore(PARAMS)
         dev = _device(actguard=False)
         dev.ensure_interval(0)
         otp = backend.authorize_otp(3600, now=0)
@@ -236,7 +236,7 @@ class TestDiagnosisUpload:
         assert b"hashes" not in payload
 
     def test_defended_device_uploads_its_table(self):
-        backend = BackendStore()
+        backend = BackendStore(PARAMS)
         dev = _device(actguard=True)
         packet, _, _ = _peer_packet()
         for t in (0, 10, 310):
@@ -256,7 +256,7 @@ class _FlakyBackend:
 
 class TestExposureCheck:
     def _infected_pair(self):
-        backend = BackendStore()
+        backend = BackendStore(PARAMS)
         victim = _device("victim")
         positive = _device("positive")
         positive.ensure_interval(0)

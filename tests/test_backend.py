@@ -13,8 +13,10 @@ from relaysim.backend import (
     encode_chunks,
     encode_diagnosis_payload,
 )
+from relaysim.params import SimParams
 
 DAY = 86400
+PARAMS = SimParams()
 
 
 def _teks(day=100, count=2):
@@ -25,14 +27,14 @@ def _teks(day=100, count=2):
 
 class TestOtp:
     def test_fresh_token_validates_once(self):
-        store = BackendStore()
+        store = BackendStore(PARAMS)
         otp = store.authorize_otp(3600, now=0)
         assert store.ingest_diagnosis(_teks(day=0), otp.code, None, now=0) == 1
         with pytest.raises(OtpError):
             store.ingest_diagnosis(_teks(day=0), otp.code, None, now=0)
 
     def test_expires_after_ttl(self):
-        store = BackendStore()
+        store = BackendStore(PARAMS)
         otp = store.authorize_otp(ttl=3600, now=0)
         with pytest.raises(OtpError):
             store.ingest_diagnosis(_teks(day=0), otp.code, None, now=3601)
@@ -41,32 +43,32 @@ class TestOtp:
         assert store.ingest_diagnosis(_teks(day=0), fresh.code, None, now=3600) == 1
 
     def test_unknown_code_rejected(self):
-        store = BackendStore()
+        store = BackendStore(PARAMS)
         with pytest.raises(OtpError):
             store.ingest_diagnosis(_teks(day=0), "deadbeef", None, now=0)
 
     def test_thousand_authorizations_unique(self):
-        store = BackendStore(rng=random.Random(77))
+        store = BackendStore(PARAMS, rng=random.Random(77))
         codes = {store.authorize_otp(3600, now=0).code for _ in range(1000)}
         assert len(codes) == 1000
 
 
 class TestIngest:
     def test_incremental_indices(self):
-        store = BackendStore()
+        store = BackendStore(PARAMS)
         for expected in (1, 2, 3):
             otp = store.authorize_otp(3600, now=0)
             assert store.ingest_diagnosis(_teks(day=0), otp.code, None, now=0) == expected
 
     def test_rejection_leaves_no_trace(self):
-        store = BackendStore()
+        store = BackendStore(PARAMS)
         with pytest.raises(OtpError):
             store.ingest_diagnosis(_teks(day=0), "nope", None, now=0)
         assert store.chunk_count == 0
         assert store.fetch_chunks(0, now=0) == []
 
     def test_stale_tek_rejected(self):
-        store = BackendStore()
+        store = BackendStore(PARAMS)
         otp = store.authorize_otp(3600, now=100 * DAY)
         old = [gaen.generate_tek(b"s", 85)]  # 15 days before day 100
         with pytest.raises(StaleTekError):
@@ -76,20 +78,20 @@ class TestIngest:
         assert store.ingest_diagnosis(_teks(day=100), otp.code, None, now=100 * DAY) == 1
 
     def test_fourteen_day_old_tek_accepted(self):
-        store = BackendStore()
+        store = BackendStore(PARAMS)
         otp = store.authorize_otp(3600, now=100 * DAY)
         edge = [gaen.generate_tek(b"s", 86)]
         assert store.ingest_diagnosis(edge, otp.code, None, now=100 * DAY) == 1
 
     def test_hash_batch_linked_to_diagnosis(self):
-        store = BackendStore()
+        store = BackendStore(PARAMS)
         otp = store.authorize_otp(3600, now=0)
         batch = {b"\x01" * 32, b"\x02" * 32}
         diagnosis_id = store.ingest_diagnosis(_teks(day=0), otp.code, batch, now=0)
         assert store.fetch_hash_batch(diagnosis_id) == frozenset(batch)
 
     def test_missing_or_empty_batch_absent(self):
-        store = BackendStore()
+        store = BackendStore(PARAMS)
         otp1 = store.authorize_otp(3600, now=0)
         otp2 = store.authorize_otp(3600, now=0)
         id1 = store.ingest_diagnosis(_teks(day=0), otp1.code, None, now=0)
@@ -101,7 +103,7 @@ class TestIngest:
 
 class TestFetchChunks:
     def _store_with_uploads(self, count=2, now=0):
-        store = BackendStore()
+        store = BackendStore(PARAMS)
         for _ in range(count):
             otp = store.authorize_otp(3600, now=now)
             store.ingest_diagnosis(_teks(day=now // DAY), otp.code, None, now=now)

@@ -87,12 +87,7 @@ def _reference_state(device: HonestDevice, backend: BackendStore, now: int):
                 params.neighborhood_cells,
                 params.neighborhood_buckets,
             )
-    risk = gaen.risk_score(
-        all_matches,
-        beacon_interval_seconds=params.tick_seconds,
-        attenuation_threshold_db=params.attenuation_threshold_db,
-        alert_threshold_minutes=params.alert_threshold_minutes,
-    )
+    risk = gaen.risk_score(all_matches, params)
     return risk.alert, risk.score, per_diagnosis, verdicts
 
 
@@ -157,7 +152,7 @@ def test_incremental_exposure_equals_from_scratch(ops, tolerance, cells, buckets
     params = SimParams(
         clock_tolerance_seconds=tolerance, neighborhood_cells=cells, neighborhood_buckets=buckets
     )
-    backend = BackendStore(rng=random.Random("exposure-oracle"))
+    backend = BackendStore(params, rng=random.Random("exposure-oracle"))
     shared: dict = {}
     observers = [
         HonestDevice(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relaysim import gaen
+from relaysim.params import SimParams
 
 from oracles import brute_force_matches
 
@@ -20,6 +21,7 @@ GOLDEN_AEMK = "8ef19d5a44b515a9e5af6e8833d60ea4"
 GOLDEN_RPI_0 = "d176dcfbbdad631dcff8f8b6d3f22b27"
 GOLDEN_RPI_3 = "11d70bf4b73383b7961d6eb68494d90e"
 GOLDEN_AEM_M20 = "df70ea43"
+PARAMS = SimParams()
 
 
 def _obs(rpi, scan_time, *, aem=b"\x00" * 4, rssi=-50.0, location=(0.0, 0.0)):
@@ -43,8 +45,8 @@ class TestKeySchedule:
         assert gaen.derive_rpik(GOLDEN_TEK).hex() == GOLDEN_RPIK
         assert gaen.derive_aemk(GOLDEN_TEK).hex() == GOLDEN_AEMK
         rpik = gaen.derive_rpik(GOLDEN_TEK)
-        assert gaen.derive_rpi(rpik, 0).bytes.hex() == GOLDEN_RPI_0
-        assert gaen.derive_rpi(rpik, 3).bytes.hex() == GOLDEN_RPI_3
+        assert gaen.derive_rpi(rpik, 0, PARAMS).bytes.hex() == GOLDEN_RPI_0
+        assert gaen.derive_rpi(rpik, 3, PARAMS).bytes.hex() == GOLDEN_RPI_3
         aemk = gaen.derive_aemk(GOLDEN_TEK)
         assert gaen.encrypt_aem(aemk, bytes.fromhex(GOLDEN_RPI_0), -20).hex() == GOLDEN_AEM_M20
 
@@ -81,33 +83,33 @@ class TestKeySchedule:
 class TestRpi:
     def test_deterministic(self):
         rpik = gaen.derive_rpik(GOLDEN_TEK)
-        assert gaen.derive_rpi(rpik, 4) == gaen.derive_rpi(rpik, 4)
+        assert gaen.derive_rpi(rpik, 4, PARAMS) == gaen.derive_rpi(rpik, 4, PARAMS)
 
     def test_twelve_distinct_per_day(self):
         # 24 h / 2 h rotation = 12 windows
-        rpis = gaen.expand_diagnosis_key(GOLDEN_TEK, rotation_seconds=7200)
+        rpis = gaen.expand_diagnosis_key(GOLDEN_TEK, SimParams(rotation_seconds=7200))
         assert len(rpis) == 12
         assert len({r.bytes for r in rpis}) == 12
 
     def test_interval_out_of_range(self):
         rpik = gaen.derive_rpik(GOLDEN_TEK)
         with pytest.raises(ValueError):
-            gaen.derive_rpi(rpik, 12)
+            gaen.derive_rpi(rpik, 12, PARAMS)
         with pytest.raises(ValueError):
-            gaen.derive_rpi(rpik, -1)
+            gaen.derive_rpi(rpik, -1, PARAMS)
 
     def test_expand_matches_direct_derivation(self):
         rpik = gaen.derive_rpik(GOLDEN_TEK)
-        expanded = gaen.expand_diagnosis_key(GOLDEN_TEK)
+        expanded = gaen.expand_diagnosis_key(GOLDEN_TEK, PARAMS)
         for i, rpi in enumerate(expanded):
             assert rpi.interval_index == i
-            assert rpi == gaen.derive_rpi(rpik, i)
-        assert expanded[3] == gaen.derive_rpi(rpik, 3)
+            assert rpi == gaen.derive_rpi(rpik, i, PARAMS)
+        assert expanded[3] == gaen.derive_rpi(rpik, 3, PARAMS)
 
     def test_two_teks_expand_to_disjoint_sets(self):
         other = gaen.Tek(bytes=bytes(range(16, 32)), day_index=0)
-        a = {r.bytes for r in gaen.expand_diagnosis_key(GOLDEN_TEK)}
-        b = {r.bytes for r in gaen.expand_diagnosis_key(other)}
+        a = {r.bytes for r in gaen.expand_diagnosis_key(GOLDEN_TEK, PARAMS)}
+        b = {r.bytes for r in gaen.expand_diagnosis_key(other, PARAMS)}
         assert not a & b
 
 
@@ -145,36 +147,38 @@ class TestAem:
 
 class TestMatching:
     def test_observation_inside_window_matches(self):
-        rpi = gaen.expand_diagnosis_key(GOLDEN_TEK)[2]
+        rpi = gaen.expand_diagnosis_key(GOLDEN_TEK, PARAMS)[2]
         obs = _obs(rpi.bytes, scan_time=2 * 7200 + 100)
-        matches = gaen.match_observations([GOLDEN_TEK], [obs])
+        matches = gaen.match_observations([GOLDEN_TEK], [obs], PARAMS)
         assert len(matches) == 1
         assert matches[0].interval_index == 2
 
     def test_rebroadcast_after_window_not_matched(self):
         # stale replay: same bytes, three hours past the window end
-        rpi = gaen.expand_diagnosis_key(GOLDEN_TEK)[0]
+        rpi = gaen.expand_diagnosis_key(GOLDEN_TEK, PARAMS)[0]
         obs = _obs(rpi.bytes, scan_time=7200 + 3 * 3600)
-        assert gaen.match_observations([GOLDEN_TEK], [obs], 0) == []
+        no_tolerance = SimParams(clock_tolerance_seconds=0)
+        assert gaen.match_observations([GOLDEN_TEK], [obs], no_tolerance) == []
 
     def test_expiry_boundary_is_half_open(self):
-        rpi = gaen.expand_diagnosis_key(GOLDEN_TEK)[0]
+        rpi = gaen.expand_diagnosis_key(GOLDEN_TEK, PARAMS)[0]
         tol = 30
         at_boundary = _obs(rpi.bytes, scan_time=7200 + tol)
         just_inside = _obs(rpi.bytes, scan_time=7200 + tol - 1)
-        assert gaen.match_observations([GOLDEN_TEK], [at_boundary], tol) == []
-        assert len(gaen.match_observations([GOLDEN_TEK], [just_inside], tol)) == 1
+        params = SimParams(clock_tolerance_seconds=tol)
+        assert gaen.match_observations([GOLDEN_TEK], [at_boundary], params) == []
+        assert len(gaen.match_observations([GOLDEN_TEK], [just_inside], params)) == 1
 
     def test_decrypted_power_rides_along(self):
         # Each sighting's own AEM is decrypted, also when its RPI repeats.
         aemk = gaen.derive_aemk(GOLDEN_TEK)
-        rpi = gaen.expand_diagnosis_key(GOLDEN_TEK)[1]
+        rpi = gaen.expand_diagnosis_key(GOLDEN_TEK, PARAMS)[1]
         powers = [-7, -30, -7]
         observations = [
             _obs(rpi.bytes, scan_time=7200 + 50 + i, aem=gaen.encrypt_aem(aemk, rpi.bytes, p))
             for i, p in enumerate(powers)
         ]
-        matches = gaen.match_observations([GOLDEN_TEK], observations)
+        matches = gaen.match_observations([GOLDEN_TEK], observations, PARAMS)
         assert [m.tx_power_dbm for m in matches] == powers
 
     def test_agrees_with_brute_force_oracle(self):
@@ -189,7 +193,7 @@ class TestMatching:
             for _ in range(30):
                 if rng.random() < 0.7:
                     tek = rng.choice(teks)
-                    rpi = rng.choice(gaen.expand_diagnosis_key(tek))
+                    rpi = rng.choice(gaen.expand_diagnosis_key(tek, PARAMS))
                     start = tek.day_index * 86400 + rpi.interval_index * 7200
                     t = max(0, start + rng.randint(-9000, 16000))
                     observations.append(_obs(rpi.bytes, t, rssi=-40.0 - rng.random()))
@@ -198,20 +202,24 @@ class TestMatching:
             tolerance = rng.choice([0, 30, 600])
             got = {
                 (m.tek.bytes, m.tek.day_index, m.observation)
-                for m in gaen.match_observations(teks, observations, tolerance)
+                for m in gaen.match_observations(
+                    teks, observations, SimParams(clock_tolerance_seconds=tolerance)
+                )
             }
             expected = brute_force_matches(teks, observations, tolerance, 7200)
             assert got == expected
 
     def test_matching_in_slices_equals_matching_whole(self):
-        rpis = gaen.expand_diagnosis_key(GOLDEN_TEK)
+        rpis = gaen.expand_diagnosis_key(GOLDEN_TEK, PARAMS)
         observations = [_obs(rpis[t // 7200].bytes, t) for t in range(0, 30000, 1700)]
         observations.insert(3, _obs(bytes(16), 100))
-        index = gaen.build_rpi_index([GOLDEN_TEK])
-        whole = gaen.match_observations([GOLDEN_TEK], observations)
+        index = gaen.build_rpi_index([GOLDEN_TEK], PARAMS)
+        whole = gaen.match_observations([GOLDEN_TEK], observations, PARAMS)
         cuts = [0, 5, 11, len(observations)]
         sliced = [
-            m for lo, hi in zip(cuts, cuts[1:]) for m in gaen.match_indexed(index, observations[lo:hi])
+            m
+            for lo, hi in zip(cuts, cuts[1:])
+            for m in gaen.match_indexed(index, observations[lo:hi], PARAMS)
         ]
         assert len(whole) == len(observations) - 1
         assert sliced == whole
@@ -219,50 +227,50 @@ class TestMatching:
 
 class TestRiskScore:
     def test_empty_matches(self):
-        result = gaen.risk_score([])
+        result = gaen.risk_score([], PARAMS)
         assert result.score == 0.0
         assert not result.alert
 
     def test_fifteen_minute_close_contact_alerts(self):
         # 90 beacons at 10 s spacing, 1 m away: 900 s = 15 min, attenuation 40 dB
         aemk = gaen.derive_aemk(GOLDEN_TEK)
-        rpi = gaen.expand_diagnosis_key(GOLDEN_TEK)[0]
+        rpi = gaen.expand_diagnosis_key(GOLDEN_TEK, PARAMS)[0]
         aem = gaen.encrypt_aem(aemk, rpi.bytes, -20)
         observations = [_obs(rpi.bytes, t, aem=aem, rssi=-60.0) for t in range(0, 900, 10)]
-        matches = gaen.match_observations([GOLDEN_TEK], observations)
-        result = gaen.risk_score(matches, beacon_interval_seconds=10)
+        matches = gaen.match_observations([GOLDEN_TEK], observations, PARAMS)
+        result = gaen.risk_score(matches, SimParams(tick_seconds=10))
         assert result.score == pytest.approx(15.0)
         assert result.alert
 
     def test_permutation_invariant(self):
         aemk = gaen.derive_aemk(GOLDEN_TEK)
-        rpi = gaen.expand_diagnosis_key(GOLDEN_TEK)[0]
+        rpi = gaen.expand_diagnosis_key(GOLDEN_TEK, PARAMS)[0]
         aem = gaen.encrypt_aem(aemk, rpi.bytes, -20)
         observations = [_obs(rpi.bytes, t, aem=aem, rssi=-55.0) for t in range(0, 600, 10)]
-        matches = gaen.match_observations([GOLDEN_TEK], observations)
+        matches = gaen.match_observations([GOLDEN_TEK], observations, PARAMS)
         shuffled = list(matches)
         random.Random(7).shuffle(shuffled)
-        assert gaen.risk_score(matches) == gaen.risk_score(shuffled)
+        assert gaen.risk_score(matches, PARAMS) == gaen.risk_score(shuffled, PARAMS)
 
     def test_gap_longer_than_two_beacons_splits_contact(self):
         aemk = gaen.derive_aemk(GOLDEN_TEK)
-        rpi = gaen.expand_diagnosis_key(GOLDEN_TEK)[0]
+        rpi = gaen.expand_diagnosis_key(GOLDEN_TEK, PARAMS)[0]
         aem = gaen.encrypt_aem(aemk, rpi.bytes, -20)
         times = list(range(0, 300, 10)) + list(range(1000, 1300, 10))
         observations = [_obs(rpi.bytes, t, aem=aem, rssi=-55.0) for t in times]
-        matches = gaen.match_observations([GOLDEN_TEK], observations)
-        result = gaen.risk_score(matches, beacon_interval_seconds=10)
+        matches = gaen.match_observations([GOLDEN_TEK], observations, PARAMS)
+        result = gaen.risk_score(matches, SimParams(tick_seconds=10))
         # two 5-minute episodes, not one 21-minute span
         assert result.score == pytest.approx(10.0)
 
     def test_weak_signal_contributes_nothing(self):
         aemk = gaen.derive_aemk(GOLDEN_TEK)
-        rpi = gaen.expand_diagnosis_key(GOLDEN_TEK)[0]
+        rpi = gaen.expand_diagnosis_key(GOLDEN_TEK, PARAMS)[0]
         aem = gaen.encrypt_aem(aemk, rpi.bytes, -20)
         # attenuation 75 dB > 60 dB threshold
         observations = [_obs(rpi.bytes, t, aem=aem, rssi=-95.0) for t in range(0, 1200, 10)]
-        matches = gaen.match_observations([GOLDEN_TEK], observations)
-        result = gaen.risk_score(matches)
+        matches = gaen.match_observations([GOLDEN_TEK], observations, PARAMS)
+        result = gaen.risk_score(matches, PARAMS)
         assert result.score == 0.0
         assert not result.alert
 
@@ -278,5 +286,5 @@ def test_key_schedule_fan_out_property(tek_bytes):
     # subkeys differ and the day's pseudonyms are pairwise distinct
     tek = gaen.Tek(bytes=tek_bytes, day_index=0)
     assert gaen.derive_rpik(tek) != gaen.derive_aemk(tek)
-    rpis = gaen.expand_diagnosis_key(tek)
+    rpis = gaen.expand_diagnosis_key(tek, PARAMS)
     assert len({r.bytes for r in rpis}) == len(rpis) == 12

@@ -1,6 +1,8 @@
 """Scenario loading, validation, the tick loop, and report emission."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +123,34 @@ class TestLoadConfig:
             ({"attack": {"relay_delay": -1}}, "relay_delay must be an integer >= 0"),
             ({"attack": {"replay_ttl": 0}}, "replay_ttl must be an integer >= 1"),
             ({"attack": {"replay_ttl": 7200.5}}, "replay_ttl must be an integer >= 1"),
+            (
+                {"places": [{"name": "P", "lat": "north", "lon": 0.0}]},
+                "place 'P' lat must be a number, got 'north'",
+            ),
+            (
+                {"places": [{"name": "P", "lat": 0.0, "lon": 0.0, "radius_m": 0}]},
+                "place 'P' needs a positive radius",
+            ),
+            (
+                {"actors": [{"name": "a", "place": "P", "movement": {
+                    "waypoints": [{"at": "soon", "lat": 0.0, "lon": 0.0}]}}]},
+                "actor 'a' waypoint at must be an integer, got 'soon'",
+            ),
+            (
+                {"actors": [{"name": "a", "place": "P", "position": ["a", 0]}]},
+                "actor 'a' position lat must be a number, got 'a'",
+            ),
+            (
+                {"actors": [{"name": "a", "place": "P", "position": 5}]},
+                r"actor 'a': position must be \[lat, lon\]",
+            ),
+            ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
+            ({"duration": "long"}, "duration must be an integer, got 'long'"),
+            ({"duration": float("inf")}, "duration must be an integer, got inf"),
+            (
+                {"diagnosis_events": [{"actor": "b", "at_time": "x"}]},
+                "diagnosis event #0 at_time must be an integer, got 'x'",
+            ),
         ],
     )
     def test_malformed_section_names_offender(self, overrides, offender):
@@ -163,10 +193,48 @@ class TestLoadConfig:
         assert config.raw["seed"] == 99
 
 
+def _numeric_defaults() -> list[str]:
+    """Function defaults outside params.py that are numbers (a signed
+    literal included) or upper-case constants, as ``module.function(arg)``."""
+    found = []
+    for path in sorted((Path(scenario.__file__).parent).glob("*.py")):
+        if path.name == "params.py":
+            continue
+        tree = ast.parse(path.read_text())
+        owners = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                owners[child] = node
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults) :], args.defaults))
+            pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            owner = owners.get(node)
+            name = getattr(node, "name", "<lambda>")
+            if isinstance(owner, ast.ClassDef):
+                name = f"{owner.name}.{name}"
+            for arg, default in pairs:
+                value = default.operand if isinstance(default, ast.UnaryOp) else default
+                numeric = isinstance(value, ast.Constant) and type(value.value) in (int, float)
+                constant = isinstance(value, ast.Name) and value.id.isupper()
+                if numeric or constant:
+                    found.append(f"{path.stem}.{name}({arg.arg})")
+    return found
+
+
 class TestSimParams:
     def test_positive_tick_required(self):
         with pytest.raises(ValueError, match="tick_seconds"):
             SimParams(tick_seconds=0)
+
+    def test_params_is_the_only_source_of_defaults(self):
+        # A default repeated in a signature can drift from SimParams (or
+        # AttackSpec); the listen port is a deployment setting, not a knob.
+        allowed = ["wire.BackendHTTPServer.__init__(port)"]
+        assert _numeric_defaults() == allowed
 
 
 class TestRun:

@@ -2,22 +2,27 @@
 
 import json
 import random
+import socket
 import threading
 from http.client import HTTPConnection
 
 import pytest
 
+from relaysim import wire
 from relaysim.backend import BackendStore
+from relaysim.params import SimParams
 from relaysim.wire import BackendHTTPServer
 
 from conftest import ManualClock, replay_wire_fixtures
+
+PARAMS = SimParams()
 
 
 @pytest.fixture
 def server():
     clock = ManualClock(100 * 86400)
-    store = BackendStore(rng=random.Random("wire-golden"))
-    srv = BackendHTTPServer(store, clock)
+    store = BackendStore(PARAMS, rng=random.Random("wire-golden"))
+    srv = BackendHTTPServer(store, clock, PARAMS)
     srv.clock_handle = clock
     srv.start()
     yield srv
@@ -75,6 +80,27 @@ def test_bad_content_length_400(server, length):
     assert response.status == 400
     conn.close()
     # The handler thread did not hang or die: the server still answers.
+    conn = HTTPConnection("127.0.0.1", server.port, timeout=10)
+    conn.request("POST", "/otp", body=b"{}")
+    assert conn.getresponse().status == 200
+    conn.close()
+
+
+@pytest.mark.parametrize("client_closes", [True, False])
+def test_short_body_400_and_nothing_authorized(server, monkeypatch, client_closes):
+    # The body ends (the client shut its side) or stalls before the declared
+    # 100 bytes; before, a stall held the handler until the client left, and
+    # the truncated body was then handled as if complete.
+    monkeypatch.setattr(wire, "BODY_READ_TIMEOUT_SECONDS", 0.2)
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+        sock.sendall(b"POST /otp HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{}")
+        if client_closes:
+            sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    assert reply.split(b"\r\n", 1)[0].split()[1] == b"400"
+    assert server.store.audit == []
     conn = HTTPConnection("127.0.0.1", server.port, timeout=10)
     conn.request("POST", "/otp", body=b"{}")
     assert conn.getresponse().status == 200

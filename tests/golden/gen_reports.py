@@ -14,6 +14,11 @@ below; the tests read the committed JSON and never import ``bench``.
 ``multi_adversary.config.json`` is written by hand: ``scenario1`` plus a
 second sniffer and a second rebroadcaster and two devices walking into Y,
 so that captures and relays of several adversaries share one tick.
+``packed_small.config.json`` is written by hand too: 12 devices at one
+place (8 defended), the sniffer among them and the rebroadcaster with one
+victim elsewhere, 600 s pseudonyms with a 30 s clock tolerance, and one
+device walking out of range and back, so that long runs of repeat
+sightings cross several pseudonym windows and their widened edges.
 """
 
 import argparse

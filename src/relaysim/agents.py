@@ -16,6 +16,7 @@ the actors' turns within a tick (see :mod:`relaysim.scenario`).
 from __future__ import annotations
 
 import bisect
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import NamedTuple
@@ -83,7 +84,7 @@ class SnifferAdversary:
     def outgoing_packets(self, now: int) -> tuple[bytes, ...]:
         return ()
 
-    def sniff_tick(self, deliveries: list[radio.Delivery], now: int) -> list[dict]:
+    def sniff_tick(self, deliveries: Sequence[radio.Delivery], now: int) -> list[dict]:
         """Append every protocol packet delivered to us; returns a capture
         event for each one no sniffer had captured before, in delivery order."""
         events = []
@@ -100,7 +101,7 @@ class SnifferAdversary:
                 )
         return events
 
-    def on_deliveries(self, deliveries: list[radio.Delivery], now: int) -> list[dict]:
+    def on_deliveries(self, deliveries: Sequence[radio.Delivery], now: int) -> list[dict]:
         return self.sniff_tick(deliveries, now)
 
     def report_row(self) -> dict:
@@ -157,7 +158,7 @@ class RebroadcastAdversary:
         self.replay_queue = tuple(packet for _, packet in firsts)
         return self.replay_queue
 
-    def on_deliveries(self, deliveries: list[radio.Delivery], now: int) -> list[dict]:
+    def on_deliveries(self, deliveries: Sequence[radio.Delivery], now: int) -> list[dict]:
         """A relay event for each packet of this tick's replay queue that is
         on the air for the first time; what it hears is of no use to it."""
         if self._relayed.issuperset(self.replay_queue):  # the common case
@@ -174,10 +175,23 @@ class RebroadcastAdversary:
         }
 
 
+@dataclass(slots=True)
+class ObservationRun:
+    """One packet heard at one rssi from one place on consecutive ticks: the
+    sightings at scan times ``first``, ``first + tick``, ..., ``last``."""
+
+    rpi: bytes
+    aem: bytes
+    rssi: float
+    location: tuple[float, float]
+    first: int
+    last: int
+
+
 @dataclass
 class DownloadedChunk:
     """A downloaded chunk's RPI index and this device's matches against its
-    first ``cursor`` observations."""
+    observations scanned before ``cursor``."""
 
     index: gaen.RpiIndex
     matches: list[gaen.ExposureMatch] = field(default_factory=list)
@@ -197,9 +211,18 @@ class HonestDevice:
 
     ``rpi_indexes`` maps a chunk's keys to their RPI index.  Devices of one
     run share it, so each chunk is expanded once however many download it.
-    Besides the observations in scan order, a device keeps the positions of
-    each observed RPI's observations, so matching touches only the
-    observations a chunk can match.
+
+    Sightings are stored as observation runs, indexed by RPI.  A new inbox
+    opens one run per sighting in it.  While ``receive`` is handed the same
+    inbox object exactly one tick after its last scan, with its own RPI and
+    position unchanged, the open runs share that scan: storing the tick's
+    sightings costs O(1), and a defended device records their contact rows
+    only when the time bucket changes.
+
+    Each downloaded chunk keeps a scan-time cursor.  Matching expands, from
+    the cursor on, only the runs whose RPI the chunk's index holds, into
+    observations ordered by scan time and then run creation, which is the
+    order the sightings were received in.
     """
 
     phase = 2
@@ -226,8 +249,14 @@ class HonestDevice:
         self.current_packet: bytes | None = None
         self._current_slot: tuple[int, int] | None = None  # (day, interval)
 
-        self.observations: list[gaen.Observation] = []
-        self._positions_by_rpi: dict[bytes, list[int]] = {}
+        self.sightings = 0
+        self._runs: list[ObservationRun] = []
+        self._runs_by_rpi: dict[bytes, list[int]] = {}  # run positions, ascending
+        self._open_runs: list[ObservationRun] = []  # their ``last`` is ``_last_scan``
+        self._inbox: Sequence[radio.Delivery] | None = None
+        self._last_scan = -1
+        self._scanned_as: tuple | None = None  # (own RPI, position) at the last new inbox
+        self._bucket = -1
         self.contacts = actguard.MyContactsTable() if actguard_enabled else None
         self.positive_table = actguard.PositiveTable() if actguard_enabled else None
 
@@ -273,29 +302,87 @@ class HonestDevice:
 
     # --- scanning ---------------------------------------------------------
 
-    def receive(self, deliveries: list[radio.Delivery], now: int) -> int:
-        """Store one observation per protocol delivery; own echoes are dropped."""
+    def receive(self, deliveries: Sequence[radio.Delivery], now: int) -> int:
+        """Store one sighting per protocol delivery, own echoes dropped, and
+        return how many were stored.  Scans must come in time order."""
+        if now <= self._last_scan:
+            raise ValueError(f"scan at t={now} does not follow the last one at t={self._last_scan}")
         self.ensure_interval(now)
         assert self.current_rpi is not None
         own = self.current_rpi.bytes
-        observations = self.observations
-        before = len(observations)
-        for d in deliveries:
-            if d.receiver != self.name:
-                continue
-            decoded = radio.decode_advertisement(d.packet)
-            if decoded is None:
-                continue
-            rpi, aem = decoded
-            if rpi == own:
-                continue
-            self._positions_by_rpi.setdefault(rpi, []).append(len(observations))
-            observations.append(gaen.Observation(rpi, aem, d.rssi, now, self.position))
-            if self.contacts is not None:
-                actguard.record_contact(self.contacts, own, rpi, self.position, now, self.params)
-        return len(observations) - before
+        params = self.params
+        scanned_as = (own, self.position)
+        if (
+            deliveries is self._inbox
+            and now - self._last_scan == params.tick_seconds
+            and scanned_as == self._scanned_as
+        ):
+            open_runs = self._open_runs
+            bucket = now // params.bucket_seconds
+            if self.contacts is not None and bucket != self._bucket:
+                self._bucket = bucket
+                for run in open_runs:
+                    actguard.record_contact(self.contacts, own, run.rpi, self.position, now, params)
+        else:
+            self._close_runs()
+            open_runs = []
+            for d in deliveries:
+                if d.receiver != self.name:
+                    continue
+                decoded = radio.decode_advertisement(d.packet)
+                if decoded is None:
+                    continue
+                rpi, aem = decoded
+                if rpi == own:
+                    continue
+                self._runs_by_rpi.setdefault(rpi, []).append(len(self._runs))
+                run = ObservationRun(rpi, aem, d.rssi, self.position, now, now)
+                self._runs.append(run)
+                open_runs.append(run)
+                if self.contacts is not None:
+                    actguard.record_contact(self.contacts, own, rpi, self.position, now, params)
+            self._open_runs = open_runs
+            self._inbox = deliveries
+            self._scanned_as = scanned_as
+            self._bucket = now // params.bucket_seconds
+        self._last_scan = now
+        self.sightings += len(open_runs)
+        return len(open_runs)
 
-    def on_deliveries(self, deliveries: list[radio.Delivery], now: int) -> tuple[()]:
+    def _close_runs(self) -> None:
+        """Write the shared last scan into the open runs."""
+        for run in self._open_runs:
+            run.last = self._last_scan
+
+    @property
+    def observations(self) -> list[gaen.Observation]:
+        """Every stored sighting, in scan order (for tests and oracles)."""
+        return self._expand(range(len(self._runs)), 0)
+
+    def _observations_in(self, index: gaen.RpiIndex, since: int) -> list[gaen.Observation]:
+        """Sightings scanned at or after ``since`` whose RPI ``index`` holds,
+        in scan order."""
+        by_rpi = self._runs_by_rpi
+        return self._expand([i for rpi in by_rpi.keys() & index.keys() for i in by_rpi[rpi]], since)
+
+    def _expand(self, positions: Sequence[int], since: int) -> list[gaen.Observation]:
+        """The sightings of the runs at ``positions`` scanned at or after
+        ``since``, ordered by scan time, then by run creation."""
+        self._close_runs()
+        runs = self._runs
+        tick = self.params.tick_seconds
+        scans: list[tuple[int, int]] = []
+        for i in positions:
+            times = range(runs[i].first, runs[i].last + 1, tick)
+            scans += [(t, i) for t in times[bisect.bisect_left(times, since) :]]
+        scans.sort()
+        observations = []
+        for t, i in scans:
+            run = runs[i]
+            observations.append(gaen.Observation(run.rpi, run.aem, run.rssi, t, run.location))
+        return observations
+
+    def on_deliveries(self, deliveries: Sequence[radio.Delivery], now: int) -> tuple[()]:
         self.receive(deliveries, now)
         return ()
 
@@ -352,24 +439,24 @@ class HonestDevice:
     def evaluate_exposure(self) -> ExposureState:
         """Match new observations, then recompute alert and verdicts.
 
-        Each downloaded chunk is matched only against the observations
-        stored since it was last matched whose RPI its index holds, in scan
-        order; the others cannot match it.  The risk score and the verdicts
-        are then recomputed over all matches of every chunk.
+        Each downloaded chunk is matched only against the sightings scanned
+        since it was last matched whose RPI its index holds, in scan order;
+        the others cannot match it.  The risk score and the verdicts are
+        then recomputed over all matches of every chunk.
         """
         all_matches: list[gaen.ExposureMatch] = []
         verdicts: dict[int, actguard.Verdict] = {}
         matched: dict[int, int] = {}
-        stored = len(self.observations)
+        end = self._last_scan + 1
         for diagnosis_id in sorted(self.downloaded):
             chunk = self.downloaded[diagnosis_id]
-            if chunk.cursor < stored:
+            if chunk.cursor < end:
                 chunk.matches += gaen.match_indexed(
                     chunk.index,
                     self._observations_in(chunk.index, chunk.cursor),
                     self.params,
                 )
-                chunk.cursor = stored
+                chunk.cursor = end
             if not chunk.matches:
                 continue
             all_matches.extend(chunk.matches)
@@ -384,16 +471,6 @@ class HonestDevice:
             matches_by_diagnosis=matched,
         )
         return self.exposure
-
-    def _observations_in(self, index: gaen.RpiIndex, start: int) -> list[gaen.Observation]:
-        """Observations from position ``start`` on whose RPI ``index`` holds,
-        in scan order."""
-        positions: list[int] = []
-        for rpi in self._positions_by_rpi.keys() & index.keys():
-            at = self._positions_by_rpi[rpi]
-            positions += at[bisect.bisect_left(at, start) :]
-        positions.sort()
-        return [self.observations[i] for i in positions]
 
     def _verdict_for(
         self, diagnosis_id: int, matches: list[gaen.ExposureMatch]
@@ -451,7 +528,7 @@ class HonestDevice:
             "actguard": self.actguard_enabled,
             "gaen_alert": self.exposure.gaen_alert,
             "risk_score": self.exposure.risk_score,
-            "observations": len(self.observations),
+            "observations": self.sightings,
             "contact_records": len(self.contacts) if self.contacts is not None else 0,
             "verdicts": [
                 {"diagnosis_id": d, "verdict": v.kind.value, "rpi": v.rpi.hex()}

@@ -18,6 +18,7 @@ import random
 import secrets
 from dataclasses import dataclass
 
+from .actguard import CONTACT_HASH_LENGTH
 from .gaen import Tek
 from .params import SECONDS_PER_DAY, SimParams
 
@@ -34,6 +35,18 @@ class OtpError(BackendError):
 
 class StaleTekError(BackendError):
     """An uploaded key is older than the retention horizon."""
+
+
+class FutureTekError(BackendError):
+    """An uploaded key is for a day after the diagnosis day."""
+
+
+class NoTeksError(BackendError):
+    """A diagnosis upload carries no keys."""
+
+
+class HashLengthError(BackendError):
+    """An uploaded contact digest is not ``CONTACT_HASH_LENGTH`` bytes."""
 
 
 class BackendUnavailable(BackendError):
@@ -102,20 +115,33 @@ class BackendStore:
         hash_batch: set[bytes] | frozenset[bytes] | None,
         now: int,
     ) -> int:
-        """Validate the OTP and keys, then publish a new chunk.
+        """Validate the OTP, keys and digests, then publish a new chunk.
 
-        Rejections leave the store untouched (the OTP stays unused).  An
-        empty hash batch is treated as absent: only users of the defense
-        upload one at all.
+        There must be at least one key, none from after the diagnosis day
+        or older than the retention window, and every digest must be
+        ``CONTACT_HASH_LENGTH`` bytes.  Rejections leave the store untouched
+        (the OTP stays unused).  An empty hash batch is treated as absent:
+        only users of the defense upload one at all.
         """
         diagnosis_day = now // SECONDS_PER_DAY
         try:
             otp = self._check_otp(otp_code, now)
+            if not teks:
+                raise NoTeksError("a diagnosis needs at least one tek")
             for tek in teks:
                 if tek.day_index < diagnosis_day - self._retention_days:
                     raise StaleTekError(
                         f"tek for day {tek.day_index} is older than "
                         f"{self._retention_days} days at day {diagnosis_day}"
+                    )
+                if tek.day_index > diagnosis_day:
+                    raise FutureTekError(
+                        f"tek for day {tek.day_index} is after the diagnosis day {diagnosis_day}"
+                    )
+            for digest in hash_batch or ():
+                if len(digest) != CONTACT_HASH_LENGTH:
+                    raise HashLengthError(
+                        f"hash digests must be {CONTACT_HASH_LENGTH} bytes, got {len(digest)}"
                     )
         except BackendError as exc:
             self.audit.append(

@@ -73,13 +73,12 @@ class Place:
         return (self.lat, self.lon)
 
 
-@dataclass(frozen=True)
-class Station:
-    """One radio participant for a single tick: position plus outgoing packets."""
+class Station(NamedTuple):
+    """One radio participant for a single tick: position plus outgoing
+    packets.  Every station sends at ``params.tx_power_dbm``."""
 
     name: str
     position: tuple[float, float]
-    tx_power_dbm: int
     packets: tuple[bytes, ...] = ()
 
 
@@ -98,7 +97,7 @@ LinkTable = dict[str, tuple[tuple[str, float], ...]]
 def link_table(stations: list[Station], params: SimParams) -> LinkTable:
     """For each sender, the (receiver name, rssi) of every station in range,
     in receiver-name order.  rssi = tx_power - path_loss(distance), so a
-    table stays valid until a station moves or changes power.
+    table stays valid until a station moves.
     """
     ordered = sorted(stations, key=lambda s: s.name)
     table: LinkTable = {}
@@ -110,7 +109,7 @@ def link_table(stations: list[Station], params: SimParams) -> LinkTable:
             distance = haversine_m(sender.position, receiver.position)
             if distance > params.ble_range_m:
                 continue
-            links.append((receiver.name, sender.tx_power_dbm - path_loss_db(distance, params)))
+            links.append((receiver.name, params.tx_power_dbm - path_loss_db(distance, params)))
         table[sender.name] = tuple(links)
     return table
 

@@ -13,7 +13,11 @@ then name -> scheduled diagnoses -> exposure checks.  A packet captured in
 one tick is therefore never back on the air before the next tick, matching
 the causal order of a real relay.  The radio link table (who hears whom, at
 what rssi) is rebuilt only on a tick where a station moved, and each actor
-is handed only the deliveries addressed to it.
+is handed only the deliveries addressed to it, as a read-only tuple: its
+inbox.  On a tick where every station has the position and the packets it
+had the tick before, nothing on air changed, so radio delivery is skipped
+and every actor is handed the same inbox object again; an honest device
+then extends its observation runs instead of storing each sighting anew.
 """
 
 from __future__ import annotations
@@ -364,6 +368,8 @@ class World:
         self._pending_diagnoses = list(config.diagnosis_events)
         self._link_key: tuple | None = None
         self._links: radio.LinkTable = {}
+        self._air: tuple | None = None
+        self._inboxes: dict[str, tuple[radio.Delivery, ...]] = {}
 
     def _new_actor(self, spec: ActorSpec, rpi_indexes: dict):
         position = spec.position_at(0, self.config.places)
@@ -388,30 +394,36 @@ class World:
             actor.position = spec.position_at(now, self.config.places)
 
     def _stations(self, now: int) -> list[radio.Station]:
-        tx_power = self.params.tx_power_dbm
-        return [
-            radio.Station(a.name, a.position, tx_power, a.outgoing_packets(now))
-            for a in self.actors
-        ]
+        return [radio.Station(a.name, a.position, a.outgoing_packets(now)) for a in self.actors]
 
-    def deliver(self, stations: list[radio.Station]) -> dict[str, list[radio.Delivery]]:
-        """Deliveries by receiver, in delivery order; the link table is rebuilt
-        only when a station's position or power differs from the last call."""
-        key = tuple((s.name, s.position, s.tx_power_dbm) for s in stations)
-        if key != self._link_key:
+    def deliver(self, stations: list[radio.Station]) -> dict[str, tuple[radio.Delivery, ...]]:
+        """Each receiver's inbox: its deliveries in delivery order.
+
+        While every station's name, position and packets equal the last
+        call's, nothing on air changed and the last call's inboxes are
+        returned as they are, the same objects.  The link table is rebuilt
+        only when a station's position differs from the last rebuild.
+        """
+        air = tuple(stations)
+        if air == self._air:
+            return self._inboxes
+        link_key = tuple(s[:2] for s in air)  # (name, position)
+        if link_key != self._link_key:
             self._links = radio.link_table(stations, self.params)
-            self._link_key = key
+            self._link_key = link_key
         by_receiver: dict[str, list[radio.Delivery]] = {}
         for d in radio.broadcast_step(stations, self._links):
             by_receiver.setdefault(d.receiver, []).append(d)
-        return by_receiver
+        self._air = air
+        self._inboxes = {name: tuple(inbox) for name, inbox in by_receiver.items()}
+        return self._inboxes
 
     def step(self) -> None:
         now = self.now
         self._move_actors(now)
-        by_receiver = self.deliver(self._stations(now))
+        inboxes = self.deliver(self._stations(now))
         for actor in self._by_phase:
-            self.events += actor.on_deliveries(by_receiver.get(actor.name, []), now)
+            self.events += actor.on_deliveries(inboxes.get(actor.name, ()), now)
 
         while self._pending_diagnoses and self._pending_diagnoses[0].at_time <= now:
             event = self._pending_diagnoses.pop(0)

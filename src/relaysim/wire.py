@@ -3,7 +3,7 @@
 Endpoints (JSON bodies, lowercase hex, frozen by golden fixtures):
 
     POST /otp                {"ttl": n}?          -> 200 {"code": ...} | 400
-    POST /diagnosis          {otp, teks, hashes?} -> 200 {"diagnosis_id": n} | 403
+    POST /diagnosis          {otp, teks, hashes?} -> 200 {"diagnosis_id": n} | 400 | 403
     GET  /chunks?since=N                          -> 200 [{index, published_at, teks}]
     GET  /hashes/<id>                             -> 200 {"hashes": [...]} | 404
 
@@ -29,9 +29,11 @@ from .backend import (
 )
 from .params import SimParams
 
-# Longest wait for the next bytes of a request body.  A client that declares
-# more than it sends gets a 400 after this long instead of holding a thread.
-BODY_READ_TIMEOUT_SECONDS = 5.0
+# Longest wait for the next bytes of a request, from its request line to the
+# end of its body.  A client that stalls in the request line or headers is
+# disconnected after this long, and one that declares a longer body than it
+# sends gets a 400; neither holds a handler thread.
+REQUEST_TIMEOUT_SECONDS = 5.0
 
 
 class BackendHTTPServer:
@@ -114,6 +116,8 @@ class BackendHTTPServer:
 
 def _make_handler(server: BackendHTTPServer):
     class Handler(BaseHTTPRequestHandler):
+        timeout = REQUEST_TIMEOUT_SECONDS
+
         def log_message(self, fmt, *args):  # quiet by default
             pass
 
@@ -131,13 +135,10 @@ def _make_handler(server: BackendHTTPServer):
             length = self.headers.get("Content-Length", "0").strip()
             if not (length.isascii() and length.isdigit()):
                 return "bad content-length"
-            self.connection.settimeout(BODY_READ_TIMEOUT_SECONDS)
             try:
                 raw = self.rfile.read(int(length))
             except TimeoutError:
                 return "body shorter than content-length"
-            finally:
-                self.connection.settimeout(None)
             return raw if len(raw) == int(length) else "body shorter than content-length"
 
         def do_POST(self) -> None:

@@ -106,6 +106,27 @@ def main() -> None:
         "/diagnosis",
         {"otp": otp4, "teks": [{"tek_hex": TEK_A, "day": 85}]},
     )
+    otp5 = exchange("POST", "/otp", {})["code"]
+    exchange(  # 1-byte hash digest -> 403
+        "POST",
+        "/diagnosis",
+        {"otp": otp5, "teks": [{"tek_hex": TEK_A, "day": 100}], "hashes": ["11"]},
+    )
+    exchange(  # tek for a day after the diagnosis day -> 403
+        "POST",
+        "/diagnosis",
+        {"otp": otp5, "teks": [{"tek_hex": TEK_A, "day": 10**6}]},
+    )
+    exchange(  # no keys at all -> 403
+        "POST",
+        "/diagnosis",
+        {"otp": otp5, "teks": []},
+    )
+    exchange(  # the rejections left the otp unused and published nothing
+        "POST",
+        "/diagnosis",
+        {"otp": otp5, "teks": [{"tek_hex": TEK_A, "day": 100}], "hashes": [HASH_1]},
+    )
 
     conn.close()
     server.stop()

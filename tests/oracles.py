@@ -6,7 +6,9 @@ instead of using the cryptography package, the matcher is a quadratic
 cross-product scan instead of an index, and the distance uses the spherical
 law of cosines instead of the haversine form.  The one exception is the
 fan-out oracle, which keeps the package's distance and path-loss arithmetic
-so that rssi values compare exactly.
+so that rssi values compare exactly, and the per-sighting device, which
+keeps the package's protocol code and replaces only how sightings are
+stored and found again for matching.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ import hashlib
 import hmac
 import math
 import struct
+
+from relaysim import actguard, gaen, radio
+from relaysim.agents import ExposureState, HonestDevice
 
 SECONDS_PER_DAY = 86400
 
@@ -130,7 +135,7 @@ def naive_deliveries(stations, params):
             distance = haversine_m(sender.position, receiver.position)
             if distance > params.ble_range_m:
                 continue
-            rssi = sender.tx_power_dbm - path_loss_db(distance, params)
+            rssi = params.tx_power_dbm - path_loss_db(distance, params)
             for packet in sender.packets:
                 deliveries.append(
                     Delivery(sender=sender.name, receiver=receiver.name, packet=packet, rssi=rssi)
@@ -146,3 +151,70 @@ def naive_replay_queue(captures, now, relay_delay, replay_ttl):
     """
     window = [p for p, t in captures if now - replay_ttl < t <= now - relay_delay]
     return tuple(dict.fromkeys(window))
+
+
+class PerSightingDevice(HonestDevice):
+    """The honest device storing one ``Observation`` per sighting, in
+    receive order, with each RPI's list positions; a chunk's cursor
+    counts the observations it was matched against.  Key schedule,
+    polling, verification and risk scoring are the package's."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stored: list = []
+        self.positions_by_rpi: dict = {}
+
+    @property
+    def observations(self):
+        return list(self.stored)
+
+    def receive(self, deliveries, now):
+        self.ensure_interval(now)
+        own = self.current_rpi.bytes
+        before = len(self.stored)
+        for d in deliveries:
+            if d.receiver != self.name:
+                continue
+            decoded = radio.decode_advertisement(d.packet)
+            if decoded is None:
+                continue
+            rpi, aem = decoded
+            if rpi == own:
+                continue
+            self.positions_by_rpi.setdefault(rpi, []).append(len(self.stored))
+            self.stored.append(gaen.Observation(rpi, aem, d.rssi, now, self.position))
+            if self.contacts is not None:
+                actguard.record_contact(self.contacts, own, rpi, self.position, now, self.params)
+        return len(self.stored) - before
+
+    def evaluate_exposure(self):
+        all_matches, verdicts, matched = [], {}, {}
+        stored = len(self.stored)
+        for diagnosis_id in sorted(self.downloaded):
+            chunk = self.downloaded[diagnosis_id]
+            if chunk.cursor < stored:
+                chunk.matches += gaen.match_indexed(
+                    chunk.index, self._observations_in(chunk.index, chunk.cursor), self.params
+                )
+                chunk.cursor = stored
+            if not chunk.matches:
+                continue
+            all_matches.extend(chunk.matches)
+            matched[diagnosis_id] = len(chunk.matches)
+            if self.actguard_enabled:
+                verdicts[diagnosis_id] = self._verdict_for(diagnosis_id, chunk.matches)
+        risk = gaen.risk_score(all_matches, self.params)
+        self.exposure = ExposureState(risk.alert, risk.score, verdicts, matched)
+        return self.exposure
+
+    def _observations_in(self, index, start):
+        """Observations from list position ``start`` on whose RPI
+        ``index`` holds, in list order."""
+        positions = []
+        for rpi in self.positions_by_rpi.keys() & index.keys():
+            positions += [i for i in self.positions_by_rpi[rpi] if i >= start]
+        positions.sort()
+        return [self.stored[i] for i in positions]
+
+    def report_row(self):
+        return super().report_row() | {"observations": len(self.stored)}

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relaysim import gaen, radio
+from relaysim import actguard, gaen, radio
 from relaysim.agents import (
     HonestDevice,
     MaliciousDatabase,
@@ -88,6 +88,36 @@ class TestHonestDevice:
             dev.receive([_delivery("dev", packet)], t)
         assert len(dev.contacts) == 1
         assert len(dev.observations) == 3
+
+    def test_unchanged_inbox_extends_one_run(self, monkeypatch):
+        calls = []
+        record = actguard.record_contact
+
+        def counting(table, own, peer, position, timestamp, params):
+            calls.append(timestamp)
+            return record(table, own, peer, position, timestamp, params)
+
+        monkeypatch.setattr(actguard, "record_contact", counting)
+        dev = _device(actguard=True)
+        packet, _, rpi = _peer_packet()
+        inbox = (_delivery("dev", packet),)
+        for t in range(0, 610, 10):
+            assert dev.receive(inbox, t) == 1
+        assert len(dev._runs) == 1
+        assert [o.scan_time for o in dev.observations] == list(range(0, 610, 10))
+        assert dev.report_row()["observations"] == 61
+        # contact rows are recorded once per time bucket, not per sighting
+        assert calls == [0, 300, 600]
+        assert len(dev.contacts) == 3
+
+    def test_scan_must_follow_the_last(self):
+        dev = _device()
+        packet, _, _ = _peer_packet()
+        dev.receive([_delivery("dev", packet)], 10)
+        for t in (10, 5):
+            with pytest.raises(ValueError, match="does not follow"):
+                dev.receive([_delivery("dev", packet)], t)
+        assert len(dev.observations) == 1
 
     def test_tek_retention_purges_old_days(self):
         dev = _device()

@@ -7,6 +7,9 @@ import pytest
 from relaysim import gaen
 from relaysim.backend import (
     BackendStore,
+    FutureTekError,
+    HashLengthError,
+    NoTeksError,
     OtpError,
     StaleTekError,
     decode_diagnosis_payload,
@@ -82,6 +85,33 @@ class TestIngest:
         otp = store.authorize_otp(3600, now=100 * DAY)
         edge = [gaen.generate_tek(b"s", 86)]
         assert store.ingest_diagnosis(edge, otp.code, None, now=100 * DAY) == 1
+
+    @pytest.mark.parametrize(
+        "teks, batch, error",
+        [
+            ([], None, NoTeksError),
+            ([gaen.generate_tek(b"s", 101)], None, FutureTekError),
+            ([gaen.generate_tek(b"s", 100), gaen.generate_tek(b"s", 10**6)], None, FutureTekError),
+            ([gaen.generate_tek(b"s", 100)], {b"\x01"}, HashLengthError),
+            ([gaen.generate_tek(b"s", 100)], {b"\x01" * 32, b"\x02" * 33}, HashLengthError),
+        ],
+        ids=["no-keys", "tomorrow", "day-1e6", "1-byte-digest", "33-byte-digest"],
+    )
+    def test_malformed_upload_rejected_and_store_untouched(self, teks, batch, error):
+        store = BackendStore(PARAMS)
+        otp = store.authorize_otp(3600, now=100 * DAY)
+        with pytest.raises(error):
+            store.ingest_diagnosis(teks, otp.code, batch, now=100 * DAY)
+        assert store.chunk_count == 0
+        assert store.fetch_hash_batch(1) is None
+        # the failed attempt must not consume the otp
+        assert store.ingest_diagnosis(_teks(day=100), otp.code, None, now=100 * DAY) == 1
+
+    def test_key_of_the_diagnosis_day_accepted(self):
+        store = BackendStore(PARAMS)
+        otp = store.authorize_otp(3600, now=101 * DAY - 1)
+        edge = [gaen.generate_tek(b"s", 100)]
+        assert store.ingest_diagnosis(edge, otp.code, {b"\x01" * 32}, now=101 * DAY - 1) == 1
 
     def test_hash_batch_linked_to_diagnosis(self):
         store = BackendStore(PARAMS)

@@ -1,4 +1,5 @@
-"""A world's cached link table against the all-pairs fan-out, tick by tick."""
+"""A world's cached link table and inboxes against the all-pairs fan-out,
+tick by tick."""
 
 import math
 
@@ -11,7 +12,6 @@ from oracles import naive_deliveries
 # Offsets within +-12.5 m of a common point on each axis: pairs land on both
 # sides of the 10 m range.
 OFFSET_M = st.tuples(st.floats(-12.5, 12.5), st.floats(-12.5, 12.5))
-POWER = st.sampled_from([-30, -20, 0])
 
 
 def _position(origin, offset_m):
@@ -22,57 +22,56 @@ def _position(origin, offset_m):
 
 @st.composite
 def _runs(draw):
-    """Stations' first offsets and powers, then per tick the moves
-    (station index, new offset or None to stay, new power) and every
-    station's packets."""
+    """Stations' first offsets, then per tick the moves (station index, new
+    offset or None to stay) and every station's packets."""
     n = draw(st.integers(2, 8))
     origin = (draw(st.floats(-80.0, 80.0)), draw(st.floats(-179.0, 179.0)))
     start = draw(st.lists(OFFSET_M, min_size=n, max_size=n))
-    powers = draw(st.lists(POWER, min_size=n, max_size=n))
     packets = st.lists(st.binary(min_size=1, max_size=4), max_size=2)
     ticks = draw(
         st.lists(
             st.tuples(
-                st.lists(
-                    st.tuples(st.integers(0, n - 1), st.none() | OFFSET_M, POWER), max_size=3
-                ),
+                st.lists(st.tuples(st.integers(0, n - 1), st.none() | OFFSET_M), max_size=3),
                 st.lists(packets, min_size=n, max_size=n),
             ),
             min_size=1,
             max_size=8,
         )
     )
-    return origin, start, powers, ticks
+    return origin, start, ticks
 
 
 @given(_runs())
 def test_cached_fanout_equals_all_pairs(run):
-    origin, offsets, powers, ticks = run
+    origin, offsets, ticks = run
     config = scenario.load_config(
         {"name": "fanout", "duration": 10, "places": [], "actors": []}
     )
     world = scenario.World(config)
     names = [f"s{i}" for i in range(len(offsets))]
-    offsets, powers = list(offsets), list(powers)
-    previous = None
+    offsets = list(offsets)
+    previous = previous_air = previous_inboxes = None
     for moves, packets in ticks:
-        for i, offset, power in moves:
+        for i, offset in moves:
             offsets[i] = offsets[i] if offset is None else offset
-            powers[i] = power
         stations = [
-            radio.Station(name, _position(origin, offset), power, tuple(pk))
-            for name, offset, power, pk in zip(names, offsets, powers, packets)
+            radio.Station(name, _position(origin, offset), tuple(pk))
+            for name, offset, pk in zip(names, offsets, packets)
         ]
-        radio_state = [(s.position, s.tx_power_dbm) for s in stations]
+        positions = [s.position for s in stations]
+        air = [(s.position, s.packets) for s in stations]
         links = world._links
 
-        by_receiver = world.deliver(stations)
+        inboxes = world.deliver(stations)
 
         naive = naive_deliveries(stations, config.params)
         expected: dict[str, list[radio.Delivery]] = {}
         for d in naive:
             expected.setdefault(d.receiver, []).append(d)
-        assert by_receiver == expected
+        assert inboxes == {name: tuple(inbox) for name, inbox in expected.items()}
         assert radio.broadcast_step(stations, world._links) == naive
-        assert (world._links is not links) == (radio_state != previous)
-        previous = radio_state
+        assert (world._links is not links) == (positions != previous)
+        # Inboxes are handed out again, the same objects, exactly while
+        # nothing on air changed.
+        assert (inboxes is previous_inboxes) == (air == previous_air)
+        previous, previous_air, previous_inboxes = positions, air, inboxes

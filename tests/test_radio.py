@@ -51,7 +51,7 @@ class TestCodec:
 
 
 def _station(name, position, packets=()):
-    return radio.Station(name=name, position=position, tx_power_dbm=-20, packets=tuple(packets))
+    return radio.Station(name=name, position=position, packets=tuple(packets))
 
 
 def _hears(a, b, params=SimParams()):

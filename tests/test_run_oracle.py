@@ -1,0 +1,219 @@
+"""Observation runs against the per-sighting reference device.
+
+The first property runs small random worlds twice, once as they are and once
+with every honest device replaced by ``oracles.PerSightingDevice``, and
+compares for every device the canonical report bytes, the expanded
+observations, each chunk's match list in order and the contact-row keys.
+Some ticks may be skipped, so a receiver is also handed an unchanged inbox
+more than one tick after its last scan.
+
+The second property feeds one device and its reference the same inboxes
+directly: fresh ones and the same object again, after one or more ticks,
+across the device's own rotations (an inbox may carry its own current or
+earlier packet) and time buckets, with duplicate packets heard at two
+rssi values and with the device moving under an unchanged inbox.
+"""
+
+from unittest import mock
+
+from hypothesis import example, given, settings, strategies as st
+
+from relaysim import radio, scenario
+from relaysim.agents import HonestDevice
+from relaysim.params import SimParams
+
+from oracles import PerSightingDevice
+
+METERS_PER_DEGREE = 6371000.0 * 3.141592653589793 / 180.0
+PLACES = {"P0": (0.0, 0.0), "P1": (0.01, 0.0)}  # 1.1 km apart, far out of range
+JITTER_M = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+TICK = 10
+
+
+def _at(place: str, jitter_m: tuple[int, int]) -> list[float]:
+    lat, lon = PLACES[place]
+    return [lat + jitter_m[0] / METERS_PER_DEGREE, lon + jitter_m[1] / METERS_PER_DEGREE]
+
+
+@st.composite
+def worlds(draw):
+    """A scenario config and the tick times to run (the last is never skipped)."""
+    places = list(PLACES)[: draw(st.integers(1, 2))]
+    duration = draw(st.sampled_from([900, 1500]))
+    ticks = duration // TICK
+    place = st.sampled_from(places)
+    actors = []
+    for i in range(draw(st.integers(3, 6))):
+        home = draw(place)
+        actor = {
+            "name": f"d{i}",
+            "role": "honest",
+            "place": home,
+            "actguard": draw(st.booleans()),
+            "position": _at(home, draw(JITTER_M)),
+        }
+        times = draw(st.lists(st.integers(1, ticks - 1), max_size=2, unique=True))
+        if times:
+            actor["movement"] = {
+                "waypoints": [
+                    dict(zip(("lat", "lon"), _at(draw(place), draw(JITTER_M))), at=t * TICK)
+                    for t in sorted(times)
+                ]
+            }
+        actors.append(actor)
+    config = {
+        "name": "runs",
+        "seed": draw(st.integers(0, 3)),
+        "duration": duration,
+        "places": [{"name": p, "lat": PLACES[p][0], "lon": PLACES[p][1]} for p in places],
+        "actors": actors,
+        "diagnosis_events": [
+            {"actor": f"d{draw(st.integers(0, len(actors) - 1))}", "at_time": t * TICK}
+            for t in draw(st.lists(st.integers(0, ticks - 1), min_size=1, max_size=3))
+        ],
+        "params": {
+            "rotation_seconds": draw(st.sampled_from([600, 7200])),
+            "clock_tolerance_seconds": draw(st.sampled_from([0, 30])),
+        },
+    }
+    if draw(st.booleans()):
+        config["actors"] += [
+            {"name": "sniffer", "role": "sniffer", "place": places[0]},
+            {"name": "rebroadcaster", "role": "rebroadcaster", "place": places[-1]},
+        ]
+        config["attack"] = {
+            "relay_delay": draw(st.sampled_from([10, 60])),
+            "replay_ttl": draw(st.sampled_from([300, 7200])),
+        }
+    skipped = draw(st.sets(st.integers(1, ticks - 2), max_size=6))
+    return config, [t * TICK for t in range(ticks) if t not in skipped]
+
+
+def _run(config: dict, times: list[int], device_class: type) -> scenario.World:
+    """Step the world at ``times``, then finish the run as ``World.run`` does."""
+    with mock.patch.object(scenario, "HonestDevice", device_class):
+        world = scenario.World(scenario.load_config(config))
+    for t in times:
+        world.now = t
+        world.step()
+    for device in world.devices.values():
+        device.evaluate_exposure()
+        world.events += device.match_events(world.config.duration)
+    return world
+
+
+def _state(device: HonestDevice) -> tuple:
+    return (
+        device.observations,
+        {d: chunk.matches for d, chunk in device.downloaded.items()},
+        set(device.contacts.records) if device.contacts is not None else None,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@example(
+    # One place holding the sniffer and the rebroadcaster: every device hears
+    # each diagnosed pseudonym directly and relayed, at two rssi values on
+    # the same ticks, so scan order interleaves two runs of one RPI.
+    world=(
+        {
+            "name": "runs",
+            "duration": 900,
+            "places": [{"name": "P0", "lat": 0.0, "lon": 0.0}],
+            "actors": [
+                {"name": "d0", "place": "P0", "actguard": True, "position": _at("P0", (0, 0))},
+                {"name": "d1", "place": "P0", "position": _at("P0", (3, 0))},
+                {"name": "d2", "place": "P0", "actguard": True, "position": _at("P0", (0, 3))},
+                {"name": "sniffer", "role": "sniffer", "place": "P0"},
+                {"name": "rebroadcaster", "role": "rebroadcaster", "place": "P0"},
+            ],
+            "attack": {"relay_delay": 10, "replay_ttl": 7200},
+            "diagnosis_events": [{"actor": "d1", "at_time": 300}],
+            "params": {"rotation_seconds": 600, "clock_tolerance_seconds": 30},
+        },
+        list(range(0, 900, TICK)),
+    )
+)
+@given(world=worlds())
+def test_worlds_with_runs_equal_per_sighting_worlds(world):
+    config, times = world
+    runs = _run(config, times, HonestDevice)
+    reference = _run(config, times, PerSightingDevice)
+    assert runs._report().to_json_bytes() == reference._report().to_json_bytes()
+    for name, device in runs.devices.items():
+        assert _state(device) == _state(reference.devices[name]), name
+
+
+HERE = (44.63, 10.94)
+FAR = (44.70, 10.94)  # another grid cell
+# An inbox is (sender, packet source, rssi) triples: a packet source is a
+# peer's current packet, the device's own current packet (an echo), the
+# packet the device sent when the run began (relayed back later) or bytes
+# that are not an advertisement.
+SOURCE = st.sampled_from(["p0", "p1", "own", "own_then", "junk"])
+SENDER = st.sampled_from(["p0", "p1", "relay"])
+DELIVERY = st.tuples(SENDER, SOURCE, st.sampled_from([-50.0, -70.0]))
+step = st.tuples(
+    st.booleans(),  # hand over the last inbox object again
+    st.lists(DELIVERY, max_size=4),  # else this new inbox
+    st.sampled_from([1, 1, 2, 3]),  # ticks since the last scan
+    st.booleans(),  # move to the other place first
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example(
+    # The inbox holds the device's own packet (an echo) and a peer's, and is
+    # handed over again, one tick apart, across the device's rotation: from
+    # then on the old own packet is a sighting like any other.
+    steps=[(False, [("relay", "own", -50.0), ("p0", "p0", -50.0)], 1, False)]
+    + [(True, [], 1, False)] * 3,
+    start=2,
+    rotation=600,
+    defended=True,
+)
+@given(
+    steps=st.lists(step, min_size=1, max_size=40),
+    start=st.integers(0, 20),  # ticks before a rotation boundary
+    rotation=st.sampled_from([600, 7200]),
+    defended=st.booleans(),
+)
+def test_any_inbox_sequence_stores_what_per_sighting_stores(steps, start, rotation, defended):
+    params = SimParams(rotation_seconds=rotation)
+    devices = [
+        cls("me", b"me" * 8, HERE, params=params, actguard_enabled=defended)
+        for cls in (HonestDevice, PerSightingDevice)
+    ]
+    peers = {n: HonestDevice(n, n.encode() * 8, HERE, params=params) for n in ("p0", "p1")}
+    now = rotation - start * TICK
+    first_packet = devices[0].outgoing_packets(now)[0]
+    inbox: tuple = ()
+    for again, deliveries, gap, move in steps:
+        now += gap * TICK
+        own = devices[0].outgoing_packets(now)[0]
+        if not again:
+            packets = {
+                "own": own,
+                "own_then": first_packet,
+                "junk": b"\x00" * 22,
+                **{n: p.outgoing_packets(now)[0] for n, p in peers.items()},
+            }
+            inbox = tuple(
+                radio.Delivery(sender, "me", packets[src], rssi) for sender, src, rssi in deliveries
+            )
+        stored = []
+        for device in devices:
+            if move:
+                device.position = FAR if device.position == HERE else HERE
+            stored.append(device.receive(inbox, now))
+        assert stored[0] == stored[1]
+    device, reference = devices
+    assert device.report_row() == reference.report_row()
+    expected = reference.observations
+    assert device.observations == expected
+    if defended:
+        assert list(device.contacts.records) == list(reference.contacts.records)
+    rpis = {o.rpi: [] for o in expected}
+    for since in {o.scan_time for o in expected[::3]} | {now + 1}:
+        got = device._observations_in(rpis, since)
+        assert got == [o for o in expected if o.scan_time >= since]

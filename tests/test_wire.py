@@ -4,6 +4,7 @@ import json
 import random
 import socket
 import threading
+import time
 from http.client import HTTPConnection
 
 import pytest
@@ -18,13 +19,27 @@ from conftest import ManualClock, replay_wire_fixtures
 PARAMS = SimParams()
 
 
-@pytest.fixture
-def server():
+def _serve():
     clock = ManualClock(100 * 86400)
     store = BackendStore(PARAMS, rng=random.Random("wire-golden"))
     srv = BackendHTTPServer(store, clock, PARAMS)
     srv.clock_handle = clock
     srv.start()
+    return srv
+
+
+@pytest.fixture
+def server():
+    srv = _serve()
+    yield srv
+    srv.stop()
+
+
+@pytest.fixture
+def impatient_server(monkeypatch):
+    """A server whose handlers wait 0.2 s for the next bytes of a request."""
+    monkeypatch.setattr(wire, "REQUEST_TIMEOUT_SECONDS", 0.2)
+    srv = _serve()
     yield srv
     srv.stop()
 
@@ -87,11 +102,11 @@ def test_bad_content_length_400(server, length):
 
 
 @pytest.mark.parametrize("client_closes", [True, False])
-def test_short_body_400_and_nothing_authorized(server, monkeypatch, client_closes):
+def test_short_body_400_and_nothing_authorized(impatient_server, client_closes):
     # The body ends (the client shut its side) or stalls before the declared
     # 100 bytes; before, a stall held the handler until the client left, and
     # the truncated body was then handled as if complete.
-    monkeypatch.setattr(wire, "BODY_READ_TIMEOUT_SECONDS", 0.2)
+    server = impatient_server
     with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
         sock.sendall(b"POST /otp HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{}")
         if client_closes:
@@ -105,6 +120,23 @@ def test_short_body_400_and_nothing_authorized(server, monkeypatch, client_close
     conn.request("POST", "/otp", body=b"{}")
     assert conn.getresponse().status == 200
     conn.close()
+
+
+@pytest.mark.parametrize("sent", [b"GET /chu", b"POST /otp HTTP/1.1\r\nHost: x\r\n"])
+def test_stalled_request_closed_within_timeout(impatient_server, sent):
+    # Part of a request line, or a request line and part of its headers, then
+    # nothing: before, the handler thread waited for the rest forever.
+    server = impatient_server
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+        sock.sendall(sent)
+        start = time.monotonic()
+        assert sock.recv(4096) == b""  # closed by the server, no reply
+        assert time.monotonic() - start < 5
+    conn = HTTPConnection("127.0.0.1", server.port, timeout=10)
+    conn.request("POST", "/otp", body=b"{}")
+    assert conn.getresponse().status == 200
+    conn.close()
+    assert [entry["op"] for entry in server.store.audit] == ["authorize_otp"]
 
 
 def test_concurrent_clients_see_sequential_semantics(server):

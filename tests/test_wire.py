@@ -131,7 +131,7 @@ def test_stalled_request_closed_within_timeout(impatient_server, sent):
         sock.sendall(sent)
         start = time.monotonic()
         assert sock.recv(4096) == b""  # closed by the server, no reply
-        assert time.monotonic() - start < 5
+        assert time.monotonic() - start < 2
     conn = HTTPConnection("127.0.0.1", server.port, timeout=10)
     conn.request("POST", "/otp", body=b"{}")
     assert conn.getresponse().status == 200

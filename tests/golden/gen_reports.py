@@ -3,7 +3,8 @@
 
 Writes ``reports/<name>.json`` for each bundled scenario (at its own config
 seed) and for each crowd config ``reports/<name>.config.json`` committed
-beside them.  Regenerate only on a deliberate change of the report bytes,
+beside them, and ``tables/<name>.txt``, the ``--format table`` text of that
+golden report.  Regenerate only on a deliberate change of the report bytes,
 and say why in CHANGES.md:
 
     PYTHONPATH=src python3 tests/golden/gen_reports.py
@@ -26,10 +27,17 @@ import json
 import sys
 from pathlib import Path
 
-from relaysim.scenario import World, builtin_scenario_names, load_builtin, load_config
+from relaysim.scenario import (
+    ScenarioReport,
+    World,
+    builtin_scenario_names,
+    load_builtin,
+    load_config,
+)
 
 HERE = Path(__file__).resolve().parent
 REPORTS = HERE / "reports"
+TABLES = HERE / "tables"
 CROWD_SEED = 1
 
 # Scaled-down versions of the benchmark's two crowds, small enough that
@@ -59,6 +67,11 @@ def report_bytes(name: str) -> bytes:
     return World(config).run().to_json_bytes()
 
 
+def table_text(name: str) -> str:
+    """The table rendering of the committed golden report ``name``."""
+    return ScenarioReport(json.loads((REPORTS / f"{name}.json").read_bytes())).to_table()
+
+
 def golden_names() -> list[str]:
     crowds = [p.name[: -len(".config.json")] for p in sorted(REPORTS.glob("*.config.json"))]
     return builtin_scenario_names() + crowds
@@ -84,12 +97,16 @@ def main() -> None:
     )
     args = parser.parse_args()
     REPORTS.mkdir(exist_ok=True)
+    TABLES.mkdir(exist_ok=True)
     if args.crowd_configs:
         write_crowd_configs()
     for name in golden_names():
         path = REPORTS / f"{name}.json"
         path.write_bytes(report_bytes(name))
         print(f"wrote {path}")
+        table = TABLES / f"{name}.txt"
+        table.write_text(table_text(name))
+        print(f"wrote {table}")
 
 
 if __name__ == "__main__":

@@ -2,11 +2,12 @@
 
 The files under ``golden/reports`` were generated by ``golden/gen_reports.py``;
 any difference here means the simulation's observable behaviour changed.
+``golden/tables`` holds the ``--format table`` text of each golden report.
 """
 
 import pytest
 
-from golden.gen_reports import REPORTS, golden_names, report_bytes
+from golden.gen_reports import REPORTS, TABLES, golden_names, report_bytes, table_text
 
 
 def test_golden_set_is_complete():
@@ -18,3 +19,8 @@ def test_golden_set_is_complete():
 @pytest.mark.parametrize("name", golden_names())
 def test_report_bytes_match_golden(name):
     assert report_bytes(name) == (REPORTS / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", golden_names())
+def test_table_matches_golden(name):
+    assert table_text(name) == (TABLES / f"{name}.txt").read_text()

@@ -24,6 +24,7 @@ import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .gaen import ExposureMatch
 from .params import SimParams
@@ -31,47 +32,29 @@ from .params import SimParams
 CONTACT_HASH_LENGTH = 32
 
 
-@dataclass(frozen=True)
-class GeoCell:
-    """Floor-quantized latitude/longitude grid indices."""
-
-    lat_index: int
-    lon_index: int
-
-
-@dataclass(frozen=True)
-class TimeBucket:
-    """Floor-quantized timestamp index."""
-
-    index: int
-
-
 def quantize(
     position: tuple[float, float], timestamp: int, params: SimParams
-) -> tuple[GeoCell, TimeBucket]:
+) -> tuple[tuple[int, int], int]:
+    """The floor-quantized grid cell ``(lat_index, lon_index)`` and time bucket."""
     lat, lon = position
-    cell = GeoCell(
-        lat_index=math.floor(lat / params.cell_size_deg),
-        lon_index=math.floor(lon / params.cell_size_deg),
-    )
-    return cell, TimeBucket(index=timestamp // params.bucket_seconds)
+    cell = (math.floor(lat / params.cell_size_deg), math.floor(lon / params.cell_size_deg))
+    return cell, timestamp // params.bucket_seconds
 
 
-def contact_hash(rpi_a: bytes, rpi_b: bytes, cell: GeoCell, bucket: TimeBucket) -> bytes:
+def contact_hash(rpi_a: bytes, rpi_b: bytes, cell: tuple[int, int], bucket: int) -> bytes:
     """Digest of one contact; symmetric in the two pseudonyms."""
     if rpi_a == rpi_b:
         raise ValueError("a contact needs two distinct pseudonyms")
     lo, hi = sorted((rpi_a, rpi_b))
-    payload = lo + hi + struct.pack(">qqq", cell.lat_index, cell.lon_index, bucket.index)
+    payload = lo + hi + struct.pack(">qqq", *cell, bucket)
     return hashlib.sha256(payload).digest()
 
 
-@dataclass(frozen=True)
-class ContactRecord:
+class ContactRecord(NamedTuple):
     rpi_low: bytes
     rpi_high: bytes
-    cell: GeoCell
-    bucket: TimeBucket
+    cell: tuple[int, int]
+    bucket: int
     hash: bytes
 
 
@@ -86,7 +69,7 @@ class MyContactsTable:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def add(self, lo: bytes, hi: bytes, cell: GeoCell, bucket: TimeBucket) -> ContactRecord:
+    def add(self, lo: bytes, hi: bytes, cell: tuple[int, int], bucket: int) -> ContactRecord:
         """The contact's row; only a row not yet in the table is hashed."""
         key = (lo, hi, cell, bucket)
         record = self.records.get(key)
@@ -105,19 +88,6 @@ class MyContactsTable:
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-@dataclass
-class PositiveTable:
-    """Mirror of the hash server's published batches at last sync."""
-
-    batches: dict[int, frozenset[bytes]] = field(default_factory=dict)
-
-    def add(self, diagnosis_id: int, hashes: frozenset[bytes]) -> None:
-        self.batches[diagnosis_id] = hashes
-
-    def get(self, diagnosis_id: int) -> frozenset[bytes] | None:
-        return self.batches.get(diagnosis_id)
 
 
 class VerdictKind(Enum):
@@ -171,16 +141,14 @@ def verify_exposure(
     if not positive_batch:
         return Verdict(kind=VerdictKind.UNVERIFIABLE, diagnosis_id=diagnosis_id, rpi=match.rpi)
 
-    neighborhood_cells = params.neighborhood_cells
-    neighborhood_buckets = params.neighborhood_buckets
-    for record in my_table.records_for(match.rpi):
-        for dlat in range(-neighborhood_cells, neighborhood_cells + 1):
-            for dlon in range(-neighborhood_cells, neighborhood_cells + 1):
-                cell = GeoCell(record.cell.lat_index + dlat, record.cell.lon_index + dlon)
-                for db in range(-neighborhood_buckets, neighborhood_buckets + 1):
-                    bucket = TimeBucket(record.bucket.index + db)
-                    candidate = contact_hash(record.rpi_low, record.rpi_high, cell, bucket)
-                    if candidate in positive_batch:
+    cells = range(-params.neighborhood_cells, params.neighborhood_cells + 1)
+    buckets = range(-params.neighborhood_buckets, params.neighborhood_buckets + 1)
+    for lo, hi, (lat, lon), bucket, _ in my_table.records_for(match.rpi):
+        for dlat in cells:
+            for dlon in cells:
+                cell = (lat + dlat, lon + dlon)
+                for db in buckets:
+                    if contact_hash(lo, hi, cell, bucket + db) in positive_batch:
                         return Verdict(
                             kind=VerdictKind.CONFIRMED_CONTACT,
                             diagnosis_id=diagnosis_id,

@@ -190,10 +190,11 @@ class ObservationRun:
 
 @dataclass
 class DownloadedChunk:
-    """A downloaded chunk's RPI index and this device's matches against its
-    observations scanned before ``cursor``."""
+    """A downloaded chunk's RPI index, its hash batch (None if it has none or
+    the device is undefended) and its matches with sightings before ``cursor``."""
 
     index: gaen.RpiIndex
+    batch: frozenset[bytes] | None
     matches: list[gaen.ExposureMatch] = field(default_factory=list)
     cursor: int = 0
 
@@ -207,7 +208,9 @@ class ExposureState:
 
 
 class HonestDevice:
-    """A protocol-running device, optionally with the hash defense enabled.
+    """A protocol-running device, optionally with the hash defense enabled:
+    a defended device records contact rows in ``contacts`` (None when
+    undefended), and each chunk's hash batch rides on its ``DownloadedChunk``.
 
     ``rpi_indexes`` maps a chunk's keys to their RPI index.  Devices of one
     run share it, so each chunk is expanded once however many download it.
@@ -241,7 +244,6 @@ class HonestDevice:
         self.seed = seed
         self.position = position
         self.params = params
-        self.actguard_enabled = actguard_enabled
         self.rpi_indexes = {} if rpi_indexes is None else rpi_indexes
 
         self.teks: dict[int, gaen.Tek] = {}
@@ -258,7 +260,6 @@ class HonestDevice:
         self._scanned_as: tuple | None = None  # (own RPI, position) at the last new inbox
         self._bucket = -1
         self.contacts = actguard.MyContactsTable() if actguard_enabled else None
-        self.positive_table = actguard.PositiveTable() if actguard_enabled else None
 
         self.downloaded: dict[int, DownloadedChunk] = {}
         self.last_chunk_index = 0
@@ -410,19 +411,13 @@ class HonestDevice:
         """
         fetched = []
         for chunk in backend.fetch_chunks(self.last_chunk_index, now):
-            batch = (
-                backend.fetch_hash_batch(chunk.index)
-                if self.positive_table is not None
-                else None
-            )
+            batch = backend.fetch_hash_batch(chunk.index) if self.contacts is not None else None
             fetched.append((chunk, batch))
 
         new_ids = []
         for chunk, batch in fetched:
             self.last_chunk_index = max(self.last_chunk_index, chunk.index)
-            self.downloaded[chunk.index] = DownloadedChunk(self._rpi_index(chunk.teks))
-            if batch is not None and self.positive_table is not None:
-                self.positive_table.add(chunk.index, batch)
+            self.downloaded[chunk.index] = DownloadedChunk(self._rpi_index(chunk.teks), batch)
             new_ids.append(chunk.index)
         return new_ids
 
@@ -461,8 +456,8 @@ class HonestDevice:
                 continue
             all_matches.extend(chunk.matches)
             matched[diagnosis_id] = len(chunk.matches)
-            if self.actguard_enabled:
-                verdicts[diagnosis_id] = self._verdict_for(diagnosis_id, chunk.matches)
+            if self.contacts is not None:
+                verdicts[diagnosis_id] = self._verdict_for(diagnosis_id, chunk)
         risk = gaen.risk_score(all_matches, self.params)
         self.exposure = ExposureState(
             gaen_alert=risk.alert,
@@ -472,23 +467,20 @@ class HonestDevice:
         )
         return self.exposure
 
-    def _verdict_for(
-        self, diagnosis_id: int, matches: list[gaen.ExposureMatch]
-    ) -> actguard.Verdict:
+    def _verdict_for(self, diagnosis_id: int, chunk: DownloadedChunk) -> actguard.Verdict:
         # One verdict per diagnosis: confirmation by any match wins, else the
         # first match's verdict.  A match's verdict depends only on its RPI,
         # so each distinct RPI is verified once, in first-match order.
-        assert self.contacts is not None and self.positive_table is not None
-        batch = self.positive_table.get(diagnosis_id)
+        assert self.contacts is not None
         first_by_rpi: dict[bytes, gaen.ExposureMatch] = {}
-        for match in matches:
+        for match in chunk.matches:
             first_by_rpi.setdefault(match.rpi, match)
         first: actguard.Verdict | None = None
         for match in first_by_rpi.values():
             verdict = actguard.verify_exposure(
                 match,
                 self.contacts,
-                batch,
+                chunk.batch,
                 diagnosis_id=diagnosis_id,
                 params=self.params,
             )
@@ -525,7 +517,7 @@ class HonestDevice:
     def report_row(self) -> dict:
         return {
             "role": "honest",
-            "actguard": self.actguard_enabled,
+            "actguard": self.contacts is not None,
             "gaen_alert": self.exposure.gaen_alert,
             "risk_score": self.exposure.risk_score,
             "observations": self.sightings,

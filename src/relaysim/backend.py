@@ -177,8 +177,8 @@ class BackendStore:
         horizon = self._retention_days * SECONDS_PER_DAY
         return [
             c
-            for c in self._chunks
-            if c.index > since_index and now - c.published_at <= horizon
+            for c in self._chunks[since_index if since_index > 0 else 0 :]  # chunk i at i - 1
+            if now - c.published_at <= horizon
         ]
 
     def fetch_hash_batch(self, diagnosis_id: int) -> frozenset[bytes] | None:

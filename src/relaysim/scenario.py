@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, field, fields
 from importlib import resources
@@ -122,12 +123,15 @@ def _field(item: dict, key: str, owner: str):
 
 
 def _as(kind: type, value, what: str):
-    """``kind(value)`` for ``int`` or ``float``, or a ConfigError naming ``what``."""
+    """``kind(value)`` for ``int`` or a finite ``float``, or a ConfigError naming ``what``."""
     try:
-        return kind(value)
+        result = kind(value)
     except (TypeError, ValueError, OverflowError):  # int(inf) overflows
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{what} must be {noun}, got {value!r}") from None
+    if kind is float and not math.isfinite(result):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return result
 
 
 def load_config(source: str | Path | dict, *, seed_override: int | None = None) -> ScenarioConfig:
@@ -136,6 +140,8 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
         data = json.loads(json.dumps(source))  # private copy
     else:
         data = json.loads(Path(source).read_text())
+    if not isinstance(data, dict):
+        raise ConfigError("a scenario must be a JSON object at its top level")
 
     unknown = set(data) - _TOP_LEVEL_KEYS
     if unknown:
@@ -184,7 +190,9 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
         place = str(a.get("place", ""))
         if place not in places:
             raise ConfigError(f"actor {actor_name!r} references unknown place {place!r}")
-        actguard = bool(a.get("actguard", False))
+        actguard = a.get("actguard", False)
+        if type(actguard) is not bool:
+            raise ConfigError(f"actor {actor_name!r}: actguard must be true or false")
         if actguard and role != "honest":
             raise ConfigError(f"actor {actor_name!r}: only honest actors can run the defense")
         position = None
@@ -315,19 +323,14 @@ class ScenarioReport:
         rows = [f"{'actor':<10} {'role':<14} {'guard':<6} {'alert':<6} {'risk':>7}  verdicts"]
         for name in sorted(self.data["actors"]):
             a = self.data["actors"][name]
-            if a["role"] == "honest":
-                verdicts = (
-                    "; ".join(
-                        f"#{v['diagnosis_id']}:{v['verdict']}" for v in a["verdicts"]
-                    )
-                    or "-"
-                )
-                rows.append(
-                    f"{name:<10} {a['role']:<14} {str(a['actguard']):<6} "
-                    f"{str(a['gaen_alert']):<6} {a['risk_score']:>7.2f}  {verdicts}"
-                )
-            else:
-                rows.append(f"{name:<10} {a['role']:<14} {'-':<6} {'-':<6} {'-':>7}  -")
+            risk = f"{a['risk_score']:.2f}" if "risk_score" in a else "-"
+            verdicts = "; ".join(
+                f"#{v['diagnosis_id']}:{v['verdict']}" for v in a.get("verdicts", [])
+            )
+            rows.append(
+                f"{name:<10} {a['role']:<14} {str(a.get('actguard', '-')):<6} "
+                f"{str(a.get('gaen_alert', '-')):<6} {risk:>7}  {verdicts or '-'}"
+            )
         return "\n".join(rows) + "\n"
 
     def actor(self, name: str) -> dict:

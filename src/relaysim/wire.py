@@ -14,6 +14,7 @@ concurrent clients observe the same semantics as sequential calls.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
@@ -34,6 +35,11 @@ from .params import SimParams
 # disconnected after this long, and one that declares a longer body than it
 # sends gets a 400; neither holds a handler thread.
 REQUEST_TIMEOUT_SECONDS = 5.0
+
+
+class _Server(ThreadingHTTPServer):
+    # socketserver's backlog of 5 drops simultaneous connects, retried after 1 s.
+    request_queue_size = socket.SOMAXCONN
 
 
 class BackendHTTPServer:
@@ -57,7 +63,7 @@ class BackendHTTPServer:
         self.otp_ttl = params.otp_ttl_seconds
         self._lock = threading.Lock()
         handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer((host, port), handler)
+        self._httpd = _Server((host, port), handler)
         self._thread: threading.Thread | None = None
 
     @property

@@ -201,8 +201,8 @@ class PerSightingDevice(HonestDevice):
                 continue
             all_matches.extend(chunk.matches)
             matched[diagnosis_id] = len(chunk.matches)
-            if self.actguard_enabled:
-                verdicts[diagnosis_id] = self._verdict_for(diagnosis_id, chunk.matches)
+            if self.contacts is not None:
+                verdicts[diagnosis_id] = self._verdict_for(diagnosis_id, chunk)
         risk = gaen.risk_score(all_matches, self.params)
         self.exposure = ExposureState(risk.alert, risk.score, verdicts, matched)
         return self.exposure

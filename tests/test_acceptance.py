@@ -11,7 +11,6 @@ import time
 from contextlib import contextmanager
 
 from relaysim import actguard, gaen, scenario
-from relaysim.actguard import GeoCell, TimeBucket
 from relaysim.backend import BackendStore, OtpError
 from relaysim.params import SimParams
 from relaysim.wire import BackendHTTPServer
@@ -126,8 +125,8 @@ def test_criterion_6_hash_properties():
             a, b = rng.randbytes(16), rng.randbytes(16)
             if a == b:
                 continue
-            cell = GeoCell(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
-            bucket = TimeBucket(rng.randint(0, 10**7))
+            cell = (rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+            bucket = rng.randint(0, 10**7)
             assert actguard.contact_hash(a, b, cell, bucket) == actguard.contact_hash(
                 b, a, cell, bucket
             )
@@ -137,8 +136,8 @@ def test_criterion_6_hash_properties():
             a, b = rng.randbytes(16), rng.randbytes(16)
             if a == b:
                 continue
-            cell = GeoCell(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
-            bucket = TimeBucket(rng.randint(0, 10**7))
+            cell = (rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+            bucket = rng.randint(0, 10**7)
             base = actguard.contact_hash(a, b, cell, bucket)
             field = rng.randrange(5)
             if field == 0:
@@ -147,14 +146,14 @@ def test_criterion_6_hash_properties():
                 mutated = actguard.contact_hash(a, rng.randbytes(16), cell, bucket)
             elif field == 2:
                 mutated = actguard.contact_hash(
-                    a, b, GeoCell(cell.lat_index + rng.choice([-1, 1]), cell.lon_index), bucket
+                    a, b, (cell[0] + rng.choice([-1, 1]), cell[1]), bucket
                 )
             elif field == 3:
                 mutated = actguard.contact_hash(
-                    a, b, GeoCell(cell.lat_index, cell.lon_index + rng.choice([-1, 1])), bucket
+                    a, b, (cell[0], cell[1] + rng.choice([-1, 1])), bucket
                 )
             else:
-                mutated = actguard.contact_hash(a, b, cell, TimeBucket(bucket.index + 1))
+                mutated = actguard.contact_hash(a, b, cell, bucket + 1)
             collisions += mutated == base
         assert collisions == 0
 

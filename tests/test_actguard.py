@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relaysim import actguard, gaen
-from relaysim.actguard import GeoCell, TimeBucket, VerdictKind
+from relaysim.actguard import VerdictKind
 from relaysim.params import SimParams
 
 PARAMS = SimParams()
@@ -25,52 +25,52 @@ def _match(rpi: bytes) -> gaen.ExposureMatch:
 class TestQuantize:
     def test_origin(self):
         cell, bucket = actguard.quantize((0.0, 0.0), 0, PARAMS)
-        assert cell == GeoCell(0, 0)
-        assert bucket == TimeBucket(0)
+        assert cell == (0, 0)
+        assert bucket == 0
 
     def test_floor_on_latitude(self):
         cell, _ = actguard.quantize((0.0019, 0.0), 0, SimParams(cell_size_deg=0.001))
-        assert cell.lat_index == 1
+        assert cell[0] == 1
 
     def test_bucket_boundary(self):
         _, before = actguard.quantize((0.0, 0.0), 299, SimParams(bucket_seconds=300))
         _, after = actguard.quantize((0.0, 0.0), 301, SimParams(bucket_seconds=300))
-        assert before == TimeBucket(0)
-        assert after == TimeBucket(1)
+        assert before == 0
+        assert after == 1
 
     def test_negative_coordinates_floor_down(self):
         cell, _ = actguard.quantize((-0.0001, -0.0001), 0, SimParams(cell_size_deg=0.001))
-        assert cell == GeoCell(-1, -1)
+        assert cell == (-1, -1)
 
 
 class TestContactHash:
     def test_golden_vector(self):
-        digest = actguard.contact_hash(GOLDEN_RPI_A, GOLDEN_RPI_B, GeoCell(10, -3), TimeBucket(7))
+        digest = actguard.contact_hash(GOLDEN_RPI_A, GOLDEN_RPI_B, (10, -3), 7)
         assert digest.hex() == GOLDEN_HASH
 
     def test_symmetric_under_swap(self):
-        cell, bucket = GeoCell(4, 5), TimeBucket(6)
+        cell, bucket = (4, 5), 6
         assert actguard.contact_hash(GOLDEN_RPI_A, GOLDEN_RPI_B, cell, bucket) == \
             actguard.contact_hash(GOLDEN_RPI_B, GOLDEN_RPI_A, cell, bucket)
 
     def test_self_contact_rejected(self):
         with pytest.raises(ValueError):
-            actguard.contact_hash(GOLDEN_RPI_A, GOLDEN_RPI_A, GeoCell(0, 0), TimeBucket(0))
+            actguard.contact_hash(GOLDEN_RPI_A, GOLDEN_RPI_A, (0, 0), 0)
 
     def test_cell_change_changes_digest(self):
-        bucket = TimeBucket(7)
-        base = actguard.contact_hash(GOLDEN_RPI_A, GOLDEN_RPI_B, GeoCell(10, -3), bucket)
-        moved = actguard.contact_hash(GOLDEN_RPI_A, GOLDEN_RPI_B, GeoCell(11, -3), bucket)
+        bucket = 7
+        base = actguard.contact_hash(GOLDEN_RPI_A, GOLDEN_RPI_B, (10, -3), bucket)
+        moved = actguard.contact_hash(GOLDEN_RPI_A, GOLDEN_RPI_B, (11, -3), bucket)
         assert base != moved
 
     def test_bucket_change_changes_digest(self):
-        cell = GeoCell(10, -3)
-        base = actguard.contact_hash(GOLDEN_RPI_A, GOLDEN_RPI_B, cell, TimeBucket(7))
-        later = actguard.contact_hash(GOLDEN_RPI_A, GOLDEN_RPI_B, cell, TimeBucket(8))
+        cell = (10, -3)
+        base = actguard.contact_hash(GOLDEN_RPI_A, GOLDEN_RPI_B, cell, 7)
+        later = actguard.contact_hash(GOLDEN_RPI_A, GOLDEN_RPI_B, cell, 8)
         assert base != later
 
     def test_digest_is_32_bytes(self):
-        digest = actguard.contact_hash(GOLDEN_RPI_A, GOLDEN_RPI_B, GeoCell(0, 0), TimeBucket(0))
+        digest = actguard.contact_hash(GOLDEN_RPI_A, GOLDEN_RPI_B, (0, 0), 0)
         assert len(digest) == actguard.CONTACT_HASH_LENGTH
 
     @given(
@@ -83,8 +83,9 @@ class TestContactHash:
     def test_symmetry_property(self, a, b, lat, lon, bucket):
         if a == b:
             return
-        cell, tb = GeoCell(lat, lon), TimeBucket(bucket)
-        assert actguard.contact_hash(a, b, cell, tb) == actguard.contact_hash(b, a, cell, tb)
+        cell = (lat, lon)
+        assert actguard.contact_hash(a, b, cell, bucket) == \
+            actguard.contact_hash(b, a, cell, bucket)
 
 
 class TestRecordContact:
@@ -129,8 +130,8 @@ class TestRecordContact:
             table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0015, 0.0), 310, PARAMS
         )
         assert record.rpi_low < record.rpi_high
-        assert record.cell == GeoCell(1, 0)
-        assert record.bucket == TimeBucket(1)
+        assert record.cell == (1, 0)
+        assert record.bucket == 1
         assert record.hash == actguard.contact_hash(
             record.rpi_low, record.rpi_high, record.cell, record.bucket
         )
@@ -183,7 +184,7 @@ class TestVerifyExposure:
         neighbor = actguard.contact_hash(
             record.rpi_low,
             record.rpi_high,
-            GeoCell(record.cell.lat_index + 1, record.cell.lon_index),
+            (record.cell[0] + 1, record.cell[1]),
             record.bucket,
         )
         verdict = actguard.verify_exposure(
@@ -197,7 +198,7 @@ class TestVerifyExposure:
         far = actguard.contact_hash(
             record.rpi_low,
             record.rpi_high,
-            GeoCell(record.cell.lat_index + 10, record.cell.lon_index),
+            (record.cell[0] + 10, record.cell[1]),
             record.bucket,
         )
         verdict = actguard.verify_exposure(
@@ -221,9 +222,3 @@ class TestTables:
         r1 = actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 10, PARAMS)
         actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 20, PARAMS)
         assert table.hashes() == {r1.hash}
-
-    def test_positive_table_absent_vs_present(self):
-        table = actguard.PositiveTable()
-        table.add(1, frozenset({b"\x00" * 32}))
-        assert table.get(1) == frozenset({b"\x00" * 32})
-        assert table.get(2) is None

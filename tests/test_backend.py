@@ -147,6 +147,14 @@ class TestFetchChunks:
         store = self._store_with_uploads(2)
         assert store.fetch_chunks(2, now=0) == []
 
+    def test_negative_since_returns_all(self):
+        store = self._store_with_uploads(2)
+        assert [c.index for c in store.fetch_chunks(-1, now=0)] == [1, 2]
+
+    def test_since_past_latest_returns_empty(self):
+        store = self._store_with_uploads(2)
+        assert store.fetch_chunks(5, now=0) == []
+
     def test_fifteen_day_old_chunk_omitted(self):
         store = self._store_with_uploads(1, now=0)
         assert store.fetch_chunks(0, now=15 * DAY) == []

@@ -58,10 +58,7 @@ def _reference_state(device: HonestDevice, backend: BackendStore, now: int):
     params = device.params
     position = {obs: i for i, obs in enumerate(device.observations)}
     table = device.contacts.records.values() if device.contacts is not None else ()
-    records = [
-        (r.rpi_low, r.rpi_high, r.cell.lat_index, r.cell.lon_index, r.bucket.index)
-        for r in table
-    ]
+    records = [(r.rpi_low, r.rpi_high, *r.cell, r.bucket) for r in table]
     all_matches, per_diagnosis, verdicts = [], {}, {}
     for chunk in backend.fetch_chunks(0, now):
         if chunk.index > device.last_chunk_index:
@@ -79,7 +76,7 @@ def _reference_state(device: HonestDevice, backend: BackendStore, now: int):
         ]
         all_matches += matches
         per_diagnosis[chunk.index] = matches
-        if device.actguard_enabled:
+        if device.contacts is not None:
             verdicts[chunk.index] = naive_verdict(
                 [m.rpi for m in matches],
                 records,

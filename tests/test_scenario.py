@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from relaysim import scenario
 from relaysim.params import SimParams
@@ -25,6 +26,22 @@ def _minimal_config(**overrides):
     }
     data.update(overrides)
     return data
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(value, path=()):
+    """Every path into a JSON document, the empty one (the whole document) first."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _paths(child, (*path, key))
 
 
 class TestLoadConfig:
@@ -151,11 +168,64 @@ class TestLoadConfig:
                 {"diagnosis_events": [{"actor": "b", "at_time": "x"}]},
                 "diagnosis event #0 at_time must be an integer, got 'x'",
             ),
+            ([], "a scenario must be a JSON object"),
+            (None, "a scenario must be a JSON object"),
+            (
+                {"places": [{"name": "P", "lat": float("nan"), "lon": 0.0}]},
+                "place 'P' lat must be finite, got nan",
+            ),
+            (
+                {"places": [{"name": "P", "lat": 0.0, "lon": 0.0, "radius_m": float("inf")}]},
+                "place 'P' radius_m must be finite, got inf",
+            ),
+            (
+                {"actors": [{"name": "a", "place": "P", "position": [0.0, float("-inf")]}]},
+                "actor 'a' position lon must be finite, got -inf",
+            ),
+            (
+                {"actors": [{"name": "a", "place": "P", "movement": {
+                    "waypoints": [{"at": 5, "lat": float("nan"), "lon": 0.0}]}}]},
+                "actor 'a' waypoint lat must be finite, got nan",
+            ),
+            (
+                {"actors": [{"name": "a", "place": "P", "actguard": "no"}]},
+                "actor 'a': actguard must be true or false",
+            ),
         ],
     )
-    def test_malformed_section_names_offender(self, overrides, offender):
+    def test_malformed_section_names_offender(self, overrides, offender, tmp_path):
+        # An override that is not an object stands for a whole scenario file.
+        if isinstance(overrides, dict):
+            source = _minimal_config(**overrides)
+        else:
+            source = tmp_path / "scenario.json"
+            source.write_text(json.dumps(overrides))
         with pytest.raises(ConfigError, match=offender):
-            scenario.load_config(_minimal_config(**overrides))
+            scenario.load_config(source)
+
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(st.data(), st.sampled_from(scenario.builtin_scenario_names()), JSON_VALUES)
+    def test_any_json_value_anywhere_loads_or_is_named(self, tmp_path, data, name, value):
+        # Replace one value of a bundled scenario, or the whole of it, with
+        # any JSON value: load_config yields a config or a ConfigError.
+        scenarios = Path(scenario.__file__).parent / "scenarios"
+        document = json.loads((scenarios / f"{name}.json").read_text())
+        path = data.draw(st.sampled_from(list(_paths(document))))
+        if not path:
+            document = value
+        else:
+            owner = document
+            for key in path[:-1]:
+                owner = owner[key]
+            owner[path[-1]] = value
+        source = tmp_path / "scenario.json"
+        source.write_text(json.dumps(document))
+        try:
+            assert isinstance(scenario.load_config(source), scenario.ScenarioConfig)
+        except ConfigError:
+            pass
 
     @pytest.mark.parametrize(
         "params, field",
@@ -222,6 +292,32 @@ def _numeric_defaults() -> list[str]:
                 constant = isinstance(value, ast.Name) and value.id.isupper()
                 if numeric or constant:
                     found.append(f"{path.stem}.{name}({arg.arg})")
+    return found
+
+
+def _role_comparisons() -> list[str]:
+    """Comparisons with a role name outside the two places that dispatch on
+    roles, as ``module.function``; a tuple, list or set operand counts."""
+    roles = {"honest", "sniffer", "rebroadcaster"}
+    allowed = {"scenario.World._new_actor", "scenario.load_config"}
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for op in list(operands):
+                if isinstance(op, (ast.Tuple, ast.List, ast.Set)):
+                    operands += op.elts
+            if any(isinstance(op, ast.Constant) and op.value in roles for op in operands):
+                if where not in allowed:
+                    found.append(where)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}"
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted((Path(scenario.__file__).parent).glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
     return found
 
 
@@ -326,6 +422,11 @@ class TestReport:
         report = scenario.run(scenario.load_config(_minimal_config()))
         with pytest.raises(ValueError):
             scenario.emit_report(report, "xml")
+
+    def test_roles_tested_only_where_actors_are_built(self):
+        # A role test elsewhere is a second dispatch that a new role must
+        # find; reports and tables work from what each row holds.
+        assert _role_comparisons() == []
 
 
 class TestCli:

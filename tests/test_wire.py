@@ -11,6 +11,7 @@ import pytest
 
 from relaysim import wire
 from relaysim.backend import BackendStore
+from relaysim.gaen import Tek
 from relaysim.params import SimParams
 from relaysim.wire import BackendHTTPServer
 
@@ -66,6 +67,19 @@ def test_bad_since_parameter_400(server):
     conn = HTTPConnection("127.0.0.1", server.port)
     conn.request("GET", "/chunks?since=soon")
     assert conn.getresponse().status == 400
+    conn.close()
+
+
+def test_negative_since_returns_every_chunk(server):
+    now = server.clock_handle.now
+    tek = Tek(bytes=bytes(16), day_index=now // 86400)
+    for _ in range(2):
+        server.store.ingest_diagnosis([tek], server.store.authorize_otp(60, now).code, None, now)
+    conn = HTTPConnection("127.0.0.1", server.port)
+    conn.request("GET", "/chunks?since=-1")
+    response = conn.getresponse()
+    assert response.status == 200
+    assert [c["index"] for c in json.loads(response.read())] == [1, 2]
     conn.close()
 
 
@@ -154,9 +168,13 @@ def test_concurrent_clients_see_sequential_semantics(server):
             codes.append(code)
 
     threads = [threading.Thread(target=grab_otp) for _ in range(16)]
+    start = time.monotonic()
     for t in threads:
         t.start()
     for t in threads:
         t.join()
+    # Under the kernel's 1 s SYN retry: no connect was dropped from a full
+    # listen backlog.
+    assert time.monotonic() - start < 0.9
     assert len(codes) == 16
     assert len(set(codes)) == 16

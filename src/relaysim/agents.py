@@ -225,7 +225,11 @@ class HonestDevice:
     Each downloaded chunk keeps a scan-time cursor.  Matching expands, from
     the cursor on, only the runs whose RPI the chunk's index holds, into
     observations ordered by scan time and then run creation, which is the
-    order the sightings were received in.
+    order the sightings were received in.  Matching runs only when a poll
+    brings new chunks and at ``evaluate_exposure``; it extends each chunk's
+    matches and ``matches_by_diagnosis``, which is all ``match_events``
+    reads.  The risk score and the verdicts are computed only when
+    ``exposure`` is read, over every match so far, and cached.
     """
 
     phase = 2
@@ -263,7 +267,8 @@ class HonestDevice:
 
         self.downloaded: dict[int, DownloadedChunk] = {}
         self.last_chunk_index = 0
-        self.exposure = ExposureState()
+        self.matches_by_diagnosis: dict[int, int] = {}  # diagnosis id -> matches so far
+        self._scored: tuple[int, ExposureState] | None = None  # (contact rows, state)
         self._reported_matches: set[int] = set()
 
     # --- key schedule ---------------------------------------------------
@@ -432,40 +437,60 @@ class HonestDevice:
         return index
 
     def evaluate_exposure(self) -> ExposureState:
-        """Match new observations, then recompute alert and verdicts.
+        """Match new observations, then return the exposure they give."""
+        self._match_new_sightings()
+        return self.exposure
 
-        Each downloaded chunk is matched only against the sightings scanned
-        since it was last matched whose RPI its index holds, in scan order;
-        the others cannot match it.  The risk score and the verdicts are
-        then recomputed over all matches of every chunk.
+    def _match_new_sightings(self) -> None:
+        """Extend each downloaded chunk's matches and the match counts.
+
+        Each chunk is matched only against the sightings scanned since it
+        was last matched whose RPI its index holds, in scan order; the
+        others cannot match it.
         """
-        all_matches: list[gaen.ExposureMatch] = []
-        verdicts: dict[int, actguard.Verdict] = {}
-        matched: dict[int, int] = {}
         end = self._last_scan + 1
-        for diagnosis_id in sorted(self.downloaded):
-            chunk = self.downloaded[diagnosis_id]
+        for diagnosis_id, chunk in self.downloaded.items():
             if chunk.cursor < end:
-                chunk.matches += gaen.match_indexed(
+                new = gaen.match_indexed(
                     chunk.index,
                     self._observations_in(chunk.index, chunk.cursor),
                     self.params,
                 )
                 chunk.cursor = end
+                if new:
+                    chunk.matches += new
+                    self.matches_by_diagnosis[diagnosis_id] = len(chunk.matches)
+                    self._scored = None
+
+    @property
+    def exposure(self) -> ExposureState:
+        """Alert, risk score and verdicts over every match made so far.
+
+        Computed on the first read after new matches or new contact rows
+        (a verdict reads the rows of its RPI) and cached until then.
+        """
+        rows = len(self.contacts) if self.contacts is not None else 0
+        if self._scored is None or self._scored[0] != rows:
+            self._scored = (rows, self._score())
+        return self._scored[1]
+
+    def _score(self) -> ExposureState:
+        all_matches: list[gaen.ExposureMatch] = []
+        verdicts: dict[int, actguard.Verdict] = {}
+        for diagnosis_id in sorted(self.downloaded):
+            chunk = self.downloaded[diagnosis_id]
             if not chunk.matches:
                 continue
             all_matches.extend(chunk.matches)
-            matched[diagnosis_id] = len(chunk.matches)
             if self.contacts is not None:
                 verdicts[diagnosis_id] = self._verdict_for(diagnosis_id, chunk)
         risk = gaen.risk_score(all_matches, self.params)
-        self.exposure = ExposureState(
+        return ExposureState(
             gaen_alert=risk.alert,
             risk_score=risk.score,
             verdicts=verdicts,
-            matches_by_diagnosis=matched,
+            matches_by_diagnosis=dict(self.matches_by_diagnosis),
         )
-        return self.exposure
 
     def _verdict_for(self, diagnosis_id: int, chunk: DownloadedChunk) -> actguard.Verdict:
         # One verdict per diagnosis: confirmation by any match wins, else the
@@ -491,19 +516,19 @@ class HonestDevice:
         assert first is not None
         return first
 
-    def exposure_check(self, backend: BackendStore, now: int) -> ExposureState:
-        """Poll and re-evaluate; a transport failure just skips this round."""
+    def exposure_check(self, backend: BackendStore, now: int) -> None:
+        """Poll, and match the sightings if new chunks came; scoring waits
+        for a read of ``exposure``.  A transport failure skips this round."""
         try:
             new_ids = self.poll_backend(backend, now)
         except BackendError:
-            return self.exposure
+            return
         if new_ids:
-            self.evaluate_exposure()
-        return self.exposure
+            self._match_new_sightings()
 
     def match_events(self, now: int) -> list[dict]:
         """A match event for each diagnosis first matched since the last call."""
-        matched = self.exposure.matches_by_diagnosis
+        matched = self.matches_by_diagnosis
         if len(matched) == len(self._reported_matches):  # a diagnosis, once matched, stays
             return []
         new = sorted(matched.keys() - self._reported_matches)
@@ -515,15 +540,16 @@ class HonestDevice:
         ]
 
     def report_row(self) -> dict:
+        exposure = self.exposure
         return {
             "role": "honest",
             "actguard": self.contacts is not None,
-            "gaen_alert": self.exposure.gaen_alert,
-            "risk_score": self.exposure.risk_score,
+            "gaen_alert": exposure.gaen_alert,
+            "risk_score": exposure.risk_score,
             "observations": self.sightings,
             "contact_records": len(self.contacts) if self.contacts is not None else 0,
             "verdicts": [
                 {"diagnosis_id": d, "verdict": v.kind.value, "rpi": v.rpi.hex()}
-                for d, v in sorted(self.exposure.verdicts.items())
+                for d, v in sorted(exposure.verdicts.items())
             ],
         }

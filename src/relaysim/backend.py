@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import random
 import secrets
+from collections import deque
 from dataclasses import dataclass
 
 from .actguard import CONTACT_HASH_LENGTH
@@ -23,6 +24,9 @@ from .gaen import Tek
 from .params import SECONDS_PER_DAY, SimParams
 
 OTP_BYTES = 16
+
+# A deployment store keeps only this many of its newest audit entries.
+DEPLOYMENT_AUDIT_ENTRIES = 1000
 
 
 class BackendError(Exception):
@@ -76,7 +80,9 @@ class BackendStore:
 
     Keys and chunks are kept for ``params.tek_retention_days``.  ``rng``
     seeds OTP generation for reproducible simulation runs; leave it None for
-    real deployments to fall back to ``secrets``.
+    real deployments to fall back to ``secrets``.  A simulation run's
+    ``audit`` keeps every entry, OTP codes included, for its report; a
+    deployment's keeps the newest ``DEPLOYMENT_AUDIT_ENTRIES`` and no code.
     """
 
     def __init__(self, params: SimParams, *, rng: random.Random | None = None):
@@ -85,7 +91,14 @@ class BackendStore:
         self._otps: dict[str, Otp] = {}
         self._chunks: list[TekChunk] = []
         self._batches: dict[int, frozenset[bytes]] = {}
-        self.audit: list[dict] = []
+        self.audit: list[dict] | deque[dict] = (
+            [] if rng is not None else deque(maxlen=DEPLOYMENT_AUDIT_ENTRIES)
+        )
+
+    def _audit(self, entry: dict) -> None:
+        if self._rng is None:
+            entry = {k: v for k, v in entry.items() if k not in ("code", "otp")}
+        self.audit.append(entry)
 
     def _new_code(self) -> str:
         if self._rng is not None:
@@ -95,7 +108,7 @@ class BackendStore:
     def authorize_otp(self, ttl: int, now: int) -> Otp:
         otp = Otp(code=self._new_code(), authorized_at=now, ttl=ttl)
         self._otps[otp.code] = otp
-        self.audit.append({"op": "authorize_otp", "t": now, "code": otp.code, "ttl": ttl})
+        self._audit({"op": "authorize_otp", "t": now, "code": otp.code, "ttl": ttl})
         return otp
 
     def _check_otp(self, code: str, now: int) -> Otp:
@@ -144,7 +157,7 @@ class BackendStore:
                         f"hash digests must be {CONTACT_HASH_LENGTH} bytes, got {len(digest)}"
                     )
         except BackendError as exc:
-            self.audit.append(
+            self._audit(
                 {"op": "ingest", "t": now, "accepted": False, "otp": otp_code, "reason": str(exc)}
             )
             raise
@@ -159,7 +172,7 @@ class BackendStore:
         self._chunks.append(chunk)
         if hash_batch:
             self._batches[index] = frozenset(hash_batch)
-        self.audit.append(
+        self._audit(
             {
                 "op": "ingest",
                 "t": now,

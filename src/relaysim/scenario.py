@@ -9,7 +9,10 @@ Tick phasing (fixed): every actor's ``outgoing_packets`` (the
 rebroadcaster's replay queue is computed here, from earlier captures) ->
 radio delivery -> every actor's ``on_deliveries`` in ascending ``phase``
 (sniffer captures 0, rebroadcaster relay events 1, honest recording 2),
-then name -> scheduled diagnoses -> exposure checks.  A packet captured in
+then name -> scheduled diagnoses -> exposure checks.  Exposure checks run
+only on a tick where the backend published a chunk: every device polls on
+that tick, while the chunk is inside its retention window, so on any other
+tick every poll would come back empty.  A packet captured in
 one tick is therefore never back on the air before the next tick, matching
 the causal order of a real relay.  The radio link table (who hears whom, at
 what rssi) is rebuilt only on a tick where a station moved, and each actor
@@ -123,13 +126,20 @@ def _field(item: dict, key: str, owner: str):
 
 
 def _as(kind: type, value, what: str):
-    """``kind(value)`` for ``int`` or a finite ``float``, or a ConfigError naming ``what``."""
+    """``value`` as ``kind``, as ``SimParams`` takes it, or a ConfigError
+    naming ``what``: an ``int`` takes only an integer, a ``float`` an
+    integer or a finite float; never a boolean or a string."""
+    if kind is int:
+        if type(value) is not int:
+            raise ConfigError(f"{what} must be an integer, got {value!r}")
+        return value
+    if type(value) not in (int, float):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
-        result = kind(value)
-    except (TypeError, ValueError, OverflowError):  # int(inf) overflows
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{what} must be {noun}, got {value!r}") from None
-    if kind is float and not math.isfinite(result):
+        result = float(value)
+    except OverflowError:  # an integer too large for a float
+        raise ConfigError(f"{what} must be finite, got {value!r}") from None
+    if not math.isfinite(result):
         raise ConfigError(f"{what} must be finite, got {value!r}")
     return result
 
@@ -369,6 +379,7 @@ class World:
         self._by_phase = sorted(self.actors, key=lambda a: a.phase)  # stable: name order within
 
         self._pending_diagnoses = list(config.diagnosis_events)
+        self._chunks_checked = 0  # the backend's chunk count at the last exposure checks
         self._link_key: tuple | None = None
         self._links: radio.LinkTable = {}
         self._air: tuple | None = None
@@ -432,9 +443,11 @@ class World:
             event = self._pending_diagnoses.pop(0)
             self._run_diagnosis(event.actor, now)
 
-        for device in self.devices.values():
-            device.exposure_check(self.backend, now)
-            self.events += device.match_events(now)
+        if self.backend.chunk_count != self._chunks_checked:
+            self._chunks_checked = self.backend.chunk_count
+            for device in self.devices.values():
+                device.exposure_check(self.backend, now)
+                self.events += device.match_events(now)
 
         self.now += self.params.tick_seconds
 

@@ -28,6 +28,7 @@ import sys
 from pathlib import Path
 
 from relaysim.scenario import (
+    ScenarioConfig,
     ScenarioReport,
     World,
     builtin_scenario_names,
@@ -58,13 +59,16 @@ CROWD_SHAPES = {
 }
 
 
+def golden_config(name: str) -> ScenarioConfig:
+    """A bundled scenario or a committed crowd config, by golden name."""
+    if name in builtin_scenario_names():
+        return load_builtin(name)
+    return load_config(REPORTS / f"{name}.config.json")
+
+
 def report_bytes(name: str) -> bytes:
     """Canonical report of a bundled scenario or of a committed crowd config."""
-    if name in builtin_scenario_names():
-        config = load_builtin(name)
-    else:
-        config = load_config(REPORTS / f"{name}.config.json")
-    return World(config).run().to_json_bytes()
+    return World(golden_config(name)).run().to_json_bytes()
 
 
 def table_text(name: str) -> str:

@@ -8,7 +8,8 @@ law of cosines instead of the haversine form.  The one exception is the
 fan-out oracle, which keeps the package's distance and path-loss arithmetic
 so that rssi values compare exactly, and the per-sighting device, which
 keeps the package's protocol code and replaces only how sightings are
-stored and found again for matching.
+stored and found again for matching, and the every-tick world, which keeps
+the package's tick phases and replaces only when exposure work runs.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import hmac
 import math
 import struct
 
-from relaysim import actguard, gaen, radio
-from relaysim.agents import ExposureState, HonestDevice
+from relaysim import actguard, gaen, radio, scenario
+from relaysim.agents import HonestDevice
 
 SECONDS_PER_DAY = 86400
 
@@ -157,7 +158,8 @@ class PerSightingDevice(HonestDevice):
     """The honest device storing one ``Observation`` per sighting, in
     receive order, with each RPI's list positions; a chunk's cursor
     counts the observations it was matched against.  Key schedule,
-    polling, verification and risk scoring are the package's."""
+    polling, verification and risk scoring are the package's, and so is
+    when matching runs; only what a match pass scans is replaced."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -187,25 +189,18 @@ class PerSightingDevice(HonestDevice):
                 actguard.record_contact(self.contacts, own, rpi, self.position, now, self.params)
         return len(self.stored) - before
 
-    def evaluate_exposure(self):
-        all_matches, verdicts, matched = [], {}, {}
+    def _match_new_sightings(self):
         stored = len(self.stored)
-        for diagnosis_id in sorted(self.downloaded):
-            chunk = self.downloaded[diagnosis_id]
+        for diagnosis_id, chunk in self.downloaded.items():
             if chunk.cursor < stored:
-                chunk.matches += gaen.match_indexed(
+                new = gaen.match_indexed(
                     chunk.index, self._observations_in(chunk.index, chunk.cursor), self.params
                 )
                 chunk.cursor = stored
-            if not chunk.matches:
-                continue
-            all_matches.extend(chunk.matches)
-            matched[diagnosis_id] = len(chunk.matches)
-            if self.contacts is not None:
-                verdicts[diagnosis_id] = self._verdict_for(diagnosis_id, chunk)
-        risk = gaen.risk_score(all_matches, self.params)
-        self.exposure = ExposureState(risk.alert, risk.score, verdicts, matched)
-        return self.exposure
+                if new:
+                    chunk.matches += new
+                    self.matches_by_diagnosis[diagnosis_id] = len(chunk.matches)
+                    self._scored = None
 
     def _observations_in(self, index, start):
         """Observations from list position ``start`` on whose RPI
@@ -218,3 +213,23 @@ class PerSightingDevice(HonestDevice):
 
     def report_row(self):
         return super().report_row() | {"observations": len(self.stored)}
+
+
+class EveryTickWorld(scenario.World):
+    """The tick loop as it was before exposure work became event-driven:
+    every device polls the backend on every tick and, when a poll brings
+    chunks, matches and scores its exposure at once."""
+
+    def step(self):
+        now = self.now
+        self._move_actors(now)
+        inboxes = self.deliver(self._stations(now))
+        for actor in self._by_phase:
+            self.events += actor.on_deliveries(inboxes.get(actor.name, ()), now)
+        while self._pending_diagnoses and self._pending_diagnoses[0].at_time <= now:
+            self._run_diagnosis(self._pending_diagnoses.pop(0).actor, now)
+        for device in self.devices.values():
+            if device.poll_backend(self.backend, now):
+                device.evaluate_exposure()
+            self.events += device.match_events(now)
+        self.now += self.params.tick_seconds

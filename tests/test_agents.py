@@ -301,14 +301,37 @@ class TestExposureCheck:
 
     def test_match_and_alert(self):
         backend, victim = self._infected_pair()
-        state = victim.exposure_check(backend, now=900)
+        victim.exposure_check(backend, now=900)
+        state = victim.exposure
         assert state.gaen_alert
         assert state.matches_by_diagnosis == {1: 90}
         assert state.verdicts == {}  # defense disabled
 
     def test_unreachable_backend_skips_round(self):
         backend, victim = self._infected_pair()
-        state = victim.exposure_check(_FlakyBackend(), now=900)
+        victim.exposure_check(_FlakyBackend(), now=900)
+        state = victim.exposure
         assert not state.gaen_alert  # unchanged cached state
-        state = victim.exposure_check(backend, now=910)
+        victim.exposure_check(backend, now=910)
+        state = victim.exposure
         assert state.gaen_alert
+
+    def test_exposure_is_rescored_after_new_contact_rows(self):
+        # The positive device hears the victim; the victim hears it only
+        # relayed, far away, until a direct sighting after the last poll adds
+        # the contact row that confirms the same RPI without a new match.
+        backend = BackendStore(PARAMS)
+        victim = _device("victim", actguard=True)
+        positive = _device("positive", actguard=True)
+        for t in range(0, 300, 10):
+            positive.receive([_delivery("positive", victim.outgoing_packets(t)[0])], t)
+        otp = backend.authorize_otp(3600, now=300)
+        positive.diagnose_and_upload(backend, otp.code, now=300)
+        packet = positive.outgoing_packets(300)[0]
+        victim.position = (44.70, 10.94)
+        victim.receive([_delivery("victim", packet, sender="relay")], 300)
+        victim.exposure_check(backend, now=300)
+        assert victim.exposure.verdicts[1].kind is actguard.VerdictKind.RELAY_SUSPECTED
+        victim.position = HERE
+        victim.receive([_delivery("victim", packet, sender="positive")], 310)
+        assert victim.exposure.verdicts[1].kind is actguard.VerdictKind.CONFIRMED_CONTACT

@@ -6,6 +6,7 @@ import pytest
 
 from relaysim import gaen
 from relaysim.backend import (
+    DEPLOYMENT_AUDIT_ENTRIES,
     BackendStore,
     FutureTekError,
     HashLengthError,
@@ -168,6 +169,41 @@ class TestFetchChunks:
         store.ingest_diagnosis(_teks(day=0), otp.code, None, now=0)
         second = encode_chunks(store.fetch_chunks(0, now=0)[:2])
         assert first == second
+
+
+def _audited_traffic(store: BackendStore, otps: int) -> None:
+    """``otps`` authorizations, then one accepted and one rejected upload."""
+    for t in range(otps):
+        otp = store.authorize_otp(3600, now=t)
+    store.ingest_diagnosis(_teks(day=0), otp.code, None, now=otps)
+    with pytest.raises(OtpError):
+        store.ingest_diagnosis(_teks(day=0), otp.code, None, now=otps)
+
+
+class TestAudit:
+    def test_simulation_store_keeps_every_entry_with_its_codes(self):
+        store = BackendStore(PARAMS, rng=random.Random(5))
+        _audited_traffic(store, DEPLOYMENT_AUDIT_ENTRIES + 10)
+        assert isinstance(store.audit, list)
+        assert len(store.audit) == DEPLOYMENT_AUDIT_ENTRIES + 12
+        assert store.audit[0] == {"op": "authorize_otp", "t": 0, "code": store.audit[0]["code"],
+                                  "ttl": 3600}
+        assert all(len(e["code"]) == 2 * 16 for e in store.audit[:-2])
+        assert store.audit[-2]["otp"] == store.audit[-1]["otp"] == store.audit[-3]["code"]
+
+    def test_deployment_store_keeps_the_newest_entries_without_codes(self):
+        store = BackendStore(PARAMS)
+        _audited_traffic(store, DEPLOYMENT_AUDIT_ENTRIES + 10)
+        assert len(store.audit) == DEPLOYMENT_AUDIT_ENTRIES
+        assert store.audit[0] == {"op": "authorize_otp", "t": 12, "ttl": 3600}
+        assert store.audit[-2] == {
+            "op": "ingest", "t": DEPLOYMENT_AUDIT_ENTRIES + 10, "accepted": True,
+            "diagnosis_id": 1, "teks": 1, "hashes": 0,
+        }
+        assert store.audit[-1] == {
+            "op": "ingest", "t": DEPLOYMENT_AUDIT_ENTRIES + 10, "accepted": False,
+            "reason": "otp already used",
+        }
 
 
 class TestPayloadCodec:

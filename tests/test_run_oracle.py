@@ -1,4 +1,5 @@
-"""Observation runs against the per-sighting reference device.
+"""Observation runs against the per-sighting reference device, and
+event-driven exposure work against the every-tick reference world.
 
 The first property runs small random worlds twice, once as they are and once
 with every honest device replaced by ``oracles.PerSightingDevice``, and
@@ -7,7 +8,12 @@ observations, each chunk's match list in order and the contact-row keys.
 Some ticks may be skipped, so a receiver is also handed an unchanged inbox
 more than one tick after its last scan.
 
-The second property feeds one device and its reference the same inboxes
+The second property runs the same random worlds once as they are and once
+as ``oracles.EveryTickWorld``, which polls for every device on every tick
+and scores each exposure as soon as a poll brings a chunk; the reports and
+device states must be identical.
+
+The third property feeds one device and its reference the same inboxes
 directly: fresh ones and the same object again, after one or more ticks,
 across the device's own rotations (an inbox may carry its own current or
 earlier packet) and time buckets, with duplicate packets heard at two
@@ -22,7 +28,7 @@ from relaysim import radio, scenario
 from relaysim.agents import HonestDevice
 from relaysim.params import SimParams
 
-from oracles import PerSightingDevice
+from oracles import EveryTickWorld, PerSightingDevice
 
 METERS_PER_DEGREE = 6371000.0 * 3.141592653589793 / 180.0
 PLACES = {"P0": (0.0, 0.0), "P1": (0.01, 0.0)}  # 1.1 km apart, far out of range
@@ -89,10 +95,15 @@ def worlds(draw):
     return config, [t * TICK for t in range(ticks) if t not in skipped]
 
 
-def _run(config: dict, times: list[int], device_class: type) -> scenario.World:
+def _run(
+    config: dict,
+    times: list[int],
+    device_class: type = HonestDevice,
+    world_class: type = scenario.World,
+) -> scenario.World:
     """Step the world at ``times``, then finish the run as ``World.run`` does."""
     with mock.patch.object(scenario, "HonestDevice", device_class):
-        world = scenario.World(scenario.load_config(config))
+        world = world_class(scenario.load_config(config))
     for t in times:
         world.now = t
         world.step()
@@ -141,6 +152,47 @@ def test_worlds_with_runs_equal_per_sighting_worlds(world):
     reference = _run(config, times, PerSightingDevice)
     assert runs._report().to_json_bytes() == reference._report().to_json_bytes()
     for name, device in runs.devices.items():
+        assert _state(device) == _state(reference.devices[name]), name
+
+
+@settings(max_examples=40, deadline=None)
+@example(
+    # d0 is diagnosed twice, so the two chunks carry the same keys and every
+    # sighting of d0 matches both; the second upload comes after the first
+    # chunk's matches are scored, and the relay adds sightings far away.
+    world=(
+        {
+            "name": "runs",
+            "duration": 1500,
+            "places": [
+                {"name": "P0", "lat": 0.0, "lon": 0.0},
+                {"name": "P1", "lat": 0.01, "lon": 0.0},
+            ],
+            "actors": [
+                {"name": "d0", "place": "P0", "actguard": True, "position": _at("P0", (0, 0))},
+                {"name": "d1", "place": "P0", "actguard": True, "position": _at("P0", (3, 0))},
+                {"name": "d2", "place": "P0", "position": _at("P0", (0, 3))},
+                {"name": "d3", "place": "P1", "actguard": True, "position": _at("P1", (0, 0))},
+                {"name": "sniffer", "role": "sniffer", "place": "P0"},
+                {"name": "rebroadcaster", "role": "rebroadcaster", "place": "P1"},
+            ],
+            "attack": {"relay_delay": 60, "replay_ttl": 7200},
+            "diagnosis_events": [
+                {"actor": "d0", "at_time": 300},
+                {"actor": "d0", "at_time": 900},
+            ],
+            "params": {"rotation_seconds": 600, "clock_tolerance_seconds": 30},
+        },
+        [t for t in range(0, 1500, TICK) if t not in (500, 900, 910)],
+    )
+)
+@given(world=worlds())
+def test_event_driven_exposure_equals_every_tick_exposure(world):
+    config, times = world
+    events = _run(config, times)
+    reference = _run(config, times, world_class=EveryTickWorld)
+    assert events._report().to_json_bytes() == reference._report().to_json_bytes()
+    for name, device in events.devices.items():
         assert _state(device) == _state(reference.devices[name]), name
 
 

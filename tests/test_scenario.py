@@ -191,6 +191,41 @@ class TestLoadConfig:
                 {"actors": [{"name": "a", "place": "P", "actguard": "no"}]},
                 "actor 'a': actguard must be true or false",
             ),
+            # Numbers are taken as SimParams takes them: no string, no boolean,
+            # and no float where an integer belongs.
+            ({"seed": "7"}, "seed must be an integer, got '7'"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"duration": 600.5}, "duration must be an integer, got 600.5"),
+            ({"duration": 600.0}, "duration must be an integer, got 600.0"),
+            (
+                {"places": [{"name": "P", "lat": True, "lon": 0.0}]},
+                "place 'P' lat must be a number, got True",
+            ),
+            (
+                {"places": [{"name": "P", "lat": 0.0, "lon": "0.5"}]},
+                "place 'P' lon must be a number, got '0.5'",
+            ),
+            (
+                {"places": [{"name": "P", "lat": 0.0, "lon": 0.0, "radius_m": False}]},
+                "place 'P' radius_m must be a number, got False",
+            ),
+            (
+                {"places": [{"name": "P", "lat": 10**400, "lon": 0.0}]},
+                "place 'P' lat must be finite",
+            ),
+            (
+                {"actors": [{"name": "a", "place": "P", "position": [False, True]}]},
+                "actor 'a' position lat must be a number, got False",
+            ),
+            (
+                {"actors": [{"name": "a", "place": "P", "movement": {
+                    "waypoints": [{"at": 5.0, "lat": 0.0, "lon": 0.0}]}}]},
+                "actor 'a' waypoint at must be an integer, got 5.0",
+            ),
+            (
+                {"diagnosis_events": [{"actor": "b", "at_time": "100"}]},
+                "diagnosis event #0 at_time must be an integer, got '100'",
+            ),
         ],
     )
     def test_malformed_section_names_offender(self, overrides, offender, tmp_path):

@@ -4,8 +4,8 @@ database they share.
 Honest devices run the full protocol stack (key schedule, scanning, risk
 scoring) plus, optionally, the contact-hash defense.  Adversaries run no
 protocol app at all: the sniffer only captures in-range packets into the
-shared database, the rebroadcaster only retransmits captured bytes verbatim.
-Neither ever stores observations or uploads keys.
+shared database, as capture runs, the rebroadcaster only retransmits
+captured bytes verbatim.  Neither ever stores observations or uploads keys.
 
 Every actor has the one shape the world loop uses: ``name``, ``position``,
 ``outgoing_packets(now)``, ``on_deliveries(deliveries, now)`` returning the
@@ -16,9 +16,9 @@ the actors' turns within a tick (see :mod:`relaysim.scenario`).
 from __future__ import annotations
 
 import bisect
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import NamedTuple
 
 from . import actguard, gaen, radio
@@ -31,40 +31,112 @@ class DatabaseEntry(NamedTuple):
     capture_time: int
 
 
-_capture_time = attrgetter("capture_time")
+@dataclass(slots=True)
+class CaptureRun:
+    """The protocol packets of one sniffer inbox, in inbox order, captured at
+    ``first``, ``first + step``, ..., ``last``: one capture run per packet.
 
-
-@dataclass
-class MaliciousDatabase:
-    """Append-only packet exchange between the two adversary roles.
-
-    Entries are kept in capture order.  ``positions`` maps each distinct
-    packet to the indexes of its entries, ascending, so a reader can work
-    per distinct packet instead of per captured copy.
+    ``rank`` is the capturing sniffer's and ``seq`` the run's position in
+    ``MaliciousDatabase.runs``; captures made at one time are ordered by
+    (rank, seq, inbox position).
     """
 
-    entries: list[DatabaseEntry] = field(default_factory=list)
-    positions: dict[bytes, list[int]] = field(default_factory=dict)
+    packets: tuple[bytes, ...]
+    first: int
+    last: int
+    step: int
+    rank: int
+    seq: int
+
+
+class MaliciousDatabase:
+    """Packet exchange between the two adversary roles, stored as capture runs.
+
+    Each sniffer joins with a rank: sniffers scan in rank order within a
+    tick, as the world's tick loop runs them in the name order it made them
+    in.  A sniffer's new inbox closes its open run and opens one for the
+    inbox's packets; the same inbox one tick later extends the open run, in
+    O(1) however many packets it holds.  ``append`` records one capture made
+    outside any sniffer, ordered before every sniffer's made at its time.
+    ``runs`` only grows, by one run per opening, in opening order.
+    """
+
+    def __init__(self) -> None:
+        self.runs: list[CaptureRun] = []
+        self._open: dict[int, CaptureRun] = {}  # by sniffer rank
+        self._sniffers = 0
+        self._known: set[bytes] = set()
+        self._latest = -math.inf  # the last capture time
+
+    def join(self) -> int:
+        """A new sniffer's rank."""
+        self._sniffers += 1
+        return self._sniffers - 1
+
+    def capture(
+        self, rank: int, packets: tuple[bytes, ...], now: int, step: int
+    ) -> list[bytes]:
+        """Close sniffer ``rank``'s open run and, if ``packets`` is not
+        empty, open one for them, captured every ``step`` seconds from
+        ``now``.  Returns the packets never captured before, in order."""
+        if not packets:
+            self._open.pop(rank, None)
+            return []
+        self._at(now)
+        self._open[rank] = run = CaptureRun(packets, now, now, step, rank, len(self.runs))
+        self.runs.append(run)
+        new = [p for p in dict.fromkeys(packets) if p not in self._known]
+        self._known.update(new)
+        return new
+
+    def extend(self, rank: int, now: int) -> int:
+        """Capture sniffer ``rank``'s open run again at ``now``, one step
+        after its last capture; returns how many packets that captured."""
+        run = self._open.get(rank)
+        if run is None:
+            return 0
+        self._at(now)
+        run.last = now
+        return len(run.packets)
 
     def append(self, packet: bytes, capture_time: int) -> bool:
-        """Record one capture; True when the packet was never captured before."""
-        if self.entries and capture_time < self.entries[-1].capture_time:
-            raise ValueError(
-                f"capture at t={capture_time} precedes the last one"
-                f" at t={self.entries[-1].capture_time}"
-            )
-        positions = self.positions.setdefault(packet, [])
-        positions.append(len(self.entries))
-        self.entries.append(DatabaseEntry(packet, capture_time))
-        return len(positions) == 1
+        """Record one capture made outside any sniffer, as rank -1; True
+        when the packet was never captured before."""
+        return bool(self.capture(-1, (packet,), capture_time, 1))
+
+    def is_open(self, run: CaptureRun) -> bool:
+        """Whether ``run`` may still be extended."""
+        return self._open.get(run.rank) is run
+
+    def _at(self, now: int) -> None:
+        if now < self._latest:
+            raise ValueError(f"capture at t={now} precedes the last one at t={self._latest}")
+        self._latest = now
+
+    @property
+    def entries(self) -> list[DatabaseEntry]:
+        """Every capture, in capture order (for tests and oracles)."""
+        captures = [
+            ((t, run.rank, run.seq, i), packet)
+            for run in self.runs
+            for t in range(run.first, run.last + 1, run.step)
+            for i, packet in enumerate(run.packets)
+        ]
+        captures.sort()
+        return [DatabaseEntry(packet, key[0]) for key, packet in captures]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(len(r.packets) * ((r.last - r.first) // r.step + 1) for r in self.runs)
 
 
 class SnifferAdversary:
     """Captures in-range protocol packets into ``database``; never transmits
-    anything."""
+    anything.
+
+    A new inbox opens a capture run of its protocol packets.  The same inbox
+    object handed over exactly one tick after the last scan captures them
+    all again by extending that run, in O(1).
+    """
 
     phase = 0
 
@@ -74,32 +146,43 @@ class SnifferAdversary:
         position: tuple[float, float],
         place_name: str,
         database: MaliciousDatabase,
+        *,
+        params: SimParams,
     ):
         self.name = name
         self.position = position
         self.place_name = place_name
         self.database = database
+        self.tick_seconds = params.tick_seconds
+        self.rank = database.join()
         self.captures = 0
+        self._inbox: Sequence[radio.Delivery] | None = None
+        self._last_scan = 0
 
     def outgoing_packets(self, now: int) -> tuple[bytes, ...]:
         return ()
 
     def sniff_tick(self, deliveries: Sequence[radio.Delivery], now: int) -> list[dict]:
-        """Append every protocol packet delivered to us; returns a capture
+        """Capture every protocol packet delivered to us; returns a capture
         event for each one no sniffer had captured before, in delivery order."""
-        events = []
-        for d in deliveries:
-            if d.receiver != self.name:
-                continue
-            if radio.decode_advertisement(d.packet) is None:
-                continue
-            self.captures += 1
-            if self.database.append(d.packet, now):
-                events.append(
-                    {"t": now, "event": "capture", "actor": self.name,
-                     "place": self.place_name, "packet": d.packet.hex()}
-                )
-        return events
+        if deliveries is self._inbox and now - self._last_scan == self.tick_seconds:
+            self.captures += self.database.extend(self.rank, now)
+            self._last_scan = now
+            return []
+        packets = tuple(
+            d.packet
+            for d in deliveries
+            if d.receiver == self.name and radio.decode_advertisement(d.packet) is not None
+        )
+        new = self.database.capture(self.rank, packets, now, self.tick_seconds)
+        self.captures += len(packets)
+        self._inbox = deliveries
+        self._last_scan = now
+        return [
+            {"t": now, "event": "capture", "actor": self.name,
+             "place": self.place_name, "packet": p.hex()}
+            for p in new
+        ]
 
     def on_deliveries(self, deliveries: Sequence[radio.Delivery], now: int) -> list[dict]:
         return self.sniff_tick(deliveries, now)
@@ -111,12 +194,24 @@ class SnifferAdversary:
 class RebroadcastAdversary:
     """Replays captured packets byte-for-byte at its own location.
 
-    An entry goes on the air once its relay delay has elapsed and keeps
-    being replayed every tick until ``replay_ttl`` seconds after capture,
-    the longest the pseudonym inside could still be valid.  Byte-identical
-    entries collapse to one transmission per tick, ordered by each packet's
-    first eligible capture.  A tick costs one bisect per distinct packet in
-    the database, however many copies of it were captured.
+    A capture goes on the air once its relay delay has elapsed and keeps
+    being replayed every tick until ``replay_ttl`` seconds after it was
+    made, the longest the pseudonym inside could still be valid: at ``now``
+    the captures made in the window (now - ttl, now - delay] are replayed.
+    Byte-identical captures collapse to one transmission per tick, ordered
+    by each packet's first capture inside the window.
+
+    The queue is one tuple object, handed out again while it is unchanged.
+    It is recomputed, over the runs that can still enter the window, only
+    when the database opened a run, when ``now`` reaches the next time a
+    closed run can change the answer, or when a run open at the last
+    recompute can: a run's first capture enters the window at ``first +
+    delay``, and its last leaves at ``last + ttl``.  A run whose first
+    capture in the window leaves it moves to its next capture; the runs at
+    the front of the queue all move together, so their order against the
+    rest changes only when they catch up with the next run's first capture
+    in the window (for runs on one tick grid, at that run's ``first + ttl -
+    tick``).
     """
 
     phase = 1
@@ -134,36 +229,97 @@ class RebroadcastAdversary:
         self.replay_ttl = attack.replay_ttl
         self.database = database
         self.replay_queue: tuple[bytes, ...] = ()
+        self._now = -math.inf
+        self._seen = 0  # database runs taken into ``_live``
+        self._live: list[CaptureRun] = []  # the runs that can still enter the window
+        self._next_change = math.inf
+        self._watched: list[tuple[CaptureRun, int, bool]] = []  # (open run, its last, expired)
+        self._announced: tuple[bytes, ...] = ()
         self._relayed: set[bytes] = set()
 
     def outgoing_packets(self, now: int) -> tuple[bytes, ...]:
         return self.rebroadcast_tick(now)
 
     def rebroadcast_tick(self, now: int) -> tuple[bytes, ...]:
-        # Entries arrive in capture order, so the eligibility window
-        # (now - ttl, now - delay] is the slice [lo, hi) of entries.  A packet
-        # is eligible when its first position at or after lo is below hi.
-        database = self.database
-        entries = database.entries
-        lo = bisect.bisect_right(entries, now - self.replay_ttl, key=_capture_time)
-        hi = bisect.bisect_right(entries, now - self.relay_delay, key=_capture_time)
-        firsts = []
-        if lo < hi:
-            for packet, positions in database.positions.items():
-                if positions[-1] >= lo:
-                    first = positions[bisect.bisect_left(positions, lo)]
-                    if first < hi:
-                        firsts.append((first, packet))
-            firsts.sort()
-        self.replay_queue = tuple(packet for _, packet in firsts)
+        """This tick's replay queue.  Ticks must come in time order."""
+        if now < self._now:
+            raise ValueError(f"replay at t={now} precedes the last one at t={self._now}")
+        self._now = now
+        if (
+            len(self.database.runs) != self._seen
+            or now >= self._next_change
+            or self._open_run_moved(now)
+        ):
+            self._recompute_queue(now)
         return self.replay_queue
+
+    def _open_run_moved(self, now: int) -> bool:
+        # A run that was open at the last recompute changes the answer if it
+        # had left the window and was extended since, or if it was in the
+        # window and its last capture has left it.
+        for run, last, expired in self._watched:
+            if (run.last != last) if expired else (now >= run.last + self.replay_ttl):
+                return True
+        return False
+
+    def _recompute_queue(self, now: int) -> None:
+        database = self.database
+        self._live += database.runs[self._seen :]
+        self._seen = len(database.runs)
+        delay, ttl = self.relay_delay, self.replay_ttl
+        lo, hi = now - ttl, now - delay  # the window (lo, hi]
+        if hi <= lo:  # an empty window: nothing is ever replayed
+            self._live, self._next_change = [], math.inf
+            return
+        live: list[CaptureRun] = []
+        eligible: list[tuple[int, int, int, CaptureRun]] = []  # (at, rank, seq, run)
+        watched = []
+        change = math.inf
+        for run in self._live:
+            if database.is_open(run):
+                watched.append((run, run.last, run.last <= lo))
+            elif run.last <= lo:
+                continue  # its captures have all left the window for good
+            else:
+                change = min(change, run.last + ttl)
+            live.append(run)
+            if run.last <= lo:
+                continue
+            # ``at``: the run's first capture after lo
+            if run.first > lo:
+                at = run.first
+            else:
+                at = run.first + ((lo - run.first) // run.step + 1) * run.step
+            if at > hi:
+                change = min(change, at + delay)
+            else:
+                eligible.append((at, run.rank, run.seq, run))
+        eligible.sort()
+        if eligible:
+            front = eligible[0][0]
+            steps = {run.step for at, _, _, run in eligible if at == front}
+            later = [at for at, _, _, _ in eligible if at > front]
+            step = min(steps)
+            if len(steps) > 1 or step > ttl - delay:
+                change = min(change, front + ttl)
+            elif later:
+                slides = -(-(later[0] - front) // step)  # until the front catches up
+                change = min(change, front + (slides - 1) * step + ttl)
+        queue = tuple(dict.fromkeys(p for _, _, _, run in eligible for p in run.packets))
+        if queue != self.replay_queue:
+            self.replay_queue = queue
+        self._live = live
+        self._watched = watched
+        self._next_change = change
 
     def on_deliveries(self, deliveries: Sequence[radio.Delivery], now: int) -> list[dict]:
         """A relay event for each packet of this tick's replay queue that is
         on the air for the first time; what it hears is of no use to it."""
-        if self._relayed.issuperset(self.replay_queue):  # the common case
+        queue = self.replay_queue
+        if queue is self._announced:  # the common case
             return []
-        new = [p for p in self.replay_queue if p not in self._relayed]  # queue has no repeats
+        self._announced = queue
+        new = [p for p in queue if p not in self._relayed]  # queue has no repeats
         self._relayed.update(new)
         return [{"t": now, "event": "relay", "actor": self.name, "packet": p.hex()} for p in new]
 
@@ -253,7 +409,8 @@ class HonestDevice:
         self.teks: dict[int, gaen.Tek] = {}
         self.current_rpi: gaen.Rpi | None = None
         self.current_packet: bytes | None = None
-        self._current_slot: tuple[int, int] | None = None  # (day, interval)
+        self._outgoing: tuple[bytes, ...] = ()  # (current_packet,)
+        self._slot = (0, 0)  # the current pseudonym's [start, end) in seconds
 
         self.sightings = 0
         self._runs: list[ObservationRun] = []
@@ -288,10 +445,12 @@ class HonestDevice:
 
     def ensure_interval(self, now: int) -> bool:
         """Rotate the advertised pseudonym when the clock crosses a boundary."""
-        day = now // SECONDS_PER_DAY
-        interval = (now % SECONDS_PER_DAY) // self.params.rotation_seconds
-        if self._current_slot == (day, interval):
+        start, end = self._slot
+        if start <= now < end:
             return False
+        rotation = self.params.rotation_seconds
+        day = now // SECONDS_PER_DAY
+        interval = (now % SECONDS_PER_DAY) // rotation
         tek = self._tek_for_day(day)
         rpik = gaen.derive_rpik(tek)
         aemk = gaen.derive_aemk(tek)
@@ -299,12 +458,16 @@ class HonestDevice:
         aem = gaen.encrypt_aem(aemk, rpi.bytes, self.params.tx_power_dbm)
         self.current_rpi = rpi
         self.current_packet = radio.encode_advertisement(rpi.bytes, aem)
-        self._current_slot = (day, interval)
+        self._outgoing = (self.current_packet,)
+        start = now - now % rotation
+        self._slot = (start, start + rotation)
         return True
 
     def outgoing_packets(self, now: int) -> tuple[bytes, ...]:
+        """The current packet, as the same tuple object until the next
+        rotation."""
         self.ensure_interval(now)
-        return (self.current_packet,)
+        return self._outgoing
 
     # --- scanning ---------------------------------------------------------
 

@@ -225,8 +225,17 @@ def encode_diagnosis_payload(
     return canonical_json(body)
 
 
+def parse_json(raw: bytes) -> object:
+    """``json.loads``, but JSON nested too deeply to parse raises the
+    ValueError that other malformed JSON raises, not a RecursionError."""
+    try:
+        return json.loads(raw)
+    except RecursionError:
+        raise ValueError("json nested too deeply") from None
+
+
 def decode_diagnosis_payload(raw: bytes) -> tuple[list[Tek], str, set[bytes] | None]:
-    body = json.loads(raw)
+    body = parse_json(raw)
     teks = [Tek(bytes=bytes.fromhex(t["tek_hex"]), day_index=int(t["day"])) for t in body["teks"]]
     hashes_hex = body.get("hashes")
     hashes = {bytes.fromhex(h) for h in hashes_hex} if hashes_hex else None

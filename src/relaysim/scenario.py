@@ -17,10 +17,15 @@ one tick is therefore never back on the air before the next tick, matching
 the causal order of a real relay.  The radio link table (who hears whom, at
 what rssi) is rebuilt only on a tick where a station moved, and each actor
 is handed only the deliveries addressed to it, as a read-only tuple: its
-inbox.  On a tick where every station has the position and the packets it
-had the tick before, nothing on air changed, so radio delivery is skipped
-and every actor is handed the same inbox object again; an honest device
-then extends its observation runs instead of storing each sighting anew.
+inbox.  An actor keeps the same position and packets objects while they do
+not change: a device's packet tuple until it rotates, the rebroadcaster's
+queue until the replay window changes it.  On a tick where every actor's
+position and packets are the objects it had the tick before, nothing on air
+changed, so no station is built, radio delivery is skipped and every actor
+is handed the same inbox object again.  Such a quiet tick costs O(1) per
+actor: an honest device extends its observation runs and the sniffer its
+capture runs instead of storing each sighting or capture anew, and the
+rebroadcaster hands out its cached queue.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import math
 import random
 from dataclasses import dataclass, field, fields
 from importlib import resources
+from operator import is_not
 from pathlib import Path
 
 from . import radio
@@ -146,10 +152,15 @@ def _as(kind: type, value, what: str):
 
 def load_config(source: str | Path | dict, *, seed_override: int | None = None) -> ScenarioConfig:
     """Parse and validate a scenario from a file path or an in-memory dict."""
-    if isinstance(source, dict):
-        data = json.loads(json.dumps(source))  # private copy
-    else:
-        data = json.loads(Path(source).read_text())
+    try:
+        if isinstance(source, dict):
+            data = json.loads(json.dumps(source))  # private copy
+        else:
+            data = json.loads(Path(source).read_text())
+    except RecursionError:
+        raise ConfigError("a scenario nested too deeply to parse") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"a scenario must be JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("a scenario must be a JSON object at its top level")
 
@@ -384,11 +395,15 @@ class World:
         self._links: radio.LinkTable = {}
         self._air: tuple | None = None
         self._inboxes: dict[str, tuple[radio.Delivery, ...]] = {}
+        self._positions: list = [None] * len(self.actors)  # last tick's objects
+        self._packets: list = [None] * len(self.actors)
 
     def _new_actor(self, spec: ActorSpec, rpi_indexes: dict):
         position = spec.position_at(0, self.config.places)
         if spec.role == "sniffer":
-            return SnifferAdversary(spec.name, position, spec.place, self.database)
+            return SnifferAdversary(
+                spec.name, position, spec.place, self.database, params=self.params
+            )
         if spec.role == "rebroadcaster":
             return RebroadcastAdversary(spec.name, position, self.config.attack, self.database)
         return HonestDevice(
@@ -405,10 +420,23 @@ class World:
 
     def _move_actors(self, now: int) -> None:
         for spec, actor in self._movers:
-            actor.position = spec.position_at(now, self.config.places)
+            position = spec.position_at(now, self.config.places)
+            if position != actor.position:  # else keep the object: see _on_air
+                actor.position = position
 
-    def _stations(self, now: int) -> list[radio.Station]:
-        return [radio.Station(a.name, a.position, a.outgoing_packets(now)) for a in self.actors]
+    def _on_air(self, now: int) -> dict[str, tuple[radio.Delivery, ...]]:
+        """This tick's inboxes.  While every actor's position and packets
+        are the same objects as on the last tick, nothing on air changed and
+        the last inboxes are handed out again with no station built."""
+        positions = [a.position for a in self.actors]
+        packets = [a.outgoing_packets(now) for a in self.actors]
+        if any(map(is_not, packets, self._packets)) or any(
+            map(is_not, positions, self._positions)
+        ):
+            self._positions, self._packets = positions, packets
+            actors = zip(self.actors, positions, packets)
+            self.deliver([radio.Station(a.name, pos, out) for a, pos, out in actors])
+        return self._inboxes
 
     def deliver(self, stations: list[radio.Station]) -> dict[str, tuple[radio.Delivery, ...]]:
         """Each receiver's inbox: its deliveries in delivery order.
@@ -435,7 +463,7 @@ class World:
     def step(self) -> None:
         now = self.now
         self._move_actors(now)
-        inboxes = self.deliver(self._stations(now))
+        inboxes = self._on_air(now)
         for actor in self._by_phase:
             self.events += actor.on_deliveries(inboxes.get(actor.name, ()), now)
 

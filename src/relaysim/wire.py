@@ -13,7 +13,6 @@ concurrent clients observe the same semantics as sequential calls.
 
 from __future__ import annotations
 
-import json
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -27,6 +26,7 @@ from .backend import (
     decode_diagnosis_payload,
     encode_chunks,
     encode_hash_batch,
+    parse_json,
 )
 from .params import SimParams
 
@@ -97,7 +97,7 @@ class BackendHTTPServer:
     def handle_diagnosis(self, raw: bytes) -> tuple[int, bytes]:
         try:
             teks, otp_code, hashes = decode_diagnosis_payload(raw)
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, OverflowError):  # an infinite "day" overflows
             return 400, canonical_json({"error": "malformed diagnosis payload"})
         try:
             diagnosis_id = self.store.ingest_diagnosis(
@@ -123,9 +123,18 @@ class BackendHTTPServer:
 def _make_handler(server: BackendHTTPServer):
     class Handler(BaseHTTPRequestHandler):
         timeout = REQUEST_TIMEOUT_SECONDS
+        # The version a reply takes when the request line gives none or a bad
+        # one: the stdlib's "HTTP/0.9" would send such replies with no status
+        # line.
+        default_request_version = "HTTP/1.0"
 
         def log_message(self, fmt, *args):  # quiet by default
             pass
+
+        def send_error(self, code, message=None, explain=None):
+            # The stdlib answers an unknown method 501 and an HTTP/2 request
+            # line 505; neither is the server failing, so both get a 4xx.
+            super().send_error({501: 405, 505: 400}.get(code, code), message, explain)
 
         def _reply(self, status: int, body: bytes) -> None:
             self.send_response(status)
@@ -162,7 +171,7 @@ def _make_handler(server: BackendHTTPServer):
             with server._lock:
                 if path == "/otp":
                     try:
-                        body = json.loads(raw) if raw else {}
+                        body = parse_json(raw) if raw else {}
                     except ValueError:
                         self._reply(400, canonical_json({"error": "malformed json"}))
                         return

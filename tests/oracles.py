@@ -6,21 +6,25 @@ instead of using the cryptography package, the matcher is a quadratic
 cross-product scan instead of an index, and the distance uses the spherical
 law of cosines instead of the haversine form.  The one exception is the
 fan-out oracle, which keeps the package's distance and path-loss arithmetic
-so that rssi values compare exactly, and the per-sighting device, which
-keeps the package's protocol code and replaces only how sightings are
-stored and found again for matching, and the every-tick world, which keeps
-the package's tick phases and replaces only when exposure work runs.
+so that rssi values compare exactly, the per-sighting device, which keeps
+the package's protocol code and replaces only how sightings are stored and
+found again for matching, the every-tick world, which keeps the package's
+tick phases and replaces only when exposure work runs, and the per-capture
+adversaries, which store one entry per capture and rescan the replay window
+on every tick.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import hmac
 import math
 import struct
+from operator import attrgetter
 
 from relaysim import actguard, gaen, radio, scenario
-from relaysim.agents import HonestDevice
+from relaysim.agents import DatabaseEntry, HonestDevice
 
 SECONDS_PER_DAY = 86400
 
@@ -223,7 +227,7 @@ class EveryTickWorld(scenario.World):
     def step(self):
         now = self.now
         self._move_actors(now)
-        inboxes = self.deliver(self._stations(now))
+        inboxes = self._on_air(now)
         for actor in self._by_phase:
             self.events += actor.on_deliveries(inboxes.get(actor.name, ()), now)
         while self._pending_diagnoses and self._pending_diagnoses[0].at_time <= now:
@@ -233,3 +237,105 @@ class EveryTickWorld(scenario.World):
                 device.evaluate_exposure()
             self.events += device.match_events(now)
         self.now += self.params.tick_seconds
+
+
+class PerCaptureDatabase:
+    """The capture database as one entry per capture, in capture order, with
+    each distinct packet's entry indexes."""
+
+    def __init__(self):
+        self.entries: list[DatabaseEntry] = []
+        self.positions: dict[bytes, list[int]] = {}
+
+    def append(self, packet, capture_time):
+        if self.entries and capture_time < self.entries[-1].capture_time:
+            raise ValueError(f"capture at t={capture_time} precedes the last one")
+        positions = self.positions.setdefault(packet, [])
+        positions.append(len(self.entries))
+        self.entries.append(DatabaseEntry(packet, capture_time))
+        return len(positions) == 1
+
+    def __len__(self):
+        return len(self.entries)
+
+
+class PerCaptureSniffer:
+    """Appends every protocol packet of every inbox, on every tick."""
+
+    phase = 0
+
+    def __init__(self, name, position, place_name, database, *, params):
+        self.name = name
+        self.position = position
+        self.place_name = place_name
+        self.database = database
+        self.captures = 0
+
+    def outgoing_packets(self, now):
+        return ()
+
+    def on_deliveries(self, deliveries, now):
+        events = []
+        for d in deliveries:
+            if d.receiver != self.name or radio.decode_advertisement(d.packet) is None:
+                continue
+            self.captures += 1
+            if self.database.append(d.packet, now):
+                events.append(
+                    {"t": now, "event": "capture", "actor": self.name,
+                     "place": self.place_name, "packet": d.packet.hex()}
+                )
+        return events
+
+    def report_row(self):
+        return {"role": "sniffer", "captures": self.captures}
+
+
+class PerCaptureRebroadcaster:
+    """Rebuilds the replay queue on every tick: bisects the entries for the
+    window (now - ttl, now - delay] and takes each distinct packet's first
+    entry in it."""
+
+    phase = 1
+
+    def __init__(self, name, position, attack, database):
+        self.name = name
+        self.position = position
+        self.relay_delay = attack.relay_delay
+        self.replay_ttl = attack.replay_ttl
+        self.database = database
+        self.replay_queue = ()
+        self._relayed = set()
+
+    def outgoing_packets(self, now):
+        entries = self.database.entries
+        time = attrgetter("capture_time")
+        lo = bisect.bisect_right(entries, now - self.replay_ttl, key=time)
+        hi = bisect.bisect_right(entries, now - self.relay_delay, key=time)
+        firsts = []
+        for packet, positions in self.database.positions.items():
+            first = bisect.bisect_left(positions, lo)
+            if first < len(positions) and positions[first] < hi:
+                firsts.append((positions[first], packet))
+        self.replay_queue = tuple(packet for _, packet in sorted(firsts))
+        return self.replay_queue
+
+    def on_deliveries(self, deliveries, now):
+        new = [p for p in self.replay_queue if p not in self._relayed]
+        self._relayed.update(new)
+        return [{"t": now, "event": "relay", "actor": self.name, "packet": p.hex()} for p in new]
+
+    def report_row(self):
+        return {
+            "role": "rebroadcaster",
+            "relay_delay": self.relay_delay,
+            "replay_ttl": self.replay_ttl,
+        }
+
+
+# What a world's adversaries are, for ``mock.patch.multiple(scenario, ...)``.
+PER_CAPTURE_ADVERSARIES = {
+    "MaliciousDatabase": PerCaptureDatabase,
+    "SnifferAdversary": PerCaptureSniffer,
+    "RebroadcastAdversary": PerCaptureRebroadcaster,
+}

@@ -1,7 +1,7 @@
 """Device and adversary behavior: rotation, scanning, relaying, uploading."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relaysim import actguard, gaen, radio
 from relaysim.agents import (
@@ -130,7 +130,7 @@ class TestHonestDevice:
 class TestSniffer:
     def test_capture_appends_per_tick(self):
         db = MaliciousDatabase()
-        sniffer = SnifferAdversary("adv2", HERE, "Y", db)
+        sniffer = SnifferAdversary("adv2", HERE, "Y", db, params=PARAMS)
         packet, _, _ = _peer_packet()
         for t in (0, 10, 20):
             sniffer.sniff_tick([_delivery("adv2", packet, sender="victim")], t)
@@ -140,20 +140,20 @@ class TestSniffer:
 
     def test_non_protocol_packet_not_captured(self):
         db = MaliciousDatabase()
-        sniffer = SnifferAdversary("adv2", HERE, "Y", db)
+        sniffer = SnifferAdversary("adv2", HERE, "Y", db, params=PARAMS)
         bogus = (0x1809).to_bytes(2, "little") + bytes(20)
         sniffer.sniff_tick([_delivery("adv2", bogus, sender="thermometer")], 0)
         assert len(db) == sniffer.captures == 0
 
     def test_only_own_deliveries_captured(self):
         db = MaliciousDatabase()
-        sniffer = SnifferAdversary("adv2", HERE, "Y", db)
+        sniffer = SnifferAdversary("adv2", HERE, "Y", db, params=PARAMS)
         packet, _, _ = _peer_packet()
         sniffer.sniff_tick([_delivery("other", packet, sender="victim")], 0)
         assert len(db) == 0
 
     def test_never_transmits(self):
-        sniffer = SnifferAdversary("adv2", HERE, "Y", MaliciousDatabase())
+        sniffer = SnifferAdversary("adv2", HERE, "Y", MaliciousDatabase(), params=PARAMS)
         assert sniffer.outgoing_packets(0) == ()
 
 
@@ -201,13 +201,53 @@ class TestRebroadcaster:
         with pytest.raises(ValueError, match="precedes"):
             db.append(b"b", capture_time=9)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
+    @example(
+        # Sniffer 1 hears packet 0 from t=0 and sniffer 0 packet 1 from t=50,
+        # each on one reused inbox.  At t=140 both packets' first capture in
+        # the window is at t=50, so the rank orders them; at t=130 the older
+        # run's capture at t=40 still put packet 0 first.
+        ops=[("scan", 1, [0], 0)] + [("scan", 1, None, 10)] * 4
+        + [("scan", 0, [1], 10), ("scan", 1, None, 0)]
+        + [("tick", 10), ("scan", 0, None, 0), ("scan", 1, None, 0)] * 10,
+        relay_delay=0,
+        replay_ttl=100,
+    )
+    # A run closed by a new inbox at t=10 leaves the window at t=20.
+    @example(
+        ops=[("scan", 0, [0], 0), ("scan", 0, [1], 10), ("tick", 2), ("tick", 13)],
+        relay_delay=0,
+        replay_ttl=20,
+    )
+    # A run still open, not extended since, leaves the window at t=20.
+    @example(ops=[("scan", 0, [0], 0), ("tick", 5), ("tick", 15)], relay_delay=0, replay_ttl=20)
+    # An open run that has left the window is extended at t=10, back into it.
+    @example(
+        ops=[("scan", 0, [0], 0), ("tick", 3), ("tick", 5), ("scan", 0, None, 2), ("tick", 2)],
+        relay_delay=0,
+        replay_ttl=5,
+    )
+    # The window (t-15, t-10] is narrower than a tick: at t=15 it falls
+    # between the captures at t=0 and t=10.
+    @example(
+        ops=[("scan", 0, [0], 0), ("scan", 0, None, 10), ("tick", 2), ("tick", 3)],
+        relay_delay=10,
+        replay_ttl=15,
+    )
     @given(
         ops=st.lists(
             st.one_of(
-                # capture one of a few packets, so copies repeat
+                # capture one of a few packets outside any sniffer, so copies repeat
                 st.tuples(st.just("capture"), st.integers(0, 4), st.integers(0, 30)),
                 st.tuples(st.just("tick"), st.integers(0, 30)),
+                # sniffer 0 or 1 scans its last inbox object again (None) or a
+                # new one, one tick, a gap of ticks or an off-grid time later
+                st.tuples(
+                    st.just("scan"),
+                    st.integers(0, 1),
+                    st.none() | st.lists(st.integers(0, 6), max_size=4),
+                    st.sampled_from([0, 7, 10, 10, 10, 20, 30]),
+                ),
             ),
             max_size=60,
         ),
@@ -218,18 +258,44 @@ class TestRebroadcaster:
         db = MaliciousDatabase()
         attack = AttackSpec(relay_delay=relay_delay, replay_ttl=replay_ttl)
         adv = RebroadcastAdversary("adv1", HERE, attack, db)
-        captures = []
+        # Two sniffers share the database; at one time, captures made outside
+        # any sniffer come first, then each sniffer's by rank, in call order.
+        sniffers = [SnifferAdversary(f"s{i}", HERE, "Y", db, params=PARAMS) for i in (0, 1)]
+        packets = [radio.encode_advertisement(bytes([k]) * 16, bytes(4)) for k in range(5)]
+        inboxes: list[tuple] = [(), ()]
+        captures = []  # (time, rank, packet) in call order
+        queue = None
         now = 0
         for op in ops:
             now += op[-1]
             if op[0] == "capture":
-                packet = bytes([op[1]]) * 22
-                db.append(packet, capture_time=now)
-                captures.append((packet, now))
+                db.append(packets[op[1]], capture_time=now)
+                captures.append((now, -1, packets[op[1]]))
+            elif op[0] == "scan":
+                _, i, fresh, _ = op
+                if fresh is not None:  # 5: not an advertisement, 6: for someone else
+                    inboxes[i] = tuple(
+                        _delivery(f"s{i}", bytes(22), sender="v") if k == 5
+                        else _delivery("other", packets[0], sender="v") if k == 6
+                        else _delivery(f"s{i}", packets[k], sender="v")
+                        for k in fresh
+                    )
+                sniffers[i].sniff_tick(inboxes[i], now)
+                captures += [(now, i, d.packet) for d in inboxes[i] if d.receiver == f"s{i}"
+                             and radio.decode_advertisement(d.packet) is not None]
             else:
-                expected = naive_replay_queue(captures, now, relay_delay, replay_ttl)
-                assert adv.rebroadcast_tick(now) == expected
-                assert adv.replay_queue == expected
+                in_order = [(p, t) for t, _, p in sorted(captures, key=lambda c: c[:2])]
+                expected = naive_replay_queue(in_order, now, relay_delay, replay_ttl)
+                got = adv.rebroadcast_tick(now)
+                assert got == expected
+                assert adv.replay_queue is got
+                if got == queue:  # the same object while the queue is unchanged
+                    assert got is queue
+                queue = got
+        in_order = [(p, t) for t, _, p in sorted(captures, key=lambda c: c[:2])]
+        assert db.entries == in_order
+        assert len(db) == len(captures)
+        assert sum(s.captures for s in sniffers) == sum(1 for c in captures if c[1] >= 0)
 
 
 class TestDiagnosisUpload:

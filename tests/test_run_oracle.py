@@ -13,7 +13,13 @@ as ``oracles.EveryTickWorld``, which polls for every device on every tick
 and scores each exposure as soon as a poll brings a chunk; the reports and
 device states must be identical.
 
-The third property feeds one device and its reference the same inboxes
+The third property runs random worlds with adversaries once as they are and
+once with ``oracles.PER_CAPTURE_ADVERSARIES``, the capture database as one
+entry per capture and a rebroadcaster that rescans it on every tick; the
+reports and the captures must be identical.  Short replay windows and
+skipped ticks make runs leave the window while open or after they close.
+
+The fourth property feeds one device and its reference the same inboxes
 directly: fresh ones and the same object again, after one or more ticks,
 across the device's own rotations (an inbox may carry its own current or
 earlier packet) and time buckets, with duplicate packets heard at two
@@ -28,7 +34,7 @@ from relaysim import radio, scenario
 from relaysim.agents import HonestDevice
 from relaysim.params import SimParams
 
-from oracles import EveryTickWorld, PerSightingDevice
+from oracles import PER_CAPTURE_ADVERSARIES, EveryTickWorld, PerSightingDevice
 
 METERS_PER_DEGREE = 6371000.0 * 3.141592653589793 / 180.0
 PLACES = {"P0": (0.0, 0.0), "P1": (0.01, 0.0)}  # 1.1 km apart, far out of range
@@ -42,7 +48,7 @@ def _at(place: str, jitter_m: tuple[int, int]) -> list[float]:
 
 
 @st.composite
-def worlds(draw):
+def worlds(draw, attacked=st.booleans()):
     """A scenario config and the tick times to run (the last is never skipped)."""
     places = list(PLACES)[: draw(st.integers(1, 2))]
     duration = draw(st.sampled_from([900, 1500]))
@@ -82,14 +88,16 @@ def worlds(draw):
             "clock_tolerance_seconds": draw(st.sampled_from([0, 30])),
         },
     }
-    if draw(st.booleans()):
+    if draw(attacked):
         config["actors"] += [
             {"name": "sniffer", "role": "sniffer", "place": places[0]},
             {"name": "rebroadcaster", "role": "rebroadcaster", "place": places[-1]},
         ]
+        if draw(st.booleans()):  # a second sniffer sharing the database
+            config["actors"].append({"name": "sniffer2", "role": "sniffer", "place": draw(place)})
         config["attack"] = {
-            "relay_delay": draw(st.sampled_from([10, 60])),
-            "replay_ttl": draw(st.sampled_from([300, 7200])),
+            "relay_delay": draw(st.sampled_from([0, 10, 60])),
+            "replay_ttl": draw(st.sampled_from([20, 60, 300, 7200])),
         }
     skipped = draw(st.sets(st.integers(1, ticks - 2), max_size=6))
     return config, [t * TICK for t in range(ticks) if t not in skipped]
@@ -100,9 +108,10 @@ def _run(
     times: list[int],
     device_class: type = HonestDevice,
     world_class: type = scenario.World,
+    adversaries: dict | None = None,
 ) -> scenario.World:
     """Step the world at ``times``, then finish the run as ``World.run`` does."""
-    with mock.patch.object(scenario, "HonestDevice", device_class):
+    with mock.patch.dict(vars(scenario), {"HonestDevice": device_class, **(adversaries or {})}):
         world = world_class(scenario.load_config(config))
     for t in times:
         world.now = t
@@ -194,6 +203,50 @@ def test_event_driven_exposure_equals_every_tick_exposure(world):
     assert events._report().to_json_bytes() == reference._report().to_json_bytes()
     for name, device in events.devices.items():
         assert _state(device) == _state(reference.devices[name]), name
+
+
+@settings(max_examples=40, deadline=None)
+@example(
+    # Two sniffers at d0's place and the rebroadcaster with d2 far away: d1
+    # walks in and out, so runs close and reopen while others stay open, and
+    # a 60 s window with 70 s of skipped ticks lets runs leave it while
+    # still open.
+    world=(
+        {
+            "name": "runs",
+            "duration": 900,
+            "places": [
+                {"name": "P0", "lat": 0.0, "lon": 0.0},
+                {"name": "P1", "lat": 0.01, "lon": 0.0},
+            ],
+            "actors": [
+                {"name": "d0", "place": "P0", "actguard": True, "position": _at("P0", (0, 0))},
+                {
+                    "name": "d1", "place": "P1", "position": _at("P1", (0, 0)),
+                    "movement": {"waypoints": [
+                        dict(zip(("lat", "lon"), _at("P0", (3, 0))), at=200),
+                        dict(zip(("lat", "lon"), _at("P1", (0, 0))), at=400),
+                    ]},
+                },
+                {"name": "d2", "place": "P1", "actguard": True, "position": _at("P1", (3, 3))},
+                {"name": "sniffer", "role": "sniffer", "place": "P0"},
+                {"name": "sniffer2", "role": "sniffer", "place": "P0"},
+                {"name": "rebroadcaster", "role": "rebroadcaster", "place": "P1"},
+            ],
+            "attack": {"relay_delay": 10, "replay_ttl": 60},
+            "diagnosis_events": [{"actor": "d0", "at_time": 600}],
+            "params": {"rotation_seconds": 600, "clock_tolerance_seconds": 30},
+        },
+        [t for t in range(0, 900, TICK) if not 250 <= t <= 300],
+    )
+)
+@given(world=worlds(attacked=st.just(True)))
+def test_capture_runs_equal_per_capture_adversaries(world):
+    config, times = world
+    runs = _run(config, times)
+    reference = _run(config, times, adversaries=PER_CAPTURE_ADVERSARIES)
+    assert runs._report().to_json_bytes() == reference._report().to_json_bytes()
+    assert runs.database.entries == reference.database.entries
 
 
 HERE = (44.63, 10.94)

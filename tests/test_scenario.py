@@ -263,6 +263,24 @@ class TestLoadConfig:
             pass
 
     @pytest.mark.parametrize(
+        "text, offender",
+        [("[" * 100000, "nested too deeply"), ('{"name": "x",', "must be JSON")],
+    )
+    def test_unparsable_file_is_named(self, tmp_path, text, offender):
+        # Before, a deeply nested file raised RecursionError.
+        source = tmp_path / "scenario.json"
+        source.write_text(text)
+        with pytest.raises(ConfigError, match=offender):
+            scenario.load_config(source)
+
+    def test_deeply_nested_dict_is_named(self):
+        deep = nested = {}
+        for _ in range(100000):
+            nested["x"] = nested = {}
+        with pytest.raises(ConfigError, match="nested too deeply"):
+            scenario.load_config(deep)
+
+    @pytest.mark.parametrize(
         "params, field",
         [
             ({"tx_power_dbm": 1.5}, "tx_power_dbm"),

@@ -1,0 +1,146 @@
+"""A tick on which nothing on air changes costs O(1) per actor.
+
+For every golden config these tests pin, from outside the package, that:
+no ``radio.Station`` is built on a tick where no actor's position or
+packets changed; the capture database opens one run per new sniffer inbox
+that holds a protocol packet, not one entry per tick; and the rebroadcaster
+recomputes its replay queue only on a tick where the database opened a run
+or a run reached an event: its first capture entering the window, the
+runs ahead of it catching up with its first capture, or its first or last
+capture leaving the window.
+"""
+
+from collections import Counter
+from unittest import mock
+
+import pytest
+
+from relaysim import radio
+from relaysim.agents import RebroadcastAdversary, SnifferAdversary
+from relaysim.scenario import World
+
+from golden.gen_reports import golden_config, golden_names
+
+
+def _recording(owner, attr: str, calls: list):
+    """Patch ``owner.attr`` to append (self, *args) to ``calls`` first."""
+    original = getattr(owner, attr)
+
+    def recorded(self, *args):
+        calls.append((self, *args))
+        return original(self, *args)
+
+    return mock.patch.object(owner, attr, recorded)
+
+
+class WatchedWorld(World):
+    """Records, for every tick, what every actor had on air and how many
+    stations were built."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.sent: dict[str, tuple] = {}
+        self.ticks: list[tuple[list, int]] = []
+        self.stations = Counter()
+        for actor in self.actors:
+            original = actor.outgoing_packets
+
+            def outgoing_packets(now, name=actor.name, original=original):
+                self.sent[name] = original(now)
+                return self.sent[name]
+
+            actor.outgoing_packets = outgoing_packets
+
+    def step(self):
+        built = self.stations["built"]
+        super().step()
+        air = [(a.name, a.position, self.sent[a.name]) for a in self.actors]
+        self.ticks.append((air, self.stations["built"] - built))
+
+
+@pytest.mark.parametrize("name", golden_names())
+def test_no_station_is_built_while_nothing_on_air_changes(name):
+    world = WatchedWorld(golden_config(name))
+    station = radio.Station
+
+    def counted(*args):
+        world.stations["built"] += 1
+        return station(*args)
+
+    with mock.patch.object(radio, "Station", counted):
+        world.run()
+    quiet = 0
+    previous = None
+    for air, built in world.ticks:
+        if air == previous:
+            quiet += 1
+            assert built == 0
+        else:
+            assert built == len(world.actors)
+        previous = air
+    assert quiet > len(world.ticks) / 2
+
+
+@pytest.mark.parametrize("name", golden_names())
+def test_capture_runs_open_per_new_sniffer_inbox(name):
+    world = World(golden_config(name))
+    scans: list = []
+    with _recording(SnifferAdversary, "sniff_tick", scans):
+        world.run()
+    tick = world.params.tick_seconds
+    new_inboxes = 0
+    last: dict = {}
+    for sniffer, inbox, now in scans:
+        again = sniffer.name in last and last[sniffer.name] == (id(inbox), now - tick)
+        heard = any(
+            d.receiver == sniffer.name and radio.decode_advertisement(d.packet) is not None
+            for d in inbox
+        )
+        new_inboxes += heard and not again
+        last[sniffer.name] = (id(inbox), now)
+    database = world.database
+    assert len(database.runs) == new_inboxes
+    captures = sum(a.captures for a in world.actors if isinstance(a, SnifferAdversary))
+    assert len(database) == len(database.entries) == captures
+    if captures:
+        assert len(database.runs) * 10 < len(scans)
+
+
+@pytest.mark.parametrize("name", golden_names())
+def test_replay_queue_is_recomputed_only_at_events(name):
+    world = World(golden_config(name))
+    ticks: list = []
+    recomputes: list = []
+    database = world.database
+
+    original = RebroadcastAdversary.rebroadcast_tick
+
+    def rebroadcast_tick(self, now):
+        ticks.append((self, now, len(database.runs)))
+        return original(self, now)
+
+    with (
+        mock.patch.object(RebroadcastAdversary, "rebroadcast_tick", rebroadcast_tick),
+        _recording(RebroadcastAdversary, "_recompute_queue", recomputes),
+    ):
+        world.run()
+    attack, tick = world.config.attack, world.params.tick_seconds
+    events = set()
+    for run in database.runs:
+        events |= {
+            run.first + attack.relay_delay,
+            run.first + attack.replay_ttl - tick,
+            run.first + attack.replay_ttl,
+            run.last + attack.replay_ttl,
+        }
+    recomputed = {(id(adv), now) for adv, now in recomputes}
+    last: dict = {}
+    for adv, now, runs in ticks:
+        before, opened = last.get(id(adv), (-1, 0))
+        if (id(adv), now) in recomputed:
+            reached = any(before < t <= now for t in events)
+            assert runs != opened or reached, (adv.name, now)
+        last[id(adv)] = (now, runs)
+    # A few recomputes per run, however many ticks the run lasts.
+    rebroadcasters = {id(adv) for adv, _, _ in ticks}
+    assert len(recomputes) <= 3 * len(database.runs) * len(rebroadcasters)

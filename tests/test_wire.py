@@ -6,8 +6,10 @@ import socket
 import threading
 import time
 from http.client import HTTPConnection
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from relaysim import wire
 from relaysim.backend import BackendStore
@@ -60,6 +62,28 @@ def test_malformed_diagnosis_400(server):
     conn = HTTPConnection("127.0.0.1", server.port)
     conn.request("POST", "/diagnosis", body=b"{not json")
     assert conn.getresponse().status == 400
+    conn.close()
+
+
+DEEP = b"[" * 100000
+
+
+@pytest.mark.parametrize(
+    "path, body",
+    [
+        ("/otp", DEEP),
+        ("/diagnosis", DEEP),
+        ("/diagnosis", b'{"otp": "x", "teks": [{"tek_hex": "", "day": 1e400}]}'),
+    ],
+)
+def test_unparsable_body_400(server, path, body):
+    # Before, deep nesting raised RecursionError and an infinite day
+    # OverflowError in the handler: a traceback and no reply.
+    conn = HTTPConnection("127.0.0.1", server.port, timeout=10)
+    conn.request("POST", path, body=body)
+    response = conn.getresponse()
+    assert response.status == 400
+    assert b"error" in response.read()
     conn.close()
 
 
@@ -178,3 +202,75 @@ def test_concurrent_clients_see_sequential_semantics(server):
     assert time.monotonic() - start < 0.9
     assert len(codes) == 16
     assert len(set(codes)) == 16
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+HEX = st.sampled_from(["00" * 16, "zz", ""])
+DIAGNOSIS = st.fixed_dictionaries(
+    {
+        "otp": JSON,
+        "teks": st.lists(st.fixed_dictionaries({"tek_hex": HEX | JSON, "day": JSON}), max_size=2),
+    },
+    optional={"hashes": st.lists(HEX) | JSON},
+)
+
+
+@st.composite
+def requests(draw):
+    """Any bytes, or a request line, headers and body, each of them possibly
+    malformed; the Content-Length may be missing, wrong or not a number."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=256))
+    method = draw(st.sampled_from(["GET", "POST", "HEAD", "BREW"]))
+    path = draw(
+        st.sampled_from(["/otp", "/diagnosis", "/chunks?since=1", "/chunks?since=x", "/hashes/1"])
+        | st.text(max_size=16)
+    )
+    version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/2.0", "HTTP/x", ""]))
+    body = draw(st.binary(max_size=64) | (JSON | DIAGNOSIS).map(lambda v: json.dumps(v).encode()))
+    length = draw(st.sampled_from([len(body), len(body) + 5, max(len(body) - 1, 0), None, "x"]))
+    head = f"{method} {path} {version}\r\nHost: x\r\n"
+    if length is not None:
+        head += f"Content-Length: {length}\r\n"
+    return head.encode() + b"\r\n" + body
+
+
+def _exchange(port: int, request: bytes, shut: bool) -> tuple[bytes, float]:
+    """Send ``request``, shutting our side if ``shut``, and read until the
+    server closes; returns the reply and the seconds it took to close."""
+    reply = b""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        start = time.monotonic()
+        try:
+            sock.sendall(request)
+            start = time.monotonic()
+            if shut:
+                sock.shutdown(socket.SHUT_WR)
+            while chunk := sock.recv(65536):
+                reply += chunk
+        except ConnectionError:  # closed while we sent or read
+            pass
+    return reply, time.monotonic() - start
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@example(request=b"POST /otp HTTP/1.1\r\nContent-Length: 100000\r\n\r\n" + DEEP, shut=False)
+@example(request=b"POST /diagnosis HTTP/1.1\r\nContent-Length: 100000\r\n\r\n" + DEEP, shut=True)
+@example(request=b"BREW /otp HTTP/1.1\r\n\r\n", shut=True)
+@example(request=b"GET /otp HTTP/2.0\r\n\r\n", shut=True)
+@given(request=requests(), shut=st.booleans())
+def test_any_request_gets_a_4xx_or_better_or_a_timely_close(impatient_server, request, shut):
+    errors = []
+    with mock.patch.object(wire._Server, "handle_error", lambda self, *args: errors.append(args)):
+        reply, seconds = _exchange(impatient_server.port, request, shut)
+    assert errors == []  # no handler died with a traceback
+    assert seconds < wire.REQUEST_TIMEOUT_SECONDS + 1.5
+    if reply:
+        assert reply.startswith((b"HTTP/1.0 ", b"HTTP/1.1 "))
+        assert 200 <= int(reply[9:12]) < 500

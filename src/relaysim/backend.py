@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .actguard import CONTACT_HASH_LENGTH
 from .gaen import Tek
-from .params import SECONDS_PER_DAY, SimParams
+from .params import SECONDS_PER_DAY, SimParams, as_number
 
 OTP_BYTES = 16
 
@@ -235,11 +235,18 @@ def parse_json(raw: bytes) -> object:
 
 
 def decode_diagnosis_payload(raw: bytes) -> tuple[list[Tek], str, set[bytes] | None]:
+    """An upload's keys, OTP and digests.  A ``day`` must be an integer and
+    the OTP a string; otherwise ValueError, TypeError or KeyError."""
     body = parse_json(raw)
-    teks = [Tek(bytes=bytes.fromhex(t["tek_hex"]), day_index=int(t["day"])) for t in body["teks"]]
+    teks = [
+        Tek(bytes=bytes.fromhex(t["tek_hex"]), day_index=as_number(int, t["day"], "day"))
+        for t in body["teks"]
+    ]
     hashes_hex = body.get("hashes")
     hashes = {bytes.fromhex(h) for h in hashes_hex} if hashes_hex else None
-    return teks, str(body["otp"]), hashes
+    if type(body["otp"]) is not str:
+        raise TypeError(f"otp must be a string, got {body['otp']!r}")
+    return teks, body["otp"], hashes
 
 
 def encode_chunks(chunks: list[TekChunk]) -> bytes:

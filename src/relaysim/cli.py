@@ -44,10 +44,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "run":
-        if Path(args.config).exists():
-            config = scenario.load_config(args.config, seed_override=args.seed)
-        else:
-            config = scenario.load_builtin(args.config, seed_override=args.seed)
+        load = scenario.load_config if Path(args.config).exists() else scenario.load_builtin
+        try:
+            config = load(args.config, seed_override=args.seed)
+        except scenario.ConfigError as exc:
+            print(f"relaysim: {exc}", file=sys.stderr)
+            return 2
         report = scenario.run(config)
         blob = scenario.emit_report(report, args.format)
         if args.out is not None:

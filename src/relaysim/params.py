@@ -3,14 +3,14 @@
 Everything an operator might tune lives here with its default, and nowhere
 else: functions take the ``SimParams`` (or ``AttackSpec``) they need rather
 than re-declaring a default.  Scenario configs override fields by name.
-Values are validated once at construction (an int field takes only an int,
-a float field any finite number) so the tick loop never has to re-check
-them.
+Values are validated once at construction by ``as_number``, the one rule for
+an int or float taken from outside the program (scenario files and uploads
+use it too), so the tick loop never has to re-check them.
 """
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, fields
 
 SECONDS_PER_DAY = 86400
@@ -18,6 +18,21 @@ SECONDS_PER_DAY = 86400
 # Transmit powers an AEM may carry: GAEN's signed-byte range.
 TX_POWER_MIN = -127
 TX_POWER_MAX = 127
+
+
+def as_number(kind: type, value, what: str, error: type[Exception] = ValueError):
+    """``value`` as ``kind``, or ``error`` naming ``what``: an ``int`` takes
+    only an integer, a ``float`` an integer or a finite float; never a
+    boolean or a string."""
+    if kind is int:
+        if type(value) is not int:
+            raise error(f"{what} must be an integer, got {value!r}")
+        return value
+    if type(value) not in (int, float):
+        raise error(f"{what} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # nan, an infinity or too large an integer
+        raise error(f"{what} must be finite, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -58,14 +73,7 @@ class SimParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int":
-                if type(value) is not int:
-                    raise TypeError(f"{f.name} must be an integer, got {value!r}")
-            elif isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError(f"{f.name} must be a number, got {value!r}")
-            elif not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+            as_number(int if f.type == "int" else float, getattr(self, f.name), f.name)
         if self.rotation_seconds <= 0 or SECONDS_PER_DAY % self.rotation_seconds:
             raise ValueError(
                 f"rotation_seconds must divide a day evenly, got {self.rotation_seconds}"

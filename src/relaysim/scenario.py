@@ -14,27 +14,29 @@ only on a tick where the backend published a chunk: every device polls on
 that tick, while the chunk is inside its retention window, so on any other
 tick every poll would come back empty.  A packet captured in
 one tick is therefore never back on the air before the next tick, matching
-the causal order of a real relay.  The radio link table (who hears whom, at
-what rssi) is rebuilt only on a tick where a station moved, and each actor
+the causal order of a real relay.  The air has one change signal: a
+walker that moved, or an actor whose packets are not the object it sent the
+tick before.  An actor keeps the same packets object while it does not
+change: a device's packet tuple until it rotates, the rebroadcaster's queue
+until the replay window changes it.  The radio link table (who hears whom,
+at what rssi) is rebuilt only on a tick where a walker moved, and each actor
 is handed only the deliveries addressed to it, as a read-only tuple: its
-inbox.  An actor keeps the same position and packets objects while they do
-not change: a device's packet tuple until it rotates, the rebroadcaster's
-queue until the replay window changes it.  On a tick where every actor's
-position and packets are the objects it had the tick before, nothing on air
-changed, so no station is built, radio delivery is skipped and every actor
-is handed the same inbox object again.  Such a quiet tick costs O(1) per
-actor: an honest device extends its observation runs and the sniffer its
-capture runs instead of storing each sighting or capture anew, and the
-rebroadcaster hands out its cached queue.
+inbox.  An actor whose deliveries equal its last inbox by value is handed
+that inbox again, the same object.  On a tick with neither signal no station
+is built, radio delivery is skipped and every actor gets its last inbox.
+An actor handed its last inbox one tick later costs O(1): an honest device
+extends its observation runs and the sniffer its capture runs instead of
+storing each sighting or capture anew, and the rebroadcaster hands out its
+cached queue.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import random
 from dataclasses import dataclass, field, fields
+from functools import partial
 from importlib import resources
 from operator import is_not
 from pathlib import Path
@@ -47,13 +49,17 @@ from .agents import (
     SnifferAdversary,
 )
 from .backend import BackendError, BackendStore
-from .params import AttackSpec, SimParams
+from .params import AttackSpec, SimParams, as_number
 
 ROLES = ("honest", "sniffer", "rebroadcaster")
+Inboxes = dict[str, tuple[radio.Delivery, ...]]  # receiver name -> its deliveries
 
 
 class ConfigError(ValueError):
     """A scenario file failed validation; the message names the offender."""
+
+
+_as = partial(as_number, error=ConfigError)
 
 
 @dataclass(frozen=True)
@@ -131,25 +137,6 @@ def _field(item: dict, key: str, owner: str):
         raise ConfigError(f"{owner} has no {key!r}") from None
 
 
-def _as(kind: type, value, what: str):
-    """``value`` as ``kind``, as ``SimParams`` takes it, or a ConfigError
-    naming ``what``: an ``int`` takes only an integer, a ``float`` an
-    integer or a finite float; never a boolean or a string."""
-    if kind is int:
-        if type(value) is not int:
-            raise ConfigError(f"{what} must be an integer, got {value!r}")
-        return value
-    if type(value) not in (int, float):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
-    try:
-        result = float(value)
-    except OverflowError:  # an integer too large for a float
-        raise ConfigError(f"{what} must be finite, got {value!r}") from None
-    if not math.isfinite(result):
-        raise ConfigError(f"{what} must be finite, got {value!r}")
-    return result
-
-
 def load_config(source: str | Path | dict, *, seed_override: int | None = None) -> ScenarioConfig:
     """Parse and validate a scenario from a file path or an in-memory dict."""
     try:
@@ -161,6 +148,8 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
         raise ConfigError("a scenario nested too deeply to parse") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"a scenario must be JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read the scenario file: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("a scenario must be a JSON object at its top level")
 
@@ -391,12 +380,9 @@ class World:
 
         self._pending_diagnoses = list(config.diagnosis_events)
         self._chunks_checked = 0  # the backend's chunk count at the last exposure checks
-        self._link_key: tuple | None = None
-        self._links: radio.LinkTable = {}
-        self._air: tuple | None = None
-        self._inboxes: dict[str, tuple[radio.Delivery, ...]] = {}
-        self._positions: list = [None] * len(self.actors)  # last tick's objects
-        self._packets: list = [None] * len(self.actors)
+        self._links: radio.LinkTable | None = None  # built on the first delivery
+        self._inboxes: Inboxes = {}
+        self._packets: list = [None] * len(self.actors)  # last tick's objects
 
     def _new_actor(self, spec: ActorSpec, rpi_indexes: dict):
         position = spec.position_at(0, self.config.places)
@@ -418,52 +404,45 @@ class World:
     def _log(self, t: int, event: str, **fields) -> None:
         self.events.append({"t": t, "event": event, **fields})
 
-    def _move_actors(self, now: int) -> None:
+    def _move_actors(self, now: int) -> bool:
+        """Move every walker to its waypoint; returns whether one moved."""
+        moved = False
         for spec, actor in self._movers:
             position = spec.position_at(now, self.config.places)
-            if position != actor.position:  # else keep the object: see _on_air
-                actor.position = position
+            moved |= position != actor.position
+            actor.position = position
+        return moved
 
-    def _on_air(self, now: int) -> dict[str, tuple[radio.Delivery, ...]]:
-        """This tick's inboxes.  While every actor's position and packets
-        are the same objects as on the last tick, nothing on air changed and
-        the last inboxes are handed out again with no station built."""
-        positions = [a.position for a in self.actors]
+    def _on_air(self, now: int, moved: bool) -> Inboxes:
+        """This tick's inboxes.  While nothing moved and every actor's
+        packets are the object it sent on the last tick, nothing on air
+        changed: the last inboxes are handed out again, no station built."""
         packets = [a.outgoing_packets(now) for a in self.actors]
-        if any(map(is_not, packets, self._packets)) or any(
-            map(is_not, positions, self._positions)
-        ):
-            self._positions, self._packets = positions, packets
-            actors = zip(self.actors, positions, packets)
-            self.deliver([radio.Station(a.name, pos, out) for a, pos, out in actors])
+        if moved or any(map(is_not, packets, self._packets)):
+            self._packets = packets
+            actors = zip(self.actors, packets)
+            self.deliver([radio.Station(a.name, a.position, out) for a, out in actors], moved)
         return self._inboxes
 
-    def deliver(self, stations: list[radio.Station]) -> dict[str, tuple[radio.Delivery, ...]]:
-        """Each receiver's inbox: its deliveries in delivery order.
-
-        While every station's name, position and packets equal the last
-        call's, nothing on air changed and the last call's inboxes are
-        returned as they are, the same objects.  The link table is rebuilt
-        only when a station's position differs from the last rebuild.
-        """
-        air = tuple(stations)
-        if air == self._air:
-            return self._inboxes
-        link_key = tuple(s[:2] for s in air)  # (name, position)
-        if link_key != self._link_key:
+    def deliver(self, stations: list[radio.Station], moved: bool) -> Inboxes:
+        """Each receiver's inbox: its deliveries in delivery order.  The link
+        table is rebuilt only when a station ``moved`` (and on the first
+        call).  A receiver whose deliveries equal its last inbox by value
+        gets that inbox again, the same object; any other a new tuple."""
+        if moved or self._links is None:
             self._links = radio.link_table(stations, self.params)
-            self._link_key = link_key
         by_receiver: dict[str, list[radio.Delivery]] = {}
         for d in radio.broadcast_step(stations, self._links):
             by_receiver.setdefault(d.receiver, []).append(d)
-        self._air = air
-        self._inboxes = {name: tuple(inbox) for name, inbox in by_receiver.items()}
+        last, self._inboxes = self._inboxes, {}
+        for name, deliveries in by_receiver.items():
+            inbox = tuple(deliveries)
+            self._inboxes[name] = last[name] if last.get(name) == inbox else inbox
         return self._inboxes
 
     def step(self) -> None:
         now = self.now
-        self._move_actors(now)
-        inboxes = self._on_air(now)
+        inboxes = self._on_air(now, self._move_actors(now))
         for actor in self._by_phase:
             self.events += actor.on_deliveries(inboxes.get(actor.name, ()), now)
 

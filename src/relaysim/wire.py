@@ -28,7 +28,7 @@ from .backend import (
     encode_hash_batch,
     parse_json,
 )
-from .params import SimParams
+from .params import SimParams, as_number
 
 # Longest wait for the next bytes of a request, from its request line to the
 # end of its body.  A client that stalls in the request line or headers is
@@ -88,8 +88,11 @@ class BackendHTTPServer:
     def handle_otp(self, body: object) -> tuple[int, bytes]:
         if not isinstance(body, dict):
             return 400, canonical_json({"error": "otp request must be a json object"})
-        ttl = body.get("ttl", self.otp_ttl)
-        if type(ttl) is not int or ttl < 0:
+        try:
+            ttl = as_number(int, body.get("ttl", self.otp_ttl), "ttl")
+        except ValueError as exc:
+            return 400, canonical_json({"error": str(exc)})
+        if ttl < 0:
             return 400, canonical_json({"error": "ttl must be a non-negative integer"})
         otp = self.store.authorize_otp(ttl, now=int(self.clock()))
         return 200, canonical_json({"code": otp.code})
@@ -97,7 +100,7 @@ class BackendHTTPServer:
     def handle_diagnosis(self, raw: bytes) -> tuple[int, bytes]:
         try:
             teks, otp_code, hashes = decode_diagnosis_payload(raw)
-        except (ValueError, KeyError, TypeError, OverflowError):  # an infinite "day" overflows
+        except (ValueError, KeyError, TypeError):
             return 400, canonical_json({"error": "malformed diagnosis payload"})
         try:
             diagnosis_id = self.store.ingest_diagnosis(

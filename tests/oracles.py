@@ -226,8 +226,7 @@ class EveryTickWorld(scenario.World):
 
     def step(self):
         now = self.now
-        self._move_actors(now)
-        inboxes = self._on_air(now)
+        inboxes = self._on_air(now, self._move_actors(now))
         for actor in self._by_phase:
             self.events += actor.on_deliveries(inboxes.get(actor.name, ()), now)
         while self._pending_diagnoses and self._pending_diagnoses[0].at_time <= now:

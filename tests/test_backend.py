@@ -1,8 +1,10 @@
 """Backend store contracts: OTPs, chunk publication, serving cutoff."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relaysim import gaen
 from relaysim.backend import (
@@ -18,6 +20,8 @@ from relaysim.backend import (
     encode_diagnosis_payload,
 )
 from relaysim.params import SimParams
+
+from conftest import JSON_VALUES, json_paths, replaced
 
 DAY = 86400
 PARAMS = SimParams()
@@ -226,3 +230,22 @@ class TestPayloadCodec:
         text = raw.decode()
         assert text == text.lower()
         assert "." not in text  # no floats, no raw coordinates
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), JSON_VALUES)
+    def test_any_json_value_anywhere_decodes_or_is_rejected(self, data, value):
+        # Replace one value of a valid upload, or the whole of it, with any
+        # JSON value: the keys carry exactly the JSON integers given as days
+        # and the OTP is the string given, or decoding raises an error the
+        # wire handler answers with a 400.  Before, "7", 7.9 and true were
+        # day 7, 7 and 1, an OTP of 123 was "123", and 1e400 overflowed.
+        document = json.loads(encode_diagnosis_payload(_teks(day=3), "c0de", {b"\xab" * 32}))
+        document = replaced(document, data.draw(st.sampled_from(json_paths(document))), value)
+        try:
+            teks, otp, _ = decode_diagnosis_payload(json.dumps(document).encode())
+        except (ValueError, TypeError, KeyError):
+            return
+        days = [t["day"] for t in document["teks"]]
+        assert all(type(day) is int for day in days)
+        assert [tek.day_index for tek in teks] == days
+        assert type(otp) is str and otp == document["otp"]

@@ -11,6 +11,8 @@ from relaysim import scenario
 from relaysim.params import SimParams
 from relaysim.scenario import ConfigError
 
+from conftest import JSON_VALUES, json_paths, replaced
+
 
 def _minimal_config(**overrides):
     data = {
@@ -26,22 +28,6 @@ def _minimal_config(**overrides):
     }
     data.update(overrides)
     return data
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
-    max_leaves=8,
-)
-
-
-def _paths(value, path=()):
-    """Every path into a JSON document, the empty one (the whole document) first."""
-    yield path
-    if isinstance(value, (dict, list)):
-        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
-            yield from _paths(child, (*path, key))
 
 
 class TestLoadConfig:
@@ -247,14 +233,7 @@ class TestLoadConfig:
         # any JSON value: load_config yields a config or a ConfigError.
         scenarios = Path(scenario.__file__).parent / "scenarios"
         document = json.loads((scenarios / f"{name}.json").read_text())
-        path = data.draw(st.sampled_from(list(_paths(document))))
-        if not path:
-            document = value
-        else:
-            owner = document
-            for key in path[:-1]:
-                owner = owner[key]
-            owner[path[-1]] = value
+        document = replaced(document, data.draw(st.sampled_from(json_paths(document))), value)
         source = tmp_path / "scenario.json"
         source.write_text(json.dumps(document))
         try:
@@ -515,3 +494,28 @@ class TestCli:
         out = tmp_path / "report.json"
         assert main(["run", "no_attack", "--seed", "424242", "--out", str(out)]) == 0
         assert json.loads(out.read_bytes())["seed"] == 424242
+
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            (b'{"name": "x",', "a scenario must be JSON"),
+            (b"\xff{", "cannot read the scenario file"),
+            (None, "cannot read the scenario file"),  # a directory
+            ("no_such_scenario", "no bundled scenario"),
+        ],
+    )
+    def test_config_error_is_a_message_and_status_2(self, tmp_path, capsys, target, message):
+        # Before, a ConfigError, or the error of a file that cannot be read
+        # as text, escaped main() as a traceback.
+        from relaysim.cli import main
+
+        if target is None:
+            target = tmp_path
+        elif isinstance(target, bytes):
+            (tmp_path / "broken.json").write_bytes(target)
+            target = tmp_path / "broken.json"
+        assert main(["run", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"relaysim: {message}")
+        assert "Traceback" not in captured.err

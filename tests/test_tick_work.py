@@ -2,7 +2,9 @@
 
 For every golden config these tests pin, from outside the package, that:
 no ``radio.Station`` is built on a tick where no actor's position or
-packets changed; the capture database opens one run per new sniffer inbox
+packets changed; an actor is handed a new inbox object only on a tick
+where its deliveries differ by value from its last inbox; the capture
+database opens one run per new sniffer inbox
 that holds a protocol packet, not one entry per tick; and the rebroadcaster
 recomputes its replay queue only on a tick where the database opened a run
 or a run reached an event: its first capture entering the window, the
@@ -79,6 +81,26 @@ def test_no_station_is_built_while_nothing_on_air_changes(name):
             assert built == len(world.actors)
         previous = air
     assert quiet > len(world.ticks) / 2
+
+
+@pytest.mark.parametrize("name", golden_names())
+def test_a_new_inbox_only_when_its_deliveries_change(name):
+    world = World(golden_config(name))
+    handed: dict[str, list] = {a.name: [] for a in world.actors}
+    for actor in world.actors:
+        original = actor.on_deliveries
+
+        def on_deliveries(inbox, now, inboxes=handed[actor.name], original=original):
+            inboxes.append(inbox)
+            return original(inbox, now)
+
+        actor.on_deliveries = on_deliveries
+    world.run()
+    ticks = world.config.duration // world.params.tick_seconds
+    for inboxes in handed.values():
+        assert len(inboxes) == ticks
+        for last, inbox in zip(inboxes, inboxes[1:]):
+            assert inbox is last or inbox != last
 
 
 @pytest.mark.parametrize("name", golden_names())

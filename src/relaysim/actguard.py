@@ -2,9 +2,10 @@
 
 Each contact is reduced to a single SHA-256 digest over the two pseudonyms
 (sorted bytewise so both endpoints agree), the scanner's quantized grid
-cell, and the quantized time bucket.  Only digests ever leave the device;
-a diagnosed user's uploaded batch lets contacts re-derive and compare
-digests locally.
+cell, and the quantized time bucket.  A device keeps each contact as a row
+of those inputs, with no digest: digests are computed only at upload and
+during verification.  Only digests ever leave the device; a diagnosed
+user's uploaded batch lets contacts re-derive and compare digests locally.
 
 Frozen digest input layout (covered by golden-vector tests):
 
@@ -55,33 +56,31 @@ class ContactRecord(NamedTuple):
     rpi_high: bytes
     cell: tuple[int, int]
     bucket: int
-    hash: bytes
 
 
 @dataclass
 class MyContactsTable:
     """Per-device contact evidence: one row per (rpi_low, rpi_high, cell,
     bucket), hence per digest, also indexed by pseudonym; both in insertion
-    order."""
+    order.  Rows hold no digest: ``hashes`` computes them at upload, and
+    verification re-derives them."""
 
-    records: dict[tuple, ContactRecord] = field(default_factory=dict, init=False)
+    records: dict[ContactRecord, None] = field(default_factory=dict, init=False)
     _by_rpi: dict[bytes, list[ContactRecord]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def add(self, lo: bytes, hi: bytes, cell: tuple[int, int], bucket: int) -> ContactRecord:
-        """The contact's row; only a row not yet in the table is hashed."""
-        key = (lo, hi, cell, bucket)
-        record = self.records.get(key)
-        if record is None:
-            record = ContactRecord(lo, hi, cell, bucket, contact_hash(lo, hi, cell, bucket))
-            self.records[key] = record
+        """The contact's row, added unless the table holds it already."""
+        record = ContactRecord(lo, hi, cell, bucket)
+        if record not in self.records:
+            self.records[record] = None
             self._by_rpi.setdefault(lo, []).append(record)
             self._by_rpi.setdefault(hi, []).append(record)
         return record
 
     def hashes(self) -> set[bytes]:
-        return {record.hash for record in self.records.values()}
+        return {contact_hash(*record) for record in self.records}
 
     def records_for(self, rpi: bytes) -> Sequence[ContactRecord]:
         return self._by_rpi.get(rpi, ())
@@ -114,7 +113,7 @@ def record_contact(
     """Insert the contact's record for the current cell and bucket.
 
     Idempotent: repeat sightings of the same peer inside one bucket collapse
-    onto one row, hashed once.  The scanner hashes with its *own* position;
+    onto one row; nothing is hashed.  The row holds the scanner's *own* cell;
     the verifier's neighborhood search absorbs the small disagreement between
     genuinely co-located endpoints.
     """
@@ -143,7 +142,7 @@ def verify_exposure(
 
     cells = range(-params.neighborhood_cells, params.neighborhood_cells + 1)
     buckets = range(-params.neighborhood_buckets, params.neighborhood_buckets + 1)
-    for lo, hi, (lat, lon), bucket, _ in my_table.records_for(match.rpi):
+    for lo, hi, (lat, lon), bucket in my_table.records_for(match.rpi):
         for dlat in cells:
             for dlon in cells:
                 cell = (lat + dlat, lon + dlon)

@@ -339,7 +339,6 @@ class ObservationRun:
     rpi: bytes
     aem: bytes
     rssi: float
-    location: tuple[float, float]
     first: int
     last: int
 
@@ -505,7 +504,7 @@ class HonestDevice:
                 if rpi == own:
                     continue
                 self._runs_by_rpi.setdefault(rpi, []).append(len(self._runs))
-                run = ObservationRun(rpi, aem, d.rssi, self.position, now, now)
+                run = ObservationRun(rpi, aem, d.rssi, now, now)
                 self._runs.append(run)
                 open_runs.append(run)
                 if self.contacts is not None:
@@ -548,7 +547,7 @@ class HonestDevice:
         observations = []
         for t, i in scans:
             run = runs[i]
-            observations.append(gaen.Observation(run.rpi, run.aem, run.rssi, t, run.location))
+            observations.append(gaen.Observation(run.rpi, run.aem, run.rssi, t))
         return observations
 
     def on_deliveries(self, deliveries: Sequence[radio.Delivery], now: int) -> tuple[()]:

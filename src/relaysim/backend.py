@@ -235,15 +235,18 @@ def parse_json(raw: bytes) -> object:
 
 
 def decode_diagnosis_payload(raw: bytes) -> tuple[list[Tek], str, set[bytes] | None]:
-    """An upload's keys, OTP and digests.  A ``day`` must be an integer and
-    the OTP a string; otherwise ValueError, TypeError or KeyError."""
+    """An upload's keys, OTP and digests.  A ``day`` must be an integer, the
+    OTP a string and ``hashes``, if present, a list of hex strings (an empty
+    list is no batch); otherwise ValueError, TypeError or KeyError."""
     body = parse_json(raw)
     teks = [
         Tek(bytes=bytes.fromhex(t["tek_hex"]), day_index=as_number(int, t["day"], "day"))
         for t in body["teks"]
     ]
-    hashes_hex = body.get("hashes")
-    hashes = {bytes.fromhex(h) for h in hashes_hex} if hashes_hex else None
+    hashes_hex = body.get("hashes", [])
+    if type(hashes_hex) is not list:
+        raise TypeError(f"hashes must be a list, got {hashes_hex!r}")
+    hashes = {bytes.fromhex(h) for h in hashes_hex} or None
     if type(body["otp"]) is not str:
         raise TypeError(f"otp must be a string, got {body['otp']!r}")
     return teks, body["otp"], hashes

@@ -4,6 +4,8 @@ One temporary exposure key (TEK) is generated per device per day.  From it
 two 16-byte subkeys are derived with HKDF-SHA256 under fixed labels, one for
 the rolling proximity identifiers (RPIs) broadcast over the air and one for
 the associated encrypted metadata (AEM) that carries the transmit power.
+HKDF is RFC 5869 extract-then-expand, computed with the standard library's
+``hmac``.
 
 The concrete derivations below are frozen constants of this simulator,
 covered by golden-vector tests.  They mirror how the deployed protocol
@@ -28,9 +30,6 @@ import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
-
-from cryptography.hazmat.primitives import hashes
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .params import SECONDS_PER_DAY, TX_POWER_MAX, TX_POWER_MIN, SimParams
 
@@ -69,17 +68,12 @@ class Rpi:
 
 
 class Observation(NamedTuple):
-    """One advertisement as stored by the scanning device.
-
-    ``location`` is the scanner's own position at scan time; the packet
-    itself never carries coordinates.
-    """
+    """One advertisement as stored by the scanning device."""
 
     rpi: bytes
     aem: bytes
     rssi: float
     scan_time: int
-    location: tuple[float, float]
 
 
 class ExposureMatch(NamedTuple):
@@ -107,9 +101,9 @@ def generate_tek(seed: bytes, day_index: int) -> Tek:
 
 
 def _hkdf16(ikm: bytes, label: bytes) -> bytes:
-    return HKDF(
-        algorithm=hashes.SHA256(), length=KEY_LENGTH, salt=None, info=label
-    ).derive(ikm)
+    """RFC 5869 with no salt (HashLen zero bytes) and one expand block."""
+    prk = hmac.digest(bytes(32), ikm, "sha256")
+    return hmac.digest(prk, label + b"\x01", "sha256")[:KEY_LENGTH]
 
 
 def derive_rpik(tek: Tek) -> bytes:

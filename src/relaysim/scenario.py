@@ -279,8 +279,8 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
         raise ConfigError(f"unknown attack key(s): {', '.join(sorted(unknown))}")
     attack = AttackSpec(**attack_data)
     for key, least in (("relay_delay", 0), ("replay_ttl", 1)):
-        value = getattr(attack, key)
-        if type(value) is not int or value < least:
+        value = _as(int, getattr(attack, key), f"attack {key}")
+        if value < least:
             raise ConfigError(f"attack {key} must be an integer >= {least}, got {value!r}")
 
     return ScenarioConfig(

@@ -1,8 +1,8 @@
 """Independent reference implementations the tests check the package against.
 
 Everything here is written from primitives (stdlib hmac/hashlib, textbook
-formulas) on purpose: the derivation chain re-implements RFC 5869 by hand
-instead of using the cryptography package, the matcher is a quadratic
+formulas) on purpose: the derivation chain re-implements RFC 5869 by hand,
+the matcher is a quadratic
 cross-product scan instead of an index, and the distance uses the spherical
 law of cosines instead of the haversine form.  The one exception is the
 fan-out oracle, which keeps the package's distance and path-loss arithmetic
@@ -188,7 +188,7 @@ class PerSightingDevice(HonestDevice):
             if rpi == own:
                 continue
             self.positions_by_rpi.setdefault(rpi, []).append(len(self.stored))
-            self.stored.append(gaen.Observation(rpi, aem, d.rssi, now, self.position))
+            self.stored.append(gaen.Observation(rpi, aem, d.rssi, now))
             if self.contacts is not None:
                 actguard.record_contact(self.contacts, own, rpi, self.position, now, self.params)
         return len(self.stored) - before

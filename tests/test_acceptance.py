@@ -103,7 +103,6 @@ def test_criterion_5_matching_oracle_equivalence():
                         aem=rng.randbytes(4),
                         rssi=-40.0 - rng.random() * 40.0,
                         scan_time=t,
-                        location=(0.0, 0.0),
                     )
                 )
             diagnosis = rng.sample(teks, k=rng.randint(1, len(teks)))

@@ -18,7 +18,7 @@ GOLDEN_HASH = "a441ce22088b6deb1219e8f00934bf698f956f8d2cb828722bfc4dffb9e364b3"
 
 def _match(rpi: bytes) -> gaen.ExposureMatch:
     tek = gaen.Tek(bytes=b"\x42" * 16, day_index=0)
-    obs = gaen.Observation(rpi=rpi, aem=b"\x00" * 4, rssi=-50.0, scan_time=100, location=(0.0, 0.0))
+    obs = gaen.Observation(rpi=rpi, aem=b"\x00" * 4, rssi=-50.0, scan_time=100)
     return gaen.ExposureMatch(tek=tek, rpi=rpi, interval_index=0, tx_power_dbm=-20, observation=obs)
 
 
@@ -96,6 +96,7 @@ class TestRecordContact:
         assert len(table) == 1
 
     def test_repeat_sightings_hash_once_per_bucket(self, monkeypatch):
+        # Recording hashes nothing; the upload hashes each row once.
         hashed = []
         real = actguard.contact_hash
         monkeypatch.setattr(
@@ -105,9 +106,10 @@ class TestRecordContact:
         for t in (0, 10, 20, 290):
             actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), t, PARAMS)
         actguard.record_contact(table, GOLDEN_RPI_B, GOLDEN_RPI_A, (0.0, 0.0), 150, PARAMS)
-        assert len(hashed) == 1
         actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 300, PARAMS)
-        assert len(hashed) == 2
+        assert hashed == []
+        assert len(table.hashes()) == 2
+        assert hashed == list(table.records)
 
     def test_consecutive_buckets_grow_table(self):
         table = actguard.MyContactsTable()
@@ -132,7 +134,7 @@ class TestRecordContact:
         assert record.rpi_low < record.rpi_high
         assert record.cell == (1, 0)
         assert record.bucket == 1
-        assert record.hash == actguard.contact_hash(
+        assert actguard.contact_hash(*record) == actguard.contact_hash(
             record.rpi_low, record.rpi_high, record.cell, record.bucket
         )
 
@@ -173,7 +175,7 @@ class TestVerifyExposure:
     def test_exact_hash_confirms(self):
         table, record = self._table_with_contact()
         verdict = actguard.verify_exposure(
-            _match(GOLDEN_RPI_B), table, frozenset({record.hash}), diagnosis_id=1, params=PARAMS
+            _match(GOLDEN_RPI_B), table, frozenset({actguard.contact_hash(*record)}), diagnosis_id=1, params=PARAMS
         )
         assert verdict.kind is VerdictKind.CONFIRMED_CONTACT
         assert verdict.rpi == GOLDEN_RPI_B
@@ -221,4 +223,4 @@ class TestTables:
         table = actguard.MyContactsTable()
         r1 = actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 10, PARAMS)
         actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 20, PARAMS)
-        assert table.hashes() == {r1.hash}
+        assert table.hashes() == {actguard.contact_hash(*r1)}

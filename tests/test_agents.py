@@ -72,7 +72,6 @@ class TestHonestDevice:
         (obs,) = dev.observations
         assert obs.rpi == rpi.bytes
         assert obs.scan_time == 0
-        assert obs.location == HERE
 
     def test_deliveries_for_others_ignored(self):
         dev = _device()

@@ -225,6 +225,20 @@ class TestPayloadCodec:
         _, _, got_hashes = decode_diagnosis_payload(raw)
         assert got_hashes is None
 
+    def test_empty_hash_list_is_no_batch(self):
+        document = json.loads(encode_diagnosis_payload(_teks(day=3), "c0de", None))
+        document["hashes"] = []
+        assert decode_diagnosis_payload(json.dumps(document).encode())[2] is None
+
+    @pytest.mark.parametrize(
+        "hashes", [{"ab" * 32: None}, {}, 0, 1, 0.5, False, True, "", "ab" * 32, None, [7]]
+    )
+    def test_hashes_must_be_a_list_of_strings(self, hashes):
+        document = json.loads(encode_diagnosis_payload(_teks(day=3), "c0de", None))
+        document["hashes"] = hashes
+        with pytest.raises((TypeError, ValueError)):
+            decode_diagnosis_payload(json.dumps(document).encode())
+
     def test_payload_is_lowercase_hex_only(self):
         raw = encode_diagnosis_payload(_teks(day=3), "c0de", {b"\xab" * 32})
         text = raw.decode()
@@ -249,3 +263,4 @@ class TestPayloadCodec:
         assert all(type(day) is int for day in days)
         assert [tek.day_index for tek in teks] == days
         assert type(otp) is str and otp == document["otp"]
+        assert type(document.get("hashes", [])) is list

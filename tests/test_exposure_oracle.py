@@ -57,7 +57,7 @@ def _reference_state(device: HonestDevice, backend: BackendStore, now: int):
     """(alert, score, matches per diagnosis in scan order, verdicts) from scratch."""
     params = device.params
     position = {obs: i for i, obs in enumerate(device.observations)}
-    table = device.contacts.records.values() if device.contacts is not None else ()
+    table = device.contacts.records if device.contacts is not None else ()
     records = [(r.rpi_low, r.rpi_high, *r.cell, r.bucket) for r in table]
     all_matches, per_diagnosis, verdicts = [], {}, {}
     for chunk in backend.fetch_chunks(0, now):

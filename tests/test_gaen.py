@@ -24,8 +24,8 @@ GOLDEN_AEM_M20 = "df70ea43"
 PARAMS = SimParams()
 
 
-def _obs(rpi, scan_time, *, aem=b"\x00" * 4, rssi=-50.0, location=(0.0, 0.0)):
-    return gaen.Observation(rpi=rpi, aem=aem, rssi=rssi, scan_time=scan_time, location=location)
+def _obs(rpi, scan_time, *, aem=b"\x00" * 4, rssi=-50.0):
+    return gaen.Observation(rpi=rpi, aem=aem, rssi=rssi, scan_time=scan_time)
 
 
 class TestKeySchedule:
@@ -63,6 +63,16 @@ class TestKeySchedule:
         assert oracles.rpi_bytes(rpik, 3).hex() == GOLDEN_RPI_3
         aemk = bytes.fromhex(GOLDEN_AEMK)
         assert oracles.aem_bytes(aemk, bytes.fromhex(GOLDEN_RPI_0), -20).hex() == GOLDEN_AEM_M20
+
+    def test_hkdf_matches_rfc5869_test_case_3(self):
+        # RFC 5869 Appendix A.3: SHA-256, IKM 0x0b * 22, empty salt and info.
+        # A published vector keeps the check independent of both copies.
+        import oracles
+
+        ikm = b"\x0b" * 22
+        okm16 = "8da4e775a563c18f715f802a063c5a31"
+        assert gaen._hkdf16(ikm, b"").hex() == okm16
+        assert oracles.hkdf16(ikm, b"").hex() == okm16
 
     def test_rpik_and_aemk_differ(self):
         assert gaen.derive_rpik(GOLDEN_TEK) != gaen.derive_aemk(GOLDEN_TEK)

@@ -2,6 +2,9 @@
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,7 +128,8 @@ class TestLoadConfig:
             ({"attack": {"relay_dealy": 60}}, "unknown attack key.*relay_dealy"),
             ({"attack": {"relay_delay": -1}}, "relay_delay must be an integer >= 0"),
             ({"attack": {"replay_ttl": 0}}, "replay_ttl must be an integer >= 1"),
-            ({"attack": {"replay_ttl": 7200.5}}, "replay_ttl must be an integer >= 1"),
+            ({"attack": {"replay_ttl": 7200.5}}, "attack replay_ttl must be an integer, got 7200.5"),
+            ({"attack": {"relay_delay": True}}, "attack relay_delay must be an integer, got True"),
             (
                 {"places": [{"name": "P", "lat": "north", "lon": 0.0}]},
                 "place 'P' lat must be a number, got 'north'",
@@ -462,6 +466,23 @@ class TestReport:
 
 
 class TestCli:
+    def test_imports_only_the_standard_library(self):
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import relaysim, relaysim.cli\n"
+            "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        imported = set(ast.literal_eval(out))
+        assert "relaysim" in imported
+        assert imported - set(sys.stdlib_module_names) == {"relaysim"}
+
     def test_run_bundled_to_file(self, tmp_path, capsys):
         from relaysim.cli import main
 

@@ -74,6 +74,11 @@ DEEP = b"[" * 100000
         ("/otp", DEEP),
         ("/diagnosis", DEEP),
         ("/diagnosis", b'{"otp": "x", "teks": [{"tek_hex": "", "day": 1e400}]}'),
+        (
+            "/diagnosis",
+            b'{"otp": "x", "teks": [{"tek_hex": "%s", "day": 1}], "hashes": {"%s": null}}'
+            % (b"00" * 16, b"ab" * 32),
+        ),
     ],
 )
 def test_unparsable_body_400(server, path, body):

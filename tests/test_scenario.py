@@ -128,8 +128,7 @@ class TestLoadConfig:
             ({"attack": {"relay_dealy": 60}}, "unknown attack key.*relay_dealy"),
             ({"attack": {"relay_delay": -1}}, "relay_delay must be an integer >= 0"),
             ({"attack": {"replay_ttl": 0}}, "replay_ttl must be an integer >= 1"),
-            ({"attack": {"replay_ttl": 7200.5}}, "attack replay_ttl must be an integer, got 7200.5"),
-            ({"attack": {"relay_delay": True}}, "attack relay_delay must be an integer, got True"),
+            ({"attack": {"replay_ttl": 7200.5}}, "replay_ttl must be an integer, got 7200.5"),
             (
                 {"places": [{"name": "P", "lat": "north", "lon": 0.0}]},
                 "place 'P' lat must be a number, got 'north'",
@@ -216,6 +215,7 @@ class TestLoadConfig:
                 {"diagnosis_events": [{"actor": "b", "at_time": "100"}]},
                 "diagnosis event #0 at_time must be an integer, got '100'",
             ),
+            ({"attack": {"relay_delay": True}}, "attack relay_delay must be an integer, got True"),
         ],
     )
     def test_malformed_section_names_offender(self, overrides, offender, tmp_path):

@@ -25,9 +25,8 @@ import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Protocol
 
-from .gaen import ExposureMatch
 from .params import SimParams
 
 CONTACT_HASH_LENGTH = 32
@@ -89,6 +88,12 @@ class MyContactsTable:
         return len(self.records)
 
 
+class Matched(Protocol):
+    """What verification reads of a match: the matched pseudonym."""
+
+    rpi: bytes
+
+
 class VerdictKind(Enum):
     CONFIRMED_CONTACT = "ConfirmedContact"
     RELAY_SUSPECTED = "RelaySuspected"
@@ -123,7 +128,7 @@ def record_contact(
 
 
 def verify_exposure(
-    match: ExposureMatch,
+    match: Matched,
     my_table: MyContactsTable,
     positive_batch: frozenset[bytes] | None,
     *,

@@ -346,12 +346,19 @@ class ObservationRun:
 @dataclass
 class DownloadedChunk:
     """A downloaded chunk's RPI index, its hash batch (None if it has none or
-    the device is undefended) and its matches with sightings before ``cursor``."""
+    the device is undefended) and its match runs: the device's first
+    ``looked_up`` observation runs were looked up in ``index``, and the
+    sightings of ``match_runs`` scanned before ``cursor`` are its matches."""
 
     index: gaen.RpiIndex
     batch: frozenset[bytes] | None
-    matches: list[gaen.ExposureMatch] = field(default_factory=list)
+    match_runs: list[gaen.MatchRun] = field(default_factory=list)
+    looked_up: int = 0
     cursor: int = 0
+
+
+# A match run with the scan times it matched and its observation run.
+ClippedRun = tuple[range, gaen.MatchRun, ObservationRun]
 
 
 @dataclass
@@ -377,14 +384,17 @@ class HonestDevice:
     sightings costs O(1), and a defended device records their contact rows
     only when the time bucket changes.
 
-    Each downloaded chunk keeps a scan-time cursor.  Matching expands, from
-    the cursor on, only the runs whose RPI the chunk's index holds, into
-    observations ordered by scan time and then run creation, which is the
-    order the sightings were received in.  Matching runs only when a poll
-    brings new chunks and at ``evaluate_exposure``; it extends each chunk's
-    matches and ``matches_by_diagnosis``, which is all ``match_events``
-    reads.  The risk score and the verdicts are computed only when
-    ``exposure`` is read, over every match so far, and cached.
+    Matching works on runs, never on single sightings.  Each run is looked
+    up once in each downloaded chunk's index: a new chunk looks up every
+    run, later passes only the runs opened since.  A run whose RPI the
+    index holds becomes a match run per entry of that RPI; its matches are
+    the run's scan times inside the entry's window, widened by the clock
+    tolerance, and before the chunk's scan-time cursor, so an extended run
+    needs no new lookup.  Matching runs only when a poll brings new chunks
+    and at ``evaluate_exposure``; it moves each chunk's cursor and updates
+    ``matches_by_diagnosis``, which is all ``match_events`` reads.  The
+    risk score and the verdicts are computed only when ``exposure`` is
+    read, over every match so far, and cached.
     """
 
     phase = 2
@@ -413,7 +423,6 @@ class HonestDevice:
 
         self.sightings = 0
         self._runs: list[ObservationRun] = []
-        self._runs_by_rpi: dict[bytes, list[int]] = {}  # run positions, ascending
         self._open_runs: list[ObservationRun] = []  # their ``last`` is ``_last_scan``
         self._inbox: Sequence[radio.Delivery] | None = None
         self._last_scan = -1
@@ -503,7 +512,6 @@ class HonestDevice:
                 rpi, aem = decoded
                 if rpi == own:
                     continue
-                self._runs_by_rpi.setdefault(rpi, []).append(len(self._runs))
                 run = ObservationRun(rpi, aem, d.rssi, now, now)
                 self._runs.append(run)
                 open_runs.append(run)
@@ -524,31 +532,12 @@ class HonestDevice:
 
     @property
     def observations(self) -> list[gaen.Observation]:
-        """Every stored sighting, in scan order (for tests and oracles)."""
-        return self._expand(range(len(self._runs)), 0)
-
-    def _observations_in(self, index: gaen.RpiIndex, since: int) -> list[gaen.Observation]:
-        """Sightings scanned at or after ``since`` whose RPI ``index`` holds,
-        in scan order."""
-        by_rpi = self._runs_by_rpi
-        return self._expand([i for rpi in by_rpi.keys() & index.keys() for i in by_rpi[rpi]], since)
-
-    def _expand(self, positions: Sequence[int], since: int) -> list[gaen.Observation]:
-        """The sightings of the runs at ``positions`` scanned at or after
-        ``since``, ordered by scan time, then by run creation."""
+        """Every stored sighting, ordered by scan time, then by run creation
+        (for tests and oracles)."""
         self._close_runs()
-        runs = self._runs
-        tick = self.params.tick_seconds
-        scans: list[tuple[int, int]] = []
-        for i in positions:
-            times = range(runs[i].first, runs[i].last + 1, tick)
-            scans += [(t, i) for t in times[bisect.bisect_left(times, since) :]]
-        scans.sort()
-        observations = []
-        for t, i in scans:
-            run = runs[i]
-            observations.append(gaen.Observation(run.rpi, run.aem, run.rssi, t))
-        return observations
+        runs, tick = self._runs, self.params.tick_seconds
+        scans = sorted((t, i) for i, r in enumerate(runs) for t in range(r.first, r.last + 1, tick))
+        return [gaen.Observation(runs[i].rpi, runs[i].aem, runs[i].rssi, t) for t, i in scans]
 
     def on_deliveries(self, deliveries: Sequence[radio.Delivery], now: int) -> tuple[()]:
         self.receive(deliveries, now)
@@ -604,25 +593,63 @@ class HonestDevice:
         return self.exposure
 
     def _match_new_sightings(self) -> None:
-        """Extend each downloaded chunk's matches and the match counts.
-
-        Each chunk is matched only against the sightings scanned since it
-        was last matched whose RPI its index holds, in scan order; the
-        others cannot match it.
-        """
+        """Look up the runs opened since each chunk's last pass, move its
+        cursor past the last scan and update its match count."""
         end = self._last_scan + 1
+        opened = len(self._runs)
+        self._close_runs()
         for diagnosis_id, chunk in self.downloaded.items():
             if chunk.cursor < end:
-                new = gaen.match_indexed(
-                    chunk.index,
-                    self._observations_in(chunk.index, chunk.cursor),
-                    self.params,
-                )
+                if chunk.looked_up < opened:
+                    self._look_up(chunk)
                 chunk.cursor = end
-                if new:
-                    chunk.matches += new
-                    self.matches_by_diagnosis[diagnosis_id] = len(chunk.matches)
+                if not chunk.match_runs:
+                    continue
+                count = sum(len(times) for times, _, _ in self._matched(chunk))
+                if count > self.matches_by_diagnosis.get(diagnosis_id, 0):
+                    self.matches_by_diagnosis[diagnosis_id] = count
                     self._scored = None
+
+    def _look_up(self, chunk: DownloadedChunk) -> None:
+        """Add a match run for each entry the chunk's index holds for a run
+        opened since its last lookup."""
+        runs = self._runs
+        for i in range(chunk.looked_up, len(runs)):
+            run = runs[i]
+            for j, entry in enumerate(chunk.index.get(run.rpi, ())):
+                tx = gaen.decrypt_aem(entry.aemk, run.rpi, run.aem)
+                chunk.match_runs.append(gaen.MatchRun(i, j, entry, tx))
+        chunk.looked_up = len(runs)
+
+    def _matched(self, chunk: DownloadedChunk) -> list[ClippedRun]:
+        """Each match run of the chunk that matched a sighting, in (run,
+        entry) order, with the scan times it matched and its observation
+        run.  The open runs' ``last`` must be current."""
+        tolerance = self.params.clock_tolerance_seconds
+        tick = self.params.tick_seconds
+        matched = []
+        for match in chunk.match_runs:
+            run = self._runs[match.run]
+            times = range(run.first, run.last + 1, tick)
+            lo = bisect.bisect_left(times, match.indexed.start - tolerance)
+            hi = bisect.bisect_left(times, min(match.indexed.end + tolerance, chunk.cursor))
+            if lo < hi:
+                matched.append((times[lo:hi], match, run))
+        return matched
+
+    def chunk_matches(self, diagnosis_id: int) -> list[gaen.ExposureMatch]:
+        """The chunk's matches, one per matched sighting, in (scan time, run,
+        entry) order (for tests and oracles)."""
+        self._close_runs()
+        matched = self._matched(self.downloaded[diagnosis_id])
+        sightings = sorted((t, m.run, m.entry, m, r) for ts, m, r in matched for t in ts)
+        return [
+            gaen.ExposureMatch(
+                m.indexed.tek, r.rpi, m.indexed.interval_index, m.tx_power_dbm,
+                gaen.Observation(r.rpi, r.aem, r.rssi, t),
+            )
+            for t, _, _, m, r in sightings
+        ]
 
     @property
     def exposure(self) -> ExposureState:
@@ -637,16 +664,21 @@ class HonestDevice:
         return self._scored[1]
 
     def _score(self) -> ExposureState:
-        all_matches: list[gaen.ExposureMatch] = []
+        self._close_runs()
+        scored: list[gaen.MatchedSightings] = []
         verdicts: dict[int, actguard.Verdict] = {}
         for diagnosis_id in sorted(self.downloaded):
             chunk = self.downloaded[diagnosis_id]
-            if not chunk.matches:
+            matched = self._matched(chunk)
+            if not matched:
                 continue
-            all_matches.extend(chunk.matches)
+            scored += [
+                gaen.MatchedSightings(diagnosis_id, run.rpi, match.tx_power_dbm - run.rssi, times)
+                for times, match, run in matched
+            ]
             if self.contacts is not None:
                 verdicts[diagnosis_id] = self._verdict_for(diagnosis_id, chunk)
-        risk = gaen.risk_score(all_matches, self.params)
+        risk = gaen.risk_score(scored, self.params)
         return ExposureState(
             gaen_alert=risk.alert,
             risk_score=risk.score,
@@ -657,15 +689,17 @@ class HonestDevice:
     def _verdict_for(self, diagnosis_id: int, chunk: DownloadedChunk) -> actguard.Verdict:
         # One verdict per diagnosis: confirmation by any match wins, else the
         # first match's verdict.  A match's verdict depends only on its RPI,
-        # so each distinct RPI is verified once, in first-match order.
+        # so each distinct RPI is verified once, in first-match order: by
+        # (scan time, run, entry) of each match run's first match.
         assert self.contacts is not None
-        first_by_rpi: dict[bytes, gaen.ExposureMatch] = {}
-        for match in chunk.matches:
-            first_by_rpi.setdefault(match.rpi, match)
+        matched = self._matched(chunk)
+        first_by_rpi: dict[bytes, ObservationRun] = {}
+        for _, _, _, run in sorted((times[0], m.run, m.entry, run) for times, m, run in matched):
+            first_by_rpi.setdefault(run.rpi, run)
         first: actguard.Verdict | None = None
-        for match in first_by_rpi.values():
+        for run in first_by_rpi.values():
             verdict = actguard.verify_exposure(
-                match,
+                run,
                 self.contacts,
                 chunk.batch,
                 diagnosis_id=diagnosis_id,

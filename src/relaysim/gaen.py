@@ -27,7 +27,7 @@ from __future__ import annotations
 import hmac
 import hashlib
 import struct
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -168,6 +168,26 @@ class IndexedRpi(NamedTuple):
 RpiIndex = dict[bytes, list[IndexedRpi]]
 
 
+class MatchRun(NamedTuple):
+    """An observation run whose RPI a chunk's index holds, paired with one
+    entry of that RPI: its sightings inside the entry's window, widened by
+    the clock tolerance, are matches."""
+
+    run: int  # the observation run's position on the device
+    entry: int  # the entry's position in its RPI's index list
+    indexed: IndexedRpi
+    tx_power_dbm: int  # decrypted from the run's AEM
+
+
+class MatchedSightings(NamedTuple):
+    """What risk scoring reads of one match run."""
+
+    chunk: int  # the chunk's diagnosis id
+    rpi: bytes
+    attenuation: float  # tx_power_dbm - rssi
+    times: range  # the matched scan times, ascending, not empty
+
+
 def build_rpi_index(diagnosis_teks: list[Tek], params: SimParams) -> RpiIndex:
     """Expand a chunk's keys once into an index from RPI bytes to pseudonyms.
 
@@ -193,21 +213,18 @@ def match_indexed(
     A match requires byte equality with an expanded RPI *and* a scan time
     inside that RPI's validity window widened by ``clock_tolerance_seconds``
     on both sides (half-open, so a scan at exactly window_end + tolerance
-    misses).
-    The decrypted transmit power rides along for risk scoring; a packet
-    heard many times is decrypted once per call.  Matching a list in slices
-    yields the same matches as matching it whole.
+    misses).  The decrypted transmit power rides along.  Matching a list in
+    slices yields the same matches as matching it whole.
+
+    This is the one-sighting-at-a-time matcher, kept as the reference for
+    tests; devices match observation runs (see ``agents.HonestDevice``).
     """
     clock_tolerance = params.clock_tolerance_seconds
     matches: list[ExposureMatch] = []
-    tx_powers: dict[tuple[bytes, bytes, bytes], int] = {}
     for obs in observations:
         for entry in index.get(obs.rpi, ()):
             if entry.start - clock_tolerance <= obs.scan_time < entry.end + clock_tolerance:
-                key = (entry.aemk, obs.rpi, obs.aem)
-                tx = tx_powers.get(key)
-                if tx is None:
-                    tx = tx_powers[key] = decrypt_aem(entry.aemk, obs.rpi, obs.aem)
+                tx = decrypt_aem(entry.aemk, obs.rpi, obs.aem)
                 matches.append(ExposureMatch(entry.tek, obs.rpi, entry.interval_index, tx, obs))
     return matches
 
@@ -223,35 +240,47 @@ def match_observations(
     return match_indexed(build_rpi_index(diagnosis_teks, params), store, params)
 
 
-def risk_score(matches: list[ExposureMatch], params: SimParams) -> RiskResult:
-    """Aggregate matched observations into a duration-weighted score.
+def risk_score(matches: list[MatchedSightings], params: SimParams) -> RiskResult:
+    """Aggregate matched sightings into a duration-weighted score.
 
-    Matches of the same RPI are grouped into contact episodes; a gap longer
-    than two beacon intervals (ticks) ends an episode.  Each episode
-    contributes its duration in minutes if its mean attenuation
-    (tx_power - rssi) stays at or below the threshold, else nothing.  The
-    alert flag compares the total against the configured threshold.
+    ``matches`` holds the match runs of every chunk in (chunk, run, entry)
+    order.  Sightings of the same RPI are grouped into contact episodes; a
+    gap longer than two beacon intervals (ticks) ends an episode.  Each
+    episode contributes its duration in minutes if its mean attenuation
+    stays at or below the threshold, else nothing.  The alert flag compares
+    the total against the configured threshold.
+
+    The float sums are those of scoring one sighting at a time: RPIs in the
+    order of their first match in (chunk, scan time, run, entry) order, and
+    an episode's attenuations in (scan time, chunk, run, entry) order.
     """
-    beacon_interval_seconds = params.tick_seconds
-    by_rpi: dict[bytes, list[ExposureMatch]] = {}
-    for m in matches:
-        by_rpi.setdefault(m.rpi, []).append(m)
+    tick = params.tick_seconds
+    groups: dict[bytes, list[int]] = {}
+    for i, m in enumerate(matches):
+        groups.setdefault(m.rpi, []).append(i)
+
+    def first_match(group: list[int]) -> tuple[int, int, int]:
+        return min((matches[i].chunk, matches[i].times[0], i) for i in group)
 
     score = 0.0
-    for group in by_rpi.values():
-        ordered = sorted(group, key=lambda m: m.observation.scan_time)
-        episodes: list[list[ExposureMatch]] = [[ordered[0]]]
-        for m in ordered[1:]:
-            gap = m.observation.scan_time - episodes[-1][-1].observation.scan_time
-            if gap > 2 * beacon_interval_seconds:
-                episodes.append([m])
-            else:
-                episodes[-1].append(m)
-        for ep in episodes:
-            first = ep[0].observation.scan_time
-            last = ep[-1].observation.scan_time
-            minutes = (last - first + beacon_interval_seconds) / 60.0
-            attenuation = sum(m.tx_power_dbm - m.observation.rssi for m in ep) / len(ep)
-            if attenuation <= params.attenuation_threshold_db:
-                score += minutes
+    for group in sorted(groups.values(), key=first_match):
+        # (scan times, attenuation) in sighting order
+        spans: list[tuple[Sequence[int], float]] = [
+            (matches[i].times, matches[i].attenuation)
+            for _, i in sorted((matches[i].times[0], i) for i in group)
+        ]
+        if any(b[0][0] <= a[0][-1] for a, b in zip(spans, spans[1:])):  # runs overlap
+            spans = [
+                ((t,), matches[i].attenuation)
+                for t, i in sorted((t, i) for i in group for t in matches[i].times)
+            ]
+        episodes: list[list] = []  # [first, last, attenuations]
+        for times, attenuation in spans:
+            if not episodes or times[0] - episodes[-1][1] > 2 * tick:
+                episodes.append([times[0], times[-1], []])
+            episodes[-1][1] = times[-1]
+            episodes[-1][2] += [attenuation] * len(times)
+        for first, last, attenuations in episodes:
+            if sum(attenuations) / len(attenuations) <= params.attenuation_threshold_db:
+                score += (last - first + tick) / 60.0
     return RiskResult(score=score, alert=score >= params.alert_threshold_minutes)

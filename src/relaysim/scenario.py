@@ -375,7 +375,11 @@ class World:
         specs = sorted(config.actors, key=lambda a: a.name)
         self.actors = [self._new_actor(spec, rpi_indexes) for spec in specs]
         self.devices = {a.name: a for a in self.actors if isinstance(a, HonestDevice)}
-        self._movers = [(spec, a) for spec, a in zip(specs, self.actors) if spec.waypoints]
+        # [actor, its waypoints as (at, position), how many it has reached]
+        self._movers = [
+            [a, [(w.at, (w.lat, w.lon)) for w in spec.waypoints], 0]
+            for spec, a in zip(specs, self.actors) if spec.waypoints
+        ]
         self._by_phase = sorted(self.actors, key=lambda a: a.phase)  # stable: name order within
 
         self._pending_diagnoses = list(config.diagnosis_events)
@@ -405,12 +409,20 @@ class World:
         self.events.append({"t": t, "event": event, **fields})
 
     def _move_actors(self, now: int) -> bool:
-        """Move every walker to its waypoint; returns whether one moved."""
+        """Move every walker to the last waypoint it has reached by ``now``,
+        which never decreases; returns whether one moved.  A walker keeps
+        its position object while its position is equal."""
         moved = False
-        for spec, actor in self._movers:
-            position = spec.position_at(now, self.config.places)
-            moved |= position != actor.position
-            actor.position = position
+        for mover in self._movers:
+            actor, waypoints, reached = mover
+            while reached < len(waypoints) and waypoints[reached][0] <= now:
+                reached += 1
+            if reached != mover[2]:
+                mover[2] = reached
+                position = waypoints[reached - 1][1]
+                if position != actor.position:
+                    actor.position = position
+                    moved = True
         return moved
 
     def _on_air(self, now: int, moved: bool) -> Inboxes:

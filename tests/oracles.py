@@ -7,8 +7,9 @@ cross-product scan instead of an index, and the distance uses the spherical
 law of cosines instead of the haversine form.  The one exception is the
 fan-out oracle, which keeps the package's distance and path-loss arithmetic
 so that rssi values compare exactly, the per-sighting device, which keeps
-the package's protocol code and replaces only how sightings are stored and
-found again for matching, the every-tick world, which keeps the package's
+the package's protocol code and replaces how sightings are stored, matched
+and scored with one ``Observation`` and one ``ExposureMatch`` per sighting,
+the every-tick world, which keeps the package's
 tick phases and replaces only when exposure work runs, and the per-capture
 adversaries, which store one entry per capture and rescan the replay window
 on every tick.
@@ -24,7 +25,7 @@ import struct
 from operator import attrgetter
 
 from relaysim import actguard, gaen, radio, scenario
-from relaysim.agents import DatabaseEntry, HonestDevice
+from relaysim.agents import DatabaseEntry, ExposureState, HonestDevice
 
 SECONDS_PER_DAY = 86400
 
@@ -158,17 +159,45 @@ def naive_replay_queue(captures, now, relay_delay, replay_ttl):
     return tuple(dict.fromkeys(window))
 
 
+def risk_score(matches, params):
+    """Score matches one sighting at a time: group them by RPI in order of
+    first appearance, sort each group stably by scan time, split it into
+    episodes at gaps over two ticks and add up each close episode's minutes."""
+    tick = params.tick_seconds
+    by_rpi = {}
+    for m in matches:
+        by_rpi.setdefault(m.rpi, []).append(m)
+    score = 0.0
+    for group in by_rpi.values():
+        ordered = sorted(group, key=lambda m: m.observation.scan_time)
+        episodes = [[ordered[0]]]
+        for m in ordered[1:]:
+            if m.observation.scan_time - episodes[-1][-1].observation.scan_time > 2 * tick:
+                episodes.append([m])
+            else:
+                episodes[-1].append(m)
+        for ep in episodes:
+            minutes = (ep[-1].observation.scan_time - ep[0].observation.scan_time + tick) / 60.0
+            attenuation = sum(m.tx_power_dbm - m.observation.rssi for m in ep) / len(ep)
+            if attenuation <= params.attenuation_threshold_db:
+                score += minutes
+    return gaen.RiskResult(score=score, alert=score >= params.alert_threshold_minutes)
+
+
 class PerSightingDevice(HonestDevice):
     """The honest device storing one ``Observation`` per sighting, in
-    receive order, with each RPI's list positions; a chunk's cursor
-    counts the observations it was matched against.  Key schedule,
-    polling, verification and risk scoring are the package's, and so is
-    when matching runs; only what a match pass scans is replaced."""
+    receive order, with each RPI's list positions, and one ``ExposureMatch``
+    list per chunk; a chunk's cursor counts the observations it was matched
+    against.  Key schedule, polling and verification are the package's,
+    and so is when matching runs; what a match pass scans and builds, and
+    how matches are scored, are replaced."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.stored: list = []
         self.positions_by_rpi: dict = {}
+        self.matches: dict = {}  # diagnosis id -> ExposureMatch list
+        self.cursors: dict = {}  # diagnosis id -> observations matched against
 
     @property
     def observations(self):
@@ -196,14 +225,16 @@ class PerSightingDevice(HonestDevice):
     def _match_new_sightings(self):
         stored = len(self.stored)
         for diagnosis_id, chunk in self.downloaded.items():
-            if chunk.cursor < stored:
+            cursor = self.cursors.get(diagnosis_id, 0)
+            if cursor < stored:
                 new = gaen.match_indexed(
-                    chunk.index, self._observations_in(chunk.index, chunk.cursor), self.params
+                    chunk.index, self._observations_in(chunk.index, cursor), self.params
                 )
-                chunk.cursor = stored
+                self.cursors[diagnosis_id] = stored
                 if new:
-                    chunk.matches += new
-                    self.matches_by_diagnosis[diagnosis_id] = len(chunk.matches)
+                    matches = self.matches.setdefault(diagnosis_id, [])
+                    matches += new
+                    self.matches_by_diagnosis[diagnosis_id] = len(matches)
                     self._scored = None
 
     def _observations_in(self, index, start):
@@ -214,6 +245,44 @@ class PerSightingDevice(HonestDevice):
             positions += [i for i in self.positions_by_rpi[rpi] if i >= start]
         positions.sort()
         return [self.stored[i] for i in positions]
+
+    def chunk_matches(self, diagnosis_id):
+        return list(self.matches.get(diagnosis_id, ()))
+
+    def _score(self):
+        all_matches, verdicts = [], {}
+        for diagnosis_id in sorted(self.downloaded):
+            matches = self.matches.get(diagnosis_id)
+            if not matches:
+                continue
+            all_matches += matches
+            if self.contacts is not None:
+                verdicts[diagnosis_id] = self._per_match_verdict(diagnosis_id, matches)
+        risk = risk_score(all_matches, self.params)
+        return ExposureState(
+            gaen_alert=risk.alert,
+            risk_score=risk.score,
+            verdicts=verdicts,
+            matches_by_diagnosis=dict(self.matches_by_diagnosis),
+        )
+
+    def _per_match_verdict(self, diagnosis_id, matches):
+        """Verify the matches in order, each RPI once: the first
+        confirmation wins, else the first match's verdict stands."""
+        batch = self.downloaded[diagnosis_id].batch
+        first_by_rpi = {}
+        for match in matches:
+            first_by_rpi.setdefault(match.rpi, match)
+        first = None
+        for match in first_by_rpi.values():
+            verdict = actguard.verify_exposure(
+                match, self.contacts, batch, diagnosis_id=diagnosis_id, params=self.params
+            )
+            if verdict.kind is actguard.VerdictKind.CONFIRMED_CONTACT:
+                return verdict
+            if first is None:
+                first = verdict
+        return first
 
     def report_row(self):
         return super().report_row() | {"observations": len(self.stored)}

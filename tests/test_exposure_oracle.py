@@ -19,7 +19,7 @@ from relaysim.agents import HonestDevice
 from relaysim.backend import BackendStore, FutureTekError
 from relaysim.params import SECONDS_PER_DAY, SimParams
 
-from oracles import aem_tx_power, brute_force_matches, hkdf16, naive_verdict, rpi_bytes
+from oracles import aem_tx_power, brute_force_matches, hkdf16, naive_verdict, risk_score, rpi_bytes
 
 HERE = (44.63, 10.94)
 FAR = (44.70, 10.94)  # where relayed packets are heard: another grid cell
@@ -84,13 +84,13 @@ def _reference_state(device: HonestDevice, backend: BackendStore, now: int):
                 params.neighborhood_cells,
                 params.neighborhood_buckets,
             )
-    risk = gaen.risk_score(all_matches, params)
+    risk = risk_score(all_matches, params)
     return risk.alert, risk.score, per_diagnosis, verdicts
 
 
 def _check(device: HonestDevice, backend: BackendStore, now: int) -> None:
     state = device.evaluate_exposure()
-    matches = {d: chunk.matches for d, chunk in device.downloaded.items() if chunk.matches}
+    matches = {d: m for d in device.downloaded if (m := device.chunk_matches(d))}
     assert state.matches_by_diagnosis == {d: len(m) for d, m in matches.items()}
     got = (
         state.gaen_alert,

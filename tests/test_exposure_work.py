@@ -2,8 +2,10 @@
 
 The counting test pins how often a run polls and scores: once per device per
 published chunk, and once per device in all, at the final evaluation.  The
-purity test reads every device's exposure after every tick and checks that
-the report bytes do not change.
+lookup test pins how matching works: on observation runs, each looked up at
+most once in each chunk's index, with no per-sighting ``Observation`` or
+``ExposureMatch`` built.  The purity test reads every device's exposure
+after every tick and checks that the report bytes do not change.
 """
 
 from collections import Counter
@@ -28,6 +30,26 @@ def _counting(owner, attr: str, calls: Counter):
     return mock.patch.object(owner, attr, counted)
 
 
+class CountingIndex(dict):
+    """An RPI index that counts the lookups of each RPI."""
+
+    def __init__(self, index):
+        super().__init__(index)
+        self.lookups: Counter = Counter()
+
+    def get(self, rpi, default=None):
+        self.lookups[rpi] += 1
+        return super().get(rpi, default)
+
+    def __getitem__(self, rpi):
+        self.lookups[rpi] += 1
+        return super().__getitem__(rpi)
+
+    def __contains__(self, rpi):
+        self.lookups[rpi] += 1
+        return super().__contains__(rpi)
+
+
 class ReadingWorld(World):
     """Reads every device's exposure after every tick."""
 
@@ -49,6 +71,31 @@ def test_polls_once_per_chunk_and_scores_once(name):
     assert chunks == len(publishing_ticks) > 0
     assert calls["poll_backend"] == len(world.devices) * chunks
     assert calls["risk_score"] == len(world.devices)
+
+
+@pytest.mark.parametrize("name", golden_names())
+def test_each_run_is_looked_up_once_per_chunk_and_no_sighting_is_built(name):
+    world = World(golden_config(name))
+    calls: Counter = Counter()
+    rpi_index = HonestDevice._rpi_index
+
+    def counting_index(device, teks):
+        return CountingIndex(rpi_index(device, teks))
+
+    with (
+        _counting(gaen, "ExposureMatch", calls),
+        _counting(gaen, "Observation", calls),
+        mock.patch.object(HonestDevice, "_rpi_index", counting_index),
+    ):
+        world.run()
+    assert calls == Counter()
+    lookups = 0
+    for device in world.devices.values():
+        runs = Counter(run.rpi for run in device._runs)
+        for chunk in device.downloaded.values():
+            assert chunk.index.lookups <= runs  # one lookup per run at most
+            lookups += chunk.index.lookups.total()
+    assert lookups > 0
 
 
 @pytest.mark.parametrize("name", ["scenario1", "packed_small"])

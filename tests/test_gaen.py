@@ -3,12 +3,12 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relaysim import gaen
 from relaysim.params import SimParams
 
-from oracles import brute_force_matches
+from oracles import brute_force_matches, risk_score
 
 # Golden vectors: generated once from the frozen derivation chain
 # (HKDF-SHA256 labels SIM-RPIK / SIM-AEMK, HMAC-based TEK/RPI/AEM).
@@ -26,6 +26,18 @@ PARAMS = SimParams()
 
 def _obs(rpi, scan_time, *, aem=b"\x00" * 4, rssi=-50.0):
     return gaen.Observation(rpi=rpi, aem=aem, rssi=rssi, scan_time=scan_time)
+
+
+def _one_sighting_runs(matches):
+    """Each match as a match run of one sighting, in list order: the i-th
+    is given chunk i, so RPIs keep their order of first appearance."""
+    return [
+        gaen.MatchedSightings(
+            i, m.rpi, m.tx_power_dbm - m.observation.rssi,
+            range(m.observation.scan_time, m.observation.scan_time + 1),
+        )
+        for i, m in enumerate(matches)
+    ]
 
 
 class TestKeySchedule:
@@ -237,7 +249,7 @@ class TestMatching:
 
 class TestRiskScore:
     def test_empty_matches(self):
-        result = gaen.risk_score([], PARAMS)
+        result = gaen.risk_score(_one_sighting_runs([]), PARAMS)
         assert result.score == 0.0
         assert not result.alert
 
@@ -248,7 +260,7 @@ class TestRiskScore:
         aem = gaen.encrypt_aem(aemk, rpi.bytes, -20)
         observations = [_obs(rpi.bytes, t, aem=aem, rssi=-60.0) for t in range(0, 900, 10)]
         matches = gaen.match_observations([GOLDEN_TEK], observations, PARAMS)
-        result = gaen.risk_score(matches, SimParams(tick_seconds=10))
+        result = gaen.risk_score(_one_sighting_runs(matches), SimParams(tick_seconds=10))
         assert result.score == pytest.approx(15.0)
         assert result.alert
 
@@ -260,7 +272,9 @@ class TestRiskScore:
         matches = gaen.match_observations([GOLDEN_TEK], observations, PARAMS)
         shuffled = list(matches)
         random.Random(7).shuffle(shuffled)
-        assert gaen.risk_score(matches, PARAMS) == gaen.risk_score(shuffled, PARAMS)
+        assert gaen.risk_score(_one_sighting_runs(matches), PARAMS) == gaen.risk_score(
+            _one_sighting_runs(shuffled), PARAMS
+        )
 
     def test_gap_longer_than_two_beacons_splits_contact(self):
         aemk = gaen.derive_aemk(GOLDEN_TEK)
@@ -269,7 +283,7 @@ class TestRiskScore:
         times = list(range(0, 300, 10)) + list(range(1000, 1300, 10))
         observations = [_obs(rpi.bytes, t, aem=aem, rssi=-55.0) for t in times]
         matches = gaen.match_observations([GOLDEN_TEK], observations, PARAMS)
-        result = gaen.risk_score(matches, SimParams(tick_seconds=10))
+        result = gaen.risk_score(_one_sighting_runs(matches), SimParams(tick_seconds=10))
         # two 5-minute episodes, not one 21-minute span
         assert result.score == pytest.approx(10.0)
 
@@ -280,9 +294,98 @@ class TestRiskScore:
         # attenuation 75 dB > 60 dB threshold
         observations = [_obs(rpi.bytes, t, aem=aem, rssi=-95.0) for t in range(0, 1200, 10)]
         matches = gaen.match_observations([GOLDEN_TEK], observations, PARAMS)
-        result = gaen.risk_score(matches, PARAMS)
+        result = gaen.risk_score(_one_sighting_runs(matches), PARAMS)
         assert result.score == 0.0
         assert not result.alert
+
+
+A, B = b"A" * 16, b"B" * 16
+TICK = PARAMS.tick_seconds
+# The mean attenuation of three sightings at -59.9 dBm and three at -20.1 dBm,
+# with a -20 dBm transmit power, is 19.999999999999996 when they are added
+# run after run, and 20.0 when added interleaved, in sorted order, or as
+# three times each attenuation.
+ORDER_SENSITIVE_DB = 19.999999999999996
+
+
+@settings(max_examples=200, deadline=None)
+@example(
+    # Direct and relayed: two runs of one RPI at two rssi values on the same
+    # ticks, whose attenuations must be added interleaved.
+    runs=[(A, -59.9, 0, 3), (A, -20.1, 0, 3)],
+    chunks=[((-20,), ())],
+    threshold=ORDER_SENSITIVE_DB,
+)
+@example(
+    # Two runs of one RPI one tick apart, one episode: the attenuations add
+    # up run after run.
+    runs=[(A, -59.9, 0, 3), (A, -20.1, 3, 3)],
+    chunks=[((-20,), ())],
+    threshold=ORDER_SENSITIVE_DB,
+)
+@example(
+    # Runs 1, 2 and 3 ticks apart: a gap of two ticks keeps the episode, a
+    # gap of three ends it.
+    runs=[(A, -50.0, 0, 2), (A, -50.0, 3, 2), (A, -50.0, 7, 2), (A, -50.0, 12, 2)],
+    chunks=[((-20,), ())],
+    threshold=60.0,
+)
+@example(
+    # B is matched in chunk 0, A only in chunk 1 though sighted first: B's
+    # 4 tick episode must be added before A's two 1 tick episodes, since
+    # 4/6 + 1/6 + 1/6 is 0.9999999999999999 and 1/6 + 1/6 + 4/6 is 1.0.
+    runs=[(A, -50.0, 0, 1), (A, -50.0, 4, 1), (B, -50.0, 6, 4)],
+    chunks=[((), (-20,)), ((-20,), ())],
+    threshold=60.0,
+)
+@example(
+    # Attenuations whose sum depends on the order, in two chunks that share
+    # the RPIs, one of them under two keys (entries).
+    runs=[(A, -59.9, 0, 3), (B, -79.7, 4, 2), (A, -20.1, 1, 3), (B, -60.1, 4, 5)],
+    chunks=[((), (0,)), ((-20, 0), (-20,))],
+    threshold=ORDER_SENSITIVE_DB,
+)
+@given(
+    runs=st.lists(
+        st.tuples(
+            st.sampled_from([A, B]),
+            st.sampled_from([-20.1, -50.0, -59.9, -60.1, -79.7]),
+            st.integers(0, 12),  # first tick
+            st.integers(1, 6),  # ticks
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    # per chunk, the transmit power of each of A's and B's entries
+    chunks=st.lists(
+        st.tuples(*[st.lists(st.sampled_from([-20, 0]), max_size=2).map(tuple)] * 2),
+        min_size=1,
+        max_size=3,
+    ),
+    threshold=st.sampled_from([60.0, 40.0, ORDER_SENSITIVE_DB]),
+)
+def test_risk_score_over_match_runs_equals_per_sighting_score(runs, chunks, threshold):
+    params = SimParams(attenuation_threshold_db=threshold)
+    tek = gaen.Tek(bytes(16), 0)
+    scored, per_sighting = [], []
+    for chunk, entries in enumerate(chunks):
+        matched = [
+            (i, j, rpi, rssi, tx, range(first * TICK, (first + ticks) * TICK, TICK))
+            for i, (rpi, rssi, first, ticks) in enumerate(runs)
+            for j, tx in enumerate(entries[rpi == B])
+        ]
+        scored += [
+            gaen.MatchedSightings(chunk, rpi, tx - rssi, times)
+            for *_, rpi, rssi, tx, times in matched
+        ]
+        per_sighting += [
+            gaen.ExposureMatch(tek, rpi, 0, tx, _obs(rpi, t, rssi=rssi))
+            for t, _, _, rpi, rssi, tx in sorted(
+                (t, i, j, rpi, rssi, tx) for i, j, rpi, rssi, tx, times in matched for t in times
+            )
+        ]
+    got, expected = gaen.risk_score(scored, params), risk_score(per_sighting, params)
+    assert (got.score.hex(), got.alert) == (expected.score.hex(), expected.alert)
 
 
 @given(tx=st.integers(min_value=-127, max_value=127), key=st.binary(min_size=16, max_size=16))

@@ -13,25 +13,34 @@ as ``oracles.EveryTickWorld``, which polls for every device on every tick
 and scores each exposure as soon as a poll brings a chunk; the reports and
 device states must be identical.
 
-The third property runs random worlds with adversaries once as they are and
+The third property runs random worlds in which one actor is diagnosed twice,
+so that two chunks share RPIs, against the per-sighting reference, and
+compares for every device each chunk's matches expanded in order, the match
+counts, the risk score's bits and the verdicts with their RPIs, and the
+match events.
+
+The fourth property runs random worlds with adversaries once as they are and
 once with ``oracles.PER_CAPTURE_ADVERSARIES``, the capture database as one
 entry per capture and a rebroadcaster that rescans it on every tick; the
 reports and the captures must be identical.  Short replay windows and
 skipped ticks make runs leave the window while open or after they close.
 
-The fourth property feeds one device and its reference the same inboxes
+The fifth property feeds one device and its reference the same inboxes
 directly: fresh ones and the same object again, after one or more ticks,
 across the device's own rotations (an inbox may carry its own current or
 earlier packet) and time buckets, with duplicate packets heard at two
-rssi values and with the device moving under an unchanged inbox.
+rssi values and with the device moving under an unchanged inbox.  A chunk
+holding every stored RPI then matches exactly the sightings inside its
+window and before its cursor.
 """
 
+from itertools import combinations
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from relaysim import radio, scenario
-from relaysim.agents import HonestDevice
+from relaysim import gaen, radio, scenario
+from relaysim.agents import DownloadedChunk, HonestDevice
 from relaysim.params import SimParams
 
 from oracles import PER_CAPTURE_ADVERSARIES, EveryTickWorld, PerSightingDevice
@@ -48,8 +57,10 @@ def _at(place: str, jitter_m: tuple[int, int]) -> list[float]:
 
 
 @st.composite
-def worlds(draw, attacked=st.booleans()):
-    """A scenario config and the tick times to run (the last is never skipped)."""
+def worlds(draw, attacked=st.booleans(), twice=st.just(False)):
+    """A scenario config and the tick times to run (the last is never skipped).
+    With ``twice``, the first diagnosed actor is diagnosed again, at the same
+    tick or later, so two chunks share its RPIs."""
     places = list(PLACES)[: draw(st.integers(1, 2))]
     duration = draw(st.sampled_from([900, 1500]))
     ticks = duration // TICK
@@ -73,16 +84,20 @@ def worlds(draw, attacked=st.booleans()):
                 ]
             }
         actors.append(actor)
+    diagnoses = [
+        {"actor": f"d{draw(st.integers(0, len(actors) - 1))}", "at_time": t * TICK}
+        for t in draw(st.lists(st.integers(0, ticks - 1), min_size=1, max_size=3))
+    ]
+    if draw(twice):
+        again = draw(st.integers(diagnoses[0]["at_time"] // TICK, ticks - 1)) * TICK
+        diagnoses.append({"actor": diagnoses[0]["actor"], "at_time": again})
     config = {
         "name": "runs",
         "seed": draw(st.integers(0, 3)),
         "duration": duration,
         "places": [{"name": p, "lat": PLACES[p][0], "lon": PLACES[p][1]} for p in places],
         "actors": actors,
-        "diagnosis_events": [
-            {"actor": f"d{draw(st.integers(0, len(actors) - 1))}", "at_time": t * TICK}
-            for t in draw(st.lists(st.integers(0, ticks - 1), min_size=1, max_size=3))
-        ],
+        "diagnosis_events": diagnoses,
         "params": {
             "rotation_seconds": draw(st.sampled_from([600, 7200])),
             "clock_tolerance_seconds": draw(st.sampled_from([0, 30])),
@@ -122,10 +137,40 @@ def _run(
     return world
 
 
+# d0 is diagnosed twice, so the two chunks carry the same keys and every
+# sighting of d0 matches both; the second upload comes after the first
+# chunk's matches are scored, and the relay adds sightings far away.
+DIAGNOSED_TWICE = (
+    {
+        "name": "runs",
+        "duration": 1500,
+        "places": [
+            {"name": "P0", "lat": 0.0, "lon": 0.0},
+            {"name": "P1", "lat": 0.01, "lon": 0.0},
+        ],
+        "actors": [
+            {"name": "d0", "place": "P0", "actguard": True, "position": _at("P0", (0, 0))},
+            {"name": "d1", "place": "P0", "actguard": True, "position": _at("P0", (3, 0))},
+            {"name": "d2", "place": "P0", "position": _at("P0", (0, 3))},
+            {"name": "d3", "place": "P1", "actguard": True, "position": _at("P1", (0, 0))},
+            {"name": "sniffer", "role": "sniffer", "place": "P0"},
+            {"name": "rebroadcaster", "role": "rebroadcaster", "place": "P1"},
+        ],
+        "attack": {"relay_delay": 60, "replay_ttl": 7200},
+        "diagnosis_events": [
+            {"actor": "d0", "at_time": 300},
+            {"actor": "d0", "at_time": 900},
+        ],
+        "params": {"rotation_seconds": 600, "clock_tolerance_seconds": 30},
+    },
+    [t for t in range(0, 1500, TICK) if t not in (500, 900, 910)],
+)
+
+
 def _state(device: HonestDevice) -> tuple:
     return (
         device.observations,
-        {d: chunk.matches for d, chunk in device.downloaded.items()},
+        {d: device.chunk_matches(d) for d in device.downloaded},
         set(device.contacts.records) if device.contacts is not None else None,
     )
 
@@ -165,36 +210,7 @@ def test_worlds_with_runs_equal_per_sighting_worlds(world):
 
 
 @settings(max_examples=40, deadline=None)
-@example(
-    # d0 is diagnosed twice, so the two chunks carry the same keys and every
-    # sighting of d0 matches both; the second upload comes after the first
-    # chunk's matches are scored, and the relay adds sightings far away.
-    world=(
-        {
-            "name": "runs",
-            "duration": 1500,
-            "places": [
-                {"name": "P0", "lat": 0.0, "lon": 0.0},
-                {"name": "P1", "lat": 0.01, "lon": 0.0},
-            ],
-            "actors": [
-                {"name": "d0", "place": "P0", "actguard": True, "position": _at("P0", (0, 0))},
-                {"name": "d1", "place": "P0", "actguard": True, "position": _at("P0", (3, 0))},
-                {"name": "d2", "place": "P0", "position": _at("P0", (0, 3))},
-                {"name": "d3", "place": "P1", "actguard": True, "position": _at("P1", (0, 0))},
-                {"name": "sniffer", "role": "sniffer", "place": "P0"},
-                {"name": "rebroadcaster", "role": "rebroadcaster", "place": "P1"},
-            ],
-            "attack": {"relay_delay": 60, "replay_ttl": 7200},
-            "diagnosis_events": [
-                {"actor": "d0", "at_time": 300},
-                {"actor": "d0", "at_time": 900},
-            ],
-            "params": {"rotation_seconds": 600, "clock_tolerance_seconds": 30},
-        },
-        [t for t in range(0, 1500, TICK) if t not in (500, 900, 910)],
-    )
-)
+@example(world=DIAGNOSED_TWICE)
 @given(world=worlds())
 def test_event_driven_exposure_equals_every_tick_exposure(world):
     config, times = world
@@ -203,6 +219,33 @@ def test_event_driven_exposure_equals_every_tick_exposure(world):
     assert events._report().to_json_bytes() == reference._report().to_json_bytes()
     for name, device in events.devices.items():
         assert _state(device) == _state(reference.devices[name]), name
+
+
+def _exposure(world: scenario.World) -> tuple:
+    """Per device, each chunk's expanded matches, the match counts, the
+    risk score's bits, the alert and each verdict with its RPI; and the
+    match events."""
+    devices = {}
+    for name, device in world.devices.items():
+        exposure = device.exposure
+        devices[name] = (
+            {d: device.chunk_matches(d) for d in device.downloaded},
+            exposure.matches_by_diagnosis,
+            exposure.risk_score.hex(),
+            exposure.gaen_alert,
+            {d: (v.kind, v.rpi) for d, v in exposure.verdicts.items()},
+        )
+    return devices, [e for e in world.events if e["event"] == "match"]
+
+
+@settings(max_examples=40, deadline=None)
+@example(world=DIAGNOSED_TWICE)
+@given(world=worlds(twice=st.just(True)))
+def test_chunks_sharing_rpis_match_and_score_as_per_sighting(world):
+    config, times = world
+    runs = _run(config, times)
+    reference = _run(config, times, PerSightingDevice)
+    assert _exposure(runs) == _exposure(reference)
 
 
 @settings(max_examples=40, deadline=None)
@@ -318,7 +361,14 @@ def test_any_inbox_sequence_stores_what_per_sighting_stores(steps, start, rotati
     assert device.observations == expected
     if defended:
         assert list(device.contacts.records) == list(reference.contacts.records)
-    rpis = {o.rpi: [] for o in expected}
-    for since in {o.scan_time for o in expected[::3]} | {now + 1}:
-        got = device._observations_in(rpis, since)
-        assert got == [o for o in expected if o.scan_time >= since]
+    # A chunk holding every stored RPI in one window matches the sightings
+    # inside the window and before its cursor, open runs clipped too.
+    tek = gaen.Tek(bytes(16), 0)
+    cuts = sorted({o.scan_time for o in expected[::3]} | {now + 1})
+    for since, until in combinations(cuts, 2):
+        entry = gaen.IndexedRpi(tek, gaen.derive_aemk(tek), 0, since, now + 1)
+        chunk = DownloadedChunk({o.rpi: [entry] for o in expected}, None, cursor=until)
+        device.downloaded[0] = chunk
+        device._look_up(chunk)
+        got = [m.observation for m in device.chunk_matches(0)]
+        assert got == [o for o in expected if since <= o.scan_time < until]

@@ -3,7 +3,9 @@
 For every golden config these tests pin, from outside the package, that:
 no ``radio.Station`` is built on a tick where no actor's position or
 packets changed; an actor is handed a new inbox object only on a tick
-where its deliveries differ by value from its last inbox; the capture
+where its deliveries differ by value from its last inbox; a walker keeps
+its position object while its position is equal, and no tick rescans its
+waypoints through ``ActorSpec.position_at``; the capture
 database opens one run per new sniffer inbox
 that holds a protocol packet, not one entry per tick; and the rebroadcaster
 recomputes its replay queue only on a tick where the database opened a run
@@ -19,7 +21,7 @@ import pytest
 
 from relaysim import radio
 from relaysim.agents import RebroadcastAdversary, SnifferAdversary
-from relaysim.scenario import World
+from relaysim.scenario import ActorSpec, World
 
 from golden.gen_reports import golden_config, golden_names
 
@@ -101,6 +103,22 @@ def test_a_new_inbox_only_when_its_deliveries_change(name):
         assert len(inboxes) == ticks
         for last, inbox in zip(inboxes, inboxes[1:]):
             assert inbox is last or inbox != last
+
+
+@pytest.mark.parametrize("name", golden_names())
+def test_a_walker_keeps_its_position_object_while_it_stays(name):
+    world = World(golden_config(name))
+    rescans: list = []
+    moves = 0
+    with _recording(ActorSpec, "position_at", rescans):
+        for _ in range(world.config.duration // world.params.tick_seconds):
+            before = [a.position for a in world.actors]
+            world.step()
+            for last, position in zip(before, [a.position for a in world.actors]):
+                assert (position is last) == (position == last)
+                moves += position is not last
+    assert rescans == []
+    assert (moves > 0) == any(spec.waypoints for spec in world.config.actors)
 
 
 @pytest.mark.parametrize("name", golden_names())

@@ -387,10 +387,10 @@ class HonestDevice:
     Matching works on runs, never on single sightings.  Each run is looked
     up once in each downloaded chunk's index: a new chunk looks up every
     run, later passes only the runs opened since.  A run whose RPI the
-    index holds becomes a match run per entry of that RPI; its matches are
-    the run's scan times inside the entry's window, widened by the clock
-    tolerance, and before the chunk's scan-time cursor, so an extended run
-    needs no new lookup.  Matching runs only when a poll brings new chunks
+    index holds becomes a match run per entry of that RPI it can still
+    match (see ``_look_up``); its matches are the run's scan times inside
+    the entry's window, widened by the clock tolerance, and before the
+    chunk's scan-time cursor, so an extended run needs no new lookup.  Matching runs only when a poll brings new chunks
     and at ``evaluate_exposure``; it moves each chunk's cursor and updates
     ``matches_by_diagnosis``, which is all ``match_events`` reads.  The
     risk score and the verdicts are computed only when ``exposure`` is
@@ -596,11 +596,10 @@ class HonestDevice:
         """Look up the runs opened since each chunk's last pass, move its
         cursor past the last scan and update its match count."""
         end = self._last_scan + 1
-        opened = len(self._runs)
         self._close_runs()
         for diagnosis_id, chunk in self.downloaded.items():
             if chunk.cursor < end:
-                if chunk.looked_up < opened:
+                if chunk.looked_up < len(self._runs):
                     self._look_up(chunk)
                 chunk.cursor = end
                 if not chunk.match_runs:
@@ -612,11 +611,19 @@ class HonestDevice:
 
     def _look_up(self, chunk: DownloadedChunk) -> None:
         """Add a match run for each entry the chunk's index holds for a run
-        opened since its last lookup."""
+        opened since its last lookup, unless the run can never match it:
+        it starts after the entry's widened window, or it is closed and
+        ends before the window.  The open runs' ``last`` must be current."""
         runs = self._runs
+        tolerance = self.params.clock_tolerance_seconds
+        first_open = len(runs) - len(self._open_runs)  # the open runs are the last ones
         for i in range(chunk.looked_up, len(runs)):
             run = runs[i]
             for j, entry in enumerate(chunk.index.get(run.rpi, ())):
+                if run.first >= entry.end + tolerance or (
+                    run.last < entry.start - tolerance and i < first_open
+                ):
+                    continue
                 tx = gaen.decrypt_aem(entry.aemk, run.rpi, run.aem)
                 chunk.match_runs.append(gaen.MatchRun(i, j, entry, tx))
         chunk.looked_up = len(runs)
@@ -677,7 +684,7 @@ class HonestDevice:
                 for times, match, run in matched
             ]
             if self.contacts is not None:
-                verdicts[diagnosis_id] = self._verdict_for(diagnosis_id, chunk)
+                verdicts[diagnosis_id] = self._verdict_for(diagnosis_id, chunk, matched)
         risk = gaen.risk_score(scored, self.params)
         return ExposureState(
             gaen_alert=risk.alert,
@@ -686,13 +693,14 @@ class HonestDevice:
             matches_by_diagnosis=dict(self.matches_by_diagnosis),
         )
 
-    def _verdict_for(self, diagnosis_id: int, chunk: DownloadedChunk) -> actguard.Verdict:
+    def _verdict_for(
+        self, diagnosis_id: int, chunk: DownloadedChunk, matched: list[ClippedRun]
+    ) -> actguard.Verdict:
         # One verdict per diagnosis: confirmation by any match wins, else the
         # first match's verdict.  A match's verdict depends only on its RPI,
         # so each distinct RPI is verified once, in first-match order: by
         # (scan time, run, entry) of each match run's first match.
         assert self.contacts is not None
-        matched = self._matched(chunk)
         first_by_rpi: dict[bytes, ObservationRun] = {}
         for _, _, _, run in sorted((times[0], m.run, m.entry, run) for times, m, run in matched):
             first_by_rpi.setdefault(run.rpi, run)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hmac
 import hashlib
 import struct
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -264,22 +264,12 @@ def risk_score(matches: list[MatchedSightings], params: SimParams) -> RiskResult
 
     score = 0.0
     for group in sorted(groups.values(), key=first_match):
-        # (scan times, attenuation) in sighting order
-        spans: list[tuple[Sequence[int], float]] = [
-            (matches[i].times, matches[i].attenuation)
-            for _, i in sorted((matches[i].times[0], i) for i in group)
-        ]
-        if any(b[0][0] <= a[0][-1] for a, b in zip(spans, spans[1:])):  # runs overlap
-            spans = [
-                ((t,), matches[i].attenuation)
-                for t, i in sorted((t, i) for i in group for t in matches[i].times)
-            ]
         episodes: list[list] = []  # [first, last, attenuations]
-        for times, attenuation in spans:
-            if not episodes or times[0] - episodes[-1][1] > 2 * tick:
-                episodes.append([times[0], times[-1], []])
-            episodes[-1][1] = times[-1]
-            episodes[-1][2] += [attenuation] * len(times)
+        for t, i in sorted((t, i) for i in group for t in matches[i].times):
+            if not episodes or t - episodes[-1][1] > 2 * tick:
+                episodes.append([t, t, []])
+            episodes[-1][1] = t
+            episodes[-1][2].append(matches[i].attenuation)
         for first, last, attenuations in episodes:
             if sum(attenuations) / len(attenuations) <= params.attenuation_threshold_db:
                 score += (last - first + tick) / 60.0

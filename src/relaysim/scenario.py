@@ -78,15 +78,6 @@ class ActorSpec:
     position: tuple[float, float] | None = None
     waypoints: tuple[Waypoint, ...] = ()
 
-    def position_at(self, now: int, places: dict[str, radio.Place]) -> tuple[float, float]:
-        pos = self.position if self.position is not None else places[self.place].center
-        for wp in self.waypoints:
-            if wp.at <= now:
-                pos = (wp.lat, wp.lon)
-            else:
-                break
-        return pos
-
 
 @dataclass(frozen=True)
 class DiagnosisEvent:
@@ -389,7 +380,10 @@ class World:
         self._packets: list = [None] * len(self.actors)  # last tick's objects
 
     def _new_actor(self, spec: ActorSpec, rpi_indexes: dict):
-        position = spec.position_at(0, self.config.places)
+        # A waypoint at or before time 0 is reached on the first tick.
+        position = spec.position
+        if position is None:
+            position = self.config.places[spec.place].center
         if spec.role == "sniffer":
             return SnifferAdversary(
                 spec.name, position, spec.place, self.database, params=self.params

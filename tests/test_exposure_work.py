@@ -4,7 +4,7 @@ The counting test pins how often a run polls and scores: once per device per
 published chunk, and once per device in all, at the final evaluation.  The
 lookup test pins how matching works: on observation runs, each looked up at
 most once in each chunk's index, with no per-sighting ``Observation`` or
-``ExposureMatch`` built.  The purity test reads every device's exposure
+``ExposureMatch`` built and no match run kept that can never match.  The purity test reads every device's exposure
 after every tick and checks that the report bytes do not change.
 """
 
@@ -89,12 +89,19 @@ def test_each_run_is_looked_up_once_per_chunk_and_no_sighting_is_built(name):
     ):
         world.run()
     assert calls == Counter()
+    tolerance = world.params.clock_tolerance_seconds
     lookups = 0
     for device in world.devices.values():
         runs = Counter(run.rpi for run in device._runs)
         for chunk in device.downloaded.values():
             assert chunk.index.lookups <= runs  # one lookup per run at most
             lookups += chunk.index.lookups.total()
+            # A match run that never matched was open when it was looked up:
+            # it ended before the entry's widened window.
+            matched = {(m.run, m.entry) for _, m, _ in device._matched(chunk)}
+            for m in chunk.match_runs:
+                if (m.run, m.entry) not in matched:
+                    assert device._runs[m.run].last < m.indexed.start - tolerance
     assert lookups > 0
 
 

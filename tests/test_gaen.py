@@ -317,6 +317,14 @@ ORDER_SENSITIVE_DB = 19.999999999999996
     threshold=ORDER_SENSITIVE_DB,
 )
 @example(
+    # The same two runs at -20.1 and -79.7 dBm on the same two ticks: their
+    # mean attenuation is 29.900000000000002 when each tick adds the earlier
+    # run's first, and 29.9 the other way round.
+    runs=[(A, -20.1, 0, 2), (A, -79.7, 0, 2)],
+    chunks=[((-20,), ())],
+    threshold=29.9,
+)
+@example(
     # Two runs of one RPI one tick apart, one episode: the attenuations add
     # up run after run.
     runs=[(A, -59.9, 0, 3), (A, -20.1, 3, 3)],

@@ -4,8 +4,8 @@ For every golden config these tests pin, from outside the package, that:
 no ``radio.Station`` is built on a tick where no actor's position or
 packets changed; an actor is handed a new inbox object only on a tick
 where its deliveries differ by value from its last inbox; a walker keeps
-its position object while its position is equal, and no tick rescans its
-waypoints through ``ActorSpec.position_at``; the capture
+its position object while its position is equal, and its waypoint cursor
+only moves forward, to the waypoints reached by the tick; the capture
 database opens one run per new sniffer inbox
 that holds a protocol packet, not one entry per tick; and the rebroadcaster
 recomputes its replay queue only on a tick where the database opened a run
@@ -105,19 +105,30 @@ def test_a_new_inbox_only_when_its_deliveries_change(name):
             assert inbox is last or inbox != last
 
 
+def _position_at(spec: ActorSpec, now: int, places) -> tuple[float, float]:
+    """The last waypoint reached by ``now``, else the actor's start."""
+    reached = [(w.lat, w.lon) for w in spec.waypoints if w.at <= now]
+    if reached:
+        return reached[-1]
+    return spec.position if spec.position is not None else places[spec.place].center
+
+
 @pytest.mark.parametrize("name", golden_names())
 def test_a_walker_keeps_its_position_object_while_it_stays(name):
     world = World(golden_config(name))
-    rescans: list = []
+    specs = {spec.name: spec for spec in world.config.actors}
     moves = 0
-    with _recording(ActorSpec, "position_at", rescans):
-        for _ in range(world.config.duration // world.params.tick_seconds):
-            before = [a.position for a in world.actors]
-            world.step()
-            for last, position in zip(before, [a.position for a in world.actors]):
-                assert (position is last) == (position == last)
-                moves += position is not last
-    assert rescans == []
+    for _ in range(world.config.duration // world.params.tick_seconds):
+        now = world.now
+        before = [a.position for a in world.actors]
+        cursors = [reached for _, _, reached in world._movers]
+        world.step()
+        for actor, last in zip(world.actors, before):
+            assert actor.position == _position_at(specs[actor.name], now, world.config.places)
+            assert (actor.position is last) == (actor.position == last)
+            moves += actor.position is not last
+        for (_, waypoints, reached), cursor in zip(world._movers, cursors):
+            assert cursor <= reached == sum(at <= now for at, _ in waypoints)
     assert (moves > 0) == any(spec.waypoints for spec in world.config.actors)
 
 

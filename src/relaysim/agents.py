@@ -56,8 +56,8 @@ class MaliciousDatabase:
     tick, as the world's tick loop runs them in the name order it made them
     in.  A sniffer's new inbox closes its open run and opens one for the
     inbox's packets; the same inbox one tick later extends the open run, in
-    O(1) however many packets it holds.  ``append`` records one capture made
-    outside any sniffer, ordered before every sniffer's made at its time.
+    O(1) however many packets it holds.  Rank -1 records captures made
+    outside any sniffer, ordered before every sniffer's made at their time.
     ``runs`` only grows, by one run per opening, in opening order.
     """
 
@@ -98,11 +98,6 @@ class MaliciousDatabase:
         self._at(now)
         run.last = now
         return len(run.packets)
-
-    def append(self, packet: bytes, capture_time: int) -> bool:
-        """Record one capture made outside any sniffer, as rank -1; True
-        when the packet was never captured before."""
-        return bool(self.capture(-1, (packet,), capture_time, 1))
 
     def is_open(self, run: CaptureRun) -> bool:
         """Whether ``run`` may still be extended."""

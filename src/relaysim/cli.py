@@ -13,6 +13,13 @@ from .params import SimParams
 from .wire import BackendHTTPServer
 
 
+def _port(text: str) -> int:
+    port = int(text)
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"must be 0-65535, got {port}")
+    return port
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relaysim",
@@ -29,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-scenarios", help="list bundled scenario names")
 
     serve_p = sub.add_parser("serve-backend", help="serve the backend over HTTP")
-    serve_p.add_argument("--port", type=int, default=8470)
+    serve_p.add_argument("--port", type=_port, default=8470)
     serve_p.add_argument("--host", default="127.0.0.1")
     return parser
 
@@ -53,7 +60,11 @@ def main(argv: list[str] | None = None) -> int:
         report = scenario.run(config)
         blob = scenario.emit_report(report, args.format)
         if args.out is not None:
-            args.out.write_bytes(blob)
+            try:
+                args.out.write_bytes(blob)
+            except OSError as exc:
+                print(f"relaysim: cannot write the report: {exc}", file=sys.stderr)
+                return 2
         else:
             sys.stdout.write(blob.decode())
         return 0
@@ -61,9 +72,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "serve-backend":
         params = SimParams()
         store = BackendStore(params)  # secrets-backed OTPs outside simulation runs
-        server = BackendHTTPServer(
-            store, lambda: int(time.time()), params, host=args.host, port=args.port
-        )
+        try:
+            server = BackendHTTPServer(
+                store, lambda: int(time.time()), params, host=args.host, port=args.port
+            )
+        except OSError as exc:  # an unknown host, or a port in use or not ours to bind
+            print(f"relaysim: cannot serve on {args.host}:{args.port}: {exc}", file=sys.stderr)
+            return 2
         print(f"backend listening on http://{args.host}:{server.port}", file=sys.stderr)
         try:
             server.serve_forever()

@@ -1,5 +1,7 @@
 """Simulated world plumbing: places, advertisement packets, range, delivery.
 
+Who hears whom is a link table built over a cell-list grid (``link_table``).
+
 The over-the-air record is frozen at 22 bytes: the 16-bit service UUID
 0xFD6F little-endian, then 16 bytes of RPI, then 4 bytes of AEM.  Anything
 that does not parse to that shape is classified as a non-protocol packet,
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple
 
 from .gaen import AEM_LENGTH, RPI_LENGTH
@@ -98,19 +101,36 @@ def link_table(stations: list[Station], params: SimParams) -> LinkTable:
     """For each sender, the (receiver name, rssi) of every station in range,
     in receiver-name order.  rssi = tx_power - path_loss(distance), so a
     table stays valid until a station moves.
+
+    A cell list: stations are bucketed into cubes a metre wider than the
+    range by their Earth-centred x, y, z on the ``EARTH_RADIUS_M`` sphere,
+    and each sender measures only the 27 cubes around its own.  A chord is
+    never longer than its arc, so no station in range is missed, at the
+    poles and across the antimeridian too.
     """
     ordered = sorted(stations, key=lambda s: s.name)
+    # The extra metre covers coordinate rounding at Earth radius and keeps cube indices finite.
+    scale = EARTH_RADIUS_M / (params.ble_range_m + 1.0)
+    cubes: dict[tuple[int, int, int], list[int]] = {}
+    for n, station in enumerate(ordered):
+        lat, lon = math.radians(station.position[0]), math.radians(station.position[1])
+        x, y, z = math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)
+        home = (math.floor(scale * x), math.floor(scale * y), math.floor(scale * z))
+        cubes.setdefault(home, []).append(n)
     table: LinkTable = {}
-    for sender in ordered:
-        links = []
-        for receiver in ordered:
-            if receiver.name == sender.name:
-                continue
-            distance = haversine_m(sender.position, receiver.position)
-            if distance > params.ble_range_m:
-                continue
-            links.append((receiver.name, params.tx_power_dbm - path_loss_db(distance, params)))
-        table[sender.name] = tuple(links)
+    for home, members in cubes.items():
+        around = product(*(range(a - 1, a + 2) for a in home))
+        near = [ordered[n] for n in sorted(n for c in around for n in cubes.get(c, ()))]
+        for sender in (ordered[n] for n in members):
+            links = []
+            for receiver in near:
+                if receiver.name == sender.name:
+                    continue
+                distance = haversine_m(sender.position, receiver.position)
+                if distance > params.ble_range_m:
+                    continue
+                links.append((receiver.name, params.tx_power_dbm - path_loss_db(distance, params)))
+            table[sender.name] = tuple(links)
     return table
 
 

@@ -5,14 +5,14 @@ formulas) on purpose: the derivation chain re-implements RFC 5869 by hand,
 the matcher is a quadratic
 cross-product scan instead of an index, and the distance uses the spherical
 law of cosines instead of the haversine form.  The one exception is the
-fan-out oracle, which keeps the package's distance and path-loss arithmetic
-so that rssi values compare exactly, the per-sighting device, which keeps
-the package's protocol code and replaces how sightings are stored, matched
-and scored with one ``Observation`` and one ``ExposureMatch`` per sighting,
-the every-tick world, which keeps the package's
-tick phases and replaces only when exposure work runs, and the per-capture
-adversaries, which store one entry per capture and rescan the replay window
-on every tick.
+all-pairs link table and fan-out, which keep the package's distance and
+path-loss arithmetic so that rssi values compare exactly, the per-sighting
+device, which keeps the package's protocol code and replaces how sightings
+are stored, matched and scored with one ``Observation`` and one
+``ExposureMatch`` per sighting, the every-tick world, which keeps the
+package's tick phases and replaces only when exposure work runs, and the
+per-capture adversaries, which store one entry per capture and rescan the
+replay window on every tick.
 """
 
 from __future__ import annotations
@@ -125,28 +125,38 @@ def naive_verdict(match_rpis, records, batch, neighborhood_cells, neighborhood_b
     return first
 
 
-def naive_deliveries(stations, params):
-    """Examine every sender/receiver pair afresh, with no link table:
-    deliveries in sender, receiver, packet order."""
-    from relaysim.radio import Delivery, haversine_m, path_loss_db
+def naive_links(stations, params):
+    """Measure every sender/receiver pair, with no grid: each sender's
+    (receiver name, rssi) links in receiver-name order."""
+    from relaysim.radio import haversine_m, path_loss_db
 
     ordered = sorted(stations, key=lambda s: s.name)
-    deliveries = []
+    table = {}
     for sender in ordered:
-        if not sender.packets:
-            continue
+        links = []
         for receiver in ordered:
             if receiver.name == sender.name:
                 continue
             distance = haversine_m(sender.position, receiver.position)
             if distance > params.ble_range_m:
                 continue
-            rssi = params.tx_power_dbm - path_loss_db(distance, params)
-            for packet in sender.packets:
-                deliveries.append(
-                    Delivery(sender=sender.name, receiver=receiver.name, packet=packet, rssi=rssi)
-                )
-    return deliveries
+            links.append((receiver.name, params.tx_power_dbm - path_loss_db(distance, params)))
+        table[sender.name] = tuple(links)
+    return table
+
+
+def naive_deliveries(stations, params):
+    """Every station's packets along links measured afresh for every pair
+    (``naive_links``): deliveries in sender, receiver, packet order."""
+    from relaysim.radio import Delivery
+
+    links = naive_links(stations, params)
+    return [
+        Delivery(sender=sender.name, receiver=receiver, packet=packet, rssi=rssi)
+        for sender in sorted(stations, key=lambda s: s.name)
+        for receiver, rssi in links[sender.name]
+        for packet in sender.packets
+    ]
 
 
 def naive_replay_queue(captures, now, relay_delay, replay_ttl):

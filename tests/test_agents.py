@@ -165,7 +165,7 @@ class TestRebroadcaster:
         db = MaliciousDatabase()
         adv = RebroadcastAdversary("adv1", HERE, AttackSpec(relay_delay=60, replay_ttl=7200), db)
         packet, _, _ = _peer_packet()
-        db.append(packet, capture_time=0)
+        db.capture(-1, (packet,), 0, 1)
         assert adv.rebroadcast_tick(50) == ()
         assert adv.rebroadcast_tick(60) == (packet,)
 
@@ -173,7 +173,7 @@ class TestRebroadcaster:
         db = MaliciousDatabase()
         adv = RebroadcastAdversary("adv1", HERE, AttackSpec(relay_delay=0, replay_ttl=7200), db)
         packet, _, _ = _peer_packet()
-        db.append(packet, capture_time=100)
+        db.capture(-1, (packet,), 100, 1)
         assert adv.rebroadcast_tick(7200) == (packet,)
         assert adv.rebroadcast_tick(7300) == ()
 
@@ -181,7 +181,7 @@ class TestRebroadcaster:
         db = MaliciousDatabase()
         adv = RebroadcastAdversary("adv1", HERE, AttackSpec(relay_delay=0), db)
         packet, _, _ = _peer_packet()
-        db.append(packet, capture_time=0)
+        db.capture(-1, (packet,), 0, 1)
         (replayed,) = adv.rebroadcast_tick(10)
         assert replayed == packet
         assert any(e.packet == replayed for e in db.entries)
@@ -191,14 +191,14 @@ class TestRebroadcaster:
         adv = RebroadcastAdversary("adv1", HERE, AttackSpec(relay_delay=0), db)
         packet, _, _ = _peer_packet()
         for t in (0, 10, 20):
-            db.append(packet, capture_time=t)
+            db.capture(-1, (packet,), t, 1)
         assert adv.rebroadcast_tick(30) == (packet,)
 
     def test_out_of_order_capture_rejected(self):
         db = MaliciousDatabase()
-        db.append(b"a", capture_time=10)
+        db.capture(-1, (b"a",), 10, 1)
         with pytest.raises(ValueError, match="precedes"):
-            db.append(b"b", capture_time=9)
+            db.capture(-1, (b"b",), 9, 1)
 
     @settings(max_examples=300, deadline=None)
     @example(
@@ -268,7 +268,7 @@ class TestRebroadcaster:
         for op in ops:
             now += op[-1]
             if op[0] == "capture":
-                db.append(packets[op[1]], capture_time=now)
+                db.capture(-1, (packets[op[1]],), now, 1)
                 captures.append((now, -1, packets[op[1]]))
             elif op[0] == "scan":
                 _, i, fresh, _ = op

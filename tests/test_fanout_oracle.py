@@ -3,7 +3,7 @@ tick by tick."""
 
 import math
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from relaysim import radio, scenario
 
@@ -25,7 +25,7 @@ def _runs(draw):
     """Stations' first offsets, then per tick the moves (station index, new
     offset or None to stay) and every station's packets."""
     n = draw(st.integers(2, 8))
-    origin = (draw(st.floats(-80.0, 80.0)), draw(st.floats(-179.0, 179.0)))
+    origin = (draw(st.floats(-90.0, 90.0)), draw(st.floats(-180.0, 180.0)))
     start = draw(st.lists(OFFSET_M, min_size=n, max_size=n))
     packets = st.lists(st.binary(min_size=1, max_size=4), max_size=2)
     ticks = draw(
@@ -41,7 +41,21 @@ def _runs(draw):
     return origin, start, ticks
 
 
+# Stations around a point 1.1 m from the north pole, some moving over it,
+# and on both sides of the antimeridian.
 @given(_runs())
+@example(
+    ((89.99999, 0.0), [(0.0, 0.0), (9.0, 0.0), (-9.0, 3.0)],
+     [([(1, (12.0, -4.0))], [[b"a"], [b"b"], []]), ([(0, (-5.0, 5.0)), (2, None)], [[b"a"]] * 3)])
+)
+@example(
+    ((10.0, 179.99999), [(0.0, 0.0), (0.0, 2.0), (0.0, -2.0)],
+     [([], [[b"a"], [b"b"], [b"c"]]), ([(1, (0.0, 9.0)), (2, (0.0, -12.0))], [[b"a"]] * 3)])
+)
+@example(
+    ((-10.0, -179.99999), [(0.0, 0.0), (0.0, 2.0), (0.0, -2.0)],
+     [([], [[b"a"], [b"b"], [b"c"]]), ([(1, (0.0, 9.0)), (2, (0.0, -12.0))], [[b"a"]] * 3)])
+)
 def test_cached_fanout_equals_all_pairs(run):
     origin, offsets, ticks = run
     config = scenario.load_config(

@@ -1,12 +1,14 @@
 """Packet codec, range model, path loss, and deterministic delivery."""
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relaysim import radio
 from relaysim.params import SimParams
 
-from oracles import law_of_cosines_m, offset_north_m
+from oracles import law_of_cosines_m, naive_links, offset_north_m
 
 # Frozen 22-byte layout: uuid 0xFD6F little-endian || rpi(16) || aem(4).
 GOLDEN_RPI = bytes(range(16))
@@ -168,3 +170,90 @@ def test_no_delivery_ever_leaks_past_range(lat_a, lon_a, dlat, dlon):
         assert deliveries == []
     else:
         assert len(deliveries) == 2
+
+
+R = radio.EARTH_RADIUS_M
+LAT = st.floats(-90.0, 90.0)
+LON = st.floats(-180.0, 180.0)
+# The extremes SimParams accepts, and ranges a scenario would use.
+RANGES = (5e-324, 1e-300, 0.5, 10.0, 37.3, 2e7, 1e308)
+
+
+@st.composite
+def _on_cube_face(draw, side):
+    """A point on a face between two of ``link_table``'s grid cubes, which
+    have side ``side`` in Earth-centred x, y, z metres."""
+    axis = draw(st.sampled_from("xyz"))
+    if axis == "z":
+        k = draw(st.integers(-int(R // side), int(R // side)))
+        return (math.degrees(math.asin(max(-1.0, min(1.0, k * side / R)))), draw(LON))
+    lat = draw(st.floats(-89.0, 89.0))
+    ring = R * math.cos(math.radians(lat))
+    k = draw(st.integers(-int(ring // side), int(ring // side)))
+    c = max(-1.0, min(1.0, k * side / ring))
+    # The two longitudes at which x (or y) is k * side.
+    if axis == "x":
+        lon = math.acos(c) * draw(st.sampled_from((1, -1)))
+    else:
+        lon = draw(st.sampled_from((math.asin(c), math.pi - math.asin(c))))
+    return (lat, math.degrees(lon))
+
+
+def _step(base, kind, r, u, v):
+    """A position ``kind`` away from ``base``: u, v times the range (at most
+    1e7 m) north and east, u and v metres, or exactly the range along the
+    meridian or the parallel.  Latitudes stop at the poles."""
+    lat, lon = base
+    if kind == "meridian":
+        lat += math.copysign(math.degrees(r / R), u)
+    elif kind == "parallel":
+        # sin(dlon / 2) of the point on the parallel one range away, if any.
+        half = math.sin(r / (2 * R)) / math.cos(math.radians(lat))
+        if abs(half) <= 1:
+            lon += math.copysign(math.degrees(2 * math.asin(half)), v)
+    else:
+        scale = min(r, 1e7) if kind == "ranges" else 1.0
+        lon += math.degrees(v * scale / R) / math.cos(math.radians(lat))
+        lat += math.degrees(u * scale / R)
+    return (max(-90.0, min(90.0, lat)), lon)
+
+
+@st.composite
+def _grid_case(draw):
+    """A range and 2-9 stations: the first near a cube face, a pole or the
+    antimeridian, or anywhere; each next one a step from an earlier one."""
+    r = draw(st.sampled_from(RANGES) | st.floats(5e-324, 1e308))
+    origin = draw(
+        _on_cube_face(r + 1.0)
+        | st.tuples(st.sampled_from((90.0, -90.0)), LON)
+        | st.tuples(LAT, st.sampled_from((180.0, -180.0)))
+        | st.tuples(LAT, LON)
+    )
+    positions = [origin]
+    for _ in range(draw(st.integers(1, 8))):
+        base = draw(st.sampled_from(positions))
+        kind = draw(st.sampled_from(("ranges", "metres", "meridian", "parallel")))
+        u, v = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+        positions.append(_step(base, kind, r, u, v))
+    return r, draw(st.permutations(positions))
+
+
+def _bits(table):
+    return {s: [(name, rssi.hex()) for name, rssi in links] for s, links in table.items()}
+
+
+@settings(max_examples=400)
+@given(_grid_case())
+@example((5e-324, [(45.0, 11.0), (45.0, 11.0), (45.00001, 11.0)]))
+@example((1e-300, [(45.0, 11.0), (45.0, 11.0), (45.0, 11.00000000001)]))
+@example((1e-300, [(90.0, 0.0), (90.0, -1.468703640175883e-289)]))
+@example((1e308, [(90.0, 0.0), (-90.0, 0.0), (0.0, 180.0), (0.0, -180.0)]))
+@example((2e7, [(0.0, 0.0), (0.0, 179.0), (89.9, 30.0), (-45.0, -90.0)]))
+@example((10.0, [(90.0, 0.0), (89.99995, 120.0), (89.99995, -60.0), (89.9999, 0.0)]))
+@example((10.0, [(10.0, 179.99999), (10.0, -179.99999), (10.0, -179.9999)]))
+@example((37.3, [(0.0, 0.0), (math.degrees(37.3 / R), 0.0), (0.0, math.degrees(37.3 / R))]))
+def test_grid_link_table_equals_all_pairs(case):
+    r, positions = case
+    params = SimParams(ble_range_m=r)
+    stations = [_station(f"s{i}", p) for i, p in enumerate(positions)][::-1]
+    assert _bits(radio.link_table(stations, params)) == _bits(naive_links(stations, params))

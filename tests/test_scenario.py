@@ -3,9 +3,11 @@
 import ast
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -540,3 +542,50 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"relaysim: {message}")
         assert "Traceback" not in captured.err
+
+    def test_unwritable_out_is_a_message_and_status_2(self, tmp_path, capsys):
+        from relaysim.cli import main
+
+        out = tmp_path / "no" / "such" / "x.json"
+        assert main(["run", "no_attack", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("relaysim: cannot write the report: ")
+        assert str(out) in captured.err
+
+    @pytest.mark.parametrize("port", ["99999", "65536", "-1"])
+    def test_port_outside_0_to_65535_is_rejected(self, capsys, port):
+        from relaysim.cli import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(["serve-backend", "--port", port])
+        assert exited.value.code == 2
+        assert f"argument --port: must be 0-65535, got {port}" in capsys.readouterr().err
+
+    def test_port_in_use_is_a_message_and_status_2(self, capsys):
+        from relaysim.cli import main
+        from relaysim.wire import BackendHTTPServer
+
+        with (
+            socket.socket() as held,
+            mock.patch.object(BackendHTTPServer, "serve_forever", side_effect=AssertionError),
+        ):
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            assert main(["serve-backend", "--port", str(port)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"relaysim: cannot serve on 127.0.0.1:{port}: ")
+        assert "Traceback" not in err
+
+    def test_unknown_host_is_a_message_and_status_2(self, capsys):
+        # The server's constructor raises the failed lookup, patched in here
+        # so that no name is sent to a resolver.
+        from relaysim import cli
+
+        error = socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+        with mock.patch.object(cli, "BackendHTTPServer", side_effect=error):
+            assert cli.main(["serve-backend", "--host", "nosuch.invalid"]) == 2
+        assert capsys.readouterr().err == (
+            "relaysim: cannot serve on nosuch.invalid:8470: [Errno -2] Name or service not known\n"
+        )

@@ -11,7 +11,8 @@ that holds a protocol packet, not one entry per tick; and the rebroadcaster
 recomputes its replay queue only on a tick where the database opened a run
 or a run reached an event: its first capture entering the window, the
 runs ahead of it catching up with its first capture, or its first or last
-capture leaving the window.
+capture leaving the window.  A link-table build measures each station
+only against those in the grid cubes next to its own.
 """
 
 from collections import Counter
@@ -21,9 +22,11 @@ import pytest
 
 from relaysim import radio
 from relaysim.agents import RebroadcastAdversary, SnifferAdversary
+from relaysim.params import SimParams
 from relaysim.scenario import ActorSpec, World
 
 from golden.gen_reports import golden_config, golden_names
+from oracles import naive_links
 
 
 def _recording(owner, attr: str, calls: list):
@@ -195,3 +198,24 @@ def test_replay_queue_is_recomputed_only_at_events(name):
     # A few recomputes per run, however many ticks the run lasts.
     rebroadcasters = {id(adv) for adv, _, _ in ticks}
     assert len(recomputes) <= 3 * len(database.runs) * len(rebroadcasters)
+
+
+def test_a_link_table_build_measures_only_neighbouring_stations():
+    # 6 places 1.1 km apart, 8 stations within 3 m of each place's centre.
+    stations = [
+        radio.Station(f"p{p}s{s}", (45.0 + 0.01 * p + 1e-5 * (s % 3), 11.0 + 1e-5 * (s // 3)))
+        for p in range(6)
+        for s in range(8)
+    ]
+    measured = []
+    haversine_m = radio.haversine_m
+
+    def counted(a, b):
+        measured.append((a, b))
+        return haversine_m(a, b)
+
+    with mock.patch.object(radio, "haversine_m", counted):
+        table = radio.link_table(stations, SimParams())
+    assert table == naive_links(stations, SimParams())
+    assert all(len(links) == 7 for links in table.values())
+    assert len(measured) <= 6 * 8 * 8 < 48 * 47

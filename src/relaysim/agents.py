@@ -9,8 +9,14 @@ captured bytes verbatim.  Neither ever stores observations or uploads keys.
 
 Every actor has the one shape the world loop uses: ``name``, ``position``,
 ``outgoing_packets(now)``, ``on_deliveries(deliveries, now)`` returning the
-events to log, ``report_row()``, and a class-level ``phase`` that orders
-the actors' turns within a tick (see :mod:`relaysim.scenario`).
+events to log, ``quiet_until(now)``, ``repeat(through)``, ``report_row()``,
+and a class-level ``phase`` that orders the actors' turns within a tick
+(see :mod:`relaysim.scenario`).  After a tick at ``now``, ``quiet_until``
+is the earliest time at which a tick of the actor might do more than
+repeat that one (send the same packets, scan the same inbox again, log
+nothing) while nothing else in the world changes; ``repeat(through)``
+brings the actor forward as if every tick after its last one, up to
+``through``, had been such a repeat.
 """
 
 from __future__ import annotations
@@ -182,6 +188,16 @@ class SnifferAdversary:
     def on_deliveries(self, deliveries: Sequence[radio.Delivery], now: int) -> list[dict]:
         return self.sniff_tick(deliveries, now)
 
+    def quiet_until(self, now: int) -> float:
+        """A repeated scan only extends the open run: never an event."""
+        return math.inf
+
+    def repeat(self, through: int) -> None:
+        """Scan the last inbox again on every tick up to ``through``."""
+        ticks = (through - self._last_scan) // self.tick_seconds
+        self.captures += ticks * self.database.extend(self.rank, through)
+        self._last_scan = through
+
     def report_row(self) -> dict:
         return {"role": "sniffer", "captures": self.captures}
 
@@ -317,6 +333,21 @@ class RebroadcastAdversary:
         new = [p for p in queue if p not in self._relayed]  # queue has no repeats
         self._relayed.update(new)
         return [{"t": now, "event": "relay", "actor": self.name, "packet": p.hex()} for p in new]
+
+    def quiet_until(self, now: int) -> float:
+        """Before this time the queue is not recomputed: ``now`` if the
+        database opened a run since the last recompute or a watched run
+        that had left the window may have been extended, else the next
+        window event or the time a watched run's last capture would leave
+        the window were it extended no more."""
+        watched = self._watched
+        if len(self.database.runs) != self._seen or any(e for _, _, e in watched):
+            return now
+        return min([self._next_change] + [run.last + self.replay_ttl for run, _, _ in watched])
+
+    def repeat(self, through: int) -> None:
+        """Hand out the same queue on every tick up to ``through``."""
+        self._now = through
 
     def report_row(self) -> dict:
         return {
@@ -537,6 +568,23 @@ class HonestDevice:
     def on_deliveries(self, deliveries: Sequence[radio.Delivery], now: int) -> tuple[()]:
         self.receive(deliveries, now)
         return ()
+
+    def quiet_until(self, now: int) -> int:
+        """The current pseudonym's end; for a defended device with open
+        runs, the next time bucket's start if earlier, where the runs'
+        contact rows are recorded."""
+        end = self._slot[1]
+        if self.contacts is not None and self._open_runs:
+            bucket = self.params.bucket_seconds
+            end = min(end, now - now % bucket + bucket)
+        return end
+
+    def repeat(self, through: int) -> None:
+        """Scan the last inbox again on every tick up to ``through``: the
+        open runs extend, nothing else changes."""
+        ticks = (through - self._last_scan) // self.params.tick_seconds
+        self.sightings += ticks * len(self._open_runs)
+        self._last_scan = through
 
     # --- diagnosis and exposure checking -----------------------------------
 

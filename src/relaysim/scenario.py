@@ -28,12 +28,24 @@ An actor handed its last inbox one tick later costs O(1): an honest device
 extends its observation runs and the sniffer its capture runs instead of
 storing each sighting or capture anew, and the rebroadcaster hands out its
 cached queue.
+
+Such a tick costs O(1) for the whole world: it is repeated, not run.  After
+each tick run in full the world takes its horizon, the earliest time at
+which a tick might do more than repeat that one: the minimum of every
+walker's next waypoint, the next diagnosis (chunks arrive only with
+diagnoses) and every actor's ``quiet_until``.  A tick that directly follows
+the last one and comes before the horizon only moves the clock.  The next
+tick run in full first has every actor, in phase order, ``repeat`` the
+spared ticks at once, and so does the end of a run (``World.finish``).  The
+horizon is world-wide: on a tick where any actor may have an event, every
+actor runs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -60,6 +72,14 @@ class ConfigError(ValueError):
 
 
 _as = partial(as_number, error=ConfigError)
+
+
+def _latitude(value, what: str) -> float:
+    """``value`` as a latitude in degrees, or a ConfigError naming ``what``."""
+    lat = _as(float, value, what)
+    if not -90.0 <= lat <= 90.0:
+        raise ConfigError(f"{what} must be within [-90, 90], got {lat!r}")
+    return lat
 
 
 @dataclass(frozen=True)
@@ -163,7 +183,7 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
         try:
             place = radio.Place(
                 name=place_name,
-                lat=_as(float, _field(p, "lat", owner), f"{owner} lat"),
+                lat=_latitude(_field(p, "lat", owner), f"{owner} lat"),
                 lon=_as(float, _field(p, "lon", owner), f"{owner} lon"),
                 radius_m=_as(float, p.get("radius_m", 20.0), f"{owner} radius_m"),
             )
@@ -202,7 +222,7 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
                 raise ConfigError(f"actor {actor_name!r}: position must be [lat, lon]")
             lat, lon = a["position"]
             where = f"actor {actor_name!r} position"
-            position = (_as(float, lat, f"{where} lat"), _as(float, lon, f"{where} lon"))
+            position = (_latitude(lat, f"{where} lat"), _as(float, lon, f"{where} lon"))
         waypoints: tuple[Waypoint, ...] = ()
         movement = a.get("movement", "stationary")
         if movement != "stationary":
@@ -214,7 +234,7 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
             wps = [
                 Waypoint(
                     at=_as(int, _field(w, "at", where), f"{where} at"),
-                    lat=_as(float, _field(w, "lat", where), f"{where} lat"),
+                    lat=_latitude(_field(w, "lat", where), f"{where} lat"),
                     lon=_as(float, _field(w, "lon", where), f"{where} lon"),
                 )
                 for w in _objects(movement, "waypoints", f"actor {actor_name!r}")
@@ -347,11 +367,13 @@ def emit_report(report: ScenarioReport, fmt: str = "json") -> bytes:
 
 
 class World:
-    """Single-owner state machine advanced tick by tick.
+    """Single-owner state machine, stepped once per tick, that runs in full
+    only the ticks on which something may change and repeats the rest.
 
     ``actors`` holds every actor in name order; the tick loop uses only the
     interface they share.  Diagnoses and exposure checks concern the honest
-    ``devices`` alone.
+    ``devices`` alone.  Actor state is read only after the actors caught up
+    with the repeated ticks: on the next tick run in full, or in ``finish``.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -378,6 +400,9 @@ class World:
         self._links: radio.LinkTable | None = None  # built on the first delivery
         self._inboxes: Inboxes = {}
         self._packets: list = [None] * len(self.actors)  # last tick's objects
+        self._last_tick = -math.inf  # the last tick run or repeated
+        self._quiet_until: float = -math.inf  # ticks before it repeat the last one run
+        self._repeated_through: int | None = None  # the last tick repeated since then
 
     def _new_actor(self, spec: ActorSpec, rpi_indexes: dict):
         # A waypoint at or before time 0 is reached on the first tick.
@@ -447,7 +472,14 @@ class World:
         return self._inboxes
 
     def step(self) -> None:
-        now = self.now
+        """Run the tick at ``now``.  A tick that directly follows the last
+        one, before the horizon, repeats it: only the clock moves."""
+        now, tick = self.now, self.params.tick_seconds
+        if now == self._last_tick + tick and now < self._quiet_until:
+            self._last_tick = self._repeated_through = now
+            self.now += tick
+            return
+        self._catch_up()
         inboxes = self._on_air(now, self._move_actors(now))
         for actor in self._by_phase:
             self.events += actor.on_deliveries(inboxes.get(actor.name, ()), now)
@@ -462,7 +494,27 @@ class World:
                 device.exposure_check(self.backend, now)
                 self.events += device.match_events(now)
 
-        self.now += self.params.tick_seconds
+        self._last_tick = now
+        self._quiet_until = self._horizon(now)
+        self.now += tick
+
+    def _horizon(self, now: int) -> float:
+        """The earliest time a tick after ``now`` might do more than repeat
+        the tick at ``now``: a walker's next waypoint, the next diagnosis
+        (chunks come only with diagnoses) or an actor's own horizon."""
+        times = [a.quiet_until(now) for a in self.actors]
+        times += [w[reached][0] for _, w, reached in self._movers if reached < len(w)]
+        if self._pending_diagnoses:
+            times.append(self._pending_diagnoses[0].at_time)
+        return min(times, default=math.inf)
+
+    def _catch_up(self) -> None:
+        """Have every actor, in phase order, repeat the ticks it was spared."""
+        through = self._repeated_through
+        if through is not None:
+            self._repeated_through = None
+            for actor in self._by_phase:
+                actor.repeat(through)
 
     def _run_diagnosis(self, actor: str, now: int) -> None:
         device = self.devices[actor]
@@ -482,13 +534,19 @@ class World:
             payload=payload.decode(),
         )
 
+    def finish(self) -> None:
+        """End the run: catch the actors up, then evaluate every device's
+        exposure and log its new matches."""
+        self._catch_up()
+        for device in self.devices.values():
+            device.evaluate_exposure()
+            self.events += device.match_events(self.config.duration)
+
     def run(self) -> ScenarioReport:
         ticks = self.config.duration // self.params.tick_seconds
         for _ in range(ticks):
             self.step()
-        for device in self.devices.values():
-            device.evaluate_exposure()
-            self.events += device.match_events(self.config.duration)
+        self.finish()
         return self._report()
 
     def _report(self) -> ScenarioReport:

@@ -10,9 +10,11 @@ path-loss arithmetic so that rssi values compare exactly, the per-sighting
 device, which keeps the package's protocol code and replaces how sightings
 are stored, matched and scored with one ``Observation`` and one
 ``ExposureMatch`` per sighting, the every-tick world, which keeps the
-package's tick phases and replaces only when exposure work runs, and the
-per-capture adversaries, which store one entry per capture and rescan the
-replay window on every tick.
+package's tick phases and replaces only when exposure work runs and that
+no tick is repeated, and the per-capture adversaries, which store one entry
+per capture and rescan the replay window on every tick.  Every reference
+actor is stepped on every tick (``EveryTick``): a world holding one repeats
+no tick.
 """
 
 from __future__ import annotations
@@ -194,7 +196,18 @@ def risk_score(matches, params):
     return gaen.RiskResult(score=score, alert=score >= params.alert_threshold_minutes)
 
 
-class PerSightingDevice(HonestDevice):
+class EveryTick:
+    """A reference actor is never quiet: the world runs every tick in full
+    while one takes part, so no actor repeats a tick."""
+
+    def quiet_until(self, now):
+        return now
+
+    def repeat(self, through):
+        raise AssertionError(f"{self.name} is a reference actor and never repeats a tick")
+
+
+class PerSightingDevice(EveryTick, HonestDevice):
     """The honest device storing one ``Observation`` per sighting, in
     receive order, with each RPI's list positions, and one ``ExposureMatch``
     list per chunk; a chunk's cursor counts the observations it was matched
@@ -299,9 +312,10 @@ class PerSightingDevice(HonestDevice):
 
 
 class EveryTickWorld(scenario.World):
-    """The tick loop as it was before exposure work became event-driven:
-    every device polls the backend on every tick and, when a poll brings
-    chunks, matches and scores its exposure at once."""
+    """The tick loop as it was before exposure work became event-driven and
+    quiet ticks were repeated: every tick runs in full, and every device
+    polls the backend on every tick and, when a poll brings chunks, matches
+    and scores its exposure at once."""
 
     def step(self):
         now = self.now
@@ -337,7 +351,7 @@ class PerCaptureDatabase:
         return len(self.entries)
 
 
-class PerCaptureSniffer:
+class PerCaptureSniffer(EveryTick):
     """Appends every protocol packet of every inbox, on every tick."""
 
     phase = 0
@@ -369,7 +383,7 @@ class PerCaptureSniffer:
         return {"role": "sniffer", "captures": self.captures}
 
 
-class PerCaptureRebroadcaster:
+class PerCaptureRebroadcaster(EveryTick):
     """Rebuilds the replay queue on every tick: bisects the entries for the
     window (now - ttl, now - delay] and takes each distinct packet's first
     entry in it."""

@@ -9,9 +9,14 @@ Some ticks may be skipped, so a receiver is also handed an unchanged inbox
 more than one tick after its last scan.
 
 The second property runs the same random worlds once as they are and once
-as ``oracles.EveryTickWorld``, which polls for every device on every tick
-and scores each exposure as soon as a poll brings a chunk; the reports and
-device states must be identical.
+as ``oracles.EveryTickWorld``, which runs every tick in full, polls for
+every device on every tick and scores each exposure as soon as a poll
+brings a chunk; the reports and device states must be identical.
+
+Every reference runs every tick in full, so these properties also check
+the repeated ticks of the worlds as they are: ``SPANS`` ends quiet
+stretches at each kind of event a repeated span must stop at, and a
+replay window of one tick (``replay_ttl`` 10) is drawn too.
 
 The third property runs random worlds in which one actor is diagnosed twice,
 so that two chunks share RPIs, against the per-sighting reference, and
@@ -112,7 +117,7 @@ def worlds(draw, attacked=st.booleans(), twice=st.just(False)):
             config["actors"].append({"name": "sniffer2", "role": "sniffer", "place": draw(place)})
         config["attack"] = {
             "relay_delay": draw(st.sampled_from([0, 10, 60])),
-            "replay_ttl": draw(st.sampled_from([20, 60, 300, 7200])),
+            "replay_ttl": draw(st.sampled_from([10, 20, 60, 300, 7200])),
         }
     skipped = draw(st.sets(st.integers(1, ticks - 2), max_size=6))
     return config, [t * TICK for t in range(ticks) if t not in skipped]
@@ -131,9 +136,7 @@ def _run(
     for t in times:
         world.now = t
         world.step()
-    for device in world.devices.values():
-        device.evaluate_exposure()
-        world.events += device.match_events(world.config.duration)
+    world.finish()
     return world
 
 
@@ -164,6 +167,50 @@ DIAGNOSED_TWICE = (
         "params": {"rotation_seconds": 600, "clock_tolerance_seconds": 30},
     },
     [t for t in range(0, 1500, TICK) if t not in (500, 900, 910)],
+)
+
+
+# Quiet stretches that end at every kind of event a repeated span must not
+# cross: the 600 s rotations; the bucket boundary at 900 s, while the
+# defended d0 and d1 hear each other, before d1 walks away at 950 s (a
+# contact row left for a later tick would never be recorded); d2's waypoint
+# into P0; the diagnosis; and sniffer2 walking away, after which its closed
+# run leaves the replay window with no run opened in between.  Ticks
+# 700-750 are skipped, so the tick at 760 does not follow the last one.
+SPANS = (
+    {
+        "name": "spans",
+        "duration": 1500,
+        "places": [
+            {"name": "P0", "lat": 0.0, "lon": 0.0},
+            {"name": "P1", "lat": 0.01, "lon": 0.0},
+        ],
+        "actors": [
+            {"name": "d0", "place": "P0", "actguard": True, "position": _at("P0", (0, 0))},
+            {
+                "name": "d1", "place": "P0", "actguard": True, "position": _at("P0", (3, 0)),
+                "movement": {"waypoints": [dict(zip(("lat", "lon"), _at("P1", (3, 0))), at=950)]},
+            },
+            {
+                "name": "d2", "place": "P1", "position": _at("P1", (0, 3)),
+                "movement": {"waypoints": [dict(zip(("lat", "lon"), _at("P0", (0, 3))), at=1050)]},
+            },
+            {"name": "d3", "place": "P1", "actguard": True, "position": _at("P1", (3, 3))},
+            {"name": "d4", "place": "P0", "position": [0.0, 0.005]},
+            {"name": "sniffer", "role": "sniffer", "place": "P0"},
+            {
+                "name": "sniffer2", "role": "sniffer", "place": "P0", "position": [0.0, 0.005],
+                "movement": {"waypoints": [{"at": 200, "lat": 0.0, "lon": 0.01}]},
+            },
+            {"name": "rebroadcaster", "role": "rebroadcaster", "place": "P1"},
+        ],
+        "attack": {"relay_delay": 60, "replay_ttl": 300},
+        "diagnosis_events": [{"actor": "d4", "at_time": 1300}],
+        "params": {
+            "rotation_seconds": 600, "bucket_seconds": 900, "clock_tolerance_seconds": 30,
+        },
+    },
+    [t for t in range(0, 1500, TICK) if not 700 <= t <= 750],
 )
 
 
@@ -199,6 +246,7 @@ def _state(device: HonestDevice) -> tuple:
         list(range(0, 900, TICK)),
     )
 )
+@example(world=SPANS)
 @given(world=worlds())
 def test_worlds_with_runs_equal_per_sighting_worlds(world):
     config, times = world
@@ -283,6 +331,7 @@ def test_chunks_sharing_rpis_match_and_score_as_per_sighting(world):
         [t for t in range(0, 900, TICK) if not 250 <= t <= 300],
     )
 )
+@example(world=SPANS)
 @given(world=worlds(attacked=st.just(True)))
 def test_capture_runs_equal_per_capture_adversaries(world):
     config, times = world

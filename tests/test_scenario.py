@@ -295,6 +295,38 @@ class TestLoadConfig:
         world.run()
         assert [e["t"] for e in world.events if e["event"] == "diagnosis"] == [590]
 
+    @staticmethod
+    def _latitudes(place=0.0, position=0.0, waypoint=0.0):
+        return _minimal_config(
+            places=[{"name": "P", "lat": place, "lon": 0.0}],
+            actors=[
+                {"name": "a", "place": "P", "position": [position, 0.0], "movement": {
+                    "waypoints": [{"at": 300, "lat": waypoint, "lon": 0.0}]}},
+                {"name": "b", "place": "P"},
+            ],
+        )
+
+    @pytest.mark.parametrize("lat", [-90, 90, -90.0, 90.0])
+    def test_latitude_at_a_pole_accepted(self, lat):
+        config = scenario.load_config(self._latitudes(lat, lat, lat))
+        assert config.places["P"].lat == config.actors[0].position[0] == lat
+        scenario.run(config)
+
+    @pytest.mark.parametrize("lat", [-90.000001, 90.000001])
+    @pytest.mark.parametrize(
+        "field, offender",
+        [
+            ("place", "place 'P' lat"),
+            ("position", "actor 'a' position lat"),
+            ("waypoint", "actor 'a' waypoint lat"),
+        ],
+    )
+    def test_latitude_beyond_a_pole_rejected(self, lat, field, offender):
+        # Before, any finite latitude loaded, and one far beyond a pole
+        # made radio.haversine_m raise "math domain error" mid-run.
+        with pytest.raises(ConfigError, match=rf"^{offender} must be within \[-90, 90\], got {lat}$"):
+            scenario.load_config(self._latitudes(**{field: lat}))
+
     def test_seed_override(self):
         config = scenario.load_config(_minimal_config(), seed_override=99)
         assert config.seed == 99
@@ -542,6 +574,25 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"relaysim: {message}")
         assert "Traceback" not in captured.err
+
+    def test_latitude_beyond_a_pole_is_a_message_and_status_2(self, tmp_path, capsys):
+        # Before, this scenario loaded and the run ended in a traceback.
+        from relaysim.cli import main
+
+        path = tmp_path / "poles.json"
+        path.write_text(json.dumps(_minimal_config(
+            actors=[
+                {"name": "a", "place": "P", "position": [8.993216059187305e302, 0.0]},
+                {"name": "b", "place": "P", "position": [179.93216059187307, 1.468703640175883e18]},
+            ],
+            params={"ble_range_m": 1e308},
+        )))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "relaysim: actor 'a' position lat must be within [-90, 90], got 8.993216059187305e+302\n"
+        )
 
     def test_unwritable_out_is_a_message_and_status_2(self, tmp_path, capsys):
         from relaysim.cli import main

@@ -1,13 +1,17 @@
-"""A tick on which nothing on air changes costs O(1) per actor.
+"""A tick on which nothing on air changes costs O(1) per actor, and one on
+which nothing can change costs O(1) for the whole world.
 
 For every golden config these tests pin, from outside the package, that:
 no ``radio.Station`` is built on a tick where no actor's position or
-packets changed; an actor is handed a new inbox object only on a tick
-where its deliveries differ by value from its last inbox; a walker keeps
+packets changed; every actor is handed its inbox once on each tick run in
+full, and a new inbox object only on a tick where its deliveries differ by
+value from its last inbox; more than 80 % of the ticks are repeated, calling
+no actor method and no ``radio`` function; a walker keeps
 its position object while its position is equal, and its waypoint cursor
 only moves forward, to the waypoints reached by the tick; the capture
 database opens one run per new sniffer inbox
-that holds a protocol packet, not one entry per tick; and the rebroadcaster
+that holds a protocol packet, not one entry per tick (an inbox scanned
+again through a catch-up is not new); and the rebroadcaster
 recomputes its replay queue only on a tick where the database opened a run
 or a run reached an event: its first capture entering the window, the
 runs ahead of it catching up with its first capture, or its first or last
@@ -16,21 +20,24 @@ only against those in the grid cubes next to its own.
 """
 
 from collections import Counter
+from contextlib import ExitStack
+from types import FunctionType
 from unittest import mock
 
 import pytest
 
 from relaysim import radio
-from relaysim.agents import RebroadcastAdversary, SnifferAdversary
+from relaysim.agents import HonestDevice, RebroadcastAdversary, SnifferAdversary
 from relaysim.params import SimParams
 from relaysim.scenario import ActorSpec, World
 
-from golden.gen_reports import golden_config, golden_names
+from golden.gen_reports import REPORTS, golden_config, golden_names
 from oracles import naive_links
 
 
 def _recording(owner, attr: str, calls: list):
-    """Patch ``owner.attr`` to append (self, *args) to ``calls`` first."""
+    """Patch ``owner.attr`` to append its arguments, (self, *args) for a
+    method, to ``calls`` first."""
     original = getattr(owner, attr)
 
     def recorded(self, *args):
@@ -95,17 +102,49 @@ def test_a_new_inbox_only_when_its_deliveries_change(name):
     for actor in world.actors:
         original = actor.on_deliveries
 
-        def on_deliveries(inbox, now, inboxes=handed[actor.name], original=original):
-            inboxes.append(inbox)
+        def on_deliveries(inbox, now, calls=handed[actor.name], original=original):
+            calls.append((now, inbox))
             return original(inbox, now)
 
         actor.on_deliveries = on_deliveries
     world.run()
-    ticks = world.config.duration // world.params.tick_seconds
-    for inboxes in handed.values():
-        assert len(inboxes) == ticks
+    # The stepped ticks: those on which any actor was handed its inbox.
+    stepped = sorted({now for calls in handed.values() for now, _ in calls})
+    assert stepped[0] == 0
+    for calls in handed.values():
+        assert [now for now, _ in calls] == stepped  # once on every stepped tick
+        inboxes = [inbox for _, inbox in calls]
         for last, inbox in zip(inboxes, inboxes[1:]):
             assert inbox is last or inbox != last
+
+
+@pytest.mark.parametrize("name", golden_names())
+def test_a_repeated_tick_calls_no_actor_or_radio_code(name):
+    world = World(golden_config(name))
+    calls: list = []
+    watched = [
+        (cls, attr)
+        for cls in (HonestDevice, SnifferAdversary, RebroadcastAdversary)
+        for attr in ("outgoing_packets", "on_deliveries", "receive", "sniff_tick", "rebroadcast_tick")
+        if attr in vars(cls)
+    ]
+    watched += [
+        (radio, attr)
+        for attr, value in vars(radio).items()
+        if isinstance(value, FunctionType) and value.__module__ == radio.__name__
+    ]
+    ticks = world.config.duration // world.params.tick_seconds
+    repeated = 0
+    with ExitStack() as patches:
+        for owner, attr in watched:
+            patches.enter_context(_recording(owner, attr, calls))
+        for _ in range(ticks):
+            before = len(calls)
+            world.step()
+            repeated += len(calls) == before
+        world.finish()
+    assert world._report().to_json_bytes() == (REPORTS / f"{name}.json").read_bytes()
+    assert repeated > 0.8 * ticks
 
 
 def _position_at(spec: ActorSpec, now: int, places) -> tuple[float, float]:
@@ -138,13 +177,19 @@ def test_a_walker_keeps_its_position_object_while_it_stays(name):
 @pytest.mark.parametrize("name", golden_names())
 def test_capture_runs_open_per_new_sniffer_inbox(name):
     world = World(golden_config(name))
-    scans: list = []
-    with _recording(SnifferAdversary, "sniff_tick", scans):
+    scans: list = []  # (sniffer, inbox, now) per scan, (sniffer, through) per catch-up
+    with _recording(SnifferAdversary, "sniff_tick", scans), _recording(
+        SnifferAdversary, "repeat", scans
+    ):
         world.run()
     tick = world.params.tick_seconds
     new_inboxes = 0
     last: dict = {}
-    for sniffer, inbox, now in scans:
+    for sniffer, *call in scans:
+        if len(call) == 1:  # the last inbox scanned again on every tick through call[0]
+            last[sniffer.name] = (last[sniffer.name][0], call[0])
+            continue
+        inbox, now = call
         again = sniffer.name in last and last[sniffer.name] == (id(inbox), now - tick)
         heard = any(
             d.receiver == sniffer.name and radio.decode_advertisement(d.packet) is not None
@@ -157,7 +202,7 @@ def test_capture_runs_open_per_new_sniffer_inbox(name):
     captures = sum(a.captures for a in world.actors if isinstance(a, SnifferAdversary))
     assert len(database) == len(database.entries) == captures
     if captures:
-        assert len(database.runs) * 10 < len(scans)
+        assert len(database.runs) * 10 < world.config.duration // tick
 
 
 @pytest.mark.parametrize("name", golden_names())

@@ -372,15 +372,15 @@ class ObservationRun:
 @dataclass
 class DownloadedChunk:
     """A downloaded chunk's RPI index, its hash batch (None if it has none or
-    the device is undefended) and its match runs: the device's first
-    ``looked_up`` observation runs were looked up in ``index``, and the
-    sightings of ``match_runs`` scanned before ``cursor`` are its matches."""
+    the device is undefended), ``at``, the tick of the poll that brought it,
+    and its match runs: the device's first ``looked_up`` observation runs
+    were looked up in ``index``."""
 
     index: gaen.RpiIndex
     batch: frozenset[bytes] | None
+    at: int
     match_runs: list[gaen.MatchRun] = field(default_factory=list)
     looked_up: int = 0
-    cursor: int = 0
 
 
 # A match run with the scan times it matched and its observation run.
@@ -410,17 +410,16 @@ class HonestDevice:
     sightings costs O(1), and a defended device records their contact rows
     only when the time bucket changes.
 
-    Matching works on runs, never on single sightings.  Each run is looked
-    up once in each downloaded chunk's index: a new chunk looks up every
-    run, later passes only the runs opened since.  A run whose RPI the
-    index holds becomes a match run per entry of that RPI it can still
-    match (see ``_look_up``); its matches are the run's scan times inside
-    the entry's window, widened by the clock tolerance, and before the
-    chunk's scan-time cursor, so an extended run needs no new lookup.  Matching runs only when a poll brings new chunks
-    and at ``evaluate_exposure``; it moves each chunk's cursor and updates
-    ``matches_by_diagnosis``, which is all ``match_events`` reads.  The
-    risk score and the verdicts are computed only when ``exposure`` is
-    read, over every match so far, and cached.
+    Matching works on runs, never on single sightings, and only when a
+    result is read: during a run a device only polls.  Each run is looked
+    up once in each downloaded chunk's index, by the first
+    ``evaluate_exposure`` or ``match_events`` after it opened.  A run whose
+    RPI the index holds becomes a match run per entry of that RPI it can
+    still match (see ``_look_up``); its matches are the run's scan times
+    inside the entry's window, widened by the clock tolerance, so an
+    extended run needs no new lookup.  ``evaluate_exposure`` scores every
+    match so far; ``match_events`` derives from the chunks' poll ticks when
+    each diagnosis first matched.
     """
 
     phase = 2
@@ -458,9 +457,6 @@ class HonestDevice:
 
         self.downloaded: dict[int, DownloadedChunk] = {}
         self.last_chunk_index = 0
-        self.matches_by_diagnosis: dict[int, int] = {}  # diagnosis id -> matches so far
-        self._scored: tuple[int, ExposureState] | None = None  # (contact rows, state)
-        self._reported_matches: set[int] = set()
 
     # --- key schedule ---------------------------------------------------
 
@@ -616,7 +612,7 @@ class HonestDevice:
         new_ids = []
         for chunk, batch in fetched:
             self.last_chunk_index = max(self.last_chunk_index, chunk.index)
-            self.downloaded[chunk.index] = DownloadedChunk(self._rpi_index(chunk.teks), batch)
+            self.downloaded[chunk.index] = DownloadedChunk(self._rpi_index(chunk.teks), batch, now)
             new_ids.append(chunk.index)
         return new_ids
 
@@ -631,26 +627,16 @@ class HonestDevice:
         return index
 
     def evaluate_exposure(self) -> ExposureState:
-        """Match new observations, then return the exposure they give."""
-        self._match_new_sightings()
-        return self.exposure
+        """Alert, risk score and verdicts over every sighting so far."""
+        self._look_up_new_runs()
+        return self._score()
 
-    def _match_new_sightings(self) -> None:
-        """Look up the runs opened since each chunk's last pass, move its
-        cursor past the last scan and update its match count."""
-        end = self._last_scan + 1
+    def _look_up_new_runs(self) -> None:
+        """Look up the runs opened since each chunk's last lookup."""
         self._close_runs()
-        for diagnosis_id, chunk in self.downloaded.items():
-            if chunk.cursor < end:
-                if chunk.looked_up < len(self._runs):
-                    self._look_up(chunk)
-                chunk.cursor = end
-                if not chunk.match_runs:
-                    continue
-                count = sum(len(times) for times, _, _ in self._matched(chunk))
-                if count > self.matches_by_diagnosis.get(diagnosis_id, 0):
-                    self.matches_by_diagnosis[diagnosis_id] = count
-                    self._scored = None
+        for chunk in self.downloaded.values():
+            if chunk.looked_up < len(self._runs):
+                self._look_up(chunk)
 
     def _look_up(self, chunk: DownloadedChunk) -> None:
         """Add a match run for each entry the chunk's index holds for a run
@@ -682,7 +668,7 @@ class HonestDevice:
             run = self._runs[match.run]
             times = range(run.first, run.last + 1, tick)
             lo = bisect.bisect_left(times, match.indexed.start - tolerance)
-            hi = bisect.bisect_left(times, min(match.indexed.end + tolerance, chunk.cursor))
+            hi = bisect.bisect_left(times, match.indexed.end + tolerance)
             if lo < hi:
                 matched.append((times[lo:hi], match, run))
         return matched
@@ -701,27 +687,16 @@ class HonestDevice:
             for t, _, _, m, r in sightings
         ]
 
-    @property
-    def exposure(self) -> ExposureState:
-        """Alert, risk score and verdicts over every match made so far.
-
-        Computed on the first read after new matches or new contact rows
-        (a verdict reads the rows of its RPI) and cached until then.
-        """
-        rows = len(self.contacts) if self.contacts is not None else 0
-        if self._scored is None or self._scored[0] != rows:
-            self._scored = (rows, self._score())
-        return self._scored[1]
-
     def _score(self) -> ExposureState:
-        self._close_runs()
         scored: list[gaen.MatchedSightings] = []
         verdicts: dict[int, actguard.Verdict] = {}
+        counts: dict[int, int] = {}
         for diagnosis_id in sorted(self.downloaded):
             chunk = self.downloaded[diagnosis_id]
             matched = self._matched(chunk)
             if not matched:
                 continue
+            counts[diagnosis_id] = sum(len(times) for times, _, _ in matched)
             scored += [
                 gaen.MatchedSightings(diagnosis_id, run.rpi, match.tx_power_dbm - run.rssi, times)
                 for times, match, run in matched
@@ -733,7 +708,7 @@ class HonestDevice:
             gaen_alert=risk.alert,
             risk_score=risk.score,
             verdicts=verdicts,
-            matches_by_diagnosis=dict(self.matches_by_diagnosis),
+            matches_by_diagnosis=counts,
         )
 
     def _verdict_for(
@@ -764,30 +739,36 @@ class HonestDevice:
         return first
 
     def exposure_check(self, backend: BackendStore, now: int) -> None:
-        """Poll, and match the sightings if new chunks came; scoring waits
-        for a read of ``exposure``.  A transport failure skips this round."""
+        """Poll; a transport failure skips this round."""
         try:
-            new_ids = self.poll_backend(backend, now)
+            self.poll_backend(backend, now)
         except BackendError:
-            return
-        if new_ids:
-            self._match_new_sightings()
+            pass
 
-    def match_events(self, now: int) -> list[dict]:
-        """A match event for each diagnosis first matched since the last call."""
-        matched = self.matches_by_diagnosis
-        if len(matched) == len(self._reported_matches):  # a diagnosis, once matched, stays
-            return []
-        new = sorted(matched.keys() - self._reported_matches)
-        self._reported_matches.update(new)
-        return [
-            {"t": now, "event": "match", "actor": self.name, "diagnosis_id": d,
-             "matches": matched[d]}
-            for d in new
-        ]
+    def match_events(self, end: int) -> list[dict]:
+        """A match event for each matched diagnosis, in (t, diagnosis id)
+        order.  It fires at the first tick at which a poll brought chunks
+        that is at or after both the chunk's own poll and its first matched
+        scan time, else at ``end``, the end of the run; it counts the
+        matched sightings scanned by then."""
+        self._look_up_new_runs()
+        polls = sorted({chunk.at for chunk in self.downloaded.values()})
+        events = []
+        for diagnosis_id, chunk in self.downloaded.items():
+            matched = self._matched(chunk)
+            if not matched:
+                continue
+            first = min(times[0] for times, _, _ in matched)
+            i = bisect.bisect_left(polls, max(chunk.at, first))
+            t = polls[i] if i < len(polls) else end
+            count = sum(bisect.bisect_right(times, t) for times, _, _ in matched)
+            events.append({"t": t, "event": "match", "actor": self.name,
+                           "diagnosis_id": diagnosis_id, "matches": count})
+        events.sort(key=lambda e: (e["t"], e["diagnosis_id"]))
+        return events
 
     def report_row(self) -> dict:
-        exposure = self.exposure
+        exposure = self.evaluate_exposure()
         return {
             "role": "honest",
             "actguard": self.contacts is not None,

@@ -90,6 +90,8 @@ class SimParams:
             )
         if self.cell_size_deg <= 0:
             raise ValueError("cell_size_deg must be positive")
+        if not 180 / self.cell_size_deg < 2**63:
+            raise ValueError(f"cell_size_deg must exceed 180 / 2**63, got {self.cell_size_deg!r}")
         if self.ble_range_m <= 0:
             raise ValueError("ble_range_m must be positive")
         if self.tek_retention_days <= 0:

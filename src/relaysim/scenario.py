@@ -9,12 +9,14 @@ Tick phasing (fixed): every actor's ``outgoing_packets`` (the
 rebroadcaster's replay queue is computed here, from earlier captures) ->
 radio delivery -> every actor's ``on_deliveries`` in ascending ``phase``
 (sniffer captures 0, rebroadcaster relay events 1, honest recording 2),
-then name -> scheduled diagnoses -> exposure checks.  Exposure checks run
-only on a tick where the backend published a chunk: every device polls on
-that tick, while the chunk is inside its retention window, so on any other
-tick every poll would come back empty.  A packet captured in
-one tick is therefore never back on the air before the next tick, matching
-the causal order of a real relay.  The air has one change signal: a
+then name -> scheduled diagnoses -> polls.  A packet captured in one tick
+is therefore never back on the air before the next tick, matching the
+causal order of a real relay.  Devices poll only on a tick where the
+backend published a chunk, while the chunk is inside its retention window,
+so on any other tick every poll would come back empty.  No tick matches or
+scores: ``World.finish`` logs each device's match events, derived from the
+ticks of its polls and its final match runs, and the report scores each
+device once.  The air has one change signal: a
 walker that moved, or an actor whose packets are not the object it sent the
 tick before.  An actor keeps the same packets object while it does not
 change: a device's packet tuple until it rotates, the rebroadcaster's queue
@@ -50,7 +52,7 @@ import random
 from dataclasses import dataclass, field, fields
 from functools import partial
 from importlib import resources
-from operator import is_not
+from operator import is_not, itemgetter
 from pathlib import Path
 
 from . import radio
@@ -74,12 +76,13 @@ class ConfigError(ValueError):
 _as = partial(as_number, error=ConfigError)
 
 
-def _latitude(value, what: str) -> float:
-    """``value`` as a latitude in degrees, or a ConfigError naming ``what``."""
-    lat = _as(float, value, what)
-    if not -90.0 <= lat <= 90.0:
-        raise ConfigError(f"{what} must be within [-90, 90], got {lat!r}")
-    return lat
+def _coordinates(lat, lon, what: str) -> tuple[float, float]:
+    """(lat, lon) in degrees, or a ConfigError naming ``what``'s field."""
+    angles = (_as(float, lat, f"{what} lat"), _as(float, lon, f"{what} lon"))
+    for field, angle, bound in zip(("lat", "lon"), angles, (90, 180)):
+        if not -bound <= angle <= bound:
+            raise ConfigError(f"{what} {field} must be within [-{bound}, {bound}], got {angle!r}")
+    return angles
 
 
 @dataclass(frozen=True)
@@ -182,9 +185,8 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
         owner = f"place {place_name!r}"
         try:
             place = radio.Place(
-                name=place_name,
-                lat=_latitude(_field(p, "lat", owner), f"{owner} lat"),
-                lon=_as(float, _field(p, "lon", owner), f"{owner} lon"),
+                place_name,
+                *_coordinates(_field(p, "lat", owner), _field(p, "lon", owner), owner),
                 radius_m=_as(float, p.get("radius_m", 20.0), f"{owner} radius_m"),
             )
         except ValueError as exc:
@@ -220,9 +222,7 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
         if "position" in a:
             if not isinstance(a["position"], list) or len(a["position"]) != 2:
                 raise ConfigError(f"actor {actor_name!r}: position must be [lat, lon]")
-            lat, lon = a["position"]
-            where = f"actor {actor_name!r} position"
-            position = (_latitude(lat, f"{where} lat"), _as(float, lon, f"{where} lon"))
+            position = _coordinates(*a["position"], f"actor {actor_name!r} position")
         waypoints: tuple[Waypoint, ...] = ()
         movement = a.get("movement", "stationary")
         if movement != "stationary":
@@ -233,9 +233,8 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
             where = f"actor {actor_name!r} waypoint"
             wps = [
                 Waypoint(
-                    at=_as(int, _field(w, "at", where), f"{where} at"),
-                    lat=_latitude(_field(w, "lat", where), f"{where} lat"),
-                    lon=_as(float, _field(w, "lon", where), f"{where} lon"),
+                    _as(int, _field(w, "at", where), f"{where} at"),
+                    *_coordinates(_field(w, "lat", where), _field(w, "lon", where), where),
                 )
                 for w in _objects(movement, "waypoints", f"actor {actor_name!r}")
             ]
@@ -371,7 +370,7 @@ class World:
     only the ticks on which something may change and repeats the rest.
 
     ``actors`` holds every actor in name order; the tick loop uses only the
-    interface they share.  Diagnoses and exposure checks concern the honest
+    interface they share.  Diagnoses and polls concern the honest
     ``devices`` alone.  Actor state is read only after the actors caught up
     with the repeated ticks: on the next tick run in full, or in ``finish``.
     """
@@ -492,7 +491,6 @@ class World:
             self._chunks_checked = self.backend.chunk_count
             for device in self.devices.values():
                 device.exposure_check(self.backend, now)
-                self.events += device.match_events(now)
 
         self._last_tick = now
         self._quiet_until = self._horizon(now)
@@ -535,12 +533,13 @@ class World:
         )
 
     def finish(self) -> None:
-        """End the run: catch the actors up, then evaluate every device's
-        exposure and log its new matches."""
+        """End the run: catch the actors up, then log every device's match
+        events.  Within a tick they come after every other event, devices
+        in name order; the sort is stable and the events are in time order."""
         self._catch_up()
-        for device in self.devices.values():
-            device.evaluate_exposure()
-            self.events += device.match_events(self.config.duration)
+        end = self.config.duration
+        matches = [e for device in self.devices.values() for e in device.match_events(end)]
+        self.events = sorted(self.events + matches, key=itemgetter("t"))
 
     def run(self) -> ScenarioReport:
         ticks = self.config.duration // self.params.tick_seconds

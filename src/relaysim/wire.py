@@ -36,6 +36,11 @@ from .params import SimParams, as_number
 # sends gets a 400; neither holds a handler thread.
 REQUEST_TIMEOUT_SECONDS = 5.0
 
+# Longest request body read: a longer declared Content-Length gets a 413,
+# with none of the body read.  1 MiB holds a diagnosis with some 15,000
+# contact digests; the benchmark's largest upload is about 27 KB.
+MAX_BODY_BYTES = 1 << 20
+
 
 class _Server(ThreadingHTTPServer):
     # socketserver's backlog of 5 drops simultaneous connects, retried after 1 s.
@@ -146,28 +151,32 @@ def _make_handler(server: BackendHTTPServer):
             self.end_headers()
             self.wfile.write(body)
 
-        def _read_body(self) -> bytes | str:
-            """The request body, or why it cannot be had: Content-Length is
-            not a non-negative decimal integer, or the body ends (or stalls)
-            before that many bytes."""
+        def _read_body(self) -> bytes | tuple[int, str]:
+            """The request body, or the status and reason it cannot be had:
+            Content-Length is not a non-negative decimal integer (400), is
+            over ``MAX_BODY_BYTES`` (413), or the body ends (or stalls)
+            before that many bytes (400)."""
             length = self.headers.get("Content-Length", "0").strip()
             if not (length.isascii() and length.isdigit()):
-                return "bad content-length"
+                return 400, "bad content-length"
+            digits = length.lstrip("0") or "0"  # int() takes at most 4,300 digits
+            if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+                return 413, f"body longer than {MAX_BODY_BYTES} bytes"
             try:
-                raw = self.rfile.read(int(length))
+                raw = self.rfile.read(int(digits))
             except TimeoutError:
-                return "body shorter than content-length"
-            return raw if len(raw) == int(length) else "body shorter than content-length"
+                return 400, "body shorter than content-length"
+            return raw if len(raw) == int(digits) else (400, "body shorter than content-length")
 
         def do_POST(self) -> None:
             path = urlparse(self.path).path
             raw = self._read_body()
-            if isinstance(raw, str):
-                # The body's extent is unknown, so the connection cannot be
+            if isinstance(raw, tuple):
+                # The body is unknown or unread, so the connection cannot be
                 # reused; a client that already left gets no answer.
                 self.close_connection = True
                 try:
-                    self._reply(400, canonical_json({"error": raw}))
+                    self._reply(raw[0], canonical_json({"error": raw[1]}))
                 except ConnectionError:
                     pass
                 return

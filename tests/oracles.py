@@ -9,10 +9,13 @@ all-pairs link table and fan-out, which keep the package's distance and
 path-loss arithmetic so that rssi values compare exactly, the per-sighting
 device, which keeps the package's protocol code and replaces how sightings
 are stored, matched and scored with one ``Observation`` and one
-``ExposureMatch`` per sighting, the every-tick world, which keeps the
-package's tick phases and replaces only when exposure work runs and that
-no tick is repeated, and the per-capture adversaries, which store one entry
-per capture and rescan the replay window on every tick.  Every reference
+``ExposureMatch`` per sighting, matched at every poll that brings chunks
+and taking each match event at its diagnosis's first match (the
+incremental rule a device derives its events from at the end of a run),
+the every-tick world, which keeps the package's tick phases and replaces
+only when devices poll and that no tick is repeated, and the per-capture
+adversaries, which store one entry per capture and rescan the replay
+window on every tick.  Every reference
 actor is stepped on every tick (``EveryTick``): a world holding one repeats
 no tick.
 """
@@ -211,9 +214,15 @@ class PerSightingDevice(EveryTick, HonestDevice):
     """The honest device storing one ``Observation`` per sighting, in
     receive order, with each RPI's list positions, and one ``ExposureMatch``
     list per chunk; a chunk's cursor counts the observations it was matched
-    against.  Key schedule, polling and verification are the package's,
-    and so is when matching runs; what a match pass scans and builds, and
-    how matches are scored, are replaced."""
+    against.  Key schedule, polling and verification are the package's;
+    what a match pass scans and builds, how matches are scored and when
+    matching runs are replaced.
+
+    Match events follow the incremental rule: every poll that brings
+    chunks matches the new sightings against every chunk, and a
+    diagnosis's event is (t, count) of the first such poll at which it has
+    matches; ``match_events(end)`` adds, at ``end``, the diagnoses first
+    matched by a last pass at the end of the run."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -221,6 +230,7 @@ class PerSightingDevice(EveryTick, HonestDevice):
         self.positions_by_rpi: dict = {}
         self.matches: dict = {}  # diagnosis id -> ExposureMatch list
         self.cursors: dict = {}  # diagnosis id -> observations matched against
+        self.first_matched: dict = {}  # diagnosis id -> (t, matches) at its first match
 
     @property
     def observations(self):
@@ -245,7 +255,27 @@ class PerSightingDevice(EveryTick, HonestDevice):
                 actguard.record_contact(self.contacts, own, rpi, self.position, now, self.params)
         return len(self.stored) - before
 
-    def _match_new_sightings(self):
+    def poll_backend(self, backend, now):
+        new_ids = super().poll_backend(backend, now)
+        if new_ids:
+            self._match_new_sightings(now)
+        return new_ids
+
+    def evaluate_exposure(self):
+        self._match_new_sightings(None)
+        return self._score()
+
+    def match_events(self, end):
+        self._match_new_sightings(end)
+        firsts = sorted((t, d, n) for d, (t, n) in self.first_matched.items())
+        return [
+            {"t": t, "event": "match", "actor": self.name, "diagnosis_id": d, "matches": n}
+            for t, d, n in firsts
+        ]
+
+    def _match_new_sightings(self, now):
+        """Match the sightings stored since each chunk's last pass and, at
+        ``now`` unless it is None, record the first match of each chunk."""
         stored = len(self.stored)
         for diagnosis_id, chunk in self.downloaded.items():
             cursor = self.cursors.get(diagnosis_id, 0)
@@ -254,11 +284,10 @@ class PerSightingDevice(EveryTick, HonestDevice):
                     chunk.index, self._observations_in(chunk.index, cursor), self.params
                 )
                 self.cursors[diagnosis_id] = stored
-                if new:
-                    matches = self.matches.setdefault(diagnosis_id, [])
-                    matches += new
-                    self.matches_by_diagnosis[diagnosis_id] = len(matches)
-                    self._scored = None
+                self.matches.setdefault(diagnosis_id, []).extend(new)
+            matches = self.matches.get(diagnosis_id)
+            if now is not None and matches:
+                self.first_matched.setdefault(diagnosis_id, (now, len(matches)))
 
     def _observations_in(self, index, start):
         """Observations from list position ``start`` on whose RPI
@@ -273,12 +302,13 @@ class PerSightingDevice(EveryTick, HonestDevice):
         return list(self.matches.get(diagnosis_id, ()))
 
     def _score(self):
-        all_matches, verdicts = [], {}
+        all_matches, verdicts, counts = [], {}, {}
         for diagnosis_id in sorted(self.downloaded):
             matches = self.matches.get(diagnosis_id)
             if not matches:
                 continue
             all_matches += matches
+            counts[diagnosis_id] = len(matches)
             if self.contacts is not None:
                 verdicts[diagnosis_id] = self._per_match_verdict(diagnosis_id, matches)
         risk = risk_score(all_matches, self.params)
@@ -286,7 +316,7 @@ class PerSightingDevice(EveryTick, HonestDevice):
             gaen_alert=risk.alert,
             risk_score=risk.score,
             verdicts=verdicts,
-            matches_by_diagnosis=dict(self.matches_by_diagnosis),
+            matches_by_diagnosis=counts,
         )
 
     def _per_match_verdict(self, diagnosis_id, matches):
@@ -312,10 +342,9 @@ class PerSightingDevice(EveryTick, HonestDevice):
 
 
 class EveryTickWorld(scenario.World):
-    """The tick loop as it was before exposure work became event-driven and
-    quiet ticks were repeated: every tick runs in full, and every device
-    polls the backend on every tick and, when a poll brings chunks, matches
-    and scores its exposure at once."""
+    """The tick loop as it was before polling became event-driven and quiet
+    ticks were repeated: every tick runs in full, and every device polls
+    the backend on every tick.  ``World.finish`` ends the run."""
 
     def step(self):
         now = self.now
@@ -325,9 +354,7 @@ class EveryTickWorld(scenario.World):
         while self._pending_diagnoses and self._pending_diagnoses[0].at_time <= now:
             self._run_diagnosis(self._pending_diagnoses.pop(0).actor, now)
         for device in self.devices.values():
-            if device.poll_backend(self.backend, now):
-                device.evaluate_exposure()
-            self.events += device.match_events(now)
+            device.poll_backend(self.backend, now)
         self.now += self.params.tick_seconds
 
 

@@ -367,7 +367,7 @@ class TestExposureCheck:
     def test_match_and_alert(self):
         backend, victim = self._infected_pair()
         victim.exposure_check(backend, now=900)
-        state = victim.exposure
+        state = victim.evaluate_exposure()
         assert state.gaen_alert
         assert state.matches_by_diagnosis == {1: 90}
         assert state.verdicts == {}  # defense disabled
@@ -375,16 +375,16 @@ class TestExposureCheck:
     def test_unreachable_backend_skips_round(self):
         backend, victim = self._infected_pair()
         victim.exposure_check(_FlakyBackend(), now=900)
-        state = victim.exposure
-        assert not state.gaen_alert  # unchanged cached state
+        state = victim.evaluate_exposure()
+        assert not state.gaen_alert  # nothing downloaded
         victim.exposure_check(backend, now=910)
-        state = victim.exposure
+        state = victim.evaluate_exposure()
         assert state.gaen_alert
 
     def test_exposure_is_rescored_after_new_contact_rows(self):
         # The positive device hears the victim; the victim hears it only
         # relayed, far away, until a direct sighting after the last poll adds
-        # the contact row that confirms the same RPI without a new match.
+        # the contact row that confirms the same RPI.
         backend = BackendStore(PARAMS)
         victim = _device("victim", actguard=True)
         positive = _device("positive", actguard=True)
@@ -396,7 +396,7 @@ class TestExposureCheck:
         victim.position = (44.70, 10.94)
         victim.receive([_delivery("victim", packet, sender="relay")], 300)
         victim.exposure_check(backend, now=300)
-        assert victim.exposure.verdicts[1].kind is actguard.VerdictKind.RELAY_SUSPECTED
+        assert victim.evaluate_exposure().verdicts[1].kind is actguard.VerdictKind.RELAY_SUSPECTED
         victim.position = HERE
         victim.receive([_delivery("victim", packet, sender="positive")], 310)
-        assert victim.exposure.verdicts[1].kind is actguard.VerdictKind.CONFIRMED_CONTACT
+        assert victim.evaluate_exposure().verdicts[1].kind is actguard.VerdictKind.CONFIRMED_CONTACT

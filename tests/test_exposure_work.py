@@ -1,10 +1,13 @@
-"""Exposure work happens when a chunk arrives or a result is read, and only then.
+"""During a run a device only polls; matching and scoring wait for its end,
+or for a result to be read.
 
 The counting test pins how often a run polls and scores: once per device per
-published chunk, and once per device in all, at the final evaluation.  The
-lookup test pins how matching works: on observation runs, each looked up at
-most once in each chunk's index, with no per-sighting ``Observation`` or
-``ExposureMatch`` built and no match run kept that can never match.  The purity test reads every device's exposure
+published chunk, and once per device in all, for its report.  The tick test
+pins that no tick looks a run up, clips a match run or scores: all of it
+happens after the last tick.  The lookup test pins how matching works: on
+observation runs, each looked up at most once in each chunk's index, with no
+per-sighting ``Observation`` or ``ExposureMatch`` built and no match run kept
+that can never match.  The purity test evaluates every device's exposure
 after every tick and checks that the report bytes do not change.
 """
 
@@ -51,12 +54,12 @@ class CountingIndex(dict):
 
 
 class ReadingWorld(World):
-    """Reads every device's exposure after every tick."""
+    """Evaluates every device's exposure after every tick."""
 
     def step(self):
         super().step()
         for device in self.devices.values():
-            device.exposure
+            device.evaluate_exposure()
 
 
 @pytest.mark.parametrize("name", golden_names())
@@ -71,6 +74,41 @@ def test_polls_once_per_chunk_and_scores_once(name):
     assert chunks == len(publishing_ticks) > 0
     assert calls["poll_backend"] == len(world.devices) * chunks
     assert calls["risk_score"] == len(world.devices)
+
+
+@pytest.mark.parametrize("name", golden_names())
+def test_no_tick_matches_or_scores(name):
+    world = World(golden_config(name))
+    calls: Counter = Counter()
+    ticking: list = []
+    step = World.step
+
+    def flagging(owner, attr: str):
+        original = getattr(owner, attr)
+
+        def flagged(*args, **kwargs):
+            calls[attr, bool(ticking)] += 1
+            return original(*args, **kwargs)
+
+        return mock.patch.object(owner, attr, flagged)
+
+    def flagged_step(world):
+        ticking.append(world.now)
+        try:
+            step(world)
+        finally:
+            ticking.pop()
+
+    with (
+        mock.patch.object(World, "step", flagged_step),
+        flagging(HonestDevice, "_look_up"),
+        flagging(HonestDevice, "_matched"),
+        flagging(gaen, "risk_score"),
+    ):
+        world.run()
+    assert not [key for key in calls if key[1]]  # nothing called inside a tick
+    assert calls["_look_up", False] and calls["_matched", False]
+    assert calls["risk_score", False] == len(world.devices)
 
 
 @pytest.mark.parametrize("name", golden_names())

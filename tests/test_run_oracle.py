@@ -5,13 +5,16 @@ The first property runs small random worlds twice, once as they are and once
 with every honest device replaced by ``oracles.PerSightingDevice``, and
 compares for every device the canonical report bytes, the expanded
 observations, each chunk's match list in order and the contact-row keys.
+The reference matches at every poll that brings chunks and logs each match
+event at its diagnosis's first match, so the report bytes also compare the
+match events a device derives from its finished run with that rule.
 Some ticks may be skipped, so a receiver is also handed an unchanged inbox
 more than one tick after its last scan.
 
 The second property runs the same random worlds once as they are and once
-as ``oracles.EveryTickWorld``, which runs every tick in full, polls for
-every device on every tick and scores each exposure as soon as a poll
-brings a chunk; the reports and device states must be identical.
+as ``oracles.EveryTickWorld``, which runs every tick in full and polls for
+every device on every tick; the reports and device states must be
+identical.
 
 Every reference runs every tick in full, so these properties also check
 the repeated ticks of the worlds as they are: ``SPANS`` ends quiet
@@ -36,7 +39,7 @@ across the device's own rotations (an inbox may carry its own current or
 earlier packet) and time buckets, with duplicate packets heard at two
 rssi values and with the device moving under an unchanged inbox.  A chunk
 holding every stored RPI then matches exactly the sightings inside its
-window and before its cursor.
+window.
 """
 
 from itertools import combinations
@@ -214,6 +217,38 @@ SPANS = (
 )
 
 
+def walk_in(second_diagnosis: bool) -> tuple[dict, list[int]]:
+    """No relay: d0 is diagnosed at 300 s and d1 walks up to it at 500 s,
+    after the only poll, so d1's match event waits for the next poll that
+    brings chunks (d2, whom nobody hears, diagnosed at 900 s) or, with no
+    such poll, for the end of the run."""
+    diagnoses = [{"actor": "d0", "at_time": 300}]
+    if second_diagnosis:
+        diagnoses.append({"actor": "d2", "at_time": 900})
+    return (
+        {
+            "name": "walk-in",
+            "duration": 1500,
+            "places": [
+                {"name": "P0", "lat": 0.0, "lon": 0.0},
+                {"name": "P1", "lat": 0.01, "lon": 0.0},
+            ],
+            "actors": [
+                {"name": "d0", "place": "P0", "position": _at("P0", (0, 0))},
+                {
+                    "name": "d1", "place": "P1", "position": _at("P1", (0, 0)),
+                    "movement": {
+                        "waypoints": [dict(zip(("lat", "lon"), _at("P0", (3, 0))), at=500)]
+                    },
+                },
+                {"name": "d2", "place": "P0", "position": [0.0, 0.005]},
+            ],
+            "diagnosis_events": diagnoses,
+        },
+        list(range(0, 1500, TICK)),
+    )
+
+
 def _state(device: HonestDevice) -> tuple:
     return (
         device.observations,
@@ -247,6 +282,8 @@ def _state(device: HonestDevice) -> tuple:
     )
 )
 @example(world=SPANS)
+@example(world=walk_in(second_diagnosis=True))
+@example(world=walk_in(second_diagnosis=False))
 @given(world=worlds())
 def test_worlds_with_runs_equal_per_sighting_worlds(world):
     config, times = world
@@ -275,7 +312,7 @@ def _exposure(world: scenario.World) -> tuple:
     match events."""
     devices = {}
     for name, device in world.devices.items():
-        exposure = device.exposure
+        exposure = device.evaluate_exposure()
         devices[name] = (
             {d: device.chunk_matches(d) for d in device.downloaded},
             exposure.matches_by_diagnosis,
@@ -411,12 +448,12 @@ def test_any_inbox_sequence_stores_what_per_sighting_stores(steps, start, rotati
     if defended:
         assert list(device.contacts.records) == list(reference.contacts.records)
     # A chunk holding every stored RPI in one window matches the sightings
-    # inside the window and before its cursor, open runs clipped too.
+    # inside the window, open runs clipped too.
     tek = gaen.Tek(bytes(16), 0)
     cuts = sorted({o.scan_time for o in expected[::3]} | {now + 1})
     for since, until in combinations(cuts, 2):
-        entry = gaen.IndexedRpi(tek, gaen.derive_aemk(tek), 0, since, now + 1)
-        chunk = DownloadedChunk({o.rpi: [entry] for o in expected}, None, cursor=until)
+        entry = gaen.IndexedRpi(tek, gaen.derive_aemk(tek), 0, since, until)
+        chunk = DownloadedChunk({o.rpi: [entry] for o in expected}, None, now)
         device.downloaded[0] = chunk
         device._look_up(chunk)
         got = [m.observation for m in device.chunk_matches(0)]

@@ -218,6 +218,20 @@ class TestLoadConfig:
                 "diagnosis event #0 at_time must be an integer, got '100'",
             ),
             ({"attack": {"relay_delay": True}}, "attack relay_delay must be an integer, got True"),
+            (
+                {"places": [{"name": "P", "lat": 0.0, "lon": 1e300}]},
+                r"^place 'P' lon must be within \[-180, 180\], got 1e\+300$",
+            ),
+            (
+                {"actors": [{"name": "a", "place": "P", "position": [0.0, -180.5]}]},
+                r"^actor 'a' position lon must be within \[-180, 180\], got -180.5$",
+            ),
+            (
+                {"actors": [{"name": "a", "place": "P", "movement": {
+                    "waypoints": [{"at": 5, "lat": 0.0, "lon": 9.3e15}]}}]},
+                r"^actor 'a' waypoint lon must be within \[-180, 180\], got 9300000000000000.0$",
+            ),
+            ({"params": {"cell_size_deg": 5e-324}}, "cell_size_deg must exceed 180 / 2\\*\\*63"),
         ],
     )
     def test_malformed_section_names_offender(self, overrides, offender, tmp_path):
@@ -593,6 +607,21 @@ class TestCli:
         assert captured.err == (
             "relaysim: actor 'a' position lat must be within [-90, 90], got 8.993216059187305e+302\n"
         )
+
+    def test_longitude_beyond_the_antimeridian_is_a_message_and_status_2(self, tmp_path, capsys):
+        # Before, this run ended in a traceback (struct.error) when the
+        # diagnosed defended device packed its contact digests.
+        from relaysim.cli import main
+
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(_minimal_config(
+            places=[{"name": "P", "lat": 0.0, "lon": 1e300}],
+            actors=[{"name": n, "place": "P", "actguard": True} for n in ("a", "b")],
+        )))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "relaysim: place 'P' lon must be within [-180, 180], got 1e+300\n"
 
     def test_unwritable_out_is_a_message_and_status_2(self, tmp_path, capsys):
         from relaysim.cli import main

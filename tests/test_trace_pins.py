@@ -1,0 +1,52 @@
+"""The bench tracer's hold on the package's names.
+
+``bench/sim_trace.py`` wraps package functions and methods through
+``owner.__dict__[attr]``, so renaming or removing one of them, or moving a
+method to a base class, breaks the benchmark's traced passes.  This test
+installs the tracer in both of its modes, runs a bundled scenario under it
+and checks that the report bytes are the golden ones and that ``close``
+puts back every name of the package as it was.
+"""
+
+import importlib
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+from relaysim.scenario import World
+
+from golden.gen_reports import REPORTS, golden_config
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _namespaces() -> dict[str, dict]:
+    """A copy of the namespace of every package module and of every class
+    defined in one."""
+    spaces = {}
+    for name, module in list(sys.modules.items()):
+        if name == "relaysim" or name.startswith("relaysim."):
+            spaces[name] = dict(vars(module))
+            for cls_name, cls in inspect.getmembers(module, inspect.isclass):
+                if cls.__module__ == name:
+                    spaces[f"{name}.{cls_name}"] = dict(vars(cls))
+    return spaces
+
+
+@pytest.mark.parametrize("counting", [False, True])
+def test_tracer_wraps_and_restores_the_package(counting, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    sim_trace = importlib.import_module("sim_trace")
+    tracer_module = importlib.import_module("tracer")
+    before = _namespaces()
+    tracer = tracer_module.Tracer()
+    try:
+        sim_trace.install(tracer, counting=counting)
+        report = World(golden_config("scenario1")).run().to_json_bytes()
+    finally:
+        tracer.close()
+    assert report == (REPORTS / "scenario1.json").read_bytes()
+    assert tracer.spans
+    assert _namespaces() == before

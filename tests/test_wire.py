@@ -268,6 +268,8 @@ def _exchange(port: int, request: bytes, shut: bool) -> tuple[bytes, float]:
 @example(request=b"POST /otp HTTP/1.1\r\nContent-Length: 100000\r\n\r\n" + DEEP, shut=False)
 @example(request=b"POST /diagnosis HTTP/1.1\r\nContent-Length: 100000\r\n\r\n" + DEEP, shut=True)
 @example(request=b"BREW /otp HTTP/1.1\r\n\r\n", shut=True)
+@example(request=b"POST /otp HTTP/1.1\r\nContent-Length: %d\r\n\r\n{}" % 2**63, shut=False)
+@example(request=b"POST /diagnosis HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % 2**40, shut=True)
 @example(request=b"GET /otp HTTP/2.0\r\n\r\n", shut=True)
 @given(request=requests(), shut=st.booleans())
 def test_any_request_gets_a_4xx_or_better_or_a_timely_close(impatient_server, request, shut):

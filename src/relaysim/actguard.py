@@ -2,10 +2,10 @@
 
 Each contact is reduced to a single SHA-256 digest over the two pseudonyms
 (sorted bytewise so both endpoints agree), the scanner's quantized grid
-cell, and the quantized time bucket.  A device keeps each contact as a row
-of those inputs, with no digest: digests are computed only at upload and
-during verification.  Only digests ever leave the device; a diagnosed
-user's uploaded batch lets contacts re-derive and compare digests locally.
+cell, and the quantized time bucket.  A device derives its contact rows
+(those inputs, no digest) from its observation runs at upload and during
+verification, and hashes them only then.  Only digests leave the device;
+a diagnosed user's uploaded batch lets contacts re-derive and compare them.
 
 Frozen digest input layout (covered by golden-vector tests):
 
@@ -59,10 +59,10 @@ class ContactRecord(NamedTuple):
 
 @dataclass
 class MyContactsTable:
-    """Per-device contact evidence: one row per (rpi_low, rpi_high, cell,
+    """Contact evidence, filled afresh from a device's observation runs for
+    each upload and verification pass: one row per (rpi_low, rpi_high, cell,
     bucket), hence per digest, also indexed by pseudonym; both in insertion
-    order.  Rows hold no digest: ``hashes`` computes them at upload, and
-    verification re-derives them."""
+    order.  Rows hold no digest: ``hashes`` computes them at upload."""
 
     records: dict[ContactRecord, None] = field(default_factory=dict, init=False)
     _by_rpi: dict[bytes, list[ContactRecord]] = field(

@@ -54,6 +54,10 @@ class CaptureRun:
     rank: int
     seq: int
 
+    @property
+    def captures(self) -> int:
+        return len(self.packets) * ((self.last - self.first) // self.step + 1)
+
 
 class MaliciousDatabase:
     """Packet exchange between the two adversary roles, stored as capture runs.
@@ -95,15 +99,12 @@ class MaliciousDatabase:
         self._known.update(new)
         return new
 
-    def extend(self, rank: int, now: int) -> int:
-        """Capture sniffer ``rank``'s open run again at ``now``, one step
-        after its last capture; returns how many packets that captured."""
+    def extend(self, rank: int, now: int) -> None:
+        """Capture sniffer ``rank``'s open run again at ``now``, one step after its last."""
         run = self._open.get(rank)
-        if run is None:
-            return 0
-        self._at(now)
-        run.last = now
-        return len(run.packets)
+        if run is not None:
+            self._at(now)
+            run.last = now
 
     def is_open(self, run: CaptureRun) -> bool:
         """Whether ``run`` may still be extended."""
@@ -127,7 +128,7 @@ class MaliciousDatabase:
         return [DatabaseEntry(packet, key[0]) for key, packet in captures]
 
     def __len__(self) -> int:
-        return sum(len(r.packets) * ((r.last - r.first) // r.step + 1) for r in self.runs)
+        return sum(r.captures for r in self.runs)
 
 
 class SnifferAdversary:
@@ -156,7 +157,6 @@ class SnifferAdversary:
         self.database = database
         self.tick_seconds = params.tick_seconds
         self.rank = database.join()
-        self.captures = 0
         self._inbox: Sequence[radio.Delivery] | None = None
         self._last_scan = 0
 
@@ -167,7 +167,7 @@ class SnifferAdversary:
         """Capture every protocol packet delivered to us; returns a capture
         event for each one no sniffer had captured before, in delivery order."""
         if deliveries is self._inbox and now - self._last_scan == self.tick_seconds:
-            self.captures += self.database.extend(self.rank, now)
+            self.database.extend(self.rank, now)
             self._last_scan = now
             return []
         packets = tuple(
@@ -176,7 +176,6 @@ class SnifferAdversary:
             if d.receiver == self.name and radio.decode_advertisement(d.packet) is not None
         )
         new = self.database.capture(self.rank, packets, now, self.tick_seconds)
-        self.captures += len(packets)
         self._inbox = deliveries
         self._last_scan = now
         return [
@@ -194,9 +193,12 @@ class SnifferAdversary:
 
     def repeat(self, through: int) -> None:
         """Scan the last inbox again on every tick up to ``through``."""
-        ticks = (through - self._last_scan) // self.tick_seconds
-        self.captures += ticks * self.database.extend(self.rank, through)
+        self.database.extend(self.rank, through)
         self._last_scan = through
+
+    @property
+    def captures(self) -> int:
+        return sum(r.captures for r in self.database.runs if r.rank == self.rank)
 
     def report_row(self) -> dict:
         return {"role": "sniffer", "captures": self.captures}
@@ -367,6 +369,7 @@ class ObservationRun:
     rssi: float
     first: int
     last: int
+    scanned_as: tuple[bytes, tuple[float, float]]  # (own RPI, position), shared per inbox
 
 
 @dataclass
@@ -393,12 +396,13 @@ class ExposureState:
     risk_score: float = 0.0
     verdicts: dict[int, actguard.Verdict] = field(default_factory=dict)
     matches_by_diagnosis: dict[int, int] = field(default_factory=dict)
+    contact_records: int = 0  # the rows the verdicts were checked against
 
 
 class HonestDevice:
-    """A protocol-running device, optionally with the hash defense enabled:
-    a defended device records contact rows in ``contacts`` (None when
-    undefended), and each chunk's hash batch rides on its ``DownloadedChunk``.
+    """A protocol-running device, optionally with the hash defense enabled
+    (``defended``): it derives its contact rows from its runs to upload and
+    to verify, and each chunk's hash batch rides on its ``DownloadedChunk``.
 
     ``rpi_indexes`` maps a chunk's keys to their RPI index.  Devices of one
     run share it, so each chunk is expanded once however many download it.
@@ -407,8 +411,7 @@ class HonestDevice:
     opens one run per sighting in it.  While ``receive`` is handed the same
     inbox object exactly one tick after its last scan, with its own RPI and
     position unchanged, the open runs share that scan: storing the tick's
-    sightings costs O(1), and a defended device records their contact rows
-    only when the time bucket changes.
+    sightings costs O(1).
 
     Matching works on runs, never on single sightings, and only when a
     result is read: during a run a device only polls.  Each run is looked
@@ -446,14 +449,12 @@ class HonestDevice:
         self._outgoing: tuple[bytes, ...] = ()  # (current_packet,)
         self._slot = (0, 0)  # the current pseudonym's [start, end) in seconds
 
-        self.sightings = 0
         self._runs: list[ObservationRun] = []
         self._open_runs: list[ObservationRun] = []  # their ``last`` is ``_last_scan``
         self._inbox: Sequence[radio.Delivery] | None = None
         self._last_scan = -1
         self._scanned_as: tuple | None = None  # (own RPI, position) at the last new inbox
-        self._bucket = -1
-        self.contacts = actguard.MyContactsTable() if actguard_enabled else None
+        self.defended = actguard_enabled
 
         self.downloaded: dict[int, DownloadedChunk] = {}
         self.last_chunk_index = 0
@@ -509,20 +510,12 @@ class HonestDevice:
         self.ensure_interval(now)
         assert self.current_rpi is not None
         own = self.current_rpi.bytes
-        params = self.params
         scanned_as = (own, self.position)
         if (
-            deliveries is self._inbox
-            and now - self._last_scan == params.tick_seconds
-            and scanned_as == self._scanned_as
+            deliveries is not self._inbox
+            or now - self._last_scan != self.params.tick_seconds
+            or scanned_as != self._scanned_as
         ):
-            open_runs = self._open_runs
-            bucket = now // params.bucket_seconds
-            if self.contacts is not None and bucket != self._bucket:
-                self._bucket = bucket
-                for run in open_runs:
-                    actguard.record_contact(self.contacts, own, run.rpi, self.position, now, params)
-        else:
             self._close_runs()
             open_runs = []
             for d in deliveries:
@@ -534,23 +527,36 @@ class HonestDevice:
                 rpi, aem = decoded
                 if rpi == own:
                     continue
-                run = ObservationRun(rpi, aem, d.rssi, now, now)
+                run = ObservationRun(rpi, aem, d.rssi, now, now, scanned_as)
                 self._runs.append(run)
                 open_runs.append(run)
-                if self.contacts is not None:
-                    actguard.record_contact(self.contacts, own, rpi, self.position, now, params)
             self._open_runs = open_runs
             self._inbox = deliveries
             self._scanned_as = scanned_as
-            self._bucket = now // params.bucket_seconds
         self._last_scan = now
-        self.sightings += len(open_runs)
-        return len(open_runs)
+        return len(self._open_runs)
 
     def _close_runs(self) -> None:
         """Write the shared last scan into the open runs."""
         for run in self._open_runs:
             run.last = self._last_scan
+
+    def contact_table(self) -> actguard.MyContactsTable:
+        """Every run's contact rows: one per time bucket of its scans, at its cell."""
+        self._close_runs()
+        tick, bucket = self.params.tick_seconds, self.params.bucket_seconds
+        table = actguard.MyContactsTable()
+        for run in self._runs:
+            own, position = run.scanned_as
+            lo, hi = sorted((own, run.rpi))
+            cell, first = actguard.quantize(position, run.first, self.params)
+            if tick <= bucket:  # consecutive scans skip no bucket
+                buckets = range(first, run.last // bucket + 1)
+            else:  # each scan is in a bucket of its own
+                buckets = (t // bucket for t in range(run.first, run.last + 1, tick))
+            for b in buckets:
+                table.add(lo, hi, cell, b)
+        return table
 
     @property
     def observations(self) -> list[gaen.Observation]:
@@ -566,20 +572,12 @@ class HonestDevice:
         return ()
 
     def quiet_until(self, now: int) -> int:
-        """The current pseudonym's end; for a defended device with open
-        runs, the next time bucket's start if earlier, where the runs'
-        contact rows are recorded."""
-        end = self._slot[1]
-        if self.contacts is not None and self._open_runs:
-            bucket = self.params.bucket_seconds
-            end = min(end, now - now % bucket + bucket)
-        return end
+        """The current pseudonym's end, where the device's packet changes."""
+        return self._slot[1]
 
     def repeat(self, through: int) -> None:
         """Scan the last inbox again on every tick up to ``through``: the
         open runs extend, nothing else changes."""
-        ticks = (through - self._last_scan) // self.params.tick_seconds
-        self.sightings += ticks * len(self._open_runs)
         self._last_scan = through
 
     # --- diagnosis and exposure checking -----------------------------------
@@ -593,7 +591,7 @@ class HonestDevice:
         propagates as a BackendError and leaves this device untouched.
         """
         teks = [self.teks[d] for d in sorted(self.teks)]
-        hashes = self.contacts.hashes() if self.contacts is not None else None
+        hashes = self.contact_table().hashes() if self.defended else None
         payload = encode_diagnosis_payload(teks, otp_code, hashes)
         diagnosis_id = backend.ingest_diagnosis(teks, otp_code, hashes, now)
         return diagnosis_id, payload
@@ -606,7 +604,7 @@ class HonestDevice:
         """
         fetched = []
         for chunk in backend.fetch_chunks(self.last_chunk_index, now):
-            batch = backend.fetch_hash_batch(chunk.index) if self.contacts is not None else None
+            batch = backend.fetch_hash_batch(chunk.index) if self.defended else None
             fetched.append((chunk, batch))
 
         new_ids = []
@@ -688,6 +686,7 @@ class HonestDevice:
         ]
 
     def _score(self) -> ExposureState:
+        contacts = self.contact_table() if self.defended else None
         scored: list[gaen.MatchedSightings] = []
         verdicts: dict[int, actguard.Verdict] = {}
         counts: dict[int, int] = {}
@@ -701,24 +700,24 @@ class HonestDevice:
                 gaen.MatchedSightings(diagnosis_id, run.rpi, match.tx_power_dbm - run.rssi, times)
                 for times, match, run in matched
             ]
-            if self.contacts is not None:
-                verdicts[diagnosis_id] = self._verdict_for(diagnosis_id, chunk, matched)
+            if contacts is not None:
+                verdicts[diagnosis_id] = self._verdict_for(diagnosis_id, matched, contacts)
         risk = gaen.risk_score(scored, self.params)
         return ExposureState(
             gaen_alert=risk.alert,
             risk_score=risk.score,
             verdicts=verdicts,
             matches_by_diagnosis=counts,
+            contact_records=len(contacts) if contacts is not None else 0,
         )
 
     def _verdict_for(
-        self, diagnosis_id: int, chunk: DownloadedChunk, matched: list[ClippedRun]
+        self, diagnosis_id: int, matched: list[ClippedRun], contacts: actguard.MyContactsTable
     ) -> actguard.Verdict:
         # One verdict per diagnosis: confirmation by any match wins, else the
         # first match's verdict.  A match's verdict depends only on its RPI,
         # so each distinct RPI is verified once, in first-match order: by
         # (scan time, run, entry) of each match run's first match.
-        assert self.contacts is not None
         first_by_rpi: dict[bytes, ObservationRun] = {}
         for _, _, _, run in sorted((times[0], m.run, m.entry, run) for times, m, run in matched):
             first_by_rpi.setdefault(run.rpi, run)
@@ -726,8 +725,8 @@ class HonestDevice:
         for run in first_by_rpi.values():
             verdict = actguard.verify_exposure(
                 run,
-                self.contacts,
-                chunk.batch,
+                contacts,
+                self.downloaded[diagnosis_id].batch,
                 diagnosis_id=diagnosis_id,
                 params=self.params,
             )
@@ -768,14 +767,15 @@ class HonestDevice:
         return events
 
     def report_row(self) -> dict:
-        exposure = self.evaluate_exposure()
+        exposure = self.evaluate_exposure()  # closes the open runs
+        tick = self.params.tick_seconds
         return {
             "role": "honest",
-            "actguard": self.contacts is not None,
+            "actguard": self.defended,
             "gaen_alert": exposure.gaen_alert,
             "risk_score": exposure.risk_score,
-            "observations": self.sightings,
-            "contact_records": len(self.contacts) if self.contacts is not None else 0,
+            "observations": sum((r.last - r.first) // tick + 1 for r in self._runs),
+            "contact_records": exposure.contact_records,
             "verdicts": [
                 {"diagnosis_id": d, "verdict": v.kind.value, "rpi": v.rpi.hex()}
                 for d, v in sorted(exposure.verdicts.items())

@@ -10,6 +10,7 @@ use it too), so the tick loop never has to re-check them.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -18,6 +19,10 @@ SECONDS_PER_DAY = 86400
 # Transmit powers an AEM may carry: GAEN's signed-byte range.
 TX_POWER_MIN = -127
 TX_POWER_MAX = 127
+
+# The widest verification neighborhood, in cells and in buckets either way:
+# verifying a contact row rebuilds (2c + 1)**2 * (2b + 1) digests.
+NEIGHBORHOOD_MAX = 8
 
 
 def as_number(kind: type, value, what: str, error: type[Exception] = ValueError):
@@ -88,18 +93,21 @@ class SimParams:
             raise ValueError(
                 f"tx_power_dbm must be in [{TX_POWER_MIN}, {TX_POWER_MAX}], got {self.tx_power_dbm}"
             )
+        for name in ("neighborhood_cells", "neighborhood_buckets"):
+            if not 0 <= getattr(self, name) <= NEIGHBORHOOD_MAX:
+                raise ValueError(
+                    f"{name} must be in [0, {NEIGHBORHOOD_MAX}], got {getattr(self, name)}"
+                )
         if self.cell_size_deg <= 0:
             raise ValueError("cell_size_deg must be positive")
-        if not 180 / self.cell_size_deg < 2**63:
+        # Every cell index, widened by the neighborhood, must fit a digest's int64.
+        reach = 180 / self.cell_size_deg
+        if not (reach < 2**63 and math.ceil(reach) + self.neighborhood_cells < 2**63):
             raise ValueError(f"cell_size_deg must exceed 180 / 2**63, got {self.cell_size_deg!r}")
         if self.ble_range_m <= 0:
             raise ValueError("ble_range_m must be positive")
         if self.tek_retention_days <= 0:
             raise ValueError("tek_retention_days must be positive")
-        if self.neighborhood_cells < 0:
-            raise ValueError("neighborhood_cells must be >= 0")
-        if self.neighborhood_buckets < 0:
-            raise ValueError("neighborhood_buckets must be >= 0")
 
     @property
     def intervals_per_day(self) -> int:

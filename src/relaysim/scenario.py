@@ -528,7 +528,7 @@ class World:
             actor=actor,
             diagnosis_id=diagnosis_id,
             teks=len(device.teks),
-            hashes=len(device.contacts) if device.contacts is not None else 0,
+            hashes=len(self.backend.fetch_hash_batch(diagnosis_id) or ()),  # one per contact row
             payload=payload.decode(),
         )
 

@@ -214,9 +214,10 @@ class PerSightingDevice(EveryTick, HonestDevice):
     """The honest device storing one ``Observation`` per sighting, in
     receive order, with each RPI's list positions, and one ``ExposureMatch``
     list per chunk; a chunk's cursor counts the observations it was matched
-    against.  Key schedule, polling and verification are the package's;
-    what a match pass scans and builds, how matches are scored and when
-    matching runs are replaced.
+    against.  A defended one records each sighting's contact row as it
+    receives it, into a table it keeps (``contact_table``).  Key schedule,
+    polling and verification are the package's; what a match pass scans
+    and builds, how matches are scored and when matching runs are replaced.
 
     Match events follow the incremental rule: every poll that brings
     chunks matches the new sightings against every chunk, and a
@@ -231,6 +232,10 @@ class PerSightingDevice(EveryTick, HonestDevice):
         self.matches: dict = {}  # diagnosis id -> ExposureMatch list
         self.cursors: dict = {}  # diagnosis id -> observations matched against
         self.first_matched: dict = {}  # diagnosis id -> (t, matches) at its first match
+        self.contacts = actguard.MyContactsTable() if self.defended else None
+
+    def contact_table(self):
+        return self.contacts
 
     @property
     def observations(self):
@@ -317,6 +322,7 @@ class PerSightingDevice(EveryTick, HonestDevice):
             risk_score=risk.score,
             verdicts=verdicts,
             matches_by_diagnosis=counts,
+            contact_records=len(self.contacts) if self.contacts is not None else 0,
         )
 
     def _per_match_verdict(self, diagnosis_id, matches):

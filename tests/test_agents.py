@@ -85,18 +85,10 @@ class TestHonestDevice:
         for t in (0, 10, 20):  # three ticks inside one 300 s bucket
             dev.ensure_interval(t)
             dev.receive([_delivery("dev", packet)], t)
-        assert len(dev.contacts) == 1
+        assert len(dev.contact_table()) == 1
         assert len(dev.observations) == 3
 
-    def test_unchanged_inbox_extends_one_run(self, monkeypatch):
-        calls = []
-        record = actguard.record_contact
-
-        def counting(table, own, peer, position, timestamp, params):
-            calls.append(timestamp)
-            return record(table, own, peer, position, timestamp, params)
-
-        monkeypatch.setattr(actguard, "record_contact", counting)
+    def test_unchanged_inbox_extends_one_run(self):
         dev = _device(actguard=True)
         packet, _, rpi = _peer_packet()
         inbox = (_delivery("dev", packet),)
@@ -105,9 +97,8 @@ class TestHonestDevice:
         assert len(dev._runs) == 1
         assert [o.scan_time for o in dev.observations] == list(range(0, 610, 10))
         assert dev.report_row()["observations"] == 61
-        # contact rows are recorded once per time bucket, not per sighting
-        assert calls == [0, 300, 600]
-        assert len(dev.contacts) == 3
+        # one contact row per time bucket, not per sighting
+        assert [r.bucket for r in dev.contact_table().records] == [0, 1, 2]
 
     def test_scan_must_follow_the_last(self):
         dev = _device()
@@ -340,7 +331,7 @@ class TestDiagnosisUpload:
         otp = backend.authorize_otp(3600, now=400)
         diagnosis_id, _ = dev.diagnose_and_upload(backend, otp.code, now=400)
         batch = backend.fetch_hash_batch(diagnosis_id)
-        assert batch == frozenset(dev.contacts.hashes())
+        assert batch == frozenset(dev.contact_table().hashes())
         assert len(batch) == 2  # two buckets spanned
 
 

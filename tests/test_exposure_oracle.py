@@ -57,7 +57,7 @@ def _reference_state(device: HonestDevice, backend: BackendStore, now: int):
     """(alert, score, matches per diagnosis in scan order, verdicts) from scratch."""
     params = device.params
     position = {obs: i for i, obs in enumerate(device.observations)}
-    table = device.contacts.records if device.contacts is not None else ()
+    table = device.contact_table().records if device.defended else ()
     records = [(r.rpi_low, r.rpi_high, *r.cell, r.bucket) for r in table]
     all_matches, per_diagnosis, verdicts = [], {}, {}
     for chunk in backend.fetch_chunks(0, now):
@@ -76,7 +76,7 @@ def _reference_state(device: HonestDevice, backend: BackendStore, now: int):
         ]
         all_matches += matches
         per_diagnosis[chunk.index] = matches
-        if device.contacts is not None:
+        if device.defended:
             verdicts[chunk.index] = naive_verdict(
                 [m.rpi for m in matches],
                 records,

@@ -57,6 +57,8 @@ METERS_PER_DEGREE = 6371000.0 * 3.141592653589793 / 180.0
 PLACES = {"P0": (0.0, 0.0), "P1": (0.01, 0.0)}  # 1.1 km apart, far out of range
 JITTER_M = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 TICK = 10
+# A tick longer than a bucket, one that does not divide a bucket, and the default.
+BUCKET_SECONDS = st.sampled_from([8, 15, 300])
 
 
 def _at(place: str, jitter_m: tuple[int, int]) -> list[float]:
@@ -109,6 +111,7 @@ def worlds(draw, attacked=st.booleans(), twice=st.just(False)):
         "params": {
             "rotation_seconds": draw(st.sampled_from([600, 7200])),
             "clock_tolerance_seconds": draw(st.sampled_from([0, 30])),
+            "bucket_seconds": draw(BUCKET_SECONDS),
         },
     }
     if draw(attacked):
@@ -253,7 +256,7 @@ def _state(device: HonestDevice) -> tuple:
     return (
         device.observations,
         {d: device.chunk_matches(d) for d in device.downloaded},
-        set(device.contacts.records) if device.contacts is not None else None,
+        set(device.contact_table().records) if device.defended else None,
     )
 
 
@@ -405,15 +408,19 @@ step = st.tuples(
     start=2,
     rotation=600,
     defended=True,
+    bucket=300,
 )
 @given(
     steps=st.lists(step, min_size=1, max_size=40),
     start=st.integers(0, 20),  # ticks before a rotation boundary
     rotation=st.sampled_from([600, 7200]),
     defended=st.booleans(),
+    bucket=BUCKET_SECONDS,
 )
-def test_any_inbox_sequence_stores_what_per_sighting_stores(steps, start, rotation, defended):
-    params = SimParams(rotation_seconds=rotation)
+def test_any_inbox_sequence_stores_what_per_sighting_stores(
+    steps, start, rotation, defended, bucket
+):
+    params = SimParams(rotation_seconds=rotation, bucket_seconds=bucket)
     devices = [
         cls("me", b"me" * 8, HERE, params=params, actguard_enabled=defended)
         for cls in (HonestDevice, PerSightingDevice)
@@ -446,7 +453,7 @@ def test_any_inbox_sequence_stores_what_per_sighting_stores(steps, start, rotati
     expected = reference.observations
     assert device.observations == expected
     if defended:
-        assert list(device.contacts.records) == list(reference.contacts.records)
+        assert set(device.contact_table().records) == set(reference.contact_table().records)
     # A chunk holding every stored RPI in one window matches the sightings
     # inside the window, open runs clipped too.
     tek = gaen.Tek(bytes(16), 0)

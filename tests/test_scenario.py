@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from relaysim import scenario
-from relaysim.params import SimParams
+from relaysim.params import NEIGHBORHOOD_MAX, SimParams
 from relaysim.scenario import ConfigError
 
 from conftest import JSON_VALUES, json_paths, replaced
@@ -99,6 +99,21 @@ class TestLoadConfig:
         # -1 would make the verifier's search empty and flag genuine contacts.
         with pytest.raises(ConfigError, match=field):
             scenario.load_config(_minimal_config(params={field: -1}))
+
+    @pytest.mark.parametrize("value", [NEIGHBORHOOD_MAX + 1, 10**6, 2**63])
+    @pytest.mark.parametrize("field", ["neighborhood_cells", "neighborhood_buckets"])
+    def test_oversized_neighborhood_rejected(self, field, value):
+        # 10**6 cells had verification build about 1.2e13 digests per row;
+        # 2**63 would also leave the digest's int64.
+        bound = rf"{field} must be in \[0, {NEIGHBORHOOD_MAX}\], got {value}$"
+        with pytest.raises(ConfigError, match=bound):
+            scenario.load_config(_minimal_config(params={field: value}))
+        config = _minimal_config(
+            params={field: NEIGHBORHOOD_MAX},
+            actors=[{"name": n, "role": "honest", "place": "P", "actguard": True} for n in "ab"],
+        )
+        row = scenario.run(scenario.load_config(config)).actor("a")
+        assert [v["verdict"] for v in row["verdicts"]] == ["ConfirmedContact"]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_param_rejected(self, value):

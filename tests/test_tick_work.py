@@ -16,9 +16,11 @@ recomputes its replay queue only on a tick where the database opened a run
 or a run reached an event: its first capture entering the window, the
 runs ahead of it catching up with its first capture, or its first or last
 capture leaving the window.  A link-table build measures each station
-only against those in the grid cubes next to its own.
+only against those in the grid cubes next to its own.  The contact-hash
+defense runs no tick in full that the same world without it would repeat.
 """
 
+import dataclasses
 from collections import Counter
 from contextlib import ExitStack
 from types import FunctionType
@@ -95,9 +97,8 @@ def test_no_station_is_built_while_nothing_on_air_changes(name):
     assert quiet > len(world.ticks) / 2
 
 
-@pytest.mark.parametrize("name", golden_names())
-def test_a_new_inbox_only_when_its_deliveries_change(name):
-    world = World(golden_config(name))
+def _handed(world: World) -> dict[str, list]:
+    """Run ``world``; each actor's inboxes, as (now, inbox) per tick."""
     handed: dict[str, list] = {a.name: [] for a in world.actors}
     for actor in world.actors:
         original = actor.on_deliveries
@@ -108,6 +109,12 @@ def test_a_new_inbox_only_when_its_deliveries_change(name):
 
         actor.on_deliveries = on_deliveries
     world.run()
+    return handed
+
+
+@pytest.mark.parametrize("name", golden_names())
+def test_a_new_inbox_only_when_its_deliveries_change(name):
+    handed = _handed(World(golden_config(name)))
     # The stepped ticks: those on which any actor was handed its inbox.
     stepped = sorted({now for calls in handed.values() for now, _ in calls})
     assert stepped[0] == 0
@@ -116,6 +123,21 @@ def test_a_new_inbox_only_when_its_deliveries_change(name):
         inboxes = [inbox for _, inbox in calls]
         for last, inbox in zip(inboxes, inboxes[1:]):
             assert inbox is last or inbox != last
+
+
+def _ticks_run_in_full(world: World) -> int:
+    return len({now for calls in _handed(world).values() for now, _ in calls})
+
+
+@pytest.mark.parametrize("name", golden_names())
+def test_the_defense_adds_no_tick_run_in_full(name):
+    # Contact rows are derived from the runs, so a defended device has no
+    # reason to end a quiet span at a time-bucket boundary.
+    config = golden_config(name)
+    undefended = dataclasses.replace(
+        config, actors=[dataclasses.replace(a, actguard=False) for a in config.actors]
+    )
+    assert _ticks_run_in_full(World(config)) == _ticks_run_in_full(World(undefended))
 
 
 @pytest.mark.parametrize("name", golden_names())

@@ -372,18 +372,13 @@ class ObservationRun:
     scanned_as: tuple[bytes, tuple[float, float]]  # (own RPI, position), shared per inbox
 
 
-@dataclass
-class DownloadedChunk:
-    """A downloaded chunk's RPI index, its hash batch (None if it has none or
-    the device is undefended), ``at``, the tick of the poll that brought it,
-    and its match runs: the device's first ``looked_up`` observation runs
-    were looked up in ``index``."""
+class DownloadedChunk(NamedTuple):
+    """A downloaded chunk's keys, its hash batch (None if it has none or the
+    device is undefended) and ``at``, the tick of the poll that brought it."""
 
-    index: gaen.RpiIndex
+    teks: tuple[tuple[bytes, int], ...]
     batch: frozenset[bytes] | None
     at: int
-    match_runs: list[gaen.MatchRun] = field(default_factory=list)
-    looked_up: int = 0
 
 
 # A match run with the scan times it matched and its observation run.
@@ -404,7 +399,7 @@ class HonestDevice:
     (``defended``): it derives its contact rows from its runs to upload and
     to verify, and each chunk's hash batch rides on its ``DownloadedChunk``.
 
-    ``rpi_indexes`` maps a chunk's keys to their RPI index.  Devices of one
+    ``index`` is the RPI index over the downloaded chunks.  Devices of one
     run share it, so each chunk is expanded once however many download it.
 
     Sightings are stored as observation runs, indexed by RPI.  A new inbox
@@ -414,15 +409,13 @@ class HonestDevice:
     sightings costs O(1).
 
     Matching works on runs, never on single sightings, and only when a
-    result is read: during a run a device only polls.  Each run is looked
-    up once in each downloaded chunk's index, by the first
-    ``evaluate_exposure`` or ``match_events`` after it opened.  A run whose
-    RPI the index holds becomes a match run per entry of that RPI it can
-    still match (see ``_look_up``); its matches are the run's scan times
-    inside the entry's window, widened by the clock tolerance, so an
-    extended run needs no new lookup.  ``evaluate_exposure`` scores every
-    match so far; ``match_events`` derives from the chunks' poll ticks when
-    each diagnosis first matched.
+    result is read: during a run a device only polls.  Each read looks each
+    run up once in the index, whatever the chunk count (see ``_matched``):
+    a run paired with an entry of its RPI is a match run if some of its
+    scan times fall inside the entry's window, widened by the clock
+    tolerance.  ``evaluate_exposure`` scores every match so far;
+    ``match_events`` derives from the chunks' poll ticks when each
+    diagnosis first matched.
     """
 
     phase = 2
@@ -435,13 +428,13 @@ class HonestDevice:
         *,
         params: SimParams,
         actguard_enabled: bool = False,
-        rpi_indexes: dict[tuple[int, tuple], gaen.RpiIndex] | None = None,
+        index: gaen.DiagnosisIndex | None = None,
     ):
         self.name = name
         self.seed = seed
         self.position = position
         self.params = params
-        self.rpi_indexes = {} if rpi_indexes is None else rpi_indexes
+        self.index = gaen.DiagnosisIndex(params) if index is None else index
 
         self.teks: dict[int, gaen.Tek] = {}
         self.current_rpi: gaen.Rpi | None = None
@@ -456,8 +449,7 @@ class HonestDevice:
         self._scanned_as: tuple | None = None  # (own RPI, position) at the last new inbox
         self.defended = actguard_enabled
 
-        self.downloaded: dict[int, DownloadedChunk] = {}
-        self.last_chunk_index = 0
+        self.downloaded: dict[int, DownloadedChunk] = {}  # in download order
 
     # --- key schedule ---------------------------------------------------
 
@@ -603,79 +595,42 @@ class HonestDevice:
         failure mid-poll leaves the device exactly as it was.
         """
         fetched = []
-        for chunk in backend.fetch_chunks(self.last_chunk_index, now):
+        for chunk in backend.fetch_chunks(max(self.downloaded, default=0), now):
             batch = backend.fetch_hash_batch(chunk.index) if self.defended else None
             fetched.append((chunk, batch))
 
-        new_ids = []
         for chunk, batch in fetched:
-            self.last_chunk_index = max(self.last_chunk_index, chunk.index)
-            self.downloaded[chunk.index] = DownloadedChunk(self._rpi_index(chunk.teks), batch, now)
-            new_ids.append(chunk.index)
-        return new_ids
+            self.downloaded[chunk.index] = DownloadedChunk(chunk.teks, batch, now)
+        return [chunk.index for chunk, _ in fetched]
 
-    def _rpi_index(self, teks: tuple[tuple[bytes, int], ...]) -> gaen.RpiIndex:
-        key = (self.params.rotation_seconds, teks)
-        index = self.rpi_indexes.get(key)
-        if index is None:
-            index = gaen.build_rpi_index(
-                [gaen.Tek(bytes=b, day_index=d) for b, d in teks], self.params
-            )
-            self.rpi_indexes[key] = index
-        return index
-
-    def evaluate_exposure(self) -> ExposureState:
-        """Alert, risk score and verdicts over every sighting so far."""
-        self._look_up_new_runs()
-        return self._score()
-
-    def _look_up_new_runs(self) -> None:
-        """Look up the runs opened since each chunk's last lookup."""
+    def _matched(self) -> dict[int, list[ClippedRun]]:
+        """Each downloaded chunk's match runs, by diagnosis id, in (run,
+        entry) order: one lookup per run, each hit's scan times clipped to
+        the entry's widened window, and the AEM decrypted for a non-empty
+        clip only."""
         self._close_runs()
-        for chunk in self.downloaded.values():
-            if chunk.looked_up < len(self._runs):
-                self._look_up(chunk)
-
-    def _look_up(self, chunk: DownloadedChunk) -> None:
-        """Add a match run for each entry the chunk's index holds for a run
-        opened since its last lookup, unless the run can never match it:
-        it starts after the entry's widened window, or it is closed and
-        ends before the window.  The open runs' ``last`` must be current."""
-        runs = self._runs
-        tolerance = self.params.clock_tolerance_seconds
-        first_open = len(runs) - len(self._open_runs)  # the open runs are the last ones
-        for i in range(chunk.looked_up, len(runs)):
-            run = runs[i]
-            for j, entry in enumerate(chunk.index.get(run.rpi, ())):
-                if run.first >= entry.end + tolerance or (
-                    run.last < entry.start - tolerance and i < first_open
-                ):
-                    continue
-                tx = gaen.decrypt_aem(entry.aemk, run.rpi, run.aem)
-                chunk.match_runs.append(gaen.MatchRun(i, j, entry, tx))
-        chunk.looked_up = len(runs)
-
-    def _matched(self, chunk: DownloadedChunk) -> list[ClippedRun]:
-        """Each match run of the chunk that matched a sighting, in (run,
-        entry) order, with the scan times it matched and its observation
-        run.  The open runs' ``last`` must be current."""
+        index = self.index.over([(d, chunk.teks) for d, chunk in self.downloaded.items()])
         tolerance = self.params.clock_tolerance_seconds
         tick = self.params.tick_seconds
-        matched = []
-        for match in chunk.match_runs:
-            run = self._runs[match.run]
+        matched: dict[int, list[ClippedRun]] = {}
+        for i, run in enumerate(self._runs):
+            entries = index.get(run.rpi)
+            if entries is None:
+                continue
             times = range(run.first, run.last + 1, tick)
-            lo = bisect.bisect_left(times, match.indexed.start - tolerance)
-            hi = bisect.bisect_left(times, match.indexed.end + tolerance)
-            if lo < hi:
-                matched.append((times[lo:hi], match, run))
+            for diagnosis_id, j, entry in entries:
+                lo = bisect.bisect_left(times, entry.start - tolerance)
+                hi = bisect.bisect_left(times, entry.end + tolerance)
+                if lo < hi:
+                    tx = gaen.decrypt_aem(entry.aemk, run.rpi, run.aem)
+                    match = gaen.MatchRun(i, j, entry, tx)
+                    matched.setdefault(diagnosis_id, []).append((times[lo:hi], match, run))
         return matched
 
     def chunk_matches(self, diagnosis_id: int) -> list[gaen.ExposureMatch]:
         """The chunk's matches, one per matched sighting, in (scan time, run,
         entry) order (for tests and oracles)."""
-        self._close_runs()
-        matched = self._matched(self.downloaded[diagnosis_id])
+        matched = self._matched().get(diagnosis_id, [])
         sightings = sorted((t, m.run, m.entry, m, r) for ts, m, r in matched for t in ts)
         return [
             gaen.ExposureMatch(
@@ -685,23 +640,22 @@ class HonestDevice:
             for t, _, _, m, r in sightings
         ]
 
-    def _score(self) -> ExposureState:
+    def evaluate_exposure(self) -> ExposureState:
+        """Alert, risk score and verdicts over every sighting so far."""
+        matched = self._matched()
         contacts = self.contact_table() if self.defended else None
         scored: list[gaen.MatchedSightings] = []
         verdicts: dict[int, actguard.Verdict] = {}
         counts: dict[int, int] = {}
-        for diagnosis_id in sorted(self.downloaded):
-            chunk = self.downloaded[diagnosis_id]
-            matched = self._matched(chunk)
-            if not matched:
-                continue
-            counts[diagnosis_id] = sum(len(times) for times, _, _ in matched)
+        for diagnosis_id in sorted(matched):
+            runs = matched[diagnosis_id]
+            counts[diagnosis_id] = sum(len(times) for times, _, _ in runs)
             scored += [
                 gaen.MatchedSightings(diagnosis_id, run.rpi, match.tx_power_dbm - run.rssi, times)
-                for times, match, run in matched
+                for times, match, run in runs
             ]
             if contacts is not None:
-                verdicts[diagnosis_id] = self._verdict_for(diagnosis_id, matched, contacts)
+                verdicts[diagnosis_id] = self._verdict_for(diagnosis_id, runs, contacts)
         risk = gaen.risk_score(scored, self.params)
         return ExposureState(
             gaen_alert=risk.alert,
@@ -750,17 +704,13 @@ class HonestDevice:
         that is at or after both the chunk's own poll and its first matched
         scan time, else at ``end``, the end of the run; it counts the
         matched sightings scanned by then."""
-        self._look_up_new_runs()
         polls = sorted({chunk.at for chunk in self.downloaded.values()})
         events = []
-        for diagnosis_id, chunk in self.downloaded.items():
-            matched = self._matched(chunk)
-            if not matched:
-                continue
-            first = min(times[0] for times, _, _ in matched)
-            i = bisect.bisect_left(polls, max(chunk.at, first))
+        for diagnosis_id, runs in self._matched().items():
+            first = min(times[0] for times, _, _ in runs)
+            i = bisect.bisect_left(polls, max(self.downloaded[diagnosis_id].at, first))
             t = polls[i] if i < len(polls) else end
-            count = sum(bisect.bisect_right(times, t) for times, _, _ in matched)
+            count = sum(bisect.bisect_right(times, t) for times, _, _ in runs)
             events.append({"t": t, "event": "match", "actor": self.name,
                            "diagnosis_id": diagnosis_id, "matches": count})
         events.sort(key=lambda e: (e["t"], e["diagnosis_id"]))

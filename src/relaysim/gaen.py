@@ -166,6 +166,7 @@ class IndexedRpi(NamedTuple):
 
 
 RpiIndex = dict[bytes, list[IndexedRpi]]
+DiagnosisEntry = tuple[int, int, IndexedRpi]  # (diagnosis id, j, entry): see DiagnosisIndex
 
 
 class MatchRun(NamedTuple):
@@ -174,7 +175,7 @@ class MatchRun(NamedTuple):
     the clock tolerance, are matches."""
 
     run: int  # the observation run's position on the device
-    entry: int  # the entry's position in its RPI's index list
+    entry: int  # the entry's position in its RPI's list in the chunk's RPI index
     indexed: IndexedRpi
     tx_power_dbm: int  # decrypted from the run's AEM
 
@@ -203,6 +204,36 @@ def build_rpi_index(diagnosis_teks: list[Tek], params: SimParams) -> RpiIndex:
                 IndexedRpi(tek, aemk, rpi.interval_index, start, end)
             )
     return index
+
+
+class DiagnosisIndex:
+    """One RPI index over a set of chunks, in download order, each given as
+    (diagnosis id, teks): an RPI maps to (diagnosis id, j, entry) for each
+    entry, the j-th of its RPI in that chunk's own ``build_rpi_index`` list.
+
+    Devices of one run share it.  It is rebuilt only when asked for another
+    chunk set, and a chunk of the last set is not expanded again.
+    """
+
+    def __init__(self, params: SimParams):
+        self.params = params
+        self._chunks: dict[tuple[int, tuple], RpiIndex] = {}
+        self._index: dict[bytes, list[DiagnosisEntry]] = {}
+
+    def over(self, chunks: list[tuple[int, tuple]]) -> dict[bytes, list[DiagnosisEntry]]:
+        if chunks != list(self._chunks):
+            self._chunks = {
+                key: self._chunks.get(key)
+                or build_rpi_index([Tek(b, d) for b, d in key[1]], self.params)
+                for key in chunks
+            }
+            self._index = {}
+            for (diagnosis_id, _), index in self._chunks.items():
+                for rpi, entries in index.items():
+                    self._index.setdefault(rpi, []).extend(
+                        (diagnosis_id, j, entry) for j, entry in enumerate(entries)
+                    )
+        return self._index
 
 
 def match_indexed(

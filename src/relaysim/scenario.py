@@ -55,7 +55,7 @@ from importlib import resources
 from operator import is_not, itemgetter
 from pathlib import Path
 
-from . import radio
+from . import gaen, radio
 from .agents import (
     HonestDevice,
     MaliciousDatabase,
@@ -164,6 +164,8 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
         raise ConfigError(f"a scenario must be JSON: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read the scenario file: {exc}") from None
+    except ValueError as exc:  # an integer too long for int <-> str, or a dict cycle
+        raise ConfigError(f"a scenario value cannot be converted: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("a scenario must be a JSON object at its top level")
 
@@ -383,9 +385,9 @@ class World:
         self.database = MaliciousDatabase()
         self.events: list[dict] = []
 
-        rpi_indexes: dict = {}  # shared by every device of this run
+        index = gaen.DiagnosisIndex(self.params)  # shared by every device of this run
         specs = sorted(config.actors, key=lambda a: a.name)
-        self.actors = [self._new_actor(spec, rpi_indexes) for spec in specs]
+        self.actors = [self._new_actor(spec, index) for spec in specs]
         self.devices = {a.name: a for a in self.actors if isinstance(a, HonestDevice)}
         # [actor, its waypoints as (at, position), how many it has reached]
         self._movers = [
@@ -403,7 +405,7 @@ class World:
         self._quiet_until: float = -math.inf  # ticks before it repeat the last one run
         self._repeated_through: int | None = None  # the last tick repeated since then
 
-    def _new_actor(self, spec: ActorSpec, rpi_indexes: dict):
+    def _new_actor(self, spec: ActorSpec, index: gaen.DiagnosisIndex):
         # A waypoint at or before time 0 is reached on the first tick.
         position = spec.position
         if position is None:
@@ -420,7 +422,7 @@ class World:
             position,
             params=self.params,
             actguard_enabled=spec.actguard,
-            rpi_indexes=rpi_indexes,
+            index=index,
         )
 
     def _log(self, t: int, event: str, **fields) -> None:

@@ -213,8 +213,9 @@ class EveryTick:
 class PerSightingDevice(EveryTick, HonestDevice):
     """The honest device storing one ``Observation`` per sighting, in
     receive order, with each RPI's list positions, and one ``ExposureMatch``
-    list per chunk; a chunk's cursor counts the observations it was matched
-    against.  A defended one records each sighting's contact row as it
+    list per chunk, matched against an RPI index of the chunk's keys that
+    it builds itself; a chunk's cursor counts the observations it was
+    matched against.  A defended one records each sighting's contact row as it
     receives it, into a table it keeps (``contact_table``).  Key schedule,
     polling and verification are the package's; what a match pass scans
     and builds, how matches are scored and when matching runs are replaced.
@@ -229,6 +230,7 @@ class PerSightingDevice(EveryTick, HonestDevice):
         super().__init__(*args, **kwargs)
         self.stored: list = []
         self.positions_by_rpi: dict = {}
+        self.indexes: dict = {}  # diagnosis id -> the chunk's RPI index
         self.matches: dict = {}  # diagnosis id -> ExposureMatch list
         self.cursors: dict = {}  # diagnosis id -> observations matched against
         self.first_matched: dict = {}  # diagnosis id -> (t, matches) at its first match
@@ -262,6 +264,9 @@ class PerSightingDevice(EveryTick, HonestDevice):
 
     def poll_backend(self, backend, now):
         new_ids = super().poll_backend(backend, now)
+        for d in new_ids:
+            teks = [gaen.Tek(b, day) for b, day in self.downloaded[d].teks]
+            self.indexes[d] = gaen.build_rpi_index(teks, self.params)
         if new_ids:
             self._match_new_sightings(now)
         return new_ids
@@ -282,12 +287,10 @@ class PerSightingDevice(EveryTick, HonestDevice):
         """Match the sightings stored since each chunk's last pass and, at
         ``now`` unless it is None, record the first match of each chunk."""
         stored = len(self.stored)
-        for diagnosis_id, chunk in self.downloaded.items():
+        for diagnosis_id, index in self.indexes.items():
             cursor = self.cursors.get(diagnosis_id, 0)
             if cursor < stored:
-                new = gaen.match_indexed(
-                    chunk.index, self._observations_in(chunk.index, cursor), self.params
-                )
+                new = gaen.match_indexed(index, self._observations_in(index, cursor), self.params)
                 self.cursors[diagnosis_id] = stored
                 self.matches.setdefault(diagnosis_id, []).extend(new)
             matches = self.matches.get(diagnosis_id)

@@ -19,9 +19,9 @@ PARAMS = SimParams()
 HERE = (44.63, 10.94)
 
 
-def _device(name="dev", *, actguard=False, position=HERE):
+def _device(name="dev", *, actguard=False, position=HERE, index=None):
     return HonestDevice(name, seed=name.encode() * 4, position=position,
-                        params=PARAMS, actguard_enabled=actguard)
+                        params=PARAMS, actguard_enabled=actguard, index=index)
 
 
 def _delivery(receiver, packet, *, sender="peer", rssi=-45.0):
@@ -391,3 +391,46 @@ class TestExposureCheck:
         victim.position = HERE
         victim.receive([_delivery("victim", packet, sender="positive")], 310)
         assert victim.evaluate_exposure().verdicts[1].kind is actguard.VerdictKind.CONFIRMED_CONTACT
+
+    def test_devices_sharing_an_index_score_as_with_their_own(self):
+        # Three devices share one index: "early" polls before the second
+        # diagnosis, "late" after it, and "other" polls another backend whose
+        # diagnosis 1 is the second positive.  Each reads between the others'
+        # polls and must score as its twin with an index of its own.
+        backends = BackendStore(PARAMS), BackendStore(PARAMS)
+        positives = _device("p0"), _device("p1")
+        shared = gaen.DiagnosisIndex(PARAMS)
+        pairs = {n: (_device(n, index=shared), _device(n)) for n in ("early", "late", "other")}
+        for t in range(0, 900, 10):
+            heard = positives if t < 300 else positives[:1]
+            for pair in pairs.values():
+                for device in pair:
+                    deliveries = [_delivery(device.name, p.outgoing_packets(t)[0]) for p in heard]
+                    device.receive(deliveries, t)
+
+        def diagnose(positive, backend, now):
+            positive.diagnose_and_upload(backend, backend.authorize_otp(3600, now).code, now)
+
+        def poll(name, backend, now):
+            for device in pairs[name]:
+                device.poll_backend(backend, now)
+
+        def read(name):
+            device, twin = pairs[name]
+            state = device.evaluate_exposure()
+            assert state == twin.evaluate_exposure()
+            assert {d: device.chunk_matches(d) for d in device.downloaded} == {
+                d: twin.chunk_matches(d) for d in twin.downloaded
+            }
+            return state.matches_by_diagnosis
+
+        diagnose(positives[0], backends[0], 900)
+        diagnose(positives[1], backends[1], 900)
+        poll("early", backends[0], 900)
+        assert read("early") == {1: 90}
+        poll("other", backends[1], 900)
+        assert read("other") == {1: 30}
+        diagnose(positives[1], backends[0], 910)
+        poll("late", backends[0], 910)
+        assert read("late") == {1: 90, 2: 30}
+        assert [read(n) for n in ("early", "other", "late")] == [{1: 90}, {1: 30}, {1: 90, 2: 30}]

@@ -1,6 +1,6 @@
 """Incremental exposure evaluation against a from-scratch reference.
 
-Hypothesis drives two observing devices, which share one RPI-index table,
+Hypothesis drives two observing devices, which share one ``DiagnosisIndex``,
 through any interleaving of meetings with three peers (observations plus,
 for defended devices, contact records), peer clocks running ahead (so an
 observation can fall before its RPI's validity window), diagnoses of those
@@ -61,7 +61,7 @@ def _reference_state(device: HonestDevice, backend: BackendStore, now: int):
     records = [(r.rpi_low, r.rpi_high, *r.cell, r.bucket) for r in table]
     all_matches, per_diagnosis, verdicts = [], {}, {}
     for chunk in backend.fetch_chunks(0, now):
-        if chunk.index > device.last_chunk_index:
+        if chunk.index > max(device.downloaded, default=0):
             continue
         teks = [gaen.Tek(bytes=b, day_index=d) for b, d in chunk.teks]
         found = brute_force_matches(
@@ -159,11 +159,9 @@ def test_incremental_exposure_equals_from_scratch(ops, tolerance, cells, buckets
         clock_tolerance_seconds=tolerance, neighborhood_cells=cells, neighborhood_buckets=buckets
     )
     backend = BackendStore(params, rng=random.Random("exposure-oracle"))
-    shared: dict = {}
+    shared = gaen.DiagnosisIndex(params)
     observers = [
-        HonestDevice(
-            n, n.encode() * 4, HERE, params=params, actguard_enabled=g, rpi_indexes=shared
-        )
+        HonestDevice(n, n.encode() * 4, HERE, params=params, actguard_enabled=g, index=shared)
         for n, g in OBSERVERS
     ]
     peers = [

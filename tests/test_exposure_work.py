@@ -3,12 +3,14 @@ or for a result to be read.
 
 The counting test pins how often a run polls and scores: once per device per
 published chunk, and once per device in all, for its report.  The tick test
-pins that no tick looks a run up, clips a match run or scores: all of it
-happens after the last tick.  The lookup test pins how matching works: on
-observation runs, each looked up at most once in each chunk's index, with no
-per-sighting ``Observation`` or ``ExposureMatch`` built and no match run kept
-that can never match.  The purity test evaluates every device's exposure
-after every tick and checks that the report bytes do not change.
+pins that no tick looks a run up or scores: all of it happens after the last
+tick.  The lookup test pins how matching works: on observation runs, each
+looked up at most once per read in the one index over every downloaded
+chunk, whatever the chunk count, with no per-sighting ``Observation`` or
+``ExposureMatch`` built.  The expansion test pins that the devices of a run
+share that index: each published key is expanded once.  The purity test
+evaluates every device's exposure after every tick and checks that the
+report bytes do not change.
 """
 
 from collections import Counter
@@ -101,46 +103,54 @@ def test_no_tick_matches_or_scores(name):
 
     with (
         mock.patch.object(World, "step", flagged_step),
-        flagging(HonestDevice, "_look_up"),
         flagging(HonestDevice, "_matched"),
         flagging(gaen, "risk_score"),
     ):
         world.run()
     assert not [key for key in calls if key[1]]  # nothing called inside a tick
-    assert calls["_look_up", False] and calls["_matched", False]
+    assert calls["_matched", False]
     assert calls["risk_score", False] == len(world.devices)
 
 
 @pytest.mark.parametrize("name", golden_names())
 def test_each_run_is_looked_up_once_per_chunk_and_no_sighting_is_built(name):
+    # Once per read in the index over every chunk, so at most once per chunk.
     world = World(golden_config(name))
     calls: Counter = Counter()
-    rpi_index = HonestDevice._rpi_index
+    reads: list = []  # (device's runs by RPI, the index it read), per _matched call
+    matched, over = HonestDevice._matched, gaen.DiagnosisIndex.over
 
-    def counting_index(device, teks):
-        return CountingIndex(rpi_index(device, teks))
+    def reading(device):
+        reads.append([Counter(run.rpi for run in device._runs)])
+        return matched(device)
+
+    def counting_index(index, chunks):
+        table = CountingIndex(over(index, chunks))
+        reads[-1].append(table)
+        return table
 
     with (
         _counting(gaen, "ExposureMatch", calls),
         _counting(gaen, "Observation", calls),
-        mock.patch.object(HonestDevice, "_rpi_index", counting_index),
+        mock.patch.object(HonestDevice, "_matched", reading),
+        mock.patch.object(gaen.DiagnosisIndex, "over", counting_index),
     ):
         world.run()
     assert calls == Counter()
-    tolerance = world.params.clock_tolerance_seconds
-    lookups = 0
-    for device in world.devices.values():
-        runs = Counter(run.rpi for run in device._runs)
-        for chunk in device.downloaded.values():
-            assert chunk.index.lookups <= runs  # one lookup per run at most
-            lookups += chunk.index.lookups.total()
-            # A match run that never matched was open when it was looked up:
-            # it ended before the entry's widened window.
-            matched = {(m.run, m.entry) for _, m, _ in device._matched(chunk)}
-            for m in chunk.match_runs:
-                if (m.run, m.entry) not in matched:
-                    assert device._runs[m.run].last < m.indexed.start - tolerance
-    assert lookups > 0
+    assert reads and all(len(read) == 2 for read in reads)  # one index per read
+    for runs, table in reads:
+        assert table.lookups <= runs  # one lookup per run at most
+    assert sum(table.lookups.total() for _, table in reads) > 0
+
+
+@pytest.mark.parametrize("name", golden_names())
+def test_each_published_key_is_expanded_once(name):
+    world = World(golden_config(name))
+    calls: Counter = Counter()
+    with _counting(gaen, "expand_diagnosis_key", calls):
+        world.run()
+    chunks = world.backend.fetch_chunks(0, world.now)
+    assert calls["expand_diagnosis_key"] == sum(len(c.teks) for c in chunks) > 0
 
 
 @pytest.mark.parametrize("name", ["scenario1", "packed_small"])

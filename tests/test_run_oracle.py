@@ -398,6 +398,16 @@ step = st.tuples(
 )
 
 
+class StubIndex:
+    """A diagnosis index that answers every chunk set with one table."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def over(self, chunks):
+        return self.table
+
+
 @settings(max_examples=150, deadline=None)
 @example(
     # The inbox holds the device's own packet (an echo) and a peer's, and is
@@ -458,10 +468,9 @@ def test_any_inbox_sequence_stores_what_per_sighting_stores(
     # inside the window, open runs clipped too.
     tek = gaen.Tek(bytes(16), 0)
     cuts = sorted({o.scan_time for o in expected[::3]} | {now + 1})
+    device.downloaded[0] = DownloadedChunk((), None, now)
     for since, until in combinations(cuts, 2):
         entry = gaen.IndexedRpi(tek, gaen.derive_aemk(tek), 0, since, until)
-        chunk = DownloadedChunk({o.rpi: [entry] for o in expected}, None, now)
-        device.downloaded[0] = chunk
-        device._look_up(chunk)
+        device.index = StubIndex({o.rpi: [(0, 0, entry)] for o in expected})
         got = [m.observation for m in device.chunk_matches(0)]
         assert got == [o for o in expected if since <= o.scan_time < until]

@@ -278,10 +278,19 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize(
         "text, offender",
-        [("[" * 100000, "nested too deeply"), ('{"name": "x",', "must be JSON")],
+        [
+            ("[" * 100000, "nested too deeply"),
+            ('{"name": "x",', "must be JSON"),
+            pytest.param(
+                '{"seed": ' + "7" * 5000 + ', "duration": 10}',
+                "integer string conversion",
+                id="5000-digit-integer",
+            ),
+        ],
     )
     def test_unparsable_file_is_named(self, tmp_path, text, offender):
-        # Before, a deeply nested file raised RecursionError.
+        # Before, a deeply nested file raised RecursionError, and an integer
+        # of more than 4300 digits a bare ValueError.
         source = tmp_path / "scenario.json"
         source.write_text(text)
         with pytest.raises(ConfigError, match=offender):
@@ -293,6 +302,15 @@ class TestLoadConfig:
             nested["x"] = nested = {}
         with pytest.raises(ConfigError, match="nested too deeply"):
             scenario.load_config(deep)
+
+    def test_unconvertible_dict_is_named(self):
+        # Before, both raised a bare ValueError from json.dumps.
+        with pytest.raises(ConfigError, match="integer string conversion"):
+            scenario.load_config({"seed": 10**5000, "duration": 10})
+        cyclic: dict = {"duration": 10}
+        cyclic["params"] = cyclic
+        with pytest.raises(ConfigError, match="Circular reference"):
+            scenario.load_config(cyclic)
 
     @pytest.mark.parametrize(
         "params, field",
@@ -583,6 +601,11 @@ class TestCli:
         "target, message",
         [
             (b'{"name": "x",', "a scenario must be JSON"),
+            pytest.param(
+                b'{"seed": ' + b"7" * 5000 + b', "duration": 10}',
+                "a scenario value cannot be converted",
+                id="5000-digit-integer",
+            ),
             (b"\xff{", "cannot read the scenario file"),
             (None, "cannot read the scenario file"),  # a directory
             ("no_such_scenario", "no bundled scenario"),
@@ -590,7 +613,8 @@ class TestCli:
     )
     def test_config_error_is_a_message_and_status_2(self, tmp_path, capsys, target, message):
         # Before, a ConfigError, or the error of a file that cannot be read
-        # as text, escaped main() as a traceback.
+        # as text or holds an integer too long to convert, escaped main() as
+        # a traceback.
         from relaysim.cli import main
 
         if target is None:

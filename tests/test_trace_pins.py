@@ -6,6 +6,10 @@ method to a base class, breaks the benchmark's traced passes.  This test
 installs the tracer in both of its modes, runs a bundled scenario under it
 and checks that the report bytes are the golden ones and that ``close``
 puts back every name of the package as it was.
+
+``bench/run.py`` also times each ``World.step`` call of a simulation pass as
+one request, so ``World.run`` must call it once per tick: a run that skipped
+ticks would change what the benchmark's request rate and latency measure.
 """
 
 import importlib
@@ -17,7 +21,7 @@ import pytest
 
 from relaysim.scenario import World
 
-from golden.gen_reports import REPORTS, golden_config
+from golden.gen_reports import REPORTS, golden_config, golden_names
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -50,3 +54,20 @@ def test_tracer_wraps_and_restores_the_package(counting, monkeypatch):
     assert report == (REPORTS / "scenario1.json").read_bytes()
     assert tracer.spans
     assert _namespaces() == before
+
+
+@pytest.mark.parametrize("name", golden_names())
+def test_run_steps_once_per_tick(name, monkeypatch):
+    # Patched as bench/run.py patches it, on the class.
+    calls = []
+    step = World.step
+
+    def counted_step(self):
+        calls.append(self.now)
+        step(self)
+
+    monkeypatch.setattr(World, "step", counted_step)
+    world = World(golden_config(name))
+    world.run()
+    tick = world.params.tick_seconds
+    assert calls == [i * tick for i in range(world.config.duration // tick)]

@@ -9,14 +9,15 @@ captured bytes verbatim.  Neither ever stores observations or uploads keys.
 
 Every actor has the one shape the world loop uses: ``name``, ``position``,
 ``outgoing_packets(now)``, ``on_deliveries(deliveries, now)`` returning the
-events to log, ``quiet_until(now)``, ``repeat(through)``, ``report_row()``,
-and a class-level ``phase`` that orders the actors' turns within a tick
-(see :mod:`relaysim.scenario`).  After a tick at ``now``, ``quiet_until``
-is the earliest time at which a tick of the actor might do more than
-repeat that one (send the same packets, scan the same inbox again, log
-nothing) while nothing else in the world changes; ``repeat(through)``
-brings the actor forward as if every tick after its last one, up to
-``through``, had been such a repeat.
+events to log, ``quiet_until(now)``, ``repeat(through)``, ``report(end)``
+returning, once the run ends at ``end``, the actor's report row and the
+events it adds to the log, and a class-level ``phase`` that orders the
+actors' turns within a tick (see :mod:`relaysim.scenario`).  After a tick
+at ``now``, ``quiet_until`` is the earliest time at which a tick of the
+actor might do more than repeat that one (send the same packets, scan the
+same inbox again, log nothing) while nothing else in the world changes;
+``repeat(through)`` brings the actor forward as if every tick after its
+last one, up to ``through``, had been such a repeat.
 """
 
 from __future__ import annotations
@@ -200,8 +201,8 @@ class SnifferAdversary:
     def captures(self) -> int:
         return sum(r.captures for r in self.database.runs if r.rank == self.rank)
 
-    def report_row(self) -> dict:
-        return {"role": "sniffer", "captures": self.captures}
+    def report(self, end: int) -> tuple[dict, list[dict]]:
+        return {"role": "sniffer", "captures": self.captures}, []
 
 
 class RebroadcastAdversary:
@@ -351,12 +352,13 @@ class RebroadcastAdversary:
         """Hand out the same queue on every tick up to ``through``."""
         self._now = through
 
-    def report_row(self) -> dict:
-        return {
+    def report(self, end: int) -> tuple[dict, list[dict]]:
+        row = {
             "role": "rebroadcaster",
             "relay_delay": self.relay_delay,
             "replay_ttl": self.replay_ttl,
         }
+        return row, []
 
 
 @dataclass(slots=True)
@@ -381,8 +383,10 @@ class DownloadedChunk(NamedTuple):
     at: int
 
 
-# A match run with the scan times it matched and its observation run.
-ClippedRun = tuple[range, gaen.MatchRun, ObservationRun]
+# A match run: an observation run paired with one index entry of its RPI,
+# with the scan times inside the entry's window, widened by the clock
+# tolerance, and the transmit power decrypted from the run's AEM.
+ClippedRun = tuple[range, gaen.IndexedRpi, int, ObservationRun]
 
 
 @dataclass
@@ -392,6 +396,11 @@ class ExposureState:
     verdicts: dict[int, actguard.Verdict] = field(default_factory=dict)
     matches_by_diagnosis: dict[int, int] = field(default_factory=dict)
     contact_records: int = 0  # the rows the verdicts were checked against
+    # (t, diagnosis id, matches scanned by t) of each matched diagnosis, in
+    # id order: t is the first tick at which a poll brought chunks that is
+    # at or after both the chunk's own poll and its first matched scan
+    # time, inf if there is none
+    first_matches: list[tuple[float, int, int]] = field(default_factory=list)
 
 
 class HonestDevice:
@@ -413,9 +422,8 @@ class HonestDevice:
     run up once in the index, whatever the chunk count (see ``_matched``):
     a run paired with an entry of its RPI is a match run if some of its
     scan times fall inside the entry's window, widened by the clock
-    tolerance.  ``evaluate_exposure`` scores every match so far;
-    ``match_events`` derives from the chunks' poll ticks when each
-    diagnosis first matched.
+    tolerance.  ``evaluate_exposure`` scores every match so far and
+    derives from the chunks' poll ticks when each diagnosis first matched.
     """
 
     phase = 2
@@ -613,49 +621,56 @@ class HonestDevice:
         tolerance = self.params.clock_tolerance_seconds
         tick = self.params.tick_seconds
         matched: dict[int, list[ClippedRun]] = {}
-        for i, run in enumerate(self._runs):
+        for run in self._runs:
             entries = index.get(run.rpi)
             if entries is None:
                 continue
             times = range(run.first, run.last + 1, tick)
-            for diagnosis_id, j, entry in entries:
+            for diagnosis_id, entry in entries:
                 lo = bisect.bisect_left(times, entry.start - tolerance)
                 hi = bisect.bisect_left(times, entry.end + tolerance)
                 if lo < hi:
                     tx = gaen.decrypt_aem(entry.aemk, run.rpi, run.aem)
-                    match = gaen.MatchRun(i, j, entry, tx)
-                    matched.setdefault(diagnosis_id, []).append((times[lo:hi], match, run))
+                    matched.setdefault(diagnosis_id, []).append((times[lo:hi], entry, tx, run))
         return matched
 
     def chunk_matches(self, diagnosis_id: int) -> list[gaen.ExposureMatch]:
         """The chunk's matches, one per matched sighting, in (scan time, run,
         entry) order (for tests and oracles)."""
         matched = self._matched().get(diagnosis_id, [])
-        sightings = sorted((t, m.run, m.entry, m, r) for ts, m, r in matched for t in ts)
+        sightings = sorted((t, k, match) for k, match in enumerate(matched) for t in match[0])
         return [
             gaen.ExposureMatch(
-                m.indexed.tek, r.rpi, m.indexed.interval_index, m.tx_power_dbm,
-                gaen.Observation(r.rpi, r.aem, r.rssi, t),
+                entry.tek, run.rpi, entry.interval_index, tx,
+                gaen.Observation(run.rpi, run.aem, run.rssi, t),
             )
-            for t, _, _, m, r in sightings
+            for t, _, (_, entry, tx, run) in sightings
         ]
 
     def evaluate_exposure(self) -> ExposureState:
-        """Alert, risk score and verdicts over every sighting so far."""
+        """Alert, risk score, verdicts and first matches over every sighting
+        so far, from one read of the match runs."""
         matched = self._matched()
         contacts = self.contact_table() if self.defended else None
+        polls = sorted({chunk.at for chunk in self.downloaded.values()})
         scored: list[gaen.MatchedSightings] = []
         verdicts: dict[int, actguard.Verdict] = {}
         counts: dict[int, int] = {}
+        firsts: list[tuple[float, int, int]] = []
         for diagnosis_id in sorted(matched):
             runs = matched[diagnosis_id]
-            counts[diagnosis_id] = sum(len(times) for times, _, _ in runs)
+            counts[diagnosis_id] = sum(len(times) for times, _, _, _ in runs)
             scored += [
-                gaen.MatchedSightings(diagnosis_id, run.rpi, match.tx_power_dbm - run.rssi, times)
-                for times, match, run in runs
+                gaen.MatchedSightings(diagnosis_id, run.rpi, tx - run.rssi, times)
+                for times, _, tx, run in runs
             ]
             if contacts is not None:
                 verdicts[diagnosis_id] = self._verdict_for(diagnosis_id, runs, contacts)
+            first = min(times[0] for times, _, _, _ in runs)
+            i = bisect.bisect_left(polls, max(self.downloaded[diagnosis_id].at, first))
+            t = polls[i] if i < len(polls) else math.inf
+            count = sum(bisect.bisect_right(times, t) for times, _, _, _ in runs)
+            firsts.append((t, diagnosis_id, count))
         risk = gaen.risk_score(scored, self.params)
         return ExposureState(
             gaen_alert=risk.alert,
@@ -663,6 +678,7 @@ class HonestDevice:
             verdicts=verdicts,
             matches_by_diagnosis=counts,
             contact_records=len(contacts) if contacts is not None else 0,
+            first_matches=firsts,
         )
 
     def _verdict_for(
@@ -671,9 +687,10 @@ class HonestDevice:
         # One verdict per diagnosis: confirmation by any match wins, else the
         # first match's verdict.  A match's verdict depends only on its RPI,
         # so each distinct RPI is verified once, in first-match order: by
-        # (scan time, run, entry) of each match run's first match.
+        # scan time of each match run's first match, then (run, entry), the
+        # order of ``matched``.
         first_by_rpi: dict[bytes, ObservationRun] = {}
-        for _, _, _, run in sorted((times[0], m.run, m.entry, run) for times, m, run in matched):
+        for _, _, run in sorted((ts[0], k, run) for k, (ts, _, _, run) in enumerate(matched)):
             first_by_rpi.setdefault(run.rpi, run)
         first: actguard.Verdict | None = None
         for run in first_by_rpi.values():
@@ -698,28 +715,18 @@ class HonestDevice:
         except BackendError:
             pass
 
-    def match_events(self, end: int) -> list[dict]:
-        """A match event for each matched diagnosis, in (t, diagnosis id)
-        order.  It fires at the first tick at which a poll brought chunks
-        that is at or after both the chunk's own poll and its first matched
-        scan time, else at ``end``, the end of the run; it counts the
-        matched sightings scanned by then."""
-        polls = sorted({chunk.at for chunk in self.downloaded.values()})
-        events = []
-        for diagnosis_id, runs in self._matched().items():
-            first = min(times[0] for times, _, _ in runs)
-            i = bisect.bisect_left(polls, max(self.downloaded[diagnosis_id].at, first))
-            t = polls[i] if i < len(polls) else end
-            count = sum(bisect.bisect_right(times, t) for times, _, _ in runs)
-            events.append({"t": t, "event": "match", "actor": self.name,
-                           "diagnosis_id": diagnosis_id, "matches": count})
-        events.sort(key=lambda e: (e["t"], e["diagnosis_id"]))
-        return events
-
-    def report_row(self) -> dict:
+    def report(self, end: int) -> tuple[dict, list[dict]]:
+        """The report row, and a match event for each matched diagnosis at
+        its first match (at ``end`` if no poll followed it), counting the
+        matched sightings scanned by then, in (t, diagnosis id) order."""
         exposure = self.evaluate_exposure()  # closes the open runs
+        events = [
+            {"t": end if t == math.inf else t, "event": "match", "actor": self.name,
+             "diagnosis_id": diagnosis_id, "matches": count}
+            for t, diagnosis_id, count in sorted(exposure.first_matches)
+        ]
         tick = self.params.tick_seconds
-        return {
+        row = {
             "role": "honest",
             "actguard": self.defended,
             "gaen_alert": exposure.gaen_alert,
@@ -731,3 +738,4 @@ class HonestDevice:
                 for d, v in sorted(exposure.verdicts.items())
             ],
         }
+        return row, events

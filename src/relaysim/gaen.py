@@ -166,18 +166,7 @@ class IndexedRpi(NamedTuple):
 
 
 RpiIndex = dict[bytes, list[IndexedRpi]]
-DiagnosisEntry = tuple[int, int, IndexedRpi]  # (diagnosis id, j, entry): see DiagnosisIndex
-
-
-class MatchRun(NamedTuple):
-    """An observation run whose RPI a chunk's index holds, paired with one
-    entry of that RPI: its sightings inside the entry's window, widened by
-    the clock tolerance, are matches."""
-
-    run: int  # the observation run's position on the device
-    entry: int  # the entry's position in its RPI's list in the chunk's RPI index
-    indexed: IndexedRpi
-    tx_power_dbm: int  # decrypted from the run's AEM
+DiagnosisEntry = tuple[int, IndexedRpi]  # (diagnosis id, entry): see DiagnosisIndex
 
 
 class MatchedSightings(NamedTuple):
@@ -208,8 +197,8 @@ def build_rpi_index(diagnosis_teks: list[Tek], params: SimParams) -> RpiIndex:
 
 class DiagnosisIndex:
     """One RPI index over a set of chunks, in download order, each given as
-    (diagnosis id, teks): an RPI maps to (diagnosis id, j, entry) for each
-    entry, the j-th of its RPI in that chunk's own ``build_rpi_index`` list.
+    (diagnosis id, teks): an RPI maps to (diagnosis id, entry) for each of
+    its entries, chunk by chunk, in each chunk's ``build_rpi_index`` order.
 
     Devices of one run share it.  It is rebuilt only when asked for another
     chunk set, and a chunk of the last set is not expanded again.
@@ -230,9 +219,7 @@ class DiagnosisIndex:
             self._index = {}
             for (diagnosis_id, _), index in self._chunks.items():
                 for rpi, entries in index.items():
-                    self._index.setdefault(rpi, []).extend(
-                        (diagnosis_id, j, entry) for j, entry in enumerate(entries)
-                    )
+                    self._index.setdefault(rpi, []).extend((diagnosis_id, e) for e in entries)
         return self._index
 
 

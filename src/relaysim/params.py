@@ -87,8 +87,10 @@ class SimParams:
             raise ValueError(
                 f"bucket_seconds must divide a day evenly, got {self.bucket_seconds}"
             )
-        if self.tick_seconds <= 0:
-            raise ValueError("tick_seconds must be positive")
+        for name in ("tick_seconds", "cell_size_deg", "ble_range_m", "min_path_distance_m",
+                     "tek_retention_days"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if not TX_POWER_MIN <= self.tx_power_dbm <= TX_POWER_MAX:
             raise ValueError(
                 f"tx_power_dbm must be in [{TX_POWER_MIN}, {TX_POWER_MAX}], got {self.tx_power_dbm}"
@@ -98,16 +100,10 @@ class SimParams:
                 raise ValueError(
                     f"{name} must be in [0, {NEIGHBORHOOD_MAX}], got {getattr(self, name)}"
                 )
-        if self.cell_size_deg <= 0:
-            raise ValueError("cell_size_deg must be positive")
         # Every cell index, widened by the neighborhood, must fit a digest's int64.
         reach = 180 / self.cell_size_deg
         if not (reach < 2**63 and math.ceil(reach) + self.neighborhood_cells < 2**63):
             raise ValueError(f"cell_size_deg must exceed 180 / 2**63, got {self.cell_size_deg!r}")
-        if self.ble_range_m <= 0:
-            raise ValueError("ble_range_m must be positive")
-        if self.tek_retention_days <= 0:
-            raise ValueError("tek_retention_days must be positive")
 
     @property
     def intervals_per_day(self) -> int:

@@ -14,9 +14,9 @@ is therefore never back on the air before the next tick, matching the
 causal order of a real relay.  Devices poll only on a tick where the
 backend published a chunk, while the chunk is inside its retention window,
 so on any other tick every poll would come back empty.  No tick matches or
-scores: ``World.finish`` logs each device's match events, derived from the
-ticks of its polls and its final match runs, and the report scores each
-device once.  The air has one change signal: a
+scores: ``World.finish`` has each actor report once, and a device's report
+reads its final match runs once, to score them and to derive its match
+events from the ticks of its polls.  The air has one change signal: a
 walker that moved, or an actor whose packets are not the object it sent the
 tick before.  An actor keeps the same packets object while it does not
 change: a device's packet tuple until it rotates, the rebroadcaster's queue
@@ -144,6 +144,13 @@ def _objects(section: dict, key: str, owner: str = "scenario") -> list[dict]:
     return items
 
 
+def _only(item: dict, keys, owner: str) -> None:
+    """A ConfigError naming ``owner`` and each key of ``item`` not in ``keys``."""
+    unknown = set(item) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {owner} key(s): {', '.join(sorted(unknown))}")
+
+
 def _field(item: dict, key: str, owner: str):
     try:
         return item[key]
@@ -169,9 +176,7 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
     if not isinstance(data, dict):
         raise ConfigError("a scenario must be a JSON object at its top level")
 
-    unknown = set(data) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown scenario key(s): {', '.join(sorted(unknown))}")
+    _only(data, _TOP_LEVEL_KEYS, "scenario")
     if seed_override is not None:
         data["seed"] = seed_override
 
@@ -185,6 +190,7 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
     for i, p in enumerate(_objects(data, "places")):
         place_name = str(_field(p, "name", f"place #{i}"))
         owner = f"place {place_name!r}"
+        _only(p, ("name", "lat", "lon", "radius_m"), owner)
         try:
             place = radio.Place(
                 place_name,
@@ -200,12 +206,8 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
     actors: list[ActorSpec] = []
     seen = set()
     for i, a in enumerate(_objects(data, "actors")):
-        unknown = set(a) - _ACTOR_KEYS
-        if unknown:
-            raise ConfigError(
-                f"unknown actor key(s) for {a.get('name', '?')!r}: {', '.join(sorted(unknown))}"
-            )
         actor_name = str(_field(a, "name", f"actor #{i}"))
+        _only(a, _ACTOR_KEYS, f"actor {actor_name!r}")
         if actor_name in seen:
             raise ConfigError(f"duplicate actor name {actor_name!r}")
         seen.add(actor_name)
@@ -232,14 +234,15 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
                 raise ConfigError(
                     f"actor {actor_name!r}: movement must be \"stationary\" or a waypoints object"
                 )
+            _only(movement, ("waypoints",), f"actor {actor_name!r} movement")
             where = f"actor {actor_name!r} waypoint"
-            wps = [
-                Waypoint(
+            wps = []
+            for w in _objects(movement, "waypoints", f"actor {actor_name!r}"):
+                _only(w, ("at", "lat", "lon"), where)
+                wps.append(Waypoint(
                     _as(int, _field(w, "at", where), f"{where} at"),
                     *_coordinates(_field(w, "lat", where), _field(w, "lon", where), where),
-                )
-                for w in _objects(movement, "waypoints", f"actor {actor_name!r}")
-            ]
+                ))
             if any(b.at <= a_.at for a_, b in zip(wps, wps[1:])):
                 raise ConfigError(f"actor {actor_name!r}: waypoint times must increase")
             waypoints = tuple(wps)
@@ -266,6 +269,7 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
     events = []
     for i, e in enumerate(_objects(data, "diagnosis_events")):
         owner = f"diagnosis event #{i}"
+        _only(e, ("actor", "at_time"), owner)
         target = str(_field(e, "actor", owner))
         at_time = _as(int, _field(e, "at_time", owner), f"{owner} at_time")
         if target not in by_name:
@@ -286,9 +290,7 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
     attack_data = data.get("attack", {})
     if not isinstance(attack_data, dict):
         raise ConfigError("attack must be an object")
-    unknown = set(attack_data) - {f.name for f in fields(AttackSpec)}
-    if unknown:
-        raise ConfigError(f"unknown attack key(s): {', '.join(sorted(unknown))}")
+    _only(attack_data, [f.name for f in fields(AttackSpec)], "attack")
     attack = AttackSpec(**attack_data)
     for key, least in (("relay_delay", 0), ("replay_ttl", 1)):
         value = _as(int, getattr(attack, key), f"attack {key}")
@@ -534,30 +536,24 @@ class World:
             payload=payload.decode(),
         )
 
-    def finish(self) -> None:
-        """End the run: catch the actors up, then log every device's match
-        events.  Within a tick they come after every other event, devices
-        in name order; the sort is stable and the events are in time order."""
+    def finish(self) -> ScenarioReport:
+        """End the run: catch the actors up, then have each actor, in name
+        order, report its row and log its end-of-run events (a device's
+        match events).  Within a tick those come after every other event;
+        the sort is stable and the events are in time order."""
         self._catch_up()
-        end = self.config.duration
-        matches = [e for device in self.devices.values() for e in device.match_events(end)]
-        self.events = sorted(self.events + matches, key=itemgetter("t"))
-
-    def run(self) -> ScenarioReport:
-        ticks = self.config.duration // self.params.tick_seconds
-        for _ in range(ticks):
-            self.step()
-        self.finish()
-        return self._report()
-
-    def _report(self) -> ScenarioReport:
+        rows = {}
+        for actor in self.actors:
+            rows[actor.name], events = actor.report(self.config.duration)
+            self.events += events
+        self.events.sort(key=itemgetter("t"))
         return ScenarioReport(
             {
                 "scenario": self.config.name,
                 "seed": self.config.seed,
                 "duration": self.config.duration,
                 "tick_seconds": self.params.tick_seconds,
-                "actors": {a.name: a.report_row() for a in self.actors},
+                "actors": rows,
                 "events": self.events,
                 "backend": {
                     "chunks": self.backend.chunk_count,
@@ -566,6 +562,11 @@ class World:
                 "config": self.config.raw,
             }
         )
+
+    def run(self) -> ScenarioReport:
+        for _ in range(self.config.duration // self.params.tick_seconds):
+            self.step()
+        return self.finish()
 
 
 def run(config: ScenarioConfig) -> ScenarioReport:

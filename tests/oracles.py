@@ -223,8 +223,8 @@ class PerSightingDevice(EveryTick, HonestDevice):
     Match events follow the incremental rule: every poll that brings
     chunks matches the new sightings against every chunk, and a
     diagnosis's event is (t, count) of the first such poll at which it has
-    matches; ``match_events(end)`` adds, at ``end``, the diagnoses first
-    matched by a last pass at the end of the run."""
+    matches; ``report(end)`` adds, at ``end``, the diagnoses first matched
+    by a last pass at the end of the run."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -275,13 +275,6 @@ class PerSightingDevice(EveryTick, HonestDevice):
         self._match_new_sightings(None)
         return self._score()
 
-    def match_events(self, end):
-        self._match_new_sightings(end)
-        firsts = sorted((t, d, n) for d, (t, n) in self.first_matched.items())
-        return [
-            {"t": t, "event": "match", "actor": self.name, "diagnosis_id": d, "matches": n}
-            for t, d, n in firsts
-        ]
 
     def _match_new_sightings(self, now):
         """Match the sightings stored since each chunk's last pass and, at
@@ -346,8 +339,15 @@ class PerSightingDevice(EveryTick, HonestDevice):
                 first = verdict
         return first
 
-    def report_row(self):
-        return super().report_row() | {"observations": len(self.stored)}
+    def report(self, end):
+        self._match_new_sightings(end)
+        row, _ = super().report(end)
+        firsts = sorted((t, d, n) for d, (t, n) in self.first_matched.items())
+        events = [
+            {"t": t, "event": "match", "actor": self.name, "diagnosis_id": d, "matches": n}
+            for t, d, n in firsts
+        ]
+        return row | {"observations": len(self.stored)}, events
 
 
 class EveryTickWorld(scenario.World):
@@ -415,8 +415,8 @@ class PerCaptureSniffer(EveryTick):
                 )
         return events
 
-    def report_row(self):
-        return {"role": "sniffer", "captures": self.captures}
+    def report(self, end):
+        return {"role": "sniffer", "captures": self.captures}, []
 
 
 class PerCaptureRebroadcaster(EveryTick):
@@ -453,12 +453,13 @@ class PerCaptureRebroadcaster(EveryTick):
         self._relayed.update(new)
         return [{"t": now, "event": "relay", "actor": self.name, "packet": p.hex()} for p in new]
 
-    def report_row(self):
-        return {
+    def report(self, end):
+        row = {
             "role": "rebroadcaster",
             "relay_delay": self.relay_delay,
             "replay_ttl": self.replay_ttl,
         }
+        return row, []
 
 
 # What a world's adversaries are, for ``mock.patch.multiple(scenario, ...)``.

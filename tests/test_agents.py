@@ -96,7 +96,7 @@ class TestHonestDevice:
             assert dev.receive(inbox, t) == 1
         assert len(dev._runs) == 1
         assert [o.scan_time for o in dev.observations] == list(range(0, 610, 10))
-        assert dev.report_row()["observations"] == 61
+        assert dev.report(610)[0]["observations"] == 61
         # one contact row per time bucket, not per sighting
         assert [r.bucket for r in dev.contact_table().records] == [0, 1, 2]
 

@@ -1,8 +1,9 @@
 """During a run a device only polls; matching and scoring wait for its end,
 or for a result to be read.
 
-The counting test pins how often a run polls and scores: once per device per
-published chunk, and once per device in all, for its report.  The tick test
+The counting test pins how often a run polls, reads its matches and scores:
+once per device per published chunk, and once per device in all, for its
+report.  The tick test
 pins that no tick looks a run up or scores: all of it happens after the last
 tick.  The lookup test pins how matching works: on observation runs, each
 looked up at most once per read in the one index over every downloaded
@@ -69,13 +70,19 @@ def test_polls_once_per_chunk_and_scores_once(name):
     # crowd_guarded_small is the benchmark's crowd_guarded shape, scaled down.
     world = World(golden_config(name))
     calls: Counter = Counter()
-    with _counting(HonestDevice, "poll_backend", calls), _counting(gaen, "risk_score", calls):
+    with (
+        _counting(HonestDevice, "poll_backend", calls),
+        _counting(HonestDevice, "_matched", calls),
+        _counting(HonestDevice, "evaluate_exposure", calls),
+        _counting(gaen, "risk_score", calls),
+    ):
         report = world.run().to_dict()
     chunks = world.backend.chunk_count
     publishing_ticks = {e["t"] for e in report["events"] if e["event"] == "diagnosis"}
     assert chunks == len(publishing_ticks) > 0
     assert calls["poll_backend"] == len(world.devices) * chunks
-    assert calls["risk_score"] == len(world.devices)
+    for once_per_device in ("_matched", "evaluate_exposure", "risk_score"):
+        assert calls[once_per_device] == len(world.devices), once_per_device
 
 
 @pytest.mark.parametrize("name", golden_names())

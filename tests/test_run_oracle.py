@@ -135,15 +135,15 @@ def _run(
     device_class: type = HonestDevice,
     world_class: type = scenario.World,
     adversaries: dict | None = None,
-) -> scenario.World:
-    """Step the world at ``times``, then finish the run as ``World.run`` does."""
+) -> tuple[scenario.World, bytes]:
+    """Step the world at ``times``, then finish the run as ``World.run``
+    does; returns the world and its report bytes."""
     with mock.patch.dict(vars(scenario), {"HonestDevice": device_class, **(adversaries or {})}):
         world = world_class(scenario.load_config(config))
     for t in times:
         world.now = t
         world.step()
-    world.finish()
-    return world
+    return world, world.finish().to_json_bytes()
 
 
 # d0 is diagnosed twice, so the two chunks carry the same keys and every
@@ -290,9 +290,9 @@ def _state(device: HonestDevice) -> tuple:
 @given(world=worlds())
 def test_worlds_with_runs_equal_per_sighting_worlds(world):
     config, times = world
-    runs = _run(config, times, HonestDevice)
-    reference = _run(config, times, PerSightingDevice)
-    assert runs._report().to_json_bytes() == reference._report().to_json_bytes()
+    runs, report = _run(config, times, HonestDevice)
+    reference, expected = _run(config, times, PerSightingDevice)
+    assert report == expected
     for name, device in runs.devices.items():
         assert _state(device) == _state(reference.devices[name]), name
 
@@ -302,9 +302,9 @@ def test_worlds_with_runs_equal_per_sighting_worlds(world):
 @given(world=worlds())
 def test_event_driven_exposure_equals_every_tick_exposure(world):
     config, times = world
-    events = _run(config, times)
-    reference = _run(config, times, world_class=EveryTickWorld)
-    assert events._report().to_json_bytes() == reference._report().to_json_bytes()
+    events, report = _run(config, times)
+    reference, expected = _run(config, times, world_class=EveryTickWorld)
+    assert report == expected
     for name, device in events.devices.items():
         assert _state(device) == _state(reference.devices[name]), name
 
@@ -331,8 +331,8 @@ def _exposure(world: scenario.World) -> tuple:
 @given(world=worlds(twice=st.just(True)))
 def test_chunks_sharing_rpis_match_and_score_as_per_sighting(world):
     config, times = world
-    runs = _run(config, times)
-    reference = _run(config, times, PerSightingDevice)
+    runs, _ = _run(config, times)
+    reference, _ = _run(config, times, PerSightingDevice)
     assert _exposure(runs) == _exposure(reference)
 
 
@@ -375,9 +375,9 @@ def test_chunks_sharing_rpis_match_and_score_as_per_sighting(world):
 @given(world=worlds(attacked=st.just(True)))
 def test_capture_runs_equal_per_capture_adversaries(world):
     config, times = world
-    runs = _run(config, times)
-    reference = _run(config, times, adversaries=PER_CAPTURE_ADVERSARIES)
-    assert runs._report().to_json_bytes() == reference._report().to_json_bytes()
+    runs, report = _run(config, times)
+    reference, expected = _run(config, times, adversaries=PER_CAPTURE_ADVERSARIES)
+    assert report == expected
     assert runs.database.entries == reference.database.entries
 
 
@@ -459,7 +459,7 @@ def test_any_inbox_sequence_stores_what_per_sighting_stores(
             stored.append(device.receive(inbox, now))
         assert stored[0] == stored[1]
     device, reference = devices
-    assert device.report_row() == reference.report_row()
+    assert device.report(now + TICK) == reference.report(now + TICK)
     expected = reference.observations
     assert device.observations == expected
     if defended:
@@ -471,6 +471,6 @@ def test_any_inbox_sequence_stores_what_per_sighting_stores(
     device.downloaded[0] = DownloadedChunk((), None, now)
     for since, until in combinations(cuts, 2):
         entry = gaen.IndexedRpi(tek, gaen.derive_aemk(tek), 0, since, until)
-        device.index = StubIndex({o.rpi: [(0, 0, entry)] for o in expected})
+        device.index = StubIndex({o.rpi: [(0, entry)] for o in expected})
         got = [m.observation for m in device.chunk_matches(0)]
         assert got == [o for o in expected if since <= o.scan_time < until]

@@ -247,6 +247,29 @@ class TestLoadConfig:
                 r"^actor 'a' waypoint lon must be within \[-180, 180\], got 9300000000000000.0$",
             ),
             ({"params": {"cell_size_deg": 5e-324}}, "cell_size_deg must exceed 180 / 2\\*\\*63"),
+            # Before, an unknown key of these objects was silently ignored.
+            (
+                {"places": [{"name": "P", "lat": 0.0, "lon": 0.0, "radius": 50}]},
+                r"^unknown place 'P' key\(s\): radius$",
+            ),
+            (
+                {"actors": [{"name": "a", "place": "P", "colour": "red"}]},
+                r"^unknown actor 'a' key\(s\): colour$",
+            ),
+            (
+                {"actors": [{"name": "a", "place": "P", "movement": {
+                    "waypoint": [{"at": 5, "lat": 0.0, "lon": 0.0}]}}]},
+                r"^unknown actor 'a' movement key\(s\): waypoint$",
+            ),
+            (
+                {"actors": [{"name": "a", "place": "P", "movement": {
+                    "waypoints": [{"at": 5, "lat": 0.0, "lon": 0.0, "alt": 3}]}}]},
+                r"^unknown actor 'a' waypoint key\(s\): alt$",
+            ),
+            (
+                {"diagnosis_events": [{"actor": "b", "at_time": 0, "at_tme": 50}]},
+                r"^unknown diagnosis event #0 key\(s\): at_tme$",
+            ),
         ],
     )
     def test_malformed_section_names_offender(self, overrides, offender, tmp_path):
@@ -443,6 +466,12 @@ class TestSimParams:
         with pytest.raises(ValueError, match="tick_seconds"):
             SimParams(tick_seconds=0)
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_positive_min_path_distance_required(self, value):
+        # Before, two co-located actors made the run fail in radio.path_loss_db.
+        with pytest.raises(ValueError, match="^min_path_distance_m must be positive$"):
+            SimParams(min_path_distance_m=value)
+
     def test_params_is_the_only_source_of_defaults(self):
         # A default repeated in a signature can drift from SimParams (or
         # AttackSpec); the listen port is a deployment setting, not a knob.
@@ -609,6 +638,11 @@ class TestCli:
             (b"\xff{", "cannot read the scenario file"),
             (None, "cannot read the scenario file"),  # a directory
             ("no_such_scenario", "no bundled scenario"),
+            pytest.param(
+                json.dumps(_minimal_config(params={"min_path_distance_m": 0})).encode(),
+                "bad params section: min_path_distance_m must be positive",
+                id="co-located-actors-at-zero-min-path-distance",
+            ),
         ],
     )
     def test_config_error_is_a_message_and_status_2(self, tmp_path, capsys, target, message):

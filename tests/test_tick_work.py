@@ -164,8 +164,8 @@ def test_a_repeated_tick_calls_no_actor_or_radio_code(name):
             before = len(calls)
             world.step()
             repeated += len(calls) == before
-        world.finish()
-    assert world._report().to_json_bytes() == (REPORTS / f"{name}.json").read_bytes()
+        report = world.finish()
+    assert report.to_json_bytes() == (REPORTS / f"{name}.json").read_bytes()
     assert repeated > 0.8 * ticks
 
 

@@ -5,7 +5,10 @@
 method to a base class, breaks the benchmark's traced passes.  This test
 installs the tracer in both of its modes, runs a bundled scenario under it
 and checks that the report bytes are the golden ones and that ``close``
-puts back every name of the package as it was.
+puts back every name of the package as it was.  It also checks that each
+honest device's one end-of-run read goes through the traced
+``evaluate_exposure`` inside ``World.run``: the benchmark's exposure
+metrics read 0 if a run routes around it.
 
 ``bench/run.py`` also times each ``World.step`` call of a simulation pass as
 one request, so ``World.run`` must call it once per tick: a run that skipped
@@ -54,6 +57,10 @@ def test_tracer_wraps_and_restores_the_package(counting, monkeypatch):
     assert report == (REPORTS / "scenario1.json").read_bytes()
     assert tracer.spans
     assert _namespaces() == before
+    (run,) = [s.id for s in tracer.spans if s.name == "scenario.World.run"]
+    evaluations = [s.parent for s in tracer.spans if s.name == "agents.evaluate_exposure"]
+    honest = [a for a in golden_config("scenario1").actors if a.role == "honest"]
+    assert evaluations == [run] * len(honest)
 
 
 @pytest.mark.parametrize("name", golden_names())

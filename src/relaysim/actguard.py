@@ -23,7 +23,6 @@ import hashlib
 import math
 import struct
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Protocol
 
@@ -57,17 +56,17 @@ class ContactRecord(NamedTuple):
     bucket: int
 
 
-@dataclass
 class MyContactsTable:
     """Contact evidence, filled afresh from a device's observation runs for
     each upload and verification pass: one row per (rpi_low, rpi_high, cell,
     bucket), hence per digest, also indexed by pseudonym; both in insertion
     order.  Rows hold no digest: ``hashes`` computes them at upload."""
 
-    records: dict[ContactRecord, None] = field(default_factory=dict, init=False)
-    _by_rpi: dict[bytes, list[ContactRecord]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    __slots__ = ("records", "_by_rpi")
+
+    def __init__(self) -> None:
+        self.records: dict[ContactRecord, None] = {}
+        self._by_rpi: dict[bytes, list[ContactRecord]] = {}
 
     def add(self, lo: bytes, hi: bytes, cell: tuple[int, int], bucket: int) -> ContactRecord:
         """The contact's row, added unless the table holds it already."""
@@ -100,8 +99,7 @@ class VerdictKind(Enum):
     UNVERIFIABLE = "Unverifiable"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: VerdictKind
     diagnosis_id: int
     rpi: bytes

@@ -25,7 +25,6 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import actguard, gaen, radio
@@ -38,7 +37,6 @@ class DatabaseEntry(NamedTuple):
     capture_time: int
 
 
-@dataclass(slots=True)
 class CaptureRun:
     """The protocol packets of one sniffer inbox, in inbox order, captured at
     ``first``, ``first + step``, ..., ``last``: one capture run per packet.
@@ -48,12 +46,17 @@ class CaptureRun:
     (rank, seq, inbox position).
     """
 
-    packets: tuple[bytes, ...]
-    first: int
-    last: int
-    step: int
-    rank: int
-    seq: int
+    __slots__ = ("packets", "first", "last", "step", "rank", "seq")
+
+    def __init__(
+        self, packets: tuple[bytes, ...], first: int, last: int, step: int, rank: int, seq: int
+    ) -> None:
+        self.packets = packets
+        self.first = first
+        self.last = last
+        self.step = step
+        self.rank = rank
+        self.seq = seq
 
     @property
     def captures(self) -> int:
@@ -361,17 +364,22 @@ class RebroadcastAdversary:
         return row, []
 
 
-@dataclass(slots=True)
 class ObservationRun:
     """One packet heard at one rssi from one place on consecutive ticks: the
-    sightings at scan times ``first``, ``first + tick``, ..., ``last``."""
+    sightings at scan times ``first``, ``first + tick``, ..., ``last``.
+    ``scanned_as`` is the scanner's (own RPI, position), shared per inbox."""
 
-    rpi: bytes
-    aem: bytes
-    rssi: float
-    first: int
-    last: int
-    scanned_as: tuple[bytes, tuple[float, float]]  # (own RPI, position), shared per inbox
+    __slots__ = ("rpi", "aem", "rssi", "first", "last", "scanned_as")
+
+    def __init__(
+        self, rpi: bytes, aem: bytes, rssi: float, first: int, last: int, scanned_as: tuple
+    ) -> None:
+        self.rpi = rpi
+        self.aem = aem
+        self.rssi = rssi
+        self.first = first
+        self.last = last
+        self.scanned_as = scanned_as
 
 
 class DownloadedChunk(NamedTuple):
@@ -389,18 +397,17 @@ class DownloadedChunk(NamedTuple):
 ClippedRun = tuple[range, gaen.IndexedRpi, int, ObservationRun]
 
 
-@dataclass
-class ExposureState:
-    gaen_alert: bool = False
-    risk_score: float = 0.0
-    verdicts: dict[int, actguard.Verdict] = field(default_factory=dict)
-    matches_by_diagnosis: dict[int, int] = field(default_factory=dict)
-    contact_records: int = 0  # the rows the verdicts were checked against
+class ExposureState(NamedTuple):
+    gaen_alert: bool
+    risk_score: float
+    verdicts: dict[int, actguard.Verdict]
+    matches_by_diagnosis: dict[int, int]
+    contact_records: int  # the rows the verdicts were checked against
     # (t, diagnosis id, matches scanned by t) of each matched diagnosis, in
     # id order: t is the first tick at which a poll brought chunks that is
     # at or after both the chunk's own poll and its first matched scan
     # time, inf if there is none
-    first_matches: list[tuple[float, int, int]] = field(default_factory=list)
+    first_matches: Sequence[tuple[float, int, int]] = ()
 
 
 class HonestDevice:

@@ -17,11 +17,10 @@ import json
 import random
 import secrets
 from collections import deque
-from dataclasses import dataclass
 
 from .actguard import CONTACT_HASH_LENGTH
 from .gaen import Tek
-from .params import SECONDS_PER_DAY, SimParams, as_number
+from .params import SECONDS_PER_DAY, FrozenRecord, SimParams, as_number
 
 OTP_BYTES = 16
 
@@ -57,22 +56,28 @@ class BackendUnavailable(BackendError):
     """Transient transport failure; the caller should retry later."""
 
 
-@dataclass
 class Otp:
-    code: str
-    authorized_at: int
-    ttl: int
-    used: bool = False
+    __slots__ = ("code", "authorized_at", "ttl", "used")
+
+    def __init__(self, code: str, authorized_at: int, ttl: int, used: bool = False) -> None:
+        self.code = code
+        self.authorized_at = authorized_at
+        self.ttl = ttl
+        self.used = used
 
     def expired(self, now: int) -> bool:
         return now > self.authorized_at + self.ttl
 
 
-@dataclass(frozen=True)
-class TekChunk:
-    index: int
-    teks: tuple[tuple[bytes, int], ...]  # (tek bytes, day_index), device-anonymous
-    published_at: int
+class TekChunk(FrozenRecord):
+    """A published diagnosis; ``teks`` holds (tek bytes, day_index) pairs,
+    device-anonymous.  Each chunk read scans the stored chunks, so this is
+    a ``__slots__`` record."""
+
+    __slots__ = ("index", "teks", "published_at")
+
+    def __init__(self, index: int, teks: tuple[tuple[bytes, int], ...], published_at: int) -> None:
+        self._set(index, teks, published_at)
 
 
 class BackendStore:

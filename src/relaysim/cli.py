@@ -10,7 +10,6 @@ from pathlib import Path
 from . import scenario
 from .backend import BackendStore
 from .params import SimParams
-from .wire import BackendHTTPServer
 
 
 def _port(text: str) -> int:
@@ -70,6 +69,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "serve-backend":
+        from .wire import BackendHTTPServer  # only this command needs the HTTP stack
+
         params = SimParams()
         store = BackendStore(params)  # secrets-backed OTPs outside simulation runs
         try:

@@ -28,10 +28,9 @@ import hmac
 import hashlib
 import struct
 from collections.abc import Iterable
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .params import SECONDS_PER_DAY, TX_POWER_MAX, TX_POWER_MIN, SimParams
+from .params import SECONDS_PER_DAY, TX_POWER_MAX, TX_POWER_MIN, FrozenRecord, SimParams
 
 TEK_LENGTH = 16
 KEY_LENGTH = 16
@@ -45,22 +44,20 @@ RPI_LABEL = b"SIM-RPI"
 AEM_LABEL = b"SIM-AEM"
 
 
-@dataclass(frozen=True)
-class Tek:
+class Tek(FrozenRecord):
     """Daily 16-byte temporary exposure key."""
 
-    bytes: bytes
-    day_index: int
+    __slots__ = ("bytes", "day_index")
 
-    def __post_init__(self) -> None:
-        if len(self.bytes) != TEK_LENGTH:
-            raise ValueError(f"tek must be {TEK_LENGTH} bytes, got {len(self.bytes)}")
-        if self.day_index < 0:
+    def __init__(self, bytes: bytes, day_index: int) -> None:
+        if len(bytes) != TEK_LENGTH:
+            raise ValueError(f"tek must be {TEK_LENGTH} bytes, got {len(bytes)}")
+        if day_index < 0:
             raise ValueError("day_index must be >= 0")
+        self._set(bytes, day_index)
 
 
-@dataclass(frozen=True)
-class Rpi:
+class Rpi(NamedTuple):
     """Rolling proximity identifier for one rotation window of a day."""
 
     bytes: bytes
@@ -86,8 +83,7 @@ class ExposureMatch(NamedTuple):
     observation: Observation
 
 
-@dataclass(frozen=True)
-class RiskResult:
+class RiskResult(NamedTuple):
     score: float
     alert: bool
 

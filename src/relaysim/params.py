@@ -5,14 +5,16 @@ else: functions take the ``SimParams`` (or ``AttackSpec``) they need rather
 than re-declaring a default.  Scenario configs override fields by name.
 Values are validated once at construction by ``as_number``, the one rule for
 an int or float taken from outside the program (scenario files and uploads
-use it too), so the tick loop never has to re-check them.
+use it too), so the tick loop never has to re-check them.  ``FrozenRecord``,
+the base of ``SimParams`` and the package's other immutable ``__slots__``
+records, lives here too, as every other module imports this one.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 SECONDS_PER_DAY = 86400
 
@@ -40,45 +42,92 @@ def as_number(kind: type, value, what: str, error: type[Exception] = ValueError)
     return float(value)
 
 
-@dataclass(frozen=True)
-class SimParams:
+class FrozenRecord:
+    """Base of the immutable ``__slots__`` records: equality, hashing and
+    repr go by the fields, which are the subclass's ``__slots__`` in order.
+    A subclass's ``__init__`` stores its fields with ``_set`` and checks
+    them; no field can be assigned or deleted otherwise."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __getstate__(self) -> tuple:  # copy and pickle store the fields with _set
+        return self._values()
+
+    def __setstate__(self, state: tuple) -> None:
+        self._set(*state)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SimParams(FrozenRecord):
     """Tunable knobs for one simulation run.
 
     The defaults encode the protocol as simulated: 2-hour pseudonym
     rotation, one advertisement per 10 s tick, a 10 m radio range with a
     log-distance path-loss model, step-function risk weights, and a
     0.001 degree / 300 s quantization grid for contact hashing.
+
+    ``DEFAULTS`` names every field, in order, with its default; a field
+    takes the type of its default (``as_number``), and a value is stored
+    as it was passed, so an int given for a float field stays an int.
     """
 
-    # pseudonym schedule
-    rotation_seconds: int = 7200
-    tek_retention_days: int = 14
-    clock_tolerance_seconds: int = 0
+    DEFAULTS = {
+        # pseudonym schedule
+        "rotation_seconds": 7200,
+        "tek_retention_days": 14,
+        "clock_tolerance_seconds": 0,
+        # radio
+        "tick_seconds": 10,
+        "tx_power_dbm": -20,
+        "ble_range_m": 10.0,
+        "path_loss_ref_db": 40.0,
+        "path_loss_per_decade_db": 20.0,
+        "min_path_distance_m": 0.1,
+        # risk scoring
+        "attenuation_threshold_db": 60.0,
+        "alert_threshold_minutes": 10.0,
+        # contact-hash quantization and verification neighborhood
+        "cell_size_deg": 0.001,
+        "bucket_seconds": 300,
+        "neighborhood_cells": 1,
+        "neighborhood_buckets": 1,
+        # backend
+        "otp_ttl_seconds": 3600,
+    }
+    __slots__ = tuple(DEFAULTS)
 
-    # radio
-    tick_seconds: int = 10
-    tx_power_dbm: int = -20
-    ble_range_m: float = 10.0
-    path_loss_ref_db: float = 40.0
-    path_loss_per_decade_db: float = 20.0
-    min_path_distance_m: float = 0.1
-
-    # risk scoring
-    attenuation_threshold_db: float = 60.0
-    alert_threshold_minutes: float = 10.0
-
-    # contact-hash quantization and verification neighborhood
-    cell_size_deg: float = 0.001
-    bucket_seconds: int = 300
-    neighborhood_cells: int = 1
-    neighborhood_buckets: int = 1
-
-    # backend
-    otp_ttl_seconds: int = 3600
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            as_number(int if f.type == "int" else float, getattr(self, f.name), f.name)
+    def __init__(self, **values) -> None:
+        unknown = values.keys() - self.DEFAULTS.keys()
+        if unknown:
+            raise TypeError(f"unknown parameter(s): {', '.join(sorted(unknown))}")
+        values = {**self.DEFAULTS, **values}  # in field order
+        for name, default in self.DEFAULTS.items():
+            as_number(type(default), values[name], name)
+        self._set(*values.values())
         if self.rotation_seconds <= 0 or SECONDS_PER_DAY % self.rotation_seconds:
             raise ValueError(
                 f"rotation_seconds must divide a day evenly, got {self.rotation_seconds}"
@@ -112,15 +161,13 @@ class SimParams:
     @classmethod
     def from_dict(cls, overrides: dict) -> "SimParams":
         """Build params from a config mapping, rejecting unknown keys."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(overrides) - known
+        unknown = set(overrides) - set(cls.DEFAULTS)
         if unknown:
             raise ValueError(f"unknown parameter(s): {', '.join(sorted(unknown))}")
         return cls(**overrides)
 
 
-@dataclass(frozen=True)
-class AttackSpec:
+class AttackSpec(NamedTuple):
     """A capture is replayed from ``relay_delay`` until ``replay_ttl``
     seconds after it was made."""
 

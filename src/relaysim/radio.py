@@ -11,12 +11,11 @@ never an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
 from .gaen import AEM_LENGTH, RPI_LENGTH
-from .params import SimParams
+from .params import FrozenRecord, SimParams
 
 SERVICE_UUID = 0xFD6F
 PACKET_LENGTH = 2 + RPI_LENGTH + AEM_LENGTH
@@ -58,18 +57,15 @@ def path_loss_db(distance_m: float, params: SimParams) -> float:
     return params.path_loss_ref_db + params.path_loss_per_decade_db * math.log10(d)
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(FrozenRecord):
     """Named disc scenarios use to position actors."""
 
-    name: str
-    lat: float
-    lon: float
-    radius_m: float
+    __slots__ = ("name", "lat", "lon", "radius_m")
 
-    def __post_init__(self) -> None:
-        if self.radius_m <= 0:
-            raise ValueError(f"place {self.name!r} needs a positive radius")
+    def __init__(self, name: str, lat: float, lon: float, radius_m: float) -> None:
+        if radius_m <= 0:
+            raise ValueError(f"place {name!r} needs a positive radius")
+        self._set(name, lat, lon, radius_m)
 
     @property
     def center(self) -> tuple[float, float]:

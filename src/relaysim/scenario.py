@@ -49,11 +49,10 @@ import hashlib
 import json
 import math
 import random
-from dataclasses import dataclass, field, fields
 from functools import partial
-from importlib import resources
 from operator import is_not, itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from . import gaen, radio
 from .agents import (
@@ -85,15 +84,13 @@ def _coordinates(lat, lon, what: str) -> tuple[float, float]:
     return angles
 
 
-@dataclass(frozen=True)
-class Waypoint:
+class Waypoint(NamedTuple):
     at: int
     lat: float
     lon: float
 
 
-@dataclass
-class ActorSpec:
+class ActorSpec(NamedTuple):
     name: str
     role: str
     place: str
@@ -102,14 +99,12 @@ class ActorSpec:
     waypoints: tuple[Waypoint, ...] = ()
 
 
-@dataclass(frozen=True)
-class DiagnosisEvent:
+class DiagnosisEvent(NamedTuple):
     actor: str
     at_time: int
 
 
-@dataclass
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     name: str
     seed: int
     duration: int
@@ -118,8 +113,8 @@ class ScenarioConfig:
     attack: AttackSpec
     diagnosis_events: list[DiagnosisEvent]
     params: SimParams
-    description: str = ""
-    raw: dict = field(default_factory=dict)
+    description: str
+    raw: dict  # the scenario's JSON values as loaded, for the report
 
 
 _TOP_LEVEL_KEYS = {
@@ -160,13 +155,14 @@ def _field(item: dict, key: str, owner: str):
 
 def load_config(source: str | Path | dict, *, seed_override: int | None = None) -> ScenarioConfig:
     """Parse and validate a scenario from a file path or an in-memory dict."""
+    path = None if isinstance(source, dict) else Path(source)
     try:
-        if isinstance(source, dict):
-            data = json.loads(json.dumps(source))  # private copy
-        else:
-            data = json.loads(Path(source).read_text())
+        # An in-memory scenario goes through JSON too: a private copy of JSON values.
+        data = json.loads(json.dumps(source) if path is None else path.read_text())
     except RecursionError:
         raise ConfigError("a scenario nested too deeply to parse") from None
+    except TypeError as exc:  # json.dumps: a key or value JSON cannot hold, such as a set
+        raise ConfigError(f"a scenario must hold only JSON keys and values: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"a scenario must be JSON: {exc}") from None
     except (OSError, UnicodeDecodeError) as exc:
@@ -290,7 +286,7 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
     attack_data = data.get("attack", {})
     if not isinstance(attack_data, dict):
         raise ConfigError("attack must be an object")
-    _only(attack_data, [f.name for f in fields(AttackSpec)], "attack")
+    _only(attack_data, AttackSpec._fields, "attack")
     attack = AttackSpec(**attack_data)
     for key, least in (("relay_delay", 0), ("replay_ttl", 1)):
         value = _as(int, getattr(attack, key), f"attack {key}")
@@ -312,11 +308,15 @@ def load_config(source: str | Path | dict, *, seed_override: int | None = None) 
 
 
 def builtin_scenario_names() -> list[str]:
+    from importlib import resources
+
     root = resources.files("relaysim").joinpath("scenarios")
     return sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
 
 
 def load_builtin(name: str, *, seed_override: int | None = None) -> ScenarioConfig:
+    from importlib import resources
+
     ref = resources.files("relaysim").joinpath("scenarios").joinpath(f"{name}.json")
     try:
         text = ref.read_text()

@@ -101,6 +101,18 @@ class TestKeySchedule:
         with pytest.raises(ValueError):
             gaen.generate_tek(b"s", -1)
 
+    def test_tek_checks_its_fields_and_is_a_frozen_value(self):
+        with pytest.raises(ValueError, match="^tek must be 16 bytes, got 15$"):
+            gaen.Tek(bytes(15), 0)
+        with pytest.raises(ValueError, match="^day_index must be >= 0$"):
+            gaen.Tek(bytes(16), -1)
+        tek = gaen.Tek(bytes=bytes(16), day_index=2)
+        assert tek == gaen.Tek(bytes(16), 2) != gaen.Tek(bytes(16), 3)
+        assert hash(tek) == hash(gaen.Tek(bytes(16), 2))
+        assert repr(tek) == f"Tek(bytes={bytes(16)!r}, day_index=2)"
+        with pytest.raises(AttributeError):
+            tek.day_index = 3
+
 
 class TestRpi:
     def test_deterministic(self):

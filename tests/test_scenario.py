@@ -1,8 +1,10 @@
 """Scenario loading, validation, the tick loop, and report emission."""
 
 import ast
+import copy
 import json
 import os
+import pickle
 import socket
 import subprocess
 import sys
@@ -270,6 +272,15 @@ class TestLoadConfig:
                 {"diagnosis_events": [{"actor": "b", "at_time": 0, "at_tme": 50}]},
                 r"^unknown diagnosis event #0 key\(s\): at_tme$",
             ),
+            # An in-memory scenario holding what JSON cannot.
+            (
+                {"params": {(1, 2): 3}},
+                r"^a scenario must hold only JSON keys and values: keys must be str, .*not tuple$",
+            ),
+            (
+                {"description": {"a", "b"}},
+                r"^a scenario must hold only JSON keys and values: .*type set is not JSON",
+            ),
         ],
     )
     def test_malformed_section_names_offender(self, overrides, offender, tmp_path):
@@ -471,6 +482,22 @@ class TestSimParams:
         # Before, two co-located actors made the run fail in radio.path_loss_db.
         with pytest.raises(ValueError, match="^min_path_distance_m must be positive$"):
             SimParams(min_path_distance_m=value)
+
+    def test_fields_are_kept_as_passed_and_frozen(self):
+        params = SimParams(ble_range_m=10, tick_seconds=5)
+        assert type(params.ble_range_m) is int  # an int in a float field stays an int
+        assert params == SimParams(tick_seconds=5, ble_range_m=10) != SimParams()
+        assert hash(params) == hash(SimParams(tick_seconds=5, ble_range_m=10))
+        assert repr(SimParams()).startswith("SimParams(rotation_seconds=7200, ")
+        assert copy.copy(params) == pickle.loads(pickle.dumps(params)) == params
+        with pytest.raises(AttributeError):
+            params.tick_seconds = 10
+        with pytest.raises(AttributeError):
+            del params.tick_seconds
+        with pytest.raises(TypeError, match=r"^unknown parameter\(s\): tick$"):
+            SimParams(tick=5)
+        with pytest.raises(ValueError, match="^ble_range_m must be a number, got '10'$"):
+            SimParams(ble_range_m="10")
 
     def test_params_is_the_only_source_of_defaults(self):
         # A default repeated in a signature can drift from SimParams (or
@@ -733,11 +760,12 @@ class TestCli:
 
     def test_unknown_host_is_a_message_and_status_2(self, capsys):
         # The server's constructor raises the failed lookup, patched in here
-        # so that no name is sent to a resolver.
-        from relaysim import cli
+        # so that no name is sent to a resolver.  The CLI imports the
+        # server class from the wire module when it serves.
+        from relaysim import cli, wire
 
         error = socket.gaierror(socket.EAI_NONAME, "Name or service not known")
-        with mock.patch.object(cli, "BackendHTTPServer", side_effect=error):
+        with mock.patch.object(wire, "BackendHTTPServer", side_effect=error):
             assert cli.main(["serve-backend", "--host", "nosuch.invalid"]) == 2
         assert capsys.readouterr().err == (
             "relaysim: cannot serve on nosuch.invalid:8470: [Errno -2] Name or service not known\n"

@@ -20,7 +20,6 @@ only against those in the grid cubes next to its own.  The contact-hash
 defense runs no tick in full that the same world without it would repeat.
 """
 
-import dataclasses
 from collections import Counter
 from contextlib import ExitStack
 from types import FunctionType
@@ -134,9 +133,7 @@ def test_the_defense_adds_no_tick_run_in_full(name):
     # Contact rows are derived from the runs, so a defended device has no
     # reason to end a quiet span at a time-bucket boundary.
     config = golden_config(name)
-    undefended = dataclasses.replace(
-        config, actors=[dataclasses.replace(a, actguard=False) for a in config.actors]
-    )
+    undefended = config._replace(actors=[a._replace(actguard=False) for a in config.actors])
     assert _ticks_run_in_full(World(config)) == _ticks_run_in_full(World(undefended))
 
 

@@ -220,15 +220,15 @@ class RebroadcastAdversary:
 
     The queue is one tuple object, handed out again while it is unchanged.
     It is recomputed, over the runs that can still enter the window, only
-    when the database opened a run, when ``now`` reaches the next time a
-    closed run can change the answer, or when a run open at the last
-    recompute can: a run's first capture enters the window at ``first +
-    delay``, and its last leaves at ``last + ttl``.  A run whose first
-    capture in the window leaves it moves to its next capture; the runs at
-    the front of the queue all move together, so their order against the
-    rest changes only when they catch up with the next run's first capture
-    in the window (for runs on one tick grid, at that run's ``first + ttl -
-    tick``).
+    when ``now`` reaches ``quiet_until(now)``: when the database opened a
+    run or when a run can change the answer.  A run's first capture enters
+    the window at ``first + delay``, and its last leaves at ``last + ttl``;
+    an open run out of the window may be extended back into it at any tick.
+    A run whose first capture in the window leaves it moves to its next
+    capture; the runs at the front of the queue all move together, so their
+    order against the rest changes only when they catch up with the next
+    run's first capture in the window (for runs on one tick grid, at that
+    run's ``first + ttl - tick``).
     """
 
     phase = 1
@@ -250,7 +250,7 @@ class RebroadcastAdversary:
         self._seen = 0  # database runs taken into ``_live``
         self._live: list[CaptureRun] = []  # the runs that can still enter the window
         self._next_change = math.inf
-        self._watched: list[tuple[CaptureRun, int, bool]] = []  # (open run, its last, expired)
+        self._watched: list[CaptureRun] = []  # the open runs in the window
         self._announced: tuple[bytes, ...] = ()
         self._relayed: set[bytes] = set()
 
@@ -262,22 +262,9 @@ class RebroadcastAdversary:
         if now < self._now:
             raise ValueError(f"replay at t={now} precedes the last one at t={self._now}")
         self._now = now
-        if (
-            len(self.database.runs) != self._seen
-            or now >= self._next_change
-            or self._open_run_moved(now)
-        ):
+        if now >= self.quiet_until(now):
             self._recompute_queue(now)
         return self.replay_queue
-
-    def _open_run_moved(self, now: int) -> bool:
-        # A run that was open at the last recompute changes the answer if it
-        # had left the window and was extended since, or if it was in the
-        # window and its last capture has left it.
-        for run, last, expired in self._watched:
-            if (run.last != last) if expired else (now >= run.last + self.replay_ttl):
-                return True
-        return False
 
     def _recompute_queue(self, now: int) -> None:
         database = self.database
@@ -293,20 +280,18 @@ class RebroadcastAdversary:
         watched = []
         change = math.inf
         for run in self._live:
+            if run.last <= lo:  # its captures have all left the window
+                if database.is_open(run):  # but it may be extended back into it
+                    live.append(run)
+                    change = -math.inf
+                continue
+            live.append(run)
             if database.is_open(run):
-                watched.append((run, run.last, run.last <= lo))
-            elif run.last <= lo:
-                continue  # its captures have all left the window for good
+                watched.append(run)
             else:
                 change = min(change, run.last + ttl)
-            live.append(run)
-            if run.last <= lo:
-                continue
             # ``at``: the run's first capture after lo
-            if run.first > lo:
-                at = run.first
-            else:
-                at = run.first + ((lo - run.first) // run.step + 1) * run.step
+            at = run.first + max(0, (lo - run.first) // run.step + 1) * run.step
             if at > hi:
                 change = min(change, at + delay)
             else:
@@ -341,15 +326,13 @@ class RebroadcastAdversary:
         return [{"t": now, "event": "relay", "actor": self.name, "packet": p.hex()} for p in new]
 
     def quiet_until(self, now: int) -> float:
-        """Before this time the queue is not recomputed: ``now`` if the
-        database opened a run since the last recompute or a watched run
-        that had left the window may have been extended, else the next
-        window event or the time a watched run's last capture would leave
-        the window were it extended no more."""
-        watched = self._watched
-        if len(self.database.runs) != self._seen or any(e for _, _, e in watched):
+        """When the queue is next recomputed: ``now`` if the database opened
+        a run since the last recompute, else the next window event (-inf if
+        an open run was out of the window) or the time an open run's last
+        capture would leave the window were it extended no more."""
+        if len(self.database.runs) != self._seen:
             return now
-        return min([self._next_change] + [run.last + self.replay_ttl for run, _, _ in watched])
+        return min([self._next_change] + [run.last + self.replay_ttl for run in self._watched])
 
     def repeat(self, through: int) -> None:
         """Hand out the same queue on every tick up to ``through``."""

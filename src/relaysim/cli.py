@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
-from pathlib import Path
 
 from . import scenario
 from .backend import BackendStore
@@ -30,7 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="path to a scenario JSON file, or a bundled scenario name")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.add_argument("--format", choices=("json", "table"), default="json")
-    run_p.add_argument("--out", type=Path, default=None, help="write the report here instead of stdout")
+    run_p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     sub.add_parser("list-scenarios", help="list bundled scenario names")
 
@@ -50,7 +50,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "run":
-        load = scenario.load_config if Path(args.config).exists() else scenario.load_builtin
+        load = scenario.load_config if os.path.exists(args.config) else scenario.load_builtin
         try:
             config = load(args.config, seed_override=args.seed)
         except scenario.ConfigError as exc:
@@ -60,7 +60,8 @@ def main(argv: list[str] | None = None) -> int:
         blob = scenario.emit_report(report, args.format)
         if args.out is not None:
             try:
-                args.out.write_bytes(blob)
+                with open(args.out, "wb") as out:
+                    out.write(blob)
             except OSError as exc:
                 print(f"relaysim: cannot write the report: {exc}", file=sys.stderr)
                 return 2

@@ -196,24 +196,20 @@ class DiagnosisIndex:
     (diagnosis id, teks): an RPI maps to (diagnosis id, entry) for each of
     its entries, chunk by chunk, in each chunk's ``build_rpi_index`` order.
 
-    Devices of one run share it.  It is rebuilt only when asked for another
-    chunk set, and a chunk of the last set is not expanded again.
+    Devices of one run share it: they download the same chunks at the same
+    tick, so they ask for the same list.  Another list is indexed anew.
     """
 
     def __init__(self, params: SimParams):
         self.params = params
-        self._chunks: dict[tuple[int, tuple], RpiIndex] = {}
+        self._chunks: list[tuple[int, tuple]] = []
         self._index: dict[bytes, list[DiagnosisEntry]] = {}
 
     def over(self, chunks: list[tuple[int, tuple]]) -> dict[bytes, list[DiagnosisEntry]]:
-        if chunks != list(self._chunks):
-            self._chunks = {
-                key: self._chunks.get(key)
-                or build_rpi_index([Tek(b, d) for b, d in key[1]], self.params)
-                for key in chunks
-            }
-            self._index = {}
-            for (diagnosis_id, _), index in self._chunks.items():
+        if chunks != self._chunks:
+            self._chunks, self._index = chunks, {}
+            for diagnosis_id, teks in chunks:
+                index = build_rpi_index([Tek(b, d) for b, d in teks], self.params)
                 for rpi, entries in index.items():
                     self._index.setdefault(rpi, []).extend((diagnosis_id, e) for e in entries)
         return self._index

@@ -140,6 +140,9 @@ class SimParams(FrozenRecord):
                      "tek_retention_days"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("clock_tolerance_seconds", "otp_ttl_seconds"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
         if not TX_POWER_MIN <= self.tx_power_dbm <= TX_POWER_MAX:
             raise ValueError(
                 f"tx_power_dbm must be in [{TX_POWER_MIN}, {TX_POWER_MAX}], got {self.tx_power_dbm}"

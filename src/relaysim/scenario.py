@@ -48,10 +48,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import random
 from functools import partial
 from operator import is_not, itemgetter
-from pathlib import Path
 from typing import NamedTuple
 
 from . import gaen, radio
@@ -153,12 +153,17 @@ def _field(item: dict, key: str, owner: str):
         raise ConfigError(f"{owner} has no {key!r}") from None
 
 
-def load_config(source: str | Path | dict, *, seed_override: int | None = None) -> ScenarioConfig:
+def load_config(
+    source: str | os.PathLike | dict, *, seed_override: int | None = None
+) -> ScenarioConfig:
     """Parse and validate a scenario from a file path or an in-memory dict."""
-    path = None if isinstance(source, dict) else Path(source)
+    path = None if isinstance(source, dict) else os.fspath(source)
     try:
-        # An in-memory scenario goes through JSON too: a private copy of JSON values.
-        data = json.loads(json.dumps(source) if path is None else path.read_text())
+        if path is None:  # an in-memory scenario goes through JSON too: a private copy
+            data = json.loads(json.dumps(source))
+        else:
+            with open(path) as file:
+                data = json.load(file)
     except RecursionError:
         raise ConfigError("a scenario nested too deeply to parse") from None
     except TypeError as exc:  # json.dumps: a key or value JSON cannot hold, such as a set

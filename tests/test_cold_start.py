@@ -3,8 +3,9 @@
 A fresh interpreter imports the package, builds a world from a scenario
 dict and imports the command-line module.  None of that should load the
 dataclasses code generator (or ``inspect``, which it pulls in), the HTTP
-stack, which only ``serve-backend`` needs, or ``importlib.resources``,
-which only the bundled-scenario lookups need.  ``-S`` keeps site hooks,
+stack, which only ``serve-backend`` needs, ``importlib.resources``,
+which only the bundled-scenario lookups need, or ``pathlib``, which
+reading a scenario file does not need.  ``-S`` keeps site hooks,
 which may import any of these themselves, out of the check.
 """
 
@@ -17,7 +18,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCENARIO1 = SRC / "relaysim" / "scenarios" / "scenario1.json"
 
-NOT_IMPORTED = ("dataclasses", "inspect", "http.server", "importlib.resources")
+NOT_IMPORTED = ("dataclasses", "inspect", "http.server", "importlib.resources", "pathlib")
 
 PROBE = """
 import json, sys

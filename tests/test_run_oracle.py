@@ -18,8 +18,8 @@ identical.
 
 Every reference runs every tick in full, so these properties also check
 the repeated ticks of the worlds as they are: ``SPANS`` ends quiet
-stretches at each kind of event a repeated span must stop at, and a
-replay window of one tick (``replay_ttl`` 10) is drawn too.
+stretches at each kind of event a repeated span must stop at, and replay
+windows of one tick (``replay_ttl`` 10) and of less (5) are drawn too.
 
 The third property runs random worlds in which one actor is diagnosed twice,
 so that two chunks share RPIs, against the per-sighting reference, and
@@ -123,7 +123,7 @@ def worlds(draw, attacked=st.booleans(), twice=st.just(False)):
             config["actors"].append({"name": "sniffer2", "role": "sniffer", "place": draw(place)})
         config["attack"] = {
             "relay_delay": draw(st.sampled_from([0, 10, 60])),
-            "replay_ttl": draw(st.sampled_from([10, 20, 60, 300, 7200])),
+            "replay_ttl": draw(st.sampled_from([5, 10, 20, 60, 300, 7200])),
         }
     skipped = draw(st.sets(st.integers(1, ticks - 2), max_size=6))
     return config, [t * TICK for t in range(ticks) if t not in skipped]

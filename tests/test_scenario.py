@@ -96,9 +96,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="params"):
             scenario.load_config(_minimal_config(params={"rotation_seconds": 7000}))
 
-    @pytest.mark.parametrize("field", ["neighborhood_cells", "neighborhood_buckets"])
+    @pytest.mark.parametrize(
+        "field",
+        ["neighborhood_cells", "neighborhood_buckets", "otp_ttl_seconds", "clock_tolerance_seconds"],
+    )
     def test_negative_neighborhood_rejected(self, field):
-        # -1 would make the verifier's search empty and flag genuine contacts.
+        # A -1 neighborhood would make the verifier's search empty and flag
+        # genuine contacts.  Before, a negative OTP ttl rejected every upload
+        # as expired, and a negative clock tolerance dropped every match.
         with pytest.raises(ConfigError, match=field):
             scenario.load_config(_minimal_config(params={field: -1}))
 

@@ -15,9 +15,11 @@ again through a catch-up is not new); and the rebroadcaster
 recomputes its replay queue only on a tick where the database opened a run
 or a run reached an event: its first capture entering the window, the
 runs ahead of it catching up with its first capture, or its first or last
-capture leaving the window.  A link-table build measures each station
-only against those in the grid cubes next to its own.  The contact-hash
-defense runs no tick in full that the same world without it would repeat.
+capture leaving the window; a run that closed out of a window shorter
+than one tick ends the ticks run in full.  A link-table build measures
+each station only against those in the grid cubes next to its own.  The
+contact-hash defense runs no tick in full that the same world without it
+would repeat.
 """
 
 from collections import Counter
@@ -30,10 +32,10 @@ import pytest
 from relaysim import radio
 from relaysim.agents import HonestDevice, RebroadcastAdversary, SnifferAdversary
 from relaysim.params import SimParams
-from relaysim.scenario import ActorSpec, World
+from relaysim.scenario import ActorSpec, World, load_config
 
 from golden.gen_reports import REPORTS, golden_config, golden_names
-from oracles import naive_links
+from oracles import EveryTickWorld, naive_links
 
 
 def _recording(owner, attr: str, calls: list):
@@ -262,6 +264,42 @@ def test_replay_queue_is_recomputed_only_at_events(name):
     # A few recomputes per run, however many ticks the run lasts.
     rebroadcasters = {id(adv) for adv, _, _ in ticks}
     assert len(recomputes) <= 3 * len(database.runs) * len(rebroadcasters)
+
+
+# A replay window shorter than one tick: the sniffer's run is out of the
+# window whenever the rebroadcaster looks, and it closes at t=600 when ``a``
+# walks out of range.  Places X, R and F are 11 km apart.
+SHORT_TTL = {
+    "name": "short_ttl",
+    "duration": 7200,
+    "places": [
+        {"name": "X", "lat": 0.0, "lon": 0.0},
+        {"name": "R", "lat": 0.1, "lon": 0.0},
+        {"name": "F", "lat": 0.2, "lon": 0.0},
+    ],
+    "actors": [
+        {
+            "name": "a",
+            "role": "honest",
+            "place": "X",
+            "movement": {"waypoints": [{"lat": 0.2, "lon": 0.0, "at": 600}]},
+        },
+        {"name": "s", "role": "sniffer", "place": "X"},
+        {"name": "r", "role": "rebroadcaster", "place": "R"},
+        {"name": "v", "role": "honest", "place": "R"},
+    ],
+    "attack": {"relay_delay": 0, "replay_ttl": 5},
+}
+
+
+def test_a_closed_run_out_of_a_short_window_ends_the_full_ticks():
+    config = load_config(SHORT_TTL)
+    handed = _handed(World(config))
+    stepped = {now for calls in handed.values() for now, _ in calls}
+    assert 600 in stepped
+    assert not [now for now in stepped if now > 700]
+    expected = EveryTickWorld(config).run().to_json_bytes()
+    assert World(config).run().to_json_bytes() == expected
 
 
 def test_a_link_table_build_measures_only_neighbouring_stations():

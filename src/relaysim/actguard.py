@@ -3,9 +3,11 @@
 Each contact is reduced to a single SHA-256 digest over the two pseudonyms
 (sorted bytewise so both endpoints agree), the scanner's quantized grid
 cell, and the quantized time bucket.  A device derives its contact rows
-(those inputs, no digest) from its observation runs at upload and during
-verification, and hashes them only then.  Only digests leave the device;
-a diagnosed user's uploaded batch lets contacts re-derive and compare them.
+(those inputs, no digest) from its observation runs: every row to upload
+it, and, to verify a matched pseudonym, only that pseudonym's rows, a range
+of buckets at a time.  It hashes them only then.  Only digests leave the
+device; a diagnosed user's uploaded batch lets contacts re-derive and
+compare them.
 
 Frozen digest input layout (covered by golden-vector tests):
 
@@ -22,8 +24,10 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from collections.abc import Sequence
+from collections.abc import Iterable
 from enum import Enum
+from itertools import chain
+from operator import attrgetter
 from typing import NamedTuple, Protocol
 
 from .params import SimParams
@@ -56,35 +60,43 @@ class ContactRecord(NamedTuple):
     bucket: int
 
 
-class MyContactsTable:
-    """Contact evidence, filled afresh from a device's observation runs for
-    each upload and verification pass: one row per (rpi_low, rpi_high, cell,
-    bucket), hence per digest, also indexed by pseudonym; both in insertion
-    order.  Rows hold no digest: ``hashes`` computes them at upload."""
+ContactSpan = tuple[bytes, bytes, tuple[int, int], range]  # a row per bucket of the range
 
-    __slots__ = ("records", "_by_rpi")
+
+class MyContactsTable:
+    """Every contact row of a device, derived from its observation runs for
+    its upload: one row per (rpi_low, rpi_high, cell, bucket), hence per
+    digest, in insertion order.  Rows hold no digest: ``hashes`` computes
+    them."""
+
+    __slots__ = ("records",)
 
     def __init__(self) -> None:
         self.records: dict[ContactRecord, None] = {}
-        self._by_rpi: dict[bytes, list[ContactRecord]] = {}
 
     def add(self, lo: bytes, hi: bytes, cell: tuple[int, int], bucket: int) -> ContactRecord:
         """The contact's row, added unless the table holds it already."""
         record = ContactRecord(lo, hi, cell, bucket)
-        if record not in self.records:
-            self.records[record] = None
-            self._by_rpi.setdefault(lo, []).append(record)
-            self._by_rpi.setdefault(hi, []).append(record)
+        self.records[record] = None
         return record
 
     def hashes(self) -> set[bytes]:
         return {contact_hash(*record) for record in self.records}
 
-    def records_for(self, rpi: bytes) -> Sequence[ContactRecord]:
-        return self._by_rpi.get(rpi, ())
-
     def __len__(self) -> int:
         return len(self.records)
+
+
+def union(ranges: Iterable[range]) -> list[range]:
+    """The integers of step-1 ranges, as disjoint ranges in ascending order."""
+    merged: list[range] = []
+    for r in sorted(ranges, key=attrgetter("start")):
+        if merged and r.start <= merged[-1].stop:
+            if r.stop > merged[-1].stop:
+                merged[-1] = range(merged[-1].start, r.stop)
+        elif r:
+            merged.append(r)
+    return merged
 
 
 class Matched(Protocol):
@@ -127,7 +139,7 @@ def record_contact(
 
 def verify_exposure(
     match: Matched,
-    my_table: MyContactsTable,
+    rows: Iterable[ContactSpan],
     positive_batch: frozenset[bytes] | None,
     *,
     diagnosis_id: int,
@@ -136,24 +148,30 @@ def verify_exposure(
     """Judge one matched exposure against a diagnosed user's hash batch.
 
     No batch (or an empty one) means nothing can be checked: Unverifiable.
-    Otherwise, candidate digests are rebuilt from the verifier's own records
-    of the matched pseudonym over a small cell/bucket neighborhood; any
-    intersection with the batch confirms the contact, none suggests a relay.
+    Otherwise, candidate digests are rebuilt from the verifier's rows of the
+    matched pseudonym (rows of other pseudonyms are skipped) over a small
+    cell/bucket neighborhood; any intersection with the batch confirms the
+    contact, none suggests a relay.  Each distinct candidate is hashed at
+    most once: the widened bucket ranges of each (pair, candidate cell) are
+    merged first.
     """
     if not positive_batch:
         return Verdict(kind=VerdictKind.UNVERIFIABLE, diagnosis_id=diagnosis_id, rpi=match.rpi)
 
-    cells = range(-params.neighborhood_cells, params.neighborhood_cells + 1)
-    buckets = range(-params.neighborhood_buckets, params.neighborhood_buckets + 1)
-    for lo, hi, (lat, lon), bucket in my_table.records_for(match.rpi):
-        for dlat in cells:
-            for dlon in cells:
-                cell = (lat + dlat, lon + dlon)
-                for db in buckets:
-                    if contact_hash(lo, hi, cell, bucket + db) in positive_batch:
-                        return Verdict(
-                            kind=VerdictKind.CONFIRMED_CONTACT,
-                            diagnosis_id=diagnosis_id,
-                            rpi=match.rpi,
-                        )
+    # the rows' own cells first: a genuine contact is most often confirmed there
+    cells = sorted(range(-params.neighborhood_cells, params.neighborhood_cells + 1), key=abs)
+    reach = params.neighborhood_buckets
+    widened: dict[tuple[bytes, bytes, tuple[int, int]], list[range]] = {}
+    for lo, hi, (lat, lon), buckets in rows:
+        if match.rpi in (lo, hi):
+            span = range(buckets.start - reach, buckets.stop + reach)
+            for dlat in cells:
+                for dlon in cells:
+                    widened.setdefault((lo, hi, (lat + dlat, lon + dlon)), []).append(span)
+    for (lo, hi, cell), spans in widened.items():
+        for bucket in chain.from_iterable(union(spans)):
+            if contact_hash(lo, hi, cell, bucket) in positive_batch:
+                return Verdict(
+                    kind=VerdictKind.CONFIRMED_CONTACT, diagnosis_id=diagnosis_id, rpi=match.rpi
+                )
     return Verdict(kind=VerdictKind.RELAY_SUSPECTED, diagnosis_id=diagnosis_id, rpi=match.rpi)

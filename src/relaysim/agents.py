@@ -222,8 +222,13 @@ class RebroadcastAdversary:
     It is recomputed, over the runs that can still enter the window, only
     when ``now`` reaches ``quiet_until(now)``: when the database opened a
     run or when a run can change the answer.  A run's first capture enters
-    the window at ``first + delay``, and its last leaves at ``last + ttl``;
-    an open run out of the window may be extended back into it at any tick.
+    the window at ``first + delay``, and its last leaves at ``last + ttl``.
+    The next capture of an open run out of the window, at ``last + step``,
+    enters it ``delay`` later.  Given ``tick_seconds``, reads come only at
+    multiples of it, each before the captures made at its time, as in a
+    world's tick loop: such a capture is then read first at the first tick
+    after it that is ``delay`` or more later, or never, if that tick is
+    ``ttl`` or more later.
     A run whose first capture in the window leaves it moves to its next
     capture; the runs at the front of the queue all move together, so their
     order against the rest changes only when they catch up with the next
@@ -239,9 +244,12 @@ class RebroadcastAdversary:
         position: tuple[float, float],
         attack: AttackSpec,
         database: MaliciousDatabase,
+        *,
+        tick_seconds: int | None = None,
     ):
         self.name = name
         self.position = position
+        self.tick_seconds = tick_seconds
         self.relay_delay = attack.relay_delay
         self.replay_ttl = attack.replay_ttl
         self.database = database
@@ -281,9 +289,9 @@ class RebroadcastAdversary:
         change = math.inf
         for run in self._live:
             if run.last <= lo:  # its captures have all left the window
-                if database.is_open(run):  # but it may be extended back into it
+                if database.is_open(run):  # but its next capture may be read in it
                     live.append(run)
-                    change = -math.inf
+                    change = min(change, self._first_read(run.last + run.step))
                 continue
             live.append(run)
             if database.is_open(run):
@@ -314,6 +322,15 @@ class RebroadcastAdversary:
         self._watched = watched
         self._next_change = change
 
+    def _first_read(self, capture: int) -> float:
+        """The first time at which a capture made at ``capture`` can be read
+        inside the window, inf if never."""
+        tick = self.tick_seconds
+        if tick is None:  # a read may follow a capture at its own time
+            return capture + self.relay_delay
+        at = -(-max(capture + 1, capture + self.relay_delay) // tick) * tick
+        return at if at < capture + self.replay_ttl else math.inf
+
     def on_deliveries(self, deliveries: Sequence[radio.Delivery], now: int) -> list[dict]:
         """A relay event for each packet of this tick's replay queue that is
         on the air for the first time; what it hears is of no use to it."""
@@ -327,9 +344,9 @@ class RebroadcastAdversary:
 
     def quiet_until(self, now: int) -> float:
         """When the queue is next recomputed: ``now`` if the database opened
-        a run since the last recompute, else the next window event (-inf if
-        an open run was out of the window) or the time an open run's last
-        capture would leave the window were it extended no more."""
+        a run since the last recompute, else the next window event or the
+        time an open run's last capture would leave the window were it
+        extended no more."""
         if len(self.database.runs) != self._seen:
             return now
         return min([self._next_change] + [run.last + self.replay_ttl for run in self._watched])
@@ -385,7 +402,7 @@ class ExposureState(NamedTuple):
     risk_score: float
     verdicts: dict[int, actguard.Verdict]
     matches_by_diagnosis: dict[int, int]
-    contact_records: int  # the rows the verdicts were checked against
+    contact_records: int  # the rows of ``contact_table``, counted, not built
     # (t, diagnosis id, matches scanned by t) of each matched diagnosis, in
     # id order: t is the first tick at which a poll brought chunks that is
     # at or after both the chunk's own poll and its first matched scan
@@ -395,8 +412,9 @@ class ExposureState(NamedTuple):
 
 class HonestDevice:
     """A protocol-running device, optionally with the hash defense enabled
-    (``defended``): it derives its contact rows from its runs to upload and
-    to verify, and each chunk's hash batch rides on its ``DownloadedChunk``.
+    (``defended``): it derives every contact row from its runs to upload,
+    and only a matched pseudonym's rows to verify it; each chunk's hash
+    batch rides on its ``DownloadedChunk``.
 
     ``index`` is the RPI index over the downloaded chunks.  Devices of one
     run share it, so each chunk is expanded once however many download it.
@@ -531,19 +549,28 @@ class HonestDevice:
         for run in self._open_runs:
             run.last = self._last_scan
 
-    def contact_table(self) -> actguard.MyContactsTable:
-        """Every run's contact rows: one per time bucket of its scans, at its cell."""
+    def _rows(self) -> list[actguard.ContactSpan]:
+        """Every contact row, a range at a time: for each (pair, cell) in
+        order of first scan, the union of its runs' scan buckets."""
         self._close_runs()
         tick, bucket = self.params.tick_seconds, self.params.bucket_seconds
-        table = actguard.MyContactsTable()
+        spans: dict[tuple, list[range]] = {}
         for run in self._runs:
             own, position = run.scanned_as
             lo, hi = sorted((own, run.rpi))
             cell, first = actguard.quantize(position, run.first, self.params)
+            ranges = spans.setdefault((lo, hi, cell), [])
             if tick <= bucket:  # consecutive scans skip no bucket
-                buckets = range(first, run.last // bucket + 1)
+                ranges.append(range(first, run.last // bucket + 1))
             else:  # each scan is in a bucket of its own
-                buckets = (t // bucket for t in range(run.first, run.last + 1, tick))
+                ranges += (range(t // bucket, t // bucket + 1)
+                           for t in range(run.first, run.last + 1, tick))
+        return [(*key, r) for key, ranges in spans.items() for r in actguard.union(ranges)]
+
+    def contact_table(self) -> actguard.MyContactsTable:
+        """Every contact row, for the upload."""
+        table = actguard.MyContactsTable()
+        for lo, hi, cell, buckets in self._rows():
             for b in buckets:
                 table.add(lo, hi, cell, b)
         return table
@@ -641,8 +668,14 @@ class HonestDevice:
         """Alert, risk score, verdicts and first matches over every sighting
         so far, from one read of the match runs."""
         matched = self._matched()
-        contacts = self.contact_table() if self.defended else None
         polls = sorted({chunk.at for chunk in self.downloaded.values()})
+        contacts = self._rows() if self.defended else []
+        # Each row under both pseudonyms of its pair: a matched RPI may be the
+        # device's own earlier one, heard replayed.
+        rows: dict[bytes, list[actguard.ContactSpan]] = {}
+        for row in contacts:
+            rows.setdefault(row[0], []).append(row)
+            rows.setdefault(row[1], []).append(row)
         scored: list[gaen.MatchedSightings] = []
         verdicts: dict[int, actguard.Verdict] = {}
         counts: dict[int, int] = {}
@@ -654,8 +687,8 @@ class HonestDevice:
                 gaen.MatchedSightings(diagnosis_id, run.rpi, tx - run.rssi, times)
                 for times, _, tx, run in runs
             ]
-            if contacts is not None:
-                verdicts[diagnosis_id] = self._verdict_for(diagnosis_id, runs, contacts)
+            if self.defended:
+                verdicts[diagnosis_id] = self._verdict_for(diagnosis_id, runs, rows)
             first = min(times[0] for times, _, _, _ in runs)
             i = bisect.bisect_left(polls, max(self.downloaded[diagnosis_id].at, first))
             t = polls[i] if i < len(polls) else math.inf
@@ -667,12 +700,12 @@ class HonestDevice:
             risk_score=risk.score,
             verdicts=verdicts,
             matches_by_diagnosis=counts,
-            contact_records=len(contacts) if contacts is not None else 0,
+            contact_records=sum(len(buckets) for *_, buckets in contacts),
             first_matches=firsts,
         )
 
     def _verdict_for(
-        self, diagnosis_id: int, matched: list[ClippedRun], contacts: actguard.MyContactsTable
+        self, diagnosis_id: int, matched: list[ClippedRun], rows: dict[bytes, list]
     ) -> actguard.Verdict:
         # One verdict per diagnosis: confirmation by any match wins, else the
         # first match's verdict.  A match's verdict depends only on its RPI,
@@ -686,7 +719,7 @@ class HonestDevice:
         for run in first_by_rpi.values():
             verdict = actguard.verify_exposure(
                 run,
-                contacts,
+                rows[run.rpi],
                 self.downloaded[diagnosis_id].batch,
                 diagnosis_id=diagnosis_id,
                 params=self.params,

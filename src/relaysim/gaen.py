@@ -28,6 +28,8 @@ import hmac
 import hashlib
 import struct
 from collections.abc import Iterable
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .params import SECONDS_PER_DAY, TX_POWER_MAX, TX_POWER_MIN, FrozenRecord, SimParams
@@ -251,18 +253,20 @@ def match_observations(
 
 
 def risk_score(matches: list[MatchedSightings], params: SimParams) -> RiskResult:
-    """Aggregate matched sightings into a duration-weighted score.
+    """Aggregate match runs into a duration-weighted score.
 
     ``matches`` holds the match runs of every chunk in (chunk, run, entry)
-    order.  Sightings of the same RPI are grouped into contact episodes; a
-    gap longer than two beacon intervals (ticks) ends an episode.  Each
-    episode contributes its duration in minutes if its mean attenuation
-    stays at or below the threshold, else nothing.  The alert flag compares
-    the total against the configured threshold.
+    order.  The runs of one RPI are grouped into contact episodes: clusters
+    of runs whose spans lie at most two beacon intervals (ticks) apart.
+    Each episode contributes its duration in minutes if its mean
+    attenuation stays at or below the threshold, else nothing.  The alert
+    flag compares the total against the configured threshold.
 
     The float sums are those of scoring one sighting at a time: RPIs in the
     order of their first match in (chunk, scan time, run, entry) order, and
-    an episode's attenuations in (scan time, chunk, run, entry) order.
+    an episode's attenuations in (scan time, chunk, run, entry) order.  An
+    episode of one run adds its one attenuation once per scan time; one of
+    several runs sorts its sightings in that order first.
     """
     tick = params.tick_seconds
     groups: dict[bytes, list[int]] = {}
@@ -274,13 +278,22 @@ def risk_score(matches: list[MatchedSightings], params: SimParams) -> RiskResult
 
     score = 0.0
     for group in sorted(groups.values(), key=first_match):
-        episodes: list[list] = []  # [first, last, attenuations]
-        for t, i in sorted((t, i) for i in group for t in matches[i].times):
-            if not episodes or t - episodes[-1][1] > 2 * tick:
-                episodes.append([t, t, []])
-            episodes[-1][1] = t
-            episodes[-1][2].append(matches[i].attenuation)
-        for first, last, attenuations in episodes:
-            if sum(attenuations) / len(attenuations) <= params.attenuation_threshold_db:
+        episodes: list[list] = []  # [first, last, run indexes]
+        for i in sorted(group, key=lambda i: matches[i].times[0]):  # ties in run order
+            times = matches[i].times
+            if not episodes or times[0] - episodes[-1][1] > 2 * tick:
+                episodes.append([times[0], times[-1], [i]])
+            else:
+                episodes[-1][1] = max(episodes[-1][1], times[-1])
+                episodes[-1][2].append(i)
+        for first, last, runs in episodes:
+            count = sum(len(matches[i].times) for i in runs)
+            if len(runs) == 1:
+                attenuations = repeat(matches[runs[0]].attenuation, count)
+            else:
+                attenuations = map(itemgetter(2), sorted(chain.from_iterable(
+                    zip(matches[i].times, repeat(i), repeat(matches[i].attenuation)) for i in runs
+                )))
+            if sum(attenuations) / count <= params.attenuation_threshold_db:
                 score += (last - first + tick) / 60.0
     return RiskResult(score=score, alert=score >= params.alert_threshold_minutes)

@@ -65,6 +65,11 @@ from .backend import BackendError, BackendStore
 from .params import AttackSpec, SimParams, as_number
 
 ROLES = ("honest", "sniffer", "rebroadcaster")
+# The most ticks a run may have (duration // tick_seconds): World.run steps
+# every tick, and ten million idle ones took 1.6 s on a shared 2-vCPU VM.
+# That is 115 days of 1 s ticks, far past the 14-day key retention; the
+# longest bundled or tested config has 1,500.
+MAX_TICKS = 10_000_000
 Inboxes = dict[str, tuple[radio.Delivery, ...]]  # receiver name -> its deliveries
 
 
@@ -262,6 +267,11 @@ def load_config(
         params = SimParams.from_dict(data.get("params", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad params section: {exc}") from exc
+    if duration // params.tick_seconds > MAX_TICKS:
+        raise ConfigError(
+            f"duration must span at most {MAX_TICKS} ticks of {params.tick_seconds} s,"
+            f" got {duration} s"
+        )
 
     # Diagnoses run at the first tick at or after their time; none follows
     # the last tick.
@@ -422,7 +432,10 @@ class World:
                 spec.name, position, spec.place, self.database, params=self.params
             )
         if spec.role == "rebroadcaster":
-            return RebroadcastAdversary(spec.name, position, self.config.attack, self.database)
+            return RebroadcastAdversary(
+                spec.name, position, self.config.attack, self.database,
+                tick_seconds=self.params.tick_seconds,
+            )
         return HonestDevice(
             spec.name,
             _device_seed(self.config.seed, spec.name),

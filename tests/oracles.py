@@ -17,7 +17,9 @@ only when devices poll and that no tick is repeated, and the per-capture
 adversaries, which store one entry per capture and rescan the replay
 window on every tick.  Every reference
 actor is stepped on every tick (``EveryTick``): a world holding one repeats
-no tick.
+no tick.  The per-sighting device records into ``IndexedContactsTable``,
+the package's contact table with an index by pseudonym, and verifies each
+match against that pseudonym's rows, one bucket at a time.
 """
 
 from __future__ import annotations
@@ -130,6 +132,33 @@ def naive_verdict(match_rpis, records, batch, neighborhood_cells, neighborhood_b
     return first
 
 
+class IndexedContactsTable(actguard.MyContactsTable):
+    """The contact table also indexed by pseudonym: ``records_for`` gives
+    the rows holding an RPI at either end, in insertion order."""
+
+    __slots__ = ("_by_rpi",)
+
+    def __init__(self):
+        super().__init__()
+        self._by_rpi = {}
+
+    def add(self, lo, hi, cell, bucket):
+        before = len(self.records)
+        record = super().add(lo, hi, cell, bucket)
+        if len(self.records) > before:
+            self._by_rpi.setdefault(lo, []).append(record)
+            self._by_rpi.setdefault(hi, []).append(record)
+        return record
+
+    def records_for(self, rpi):
+        return self._by_rpi.get(rpi, ())
+
+
+def spans(records):
+    """Contact rows as ``verify_exposure`` reads them, one bucket a range."""
+    return [(lo, hi, cell, range(bucket, bucket + 1)) for lo, hi, cell, bucket in records]
+
+
 def naive_links(stations, params):
     """Measure every sender/receiver pair, with no grid: each sender's
     (receiver name, rssi) links in receiver-name order."""
@@ -234,7 +263,7 @@ class PerSightingDevice(EveryTick, HonestDevice):
         self.matches: dict = {}  # diagnosis id -> ExposureMatch list
         self.cursors: dict = {}  # diagnosis id -> observations matched against
         self.first_matched: dict = {}  # diagnosis id -> (t, matches) at its first match
-        self.contacts = actguard.MyContactsTable() if self.defended else None
+        self.contacts = IndexedContactsTable() if self.defended else None
 
     def contact_table(self):
         return self.contacts
@@ -331,7 +360,11 @@ class PerSightingDevice(EveryTick, HonestDevice):
         first = None
         for match in first_by_rpi.values():
             verdict = actguard.verify_exposure(
-                match, self.contacts, batch, diagnosis_id=diagnosis_id, params=self.params
+                match,
+                spans(self.contacts.records_for(match.rpi)),
+                batch,
+                diagnosis_id=diagnosis_id,
+                params=self.params,
             )
             if verdict.kind is actguard.VerdictKind.CONFIRMED_CONTACT:
                 return verdict
@@ -426,7 +459,7 @@ class PerCaptureRebroadcaster(EveryTick):
 
     phase = 1
 
-    def __init__(self, name, position, attack, database):
+    def __init__(self, name, position, attack, database, *, tick_seconds=None):
         self.name = name
         self.position = position
         self.relay_delay = attack.relay_delay

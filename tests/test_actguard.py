@@ -9,6 +9,8 @@ from relaysim import actguard, gaen
 from relaysim.actguard import VerdictKind
 from relaysim.params import SimParams
 
+from oracles import IndexedContactsTable, spans
+
 PARAMS = SimParams()
 GOLDEN_RPI_A = bytes(range(16))
 GOLDEN_RPI_B = bytes(range(16, 32))
@@ -139,7 +141,7 @@ class TestRecordContact:
         )
 
     def test_records_for_finds_either_endpoint_in_insertion_order(self):
-        table = actguard.MyContactsTable()
+        table = IndexedContactsTable()
         other = bytes(16)
         first = actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 0, PARAMS)
         actguard.record_contact(table, GOLDEN_RPI_A, other, (0.0, 0.0), 0, PARAMS)
@@ -155,7 +157,7 @@ class TestVerifyExposure:
     def _table_with_contact(self, position=(0.0, 0.0), t=100):
         table = actguard.MyContactsTable()
         record = actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, position, t, PARAMS)
-        return table, record
+        return spans(table.records), record
 
     def test_absent_batch_unverifiable(self):
         table, _ = self._table_with_contact()
@@ -216,6 +218,34 @@ class TestVerifyExposure:
             _match(GOLDEN_RPI_B), table, batch, diagnosis_id=2, params=PARAMS
         )
         assert verdict.kind is VerdictKind.RELAY_SUSPECTED
+
+    def test_each_distinct_candidate_is_hashed_once(self, monkeypatch):
+        # Rows of one pair two buckets apart at one cell and at the next
+        # cell: their neighbourhoods overlap.  A row of another pair is not
+        # the matched pseudonym's and is skipped.
+        hashed = []
+        real = actguard.contact_hash
+        monkeypatch.setattr(
+            actguard, "contact_hash", lambda *args: hashed.append(args) or real(*args)
+        )
+        a, b = GOLDEN_RPI_A, GOLDEN_RPI_B
+        rows = [
+            (a, b, (0, 0), range(1, 2)), (a, b, (0, 0), range(3, 5)), (a, b, (0, 1), range(1, 2))
+        ]
+        other = (bytes(16), a, (0, 0), range(0, 9))
+        verdict = actguard.verify_exposure(
+            _match(b), rows + [other], frozenset({bytes(32)}), diagnosis_id=1, params=PARAMS
+        )
+        assert verdict.kind is VerdictKind.RELAY_SUSPECTED
+        candidates = {
+            (lo, hi, (lat + dlat, lon + dlon), bucket + db)
+            for lo, hi, (lat, lon), buckets in rows
+            for dlat in (-1, 0, 1)
+            for dlon in (-1, 0, 1)
+            for bucket in buckets
+            for db in (-1, 0, 1)
+        }
+        assert sorted(hashed) == sorted(candidates)
 
 
 class TestTables:

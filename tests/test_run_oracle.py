@@ -40,6 +40,12 @@ earlier packet) and time buckets, with duplicate packets heard at two
 rssi values and with the device moving under an unchanged inbox.  A chunk
 holding every stored RPI then matches exactly the sightings inside its
 window.
+
+The sixth property runs random attacked worlds and checks each defended
+device's report against its full contact table: the row count it reports
+without building the table equals the table's length, and each verdict,
+checked from the matched pseudonyms' own runs, equals the naive verifier's
+over every row of the table.
 """
 
 from itertools import combinations
@@ -51,7 +57,7 @@ from relaysim import gaen, radio, scenario
 from relaysim.agents import DownloadedChunk, HonestDevice
 from relaysim.params import SimParams
 
-from oracles import PER_CAPTURE_ADVERSARIES, EveryTickWorld, PerSightingDevice
+from oracles import PER_CAPTURE_ADVERSARIES, EveryTickWorld, PerSightingDevice, naive_verdict
 
 METERS_PER_DEGREE = 6371000.0 * 3.141592653589793 / 180.0
 PLACES = {"P0": (0.0, 0.0), "P1": (0.01, 0.0)}  # 1.1 km apart, far out of range
@@ -334,6 +340,55 @@ def test_chunks_sharing_rpis_match_and_score_as_per_sighting(world):
     runs, _ = _run(config, times)
     reference, _ = _run(config, times, PerSightingDevice)
     assert _exposure(runs) == _exposure(reference)
+
+
+OWN_REPLAY = (
+    {
+        # d0 hears its first pseudonym replayed after rotating at 600 s,
+        # after its upload at 300 s, and matches it in its own chunk (the
+        # 30 s clock tolerance): only the rows d0 recorded while that
+        # pseudonym was its own, with d1, are in the batch.  8 s buckets,
+        # shorter than a tick.
+        "name": "own-replay",
+        "duration": 900,
+        "places": [{"name": "P0", "lat": 0.0, "lon": 0.0}],
+        "actors": [
+            {"name": "d0", "place": "P0", "actguard": True, "position": _at("P0", (0, 0))},
+            {"name": "d1", "place": "P0", "actguard": True, "position": _at("P0", (3, 0))},
+            {"name": "sniffer", "role": "sniffer", "place": "P0"},
+            {"name": "rebroadcaster", "role": "rebroadcaster", "place": "P0"},
+        ],
+        "attack": {"relay_delay": 60, "replay_ttl": 7200},
+        "diagnosis_events": [{"actor": "d0", "at_time": 300}],
+        "params": {"rotation_seconds": 600, "clock_tolerance_seconds": 30, "bucket_seconds": 8},
+    },
+    list(range(0, 900, TICK)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@example(world=OWN_REPLAY)
+@given(world=worlds(attacked=st.just(True)))
+def test_counted_rows_and_verdicts_equal_the_full_contact_tables(world):
+    config, times = world
+    runs, _ = _run(config, times)
+    params = runs.params
+    for device in runs.devices.values():
+        if not device.defended:
+            continue
+        exposure = device.evaluate_exposure()
+        table = device.contact_table().records
+        assert exposure.contact_records == len(table)
+        records = [(r.rpi_low, r.rpi_high, *r.cell, r.bucket) for r in table]
+        for d, verdict in exposure.verdicts.items():
+            expected = naive_verdict(
+                [m.rpi for m in device.chunk_matches(d)],
+                records,
+                device.downloaded[d].batch,
+                params.neighborhood_cells,
+                params.neighborhood_buckets,
+            )
+            assert (verdict.kind.value, verdict.rpi) == expected
 
 
 @settings(max_examples=40, deadline=None)

@@ -694,6 +694,21 @@ class TestCli:
         assert captured.err.startswith(f"relaysim: {message}")
         assert "Traceback" not in captured.err
 
+    def test_duration_over_the_tick_bound_is_a_message_and_status_2(self, tmp_path, capsys):
+        # Before, any duration loaded, and World.run would loop once per tick.
+        from relaysim.cli import main
+
+        ticks = scenario.MAX_TICKS
+        assert scenario.load_config(_minimal_config(duration=10 * ticks + 9)).duration
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(_minimal_config(duration=20 * ticks, params={"tick_seconds": 1})))
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"relaysim: duration must span at most {ticks} ticks of 1 s, got {20 * ticks} s\n"
+        )
+
     def test_latitude_beyond_a_pole_is_a_message_and_status_2(self, tmp_path, capsys):
         # Before, this scenario loaded and the run ended in a traceback.
         from relaysim.cli import main

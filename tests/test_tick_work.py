@@ -298,6 +298,10 @@ def test_a_closed_run_out_of_a_short_window_ends_the_full_ticks():
     stepped = {now for calls in handed.values() for now, _ in calls}
     assert 600 in stepped
     assert not [now for now in stepped if now > 700]
+    # Under a 5 s window, a capture one tick old is already out of it: the
+    # sniffer's open run can never be replayed, and only the ticks of its
+    # opening and of the first recompute after it run in full before t=600.
+    assert sorted(now for now in stepped if now < 600) == [0, 10]
     expected = EveryTickWorld(config).run().to_json_bytes()
     assert World(config).run().to_json_bytes() == expected
 

@@ -10,6 +10,10 @@ honest device's one end-of-run read goes through the traced
 ``evaluate_exposure`` inside ``World.run``: the benchmark's exposure
 metrics read 0 if a run routes around it.
 
+The counting pass counts ``contact_hash`` calls under ``verify_exposure``
+as the benchmark's candidate digests, so verification must hash through
+the module's ``contact_hash``, and each distinct candidate at most once.
+
 ``bench/run.py`` also times each ``World.step`` call of a simulation pass as
 one request, so ``World.run`` must call it once per tick: a run that skipped
 ticks would change what the benchmark's request rate and latency measure.
@@ -78,3 +82,41 @@ def test_run_steps_once_per_tick(name, monkeypatch):
     world.run()
     tick = world.params.tick_seconds
     assert calls == [i * tick for i in range(world.config.duration // tick)]
+
+
+def test_verification_hashes_through_contact_hash_once_per_candidate(monkeypatch):
+    # The benchmark's actguard.candidate_digests counts contact_hash calls
+    # under verify_exposure: it reads 0 if verification hashes some other
+    # way, and more than the distinct candidates if it hashes one twice.
+    monkeypatch.syspath_prepend(str(BENCH))
+    sim_trace = importlib.import_module("sim_trace")
+    tracer_module = importlib.import_module("tracer")
+    from relaysim import actguard
+
+    verify = actguard.verify_exposure
+    candidates = 0
+
+    def with_candidates(match, rows, batch, *, diagnosis_id, params):
+        nonlocal candidates
+        if batch:
+            cells = range(-params.neighborhood_cells, params.neighborhood_cells + 1)
+            reach = params.neighborhood_buckets
+            candidates += len({
+                (lo, hi, lat + dlat, lon + dlon, bucket)
+                for lo, hi, (lat, lon), buckets in rows
+                if match.rpi in (lo, hi)
+                for dlat in cells
+                for dlon in cells
+                for bucket in range(buckets.start - reach, buckets.stop + reach)
+            })
+        return verify(match, rows, batch, diagnosis_id=diagnosis_id, params=params)
+
+    monkeypatch.setattr(actguard, "verify_exposure", with_candidates)
+    tracer = tracer_module.Tracer()
+    try:
+        sim_trace.install(tracer, counting=True)
+        report = World(golden_config("scenario1")).run().to_json_bytes()
+    finally:
+        tracer.close()
+    assert report == (REPORTS / "scenario1.json").read_bytes()
+    assert 0 < tracer.counts["actguard.candidate_digests"] <= candidates

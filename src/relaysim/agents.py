@@ -6,6 +6,9 @@ scoring) plus, optionally, the contact-hash defense.  Adversaries run no
 protocol app at all: the sniffer only captures in-range packets into the
 shared database, as capture runs, the rebroadcaster only retransmits
 captured bytes verbatim.  Neither ever stores observations or uploads keys.
+The pair runs on the database's tick: every capture and every read of the
+replay queue comes at a multiple of it, and a tick's read comes before the
+captures made at its time.
 
 Every actor has the one shape the world loop uses: ``name``, ``position``,
 ``outgoing_packets(now)``, ``on_deliveries(deliveries, now)`` returning the
@@ -38,44 +41,40 @@ class DatabaseEntry(NamedTuple):
 
 
 class CaptureRun:
-    """The protocol packets of one sniffer inbox, in inbox order, captured at
-    ``first``, ``first + step``, ..., ``last``: one capture run per packet.
+    """The protocol packets of one sniffer inbox, in inbox order, captured on
+    every tick from ``first`` through ``last``: one capture run per packet.
 
     ``rank`` is the capturing sniffer's and ``seq`` the run's position in
     ``MaliciousDatabase.runs``; captures made at one time are ordered by
     (rank, seq, inbox position).
     """
 
-    __slots__ = ("packets", "first", "last", "step", "rank", "seq")
+    __slots__ = ("packets", "first", "last", "rank", "seq")
 
-    def __init__(
-        self, packets: tuple[bytes, ...], first: int, last: int, step: int, rank: int, seq: int
-    ) -> None:
+    def __init__(self, packets: tuple[bytes, ...], first: int, last: int, rank: int, seq: int):
         self.packets = packets
         self.first = first
         self.last = last
-        self.step = step
         self.rank = rank
         self.seq = seq
-
-    @property
-    def captures(self) -> int:
-        return len(self.packets) * ((self.last - self.first) // self.step + 1)
 
 
 class MaliciousDatabase:
     """Packet exchange between the two adversary roles, stored as capture runs.
 
-    Each sniffer joins with a rank: sniffers scan in rank order within a
-    tick, as the world's tick loop runs them in the name order it made them
-    in.  A sniffer's new inbox closes its open run and opens one for the
-    inbox's packets; the same inbox one tick later extends the open run, in
-    O(1) however many packets it holds.  Rank -1 records captures made
-    outside any sniffer, ordered before every sniffer's made at their time.
-    ``runs`` only grows, by one run per opening, in opening order.
+    ``tick_seconds`` is the one tick the pair runs on: captures are made at
+    multiples of it.  Each sniffer joins with a rank: sniffers scan in rank
+    order within a tick, as the world's tick loop runs them in the name
+    order it made them in.  A sniffer's new inbox closes its open run and
+    opens one for the inbox's packets; the same inbox one tick later
+    extends the open run, in O(1) however many packets it holds.  Rank -1
+    records captures made outside any sniffer, ordered before every
+    sniffer's made at their time.  ``runs`` only grows, by one run per
+    opening, in opening order.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, tick_seconds: int) -> None:
+        self.tick_seconds = tick_seconds
         self.runs: list[CaptureRun] = []
         self._open: dict[int, CaptureRun] = {}  # by sniffer rank
         self._sniffers = 0
@@ -87,24 +86,23 @@ class MaliciousDatabase:
         self._sniffers += 1
         return self._sniffers - 1
 
-    def capture(
-        self, rank: int, packets: tuple[bytes, ...], now: int, step: int
-    ) -> list[bytes]:
+    def capture(self, rank: int, packets: tuple[bytes, ...], now: int) -> list[bytes]:
         """Close sniffer ``rank``'s open run and, if ``packets`` is not
-        empty, open one for them, captured every ``step`` seconds from
-        ``now``.  Returns the packets never captured before, in order."""
+        empty, open one for them, captured at ``now``.  Returns the packets
+        never captured before, in order."""
         if not packets:
             self._open.pop(rank, None)
             return []
         self._at(now)
-        self._open[rank] = run = CaptureRun(packets, now, now, step, rank, len(self.runs))
+        self._open[rank] = run = CaptureRun(packets, now, now, rank, len(self.runs))
         self.runs.append(run)
         new = [p for p in dict.fromkeys(packets) if p not in self._known]
         self._known.update(new)
         return new
 
     def extend(self, rank: int, now: int) -> None:
-        """Capture sniffer ``rank``'s open run again at ``now``, one step after its last."""
+        """Capture sniffer ``rank``'s open run again on every tick after its
+        last, through ``now``."""
         run = self._open.get(rank)
         if run is not None:
             self._at(now)
@@ -125,14 +123,22 @@ class MaliciousDatabase:
         captures = [
             ((t, run.rank, run.seq, i), packet)
             for run in self.runs
-            for t in range(run.first, run.last + 1, run.step)
+            for t in range(run.first, run.last + 1, self.tick_seconds)
             for i, packet in enumerate(run.packets)
         ]
         captures.sort()
         return [DatabaseEntry(packet, key[0]) for key, packet in captures]
 
+    def captures(self, rank: int | None = None) -> int:
+        """How many captures sniffer ``rank`` made, or everyone if None."""
+        tick = self.tick_seconds
+        return sum(
+            len(r.packets) * ((r.last - r.first) // tick + 1)
+            for r in self.runs if rank is None or r.rank == rank
+        )
+
     def __len__(self) -> int:
-        return sum(r.captures for r in self.runs)
+        return self.captures()
 
 
 class SnifferAdversary:
@@ -152,14 +158,11 @@ class SnifferAdversary:
         position: tuple[float, float],
         place_name: str,
         database: MaliciousDatabase,
-        *,
-        params: SimParams,
     ):
         self.name = name
         self.position = position
         self.place_name = place_name
         self.database = database
-        self.tick_seconds = params.tick_seconds
         self.rank = database.join()
         self._inbox: Sequence[radio.Delivery] | None = None
         self._last_scan = 0
@@ -170,7 +173,7 @@ class SnifferAdversary:
     def sniff_tick(self, deliveries: Sequence[radio.Delivery], now: int) -> list[dict]:
         """Capture every protocol packet delivered to us; returns a capture
         event for each one no sniffer had captured before, in delivery order."""
-        if deliveries is self._inbox and now - self._last_scan == self.tick_seconds:
+        if deliveries is self._inbox and now - self._last_scan == self.database.tick_seconds:
             self.database.extend(self.rank, now)
             self._last_scan = now
             return []
@@ -179,7 +182,7 @@ class SnifferAdversary:
             for d in deliveries
             if d.receiver == self.name and radio.decode_advertisement(d.packet) is not None
         )
-        new = self.database.capture(self.rank, packets, now, self.tick_seconds)
+        new = self.database.capture(self.rank, packets, now)
         self._inbox = deliveries
         self._last_scan = now
         return [
@@ -202,7 +205,7 @@ class SnifferAdversary:
 
     @property
     def captures(self) -> int:
-        return sum(r.captures for r in self.database.runs if r.rank == self.rank)
+        return self.database.captures(self.rank)
 
     def report(self, end: int) -> tuple[dict, list[dict]]:
         return {"role": "sniffer", "captures": self.captures}, []
@@ -218,22 +221,20 @@ class RebroadcastAdversary:
     Byte-identical captures collapse to one transmission per tick, ordered
     by each packet's first capture inside the window.
 
-    The queue is one tuple object, handed out again while it is unchanged.
-    It is recomputed, over the runs that can still enter the window, only
-    when ``now`` reaches ``quiet_until(now)``: when the database opened a
-    run or when a run can change the answer.  A run's first capture enters
-    the window at ``first + delay``, and its last leaves at ``last + ttl``.
-    The next capture of an open run out of the window, at ``last + step``,
-    enters it ``delay`` later.  Given ``tick_seconds``, reads come only at
-    multiples of it, each before the captures made at its time, as in a
-    world's tick loop: such a capture is then read first at the first tick
-    after it that is ``delay`` or more later, or never, if that tick is
-    ``ttl`` or more later.
-    A run whose first capture in the window leaves it moves to its next
-    capture; the runs at the front of the queue all move together, so their
-    order against the rest changes only when they catch up with the next
-    run's first capture in the window (for runs on one tick grid, at that
-    run's ``first + ttl - tick``).
+    Reads come on the database's tick, each before the captures made at its
+    time, as in a world's tick loop.  The queue is one tuple object, handed
+    out again while it is unchanged.  It is recomputed, over the runs that
+    can still enter the window, only when ``now`` reaches
+    ``quiet_until(now)``: when the database opened a run or when a run can
+    change the answer.  A run's first capture enters the window at
+    ``first + delay``, and its last leaves at ``last + ttl``.  The next
+    capture of an open run out of the window, one tick after its last, is
+    read first at the first tick after it that is ``delay`` or more later,
+    or never, if that tick is ``ttl`` or more later.  A run whose first
+    capture in the window leaves it moves to its next capture; the runs at
+    the front of the queue all move together, so their order against the
+    rest changes only when they catch up with the next run's first capture
+    in the window, one tick before that capture leaves it.
     """
 
     phase = 1
@@ -244,12 +245,9 @@ class RebroadcastAdversary:
         position: tuple[float, float],
         attack: AttackSpec,
         database: MaliciousDatabase,
-        *,
-        tick_seconds: int | None = None,
     ):
         self.name = name
         self.position = position
-        self.tick_seconds = tick_seconds
         self.relay_delay = attack.relay_delay
         self.replay_ttl = attack.replay_ttl
         self.database = database
@@ -278,7 +276,7 @@ class RebroadcastAdversary:
         database = self.database
         self._live += database.runs[self._seen :]
         self._seen = len(database.runs)
-        delay, ttl = self.relay_delay, self.replay_ttl
+        tick, delay, ttl = database.tick_seconds, self.relay_delay, self.replay_ttl
         lo, hi = now - ttl, now - delay  # the window (lo, hi]
         if hi <= lo:  # an empty window: nothing is ever replayed
             self._live, self._next_change = [], math.inf
@@ -291,7 +289,7 @@ class RebroadcastAdversary:
             if run.last <= lo:  # its captures have all left the window
                 if database.is_open(run):  # but its next capture may be read in it
                     live.append(run)
-                    change = min(change, self._first_read(run.last + run.step))
+                    change = min(change, self._first_read(run.last + tick))
                 continue
             live.append(run)
             if database.is_open(run):
@@ -299,7 +297,7 @@ class RebroadcastAdversary:
             else:
                 change = min(change, run.last + ttl)
             # ``at``: the run's first capture after lo
-            at = run.first + max(0, (lo - run.first) // run.step + 1) * run.step
+            at = run.first + max(0, (lo - run.first) // tick + 1) * tick
             if at > hi:
                 change = min(change, at + delay)
             else:
@@ -307,14 +305,11 @@ class RebroadcastAdversary:
         eligible.sort()
         if eligible:
             front = eligible[0][0]
-            steps = {run.step for at, _, _, run in eligible if at == front}
             later = [at for at, _, _, _ in eligible if at > front]
-            step = min(steps)
-            if len(steps) > 1 or step > ttl - delay:
+            if tick > ttl - delay:  # the front runs leave the window
                 change = min(change, front + ttl)
-            elif later:
-                slides = -(-(later[0] - front) // step)  # until the front catches up
-                change = min(change, front + (slides - 1) * step + ttl)
+            elif later:  # the front runs catch up with the next run
+                change = min(change, later[0] - tick + ttl)
         queue = tuple(dict.fromkeys(p for _, _, _, run in eligible for p in run.packets))
         if queue != self.replay_queue:
             self.replay_queue = queue
@@ -323,11 +318,9 @@ class RebroadcastAdversary:
         self._next_change = change
 
     def _first_read(self, capture: int) -> float:
-        """The first time at which a capture made at ``capture`` can be read
+        """The first tick at which a capture made at ``capture`` is read
         inside the window, inf if never."""
-        tick = self.tick_seconds
-        if tick is None:  # a read may follow a capture at its own time
-            return capture + self.relay_delay
+        tick = self.database.tick_seconds
         at = -(-max(capture + 1, capture + self.relay_delay) // tick) * tick
         return at if at < capture + self.replay_ttl else math.inf
 
@@ -465,7 +458,7 @@ class HonestDevice:
         self._scanned_as: tuple | None = None  # (own RPI, position) at the last new inbox
         self.defended = actguard_enabled
 
-        self.downloaded: dict[int, DownloadedChunk] = {}  # in download order
+        self.downloaded: dict[int, DownloadedChunk] = {}  # in download order: ids ascend
 
     # --- key schedule ---------------------------------------------------
 
@@ -620,7 +613,7 @@ class HonestDevice:
         failure mid-poll leaves the device exactly as it was.
         """
         fetched = []
-        for chunk in backend.fetch_chunks(max(self.downloaded, default=0), now):
+        for chunk in backend.fetch_chunks(next(reversed(self.downloaded), 0), now):
             batch = backend.fetch_hash_batch(chunk.index) if self.defended else None
             fetched.append((chunk, batch))
 

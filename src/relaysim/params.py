@@ -161,14 +161,6 @@ class SimParams(FrozenRecord):
     def intervals_per_day(self) -> int:
         return SECONDS_PER_DAY // self.rotation_seconds
 
-    @classmethod
-    def from_dict(cls, overrides: dict) -> "SimParams":
-        """Build params from a config mapping, rejecting unknown keys."""
-        unknown = set(overrides) - set(cls.DEFAULTS)
-        if unknown:
-            raise ValueError(f"unknown parameter(s): {', '.join(sorted(unknown))}")
-        return cls(**overrides)
-
 
 class AttackSpec(NamedTuple):
     """A capture is replayed from ``relay_delay`` until ``replay_ttl``

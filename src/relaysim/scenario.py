@@ -263,8 +263,11 @@ def load_config(
             )
         )
 
+    params_data = data.get("params", {})
+    if not isinstance(params_data, dict):
+        raise ConfigError("params must be an object")
     try:
-        params = SimParams.from_dict(data.get("params", {}))
+        params = SimParams(**params_data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad params section: {exc}") from exc
     if duration // params.tick_seconds > MAX_TICKS:
@@ -399,7 +402,7 @@ class World:
         self.params = config.params
         self.now = 0
         self.backend = BackendStore(self.params, rng=random.Random(f"relaysim-otp:{config.seed}"))
-        self.database = MaliciousDatabase()
+        self.database = MaliciousDatabase(self.params.tick_seconds)
         self.events: list[dict] = []
 
         index = gaen.DiagnosisIndex(self.params)  # shared by every device of this run
@@ -428,14 +431,9 @@ class World:
         if position is None:
             position = self.config.places[spec.place].center
         if spec.role == "sniffer":
-            return SnifferAdversary(
-                spec.name, position, spec.place, self.database, params=self.params
-            )
+            return SnifferAdversary(spec.name, position, spec.place, self.database)
         if spec.role == "rebroadcaster":
-            return RebroadcastAdversary(
-                spec.name, position, self.config.attack, self.database,
-                tick_seconds=self.params.tick_seconds,
-            )
+            return RebroadcastAdversary(spec.name, position, self.config.attack, self.database)
         return HonestDevice(
             spec.name,
             _device_seed(self.config.seed, spec.name),

@@ -404,7 +404,7 @@ class PerCaptureDatabase:
     """The capture database as one entry per capture, in capture order, with
     each distinct packet's entry indexes."""
 
-    def __init__(self):
+    def __init__(self, tick_seconds):
         self.entries: list[DatabaseEntry] = []
         self.positions: dict[bytes, list[int]] = {}
 
@@ -425,7 +425,7 @@ class PerCaptureSniffer(EveryTick):
 
     phase = 0
 
-    def __init__(self, name, position, place_name, database, *, params):
+    def __init__(self, name, position, place_name, database):
         self.name = name
         self.position = position
         self.place_name = place_name
@@ -459,7 +459,7 @@ class PerCaptureRebroadcaster(EveryTick):
 
     phase = 1
 
-    def __init__(self, name, position, attack, database, *, tick_seconds=None):
+    def __init__(self, name, position, attack, database):
         self.name = name
         self.position = position
         self.relay_delay = attack.relay_delay

@@ -119,8 +119,8 @@ class TestHonestDevice:
 
 class TestSniffer:
     def test_capture_appends_per_tick(self):
-        db = MaliciousDatabase()
-        sniffer = SnifferAdversary("adv2", HERE, "Y", db, params=PARAMS)
+        db = MaliciousDatabase(PARAMS.tick_seconds)
+        sniffer = SnifferAdversary("adv2", HERE, "Y", db)
         packet, _, _ = _peer_packet()
         for t in (0, 10, 20):
             sniffer.sniff_tick([_delivery("adv2", packet, sender="victim")], t)
@@ -129,159 +129,193 @@ class TestSniffer:
         assert all(e.packet == packet for e in db.entries)
 
     def test_non_protocol_packet_not_captured(self):
-        db = MaliciousDatabase()
-        sniffer = SnifferAdversary("adv2", HERE, "Y", db, params=PARAMS)
+        db = MaliciousDatabase(PARAMS.tick_seconds)
+        sniffer = SnifferAdversary("adv2", HERE, "Y", db)
         bogus = (0x1809).to_bytes(2, "little") + bytes(20)
         sniffer.sniff_tick([_delivery("adv2", bogus, sender="thermometer")], 0)
         assert len(db) == sniffer.captures == 0
 
     def test_only_own_deliveries_captured(self):
-        db = MaliciousDatabase()
-        sniffer = SnifferAdversary("adv2", HERE, "Y", db, params=PARAMS)
+        db = MaliciousDatabase(PARAMS.tick_seconds)
+        sniffer = SnifferAdversary("adv2", HERE, "Y", db)
         packet, _, _ = _peer_packet()
         sniffer.sniff_tick([_delivery("other", packet, sender="victim")], 0)
         assert len(db) == 0
 
     def test_never_transmits(self):
-        sniffer = SnifferAdversary("adv2", HERE, "Y", MaliciousDatabase(), params=PARAMS)
+        sniffer = SnifferAdversary("adv2", HERE, "Y", MaliciousDatabase(PARAMS.tick_seconds))
         assert sniffer.outgoing_packets(0) == ()
+
+
+# Each sniffer's inbox on a tick: mostly its last one again (None), else a
+# new one of packets 0-4, 5 standing for a non-advertisement and 6 for a
+# delivery to someone else.  Long runs and few openings let the front of the
+# replay queue slide for many ticks between recomputes.
+INBOX = st.sampled_from(
+    [None] * 9 + [(), (0,), (1,), (2,), (0, 1), (1, 0), (3, 3), (2, 5), (6,), (4, 6, 1)]
+)
 
 
 class TestRebroadcaster:
     def test_empty_database_transmits_nothing(self):
-        adv = RebroadcastAdversary("adv1", HERE, AttackSpec(), MaliciousDatabase())
+        db = MaliciousDatabase(PARAMS.tick_seconds)
+        adv = RebroadcastAdversary("adv1", HERE, AttackSpec(), db)
         assert adv.rebroadcast_tick(100) == ()
 
     def test_relay_delay_gates_transmission(self):
-        db = MaliciousDatabase()
+        db = MaliciousDatabase(PARAMS.tick_seconds)
         adv = RebroadcastAdversary("adv1", HERE, AttackSpec(relay_delay=60, replay_ttl=7200), db)
         packet, _, _ = _peer_packet()
-        db.capture(-1, (packet,), 0, 1)
+        db.capture(-1, (packet,), 0)
         assert adv.rebroadcast_tick(50) == ()
         assert adv.rebroadcast_tick(60) == (packet,)
 
     def test_replay_stops_after_ttl(self):
-        db = MaliciousDatabase()
+        db = MaliciousDatabase(PARAMS.tick_seconds)
         adv = RebroadcastAdversary("adv1", HERE, AttackSpec(relay_delay=0, replay_ttl=7200), db)
         packet, _, _ = _peer_packet()
-        db.capture(-1, (packet,), 100, 1)
+        db.capture(-1, (packet,), 100)
         assert adv.rebroadcast_tick(7200) == (packet,)
         assert adv.rebroadcast_tick(7300) == ()
 
     def test_replay_is_verbatim(self):
-        db = MaliciousDatabase()
+        db = MaliciousDatabase(PARAMS.tick_seconds)
         adv = RebroadcastAdversary("adv1", HERE, AttackSpec(relay_delay=0), db)
         packet, _, _ = _peer_packet()
-        db.capture(-1, (packet,), 0, 1)
+        db.capture(-1, (packet,), 0)
         (replayed,) = adv.rebroadcast_tick(10)
         assert replayed == packet
         assert any(e.packet == replayed for e in db.entries)
 
     def test_identical_captures_collapse_per_tick(self):
-        db = MaliciousDatabase()
+        db = MaliciousDatabase(PARAMS.tick_seconds)
         adv = RebroadcastAdversary("adv1", HERE, AttackSpec(relay_delay=0), db)
         packet, _, _ = _peer_packet()
         for t in (0, 10, 20):
-            db.capture(-1, (packet,), t, 1)
+            db.capture(-1, (packet,), t)
         assert adv.rebroadcast_tick(30) == (packet,)
 
     def test_out_of_order_capture_rejected(self):
-        db = MaliciousDatabase()
-        db.capture(-1, (b"a",), 10, 1)
+        db = MaliciousDatabase(PARAMS.tick_seconds)
+        db.capture(-1, (b"a",), 10)
         with pytest.raises(ValueError, match="precedes"):
-            db.capture(-1, (b"b",), 9, 1)
+            db.capture(-1, (b"b",), 0)
 
+    # An op is one tick: (ticks since the last op's, whether the sniffers
+    # scanned their last inbox again on the ticks in between, the packets
+    # captured outside any sniffer, each sniffer's inbox).
     @settings(max_examples=300, deadline=None)
     @example(
         # Sniffer 1 hears packet 0 from t=0 and sniffer 0 packet 1 from t=50,
         # each on one reused inbox.  At t=140 both packets' first capture in
         # the window is at t=50, so the rank orders them; at t=130 the older
         # run's capture at t=40 still put packet 0 first.
-        ops=[("scan", 1, [0], 0)] + [("scan", 1, None, 10)] * 4
-        + [("scan", 0, [1], 10), ("scan", 1, None, 0)]
-        + [("tick", 10), ("scan", 0, None, 0), ("scan", 1, None, 0)] * 10,
+        tick=10,
+        ops=[(1, False, None, ((), (0,)))] + [(1, False, None, (None, None))] * 4
+        + [(1, False, None, ((1,), None))] + [(1, False, None, (None, None))] * 10,
+        relay_delay=0,
+        replay_ttl=100,
+    )
+    # The same, with the ticks from t=10 to t=40 repeated as a world
+    # repeats quiet ticks: the sniffers catch up before the read at t=50.
+    @example(
+        tick=10,
+        ops=[(1, False, None, ((), (0,))), (5, True, None, ((1,), None))]
+        + [(1, False, None, (None, None))] * 10,
         relay_delay=0,
         replay_ttl=100,
     )
     # A run closed by a new inbox at t=10 leaves the window at t=20.
     @example(
-        ops=[("scan", 0, [0], 0), ("scan", 0, [1], 10), ("tick", 2), ("tick", 13)],
+        tick=10,
+        ops=[(1, False, None, ((0,), ())), (1, False, None, ((1,), None))]
+        + [(1, False, None, (None, None))],
         relay_delay=0,
         replay_ttl=20,
     )
     # A run still open, not extended since, leaves the window at t=20.
-    @example(ops=[("scan", 0, [0], 0), ("tick", 5), ("tick", 15)], relay_delay=0, replay_ttl=20)
-    # An open run that has left the window is extended at t=10, back into it.
     @example(
-        ops=[("scan", 0, [0], 0), ("tick", 3), ("tick", 5), ("scan", 0, None, 2), ("tick", 2)],
+        tick=10,
+        ops=[(1, False, None, ((0,), ())), (2, False, None, (None, None))],
         relay_delay=0,
-        replay_ttl=5,
+        replay_ttl=20,
     )
-    # The window (t-15, t-10] is narrower than a tick: at t=15 it falls
-    # between the captures at t=0 and t=10.
+    # Under a window no longer than a tick, each capture of an open run has
+    # left the window by the next read: nothing is ever replayed.
     @example(
-        ops=[("scan", 0, [0], 0), ("scan", 0, None, 10), ("tick", 2), ("tick", 3)],
+        tick=10,
+        ops=[(1, False, None, ((0,), ()))] + [(1, False, None, (None, None))] * 3,
+        relay_delay=0,
+        replay_ttl=10,
+    )
+    # The window (t-15, t-10] is narrower than a 7 s tick: each read sees
+    # the one capture of the open run made two ticks before it.
+    @example(
+        tick=7,
+        ops=[(1, False, None, ((0,), ()))] + [(1, False, None, (None, None))] * 5,
         relay_delay=10,
         replay_ttl=15,
     )
     @given(
+        tick=st.sampled_from([7, 10]),
         ops=st.lists(
-            st.one_of(
-                # capture one of a few packets outside any sniffer, so copies repeat
-                st.tuples(st.just("capture"), st.integers(0, 4), st.integers(0, 30)),
-                st.tuples(st.just("tick"), st.integers(0, 30)),
-                # sniffer 0 or 1 scans its last inbox object again (None) or a
-                # new one, one tick, a gap of ticks or an off-grid time later
-                st.tuples(
-                    st.just("scan"),
-                    st.integers(0, 1),
-                    st.none() | st.lists(st.integers(0, 6), max_size=4),
-                    st.sampled_from([0, 7, 10, 10, 10, 20, 30]),
-                ),
+            st.tuples(
+                st.sampled_from([1] * 6 + [2, 4]),
+                st.booleans(),
+                # None: no capture; (): the open run outside any sniffer closes
+                st.sampled_from([None] * 14 + [(), (0,), (1,), (4,), (2, 2), (3, 0)]),
+                st.tuples(INBOX, INBOX),
             ),
+            min_size=20,
             max_size=60,
         ),
         relay_delay=st.integers(0, 90),
         replay_ttl=st.integers(1, 150),
     )
-    def test_replay_queue_equals_window_scan(self, ops, relay_delay, replay_ttl):
-        db = MaliciousDatabase()
+    def test_replay_queue_equals_window_scan(self, tick, ops, relay_delay, replay_ttl):
+        # Driven as a world's tick loop drives the pair: on each tick the
+        # rebroadcaster reads first, then the captures outside any sniffer
+        # are made, then each sniffer scans in rank order.
+        db = MaliciousDatabase(tick)
         attack = AttackSpec(relay_delay=relay_delay, replay_ttl=replay_ttl)
         adv = RebroadcastAdversary("adv1", HERE, attack, db)
-        # Two sniffers share the database; at one time, captures made outside
-        # any sniffer come first, then each sniffer's by rank, in call order.
-        sniffers = [SnifferAdversary(f"s{i}", HERE, "Y", db, params=PARAMS) for i in (0, 1)]
+        sniffers = [SnifferAdversary(f"s{i}", HERE, "Y", db) for i in (0, 1)]
         packets = [radio.encode_advertisement(bytes([k]) * 16, bytes(4)) for k in range(5)]
         inboxes: list[tuple] = [(), ()]
+        heard: list[list[bytes]] = [[], []]  # the protocol packets of each inbox
         captures = []  # (time, rank, packet) in call order
         queue = None
-        now = 0
-        for op in ops:
-            now += op[-1]
-            if op[0] == "capture":
-                db.capture(-1, (packets[op[1]],), now, 1)
-                captures.append((now, -1, packets[op[1]]))
-            elif op[0] == "scan":
-                _, i, fresh, _ = op
-                if fresh is not None:  # 5: not an advertisement, 6: for someone else
+        now = -tick
+        for gap, repeated, outside, fresh in ops:
+            if repeated and gap > 1:  # caught up at once, as a world catches up
+                through = now + (gap - 1) * tick
+                for i, sniffer in enumerate(sniffers):
+                    sniffer.repeat(through)
+                    captures += [(t, i, p) for t in range(now + tick, through + 1, tick)
+                                 for p in heard[i]]
+            now += gap * tick
+            in_order = [(p, t) for t, _, p in sorted(captures, key=lambda c: c[:2])]
+            expected = naive_replay_queue(in_order, now, relay_delay, replay_ttl)
+            got = adv.rebroadcast_tick(now)
+            assert got == expected
+            assert adv.replay_queue is got
+            if got == queue:  # the same object while the queue is unchanged
+                assert got is queue
+            queue = got
+            if outside is not None:
+                db.capture(-1, tuple(packets[k] for k in outside), now)
+                captures += [(now, -1, packets[k]) for k in outside]
+            for i, inbox in enumerate(fresh):
+                if inbox is not None:
                     inboxes[i] = tuple(
                         _delivery(f"s{i}", bytes(22), sender="v") if k == 5
                         else _delivery("other", packets[0], sender="v") if k == 6
                         else _delivery(f"s{i}", packets[k], sender="v")
-                        for k in fresh
+                        for k in inbox
                     )
+                    heard[i] = [packets[k] for k in inbox if k < 5]
                 sniffers[i].sniff_tick(inboxes[i], now)
-                captures += [(now, i, d.packet) for d in inboxes[i] if d.receiver == f"s{i}"
-                             and radio.decode_advertisement(d.packet) is not None]
-            else:
-                in_order = [(p, t) for t, _, p in sorted(captures, key=lambda c: c[:2])]
-                expected = naive_replay_queue(in_order, now, relay_delay, replay_ttl)
-                got = adv.rebroadcast_tick(now)
-                assert got == expected
-                assert adv.replay_queue is got
-                if got == queue:  # the same object while the queue is unchanged
-                    assert got is queue
-                queue = got
+                captures += [(now, i, p) for p in heard[i]]
         in_order = [(p, t) for t, _, p in sorted(captures, key=lambda c: c[:2])]
         assert db.entries == in_order
         assert len(db) == len(captures)
@@ -371,6 +405,21 @@ class TestExposureCheck:
         victim.exposure_check(backend, now=910)
         state = victim.evaluate_exposure()
         assert state.gaen_alert
+
+    def test_poll_reads_the_newest_id_without_scanning_the_rest(self):
+        class Unscannable(dict):
+            def __iter__(self):
+                raise AssertionError("the poll scanned every downloaded id")
+
+        backend, victim = self._infected_pair()
+        victim.downloaded = Unscannable()
+        assert victim.poll_backend(backend, now=900) == [1]
+        other = _device("other")
+        other.ensure_interval(0)
+        other.diagnose_and_upload(backend, backend.authorize_otp(3600, now=910).code, now=910)
+        assert victim.poll_backend(backend, now=910) == [2]
+        assert victim.poll_backend(backend, now=920) == []
+        assert list(victim.downloaded.keys()) == [1, 2]
 
     def test_exposure_is_rescored_after_new_contact_rows(self):
         # The positive device hears the victim; the victim hears it only

@@ -19,7 +19,9 @@ identical.
 Every reference runs every tick in full, so these properties also check
 the repeated ticks of the worlds as they are: ``SPANS`` ends quiet
 stretches at each kind of event a repeated span must stop at, and replay
-windows of one tick (``replay_ttl`` 10) and of less (5) are drawn too.
+windows of about one tick (``replay_ttl`` 10) and of less (5) are drawn
+too.  Random worlds run on 10 s ticks or on 7 s ones, which divide no
+drawn bucket, rotation or replay window.
 
 The third property runs random worlds in which one actor is diagnosed twice,
 so that two chunks share RPIs, against the per-sighting reference, and
@@ -63,7 +65,7 @@ METERS_PER_DEGREE = 6371000.0 * 3.141592653589793 / 180.0
 PLACES = {"P0": (0.0, 0.0), "P1": (0.01, 0.0)}  # 1.1 km apart, far out of range
 JITTER_M = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 TICK = 10
-# A tick longer than a bucket, one that does not divide a bucket, and the default.
+# For a 10 s tick: a bucket shorter than it, one it does not divide, and the default.
 BUCKET_SECONDS = st.sampled_from([8, 15, 300])
 
 
@@ -77,9 +79,10 @@ def worlds(draw, attacked=st.booleans(), twice=st.just(False)):
     """A scenario config and the tick times to run (the last is never skipped).
     With ``twice``, the first diagnosed actor is diagnosed again, at the same
     tick or later, so two chunks share its RPIs."""
+    tick = draw(st.sampled_from([TICK, 7]))
     places = list(PLACES)[: draw(st.integers(1, 2))]
     duration = draw(st.sampled_from([900, 1500]))
-    ticks = duration // TICK
+    ticks = duration // tick
     place = st.sampled_from(places)
     actors = []
     for i in range(draw(st.integers(3, 6))):
@@ -95,17 +98,17 @@ def worlds(draw, attacked=st.booleans(), twice=st.just(False)):
         if times:
             actor["movement"] = {
                 "waypoints": [
-                    dict(zip(("lat", "lon"), _at(draw(place), draw(JITTER_M))), at=t * TICK)
+                    dict(zip(("lat", "lon"), _at(draw(place), draw(JITTER_M))), at=t * tick)
                     for t in sorted(times)
                 ]
             }
         actors.append(actor)
     diagnoses = [
-        {"actor": f"d{draw(st.integers(0, len(actors) - 1))}", "at_time": t * TICK}
+        {"actor": f"d{draw(st.integers(0, len(actors) - 1))}", "at_time": t * tick}
         for t in draw(st.lists(st.integers(0, ticks - 1), min_size=1, max_size=3))
     ]
     if draw(twice):
-        again = draw(st.integers(diagnoses[0]["at_time"] // TICK, ticks - 1)) * TICK
+        again = draw(st.integers(diagnoses[0]["at_time"] // tick, ticks - 1)) * tick
         diagnoses.append({"actor": diagnoses[0]["actor"], "at_time": again})
     config = {
         "name": "runs",
@@ -118,6 +121,7 @@ def worlds(draw, attacked=st.booleans(), twice=st.just(False)):
             "rotation_seconds": draw(st.sampled_from([600, 7200])),
             "clock_tolerance_seconds": draw(st.sampled_from([0, 30])),
             "bucket_seconds": draw(BUCKET_SECONDS),
+            "tick_seconds": tick,
         },
     }
     if draw(attacked):
@@ -132,7 +136,7 @@ def worlds(draw, attacked=st.booleans(), twice=st.just(False)):
             "replay_ttl": draw(st.sampled_from([5, 10, 20, 60, 300, 7200])),
         }
     skipped = draw(st.sets(st.integers(1, ticks - 2), max_size=6))
-    return config, [t * TICK for t in range(ticks) if t not in skipped]
+    return config, [t * tick for t in range(ticks) if t not in skipped]
 
 
 def _run(

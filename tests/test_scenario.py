@@ -286,6 +286,9 @@ class TestLoadConfig:
                 {"description": {"a", "b"}},
                 r"^a scenario must hold only JSON keys and values: .*type set is not JSON",
             ),
+            # Iterable, but not a mapping of parameter names to values.
+            ({"params": "abc"}, r"^params must be an object$"),
+            ({"params": [1]}, r"^params must be an object$"),
         ],
     )
     def test_malformed_section_names_offender(self, overrides, offender, tmp_path):

@@ -376,12 +376,41 @@ class ObservationRun:
 
 
 class DownloadedChunk(NamedTuple):
-    """A downloaded chunk's keys, its hash batch (None if it has none or the
-    device is undefended) and ``at``, the tick of the poll that brought it."""
+    """A downloaded chunk's keys, its hash batch (None if it has none) and
+    ``at``, the tick of the poll that brought it."""
 
     teks: tuple[tuple[bytes, int], ...]
     batch: frozenset[bytes] | None
     at: int
+
+
+class DownloadLog:
+    """The downloaded chunks by diagnosis id, in download order (ids
+    ascend), and one RPI index over them: an RPI maps to (diagnosis id,
+    entry) for each of its entries, chunk by chunk, in each chunk's
+    ``build_rpi_index`` order.  The devices of a world poll at the same
+    ticks and share one log: a round's first poll fetches and expands each
+    new chunk once, and the round's later polls find nothing new."""
+
+    def __init__(self, params: SimParams) -> None:
+        self.params = params
+        self.chunks: dict[int, DownloadedChunk] = {}
+        self.index: dict[bytes, list[gaen.DiagnosisEntry]] = {}
+
+    def poll(self, backend: BackendStore, now: int) -> list[int]:
+        """Fetch the chunks after the newest one and their hash batches;
+        returns their diagnosis ids.  All fetches complete before the log
+        changes, so a transport failure mid-poll leaves it as it was."""
+        fetched = [
+            (chunk, backend.fetch_hash_batch(chunk.index))
+            for chunk in backend.fetch_chunks(next(reversed(self.chunks), 0), now)
+        ]
+        for chunk, batch in fetched:
+            self.chunks[chunk.index] = DownloadedChunk(chunk.teks, batch, now)
+            teks = [gaen.Tek(b, d) for b, d in chunk.teks]
+            for rpi, entries in gaen.build_rpi_index(teks, self.params).items():
+                self.index.setdefault(rpi, []).extend((chunk.index, e) for e in entries)
+        return [chunk.index for chunk, _ in fetched]
 
 
 # A match run: an observation run paired with one index entry of its RPI,
@@ -409,8 +438,9 @@ class HonestDevice:
     and only a matched pseudonym's rows to verify it; each chunk's hash
     batch rides on its ``DownloadedChunk``.
 
-    ``index`` is the RPI index over the downloaded chunks.  Devices of one
-    run share it, so each chunk is expanded once however many download it.
+    ``downloads`` holds the downloaded chunks and their RPI index.  The
+    devices of a world share one (see ``DownloadLog``); a device given none
+    keeps its own.
 
     Sightings are stored as observation runs, indexed by RPI.  A new inbox
     opens one run per sighting in it.  While ``receive`` is handed the same
@@ -437,13 +467,13 @@ class HonestDevice:
         *,
         params: SimParams,
         actguard_enabled: bool = False,
-        index: gaen.DiagnosisIndex | None = None,
+        downloads: DownloadLog | None = None,
     ):
         self.name = name
         self.seed = seed
         self.position = position
         self.params = params
-        self.index = gaen.DiagnosisIndex(params) if index is None else index
+        self.downloads = DownloadLog(params) if downloads is None else downloads
 
         self.teks: dict[int, gaen.Tek] = {}
         self.current_rpi: gaen.Rpi | None = None
@@ -457,8 +487,6 @@ class HonestDevice:
         self._last_scan = -1
         self._scanned_as: tuple | None = None  # (own RPI, position) at the last new inbox
         self.defended = actguard_enabled
-
-        self.downloaded: dict[int, DownloadedChunk] = {}  # in download order: ids ascend
 
     # --- key schedule ---------------------------------------------------
 
@@ -607,19 +635,11 @@ class HonestDevice:
         return diagnosis_id, payload
 
     def poll_backend(self, backend: BackendStore, now: int) -> list[int]:
-        """Pull new chunks (and their hash batches); returns new diagnosis ids.
-
-        All fetches complete before any local state changes, so a transport
-        failure mid-poll leaves the device exactly as it was.
+        """Pull new chunks into the download log; returns the diagnosis ids
+        this poll brought, none if another device of the log polled first.
+        A transport failure leaves the log as it was (``DownloadLog.poll``).
         """
-        fetched = []
-        for chunk in backend.fetch_chunks(next(reversed(self.downloaded), 0), now):
-            batch = backend.fetch_hash_batch(chunk.index) if self.defended else None
-            fetched.append((chunk, batch))
-
-        for chunk, batch in fetched:
-            self.downloaded[chunk.index] = DownloadedChunk(chunk.teks, batch, now)
-        return [chunk.index for chunk, _ in fetched]
+        return self.downloads.poll(backend, now)
 
     def _matched(self) -> dict[int, list[ClippedRun]]:
         """Each downloaded chunk's match runs, by diagnosis id, in (run,
@@ -627,7 +647,7 @@ class HonestDevice:
         the entry's widened window, and the AEM decrypted for a non-empty
         clip only."""
         self._close_runs()
-        index = self.index.over([(d, chunk.teks) for d, chunk in self.downloaded.items()])
+        index = self.downloads.index
         tolerance = self.params.clock_tolerance_seconds
         tick = self.params.tick_seconds
         matched: dict[int, list[ClippedRun]] = {}
@@ -661,7 +681,8 @@ class HonestDevice:
         """Alert, risk score, verdicts and first matches over every sighting
         so far, from one read of the match runs."""
         matched = self._matched()
-        polls = sorted({chunk.at for chunk in self.downloaded.values()})
+        chunks = self.downloads.chunks
+        polls = sorted({chunk.at for chunk in chunks.values()})
         contacts = self._rows() if self.defended else []
         # Each row under both pseudonyms of its pair: a matched RPI may be the
         # device's own earlier one, heard replayed.
@@ -683,7 +704,7 @@ class HonestDevice:
             if self.defended:
                 verdicts[diagnosis_id] = self._verdict_for(diagnosis_id, runs, rows)
             first = min(times[0] for times, _, _, _ in runs)
-            i = bisect.bisect_left(polls, max(self.downloaded[diagnosis_id].at, first))
+            i = bisect.bisect_left(polls, max(chunks[diagnosis_id].at, first))
             t = polls[i] if i < len(polls) else math.inf
             count = sum(bisect.bisect_right(times, t) for times, _, _, _ in runs)
             firsts.append((t, diagnosis_id, count))
@@ -713,7 +734,7 @@ class HonestDevice:
             verdict = actguard.verify_exposure(
                 run,
                 rows[run.rpi],
-                self.downloaded[diagnosis_id].batch,
+                self.downloads.chunks[diagnosis_id].batch,
                 diagnosis_id=diagnosis_id,
                 params=self.params,
             )

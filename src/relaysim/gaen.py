@@ -164,7 +164,7 @@ class IndexedRpi(NamedTuple):
 
 
 RpiIndex = dict[bytes, list[IndexedRpi]]
-DiagnosisEntry = tuple[int, IndexedRpi]  # (diagnosis id, entry): see DiagnosisIndex
+DiagnosisEntry = tuple[int, IndexedRpi]  # (diagnosis id, entry): see agents.DownloadLog
 
 
 class MatchedSightings(NamedTuple):
@@ -191,30 +191,6 @@ def build_rpi_index(diagnosis_teks: list[Tek], params: SimParams) -> RpiIndex:
                 IndexedRpi(tek, aemk, rpi.interval_index, start, end)
             )
     return index
-
-
-class DiagnosisIndex:
-    """One RPI index over a set of chunks, in download order, each given as
-    (diagnosis id, teks): an RPI maps to (diagnosis id, entry) for each of
-    its entries, chunk by chunk, in each chunk's ``build_rpi_index`` order.
-
-    Devices of one run share it: they download the same chunks at the same
-    tick, so they ask for the same list.  Another list is indexed anew.
-    """
-
-    def __init__(self, params: SimParams):
-        self.params = params
-        self._chunks: list[tuple[int, tuple]] = []
-        self._index: dict[bytes, list[DiagnosisEntry]] = {}
-
-    def over(self, chunks: list[tuple[int, tuple]]) -> dict[bytes, list[DiagnosisEntry]]:
-        if chunks != self._chunks:
-            self._chunks, self._index = chunks, {}
-            for diagnosis_id, teks in chunks:
-                index = build_rpi_index([Tek(b, d) for b, d in teks], self.params)
-                for rpi, entries in index.items():
-                    self._index.setdefault(rpi, []).extend((diagnosis_id, e) for e in entries)
-        return self._index
 
 
 def match_indexed(

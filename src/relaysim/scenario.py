@@ -54,8 +54,9 @@ from functools import partial
 from operator import is_not, itemgetter
 from typing import NamedTuple
 
-from . import gaen, radio
+from . import radio
 from .agents import (
+    DownloadLog,
     HonestDevice,
     MaliciousDatabase,
     RebroadcastAdversary,
@@ -393,7 +394,8 @@ class World:
 
     ``actors`` holds every actor in name order; the tick loop uses only the
     interface they share.  Diagnoses and polls concern the honest
-    ``devices`` alone.  Actor state is read only after the actors caught up
+    ``devices`` alone, which share one ``DownloadLog``: a chunk is fetched
+    and expanded once.  Actor state is read only after the actors caught up
     with the repeated ticks: on the next tick run in full, or in ``finish``.
     """
 
@@ -405,9 +407,9 @@ class World:
         self.database = MaliciousDatabase(self.params.tick_seconds)
         self.events: list[dict] = []
 
-        index = gaen.DiagnosisIndex(self.params)  # shared by every device of this run
+        downloads = DownloadLog(self.params)  # shared by every device of this run
         specs = sorted(config.actors, key=lambda a: a.name)
-        self.actors = [self._new_actor(spec, index) for spec in specs]
+        self.actors = [self._new_actor(spec, downloads) for spec in specs]
         self.devices = {a.name: a for a in self.actors if isinstance(a, HonestDevice)}
         # [actor, its waypoints as (at, position), how many it has reached]
         self._movers = [
@@ -425,7 +427,7 @@ class World:
         self._quiet_until: float = -math.inf  # ticks before it repeat the last one run
         self._repeated_through: int | None = None  # the last tick repeated since then
 
-    def _new_actor(self, spec: ActorSpec, index: gaen.DiagnosisIndex):
+    def _new_actor(self, spec: ActorSpec, downloads: DownloadLog):
         # A waypoint at or before time 0 is reached on the first tick.
         position = spec.position
         if position is None:
@@ -440,7 +442,7 @@ class World:
             position,
             params=self.params,
             actguard_enabled=spec.actguard,
-            index=index,
+            downloads=downloads,
         )
 
     def _log(self, t: int, event: str, **fields) -> None:

@@ -292,9 +292,11 @@ class PerSightingDevice(EveryTick, HonestDevice):
         return len(self.stored) - before
 
     def poll_backend(self, backend, now):
-        new_ids = super().poll_backend(backend, now)
+        super().poll_backend(backend, now)  # another device's poll may have brought the chunks
+        chunks = self.downloads.chunks
+        new_ids = [d for d in chunks if d not in self.indexes]
         for d in new_ids:
-            teks = [gaen.Tek(b, day) for b, day in self.downloaded[d].teks]
+            teks = [gaen.Tek(b, day) for b, day in chunks[d].teks]
             self.indexes[d] = gaen.build_rpi_index(teks, self.params)
         if new_ids:
             self._match_new_sightings(now)
@@ -333,7 +335,7 @@ class PerSightingDevice(EveryTick, HonestDevice):
 
     def _score(self):
         all_matches, verdicts, counts = [], {}, {}
-        for diagnosis_id in sorted(self.downloaded):
+        for diagnosis_id in sorted(self.downloads.chunks):
             matches = self.matches.get(diagnosis_id)
             if not matches:
                 continue
@@ -353,7 +355,7 @@ class PerSightingDevice(EveryTick, HonestDevice):
     def _per_match_verdict(self, diagnosis_id, matches):
         """Verify the matches in order, each RPI once: the first
         confirmation wins, else the first match's verdict stands."""
-        batch = self.downloaded[diagnosis_id].batch
+        batch = self.downloads.chunks[diagnosis_id].batch
         first_by_rpi = {}
         for match in matches:
             first_by_rpi.setdefault(match.rpi, match)

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from relaysim import actguard, gaen, radio
 from relaysim.agents import (
+    DownloadLog,
     HonestDevice,
     MaliciousDatabase,
     RebroadcastAdversary,
@@ -19,9 +20,9 @@ PARAMS = SimParams()
 HERE = (44.63, 10.94)
 
 
-def _device(name="dev", *, actguard=False, position=HERE, index=None):
+def _device(name="dev", *, actguard=False, position=HERE, downloads=None):
     return HonestDevice(name, seed=name.encode() * 4, position=position,
-                        params=PARAMS, actguard_enabled=actguard, index=index)
+                        params=PARAMS, actguard_enabled=actguard, downloads=downloads)
 
 
 def _delivery(receiver, packet, *, sender="peer", rssi=-45.0):
@@ -412,14 +413,14 @@ class TestExposureCheck:
                 raise AssertionError("the poll scanned every downloaded id")
 
         backend, victim = self._infected_pair()
-        victim.downloaded = Unscannable()
+        victim.downloads.chunks = Unscannable()
         assert victim.poll_backend(backend, now=900) == [1]
         other = _device("other")
         other.ensure_interval(0)
         other.diagnose_and_upload(backend, backend.authorize_otp(3600, now=910).code, now=910)
         assert victim.poll_backend(backend, now=910) == [2]
         assert victim.poll_backend(backend, now=920) == []
-        assert list(victim.downloaded.keys()) == [1, 2]
+        assert list(victim.downloads.chunks.keys()) == [1, 2]
 
     def test_exposure_is_rescored_after_new_contact_rows(self):
         # The positive device hears the victim; the victim hears it only
@@ -441,45 +442,44 @@ class TestExposureCheck:
         victim.receive([_delivery("victim", packet, sender="positive")], 310)
         assert victim.evaluate_exposure().verdicts[1].kind is actguard.VerdictKind.CONFIRMED_CONTACT
 
-    def test_devices_sharing_an_index_score_as_with_their_own(self):
-        # Three devices share one index: "early" polls before the second
-        # diagnosis, "late" after it, and "other" polls another backend whose
-        # diagnosis 1 is the second positive.  Each reads between the others'
-        # polls and must score as its twin with an index of its own.
-        backends = BackendStore(PARAMS), BackendStore(PARAMS)
-        positives = _device("p0"), _device("p1")
-        shared = gaen.DiagnosisIndex(PARAMS)
-        pairs = {n: (_device(n, index=shared), _device(n)) for n in ("early", "late", "other")}
+    def test_devices_sharing_a_log_score_as_with_their_own(self):
+        # "me" (defended) and "you" share one download log and poll one
+        # backend at the same ticks, as the devices of a world do; each must
+        # score as its twin with a log of its own.  Only a round's first
+        # poll brings chunks.
+        backend = BackendStore(PARAMS)
+        positives = _device("p0", actguard=True), _device("p1", actguard=True)
+        shared = DownloadLog(PARAMS)
+        pairs = [
+            (_device(n, actguard=g, downloads=shared), _device(n, actguard=g))
+            for n, g in (("me", True), ("you", False))
+        ]
         for t in range(0, 900, 10):
             heard = positives if t < 300 else positives[:1]
-            for pair in pairs.values():
-                for device in pair:
-                    deliveries = [_delivery(device.name, p.outgoing_packets(t)[0]) for p in heard]
-                    device.receive(deliveries, t)
+            for device in [d for pair in pairs for d in pair]:
+                packets = [p.outgoing_packets(t)[0] for p in heard]
+                device.receive([_delivery(device.name, p) for p in packets], t)
+            for positive in heard:
+                packets = [twin.outgoing_packets(t)[0] for _, twin in pairs]
+                positive.receive([_delivery(positive.name, p) for p in packets], t)
 
-        def diagnose(positive, backend, now):
+        def publish_and_read(positive, now):
             positive.diagnose_and_upload(backend, backend.authorize_otp(3600, now).code, now)
+            polls = [[device.poll_backend(backend, now) for device in pair] for pair in pairs]
+            states = []
+            for device, twin in pairs:
+                state = device.evaluate_exposure()
+                assert state == twin.evaluate_exposure()
+                assert {d: device.chunk_matches(d) for d in device.downloads.chunks} == {
+                    d: twin.chunk_matches(d) for d in twin.downloads.chunks
+                }
+                states.append((state.matches_by_diagnosis, sorted(state.verdicts)))
+            return polls, states
 
-        def poll(name, backend, now):
-            for device in pairs[name]:
-                device.poll_backend(backend, now)
-
-        def read(name):
-            device, twin = pairs[name]
-            state = device.evaluate_exposure()
-            assert state == twin.evaluate_exposure()
-            assert {d: device.chunk_matches(d) for d in device.downloaded} == {
-                d: twin.chunk_matches(d) for d in twin.downloaded
-            }
-            return state.matches_by_diagnosis
-
-        diagnose(positives[0], backends[0], 900)
-        diagnose(positives[1], backends[1], 900)
-        poll("early", backends[0], 900)
-        assert read("early") == {1: 90}
-        poll("other", backends[1], 900)
-        assert read("other") == {1: 30}
-        diagnose(positives[1], backends[0], 910)
-        poll("late", backends[0], 910)
-        assert read("late") == {1: 90, 2: 30}
-        assert [read(n) for n in ("early", "other", "late")] == [{1: 90}, {1: 30}, {1: 90, 2: 30}]
+        assert publish_and_read(positives[0], 900) == (
+            [[[1], [1]], [[], [1]]], [({1: 90}, [1]), ({1: 90}, [])]
+        )
+        assert publish_and_read(positives[1], 910) == (
+            [[[2], [2]], [[], [2]]], [({1: 90, 2: 30}, [1, 2]), ({1: 90, 2: 30}, [])]
+        )
+        assert shared.chunks.keys() == pairs[0][1].downloads.chunks.keys() == {1, 2}

@@ -1,6 +1,6 @@
 """Incremental exposure evaluation against a from-scratch reference.
 
-Hypothesis drives two observing devices, which share one ``DiagnosisIndex``,
+Hypothesis drives two observing devices, which share one ``DownloadLog``,
 through any interleaving of meetings with three peers (observations plus,
 for defended devices, contact records), peer clocks running ahead (so an
 observation can fall before its RPI's validity window), diagnoses of those
@@ -15,7 +15,7 @@ import random
 from hypothesis import example, given, settings, strategies as st
 
 from relaysim import gaen, radio
-from relaysim.agents import HonestDevice
+from relaysim.agents import DownloadLog, HonestDevice
 from relaysim.backend import BackendStore, FutureTekError
 from relaysim.params import SECONDS_PER_DAY, SimParams
 
@@ -61,7 +61,7 @@ def _reference_state(device: HonestDevice, backend: BackendStore, now: int):
     records = [(r.rpi_low, r.rpi_high, *r.cell, r.bucket) for r in table]
     all_matches, per_diagnosis, verdicts = [], {}, {}
     for chunk in backend.fetch_chunks(0, now):
-        if chunk.index > max(device.downloaded, default=0):
+        if chunk.index > max(device.downloads.chunks, default=0):
             continue
         teks = [gaen.Tek(bytes=b, day_index=d) for b, d in chunk.teks]
         found = brute_force_matches(
@@ -90,7 +90,7 @@ def _reference_state(device: HonestDevice, backend: BackendStore, now: int):
 
 def _check(device: HonestDevice, backend: BackendStore, now: int) -> None:
     state = device.evaluate_exposure()
-    matches = {d: m for d in device.downloaded if (m := device.chunk_matches(d))}
+    matches = {d: m for d in device.downloads.chunks if (m := device.chunk_matches(d))}
     assert state.matches_by_diagnosis == {d: len(m) for d, m in matches.items()}
     got = (
         state.gaen_alert,
@@ -159,9 +159,9 @@ def test_incremental_exposure_equals_from_scratch(ops, tolerance, cells, buckets
         clock_tolerance_seconds=tolerance, neighborhood_cells=cells, neighborhood_buckets=buckets
     )
     backend = BackendStore(params, rng=random.Random("exposure-oracle"))
-    shared = gaen.DiagnosisIndex(params)
+    shared = DownloadLog(params)
     observers = [
-        HonestDevice(n, n.encode() * 4, HERE, params=params, actguard_enabled=g, index=shared)
+        HonestDevice(n, n.encode() * 4, HERE, params=params, actguard_enabled=g, downloads=shared)
         for n, g in OBSERVERS
     ]
     peers = [

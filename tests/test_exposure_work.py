@@ -3,13 +3,15 @@ or for a result to be read.
 
 The counting test pins how often a run polls, reads its matches and scores:
 once per device per published chunk, and once per device in all, for its
-report.  The tick test
+report; and that the devices' one ``DownloadLog`` fetches each chunk and its
+hash batch once.  The tick test
 pins that no tick looks a run up or scores: all of it happens after the last
 tick.  The lookup test pins how matching works: on observation runs, each
-looked up at most once per read in the one index over every downloaded
+looked up at most once per read in the log's one index over every downloaded
 chunk, whatever the chunk count, with no per-sighting ``Observation`` or
 ``ExposureMatch`` built.  The expansion test pins that the devices of a run
-share that index: each published key is expanded once.  The purity test
+share that index, which grows chunk by chunk: each published key is expanded
+once, however often exposure is read mid-run.  The purity test
 evaluates every device's exposure after every tick and checks that the
 report bytes do not change.
 """
@@ -21,6 +23,7 @@ import pytest
 
 from relaysim import gaen
 from relaysim.agents import HonestDevice
+from relaysim.backend import BackendStore
 from relaysim.scenario import World
 
 from golden.gen_reports import REPORTS, golden_config, golden_names
@@ -70,8 +73,21 @@ def test_polls_once_per_chunk_and_scores_once(name):
     # crowd_guarded_small is the benchmark's crowd_guarded shape, scaled down.
     world = World(golden_config(name))
     calls: Counter = Counter()
+    poll, fetch_chunks = HonestDevice.poll_backend, BackendStore.fetch_chunks
+
+    def polling(device, backend, now):
+        calls["poll_backend"] += 1
+        with _counting(BackendStore, "fetch_hash_batch", calls):
+            return poll(device, backend, now)
+
+    def fetching(backend, since_index, now):
+        chunks = fetch_chunks(backend, since_index, now)
+        calls["fetched chunks"] += len(chunks)
+        return chunks
+
     with (
-        _counting(HonestDevice, "poll_backend", calls),
+        mock.patch.object(HonestDevice, "poll_backend", polling),
+        mock.patch.object(BackendStore, "fetch_chunks", fetching),
         _counting(HonestDevice, "_matched", calls),
         _counting(HonestDevice, "evaluate_exposure", calls),
         _counting(gaen, "risk_score", calls),
@@ -81,6 +97,7 @@ def test_polls_once_per_chunk_and_scores_once(name):
     publishing_ticks = {e["t"] for e in report["events"] if e["event"] == "diagnosis"}
     assert chunks == len(publishing_ticks) > 0
     assert calls["poll_backend"] == len(world.devices) * chunks
+    assert calls["fetched chunks"] == calls["fetch_hash_batch"] == chunks  # once per world
     for once_per_device in ("_matched", "evaluate_exposure", "risk_score"):
         assert calls[once_per_device] == len(world.devices), once_per_device
 
@@ -125,26 +142,25 @@ def test_each_run_is_looked_up_once_per_chunk_and_no_sighting_is_built(name):
     world = World(golden_config(name))
     calls: Counter = Counter()
     reads: list = []  # (device's runs by RPI, the index it read), per _matched call
-    matched, over = HonestDevice._matched, gaen.DiagnosisIndex.over
+    matched = HonestDevice._matched
 
     def reading(device):
-        reads.append([Counter(run.rpi for run in device._runs)])
-        return matched(device)
-
-    def counting_index(index, chunks):
-        table = CountingIndex(over(index, chunks))
-        reads[-1].append(table)
-        return table
+        downloads, index = device.downloads, device.downloads.index
+        table = downloads.index = CountingIndex(index)
+        reads.append((Counter(run.rpi for run in device._runs), table))
+        try:
+            return matched(device)
+        finally:
+            downloads.index = index
 
     with (
         _counting(gaen, "ExposureMatch", calls),
         _counting(gaen, "Observation", calls),
         mock.patch.object(HonestDevice, "_matched", reading),
-        mock.patch.object(gaen.DiagnosisIndex, "over", counting_index),
     ):
         world.run()
     assert calls == Counter()
-    assert reads and all(len(read) == 2 for read in reads)  # one index per read
+    assert reads
     for runs, table in reads:
         assert table.lookups <= runs  # one lookup per run at most
     assert sum(table.lookups.total() for _, table in reads) > 0
@@ -152,12 +168,13 @@ def test_each_run_is_looked_up_once_per_chunk_and_no_sighting_is_built(name):
 
 @pytest.mark.parametrize("name", golden_names())
 def test_each_published_key_is_expanded_once(name):
-    world = World(golden_config(name))
-    calls: Counter = Counter()
-    with _counting(gaen, "expand_diagnosis_key", calls):
-        world.run()
-    chunks = world.backend.fetch_chunks(0, world.now)
-    assert calls["expand_diagnosis_key"] == sum(len(c.teks) for c in chunks) > 0
+    for world_class in (World, ReadingWorld):  # the latter reads exposure after every tick
+        world = world_class(golden_config(name))
+        calls: Counter = Counter()
+        with _counting(gaen, "expand_diagnosis_key", calls):
+            world.run()
+        chunks = world.backend.fetch_chunks(0, world.now)
+        assert calls["expand_diagnosis_key"] == sum(len(c.teks) for c in chunks) > 0, world_class
 
 
 @pytest.mark.parametrize("name", ["scenario1", "packed_small"])

@@ -265,7 +265,7 @@ def walk_in(second_diagnosis: bool) -> tuple[dict, list[int]]:
 def _state(device: HonestDevice) -> tuple:
     return (
         device.observations,
-        {d: device.chunk_matches(d) for d in device.downloaded},
+        {d: device.chunk_matches(d) for d in device.downloads.chunks},
         set(device.contact_table().records) if device.defended else None,
     )
 
@@ -327,7 +327,7 @@ def _exposure(world: scenario.World) -> tuple:
     for name, device in world.devices.items():
         exposure = device.evaluate_exposure()
         devices[name] = (
-            {d: device.chunk_matches(d) for d in device.downloaded},
+            {d: device.chunk_matches(d) for d in device.downloads.chunks},
             exposure.matches_by_diagnosis,
             exposure.risk_score.hex(),
             exposure.gaen_alert,
@@ -388,7 +388,7 @@ def test_counted_rows_and_verdicts_equal_the_full_contact_tables(world):
             expected = naive_verdict(
                 [m.rpi for m in device.chunk_matches(d)],
                 records,
-                device.downloaded[d].batch,
+                device.downloads.chunks[d].batch,
                 params.neighborhood_cells,
                 params.neighborhood_buckets,
             )
@@ -457,16 +457,6 @@ step = st.tuples(
 )
 
 
-class StubIndex:
-    """A diagnosis index that answers every chunk set with one table."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def over(self, chunks):
-        return self.table
-
-
 @settings(max_examples=150, deadline=None)
 @example(
     # The inbox holds the device's own packet (an echo) and a peer's, and is
@@ -527,9 +517,9 @@ def test_any_inbox_sequence_stores_what_per_sighting_stores(
     # inside the window, open runs clipped too.
     tek = gaen.Tek(bytes(16), 0)
     cuts = sorted({o.scan_time for o in expected[::3]} | {now + 1})
-    device.downloaded[0] = DownloadedChunk((), None, now)
+    device.downloads.chunks[0] = DownloadedChunk((), None, now)
     for since, until in combinations(cuts, 2):
         entry = gaen.IndexedRpi(tek, gaen.derive_aemk(tek), 0, since, until)
-        device.index = StubIndex({o.rpi: [(0, entry)] for o in expected})
+        device.downloads.index = {o.rpi: [(0, entry)] for o in expected}
         got = [m.observation for m in device.chunk_matches(0)]
         assert got == [o for o in expected if since <= o.scan_time < until]

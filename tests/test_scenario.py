@@ -12,13 +12,27 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from relaysim import scenario
-from relaysim.params import NEIGHBORHOOD_MAX, SimParams
+from relaysim.params import NEIGHBORHOOD_MAX, AttackSpec, SimParams
 from relaysim.scenario import ConfigError
 
 from conftest import JSON_VALUES, json_paths, replaced
+
+# A value to mutate a config with: a boundary number, an ordinary one, or any JSON value.
+MUTATIONS = (
+    st.sampled_from([0, -1, 1e-9, 2**31, 90, -90, 180, -180, 1e300])
+    | st.integers(-10_000, 10_000)
+    | st.floats(-10_000, 10_000)
+    | JSON_VALUES
+)
+
+
+def _at(document, path: tuple):
+    for key in path:
+        document = document[key]
+    return document
 
 
 def _minimal_config(**overrides):
@@ -317,6 +331,32 @@ class TestLoadConfig:
             assert isinstance(scenario.load_config(source), scenario.ScenarioConfig)
         except ConfigError:
             pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(scenario.builtin_scenario_names()), st.integers(1, 3))
+    def test_any_config_that_loads_runs(self, data, name, mutations):
+        # Mutate one to three values of a bundled scenario: a numeric leaf,
+        # or a params or attack key set whether the scenario has it or not,
+        # takes a boundary number, an ordinary one or any JSON value.  A
+        # config that loads must run to its report without an exception.
+        scenarios = Path(scenario.__file__).parent / "scenarios"
+        document = json.loads((scenarios / f"{name}.json").read_text())
+        keys = [("params", k) for k in SimParams.DEFAULTS]
+        keys += [("attack", k) for k in AttackSpec._fields]
+        for _ in range(mutations):
+            leaves = [p for p in json_paths(document) if type(_at(document, p)) in (int, float)]
+            path = data.draw(st.sampled_from(leaves + keys))
+            if path in keys:
+                document.setdefault(path[0], {})
+            replaced(document, path, data.draw(MUTATIONS))
+        try:
+            config = scenario.load_config(document)
+        except ConfigError:
+            return
+        # MAX_TICKS admits runs far too long for the suite, and every actor
+        # adds work to each tick: bound both.
+        assume(config.duration // config.params.tick_seconds <= 3000 and len(config.actors) <= 20)
+        assert scenario.run(config).to_json_bytes()
 
     @pytest.mark.parametrize(
         "text, offender",

@@ -21,11 +21,11 @@ the owner's uploaded batch: that mismatch is the detection signal.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from collections.abc import Iterable
 from enum import Enum
+from hashlib import sha256
 from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple, Protocol
@@ -33,6 +33,7 @@ from typing import NamedTuple, Protocol
 from .params import SimParams
 
 CONTACT_HASH_LENGTH = 32
+_pack_cell_bucket = struct.Struct(">qqq").pack
 
 
 def quantize(
@@ -46,11 +47,13 @@ def quantize(
 
 def contact_hash(rpi_a: bytes, rpi_b: bytes, cell: tuple[int, int], bucket: int) -> bytes:
     """Digest of one contact; symmetric in the two pseudonyms."""
-    if rpi_a == rpi_b:
+    if rpi_a < rpi_b:
+        pair = rpi_a + rpi_b
+    elif rpi_b < rpi_a:
+        pair = rpi_b + rpi_a
+    else:
         raise ValueError("a contact needs two distinct pseudonyms")
-    lo, hi = sorted((rpi_a, rpi_b))
-    payload = lo + hi + struct.pack(">qqq", *cell, bucket)
-    return hashlib.sha256(payload).digest()
+    return sha256(pair + _pack_cell_bucket(*cell, bucket)).digest()
 
 
 class ContactRecord(NamedTuple):

@@ -476,6 +476,7 @@ class HonestDevice:
         self.downloads = DownloadLog(params) if downloads is None else downloads
 
         self.teks: dict[int, gaen.Tek] = {}
+        self._subkeys: dict[int, tuple[gaen.HmacSha256, gaen.HmacSha256]] = {}  # (rpik, aemk)
         self.current_rpi: gaen.Rpi | None = None
         self.current_packet: bytes | None = None
         self._outgoing: tuple[bytes, ...] = ()  # (current_packet,)
@@ -490,18 +491,25 @@ class HonestDevice:
 
     # --- key schedule ---------------------------------------------------
 
-    def _tek_for_day(self, day: int) -> gaen.Tek:
-        tek = self.teks.get(day)
-        if tek is None:
+    def _keys_for_day(self, day: int) -> tuple[gaen.HmacSha256, gaen.HmacSha256]:
+        """The day's RPI and AEM subkeys, keyed; derived with its TEK, once."""
+        subkeys = self._subkeys.get(day)
+        if subkeys is None:
             tek = gaen.generate_tek(self.seed, day)
+            subkeys = (
+                gaen.HmacSha256(gaen.derive_rpik(tek)),
+                gaen.HmacSha256(gaen.derive_aemk(tek)),
+            )
             self.teks[day] = tek
+            self._subkeys[day] = subkeys
             self._purge_teks(day)
-        return tek
+        return subkeys
 
     def _purge_teks(self, today: int) -> None:
         horizon = today - (self.params.tek_retention_days - 1)
         for day in [d for d in self.teks if d < horizon]:
             del self.teks[day]
+            del self._subkeys[day]
 
     def ensure_interval(self, now: int) -> bool:
         """Rotate the advertised pseudonym when the clock crosses a boundary."""
@@ -511,9 +519,7 @@ class HonestDevice:
         rotation = self.params.rotation_seconds
         day = now // SECONDS_PER_DAY
         interval = (now % SECONDS_PER_DAY) // rotation
-        tek = self._tek_for_day(day)
-        rpik = gaen.derive_rpik(tek)
-        aemk = gaen.derive_aemk(tek)
+        rpik, aemk = self._keys_for_day(day)
         rpi = gaen.derive_rpi(rpik, interval, self.params)
         aem = gaen.encrypt_aem(aemk, rpi.bytes, self.params.tx_power_dbm)
         self.current_rpi = rpi

@@ -4,8 +4,11 @@ One temporary exposure key (TEK) is generated per device per day.  From it
 two 16-byte subkeys are derived with HKDF-SHA256 under fixed labels, one for
 the rolling proximity identifiers (RPIs) broadcast over the air and one for
 the associated encrypted metadata (AEM) that carries the transmit power.
-HKDF is RFC 5869 extract-then-expand, computed with the standard library's
-``hmac``.
+HKDF is RFC 5869 extract-then-expand.  HMAC-SHA256 is RFC 2104 computed
+from ``hashlib.sha256`` states (see ``HmacSha256``): a key's inner and outer
+pad states are hashed once and copied for each message, so the fixed
+extract key, a device's daily subkeys and a published key's subkeys are keyed
+once however many messages they take.
 
 The concrete derivations below are frozen constants of this simulator,
 covered by golden-vector tests.  They mirror how the deployed protocol
@@ -24,10 +27,9 @@ an error; the protocol carries no authenticity for metadata.
 
 from __future__ import annotations
 
-import hmac
-import hashlib
 import struct
 from collections.abc import Iterable
+from hashlib import sha256
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -44,6 +46,42 @@ AEMK_LABEL = b"SIM-AEMK"
 TEK_LABEL = b"SIM-TEK"
 RPI_LABEL = b"SIM-RPI"
 AEM_LABEL = b"SIM-AEM"
+
+
+_BLOCK = 64  # SHA-256's block size in bytes
+_IPAD = bytes(b ^ 0x36 for b in range(256))  # translation tables: key byte -> padded byte
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
+class HmacSha256:
+    """HMAC-SHA256 (RFC 2104) under one key.  The key's inner and outer pad
+    states are hashed once; each message continues copies of them."""
+
+    __slots__ = ("_inner", "_outer")
+
+    def __init__(self, key: bytes) -> None:
+        if len(key) > _BLOCK:
+            key = sha256(key).digest()
+        key = key.ljust(_BLOCK, b"\0")
+        self._inner = sha256(key.translate(_IPAD))
+        self._outer = sha256(key.translate(_OPAD))
+
+    def digest(self, msg: bytes) -> bytes:
+        inner = self._inner.copy()
+        inner.update(msg)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
+
+Key = bytes | HmacSha256  # a subkey, raw or already keyed
+
+
+def _keyed(key: Key) -> HmacSha256:
+    return key if type(key) is HmacSha256 else HmacSha256(key)
+
+
+_EXTRACT = HmacSha256(bytes(32))  # HKDF-extract with no salt: HashLen zero bytes
 
 
 class Tek(FrozenRecord):
@@ -94,14 +132,14 @@ def generate_tek(seed: bytes, day_index: int) -> Tek:
     """Derive the day's key from a device seed; same inputs, same key."""
     if day_index < 0:
         raise ValueError("day_index must be >= 0")
-    mac = hmac.new(seed, TEK_LABEL + struct.pack(">Q", day_index), hashlib.sha256)
-    return Tek(bytes=mac.digest()[:TEK_LENGTH], day_index=day_index)
+    mac = HmacSha256(seed).digest(TEK_LABEL + struct.pack(">Q", day_index))
+    return Tek(bytes=mac[:TEK_LENGTH], day_index=day_index)
 
 
 def _hkdf16(ikm: bytes, label: bytes) -> bytes:
     """RFC 5869 with no salt (HashLen zero bytes) and one expand block."""
-    prk = hmac.digest(bytes(32), ikm, "sha256")
-    return hmac.digest(prk, label + b"\x01", "sha256")[:KEY_LENGTH]
+    prk = _EXTRACT.digest(ikm)
+    return HmacSha256(prk).digest(label + b"\x01")[:KEY_LENGTH]
 
 
 def derive_rpik(tek: Tek) -> bytes:
@@ -112,20 +150,20 @@ def derive_aemk(tek: Tek) -> bytes:
     return _hkdf16(tek.bytes, AEMK_LABEL)
 
 
-def derive_rpi(rpik: bytes, interval_index: int, params: SimParams) -> Rpi:
+def derive_rpi(rpik: Key, interval_index: int, params: SimParams) -> Rpi:
     """Pseudonym for one rotation window; the index must fall within the day."""
     n = params.intervals_per_day
     if not 0 <= interval_index < n:
         raise ValueError(f"interval_index {interval_index} outside [0, {n})")
-    mac = hmac.new(rpik, RPI_LABEL + struct.pack(">I", interval_index), hashlib.sha256)
-    return Rpi(bytes=mac.digest()[:RPI_LENGTH], interval_index=interval_index)
+    mac = _keyed(rpik).digest(RPI_LABEL + struct.pack(">I", interval_index))
+    return Rpi(bytes=mac[:RPI_LENGTH], interval_index=interval_index)
 
 
-def _aem_keystream(aemk: bytes, rpi: bytes) -> bytes:
-    return hmac.new(aemk, AEM_LABEL + rpi, hashlib.sha256).digest()[:AEM_LENGTH]
+def _aem_keystream(aemk: Key, rpi: bytes) -> bytes:
+    return _keyed(aemk).digest(AEM_LABEL + rpi)[:AEM_LENGTH]
 
 
-def encrypt_aem(aemk: bytes, rpi: bytes, tx_power_dbm: int) -> bytes:
+def encrypt_aem(aemk: Key, rpi: bytes, tx_power_dbm: int) -> bytes:
     if not TX_POWER_MIN <= tx_power_dbm <= TX_POWER_MAX:
         raise ValueError(f"tx_power {tx_power_dbm} outside [{TX_POWER_MIN}, {TX_POWER_MAX}]")
     plain = struct.pack(">i", tx_power_dbm)
@@ -133,7 +171,7 @@ def encrypt_aem(aemk: bytes, rpi: bytes, tx_power_dbm: int) -> bytes:
     return bytes(p ^ k for p, k in zip(plain, ks))
 
 
-def decrypt_aem(aemk: bytes, rpi: bytes, aem: bytes) -> int:
+def decrypt_aem(aemk: Key, rpi: bytes, aem: bytes) -> int:
     if len(aem) != AEM_LENGTH:
         raise ValueError(f"aem must be {AEM_LENGTH} bytes, got {len(aem)}")
     ks = _aem_keystream(aemk, rpi)
@@ -143,7 +181,7 @@ def decrypt_aem(aemk: bytes, rpi: bytes, aem: bytes) -> int:
 
 def expand_diagnosis_key(tek: Tek, params: SimParams) -> list[Rpi]:
     """All pseudonyms a published daily key resolves to, in interval order."""
-    rpik = derive_rpik(tek)
+    rpik = HmacSha256(derive_rpik(tek))
     return [derive_rpi(rpik, i, params) for i in range(params.intervals_per_day)]
 
 
@@ -157,7 +195,7 @@ class IndexedRpi(NamedTuple):
     """One expanded pseudonym of a diagnosed key, ready to match."""
 
     tek: Tek
-    aemk: bytes
+    aemk: Key
     interval_index: int
     start: int  # validity window [start, end) in sim seconds
     end: int
@@ -184,7 +222,7 @@ def build_rpi_index(diagnosis_teks: list[Tek], params: SimParams) -> RpiIndex:
     """
     index: RpiIndex = {}
     for tek in diagnosis_teks:
-        aemk = derive_aemk(tek)
+        aemk = HmacSha256(derive_aemk(tek))
         for rpi in expand_diagnosis_key(tek, params):
             start, end = rpi_window(tek.day_index, rpi.interval_index, params.rotation_seconds)
             index.setdefault(rpi.bytes, []).append(

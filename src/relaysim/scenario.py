@@ -50,7 +50,8 @@ import json
 import math
 import os
 import random
-from functools import partial
+from functools import cache, partial
+from itertools import chain
 from operator import is_not, itemgetter
 from typing import NamedTuple
 
@@ -350,8 +351,85 @@ def _device_seed(scenario_seed: int, actor_name: str) -> bytes:
     return hashlib.sha256(f"relaysim:{scenario_seed}:{actor_name}".encode()).digest()
 
 
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_JSON_DEFAULT = json.JSONEncoder().default
+
+
+class _Raw(str):
+    """Text already encoded, which a raw encoder writes as it is."""
+
+
+def _escaped_unless_raw(s: str) -> str:
+    return s if type(s) is _Raw else json.encoder.encode_basestring_ascii(s)
+
+
+@cache
+def _one_line_encoder(depth: int, raw: bool = False):
+    """``json``'s C encoder with ``sort_keys`` and the item separator that
+    ``indent=2`` writes between items at ``depth``.  It writes every
+    container on one line, so it gets a flat container right but for the
+    newlines after its opening and before its closing bracket.  A raw one
+    writes a ``_Raw`` string as it is (and calls back for every string)."""
+    strings = _escaped_unless_raw if raw else json.encoder.encode_basestring_ascii
+    return json.encoder.c_make_encoder(
+        None, _JSON_DEFAULT, strings, None, ": ", ",\n" + "  " * depth, True, False, True
+    )
+
+
+def _is_flat(values) -> bool:
+    """No non-empty container among the values, told from the types of the
+    truthy ones: a scalar of a subclass reads as not flat."""
+    return set(map(type, filter(None, values))) <= _SCALARS
+
+
+def _indented(o, depth: int) -> str:
+    """``json.dumps(o, sort_keys=True, indent=2)`` as written at ``depth``.
+
+    A flat container takes one C encoder call, with the newlines after its
+    opening and before its closing bracket spliced in after.  So does a
+    list of flat objects: encoded strings never hold a raw newline, so in
+    its one-line text ``},<pad>{`` occurs only between two objects (inside
+    one, a separator is followed by a key's quote) and can be rewritten.
+    Any other container's non-empty containers are written first, and it
+    takes one raw encoder call with their text in their place."""
+    if not (isinstance(o, _CONTAINERS) and o):
+        return "".join(_one_line_encoder(0)(o, 0))
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    is_dict = isinstance(o, dict)
+    if _is_flat(o.values() if is_dict else o):
+        text = "".join(_one_line_encoder(depth + 1)(o, 0))
+    elif not is_dict and all(o) and set(map(type, o)) == {dict} and _is_flat(
+        chain.from_iterable(map(dict.values, o))
+    ):
+        field = inner + "  "
+        text = "".join(_one_line_encoder(depth + 2)(o, 0))
+        text = text[2:-2].replace("}," + field + "{", inner + "}," + inner + "{" + field)
+        return "[" + inner + "{" + field + text + inner + "}" + outer + "]"
+    else:
+        child = depth + 1
+        if is_dict:
+            shallow = {
+                k: _Raw(_indented(v, child)) if isinstance(v, _CONTAINERS) and v else v
+                for k, v in o.items()
+            }
+        else:
+            shallow = [
+                _Raw(_indented(v, child)) if isinstance(v, _CONTAINERS) and v else v for v in o
+            ]
+        text = "".join(_one_line_encoder(child, raw=True)(shallow, 0))
+    return text[0] + inner + text[1:-1] + outer + text[-1]
+
+
 class ScenarioReport:
-    """Final run outcome; serializes canonically for byte-exact reruns."""
+    """Final run outcome; serializes canonically for byte-exact reruns.
+
+    The report bytes are ``json.dumps(data, sort_keys=True, indent=2)``
+    encoded, plus a newline.  ``to_json_bytes`` writes exactly those bytes
+    through ``json``'s C encoder (see ``_indented``), since ``indent`` makes
+    ``json.dumps`` fall back to its pure-Python encoder; on an interpreter
+    without the C encoder it calls ``json.dumps``."""
 
     def __init__(self, data: dict):
         self.data = data
@@ -360,7 +438,9 @@ class ScenarioReport:
         return self.data
 
     def to_json_bytes(self) -> bytes:
-        return json.dumps(self.data, sort_keys=True, indent=2).encode() + b"\n"
+        if json.encoder.c_make_encoder is None:
+            return json.dumps(self.data, sort_keys=True, indent=2).encode() + b"\n"
+        return (_indented(self.data, 0) + "\n").encode()
 
     def to_table(self) -> str:
         rows = [f"{'actor':<10} {'role':<14} {'guard':<6} {'alert':<6} {'risk':>7}  verdicts"]

@@ -14,6 +14,7 @@ from relaysim.agents import (
 from relaysim.backend import BackendStore, BackendUnavailable, OtpError
 from relaysim.params import AttackSpec, SimParams
 
+import oracles
 from oracles import naive_replay_queue
 
 PARAMS = SimParams()
@@ -116,6 +117,31 @@ class TestHonestDevice:
             dev.ensure_interval(day * 86400)
         assert sorted(dev.teks) == list(range(6, 20))
         assert len(dev.teks) == 14
+
+    def test_each_day_derives_its_subkeys_once(self, monkeypatch):
+        # Every rotation of a day reuses the day's keyed subkeys, which go
+        # with the day's key; the packets are those of the independent oracle.
+        days = []
+        derive_rpik = gaen.derive_rpik
+        monkeypatch.setattr(
+            gaen, "derive_rpik", lambda tek: days.append(tek.day_index) or derive_rpik(tek)
+        )
+        dev = _device()
+        packets = []
+        for t in range(0, 20 * 86400, PARAMS.rotation_seconds):
+            dev.ensure_interval(t)
+            packets.append(dev.current_packet)
+        assert days == list(range(20))
+        assert sorted(dev._subkeys) == sorted(dev.teks) == list(range(6, 20))
+        expected = []
+        for day in range(20):
+            tek = oracles.tek_bytes(dev.seed, day)
+            rpik, aemk = oracles.hkdf16(tek, b"SIM-RPIK"), oracles.hkdf16(tek, b"SIM-AEMK")
+            for interval in range(PARAMS.intervals_per_day):
+                rpi = oracles.rpi_bytes(rpik, interval)
+                aem = oracles.aem_bytes(aemk, rpi, PARAMS.tx_power_dbm)
+                expected.append(radio.encode_advertisement(rpi, aem))
+        assert packets == expected
 
 
 class TestSniffer:

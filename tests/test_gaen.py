@@ -1,5 +1,6 @@
 """Key schedule, metadata encryption, matching, and risk scoring."""
 
+import hmac
 import random
 
 import pytest
@@ -421,3 +422,14 @@ def test_key_schedule_fan_out_property(tek_bytes):
     assert gaen.derive_rpik(tek) != gaen.derive_aemk(tek)
     rpis = gaen.expand_diagnosis_key(tek, PARAMS)
     assert len({r.bytes for r in rpis}) == len(rpis) == 12
+
+
+@settings(max_examples=300)
+@given(key=st.binary(max_size=130), message=st.binary(max_size=200))
+@example(key=bytes(range(64)), message=b"a block-long key is padded, not hashed")
+@example(key=bytes(range(65)), message=b"a longer key is hashed first")
+def test_hmac_equals_the_standard_library(key, message):
+    keyed = gaen.HmacSha256(key)
+    expected = hmac.digest(key, message, "sha256")
+    assert keyed.digest(message) == expected
+    assert keyed.digest(message) == expected  # the keyed states are copied, not consumed

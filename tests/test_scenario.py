@@ -3,6 +3,7 @@
 import ast
 import copy
 import json
+import math
 import os
 import pickle
 import socket
@@ -614,7 +615,42 @@ class TestRun:
         assert report.actor("b")["risk_score"] == 0.0
 
 
+# Report-shaped JSON trees: keys and strings that look like JSON syntax,
+# control and non-ASCII characters, empty containers at every depth, lists
+# of flat objects, tuples, and the floats ``json`` writes specially.
+_TEXT = st.text(
+    alphabet=st.sampled_from('{}[],:"\\ \n\t\x00\x1f\x7féab\u2603\U0001f600'), max_size=6
+)
+_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT
+    | st.sampled_from([0, -0.0, 1e300, math.inf, -math.inf, math.nan, 2**70])
+)
+_EMPTY = st.sampled_from([[], {}, ()])
+_FLAT_OBJECTS = st.lists(
+    st.dictionaries(_TEXT, _LEAVES | _EMPTY, min_size=1, max_size=4), min_size=1, max_size=4
+)
+REPORT_TREES = st.recursive(
+    _LEAVES | _EMPTY,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4)
+    | _FLAT_OBJECTS
+    | _FLAT_OBJECTS.map(tuple),
+    max_leaves=40,
+)
+
+
 class TestReport:
+    @pytest.mark.parametrize("c_encoder", [True, False], ids=["c_encoder", "no_c_encoder"])
+    @settings(max_examples=400, deadline=None)
+    @given(data=REPORT_TREES)
+    def test_json_bytes_are_json_dumps_with_indent(self, c_encoder, data):
+        # Without the C encoder, to_json_bytes falls back to json.dumps itself.
+        present = json.encoder.c_make_encoder
+        with mock.patch("json.encoder.c_make_encoder", present if c_encoder else None):
+            got = scenario.ScenarioReport(data).to_json_bytes()
+        assert got == json.dumps(data, sort_keys=True, indent=2).encode() + b"\n"
+
     def test_json_round_trips(self):
         report = scenario.run(scenario.load_config(_minimal_config()))
         blob = scenario.emit_report(report, "json")

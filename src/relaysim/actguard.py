@@ -2,12 +2,12 @@
 
 Each contact is reduced to a single SHA-256 digest over the two pseudonyms
 (sorted bytewise so both endpoints agree), the scanner's quantized grid
-cell, and the quantized time bucket.  A device derives its contact rows
-(those inputs, no digest) from its observation runs: every row to upload
-it, and, to verify a matched pseudonym, only that pseudonym's rows, a range
-of buckets at a time.  It hashes them only then.  Only digests leave the
-device; a diagnosed user's uploaded batch lets contacts re-derive and
-compare them.
+cell, and the quantized time bucket.  ``contact_rows`` derives a device's
+contact rows (those inputs, no digest) from its observation runs, a range of
+buckets at a time (``ContactSpan``).  They are hashed only when read: every
+row's buckets for the upload (``digests``), and, to verify a matched
+pseudonym, only that pseudonym's rows.  Only digests leave the device; a
+diagnosed user's uploaded batch lets contacts re-derive and compare them.
 
 Frozen digest input layout (covered by golden-vector tests):
 
@@ -56,38 +56,7 @@ def contact_hash(rpi_a: bytes, rpi_b: bytes, cell: tuple[int, int], bucket: int)
     return sha256(pair + _pack_cell_bucket(*cell, bucket)).digest()
 
 
-class ContactRecord(NamedTuple):
-    rpi_low: bytes
-    rpi_high: bytes
-    cell: tuple[int, int]
-    bucket: int
-
-
 ContactSpan = tuple[bytes, bytes, tuple[int, int], range]  # a row per bucket of the range
-
-
-class MyContactsTable:
-    """Every contact row of a device, derived from its observation runs for
-    its upload: one row per (rpi_low, rpi_high, cell, bucket), hence per
-    digest, in insertion order.  Rows hold no digest: ``hashes`` computes
-    them."""
-
-    __slots__ = ("records",)
-
-    def __init__(self) -> None:
-        self.records: dict[ContactRecord, None] = {}
-
-    def add(self, lo: bytes, hi: bytes, cell: tuple[int, int], bucket: int) -> ContactRecord:
-        """The contact's row, added unless the table holds it already."""
-        record = ContactRecord(lo, hi, cell, bucket)
-        self.records[record] = None
-        return record
-
-    def hashes(self) -> set[bytes]:
-        return {contact_hash(*record) for record in self.records}
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def union(ranges: Iterable[range]) -> list[range]:
@@ -121,23 +90,57 @@ class Verdict(NamedTuple):
 
 
 def record_contact(
-    table: MyContactsTable,
+    table,
     own_rpi: bytes,
     peer_rpi: bytes,
     own_position: tuple[float, float],
     timestamp: int,
     params: SimParams,
-) -> ContactRecord:
-    """Insert the contact's record for the current cell and bucket.
+) -> tuple[bytes, bytes, tuple[int, int], int]:
+    """Add one sighting's contact row ``(lo, hi, cell, bucket)`` to ``table``
+    (anything with ``add``) and return it: the per-sighting reference for
+    ``contact_rows``.
 
-    Idempotent: repeat sightings of the same peer inside one bucket collapse
-    onto one row; nothing is hashed.  The row holds the scanner's *own* cell;
-    the verifier's neighborhood search absorbs the small disagreement between
+    Repeat sightings of the same peer inside one bucket give equal rows;
+    nothing is hashed.  The row holds the scanner's *own* cell; the
+    verifier's neighborhood search absorbs the small disagreement between
     genuinely co-located endpoints.
     """
-    cell, bucket = quantize(own_position, timestamp, params)
-    lo, hi = sorted((own_rpi, peer_rpi))
-    return table.add(lo, hi, cell, bucket)
+    row = (*sorted((own_rpi, peer_rpi)), *quantize(own_position, timestamp, params))
+    table.add(row)
+    return row
+
+
+class Sighted(Protocol):
+    """What row derivation reads of an observation run."""
+
+    rpi: bytes
+    first: int
+    last: int
+    scanned_as: tuple[bytes, tuple[float, float]]
+
+
+def contact_rows(runs: Iterable[Sighted], params: SimParams) -> list[ContactSpan]:
+    """Every contact row of the runs, a range at a time: for each (pair,
+    cell) in order of first scan, the union of its runs' scan buckets."""
+    tick, bucket = params.tick_seconds, params.bucket_seconds
+    spans: dict[tuple, list[range]] = {}
+    for run in runs:
+        own, position = run.scanned_as
+        lo, hi = sorted((own, run.rpi))
+        cell, first = quantize(position, run.first, params)
+        ranges = spans.setdefault((lo, hi, cell), [])
+        if tick <= bucket:  # consecutive scans skip no bucket
+            ranges.append(range(first, run.last // bucket + 1))
+        else:  # each scan is in a bucket of its own
+            ranges += (range(t // bucket, t // bucket + 1)
+                       for t in range(run.first, run.last + 1, tick))
+    return [(*key, r) for key, ranges in spans.items() for r in union(ranges)]
+
+
+def digests(rows: Iterable[ContactSpan]) -> set[bytes]:
+    """The upload's hash batch: a digest per bucket of each row."""
+    return {contact_hash(lo, hi, cell, b) for lo, hi, cell, buckets in rows for b in buckets}
 
 
 def verify_exposure(

@@ -424,7 +424,7 @@ class ExposureState(NamedTuple):
     risk_score: float
     verdicts: dict[int, actguard.Verdict]
     matches_by_diagnosis: dict[int, int]
-    contact_records: int  # the rows of ``contact_table``, counted, not built
+    contact_records: int  # the buckets of ``contact_rows``, counted, not expanded
     # (t, diagnosis id, matches scanned by t) of each matched diagnosis, in
     # id order: t is the first tick at which a poll brought chunks that is
     # at or after both the chunk's own poll and its first matched scan
@@ -434,9 +434,9 @@ class ExposureState(NamedTuple):
 
 class HonestDevice:
     """A protocol-running device, optionally with the hash defense enabled
-    (``defended``): it derives every contact row from its runs to upload,
-    and only a matched pseudonym's rows to verify it; each chunk's hash
-    batch rides on its ``DownloadedChunk``.
+    (``defended``): the upload hashes every row ``contact_rows`` derives
+    from its runs, and verification reads only a matched pseudonym's rows;
+    each chunk's hash batch rides on its ``DownloadedChunk``.
 
     ``downloads`` holds the downloaded chunks and their RPI index.  The
     devices of a world share one (see ``DownloadLog``); a device given none
@@ -576,31 +576,10 @@ class HonestDevice:
         for run in self._open_runs:
             run.last = self._last_scan
 
-    def _rows(self) -> list[actguard.ContactSpan]:
-        """Every contact row, a range at a time: for each (pair, cell) in
-        order of first scan, the union of its runs' scan buckets."""
+    def contact_rows(self) -> list[actguard.ContactSpan]:
+        """Every contact row, a range at a time (``actguard.contact_rows``)."""
         self._close_runs()
-        tick, bucket = self.params.tick_seconds, self.params.bucket_seconds
-        spans: dict[tuple, list[range]] = {}
-        for run in self._runs:
-            own, position = run.scanned_as
-            lo, hi = sorted((own, run.rpi))
-            cell, first = actguard.quantize(position, run.first, self.params)
-            ranges = spans.setdefault((lo, hi, cell), [])
-            if tick <= bucket:  # consecutive scans skip no bucket
-                ranges.append(range(first, run.last // bucket + 1))
-            else:  # each scan is in a bucket of its own
-                ranges += (range(t // bucket, t // bucket + 1)
-                           for t in range(run.first, run.last + 1, tick))
-        return [(*key, r) for key, ranges in spans.items() for r in actguard.union(ranges)]
-
-    def contact_table(self) -> actguard.MyContactsTable:
-        """Every contact row, for the upload."""
-        table = actguard.MyContactsTable()
-        for lo, hi, cell, buckets in self._rows():
-            for b in buckets:
-                table.add(lo, hi, cell, b)
-        return table
+        return actguard.contact_rows(self._runs, self.params)
 
     @property
     def observations(self) -> list[gaen.Observation]:
@@ -635,7 +614,7 @@ class HonestDevice:
         propagates as a BackendError and leaves this device untouched.
         """
         teks = [self.teks[d] for d in sorted(self.teks)]
-        hashes = self.contact_table().hashes() if self.defended else None
+        hashes = actguard.digests(self.contact_rows()) if self.defended else None
         payload = encode_diagnosis_payload(teks, otp_code, hashes)
         diagnosis_id = backend.ingest_diagnosis(teks, otp_code, hashes, now)
         return diagnosis_id, payload
@@ -689,7 +668,7 @@ class HonestDevice:
         matched = self._matched()
         chunks = self.downloads.chunks
         polls = sorted({chunk.at for chunk in chunks.values()})
-        contacts = self._rows() if self.defended else []
+        contacts = self.contact_rows() if self.defended else []
         # Each row under both pseudonyms of its pair: a matched RPI may be the
         # device's own earlier one, heard replayed.
         rows: dict[bytes, list[actguard.ContactSpan]] = {}

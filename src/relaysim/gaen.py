@@ -166,17 +166,15 @@ def _aem_keystream(aemk: Key, rpi: bytes) -> bytes:
 def encrypt_aem(aemk: Key, rpi: bytes, tx_power_dbm: int) -> bytes:
     if not TX_POWER_MIN <= tx_power_dbm <= TX_POWER_MAX:
         raise ValueError(f"tx_power {tx_power_dbm} outside [{TX_POWER_MIN}, {TX_POWER_MAX}]")
-    plain = struct.pack(">i", tx_power_dbm)
-    ks = _aem_keystream(aemk, rpi)
-    return bytes(p ^ k for p, k in zip(plain, ks))
+    ks = int.from_bytes(_aem_keystream(aemk, rpi))
+    return ((tx_power_dbm & 0xFFFFFFFF) ^ ks).to_bytes(AEM_LENGTH)  # int32_be XOR keystream
 
 
 def decrypt_aem(aemk: Key, rpi: bytes, aem: bytes) -> int:
     if len(aem) != AEM_LENGTH:
         raise ValueError(f"aem must be {AEM_LENGTH} bytes, got {len(aem)}")
-    ks = _aem_keystream(aemk, rpi)
-    plain = bytes(c ^ k for c, k in zip(aem, ks))
-    return struct.unpack(">i", plain)[0]
+    plain = int.from_bytes(aem) ^ int.from_bytes(_aem_keystream(aemk, rpi))
+    return plain - (plain >> 31 << 32)  # the int32 it encodes
 
 
 def expand_diagnosis_key(tek: Tek, params: SimParams) -> list[Rpi]:

@@ -1,4 +1,4 @@
-"""Simulated world plumbing: places, advertisement packets, range, delivery.
+"""Simulated world plumbing: advertisement packets, range, delivery.
 
 Who hears whom is a link table built over a cell-list grid (``link_table``).
 
@@ -15,7 +15,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .gaen import AEM_LENGTH, RPI_LENGTH
-from .params import FrozenRecord, SimParams
+from .params import SimParams
 
 SERVICE_UUID = 0xFD6F
 PACKET_LENGTH = 2 + RPI_LENGTH + AEM_LENGTH
@@ -55,21 +55,6 @@ def path_loss_db(distance_m: float, params: SimParams) -> float:
     """Log-distance loss, clamped below min_path_distance_m to keep log10 sane."""
     d = max(distance_m, params.min_path_distance_m)
     return params.path_loss_ref_db + params.path_loss_per_decade_db * math.log10(d)
-
-
-class Place(FrozenRecord):
-    """Named disc scenarios use to position actors."""
-
-    __slots__ = ("name", "lat", "lon", "radius_m")
-
-    def __init__(self, name: str, lat: float, lon: float, radius_m: float) -> None:
-        if radius_m <= 0:
-            raise ValueError(f"place {name!r} needs a positive radius")
-        self._set(name, lat, lon, radius_m)
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.lat, self.lon)
 
 
 class Station(NamedTuple):

@@ -115,7 +115,7 @@ class ScenarioConfig(NamedTuple):
     name: str
     seed: int
     duration: int
-    places: dict[str, radio.Place]
+    places: dict[str, tuple[float, float]]  # place name -> its centre (lat, lon)
     actors: list[ActorSpec]
     attack: AttackSpec
     diagnosis_events: list[DiagnosisEvent]
@@ -190,26 +190,25 @@ def load_config(
 
     name = str(data.get("name", "unnamed"))
     seed = _as(int, data.get("seed", 0), "seed")
+    try:
+        str(seed)  # device seeds and the report write it out in decimal
+    except ValueError as exc:
+        raise ConfigError(f"seed cannot be written out in decimal: {exc}") from None
     duration = _as(int, data.get("duration", 0), "duration")
     if duration <= 0:
         raise ConfigError("duration must be a positive number of seconds")
 
-    places: dict[str, radio.Place] = {}
+    places: dict[str, tuple[float, float]] = {}
     for i, p in enumerate(_objects(data, "places")):
         place_name = str(_field(p, "name", f"place #{i}"))
         owner = f"place {place_name!r}"
         _only(p, ("name", "lat", "lon", "radius_m"), owner)
-        try:
-            place = radio.Place(
-                place_name,
-                *_coordinates(_field(p, "lat", owner), _field(p, "lon", owner), owner),
-                radius_m=_as(float, p.get("radius_m", 20.0), f"{owner} radius_m"),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if place.name in places:
-            raise ConfigError(f"duplicate place name {place.name!r}")
-        places[place.name] = place
+        center = _coordinates(_field(p, "lat", owner), _field(p, "lon", owner), owner)
+        if _as(float, p.get("radius_m", 20.0), f"{owner} radius_m") <= 0:
+            raise ConfigError(f"{owner} needs a positive radius")
+        if place_name in places:
+            raise ConfigError(f"duplicate place name {place_name!r}")
+        places[place_name] = center
 
     actors: list[ActorSpec] = []
     seen = set()
@@ -511,7 +510,7 @@ class World:
         # A waypoint at or before time 0 is reached on the first tick.
         position = spec.position
         if position is None:
-            position = self.config.places[spec.place].center
+            position = self.config.places[spec.place]
         if spec.role == "sniffer":
             return SnifferAdversary(spec.name, position, spec.place, self.database)
         if spec.role == "rebroadcaster":

@@ -17,9 +17,10 @@ only when devices poll and that no tick is repeated, and the per-capture
 adversaries, which store one entry per capture and rescan the replay
 window on every tick.  Every reference
 actor is stepped on every tick (``EveryTick``): a world holding one repeats
-no tick.  The per-sighting device records into ``IndexedContactsTable``,
-the package's contact table with an index by pseudonym, and verifies each
-match against that pseudonym's rows, one bucket at a time.
+no tick.  The per-sighting device records each sighting's contact row
+with ``actguard.record_contact`` into ``IndexedContactsTable``, a table of
+rows with an index by pseudonym, and verifies each match against that
+pseudonym's rows, one bucket at a time.
 """
 
 from __future__ import annotations
@@ -132,23 +133,24 @@ def naive_verdict(match_rpis, records, batch, neighborhood_cells, neighborhood_b
     return first
 
 
-class IndexedContactsTable(actguard.MyContactsTable):
-    """The contact table also indexed by pseudonym: ``records_for`` gives
-    the rows holding an RPI at either end, in insertion order."""
-
-    __slots__ = ("_by_rpi",)
+class IndexedContactsTable(dict):
+    """Contact rows ``(lo, hi, cell, bucket)`` as dict keys, in insertion
+    order, also indexed by pseudonym: ``records_for`` gives the rows
+    holding an RPI at either end, in insertion order."""
 
     def __init__(self):
         super().__init__()
         self._by_rpi = {}
 
-    def add(self, lo, hi, cell, bucket):
-        before = len(self.records)
-        record = super().add(lo, hi, cell, bucket)
-        if len(self.records) > before:
-            self._by_rpi.setdefault(lo, []).append(record)
-            self._by_rpi.setdefault(hi, []).append(record)
-        return record
+    def add(self, row):
+        if row not in self:
+            self[row] = None
+            self._by_rpi.setdefault(row[0], []).append(row)
+            self._by_rpi.setdefault(row[1], []).append(row)
+
+    @property
+    def records(self):
+        return list(self)
 
     def records_for(self, rpi):
         return self._by_rpi.get(rpi, ())
@@ -157,6 +159,12 @@ class IndexedContactsTable(actguard.MyContactsTable):
 def spans(records):
     """Contact rows as ``verify_exposure`` reads them, one bucket a range."""
     return [(lo, hi, cell, range(bucket, bucket + 1)) for lo, hi, cell, bucket in records]
+
+
+def records(rows):
+    """Contact spans expanded to one row per bucket, in order: the inverse
+    of ``spans``."""
+    return [(lo, hi, cell, bucket) for lo, hi, cell, buckets in rows for bucket in buckets]
 
 
 def naive_links(stations, params):
@@ -245,7 +253,8 @@ class PerSightingDevice(EveryTick, HonestDevice):
     list per chunk, matched against an RPI index of the chunk's keys that
     it builds itself; a chunk's cursor counts the observations it was
     matched against.  A defended one records each sighting's contact row as it
-    receives it, into a table it keeps (``contact_table``).  Key schedule,
+    receives it, into a table it keeps (``contacts``), and its
+    ``contact_rows`` are that table's rows, one bucket a range.  Key schedule,
     polling and verification are the package's; what a match pass scans
     and builds, how matches are scored and when matching runs are replaced.
 
@@ -265,8 +274,8 @@ class PerSightingDevice(EveryTick, HonestDevice):
         self.first_matched: dict = {}  # diagnosis id -> (t, matches) at its first match
         self.contacts = IndexedContactsTable() if self.defended else None
 
-    def contact_table(self):
-        return self.contacts
+    def contact_rows(self):
+        return spans(self.contacts)
 
     @property
     def observations(self):

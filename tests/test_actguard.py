@@ -92,7 +92,7 @@ class TestContactHash:
 
 class TestRecordContact:
     def test_same_bucket_deduplicates(self):
-        table = actguard.MyContactsTable()
+        table = IndexedContactsTable()
         for t in (0, 10, 20):
             actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), t, PARAMS)
         assert len(table) == 1
@@ -104,17 +104,17 @@ class TestRecordContact:
         monkeypatch.setattr(
             actguard, "contact_hash", lambda *args: hashed.append(args) or real(*args)
         )
-        table = actguard.MyContactsTable()
+        table = IndexedContactsTable()
         for t in (0, 10, 20, 290):
             actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), t, PARAMS)
         actguard.record_contact(table, GOLDEN_RPI_B, GOLDEN_RPI_A, (0.0, 0.0), 150, PARAMS)
         actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 300, PARAMS)
         assert hashed == []
-        assert len(table.hashes()) == 2
+        assert len(actguard.digests(spans(table.records))) == 2
         assert hashed == list(table.records)
 
     def test_consecutive_buckets_grow_table(self):
-        table = actguard.MyContactsTable()
+        table = IndexedContactsTable()
         actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 299, PARAMS)
         actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 301, PARAMS)
         assert len(table) == 2
@@ -122,23 +122,22 @@ class TestRecordContact:
     def test_both_endpoints_derive_equal_hashes(self):
         # co-located devices hashing from either side agree byte for byte
         here = (44.6312, 10.9421)
-        mine = actguard.MyContactsTable()
-        theirs = actguard.MyContactsTable()
+        mine = IndexedContactsTable()
+        theirs = IndexedContactsTable()
         actguard.record_contact(mine, GOLDEN_RPI_A, GOLDEN_RPI_B, here, 450, PARAMS)
         actguard.record_contact(theirs, GOLDEN_RPI_B, GOLDEN_RPI_A, here, 450, PARAMS)
-        assert mine.hashes() == theirs.hashes()
+        assert actguard.digests(spans(mine.records)) == actguard.digests(spans(theirs.records))
 
     def test_record_retains_inputs_for_reverification(self):
-        table = actguard.MyContactsTable()
+        table = IndexedContactsTable()
         record = actguard.record_contact(
             table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0015, 0.0), 310, PARAMS
         )
-        assert record.rpi_low < record.rpi_high
-        assert record.cell == (1, 0)
-        assert record.bucket == 1
-        assert actguard.contact_hash(*record) == actguard.contact_hash(
-            record.rpi_low, record.rpi_high, record.cell, record.bucket
-        )
+        lo, hi, cell, bucket = record
+        assert lo < hi
+        assert cell == (1, 0)
+        assert bucket == 1
+        assert actguard.contact_hash(*record) == actguard.contact_hash(lo, hi, cell, bucket)
 
     def test_records_for_finds_either_endpoint_in_insertion_order(self):
         table = IndexedContactsTable()
@@ -155,7 +154,7 @@ class TestRecordContact:
 
 class TestVerifyExposure:
     def _table_with_contact(self, position=(0.0, 0.0), t=100):
-        table = actguard.MyContactsTable()
+        table = IndexedContactsTable()
         record = actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, position, t, PARAMS)
         return spans(table.records), record
 
@@ -184,13 +183,8 @@ class TestVerifyExposure:
 
     def test_adjacent_cell_hash_still_confirms(self):
         # the uploader quantized one cell over; neighborhood search absorbs it
-        table, record = self._table_with_contact()
-        neighbor = actguard.contact_hash(
-            record.rpi_low,
-            record.rpi_high,
-            (record.cell[0] + 1, record.cell[1]),
-            record.bucket,
-        )
+        table, (lo, hi, (lat, lon), bucket) = self._table_with_contact()
+        neighbor = actguard.contact_hash(lo, hi, (lat + 1, lon), bucket)
         verdict = actguard.verify_exposure(
             _match(GOLDEN_RPI_B), table, frozenset({neighbor}), diagnosis_id=1, params=PARAMS
         )
@@ -198,13 +192,8 @@ class TestVerifyExposure:
 
     def test_distant_cell_suspected_as_relay(self):
         # relayed pseudonym: the real contact happened ten cells away
-        table, record = self._table_with_contact()
-        far = actguard.contact_hash(
-            record.rpi_low,
-            record.rpi_high,
-            (record.cell[0] + 10, record.cell[1]),
-            record.bucket,
-        )
+        table, (lo, hi, (lat, lon), bucket) = self._table_with_contact()
+        far = actguard.contact_hash(lo, hi, (lat + 10, lon), bucket)
         verdict = actguard.verify_exposure(
             _match(GOLDEN_RPI_B), table, frozenset({far}), diagnosis_id=1, params=PARAMS
         )
@@ -250,7 +239,7 @@ class TestVerifyExposure:
 
 class TestTables:
     def test_my_contacts_keyed_by_hash(self):
-        table = actguard.MyContactsTable()
+        table = IndexedContactsTable()
         r1 = actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 10, PARAMS)
         actguard.record_contact(table, GOLDEN_RPI_A, GOLDEN_RPI_B, (0.0, 0.0), 20, PARAMS)
-        assert table.hashes() == {actguard.contact_hash(*r1)}
+        assert actguard.digests(spans(table.records)) == {actguard.contact_hash(*r1)}

@@ -87,7 +87,7 @@ class TestHonestDevice:
         for t in (0, 10, 20):  # three ticks inside one 300 s bucket
             dev.ensure_interval(t)
             dev.receive([_delivery("dev", packet)], t)
-        assert len(dev.contact_table()) == 1
+        assert len(oracles.records(dev.contact_rows())) == 1
         assert len(dev.observations) == 3
 
     def test_unchanged_inbox_extends_one_run(self):
@@ -100,7 +100,7 @@ class TestHonestDevice:
         assert [o.scan_time for o in dev.observations] == list(range(0, 610, 10))
         assert dev.report(610)[0]["observations"] == 61
         # one contact row per time bucket, not per sighting
-        assert [r.bucket for r in dev.contact_table().records] == [0, 1, 2]
+        assert [bucket for *_, bucket in oracles.records(dev.contact_rows())] == [0, 1, 2]
 
     def test_scan_must_follow_the_last(self):
         dev = _device()
@@ -392,7 +392,7 @@ class TestDiagnosisUpload:
         otp = backend.authorize_otp(3600, now=400)
         diagnosis_id, _ = dev.diagnose_and_upload(backend, otp.code, now=400)
         batch = backend.fetch_hash_batch(diagnosis_id)
-        assert batch == frozenset(dev.contact_table().hashes())
+        assert batch == frozenset(actguard.digests(dev.contact_rows()))
         assert len(batch) == 2  # two buckets spanned
 
 

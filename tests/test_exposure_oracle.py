@@ -19,7 +19,9 @@ from relaysim.agents import DownloadLog, HonestDevice
 from relaysim.backend import BackendStore, FutureTekError
 from relaysim.params import SECONDS_PER_DAY, SimParams
 
-from oracles import aem_tx_power, brute_force_matches, hkdf16, naive_verdict, risk_score, rpi_bytes
+from oracles import (
+    aem_tx_power, brute_force_matches, hkdf16, naive_verdict, records, risk_score, rpi_bytes
+)
 
 HERE = (44.63, 10.94)
 FAR = (44.70, 10.94)  # where relayed packets are heard: another grid cell
@@ -57,8 +59,8 @@ def _reference_state(device: HonestDevice, backend: BackendStore, now: int):
     """(alert, score, matches per diagnosis in scan order, verdicts) from scratch."""
     params = device.params
     position = {obs: i for i, obs in enumerate(device.observations)}
-    table = device.contact_table().records if device.defended else ()
-    records = [(r.rpi_low, r.rpi_high, *r.cell, r.bucket) for r in table]
+    table = records(device.contact_rows()) if device.defended else ()
+    flat = [(lo, hi, *cell, bucket) for lo, hi, cell, bucket in table]
     all_matches, per_diagnosis, verdicts = [], {}, {}
     for chunk in backend.fetch_chunks(0, now):
         if chunk.index > max(device.downloads.chunks, default=0):
@@ -79,7 +81,7 @@ def _reference_state(device: HonestDevice, backend: BackendStore, now: int):
         if device.defended:
             verdicts[chunk.index] = naive_verdict(
                 [m.rpi for m in matches],
-                records,
+                flat,
                 backend.fetch_hash_batch(chunk.index),
                 params.neighborhood_cells,
                 params.neighborhood_buckets,

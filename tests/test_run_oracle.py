@@ -55,11 +55,13 @@ from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from relaysim import gaen, radio, scenario
+from relaysim import actguard, gaen, radio, scenario
 from relaysim.agents import DownloadedChunk, HonestDevice
 from relaysim.params import SimParams
 
-from oracles import PER_CAPTURE_ADVERSARIES, EveryTickWorld, PerSightingDevice, naive_verdict
+from oracles import (
+    PER_CAPTURE_ADVERSARIES, EveryTickWorld, PerSightingDevice, naive_verdict, records
+)
 
 METERS_PER_DEGREE = 6371000.0 * 3.141592653589793 / 180.0
 PLACES = {"P0": (0.0, 0.0), "P1": (0.01, 0.0)}  # 1.1 km apart, far out of range
@@ -266,7 +268,7 @@ def _state(device: HonestDevice) -> tuple:
     return (
         device.observations,
         {d: device.chunk_matches(d) for d in device.downloads.chunks},
-        set(device.contact_table().records) if device.defended else None,
+        set(records(device.contact_rows())) if device.defended else None,
     )
 
 
@@ -381,13 +383,13 @@ def test_counted_rows_and_verdicts_equal_the_full_contact_tables(world):
         if not device.defended:
             continue
         exposure = device.evaluate_exposure()
-        table = device.contact_table().records
+        table = records(device.contact_rows())
         assert exposure.contact_records == len(table)
-        records = [(r.rpi_low, r.rpi_high, *r.cell, r.bucket) for r in table]
+        flat = [(lo, hi, *cell, bucket) for lo, hi, cell, bucket in table]
         for d, verdict in exposure.verdicts.items():
             expected = naive_verdict(
                 [m.rpi for m in device.chunk_matches(d)],
-                records,
+                flat,
                 device.downloads.chunks[d].batch,
                 params.neighborhood_cells,
                 params.neighborhood_buckets,
@@ -512,7 +514,10 @@ def test_any_inbox_sequence_stores_what_per_sighting_stores(
     expected = reference.observations
     assert device.observations == expected
     if defended:
-        assert set(device.contact_table().records) == set(reference.contact_table().records)
+        assert set(records(device.contact_rows())) == set(reference.contacts)
+        assert actguard.digests(device.contact_rows()) == {
+            actguard.contact_hash(*r) for r in reference.contacts
+        }
     # A chunk holding every stored RPI in one window matches the sightings
     # inside the window, open runs clipped too.
     tek = gaen.Tek(bytes(16), 0)

@@ -439,7 +439,7 @@ class TestLoadConfig:
     @pytest.mark.parametrize("lat", [-90, 90, -90.0, 90.0])
     def test_latitude_at_a_pole_accepted(self, lat):
         config = scenario.load_config(self._latitudes(lat, lat, lat))
-        assert config.places["P"].lat == config.actors[0].position[0] == lat
+        assert config.places["P"][0] == config.actors[0].position[0] == lat
         scenario.run(config)
 
     @pytest.mark.parametrize("lat", [-90.000001, 90.000001])
@@ -461,6 +461,12 @@ class TestLoadConfig:
         config = scenario.load_config(_minimal_config(), seed_override=99)
         assert config.seed == 99
         assert config.raw["seed"] == 99
+
+    def test_seed_override_too_long_to_write_rejected(self):
+        # Before, such a seed loaded and the run raised a bare ValueError
+        # ("Exceeds the limit (4300 digits)") deriving the device seeds.
+        with pytest.raises(ConfigError, match=r"^seed cannot be written out in decimal"):
+            scenario.load_builtin("scenario1", seed_override=10**5000)
 
 
 def _numeric_defaults() -> list[str]:

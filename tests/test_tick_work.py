@@ -173,7 +173,7 @@ def _position_at(spec: ActorSpec, now: int, places) -> tuple[float, float]:
     reached = [(w.lat, w.lon) for w in spec.waypoints if w.at <= now]
     if reached:
         return reached[-1]
-    return spec.position if spec.position is not None else places[spec.place].center
+    return spec.position if spec.position is not None else places[spec.place]
 
 
 @pytest.mark.parametrize("name", golden_names())

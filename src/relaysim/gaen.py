@@ -166,14 +166,14 @@ def _aem_keystream(aemk: Key, rpi: bytes) -> bytes:
 def encrypt_aem(aemk: Key, rpi: bytes, tx_power_dbm: int) -> bytes:
     if not TX_POWER_MIN <= tx_power_dbm <= TX_POWER_MAX:
         raise ValueError(f"tx_power {tx_power_dbm} outside [{TX_POWER_MIN}, {TX_POWER_MAX}]")
-    ks = int.from_bytes(_aem_keystream(aemk, rpi))
-    return ((tx_power_dbm & 0xFFFFFFFF) ^ ks).to_bytes(AEM_LENGTH)  # int32_be XOR keystream
+    ks = int.from_bytes(_aem_keystream(aemk, rpi), "big")
+    return ((tx_power_dbm & 0xFFFFFFFF) ^ ks).to_bytes(AEM_LENGTH, "big")  # int32_be XOR keystream
 
 
 def decrypt_aem(aemk: Key, rpi: bytes, aem: bytes) -> int:
     if len(aem) != AEM_LENGTH:
         raise ValueError(f"aem must be {AEM_LENGTH} bytes, got {len(aem)}")
-    plain = int.from_bytes(aem) ^ int.from_bytes(_aem_keystream(aemk, rpi))
+    plain = int.from_bytes(aem, "big") ^ int.from_bytes(_aem_keystream(aemk, rpi), "big")
     return plain - (plain >> 31 << 32)  # the int32 it encodes
 
 

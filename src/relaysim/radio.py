@@ -1,6 +1,9 @@
 """Simulated world plumbing: advertisement packets, range, delivery.
 
-Who hears whom is a link table built over a cell-list grid (``link_table``).
+Who hears whom is a link table built over a cell-list grid (``link_table``),
+keyed by sender; ``receiver_view`` inverts it, so that a receiver's inbox
+is built straight from the senders it hears.  ``broadcast_step`` is the
+sender-ordered reference fan-out over a table.
 
 The over-the-air record is frozen at 22 bytes: the 16-bit service UUID
 0xFD6F little-endian, then 16 bytes of RPI, then 4 bytes of AEM.  Anything
@@ -43,11 +46,20 @@ def decode_advertisement(data: bytes) -> tuple[bytes, bytes] | None:
 
 def haversine_m(a: tuple[float, float], b: tuple[float, float]) -> float:
     """Great-circle distance in meters between two (lat, lon) points."""
-    lat1, lon1 = math.radians(a[0]), math.radians(a[1])
-    lat2, lon2 = math.radians(b[0]), math.radians(b[1])
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    h = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
+    return _arc_m(_point(a), _point(b))
+
+
+def _point(position: tuple[float, float]) -> tuple[float, float, float]:
+    """(lat, lon) in radians and the cosine of the latitude."""
+    lat, lon = math.radians(position[0]), math.radians(position[1])
+    return lat, lon, math.cos(lat)
+
+
+def _arc_m(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
+    """The haversine formula over two ``_point``s."""
+    lat1, lon1, cos1 = a
+    lat2, lon2, cos2 = b
+    h = math.sin((lat2 - lat1) / 2) ** 2 + cos1 * cos2 * math.sin((lon2 - lon1) / 2) ** 2
     return 2 * EARTH_RADIUS_M * math.asin(math.sqrt(h))
 
 
@@ -87,40 +99,59 @@ def link_table(stations: list[Station], params: SimParams) -> LinkTable:
     range by their Earth-centred x, y, z on the ``EARTH_RADIUS_M`` sphere,
     and each sender measures only the 27 cubes around its own.  A chord is
     never longer than its arc, so no station in range is missed, at the
-    poles and across the antimeridian too.
+    poles and across the antimeridian too.  Each station's latitude and
+    longitude in radians and the cosine of its latitude are worked out once
+    per build; a pair takes the same operations as ``haversine_m``, so
+    every rssi is the same float as in an all-pairs table.
     """
     ordered = sorted(stations, key=lambda s: s.name)
+    names = [s.name for s in ordered]
+    reach, tx_power = params.ble_range_m, params.tx_power_dbm
     # The extra metre covers coordinate rounding at Earth radius and keeps cube indices finite.
-    scale = EARTH_RADIUS_M / (params.ble_range_m + 1.0)
+    scale = EARTH_RADIUS_M / (reach + 1.0)
+    points = [_point(s.position) for s in ordered]
     cubes: dict[tuple[int, int, int], list[int]] = {}
-    for n, station in enumerate(ordered):
-        lat, lon = math.radians(station.position[0]), math.radians(station.position[1])
-        x, y, z = math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)
+    for n, (lat, lon, cos_lat) in enumerate(points):
+        x, y, z = cos_lat * math.cos(lon), cos_lat * math.sin(lon), math.sin(lat)
         home = (math.floor(scale * x), math.floor(scale * y), math.floor(scale * z))
         cubes.setdefault(home, []).append(n)
     table: LinkTable = {}
     for home, members in cubes.items():
         around = product(*(range(a - 1, a + 2) for a in home))
-        near = [ordered[n] for n in sorted(n for c in around for n in cubes.get(c, ()))]
-        for sender in (ordered[n] for n in members):
-            links = []
-            for receiver in near:
-                if receiver.name == sender.name:
+        near = sorted(n for c in around for n in cubes.get(c, ()))
+        for n in members:
+            sender, origin, links = names[n], points[n], []
+            for m in near:
+                if names[m] == sender:
                     continue
-                distance = haversine_m(sender.position, receiver.position)
-                if distance > params.ble_range_m:
+                distance = _arc_m(origin, points[m])
+                if distance > reach:
                     continue
-                links.append((receiver.name, params.tx_power_dbm - path_loss_db(distance, params)))
-            table[sender.name] = tuple(links)
+                links.append((names[m], tx_power - path_loss_db(distance, params)))
+            table[sender] = tuple(links)
     return table
 
 
+def receiver_view(table: LinkTable) -> LinkTable:
+    """``table`` inverted: for each receiver, the (sender name, rssi) of
+    every sender that reaches it, in sender-name order.  A receiver that
+    hears nobody has no entry."""
+    view: dict[str, list[tuple[str, float]]] = {}
+    for sender in sorted(table):
+        for receiver, rssi in table[sender]:
+            view.setdefault(receiver, []).append((sender, rssi))
+    return {receiver: tuple(links) for receiver, links in view.items()}
+
+
 def broadcast_step(stations: list[Station], links: LinkTable) -> list[Delivery]:
-    """Deliver every station's packets along its links.
+    """Deliver every station's packets along its links: the reference
+    fan-out, in sender order.
 
     Output order is fixed (sender name, then receiver name, then packet
     order) so identical world states always produce identical delivery
-    lists.  No interference or loss.
+    lists.  No interference or loss.  The world does not call it: it builds
+    each receiver's inbox from ``receiver_view``, which gives each
+    receiver's deliveries in this order.
     """
     deliveries: list[Delivery] = []
     for sender in sorted(stations, key=lambda s: s.name):

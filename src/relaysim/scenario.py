@@ -21,11 +21,13 @@ walker that moved, or an actor whose packets are not the object it sent the
 tick before.  An actor keeps the same packets object while it does not
 change: a device's packet tuple until it rotates, the rebroadcaster's queue
 until the replay window changes it.  The radio link table (who hears whom,
-at what rssi) is rebuilt only on a tick where a walker moved, and each actor
-is handed only the deliveries addressed to it, as a read-only tuple: its
-inbox.  An actor whose deliveries equal its last inbox by value is handed
-that inbox again, the same object.  On a tick with neither signal no station
-is built, radio delivery is skipped and every actor gets its last inbox.
+at what rssi) and its receiver view are rebuilt only on a tick where a
+walker moved, and so is every inbox then: the deliveries addressed to an
+actor, as a read-only tuple.  On a tick where only packets changed, only
+the inboxes of actors that hear an actor with new packets are rebuilt.  A
+rebuilt inbox that equals the last one by value is handed out as that
+inbox again, the same object.  On a tick with neither signal no station is
+built, radio delivery is skipped and every actor gets its last inbox.
 An actor handed its last inbox one tick later costs O(1): an honest device
 extends its observation runs and the sniffer its capture runs instead of
 storing each sighting or capture anew, and the rebroadcaster hands out its
@@ -52,7 +54,7 @@ import os
 import random
 from functools import cache, partial
 from itertools import chain
-from operator import is_not, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import radio
@@ -500,8 +502,9 @@ class World:
         self._pending_diagnoses = list(config.diagnosis_events)
         self._chunks_checked = 0  # the backend's chunk count at the last exposure checks
         self._links: radio.LinkTable | None = None  # built on the first delivery
+        self._heard: radio.LinkTable = {}  # its receiver view
         self._inboxes: Inboxes = {}
-        self._packets: list = [None] * len(self.actors)  # last tick's objects
+        self._sent: dict[str, tuple[bytes, ...]] = {}  # actor name -> packets on air last
         self._last_tick = -math.inf  # the last tick run or repeated
         self._quiet_until: float = -math.inf  # ticks before it repeat the last one run
         self._repeated_through: int | None = None  # the last tick repeated since then
@@ -549,27 +552,44 @@ class World:
         packets are the object it sent on the last tick, nothing on air
         changed: the last inboxes are handed out again, no station built."""
         packets = [a.outgoing_packets(now) for a in self.actors]
-        if moved or any(map(is_not, packets, self._packets)):
-            self._packets = packets
+        sent = self._sent
+        if moved or any(sent.get(a.name) is not out for a, out in zip(self.actors, packets)):
             actors = zip(self.actors, packets)
             self.deliver([radio.Station(a.name, a.position, out) for a, out in actors], moved)
         return self._inboxes
 
     def deliver(self, stations: list[radio.Station], moved: bool) -> Inboxes:
-        """Each receiver's inbox: its deliveries in delivery order.  The link
-        table is rebuilt only when a station ``moved`` (and on the first
-        call).  A receiver whose deliveries equal its last inbox by value
-        gets that inbox again, the same object; any other a new tuple."""
+        """Each receiver's inbox: for each sender it hears, in name order,
+        a delivery of each of its packets, in order.  When a station
+        ``moved`` (and on the first call) the link table and its receiver
+        view are rebuilt, and so is every inbox.  Otherwise only the inboxes
+        of receivers that hear a sender whose packets are not the object it
+        sent last time are rebuilt; every other receiver keeps its inbox.
+        A rebuilt inbox that equals the last one by value is that inbox
+        again, the same object; an empty one is no entry."""
+        last_sent = self._sent
+        self._sent = sent = {s.name: s.packets for s in stations}
+        last = self._inboxes
         if moved or self._links is None:
             self._links = radio.link_table(stations, self.params)
-        by_receiver: dict[str, list[radio.Delivery]] = {}
-        for d in radio.broadcast_step(stations, self._links):
-            by_receiver.setdefault(d.receiver, []).append(d)
-        last, self._inboxes = self._inboxes, {}
-        for name, deliveries in by_receiver.items():
-            inbox = tuple(deliveries)
-            self._inboxes[name] = last[name] if last.get(name) == inbox else inbox
-        return self._inboxes
+            self._heard = receivers = radio.receiver_view(self._links)
+            self._inboxes = inboxes = {}
+        else:
+            changed = [name for name, out in sent.items() if out is not last_sent[name]]
+            receivers = dict.fromkeys(r for name in changed for r, _ in self._links[name])
+            self._inboxes = inboxes = dict(last)
+        delivery, heard = radio.Delivery, self._heard
+        for receiver in receivers:
+            inbox = tuple([
+                delivery(sender, receiver, packet, rssi)
+                for sender, rssi in heard[receiver]
+                for packet in sent[sender]
+            ])
+            if not inbox:
+                inboxes.pop(receiver, None)
+            else:
+                inboxes[receiver] = last[receiver] if last.get(receiver) == inbox else inbox
+        return inboxes
 
     def step(self) -> None:
         """Run the tick at ``now``.  A tick that directly follows the last

@@ -4,8 +4,10 @@ Endpoints (JSON bodies, lowercase hex, frozen by golden fixtures):
 
     POST /otp                {"ttl": n}?          -> 200 {"code": ...} | 400
     POST /diagnosis          {otp, teks, hashes?} -> 200 {"diagnosis_id": n} | 400 | 403
-    GET  /chunks?since=N                          -> 200 [{index, published_at, teks}]
-    GET  /hashes/<id>                             -> 200 {"hashes": [...]} | 404
+    GET  /chunks?since=N                          -> 200 [{index, published_at, teks}] | 400
+    GET  /hashes/<id>                             -> 200 {"hashes": [...]} | 400 | 404
+
+N and <id> are an optional ``-`` and ASCII digits; anything else gets a 400.
 
 The store itself is single-writer; a lock serializes handler access so
 concurrent clients observe the same semantics as sequential calls.
@@ -40,6 +42,19 @@ REQUEST_TIMEOUT_SECONDS = 5.0
 # with none of the body read.  1 MiB holds a diagnosis with some 15,000
 # contact digests; the benchmark's largest upload is about 27 KB.
 MAX_BODY_BYTES = 1 << 20
+
+
+def _decimal(text: str) -> int | None:
+    """An optional ``-`` and ASCII digits as an int; None for any other
+    text (``int`` would also take a sign ``+``, spaces, underscores and
+    non-ASCII digits) and for one too long for ``int`` to convert."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # over the interpreter's limit on digits
+        return None
 
 
 class _Server(ThreadingHTTPServer):
@@ -197,17 +212,14 @@ def _make_handler(server: BackendHTTPServer):
             parsed = urlparse(self.path)
             with server._lock:
                 if parsed.path == "/chunks":
-                    query = parse_qs(parsed.query)
-                    try:
-                        since = int(query.get("since", ["0"])[0])
-                    except ValueError:
+                    since = _decimal(parse_qs(parsed.query).get("since", ["0"])[0])
+                    if since is None:
                         self._reply(400, canonical_json({"error": "bad since parameter"}))
                         return
                     self._reply(*server.handle_chunks(since))
                 elif parsed.path.startswith("/hashes/"):
-                    try:
-                        diagnosis_id = int(parsed.path[len("/hashes/") :])
-                    except ValueError:
+                    diagnosis_id = _decimal(parsed.path[len("/hashes/") :])
+                    if diagnosis_id is None:
                         self._reply(400, canonical_json({"error": "bad diagnosis id"}))
                         return
                     self._reply(*server.handle_hashes(diagnosis_id))

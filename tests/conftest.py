@@ -1,52 +1,8 @@
 """Shared test helpers."""
 
-import json
-from http.client import HTTPConnection
-from pathlib import Path
-
 from hypothesis import strategies as st
 
-WIRE_FIXTURES = Path(__file__).parent / "golden" / "wire_fixtures.json"
-
-
-class ManualClock:
-    """Settable clock for driving the wire-mode backend deterministically."""
-
-    def __init__(self, now: int):
-        self.now = now
-
-    def __call__(self) -> int:
-        return self.now
-
-
-def replay_wire_fixtures(server, clock: ManualClock) -> int:
-    """Replay the committed HTTP exchanges; every response must byte-match.
-
-    Returns how many request/response pairs were verified.
-    """
-    data = json.loads(WIRE_FIXTURES.read_text())
-    clock.now = data["initial_time"]
-    conn = HTTPConnection("127.0.0.1", server.port)
-    replayed = 0
-    for step in data["steps"]:
-        if "set_time" in step:
-            clock.now = step["set_time"]
-            continue
-        request = step["request"]
-        body = request.get("body")
-        conn.request(
-            request["method"],
-            request["path"],
-            body=body.encode() if body is not None else None,
-            headers={"Content-Type": "application/json"},
-        )
-        response = conn.getresponse()
-        payload = response.read()
-        assert response.status == step["response"]["status"], request
-        assert payload == step["response"]["body"].encode(), request
-        replayed += 1
-    conn.close()
-    return replayed
+from stdlib_contract import ManualClock, replay_wire_fixtures  # re-exported to the tests
 
 
 JSON_VALUES = st.recursive(

@@ -1,0 +1,182 @@
+#!/usr/bin/env python3
+"""The behaviour contract, checked with the standard library alone.
+
+Runs every golden config to its report and table bytes and compares them
+with ``golden/reports`` and ``golden/tables``, replays the HTTP exchanges
+of ``golden/wire_fixtures.json`` against a ``BackendHTTPServer`` on a free
+port, and runs each way the CLI exits with status 2.  It imports nothing
+outside the standard library and ``relaysim`` (from ``src/``), so any
+supported interpreter can run it, with or without pytest:
+
+    python3.10 tests/stdlib_contract.py
+
+It prints one line per check and exits 0 when every check holds, 1 when
+one does not.  ``conftest.py`` takes the wire replay from here.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import random
+import socket
+import sys
+import tempfile
+from http.client import HTTPConnection
+from pathlib import Path
+from unittest import mock
+
+TESTS = Path(__file__).resolve().parent
+WIRE_FIXTURES = TESTS / "golden" / "wire_fixtures.json"
+
+
+class ManualClock:
+    """Settable clock for driving the wire-mode backend deterministically."""
+
+    def __init__(self, now: int):
+        self.now = now
+
+    def __call__(self) -> int:
+        return self.now
+
+
+def replay_wire_fixtures(server, clock: ManualClock) -> int:
+    """Replay the committed HTTP exchanges; every response must byte-match.
+
+    Returns how many request/response pairs were verified.
+    """
+    data = json.loads(WIRE_FIXTURES.read_text())
+    clock.now = data["initial_time"]
+    conn = HTTPConnection("127.0.0.1", server.port)
+    replayed = 0
+    for step in data["steps"]:
+        if "set_time" in step:
+            clock.now = step["set_time"]
+            continue
+        request = step["request"]
+        body = request.get("body")
+        conn.request(
+            request["method"],
+            request["path"],
+            body=body.encode() if body is not None else None,
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        payload = response.read()
+        if (response.status, payload) != (
+            step["response"]["status"],
+            step["response"]["body"].encode(),
+        ):
+            raise AssertionError(f"{request}: got {response.status} {payload!r}")
+        replayed += 1
+    conn.close()
+    return replayed
+
+
+def _golden() -> list[str]:
+    from golden.gen_reports import REPORTS, TABLES, golden_names, report_bytes
+    from relaysim.scenario import ScenarioReport
+
+    failed = []
+    for name in golden_names():
+        report = report_bytes(name)
+        table = ScenarioReport(json.loads(report)).to_table().encode()
+        for kind, got, path in (
+            ("report", report, REPORTS / f"{name}.json"),
+            ("table", table, TABLES / f"{name}.txt"),
+        ):
+            if got != path.read_bytes():
+                failed.append(f"{name}: {kind} differs from {path.name}")
+    return failed
+
+
+def _wire() -> list[str]:
+    from relaysim.backend import BackendStore
+    from relaysim.params import SimParams
+    from relaysim.wire import BackendHTTPServer
+
+    params = SimParams()
+    clock = ManualClock(0)
+    store = BackendStore(params, rng=random.Random("wire-golden"))
+    server = BackendHTTPServer(store, clock, params)
+    server.start()
+    try:
+        replay_wire_fixtures(server, clock)
+    except AssertionError as exc:
+        return [f"wire exchange {exc}"]
+    finally:
+        server.stop()
+    return []
+
+
+def _exit_2_cases(tmp: Path, held_port: int) -> list[tuple[list[str], str | None]]:
+    """(argv, start of the stderr message or None for an argparse error)."""
+    (tmp / "broken.json").write_text("{not json")
+    (tmp / "no_duration.json").write_text(json.dumps({"name": "x", "duration": 0}))
+    return [
+        (["run", "no_such_scenario"], "relaysim: no bundled scenario 'no_such_scenario'"),
+        (["run", str(tmp / "broken.json")], "relaysim: a scenario must be JSON: "),
+        (["run", str(tmp / "no_duration.json")], "relaysim: duration must be a positive number"),
+        (
+            ["run", "no_attack", "--out", str(tmp / "no" / "such" / "x.json")],
+            "relaysim: cannot write the report: ",
+        ),
+        (
+            ["serve-backend", "--port", str(held_port)],
+            f"relaysim: cannot serve on 127.0.0.1:{held_port}: ",
+        ),
+        ([], None),
+        (["run", "no_attack", "--seed", "x"], None),
+        (["serve-backend", "--port", "65536"], None),
+    ]
+
+
+def _cli() -> list[str]:
+    from relaysim import cli
+    from relaysim.wire import BackendHTTPServer
+
+    failed = []
+    with contextlib.ExitStack() as stack:
+        tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        held = stack.enter_context(socket.socket())
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        # A server that binds after all must not serve for ever.
+        stack.enter_context(
+            mock.patch.object(BackendHTTPServer, "serve_forever", side_effect=RuntimeError)
+        )
+        for argv, message in _exit_2_cases(tmp, held.getsockname()[1]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    status = cli.main(argv)
+                except SystemExit as exc:
+                    status = exc.code
+                except Exception as exc:  # a traceback: reported as a failed check
+                    status = f"{type(exc).__name__}: {exc}"
+            stderr = err.getvalue()
+            if message is None:
+                ok = status == 2 and stderr.startswith("usage: relaysim")
+            else:
+                ok = status == 2 and stderr.startswith(message) and stderr.count("\n") == 1
+            if not ok or out.getvalue() or "Traceback" in stderr:
+                failed.append(f"relaysim {' '.join(argv)}: status {status!r}, stderr {stderr!r}")
+    return failed
+
+
+def main() -> int:
+    sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
+    failures = []
+    for check in (_golden, _wire, _cli):
+        failed = check()
+        print(f"{check.__name__[1:]}: {'ok' if not failed else 'FAILED'}")
+        failures += failed
+    for line in failures:
+        print(f"  {line}")
+    print(f"Python {sys.version.split()[0]}: {'ok' if not failures else 'FAILED'}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

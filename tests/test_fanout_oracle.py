@@ -1,5 +1,6 @@
 """A world's cached link table and inboxes against the all-pairs fan-out,
-tick by tick."""
+tick by tick, with stations that keep their packets object, send a copy of
+it or send new packets."""
 
 import math
 
@@ -12,6 +13,10 @@ from oracles import naive_deliveries
 # Offsets within +-12.5 m of a common point on each axis: pairs land on both
 # sides of the 10 m range.
 OFFSET_M = st.tuples(st.floats(-12.5, 12.5), st.floats(-12.5, 12.5))
+# What a station sends on a tick: the very packets object it sent on its
+# last tick (before the first, ``()``), a new tuple equal to it, or a new
+# tuple of the packets listed.
+KEEP, COPY = "keep", "copy"
 
 
 def _position(origin, offset_m):
@@ -23,16 +28,16 @@ def _position(origin, offset_m):
 @st.composite
 def _runs(draw):
     """Stations' first offsets, then per tick the moves (station index, new
-    offset or None to stay) and every station's packets."""
+    offset or None to stay) and what every station sends."""
     n = draw(st.integers(2, 8))
     origin = (draw(st.floats(-90.0, 90.0)), draw(st.floats(-180.0, 180.0)))
     start = draw(st.lists(OFFSET_M, min_size=n, max_size=n))
-    packets = st.lists(st.binary(min_size=1, max_size=4), max_size=2)
+    sends = st.sampled_from((KEEP, COPY)) | st.lists(st.binary(min_size=1, max_size=4), max_size=2)
     ticks = draw(
         st.lists(
             st.tuples(
                 st.lists(st.tuples(st.integers(0, n - 1), st.none() | OFFSET_M), max_size=3),
-                st.lists(packets, min_size=n, max_size=n),
+                st.lists(sends, min_size=n, max_size=n),
             ),
             min_size=1,
             max_size=8,
@@ -47,6 +52,13 @@ def _runs(draw):
 @example(
     ((89.99999, 0.0), [(0.0, 0.0), (9.0, 0.0), (-9.0, 3.0)],
      [([(1, (12.0, -4.0))], [[b"a"], [b"b"], []]), ([(0, (-5.0, 5.0)), (2, None)], [[b"a"]] * 3)])
+)
+# No move after the first tick: a changed sender's receivers alone get new
+# inboxes, and a copy of the packets sent last counts as no change.
+@example(
+    ((45.0, 11.0), [(0.0, 0.0), (0.0, 4.0), (0.0, 8.0), (0.0, -4.0)],
+     [([], [[b"a"], [b"b"], [b"c"], []]), ([], [KEEP, [b"x"], COPY, KEEP]),
+      ([], [COPY, KEEP, [b"c"], [b"d", b"e"]]), ([], [KEEP] * 4)])
 )
 @example(
     ((10.0, 179.99999), [(0.0, 0.0), (0.0, 2.0), (0.0, -2.0)],
@@ -65,12 +77,17 @@ def test_cached_fanout_equals_all_pairs(run):
     names = [f"s{i}" for i in range(len(offsets))]
     offsets = list(offsets)
     previous, previous_inboxes = None, {}
-    for moves, packets in ticks:
+    sent = [()] * len(names)
+    for moves, sends in ticks:
         for i, offset in moves:
             offsets[i] = offsets[i] if offset is None else offset
+        sent = [
+            last if send == KEEP else tuple(list(last)) if send == COPY else tuple(send)
+            for last, send in zip(sent, sends)
+        ]
         stations = [
-            radio.Station(name, _position(origin, offset), tuple(pk))
-            for name, offset, pk in zip(names, offsets, packets)
+            radio.Station(name, _position(origin, offset), pk)
+            for name, offset, pk in zip(names, offsets, sent)
         ]
         positions = [s.position for s in stations]
         links = world._links

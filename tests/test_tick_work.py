@@ -16,10 +16,12 @@ recomputes its replay queue only on a tick where the database opened a run
 or a run reached an event: its first capture entering the window, the
 runs ahead of it catching up with its first capture, or its first or last
 capture leaving the window; a run that closed out of a window shorter
-than one tick ends the ticks run in full.  A link-table build measures
-each station only against those in the grid cubes next to its own.  The
-contact-hash defense runs no tick in full that the same world without it
-would repeat.
+than one tick ends the ticks run in full.  A delivery on which nothing
+moved builds only the inboxes of receivers that hear a sender whose
+packets changed.  A link-table build converts each station's coordinates
+once and measures it only against those in the grid cubes next to its
+own.  The contact-hash defense runs no tick in full that the same world
+without it would repeat.
 """
 
 from collections import Counter
@@ -96,6 +98,47 @@ def test_no_station_is_built_while_nothing_on_air_changes(name):
             assert built == len(world.actors)
         previous = air
     assert quiet > len(world.ticks) / 2
+
+
+@pytest.mark.parametrize("name", golden_names())
+def test_a_delivery_without_a_move_rebuilds_only_changed_senders_inboxes(name):
+    # Counts the ``radio.Delivery`` records each ``deliver`` call builds.  A
+    # call after a move (and the first) builds every delivery; any other
+    # only the inboxes of receivers that hear a sender whose packets are
+    # not the object it sent on the last call, each inbox in full.
+    world = World(golden_config(name))
+    built = Counter()
+    delivery = radio.Delivery
+
+    def counted(*args):
+        built["deliveries"] += 1
+        return delivery(*args)
+
+    calls: list = []  # (stations, moved, deliveries built) per call
+    deliver = world.deliver
+
+    def recorded(stations, moved):
+        before = built["deliveries"]
+        inboxes = deliver(stations, moved)
+        calls.append((stations, moved, built["deliveries"] - before))
+        return inboxes
+
+    world.deliver = recorded
+    with mock.patch.object(radio, "Delivery", counted):
+        world.run()
+    last: dict = {}
+    for stations, moved, count in calls:
+        links = naive_links(stations, world.params)
+        packets = {s.name: s.packets for s in stations}
+        if moved or not last:
+            receivers = {r for heard in links.values() for r, _ in heard}
+        else:
+            changed = [s for s, out in packets.items() if out is not last[s]]
+            receivers = {r for s in changed for r, _ in links[s]}
+        assert count == sum(
+            len(packets[s]) for s, heard in links.items() for r, _ in heard if r in receivers
+        )
+        last = packets
 
 
 def _handed(world: World) -> dict[str, list]:
@@ -325,3 +368,28 @@ def test_a_link_table_build_measures_only_neighbouring_stations():
     assert table == naive_links(stations, SimParams())
     assert all(len(links) == 7 for links in table.values())
     assert len(measured) <= 6 * 8 * 8 < 48 * 47
+
+
+def test_a_link_table_build_converts_each_station_once():
+    # The stations of the test above.  ``haversine_m`` converts both of its
+    # points on every call; a build converts each station once (``_point``)
+    # and measures a pair from the two conversions (``_arc_m``).
+    stations = [
+        radio.Station(f"p{p}s{s}", (45.0 + 0.01 * p + 1e-5 * (s % 3), 11.0 + 1e-5 * (s // 3)))
+        for p in range(6)
+        for s in range(8)
+    ]
+    calls: dict[str, list] = {"_point": [], "_arc_m": []}
+    with ExitStack() as patches:
+        for attr, recorded in calls.items():
+            original = getattr(radio, attr)
+
+            def counted(*args, original=original, recorded=recorded):
+                recorded.append(args)
+                return original(*args)
+
+            patches.enter_context(mock.patch.object(radio, attr, counted))
+        table = radio.link_table(stations, SimParams())
+    assert table == naive_links(stations, SimParams())
+    assert sorted(calls["_point"]) == sorted((s.position,) for s in stations)
+    assert len(calls["_arc_m"]) <= 6 * 8 * 8 < 48 * 47

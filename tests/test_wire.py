@@ -92,10 +92,33 @@ def test_unparsable_body_400(server, path, body):
     conn.close()
 
 
-def test_bad_since_parameter_400(server):
+# Before, ``int`` parsed both, so that "1_0" read as 10, "+1" and " 1 " as 1
+# and an Arabic-Indic digit one (U+0661) as 1.
+@pytest.mark.parametrize(
+    "since",
+    [
+        *("soon", "1_0", "+1", "%2B1", "%201%20", "%D9%A1", "-", "--1"),
+        pytest.param("1" * 5000, id="5000-digits"),
+    ],
+)
+def test_bad_since_parameter_400(server, since):
     conn = HTTPConnection("127.0.0.1", server.port)
-    conn.request("GET", "/chunks?since=soon")
-    assert conn.getresponse().status == 400
+    conn.request("GET", f"/chunks?since={since}")
+    response = conn.getresponse()
+    assert response.status == 400
+    assert json.loads(response.read()) == {"error": "bad since parameter"}
+    conn.close()
+
+
+@pytest.mark.parametrize(
+    "diagnosis_id", ["x", "1_0", "+0", "%31", "", "-", pytest.param("1" * 5000, id="5000-digits")]
+)
+def test_bad_diagnosis_id_400(server, diagnosis_id):
+    conn = HTTPConnection("127.0.0.1", server.port)
+    conn.request("GET", f"/hashes/{diagnosis_id}")
+    response = conn.getresponse()
+    assert response.status == 400
+    assert json.loads(response.read()) == {"error": "bad diagnosis id"}
     conn.close()
 
 

@@ -31,7 +31,7 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from . import actguard, gaen, radio
-from .backend import BackendError, BackendStore, encode_diagnosis_payload
+from .backend import BackendStore, encode_diagnosis_payload
 from .params import SECONDS_PER_DAY, AttackSpec, SimParams
 
 
@@ -177,11 +177,7 @@ class SnifferAdversary:
             self.database.extend(self.rank, now)
             self._last_scan = now
             return []
-        packets = tuple(
-            d.packet
-            for d in deliveries
-            if d.receiver == self.name and radio.decode_advertisement(d.packet) is not None
-        )
+        packets = tuple(d.packet for d in deliveries if d.frame is not None)
         new = self.database.capture(self.rank, packets, now)
         self._inbox = deliveries
         self._last_scan = now
@@ -388,9 +384,9 @@ class DownloadLog:
     """The downloaded chunks by diagnosis id, in download order (ids
     ascend), and one RPI index over them: an RPI maps to (diagnosis id,
     entry) for each of its entries, chunk by chunk, in each chunk's
-    ``build_rpi_index`` order.  The devices of a world poll at the same
-    ticks and share one log: a round's first poll fetches and expands each
-    new chunk once, and the round's later polls find nothing new."""
+    ``build_rpi_index`` order.  The devices of a world share one log, which
+    the world polls once per round that published a chunk: each new chunk
+    is fetched and expanded once."""
 
     def __init__(self, params: SimParams) -> None:
         self.params = params
@@ -449,7 +445,8 @@ class HonestDevice:
     sightings costs O(1).
 
     Matching works on runs, never on single sightings, and only when a
-    result is read: during a run a device only polls.  Each read looks each
+    result is read: during a run a device only stores sightings, and its
+    world polls the download log.  Each read looks each
     run up once in the index, whatever the chunk count (see ``_matched``):
     a run paired with an entry of its RPI is a match run if some of its
     scan times fall inside the entry's window, widened by the clock
@@ -553,16 +550,10 @@ class HonestDevice:
         ):
             self._close_runs()
             open_runs = []
-            for d in deliveries:
-                if d.receiver != self.name:
+            for _, _, rssi, frame in deliveries:
+                if frame is None or frame[0] == own:
                     continue
-                decoded = radio.decode_advertisement(d.packet)
-                if decoded is None:
-                    continue
-                rpi, aem = decoded
-                if rpi == own:
-                    continue
-                run = ObservationRun(rpi, aem, d.rssi, now, now, scanned_as)
+                run = ObservationRun(*frame, rssi, now, now, scanned_as)
                 self._runs.append(run)
                 open_runs.append(run)
             self._open_runs = open_runs
@@ -621,9 +612,9 @@ class HonestDevice:
 
     def poll_backend(self, backend: BackendStore, now: int) -> list[int]:
         """Pull new chunks into the download log; returns the diagnosis ids
-        this poll brought, none if another device of the log polled first.
-        A transport failure leaves the log as it was (``DownloadLog.poll``).
-        """
+        this poll brought, none if the log holds them already.  A transport
+        failure leaves the log as it was (``DownloadLog.poll``).  A world
+        polls its devices' shared log itself."""
         return self.downloads.poll(backend, now)
 
     def _matched(self) -> dict[int, list[ClippedRun]]:
@@ -729,13 +720,6 @@ class HonestDevice:
                 first = verdict
         assert first is not None
         return first
-
-    def exposure_check(self, backend: BackendStore, now: int) -> None:
-        """Poll; a transport failure skips this round."""
-        try:
-            self.poll_backend(backend, now)
-        except BackendError:
-            pass
 
     def report(self, end: int) -> tuple[dict, list[dict]]:
         """The report row, and a match event for each matched diagnosis at

@@ -1,9 +1,10 @@
 """Simulated world plumbing: advertisement packets, range, delivery.
 
-Who hears whom is a link table built over a cell-list grid (``link_table``),
-keyed by sender; ``receiver_view`` inverts it, so that a receiver's inbox
-is built straight from the senders it hears.  ``broadcast_step`` is the
-sender-ordered reference fan-out over a table.
+Who hears whom is a link table built over a cell-list grid (``link_table``).
+A link is the same both ways, so a station's links list both the stations
+it reaches and those it hears: the world builds a receiver's inbox straight
+from its own links.  ``broadcast_step`` is the sender-ordered reference
+fan-out over a table, regrouped into each receiver's inbox.
 
 The over-the-air record is frozen at 22 bytes: the 16-bit service UUID
 0xFD6F little-endian, then 16 bytes of RPI, then 4 bytes of AEM.  Anything
@@ -14,6 +15,7 @@ never an error.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from itertools import product
 from typing import NamedTuple
 
@@ -79,30 +81,38 @@ class Station(NamedTuple):
 
 
 class Delivery(NamedTuple):
-    """One packet heard by one receiver in one tick."""
+    """One packet in a receiver's inbox for one tick.  ``frame`` is the
+    packet's ``decode_advertisement``: its (rpi, aem), or None for a
+    non-protocol packet."""
 
     sender: str
-    receiver: str
     packet: bytes
     rssi: float
+    frame: tuple[bytes, bytes] | None
 
 
 LinkTable = dict[str, tuple[tuple[str, float], ...]]
+Inboxes = dict[str, tuple[Delivery, ...]]  # receiver name -> its deliveries
 
 
 def link_table(stations: list[Station], params: SimParams) -> LinkTable:
-    """For each sender, the (receiver name, rssi) of every station in range,
-    in receiver-name order.  rssi = tx_power - path_loss(distance), so a
-    table stays valid until a station moves.
+    """For each station, the (name, rssi) of every other station in range,
+    in name order.  rssi = tx_power - path_loss(distance), so a table stays
+    valid until a station moves.  A link is the same both ways: every
+    station sends at ``params.tx_power_dbm``, and ``_arc_m`` gives the same
+    float either way round (sin is odd and the product of the cosines
+    commutes).  So a station's links are both whom it reaches and whom it
+    hears, and each pair is measured once.
 
     A cell list: stations are bucketed into cubes a metre wider than the
     range by their Earth-centred x, y, z on the ``EARTH_RADIUS_M`` sphere,
-    and each sender measures only the 27 cubes around its own.  A chord is
-    never longer than its arc, so no station in range is missed, at the
-    poles and across the antimeridian too.  Each station's latitude and
-    longitude in radians and the cosine of its latitude are worked out once
-    per build; a pair takes the same operations as ``haversine_m``, so
-    every rssi is the same float as in an all-pairs table.
+    and each station is measured only against the later stations, in name
+    order, of the 27 cubes around its own.  A chord is never longer than
+    its arc, so no station in range is missed, at the poles and across the
+    antimeridian too.  Each station's latitude and longitude in radians and
+    the cosine of its latitude are worked out once per build; a pair takes
+    the same operations as ``haversine_m``, so every rssi is the same float
+    as in an all-pairs table.
     """
     ordered = sorted(stations, key=lambda s: s.name)
     names = [s.name for s in ordered]
@@ -110,52 +120,45 @@ def link_table(stations: list[Station], params: SimParams) -> LinkTable:
     # The extra metre covers coordinate rounding at Earth radius and keeps cube indices finite.
     scale = EARTH_RADIUS_M / (reach + 1.0)
     points = [_point(s.position) for s in ordered]
+    homes = []
     cubes: dict[tuple[int, int, int], list[int]] = {}
     for n, (lat, lon, cos_lat) in enumerate(points):
         x, y, z = cos_lat * math.cos(lon), cos_lat * math.sin(lon), math.sin(lat)
         home = (math.floor(scale * x), math.floor(scale * y), math.floor(scale * z))
+        homes.append(home)
         cubes.setdefault(home, []).append(n)
-    table: LinkTable = {}
-    for home, members in cubes.items():
-        around = product(*(range(a - 1, a + 2) for a in home))
-        near = sorted(n for c in around for n in cubes.get(c, ()))
-        for n in members:
-            sender, origin, links = names[n], points[n], []
-            for m in near:
-                if names[m] == sender:
-                    continue
-                distance = _arc_m(origin, points[m])
-                if distance > reach:
-                    continue
-                links.append((names[m], tx_power - path_loss_db(distance, params)))
-            table[sender] = tuple(links)
-    return table
+    around = {  # by cube: the stations in it and the 26 around it
+        home: sorted(m for cube in product(*(range(a - 1, a + 2) for a in home))
+                     for m in cubes.get(cube, ()))
+        for home in cubes
+    }
+    links: list[list[tuple[str, float]]] = [[] for _ in ordered]
+    # Station n's links to the stations before it were added on their turns.
+    for n, home in enumerate(homes):
+        near, origin, name, own = around[home], points[n], names[n], links[n]
+        for m in near[bisect_right(near, n) :]:
+            distance = _arc_m(origin, points[m])
+            if distance > reach:
+                continue
+            rssi = tx_power - path_loss_db(distance, params)
+            own.append((names[m], rssi))
+            links[m].append((name, rssi))
+    return {name: tuple(own) for name, own in zip(names, links)}
 
 
-def receiver_view(table: LinkTable) -> LinkTable:
-    """``table`` inverted: for each receiver, the (sender name, rssi) of
-    every sender that reaches it, in sender-name order.  A receiver that
-    hears nobody has no entry."""
-    view: dict[str, list[tuple[str, float]]] = {}
-    for sender in sorted(table):
-        for receiver, rssi in table[sender]:
-            view.setdefault(receiver, []).append((sender, rssi))
-    return {receiver: tuple(links) for receiver, links in view.items()}
-
-
-def broadcast_step(stations: list[Station], links: LinkTable) -> list[Delivery]:
+def broadcast_step(stations: list[Station], links: LinkTable) -> Inboxes:
     """Deliver every station's packets along its links: the reference
-    fan-out, in sender order.
-
-    Output order is fixed (sender name, then receiver name, then packet
-    order) so identical world states always produce identical delivery
-    lists.  No interference or loss.  The world does not call it: it builds
-    each receiver's inbox from ``receiver_view``, which gives each
-    receiver's deliveries in this order.
+    fan-out, in sender order, each packet decoded per delivery.  Returns
+    each receiver's inbox: its deliveries in sender-name order, then packet
+    order, so identical world states always produce identical inboxes.  A
+    receiver that hears nothing has no entry.  No interference or loss.
+    The world does not call it: ``World.deliver`` builds the same inboxes
+    from each receiver's own links, decoding each packet once.
     """
-    deliveries: list[Delivery] = []
+    inboxes: dict[str, list[Delivery]] = {}
     for sender in sorted(stations, key=lambda s: s.name):
         for receiver, rssi in links[sender.name]:
             for packet in sender.packets:
-                deliveries.append(Delivery(sender.name, receiver, packet, rssi))
-    return deliveries
+                delivery = Delivery(sender.name, packet, rssi, decode_advertisement(packet))
+                inboxes.setdefault(receiver, []).append(delivery)
+    return {receiver: tuple(inboxes[receiver]) for receiver in sorted(inboxes)}

@@ -9,23 +9,24 @@ Tick phasing (fixed): every actor's ``outgoing_packets`` (the
 rebroadcaster's replay queue is computed here, from earlier captures) ->
 radio delivery -> every actor's ``on_deliveries`` in ascending ``phase``
 (sniffer captures 0, rebroadcaster relay events 1, honest recording 2),
-then name -> scheduled diagnoses -> polls.  A packet captured in one tick
-is therefore never back on the air before the next tick, matching the
-causal order of a real relay.  Devices poll only on a tick where the
-backend published a chunk, while the chunk is inside its retention window,
-so on any other tick every poll would come back empty.  No tick matches or
-scores: ``World.finish`` has each actor report once, and a device's report
-reads its final match runs once, to score them and to derive its match
-events from the ticks of its polls.  The air has one change signal: a
-walker that moved, or an actor whose packets are not the object it sent the
-tick before.  An actor keeps the same packets object while it does not
-change: a device's packet tuple until it rotates, the rebroadcaster's queue
-until the replay window changes it.  The radio link table (who hears whom,
-at what rssi) and its receiver view are rebuilt only on a tick where a
-walker moved, and so is every inbox then: the deliveries addressed to an
-actor, as a read-only tuple.  On a tick where only packets changed, only
-the inboxes of actors that hear an actor with new packets are rebuilt.  A
-rebuilt inbox that equals the last one by value is handed out as that
+then name -> scheduled diagnoses -> the world's poll.  A packet captured in
+one tick is therefore never back on the air before the next tick, matching
+the causal order of a real relay.  The world polls the devices' one
+download log only on a tick where the backend published a chunk, while the
+chunk is inside its retention window: any other poll would come back
+empty.  No tick matches or scores: ``World.finish`` has each actor report
+once, and a device's report reads its final match runs once, to score them
+and to derive its match events from the ticks of the polls.  The air has
+one change signal: a walker that moved, or an actor whose packets are not
+the object it sent the tick before.  An actor keeps the same packets object
+while it does not change: a device's packet tuple until it rotates, the
+rebroadcaster's queue until the replay window changes it.  The radio link
+table (who hears whom, at what rssi, the same both ways) is rebuilt only on
+a tick where a walker moved, and so is every inbox then: the deliveries an
+actor hears, as a read-only tuple, each carrying its packet's decoding,
+made once per new packets object.  On a tick where only packets changed,
+only the inboxes of actors that hear an actor with new packets are rebuilt.
+A rebuilt inbox that equals the last one by value is handed out as that
 inbox again, the same object.  On a tick with neither signal no station is
 built, radio delivery is skipped and every actor gets its last inbox.
 An actor handed its last inbox one tick later costs O(1): an honest device
@@ -52,6 +53,7 @@ import json
 import math
 import os
 import random
+from contextlib import suppress
 from functools import cache, partial
 from itertools import chain
 from operator import itemgetter
@@ -74,7 +76,6 @@ ROLES = ("honest", "sniffer", "rebroadcaster")
 # That is 115 days of 1 s ticks, far past the 14-day key retention; the
 # longest bundled or tested config has 1,500.
 MAX_TICKS = 10_000_000
-Inboxes = dict[str, tuple[radio.Delivery, ...]]  # receiver name -> its deliveries
 
 
 class ConfigError(ValueError):
@@ -474,10 +475,12 @@ class World:
     only the ticks on which something may change and repeats the rest.
 
     ``actors`` holds every actor in name order; the tick loop uses only the
-    interface they share.  Diagnoses and polls concern the honest
-    ``devices`` alone, which share one ``DownloadLog``: a chunk is fetched
-    and expanded once.  Actor state is read only after the actors caught up
-    with the repeated ticks: on the next tick run in full, or in ``finish``.
+    interface they share.  Diagnoses concern the honest ``devices`` alone,
+    which share the world's one ``downloads`` log.  The world polls it once
+    per round that published a chunk, so a chunk is fetched and expanded
+    once; a ``BackendError`` skips the round and leaves the log as it was.
+    Actor state is read only after the actors caught up with the repeated
+    ticks: on the next tick run in full, or in ``finish``.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -488,9 +491,9 @@ class World:
         self.database = MaliciousDatabase(self.params.tick_seconds)
         self.events: list[dict] = []
 
-        downloads = DownloadLog(self.params)  # shared by every device of this run
+        self.downloads = DownloadLog(self.params)  # shared by every device of this run
         specs = sorted(config.actors, key=lambda a: a.name)
-        self.actors = [self._new_actor(spec, downloads) for spec in specs]
+        self.actors = [self._new_actor(spec) for spec in specs]
         self.devices = {a.name: a for a in self.actors if isinstance(a, HonestDevice)}
         # [actor, its waypoints as (at, position), how many it has reached]
         self._movers = [
@@ -500,16 +503,16 @@ class World:
         self._by_phase = sorted(self.actors, key=lambda a: a.phase)  # stable: name order within
 
         self._pending_diagnoses = list(config.diagnosis_events)
-        self._chunks_checked = 0  # the backend's chunk count at the last exposure checks
+        self._chunks_checked = 0  # the backend's chunk count at the last poll
         self._links: radio.LinkTable | None = None  # built on the first delivery
-        self._heard: radio.LinkTable = {}  # its receiver view
-        self._inboxes: Inboxes = {}
+        self._inboxes: radio.Inboxes = {}
         self._sent: dict[str, tuple[bytes, ...]] = {}  # actor name -> packets on air last
+        self._frames: dict[str, list] = {}  # actor name -> (packet, frame) of each packet sent
         self._last_tick = -math.inf  # the last tick run or repeated
         self._quiet_until: float = -math.inf  # ticks before it repeat the last one run
         self._repeated_through: int | None = None  # the last tick repeated since then
 
-    def _new_actor(self, spec: ActorSpec, downloads: DownloadLog):
+    def _new_actor(self, spec: ActorSpec):
         # A waypoint at or before time 0 is reached on the first tick.
         position = spec.position
         if position is None:
@@ -524,7 +527,7 @@ class World:
             position,
             params=self.params,
             actguard_enabled=spec.actguard,
-            downloads=downloads,
+            downloads=self.downloads,
         )
 
     def _log(self, t: int, event: str, **fields) -> None:
@@ -547,7 +550,7 @@ class World:
                     moved = True
         return moved
 
-    def _on_air(self, now: int, moved: bool) -> Inboxes:
+    def _on_air(self, now: int, moved: bool) -> radio.Inboxes:
         """This tick's inboxes.  While nothing moved and every actor's
         packets are the object it sent on the last tick, nothing on air
         changed: the last inboxes are handed out again, no station built."""
@@ -558,32 +561,38 @@ class World:
             self.deliver([radio.Station(a.name, a.position, out) for a, out in actors], moved)
         return self._inboxes
 
-    def deliver(self, stations: list[radio.Station], moved: bool) -> Inboxes:
-        """Each receiver's inbox: for each sender it hears, in name order,
-        a delivery of each of its packets, in order.  When a station
-        ``moved`` (and on the first call) the link table and its receiver
-        view are rebuilt, and so is every inbox.  Otherwise only the inboxes
-        of receivers that hear a sender whose packets are not the object it
-        sent last time are rebuilt; every other receiver keeps its inbox.
-        A rebuilt inbox that equals the last one by value is that inbox
-        again, the same object; an empty one is no entry."""
-        last_sent = self._sent
+    def deliver(self, stations: list[radio.Station], moved: bool) -> radio.Inboxes:
+        """Each receiver's inbox, as ``radio.broadcast_step`` gives it, but
+        with each new packets object decoded once, its frames shared by
+        every delivery of its packets.  When a station ``moved`` (and on the
+        first call) the link table is rebuilt, and so is every inbox.
+        Otherwise only the inboxes of receivers that hear a sender whose
+        packets are not the object it sent last time are rebuilt; every
+        other receiver keeps its inbox.  A rebuilt inbox that equals the
+        last one by value is that inbox again, the same object; an empty
+        one is no entry."""
+        last_sent, last_frames = self._sent, self._frames
         self._sent = sent = {s.name: s.packets for s in stations}
+        self._frames = frames = {
+            name: last_frames[name] if out is last_sent.get(name)
+            else [(packet, radio.decode_advertisement(packet)) for packet in out]
+            for name, out in sent.items()
+        }
         last = self._inboxes
         if moved or self._links is None:
-            self._links = radio.link_table(stations, self.params)
-            self._heard = receivers = radio.receiver_view(self._links)
+            self._links = links = receivers = radio.link_table(stations, self.params)
             self._inboxes = inboxes = {}
         else:
-            changed = [name for name, out in sent.items() if out is not last_sent[name]]
-            receivers = dict.fromkeys(r for name in changed for r, _ in self._links[name])
+            links = self._links
+            changed = [name for name, out in sent.items() if out is not last_sent.get(name)]
+            receivers = dict.fromkeys(r for name in changed for r, _ in links[name])
             self._inboxes = inboxes = dict(last)
-        delivery, heard = radio.Delivery, self._heard
+        delivery = radio.Delivery
         for receiver in receivers:
             inbox = tuple([
-                delivery(sender, receiver, packet, rssi)
-                for sender, rssi in heard[receiver]
-                for packet in sent[sender]
+                delivery(sender, packet, rssi, frame)
+                for sender, rssi in links[receiver]
+                for packet, frame in frames[sender]
             ])
             if not inbox:
                 inboxes.pop(receiver, None)
@@ -610,8 +619,8 @@ class World:
 
         if self.backend.chunk_count != self._chunks_checked:
             self._chunks_checked = self.backend.chunk_count
-            for device in self.devices.values():
-                device.exposure_check(self.backend, now)
+            with suppress(BackendError):  # a transport failure skips the round
+                self.downloads.poll(self.backend, now)
 
         self._last_tick = now
         self._quiet_until = self._horizon(now)

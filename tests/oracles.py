@@ -6,16 +6,18 @@ the matcher is a quadratic
 cross-product scan instead of an index, and the distance uses the spherical
 law of cosines instead of the haversine form.  The one exception is the
 all-pairs link table and fan-out, which keep the package's distance and
-path-loss arithmetic so that rssi values compare exactly, the per-sighting
+path-loss arithmetic so that rssi values compare exactly (the fan-out looks
+up each receiver's senders one by one and parses each delivery's packet
+itself, with ``frame``), the per-sighting
 device, which keeps the package's protocol code and replaces how sightings
 are stored, matched and scored with one ``Observation`` and one
-``ExposureMatch`` per sighting, matched at every poll that brings chunks
-and taking each match event at its diagnosis's first match (the
-incremental rule a device derives its events from at the end of a run),
-the every-tick world, which keeps the package's tick phases and replaces
-only when devices poll and that no tick is repeated, and the per-capture
-adversaries, which store one entry per capture and rescan the replay
-window on every tick.  Every reference
+``ExposureMatch`` per sighting, matched as of every poll of its download
+log that brought chunks and taking each match event at its diagnosis's
+first match (the incremental rule a device derives its events from at the
+end of a run), the every-tick world, which keeps the package's tick phases
+and replaces only when the world polls and that no tick is repeated, and
+the per-capture adversaries, which store one entry per capture and rescan
+the replay window on every tick.  Every reference
 actor is stepped on every tick (``EveryTick``): a world holding one repeats
 no tick.  The per-sighting device records each sighting's contact row
 with ``actguard.record_contact`` into ``IndexedContactsTable``, a table of
@@ -187,18 +189,38 @@ def naive_links(stations, params):
     return table
 
 
-def naive_deliveries(stations, params):
-    """Every station's packets along links measured afresh for every pair
-    (``naive_links``): deliveries in sender, receiver, packet order."""
-    from relaysim.radio import Delivery
+def frame(packet):
+    """A packet's (rpi, aem) if it has the frozen 22-byte layout, the 0xFD6F
+    service UUID little-endian first, else None."""
+    if len(packet) == 22 and packet[:2] == b"\x6f\xfd":
+        return packet[2:18], packet[18:]
+    return None
 
+
+def delivery(sender, packet, rssi):
+    """One inbox entry for ``packet``, parsed here."""
+    return radio.Delivery(sender, packet, rssi, frame(packet))
+
+
+def naive_deliveries(stations, params):
+    """Every receiver's inbox from links measured afresh for every pair
+    (``naive_links``), looked up sender by sender: each packet of each
+    sender that reaches it, in sender then packet order, each packet parsed
+    per delivery.  A receiver that hears nothing has no inbox."""
     links = naive_links(stations, params)
-    return [
-        Delivery(sender=sender.name, receiver=receiver, packet=packet, rssi=rssi)
-        for sender in sorted(stations, key=lambda s: s.name)
-        for receiver, rssi in links[sender.name]
-        for packet in sender.packets
-    ]
+    ordered = sorted(stations, key=lambda s: s.name)
+    inboxes = {}
+    for receiver in ordered:
+        inbox = tuple(
+            delivery(sender.name, packet, rssi)
+            for sender in ordered
+            for name, rssi in links[sender.name]
+            if name == receiver.name
+            for packet in sender.packets
+        )
+        if inbox:
+            inboxes[receiver.name] = inbox
+    return inboxes
 
 
 def naive_replay_queue(captures, now, relay_delay, replay_ttl):
@@ -255,14 +277,18 @@ class PerSightingDevice(EveryTick, HonestDevice):
     matched against.  A defended one records each sighting's contact row as it
     receives it, into a table it keeps (``contacts``), and its
     ``contact_rows`` are that table's rows, one bucket a range.  Key schedule,
-    polling and verification are the package's; what a match pass scans
-    and builds, how matches are scored and when matching runs are replaced.
+    the download log and verification are the package's; what a match pass
+    scans and builds, how matches are scored and when matching runs are
+    replaced.
 
     Match events follow the incremental rule: every poll that brings
     chunks matches the new sightings against every chunk, and a
     diagnosis's event is (t, count) of the first such poll at which it has
     matches; ``report(end)`` adds, at ``end``, the diagnoses first matched
-    by a last pass at the end of the run."""
+    by a last pass at the end of the run.  The world polls the log, after
+    the device's turn in the tick; the device catches up with it at its
+    next turn or report, before anything else, so its sightings are those
+    of the poll's tick, and matches at that chunk's ``at``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -281,17 +307,18 @@ class PerSightingDevice(EveryTick, HonestDevice):
     def observations(self):
         return list(self.stored)
 
+    def on_deliveries(self, deliveries, now):
+        self._catch_up_downloads()
+        return super().on_deliveries(deliveries, now)
+
     def receive(self, deliveries, now):
         self.ensure_interval(now)
         own = self.current_rpi.bytes
         before = len(self.stored)
         for d in deliveries:
-            if d.receiver != self.name:
+            if d.frame is None:
                 continue
-            decoded = radio.decode_advertisement(d.packet)
-            if decoded is None:
-                continue
-            rpi, aem = decoded
+            rpi, aem = d.frame
             if rpi == own:
                 continue
             self.positions_by_rpi.setdefault(rpi, []).append(len(self.stored))
@@ -300,16 +327,18 @@ class PerSightingDevice(EveryTick, HonestDevice):
                 actguard.record_contact(self.contacts, own, rpi, self.position, now, self.params)
         return len(self.stored) - before
 
-    def poll_backend(self, backend, now):
-        super().poll_backend(backend, now)  # another device's poll may have brought the chunks
+    def _catch_up_downloads(self):
+        """Match as of the poll that brought the chunks new to this device.
+        The device has a turn between any two polls, so one poll did."""
         chunks = self.downloads.chunks
         new_ids = [d for d in chunks if d not in self.indexes]
         for d in new_ids:
             teks = [gaen.Tek(b, day) for b, day in chunks[d].teks]
             self.indexes[d] = gaen.build_rpi_index(teks, self.params)
-        if new_ids:
-            self._match_new_sightings(now)
-        return new_ids
+        polls = {chunks[d].at for d in new_ids}
+        assert len(polls) <= 1, f"{self.name} missed a poll: {sorted(polls)}"
+        for at in polls:
+            self._match_new_sightings(at)
 
     def evaluate_exposure(self):
         self._match_new_sightings(None)
@@ -384,6 +413,7 @@ class PerSightingDevice(EveryTick, HonestDevice):
         return first
 
     def report(self, end):
+        self._catch_up_downloads()
         self._match_new_sightings(end)
         row, _ = super().report(end)
         firsts = sorted((t, d, n) for d, (t, n) in self.first_matched.items())
@@ -396,8 +426,8 @@ class PerSightingDevice(EveryTick, HonestDevice):
 
 class EveryTickWorld(scenario.World):
     """The tick loop as it was before polling became event-driven and quiet
-    ticks were repeated: every tick runs in full, and every device polls
-    the backend on every tick.  ``World.finish`` ends the run."""
+    ticks were repeated: every tick runs in full, and the world polls the
+    backend on every tick.  ``World.finish`` ends the run."""
 
     def step(self):
         now = self.now
@@ -406,8 +436,7 @@ class EveryTickWorld(scenario.World):
             self.events += actor.on_deliveries(inboxes.get(actor.name, ()), now)
         while self._pending_diagnoses and self._pending_diagnoses[0].at_time <= now:
             self._run_diagnosis(self._pending_diagnoses.pop(0).actor, now)
-        for device in self.devices.values():
-            device.poll_backend(self.backend, now)
+        self.downloads.poll(self.backend, now)
         self.now += self.params.tick_seconds
 
 
@@ -449,7 +478,7 @@ class PerCaptureSniffer(EveryTick):
     def on_deliveries(self, deliveries, now):
         events = []
         for d in deliveries:
-            if d.receiver != self.name or radio.decode_advertisement(d.packet) is None:
+            if d.frame is None:
                 continue
             self.captures += 1
             if self.database.append(d.packet, now):

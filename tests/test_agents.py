@@ -11,7 +11,7 @@ from relaysim.agents import (
     RebroadcastAdversary,
     SnifferAdversary,
 )
-from relaysim.backend import BackendStore, BackendUnavailable, OtpError
+from relaysim.backend import BackendStore, OtpError
 from relaysim.params import AttackSpec, SimParams
 
 import oracles
@@ -26,8 +26,8 @@ def _device(name="dev", *, actguard=False, position=HERE, downloads=None):
                         params=PARAMS, actguard_enabled=actguard, downloads=downloads)
 
 
-def _delivery(receiver, packet, *, sender="peer", rssi=-45.0):
-    return radio.Delivery(sender=sender, receiver=receiver, packet=packet, rssi=rssi)
+def _delivery(packet, *, sender="peer", rssi=-45.0):
+    return oracles.delivery(sender, packet, rssi)
 
 
 def _peer_packet(seed=b"peerseed", day=0, interval=0, tx=-20):
@@ -62,7 +62,7 @@ class TestHonestDevice:
     def test_own_echo_filtered(self):
         dev = _device()
         dev.ensure_interval(0)
-        echo = _delivery("dev", dev.current_packet)
+        echo = _delivery(dev.current_packet)
         assert dev.receive([echo], 0) == 0
         assert dev.observations == []
 
@@ -70,30 +70,24 @@ class TestHonestDevice:
         dev = _device()
         dev.ensure_interval(0)
         packet, _, rpi = _peer_packet()
-        assert dev.receive([_delivery("dev", packet)], 0) == 1
+        assert dev.receive([_delivery(packet)], 0) == 1
         (obs,) = dev.observations
         assert obs.rpi == rpi.bytes
         assert obs.scan_time == 0
-
-    def test_deliveries_for_others_ignored(self):
-        dev = _device()
-        dev.ensure_interval(0)
-        packet, _, _ = _peer_packet()
-        assert dev.receive([_delivery("someone-else", packet)], 0) == 0
 
     def test_actguard_one_row_per_bucket(self):
         dev = _device(actguard=True)
         packet, _, _ = _peer_packet()
         for t in (0, 10, 20):  # three ticks inside one 300 s bucket
             dev.ensure_interval(t)
-            dev.receive([_delivery("dev", packet)], t)
+            dev.receive([_delivery(packet)], t)
         assert len(oracles.records(dev.contact_rows())) == 1
         assert len(dev.observations) == 3
 
     def test_unchanged_inbox_extends_one_run(self):
         dev = _device(actguard=True)
         packet, _, rpi = _peer_packet()
-        inbox = (_delivery("dev", packet),)
+        inbox = (_delivery(packet),)
         for t in range(0, 610, 10):
             assert dev.receive(inbox, t) == 1
         assert len(dev._runs) == 1
@@ -105,10 +99,10 @@ class TestHonestDevice:
     def test_scan_must_follow_the_last(self):
         dev = _device()
         packet, _, _ = _peer_packet()
-        dev.receive([_delivery("dev", packet)], 10)
+        dev.receive([_delivery(packet)], 10)
         for t in (10, 5):
             with pytest.raises(ValueError, match="does not follow"):
-                dev.receive([_delivery("dev", packet)], t)
+                dev.receive([_delivery(packet)], t)
         assert len(dev.observations) == 1
 
     def test_tek_retention_purges_old_days(self):
@@ -150,7 +144,7 @@ class TestSniffer:
         sniffer = SnifferAdversary("adv2", HERE, "Y", db)
         packet, _, _ = _peer_packet()
         for t in (0, 10, 20):
-            sniffer.sniff_tick([_delivery("adv2", packet, sender="victim")], t)
+            sniffer.sniff_tick([_delivery(packet, sender="victim")], t)
         assert len(db) == sniffer.captures == 3
         assert [e.capture_time for e in db.entries] == [0, 10, 20]
         assert all(e.packet == packet for e in db.entries)
@@ -159,15 +153,8 @@ class TestSniffer:
         db = MaliciousDatabase(PARAMS.tick_seconds)
         sniffer = SnifferAdversary("adv2", HERE, "Y", db)
         bogus = (0x1809).to_bytes(2, "little") + bytes(20)
-        sniffer.sniff_tick([_delivery("adv2", bogus, sender="thermometer")], 0)
+        sniffer.sniff_tick([_delivery(bogus, sender="thermometer")], 0)
         assert len(db) == sniffer.captures == 0
-
-    def test_only_own_deliveries_captured(self):
-        db = MaliciousDatabase(PARAMS.tick_seconds)
-        sniffer = SnifferAdversary("adv2", HERE, "Y", db)
-        packet, _, _ = _peer_packet()
-        sniffer.sniff_tick([_delivery("other", packet, sender="victim")], 0)
-        assert len(db) == 0
 
     def test_never_transmits(self):
         sniffer = SnifferAdversary("adv2", HERE, "Y", MaliciousDatabase(PARAMS.tick_seconds))
@@ -175,9 +162,9 @@ class TestSniffer:
 
 
 # Each sniffer's inbox on a tick: mostly its last one again (None), else a
-# new one of packets 0-4, 5 standing for a non-advertisement and 6 for a
-# delivery to someone else.  Long runs and few openings let the front of the
-# replay queue slide for many ticks between recomputes.
+# new one of packets 0-4, 5 standing for a non-advertisement and 6 for
+# packet 0 heard from a second sender.  Long runs and few openings let the
+# front of the replay queue slide for many ticks between recomputes.
 INBOX = st.sampled_from(
     [None] * 9 + [(), (0,), (1,), (2,), (0, 1), (1, 0), (3, 3), (2, 5), (6,), (4, 6, 1)]
 )
@@ -335,12 +322,12 @@ class TestRebroadcaster:
             for i, inbox in enumerate(fresh):
                 if inbox is not None:
                     inboxes[i] = tuple(
-                        _delivery(f"s{i}", bytes(22), sender="v") if k == 5
-                        else _delivery("other", packets[0], sender="v") if k == 6
-                        else _delivery(f"s{i}", packets[k], sender="v")
+                        _delivery(bytes(22), sender="v") if k == 5
+                        else _delivery(packets[0], sender="w") if k == 6
+                        else _delivery(packets[k], sender="v")
                         for k in inbox
                     )
-                    heard[i] = [packets[k] for k in inbox if k < 5]
+                    heard[i] = [packets[0 if k == 6 else k] for k in inbox if k != 5]
                 sniffers[i].sniff_tick(inboxes[i], now)
                 captures += [(now, i, p) for p in heard[i]]
         in_order = [(p, t) for t, _, p in sorted(captures, key=lambda c: c[:2])]
@@ -388,17 +375,12 @@ class TestDiagnosisUpload:
         packet, _, _ = _peer_packet()
         for t in (0, 10, 310):
             dev.ensure_interval(t)
-            dev.receive([_delivery("dev", packet)], t)
+            dev.receive([_delivery(packet)], t)
         otp = backend.authorize_otp(3600, now=400)
         diagnosis_id, _ = dev.diagnose_and_upload(backend, otp.code, now=400)
         batch = backend.fetch_hash_batch(diagnosis_id)
         assert batch == frozenset(actguard.digests(dev.contact_rows()))
         assert len(batch) == 2  # two buckets spanned
-
-
-class _FlakyBackend:
-    def fetch_chunks(self, since_index, now):
-        raise BackendUnavailable("network down")
 
 
 class TestExposureCheck:
@@ -411,27 +393,18 @@ class TestExposureCheck:
         aem_packet = positive.current_packet
         for t in range(0, 900, 10):
             victim.ensure_interval(t)
-            victim.receive([_delivery("victim", aem_packet, sender="positive")], t)
+            victim.receive([_delivery(aem_packet, sender="positive")], t)
         otp = backend.authorize_otp(3600, now=900)
         positive.diagnose_and_upload(backend, otp.code, now=900)
         return backend, victim
 
     def test_match_and_alert(self):
         backend, victim = self._infected_pair()
-        victim.exposure_check(backend, now=900)
+        victim.poll_backend(backend, now=900)
         state = victim.evaluate_exposure()
         assert state.gaen_alert
         assert state.matches_by_diagnosis == {1: 90}
         assert state.verdicts == {}  # defense disabled
-
-    def test_unreachable_backend_skips_round(self):
-        backend, victim = self._infected_pair()
-        victim.exposure_check(_FlakyBackend(), now=900)
-        state = victim.evaluate_exposure()
-        assert not state.gaen_alert  # nothing downloaded
-        victim.exposure_check(backend, now=910)
-        state = victim.evaluate_exposure()
-        assert state.gaen_alert
 
     def test_poll_reads_the_newest_id_without_scanning_the_rest(self):
         class Unscannable(dict):
@@ -456,16 +429,16 @@ class TestExposureCheck:
         victim = _device("victim", actguard=True)
         positive = _device("positive", actguard=True)
         for t in range(0, 300, 10):
-            positive.receive([_delivery("positive", victim.outgoing_packets(t)[0])], t)
+            positive.receive([_delivery(victim.outgoing_packets(t)[0])], t)
         otp = backend.authorize_otp(3600, now=300)
         positive.diagnose_and_upload(backend, otp.code, now=300)
         packet = positive.outgoing_packets(300)[0]
         victim.position = (44.70, 10.94)
-        victim.receive([_delivery("victim", packet, sender="relay")], 300)
-        victim.exposure_check(backend, now=300)
+        victim.receive([_delivery(packet, sender="relay")], 300)
+        victim.poll_backend(backend, now=300)
         assert victim.evaluate_exposure().verdicts[1].kind is actguard.VerdictKind.RELAY_SUSPECTED
         victim.position = HERE
-        victim.receive([_delivery("victim", packet, sender="positive")], 310)
+        victim.receive([_delivery(packet, sender="positive")], 310)
         assert victim.evaluate_exposure().verdicts[1].kind is actguard.VerdictKind.CONFIRMED_CONTACT
 
     def test_devices_sharing_a_log_score_as_with_their_own(self):
@@ -484,10 +457,10 @@ class TestExposureCheck:
             heard = positives if t < 300 else positives[:1]
             for device in [d for pair in pairs for d in pair]:
                 packets = [p.outgoing_packets(t)[0] for p in heard]
-                device.receive([_delivery(device.name, p) for p in packets], t)
+                device.receive([_delivery(p) for p in packets], t)
             for positive in heard:
                 packets = [twin.outgoing_packets(t)[0] for _, twin in pairs]
-                positive.receive([_delivery(positive.name, p) for p in packets], t)
+                positive.receive([_delivery(p) for p in packets], t)
 
         def publish_and_read(positive, now):
             positive.diagnose_and_upload(backend, backend.authorize_otp(3600, now).code, now)

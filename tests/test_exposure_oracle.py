@@ -14,13 +14,20 @@ import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from relaysim import gaen, radio
+from relaysim import gaen
 from relaysim.agents import DownloadLog, HonestDevice
 from relaysim.backend import BackendStore, FutureTekError
 from relaysim.params import SECONDS_PER_DAY, SimParams
 
 from oracles import (
-    aem_tx_power, brute_force_matches, hkdf16, naive_verdict, records, risk_score, rpi_bytes
+    aem_tx_power,
+    brute_force_matches,
+    delivery,
+    hkdf16,
+    naive_verdict,
+    records,
+    risk_score,
+    rpi_bytes,
 )
 
 HERE = (44.63, 10.94)
@@ -180,13 +187,9 @@ def test_incremental_exposure_equals_from_scratch(ops, tolerance, cells, buckets
             observer.ensure_interval(now)
             peer.ensure_interval(now + leads[p])
             observer.position = FAR if relayed else HERE
-            observer.receive(
-                [radio.Delivery(peer.name, observer.name, peer.current_packet, rssi)], now
-            )
+            observer.receive([delivery(peer.name, peer.current_packet, rssi)], now)
             if not relayed:
-                peer.receive(
-                    [radio.Delivery(observer.name, peer.name, observer.current_packet, rssi)], now
-                )
+                peer.receive([delivery(observer.name, observer.current_packet, rssi)], now)
         elif op[0] == "lead":
             leads[op[1]] = op[2]
         elif op[0] == "diagnose":

@@ -1,10 +1,10 @@
-"""During a run a device only polls; matching and scoring wait for its end,
-or for a result to be read.
+"""During a run the world only polls; matching and scoring wait for its
+end, or for a result to be read.
 
 The counting test pins how often a run polls, reads its matches and scores:
-once per device per published chunk, and once per device in all, for its
-report; and that the devices' one ``DownloadLog`` fetches each chunk and its
-hash batch once.  The tick test
+the world polls its devices' one ``DownloadLog`` once per round that
+published a chunk, which fetches each chunk and its hash batch once, and
+each device reads and scores once in all, for its report.  The tick test
 pins that no tick looks a run up or scores: all of it happens after the last
 tick.  The lookup test pins how matching works: on observation runs, each
 looked up at most once per read in the log's one index over every downloaded
@@ -22,7 +22,7 @@ from unittest import mock
 import pytest
 
 from relaysim import gaen
-from relaysim.agents import HonestDevice
+from relaysim.agents import DownloadLog, HonestDevice
 from relaysim.backend import BackendStore
 from relaysim.scenario import World
 
@@ -73,12 +73,12 @@ def test_polls_once_per_chunk_and_scores_once(name):
     # crowd_guarded_small is the benchmark's crowd_guarded shape, scaled down.
     world = World(golden_config(name))
     calls: Counter = Counter()
-    poll, fetch_chunks = HonestDevice.poll_backend, BackendStore.fetch_chunks
+    poll, fetch_chunks = DownloadLog.poll, BackendStore.fetch_chunks
 
-    def polling(device, backend, now):
-        calls["poll_backend"] += 1
+    def polling(log, backend, now):
+        calls["poll"] += 1
         with _counting(BackendStore, "fetch_hash_batch", calls):
-            return poll(device, backend, now)
+            return poll(log, backend, now)
 
     def fetching(backend, since_index, now):
         chunks = fetch_chunks(backend, since_index, now)
@@ -86,7 +86,7 @@ def test_polls_once_per_chunk_and_scores_once(name):
         return chunks
 
     with (
-        mock.patch.object(HonestDevice, "poll_backend", polling),
+        mock.patch.object(DownloadLog, "poll", polling),
         mock.patch.object(BackendStore, "fetch_chunks", fetching),
         _counting(HonestDevice, "_matched", calls),
         _counting(HonestDevice, "evaluate_exposure", calls),
@@ -96,7 +96,7 @@ def test_polls_once_per_chunk_and_scores_once(name):
     chunks = world.backend.chunk_count
     publishing_ticks = {e["t"] for e in report["events"] if e["event"] == "diagnosis"}
     assert chunks == len(publishing_ticks) > 0
-    assert calls["poll_backend"] == len(world.devices) * chunks
+    assert calls["poll"] == chunks  # once per publishing round
     assert calls["fetched chunks"] == calls["fetch_hash_batch"] == chunks  # once per world
     for once_per_device in ("_matched", "evaluate_exposure", "risk_score"):
         assert calls[once_per_device] == len(world.devices), once_per_device

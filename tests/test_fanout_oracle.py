@@ -1,6 +1,9 @@
-"""A world's cached link table and inboxes against the all-pairs fan-out,
-tick by tick, with stations that keep their packets object, send a copy of
-it or send new packets."""
+"""A world's cached link table and inboxes against the all-pairs fan-out
+and against ``radio.broadcast_step``'s, tick by tick, with stations that
+keep their packets object, send a copy of it or send new packets, some of
+them advertisements.  Each receiver's inbox holds exactly the packets of
+the stations in range of it, each delivery with the frame that
+``oracles.frame`` parses from its packet."""
 
 import math
 
@@ -15,8 +18,10 @@ from oracles import naive_deliveries
 OFFSET_M = st.tuples(st.floats(-12.5, 12.5), st.floats(-12.5, 12.5))
 # What a station sends on a tick: the very packets object it sent on its
 # last tick (before the first, ``()``), a new tuple equal to it, or a new
-# tuple of the packets listed.
+# tuple of the packets listed: bytes that are no advertisement, or one
+# that is (one of two; a wrong UUID is none).
 KEEP, COPY = "keep", "copy"
+ADVERTISEMENTS = (b"\x6f\xfd" + bytes(range(20)), b"\x6f\xfd" + bytes(20), b"\x09\x18" + bytes(20))
 
 
 def _position(origin, offset_m):
@@ -32,7 +37,8 @@ def _runs(draw):
     n = draw(st.integers(2, 8))
     origin = (draw(st.floats(-90.0, 90.0)), draw(st.floats(-180.0, 180.0)))
     start = draw(st.lists(OFFSET_M, min_size=n, max_size=n))
-    sends = st.sampled_from((KEEP, COPY)) | st.lists(st.binary(min_size=1, max_size=4), max_size=2)
+    packet = st.binary(min_size=1, max_size=4) | st.sampled_from(ADVERTISEMENTS)
+    sends = st.sampled_from((KEEP, COPY)) | st.lists(packet, max_size=2)
     ticks = draw(
         st.lists(
             st.tuples(
@@ -57,8 +63,8 @@ def _runs(draw):
 # inboxes, and a copy of the packets sent last counts as no change.
 @example(
     ((45.0, 11.0), [(0.0, 0.0), (0.0, 4.0), (0.0, 8.0), (0.0, -4.0)],
-     [([], [[b"a"], [b"b"], [b"c"], []]), ([], [KEEP, [b"x"], COPY, KEEP]),
-      ([], [COPY, KEEP, [b"c"], [b"d", b"e"]]), ([], [KEEP] * 4)])
+     [([], [[b"a"], [ADVERTISEMENTS[0]], [b"c"], []]), ([], [KEEP, [b"x"], COPY, KEEP]),
+      ([], [COPY, KEEP, [ADVERTISEMENTS[2]], [b"d", ADVERTISEMENTS[1]]]), ([], [KEEP] * 4)])
 )
 @example(
     ((10.0, 179.99999), [(0.0, 0.0), (0.0, 2.0), (0.0, -2.0)],
@@ -95,10 +101,7 @@ def test_cached_fanout_equals_all_pairs(run):
         inboxes = world.deliver(stations, moved=positions != previous)
 
         naive = naive_deliveries(stations, config.params)
-        expected: dict[str, list[radio.Delivery]] = {}
-        for d in naive:
-            expected.setdefault(d.receiver, []).append(d)
-        assert inboxes == {name: tuple(inbox) for name, inbox in expected.items()}
+        assert inboxes == naive
         assert radio.broadcast_step(stations, world._links) == naive
         assert (world._links is not links) == (positions != previous)
         # A receiver is handed its previous inbox again, the same object,

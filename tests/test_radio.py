@@ -1,4 +1,5 @@
-"""Packet codec, range model, path loss, and deterministic delivery."""
+"""Packet codec, range model, path loss, symmetric links, and deterministic
+per-receiver delivery."""
 
 import math
 
@@ -113,11 +114,18 @@ class TestBroadcast:
             _station("adv", (45.0, 11.0), [packet]),
             _station("scan", (45.0, 11.0)),
         ]
-        deliveries = _broadcast(stations)
-        assert len(deliveries) == 1
-        assert deliveries[0].sender == "adv"
-        assert deliveries[0].receiver == "scan"
-        assert deliveries[0].packet == packet
+        inboxes = _broadcast(stations)
+        assert list(inboxes) == ["scan"]
+        (delivery,) = inboxes["scan"]
+        assert delivery.sender == "adv"
+        assert delivery.packet == packet
+        assert delivery.frame == (GOLDEN_RPI, GOLDEN_AEM)
+
+    def test_non_protocol_packet_delivered_without_a_frame(self):
+        bogus = (0x1809).to_bytes(2, "little") + GOLDEN_RPI + GOLDEN_AEM
+        stations = [_station("adv", (45.0, 11.0), [bogus]), _station("scan", (45.0, 11.0))]
+        (delivery,) = _broadcast(stations)["scan"]
+        assert (delivery.packet, delivery.frame) == (bogus, None)
 
     def test_no_cross_place_delivery(self):
         packet = radio.encode_advertisement(GOLDEN_RPI, GOLDEN_AEM)
@@ -125,7 +133,7 @@ class TestBroadcast:
             _station("a", (0.0, 0.0), [packet]),
             _station("b", (0.01, 0.0), [packet]),  # ~1.1 km away
         ]
-        assert _broadcast(stations) == []
+        assert _broadcast(stations) == {}
 
     def test_delivery_order_deterministic(self):
         packet = radio.encode_advertisement(GOLDEN_RPI, GOLDEN_AEM)
@@ -137,9 +145,9 @@ class TestBroadcast:
         first = _broadcast(stations)
         second = _broadcast(list(reversed(stations)))
         assert first == second
-        assert [(d.sender, d.receiver) for d in first] == [
-            ("a", "b"), ("a", "c"), ("c", "a"), ("c", "b"),
-        ]
+        assert {r: [d.sender for d in inbox] for r, inbox in first.items()} == {
+            "a": ["c"], "b": ["a", "c"], "c": ["a"],
+        }
 
     def test_rssi_falls_with_distance(self):
         packet = radio.encode_advertisement(GOLDEN_RPI, GOLDEN_AEM)
@@ -150,7 +158,7 @@ class TestBroadcast:
                 _station("tx", origin, [packet]),
                 _station("rx", offset_north_m(origin, meters)),
             ]
-            (delivery,) = _broadcast(stations)
+            (delivery,) = _broadcast(stations)["rx"]
             rssi_by_distance.append(delivery.rssi)
         assert rssi_by_distance[0] > rssi_by_distance[1] > rssi_by_distance[2]
 
@@ -165,11 +173,13 @@ def test_no_delivery_ever_leaks_past_range(lat_a, lon_a, dlat, dlon):
     packet = radio.encode_advertisement(GOLDEN_RPI, GOLDEN_AEM)
     a = (lat_a, lon_a)
     b = (lat_a + dlat, lon_a + dlon)
-    deliveries = _broadcast([_station("a", a, [packet]), _station("b", b, [packet])])
+    inboxes = _broadcast([_station("a", a, [packet]), _station("b", b, [packet])])
     if radio.haversine_m(a, b) > 10.0:
-        assert deliveries == []
+        assert inboxes == {}
     else:
-        assert len(deliveries) == 2
+        assert {r: [d.sender for d in inbox] for r, inbox in inboxes.items()} == {
+            "a": ["b"], "b": ["a"],
+        }
 
 
 R = radio.EARTH_RADIUS_M
@@ -257,3 +267,19 @@ def test_grid_link_table_equals_all_pairs(case):
     params = SimParams(ble_range_m=r)
     stations = [_station(f"s{i}", p) for i, p in enumerate(positions)][::-1]
     assert _bits(radio.link_table(stations, params)) == _bits(naive_links(stations, params))
+
+
+@settings(max_examples=200)
+@given(_grid_case())
+@example((10.0, [(45.0, 11.0), (45.0, 11.00005), (45.00005, 11.0), (44.99995, 10.99995)]))
+@example((1e308, [(90.0, 0.0), (-90.0, 0.0), (0.0, 180.0), (0.0, -180.0)]))
+def test_every_link_runs_both_ways_with_the_same_rssi_bits(case):
+    # ``link_table`` measures each pair once and writes the link both ways;
+    # an all-pairs table measures it each way.
+    r, positions = case
+    params = SimParams(ble_range_m=r)
+    stations = [_station(f"s{i}", p) for i, p in enumerate(positions)]
+    table = radio.link_table(stations, params)
+    links = {(s, name): rssi.hex() for s, heard in table.items() for name, rssi in heard}
+    assert links == {(name, s): bits for (s, name), bits in links.items()}
+    assert _bits(table) == _bits(naive_links(stations, params))

@@ -12,8 +12,8 @@ Some ticks may be skipped, so a receiver is also handed an unchanged inbox
 more than one tick after its last scan.
 
 The second property runs the same random worlds once as they are and once
-as ``oracles.EveryTickWorld``, which runs every tick in full and polls for
-every device on every tick; the reports and device states must be
+as ``oracles.EveryTickWorld``, which runs every tick in full and polls the
+devices' download log on every tick; the reports and device states must be
 identical.
 
 Every reference runs every tick in full, so these properties also check
@@ -55,12 +55,12 @@ from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from relaysim import actguard, gaen, radio, scenario
+from relaysim import actguard, gaen, scenario
 from relaysim.agents import DownloadedChunk, HonestDevice
 from relaysim.params import SimParams
 
 from oracles import (
-    PER_CAPTURE_ADVERSARIES, EveryTickWorld, PerSightingDevice, naive_verdict, records
+    PER_CAPTURE_ADVERSARIES, EveryTickWorld, PerSightingDevice, delivery, naive_verdict, records
 )
 
 METERS_PER_DEGREE = 6371000.0 * 3.141592653589793 / 180.0
@@ -500,9 +500,7 @@ def test_any_inbox_sequence_stores_what_per_sighting_stores(
                 "junk": b"\x00" * 22,
                 **{n: p.outgoing_packets(now)[0] for n, p in peers.items()},
             }
-            inbox = tuple(
-                radio.Delivery(sender, "me", packets[src], rssi) for sender, src, rssi in deliveries
-            )
+            inbox = tuple(delivery(sender, packets[src], rssi) for sender, src, rssi in deliveries)
         stored = []
         for device in devices:
             if move:

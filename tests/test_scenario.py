@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from relaysim import scenario
+from relaysim.backend import BackendUnavailable
 from relaysim.params import NEIGHBORHOOD_MAX, AttackSpec, SimParams
 from relaysim.scenario import ConfigError
 
@@ -621,6 +622,37 @@ class TestRun:
     def test_self_report_never_alerts(self):
         report = scenario.run(scenario.load_config(_minimal_config()))
         assert report.actor("b")["risk_score"] == 0.0
+
+    def test_unreachable_backend_skips_the_worlds_poll_round(self):
+        # The backend is out of reach for the round after b's upload at 300:
+        # the run goes on, the download log stays empty until the round
+        # after c's upload at 600, which brings both chunks, and a's match
+        # events come at that poll.
+        data = _minimal_config(duration=900)
+        data["actors"].append({"name": "c", "role": "honest", "place": "P"})
+        data["diagnosis_events"].append({"actor": "c", "at_time": 600})
+        world = scenario.World(scenario.load_config(data))
+        fetch_chunks, failed = world.backend.fetch_chunks, []
+
+        def flaky(since_index, now):
+            if not failed:
+                failed.append(now)
+                raise BackendUnavailable("network down")
+            return fetch_chunks(since_index, now)
+
+        world.backend.fetch_chunks = flaky
+        for _ in range(90):
+            world.step()
+            if world.now <= 600:  # every tick before c's upload
+                assert (world.downloads.chunks, world.downloads.index) == ({}, {})
+        report = world.finish().to_dict()
+        assert failed == [300]
+        assert {d: chunk.at for d, chunk in world.downloads.chunks.items()} == {1: 600, 2: 600}
+        matches = [e for e in report["events"] if e["event"] == "match"]
+        assert [(e["t"], e["actor"], e["diagnosis_id"]) for e in matches] == [
+            (600, "a", 1), (600, "a", 2), (600, "b", 2), (600, "c", 1),
+        ]
+        assert report["actors"]["a"]["gaen_alert"] is True
 
 
 # Report-shaped JSON trees: keys and strings that look like JSON syntax,

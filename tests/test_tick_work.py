@@ -18,10 +18,11 @@ runs ahead of it catching up with its first capture, or its first or last
 capture leaving the window; a run that closed out of a window shorter
 than one tick ends the ticks run in full.  A delivery on which nothing
 moved builds only the inboxes of receivers that hear a sender whose
-packets changed.  A link-table build converts each station's coordinates
-once and measures it only against those in the grid cubes next to its
-own.  The contact-hash defense runs no tick in full that the same world
-without it would repeat.
+packets changed, and the world decodes each packet once per new packets
+object put on the air, however many receivers hear it.  A link-table build
+converts each station's coordinates once and measures each pair of
+stations in neighbouring grid cubes once.  The contact-hash defense runs
+no tick in full that the same world without it would repeat.
 """
 
 from collections import Counter
@@ -141,6 +142,42 @@ def test_a_delivery_without_a_move_rebuilds_only_changed_senders_inboxes(name):
         last = packets
 
 
+@pytest.mark.parametrize("name", golden_names())
+def test_each_packet_is_decoded_once(name):
+    # Per ``deliver`` call, one ``decode_advertisement`` per packet of each
+    # packets object not sent on the last call (every one on the first),
+    # and no decoding anywhere else.
+    world = World(golden_config(name))
+    decoded: list = []
+    decode = radio.decode_advertisement
+
+    def counted(packet):
+        decoded.append(packet)
+        return decode(packet)
+
+    calls: list = []  # (stations, packets decoded) per call
+    deliver = world.deliver
+
+    def recorded(stations, moved):
+        before = len(decoded)
+        inboxes = deliver(stations, moved)
+        calls.append((stations, len(decoded) - before))
+        return inboxes
+
+    world.deliver = recorded
+    with mock.patch.object(radio, "decode_advertisement", counted):
+        report = world.run()
+    assert report.to_json_bytes() == (REPORTS / f"{name}.json").read_bytes()
+    last: dict = {}
+    expected = 0
+    for stations, count in calls:
+        new = sum(len(s.packets) for s in stations if s.packets is not last.get(s.name))
+        assert count == new
+        expected += new
+        last = {s.name: s.packets for s in stations}
+    assert len(decoded) == expected > 0
+
+
 def _handed(world: World) -> dict[str, list]:
     """Run ``world``; each actor's inboxes, as (now, inbox) per tick."""
     handed: dict[str, list] = {a.name: [] for a in world.actors}
@@ -255,10 +292,7 @@ def test_capture_runs_open_per_new_sniffer_inbox(name):
             continue
         inbox, now = call
         again = sniffer.name in last and last[sniffer.name] == (id(inbox), now - tick)
-        heard = any(
-            d.receiver == sniffer.name and radio.decode_advertisement(d.packet) is not None
-            for d in inbox
-        )
+        heard = any(d.frame is not None for d in inbox)
         new_inboxes += heard and not again
         last[sniffer.name] = (id(inbox), now)
     database = world.database
@@ -349,37 +383,18 @@ def test_a_closed_run_out_of_a_short_window_ends_the_full_ticks():
     assert World(config).run().to_json_bytes() == expected
 
 
-def test_a_link_table_build_measures_only_neighbouring_stations():
-    # 6 places 1.1 km apart, 8 stations within 3 m of each place's centre.
-    stations = [
+def _six_places() -> list:
+    """6 places 1.1 km apart, 8 stations within 3 m of each place's centre."""
+    return [
         radio.Station(f"p{p}s{s}", (45.0 + 0.01 * p + 1e-5 * (s % 3), 11.0 + 1e-5 * (s // 3)))
         for p in range(6)
         for s in range(8)
     ]
-    measured = []
-    haversine_m = radio.haversine_m
-
-    def counted(a, b):
-        measured.append((a, b))
-        return haversine_m(a, b)
-
-    with mock.patch.object(radio, "haversine_m", counted):
-        table = radio.link_table(stations, SimParams())
-    assert table == naive_links(stations, SimParams())
-    assert all(len(links) == 7 for links in table.values())
-    assert len(measured) <= 6 * 8 * 8 < 48 * 47
 
 
-def test_a_link_table_build_converts_each_station_once():
-    # The stations of the test above.  ``haversine_m`` converts both of its
-    # points on every call; a build converts each station once (``_point``)
-    # and measures a pair from the two conversions (``_arc_m``).
-    stations = [
-        radio.Station(f"p{p}s{s}", (45.0 + 0.01 * p + 1e-5 * (s % 3), 11.0 + 1e-5 * (s // 3)))
-        for p in range(6)
-        for s in range(8)
-    ]
-    calls: dict[str, list] = {"_point": [], "_arc_m": []}
+def _counted_link_table(stations: list, attrs: tuple[str, ...]) -> tuple[dict, dict]:
+    """``link_table(stations)`` and the arguments of each call to ``attrs``."""
+    calls: dict[str, list] = {attr: [] for attr in attrs}
     with ExitStack() as patches:
         for attr, recorded in calls.items():
             original = getattr(radio, attr)
@@ -390,6 +405,26 @@ def test_a_link_table_build_converts_each_station_once():
 
             patches.enter_context(mock.patch.object(radio, attr, counted))
         table = radio.link_table(stations, SimParams())
+    return table, calls
+
+
+def test_a_link_table_build_measures_only_neighbouring_stations():
+    # A build measures (``_arc_m``) each pair of stations at one place once
+    # and no pair across places, 1.1 km apart.
+    stations = _six_places()
+    station_at = {radio._point(s.position): s.name for s in stations}
+    table, calls = _counted_link_table(stations, ("_arc_m",))
+    assert table == naive_links(stations, SimParams())
+    assert all(len(links) == 7 for links in table.values())
+    pairs = [frozenset(station_at[point] for point in args) for args in calls["_arc_m"]]
+    assert len(set(pairs)) == len(pairs) == 6 * 28  # no pair twice, none across places
+
+
+def test_a_link_table_build_converts_each_station_once():
+    # ``haversine_m`` converts both of its points on every call; a build
+    # converts each station once (``_point``) and measures a pair from the
+    # two conversions.
+    stations = _six_places()
+    table, calls = _counted_link_table(stations, ("_point",))
     assert table == naive_links(stations, SimParams())
     assert sorted(calls["_point"]) == sorted((s.position,) for s in stations)
-    assert len(calls["_arc_m"]) <= 6 * 8 * 8 < 48 * 47

@@ -35,11 +35,6 @@ from .backend import BackendStore, encode_diagnosis_payload
 from .params import SECONDS_PER_DAY, AttackSpec, SimParams
 
 
-class DatabaseEntry(NamedTuple):
-    packet: bytes
-    capture_time: int
-
-
 class CaptureRun:
     """The protocol packets of one sniffer inbox, in inbox order, captured on
     every tick from ``first`` through ``last``: one capture run per packet.
@@ -116,18 +111,6 @@ class MaliciousDatabase:
         if now < self._latest:
             raise ValueError(f"capture at t={now} precedes the last one at t={self._latest}")
         self._latest = now
-
-    @property
-    def entries(self) -> list[DatabaseEntry]:
-        """Every capture, in capture order (for tests and oracles)."""
-        captures = [
-            ((t, run.rank, run.seq, i), packet)
-            for run in self.runs
-            for t in range(run.first, run.last + 1, self.tick_seconds)
-            for i, packet in enumerate(run.packets)
-        ]
-        captures.sort()
-        return [DatabaseEntry(packet, key[0]) for key, packet in captures]
 
     def captures(self, rank: int | None = None) -> int:
         """How many captures sniffer ``rank`` made, or everyone if None."""
@@ -386,10 +369,13 @@ class DownloadLog:
     entry) for each of its entries, chunk by chunk, in each chunk's
     ``build_rpi_index`` order.  The devices of a world share one log, which
     the world polls once per round that published a chunk: each new chunk
-    is fetched and expanded once."""
+    is fetched and expanded once, through ``until`` (in full by default):
+    the index matches only scans by then.  A world's log expands through its
+    last tick, so a scan after that is outside the contract."""
 
-    def __init__(self, params: SimParams) -> None:
+    def __init__(self, params: SimParams, until: float = math.inf) -> None:
         self.params = params
+        self.until = until
         self.chunks: dict[int, DownloadedChunk] = {}
         self.index: dict[bytes, list[gaen.DiagnosisEntry]] = {}
 
@@ -404,7 +390,7 @@ class DownloadLog:
         for chunk, batch in fetched:
             self.chunks[chunk.index] = DownloadedChunk(chunk.teks, batch, now)
             teks = [gaen.Tek(b, d) for b, d in chunk.teks]
-            for rpi, entries in gaen.build_rpi_index(teks, self.params).items():
+            for rpi, entries in gaen.build_rpi_index(teks, self.params, self.until).items():
                 self.index.setdefault(rpi, []).extend((chunk.index, e) for e in entries)
         return [chunk.index for chunk, _ in fetched]
 
@@ -493,10 +479,8 @@ class HonestDevice:
         subkeys = self._subkeys.get(day)
         if subkeys is None:
             tek = gaen.generate_tek(self.seed, day)
-            subkeys = (
-                gaen.HmacSha256(gaen.derive_rpik(tek)),
-                gaen.HmacSha256(gaen.derive_aemk(tek)),
-            )
+            rpik, aemk = gaen.derive_subkeys(tek)
+            subkeys = (gaen.HmacSha256(rpik), gaen.HmacSha256(aemk))
             self.teks[day] = tek
             self._subkeys[day] = subkeys
             self._purge_teks(day)

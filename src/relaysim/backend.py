@@ -52,10 +52,6 @@ class HashLengthError(BackendError):
     """An uploaded contact digest is not ``CONTACT_HASH_LENGTH`` bytes."""
 
 
-class BackendUnavailable(BackendError):
-    """Transient transport failure; the caller should retry later."""
-
-
 class Otp:
     __slots__ = ("code", "authorized_at", "ttl", "used")
 

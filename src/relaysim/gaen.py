@@ -4,11 +4,12 @@ One temporary exposure key (TEK) is generated per device per day.  From it
 two 16-byte subkeys are derived with HKDF-SHA256 under fixed labels, one for
 the rolling proximity identifiers (RPIs) broadcast over the air and one for
 the associated encrypted metadata (AEM) that carries the transmit power.
-HKDF is RFC 5869 extract-then-expand.  HMAC-SHA256 is RFC 2104 computed
-from ``hashlib.sha256`` states (see ``HmacSha256``): a key's inner and outer
-pad states are hashed once and copied for each message, so the fixed
-extract key, a device's daily subkeys and a published key's subkeys are keyed
-once however many messages they take.
+HKDF is RFC 5869 extract-then-expand; both subkeys expand from one extract.
+HMAC-SHA256 is RFC 2104 computed from ``hashlib.sha256`` states (see
+``HmacSha256``): a key's inner and outer pad states are hashed once and
+copied for each message, so the fixed extract key, a device's daily subkeys
+and a published key's subkeys are keyed once however many messages they take.
+A run's download log expands a published key only through the run's last tick.
 
 The concrete derivations below are frozen constants of this simulator,
 covered by golden-vector tests.  They mirror how the deployed protocol
@@ -27,6 +28,7 @@ an error; the protocol carries no authenticity for metadata.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections.abc import Iterable
 from hashlib import sha256
@@ -136,18 +138,15 @@ def generate_tek(seed: bytes, day_index: int) -> Tek:
     return Tek(bytes=mac[:TEK_LENGTH], day_index=day_index)
 
 
-def _hkdf16(ikm: bytes, label: bytes) -> bytes:
-    """RFC 5869 with no salt (HashLen zero bytes) and one expand block."""
-    prk = _EXTRACT.digest(ikm)
-    return HmacSha256(prk).digest(label + b"\x01")[:KEY_LENGTH]
+def _hkdf16(ikm: bytes, *labels: bytes) -> tuple[bytes, ...]:
+    """RFC 5869 with no salt (HashLen zero bytes): one extract, one expand block per label."""
+    prk = HmacSha256(_EXTRACT.digest(ikm))
+    return tuple(prk.digest(label + b"\x01")[:KEY_LENGTH] for label in labels)
 
 
-def derive_rpik(tek: Tek) -> bytes:
-    return _hkdf16(tek.bytes, RPIK_LABEL)
-
-
-def derive_aemk(tek: Tek) -> bytes:
-    return _hkdf16(tek.bytes, AEMK_LABEL)
+def derive_subkeys(tek: Tek) -> tuple[bytes, ...]:
+    """The key's (rpik, aemk), from one HKDF extract."""
+    return _hkdf16(tek.bytes, RPIK_LABEL, AEMK_LABEL)
 
 
 def derive_rpi(rpik: Key, interval_index: int, params: SimParams) -> Rpi:
@@ -177,10 +176,18 @@ def decrypt_aem(aemk: Key, rpi: bytes, aem: bytes) -> int:
     return plain - (plain >> 31 << 32)  # the int32 it encodes
 
 
-def expand_diagnosis_key(tek: Tek, params: SimParams) -> list[Rpi]:
-    """All pseudonyms a published daily key resolves to, in interval order."""
-    rpik = HmacSha256(derive_rpik(tek))
-    return [derive_rpi(rpik, i, params) for i in range(params.intervals_per_day)]
+def expand_diagnosis_key(tek: Tek, params: SimParams, until: float = math.inf) -> list[Rpi]:
+    """The pseudonyms of a published daily key, in interval order, whose
+    windows widened by the clock tolerance start at or before ``until``: all
+    of the day's by default.  No scan by ``until`` can match another."""
+    n = params.intervals_per_day
+    late = until - (tek.day_index * SECONDS_PER_DAY - params.clock_tolerance_seconds)
+    if late < 0:  # ``until`` comes before the first widened window
+        return []
+    if late < (n - 1) * params.rotation_seconds:  # finite, so it floor-divides
+        n = int(late // params.rotation_seconds) + 1
+    rpik = HmacSha256(derive_subkeys(tek)[0])
+    return [derive_rpi(rpik, i, params) for i in range(n)]
 
 
 def rpi_window(day_index: int, interval_index: int, rotation_seconds: int) -> tuple[int, int]:
@@ -212,16 +219,24 @@ class MatchedSightings(NamedTuple):
     times: range  # the matched scan times, ascending, not empty
 
 
-def build_rpi_index(diagnosis_teks: list[Tek], params: SimParams) -> RpiIndex:
+def build_rpi_index(
+    diagnosis_teks: list[Tek], params: SimParams, until: float = math.inf
+) -> RpiIndex:
     """Expand a chunk's keys once into an index from RPI bytes to pseudonyms.
 
-    The index depends only on the keys and the rotation period, so one
-    index can serve every device that downloads the chunk.
+    Each key is expanded through ``until`` (see ``expand_diagnosis_key``),
+    so the index matches each scan by ``until`` as the full one does; a key
+    with no pseudonym left derives no AEM key.  The index depends only on
+    the keys, ``until`` and ``params``, so one index can serve every device
+    that downloads the chunk.
     """
     index: RpiIndex = {}
     for tek in diagnosis_teks:
-        aemk = HmacSha256(derive_aemk(tek))
-        for rpi in expand_diagnosis_key(tek, params):
+        rpis = expand_diagnosis_key(tek, params, until)
+        if not rpis:
+            continue
+        aemk = HmacSha256(derive_subkeys(tek)[1])
+        for rpi in rpis:
             start, end = rpi_window(tek.day_index, rpi.interval_index, params.rotation_seconds)
             index.setdefault(rpi.bytes, []).append(
                 IndexedRpi(tek, aemk, rpi.interval_index, start, end)

@@ -479,8 +479,10 @@ class World:
     which share the world's one ``downloads`` log.  The world polls it once
     per round that published a chunk, so a chunk is fetched and expanded
     once; a ``BackendError`` skips the round and leaves the log as it was.
-    Actor state is read only after the actors caught up with the repeated
-    ticks: on the next tick run in full, or in ``finish``.
+    It expands a published key only through the last tick ``run`` steps;
+    stepping a world past it is outside the contract.  Actor state is read
+    only after the actors caught up with the repeated ticks: on the next
+    tick run in full, or in ``finish``.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -491,7 +493,8 @@ class World:
         self.database = MaliciousDatabase(self.params.tick_seconds)
         self.events: list[dict] = []
 
-        self.downloads = DownloadLog(self.params)  # shared by every device of this run
+        last_tick = (config.duration // self.params.tick_seconds - 1) * self.params.tick_seconds
+        self.downloads = DownloadLog(self.params, last_tick)  # shared by every device of this run
         specs = sorted(config.actors, key=lambda a: a.name)
         self.actors = [self._new_actor(spec) for spec in specs]
         self.devices = {a.name: a for a in self.actors if isinstance(a, HonestDevice)}

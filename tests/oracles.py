@@ -33,9 +33,11 @@ import hmac
 import math
 import struct
 from operator import attrgetter
+from typing import NamedTuple
 
 from relaysim import actguard, gaen, radio, scenario
-from relaysim.agents import DatabaseEntry, ExposureState, HonestDevice
+from relaysim.agents import ExposureState, HonestDevice
+from relaysim.backend import BackendError
 
 SECONDS_PER_DAY = 86400
 
@@ -438,6 +440,28 @@ class EveryTickWorld(scenario.World):
             self._run_diagnosis(self._pending_diagnoses.pop(0).actor, now)
         self.downloads.poll(self.backend, now)
         self.now += self.params.tick_seconds
+
+
+class BackendUnavailable(BackendError):
+    """Transient transport failure; the caller should retry later."""
+
+
+class DatabaseEntry(NamedTuple):
+    packet: bytes
+    capture_time: int
+
+
+def capture_entries(database) -> list[DatabaseEntry]:
+    """Every capture of a ``MaliciousDatabase``'s runs, one entry each, in
+    capture order."""
+    captures = [
+        ((t, run.rank, run.seq, i), packet)
+        for run in database.runs
+        for t in range(run.first, run.last + 1, database.tick_seconds)
+        for i, packet in enumerate(run.packets)
+    ]
+    captures.sort()
+    return [DatabaseEntry(packet, key[0]) for key, packet in captures]
 
 
 class PerCaptureDatabase:

@@ -2,11 +2,14 @@
 """The behaviour contract, checked with the standard library alone.
 
 Runs every golden config to its report and table bytes and compares them
-with ``golden/reports`` and ``golden/tables``, replays the HTTP exchanges
-of ``golden/wire_fixtures.json`` against a ``BackendHTTPServer`` on a free
-port, and runs each way the CLI exits with status 2.  It imports nothing
-outside the standard library and ``relaysim`` (from ``src/``), so any
-supported interpreter can run it, with or without pytest:
+with ``golden/reports`` and ``golden/tables``, checks the boundary cases of
+expanding a published key through a bound (the prefix of its pseudonyms
+whose widened windows start by then, all of them when unbounded), replays
+the HTTP exchanges of ``golden/wire_fixtures.json`` against a
+``BackendHTTPServer`` on a free port, and runs each way the CLI exits with
+status 2.  It imports nothing outside the standard library and ``relaysim``
+(from ``src/``), so any supported interpreter can run it, with or without
+pytest:
 
     python3.10 tests/stdlib_contract.py
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import random
 import socket
 import sys
@@ -88,6 +92,28 @@ def _golden() -> list[str]:
         ):
             if got != path.read_bytes():
                 failed.append(f"{name}: {kind} differs from {path.name}")
+    return failed
+
+
+def _expansion() -> list[str]:
+    from relaysim import gaen
+    from relaysim.params import SimParams
+
+    tek = gaen.Tek(bytes(range(16)), 1)
+    failed = []
+    for tolerance in (0, 30):
+        params = SimParams(clock_tolerance_seconds=tolerance)
+        full = gaen.expand_diagnosis_key(tek, params)
+        day = 86400 - tolerance  # the widened start of the key's first window
+        counts = {
+            day - 1: 0, day: 1, day + 7199: 1, day + 7200: 2,
+            day + 11 * 7200: 12, 3 * 86400: 12, math.inf: 12,
+        }
+        if [r.interval_index for r in full] != list(range(12)):
+            failed.append(f"tolerance {tolerance}: the full expansion is not the day's 12")
+        for until, count in counts.items():
+            if gaen.expand_diagnosis_key(tek, params, until) != full[:count]:
+                failed.append(f"tolerance {tolerance}, until {until}: not the first {count}")
     return failed
 
 
@@ -168,7 +194,7 @@ def _cli() -> list[str]:
 def main() -> int:
     sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
     failures = []
-    for check in (_golden, _wire, _cli):
+    for check in (_golden, _expansion, _wire, _cli):
         failed = check()
         print(f"{check.__name__[1:]}: {'ok' if not failed else 'FAILED'}")
         failures += failed

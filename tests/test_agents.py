@@ -32,8 +32,9 @@ def _delivery(packet, *, sender="peer", rssi=-45.0):
 
 def _peer_packet(seed=b"peerseed", day=0, interval=0, tx=-20):
     tek = gaen.generate_tek(seed, day)
-    rpi = gaen.derive_rpi(gaen.derive_rpik(tek), interval, PARAMS)
-    aem = gaen.encrypt_aem(gaen.derive_aemk(tek), rpi.bytes, tx)
+    rpik, aemk = gaen.derive_subkeys(tek)
+    rpi = gaen.derive_rpi(rpik, interval, PARAMS)
+    aem = gaen.encrypt_aem(aemk, rpi.bytes, tx)
     return radio.encode_advertisement(rpi.bytes, aem), tek, rpi
 
 
@@ -42,7 +43,7 @@ class TestHonestDevice:
         dev = _device()
         dev.ensure_interval(0)
         tek = gaen.generate_tek(dev.seed, 0)
-        expected = gaen.derive_rpi(gaen.derive_rpik(tek), 0, PARAMS)
+        expected = gaen.derive_rpi(gaen.derive_subkeys(tek)[0], 0, PARAMS)
         assert dev.current_rpi == expected
 
     def test_rotation_at_two_hour_boundary(self):
@@ -114,18 +115,23 @@ class TestHonestDevice:
 
     def test_each_day_derives_its_subkeys_once(self, monkeypatch):
         # Every rotation of a day reuses the day's keyed subkeys, which go
-        # with the day's key; the packets are those of the independent oracle.
-        days = []
-        derive_rpik = gaen.derive_rpik
-        monkeypatch.setattr(
-            gaen, "derive_rpik", lambda tek: days.append(tek.day_index) or derive_rpik(tek)
-        )
+        # with the day's key and come from one HKDF extract of it; the
+        # packets are those of the independent oracle.
+        extracted = []
+        extract = gaen._EXTRACT
+
+        class CountingExtract:
+            def digest(self, ikm):
+                extracted.append(ikm)
+                return extract.digest(ikm)
+
+        monkeypatch.setattr(gaen, "_EXTRACT", CountingExtract())
         dev = _device()
         packets = []
         for t in range(0, 20 * 86400, PARAMS.rotation_seconds):
             dev.ensure_interval(t)
             packets.append(dev.current_packet)
-        assert days == list(range(20))
+        assert extracted == [oracles.tek_bytes(dev.seed, day) for day in range(20)]
         assert sorted(dev._subkeys) == sorted(dev.teks) == list(range(6, 20))
         expected = []
         for day in range(20):
@@ -146,8 +152,8 @@ class TestSniffer:
         for t in (0, 10, 20):
             sniffer.sniff_tick([_delivery(packet, sender="victim")], t)
         assert len(db) == sniffer.captures == 3
-        assert [e.capture_time for e in db.entries] == [0, 10, 20]
-        assert all(e.packet == packet for e in db.entries)
+        assert [e.capture_time for e in oracles.capture_entries(db)] == [0, 10, 20]
+        assert all(e.packet == packet for e in oracles.capture_entries(db))
 
     def test_non_protocol_packet_not_captured(self):
         db = MaliciousDatabase(PARAMS.tick_seconds)
@@ -199,7 +205,7 @@ class TestRebroadcaster:
         db.capture(-1, (packet,), 0)
         (replayed,) = adv.rebroadcast_tick(10)
         assert replayed == packet
-        assert any(e.packet == replayed for e in db.entries)
+        assert any(e.packet == replayed for e in oracles.capture_entries(db))
 
     def test_identical_captures_collapse_per_tick(self):
         db = MaliciousDatabase(PARAMS.tick_seconds)
@@ -331,7 +337,7 @@ class TestRebroadcaster:
                 sniffers[i].sniff_tick(inboxes[i], now)
                 captures += [(now, i, p) for p in heard[i]]
         in_order = [(p, t) for t, _, p in sorted(captures, key=lambda c: c[:2])]
-        assert db.entries == in_order
+        assert oracles.capture_entries(db) == in_order
         assert len(db) == len(captures)
         assert sum(s.captures for s in sniffers) == sum(1 for c in captures if c[1] >= 0)
 

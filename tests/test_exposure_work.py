@@ -11,9 +11,12 @@ looked up at most once per read in the log's one index over every downloaded
 chunk, whatever the chunk count, with no per-sighting ``Observation`` or
 ``ExposureMatch`` built.  The expansion test pins that the devices of a run
 share that index, which grows chunk by chunk: each published key is expanded
-once, however often exposure is read mid-run.  The purity test
-evaluates every device's exposure after every tick and checks that the
-report bytes do not change.
+once, however often exposure is read mid-run, and only through the run's
+last tick, so a run that ends early in the keys' day derives few of its
+pseudonyms.  The twin test runs every golden config again with a log that
+expands each key in full and checks that the report bytes do not change.
+The purity test evaluates every device's exposure after every tick and
+checks that the report bytes do not change.
 """
 
 from collections import Counter
@@ -166,15 +169,54 @@ def test_each_run_is_looked_up_once_per_chunk_and_no_sighting_is_built(name):
     assert sum(table.lookups.total() for _, table in reads) > 0
 
 
+class FullExpansionWorld(World):
+    """A world whose devices share a download log that expands every
+    published key in full."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.downloads = DownloadLog(self.params)
+        for device in self.devices.values():
+            device.downloads = self.downloads
+
+
+def _expanding(derived: list):
+    """Record (pseudonyms derived, pseudonyms in the day) per expansion."""
+    expand = gaen.expand_diagnosis_key
+
+    def expanding(tek, params, *until):
+        rpis = expand(tek, params, *until)
+        derived.append((len(rpis), params.intervals_per_day))
+        return rpis
+
+    return mock.patch.object(gaen, "expand_diagnosis_key", expanding)
+
+
+# Pseudonyms derived of each published key's day: every golden run ends
+# within the keys' first one to three rotation windows, widened by the
+# tolerance.
+DERIVED_PER_KEY = {"replay_expired": (3, 12), "packed_small": (5, 144)}
+
+
 @pytest.mark.parametrize("name", golden_names())
 def test_each_published_key_is_expanded_once(name):
     for world_class in (World, ReadingWorld):  # the latter reads exposure after every tick
         world = world_class(golden_config(name))
-        calls: Counter = Counter()
-        with _counting(gaen, "expand_diagnosis_key", calls):
+        derived: list = []
+        with _expanding(derived):
             world.run()
         chunks = world.backend.fetch_chunks(0, world.now)
-        assert calls["expand_diagnosis_key"] == sum(len(c.teks) for c in chunks) > 0, world_class
+        assert len(derived) == sum(len(c.teks) for c in chunks) > 0, world_class
+        assert set(derived) == {DERIVED_PER_KEY.get(name, (1, 12))}, world_class
+
+
+@pytest.mark.parametrize("name", golden_names())
+def test_expanding_keys_in_full_leaves_the_report_alone(name):
+    derived: list = []
+    with _expanding(derived):
+        full = FullExpansionWorld(golden_config(name)).run().to_json_bytes()
+    assert derived and all(n == per_day for n, per_day in derived)  # every key in full
+    assert full == World(golden_config(name)).run().to_json_bytes()
 
 
 @pytest.mark.parametrize("name", ["scenario1", "packed_small"])

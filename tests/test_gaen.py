@@ -1,6 +1,7 @@
 """Key schedule, metadata encryption, matching, and risk scoring."""
 
 import hmac
+import math
 import random
 
 import pytest
@@ -55,12 +56,10 @@ class TestKeySchedule:
     def test_golden_vectors(self):
         assert gaen.generate_tek(GOLDEN_SEED, 0).bytes.hex() == GOLDEN_TEK_DAY0
         assert gaen.generate_tek(GOLDEN_SEED, 5).bytes.hex() == GOLDEN_TEK_DAY5
-        assert gaen.derive_rpik(GOLDEN_TEK).hex() == GOLDEN_RPIK
-        assert gaen.derive_aemk(GOLDEN_TEK).hex() == GOLDEN_AEMK
-        rpik = gaen.derive_rpik(GOLDEN_TEK)
+        rpik, aemk = gaen.derive_subkeys(GOLDEN_TEK)
+        assert (rpik.hex(), aemk.hex()) == (GOLDEN_RPIK, GOLDEN_AEMK)
         assert gaen.derive_rpi(rpik, 0, PARAMS).bytes.hex() == GOLDEN_RPI_0
         assert gaen.derive_rpi(rpik, 3, PARAMS).bytes.hex() == GOLDEN_RPI_3
-        aemk = gaen.derive_aemk(GOLDEN_TEK)
         assert gaen.encrypt_aem(aemk, bytes.fromhex(GOLDEN_RPI_0), -20).hex() == GOLDEN_AEM_M20
 
     def test_independent_oracle_reproduces_goldens(self):
@@ -80,22 +79,26 @@ class TestKeySchedule:
     def test_hkdf_matches_rfc5869_test_case_3(self):
         # RFC 5869 Appendix A.3: SHA-256, IKM 0x0b * 22, empty salt and info.
         # A published vector keeps the check independent of both copies.
+        # ``derive_subkeys`` runs the same extract-then-expand under its two
+        # labels; a label asked for twice expands the same block from the
+        # one extract.
         import oracles
 
         ikm = b"\x0b" * 22
         okm16 = "8da4e775a563c18f715f802a063c5a31"
-        assert gaen._hkdf16(ikm, b"").hex() == okm16
+        assert [k.hex() for k in gaen._hkdf16(ikm, b"", b"")] == [okm16, okm16]
         assert oracles.hkdf16(ikm, b"").hex() == okm16
 
     def test_rpik_and_aemk_differ(self):
-        assert gaen.derive_rpik(GOLDEN_TEK) != gaen.derive_aemk(GOLDEN_TEK)
+        rpik, aemk = gaen.derive_subkeys(GOLDEN_TEK)
+        assert rpik != aemk
 
     def test_rpik_unique_over_many_teks(self):
         rng = random.Random(41)
         seen = set()
         for day in range(1000):
             tek = gaen.Tek(bytes=rng.randbytes(16), day_index=0)
-            seen.add(gaen.derive_rpik(tek))
+            seen.add(gaen.derive_subkeys(tek)[0])
         assert len(seen) == 1000
 
     def test_negative_day_rejected(self):
@@ -117,7 +120,7 @@ class TestKeySchedule:
 
 class TestRpi:
     def test_deterministic(self):
-        rpik = gaen.derive_rpik(GOLDEN_TEK)
+        rpik = gaen.derive_subkeys(GOLDEN_TEK)[0]
         assert gaen.derive_rpi(rpik, 4, PARAMS) == gaen.derive_rpi(rpik, 4, PARAMS)
 
     def test_twelve_distinct_per_day(self):
@@ -127,14 +130,14 @@ class TestRpi:
         assert len({r.bytes for r in rpis}) == 12
 
     def test_interval_out_of_range(self):
-        rpik = gaen.derive_rpik(GOLDEN_TEK)
+        rpik = gaen.derive_subkeys(GOLDEN_TEK)[0]
         with pytest.raises(ValueError):
             gaen.derive_rpi(rpik, 12, PARAMS)
         with pytest.raises(ValueError):
             gaen.derive_rpi(rpik, -1, PARAMS)
 
     def test_expand_matches_direct_derivation(self):
-        rpik = gaen.derive_rpik(GOLDEN_TEK)
+        rpik = gaen.derive_subkeys(GOLDEN_TEK)[0]
         expanded = gaen.expand_diagnosis_key(GOLDEN_TEK, PARAMS)
         for i, rpi in enumerate(expanded):
             assert rpi.interval_index == i
@@ -148,29 +151,95 @@ class TestRpi:
         assert not a & b
 
 
+DAY1_TEK = gaen.Tek(bytes=bytes(range(16)), day_index=1)
+
+
+def _widened_start(tek, rpi, params):
+    start, _ = gaen.rpi_window(tek.day_index, rpi.interval_index, params.rotation_seconds)
+    return start - params.clock_tolerance_seconds
+
+
+class TestExpansionBound:
+    """A key expanded through ``until`` is the prefix of its full expansion
+    whose windows, widened by the tolerance, start at or before ``until``."""
+
+    @pytest.mark.parametrize("tolerance", [0, 30])
+    def test_the_prefix_that_starts_by_until(self, tolerance):
+        params = SimParams(clock_tolerance_seconds=tolerance)
+        full = gaen.expand_diagnosis_key(DAY1_TEK, params)
+        assert [r.interval_index for r in full] == list(range(12))
+        day = 86400 - tolerance  # the widened start of the key's first window
+        counts = {
+            0: 0,
+            day - 1: 0,  # before the key's day
+            day: 1,
+            day + 3 * 7200 - 1: 3,  # one second before a boundary
+            day + 3 * 7200: 4,  # exactly at it
+            day + 11 * 7200 - 1: 11,
+            day + 11 * 7200: 12,
+            3 * 86400: 12,  # past the key's day
+            math.inf: 12,
+        }
+        for until, count in counts.items():
+            bounded = gaen.expand_diagnosis_key(DAY1_TEK, params, until)
+            assert bounded == full[:count], until
+            assert bounded == [r for r in full if _widened_start(DAY1_TEK, r, params) <= until]
+
+    @settings(max_examples=200)
+    @given(
+        rotation=st.sampled_from([600, 7200, 86400]),
+        tolerance=st.sampled_from([0, 30, 9000]),
+        until=st.integers(-1, 3 * 86400),
+    )
+    def test_bounded_index_holds_the_entries_that_start_by_until(self, rotation, tolerance, until):
+        params = SimParams(rotation_seconds=rotation, clock_tolerance_seconds=tolerance)
+        teks = [GOLDEN_TEK, DAY1_TEK]
+        bounded = gaen.build_rpi_index(teks, params, until)
+        full = {
+            rpi: kept
+            for rpi, entries in gaen.build_rpi_index(teks, params).items()
+            if (kept := [e for e in entries if e.start - tolerance <= until])
+        }
+        assert bounded.keys() == full.keys()
+        for rpi, entries in full.items():
+            got = bounded[rpi]
+            assert [(e.tek, e.interval_index, e.start, e.end) for e in got] == [
+                (e.tek, e.interval_index, e.start, e.end) for e in entries
+            ]
+
+    def test_a_key_with_no_pseudonym_left_derives_no_subkey(self, monkeypatch):
+        derived = []
+        derive = gaen.derive_subkeys
+        monkeypatch.setattr(gaen, "derive_subkeys", lambda tek: derived.append(tek) or derive(tek))
+        assert gaen.build_rpi_index([DAY1_TEK], PARAMS, 86399) == {}
+        assert derived == []
+        assert len(gaen.build_rpi_index([DAY1_TEK], PARAMS, 86400)) == 1
+        assert set(derived) == {DAY1_TEK}
+
+
 class TestAem:
     def test_round_trip(self):
-        aemk = gaen.derive_aemk(GOLDEN_TEK)
+        aemk = gaen.derive_subkeys(GOLDEN_TEK)[1]
         rpi = bytes.fromhex(GOLDEN_RPI_0)
         assert gaen.decrypt_aem(aemk, rpi, gaen.encrypt_aem(aemk, rpi, -20)) == -20
 
     def test_length_is_4(self):
-        aemk = gaen.derive_aemk(GOLDEN_TEK)
+        aemk = gaen.derive_subkeys(GOLDEN_TEK)[1]
         assert len(gaen.encrypt_aem(aemk, bytes.fromhex(GOLDEN_RPI_0), 7)) == 4
 
     def test_round_trip_entire_power_range(self):
-        aemk = gaen.derive_aemk(GOLDEN_TEK)
+        aemk = gaen.derive_subkeys(GOLDEN_TEK)[1]
         rpi = bytes.fromhex(GOLDEN_RPI_3)
         for tx in range(-127, 128):
             assert gaen.decrypt_aem(aemk, rpi, gaen.encrypt_aem(aemk, rpi, tx)) == tx
 
     def test_out_of_range_power_rejected(self):
-        aemk = gaen.derive_aemk(GOLDEN_TEK)
+        aemk = gaen.derive_subkeys(GOLDEN_TEK)[1]
         with pytest.raises(ValueError):
             gaen.encrypt_aem(aemk, bytes.fromhex(GOLDEN_RPI_0), 128)
 
     def test_wrong_rpi_garbles_without_error(self):
-        aemk = gaen.derive_aemk(GOLDEN_TEK)
+        aemk = gaen.derive_subkeys(GOLDEN_TEK)[1]
         rpi = bytes.fromhex(GOLDEN_RPI_0)
         aem = gaen.encrypt_aem(aemk, rpi, -20)
         rng = random.Random(99)
@@ -206,7 +275,7 @@ class TestMatching:
 
     def test_decrypted_power_rides_along(self):
         # Each sighting's own AEM is decrypted, also when its RPI repeats.
-        aemk = gaen.derive_aemk(GOLDEN_TEK)
+        aemk = gaen.derive_subkeys(GOLDEN_TEK)[1]
         rpi = gaen.expand_diagnosis_key(GOLDEN_TEK, PARAMS)[1]
         powers = [-7, -30, -7]
         observations = [
@@ -268,7 +337,7 @@ class TestRiskScore:
 
     def test_fifteen_minute_close_contact_alerts(self):
         # 90 beacons at 10 s spacing, 1 m away: 900 s = 15 min, attenuation 40 dB
-        aemk = gaen.derive_aemk(GOLDEN_TEK)
+        aemk = gaen.derive_subkeys(GOLDEN_TEK)[1]
         rpi = gaen.expand_diagnosis_key(GOLDEN_TEK, PARAMS)[0]
         aem = gaen.encrypt_aem(aemk, rpi.bytes, -20)
         observations = [_obs(rpi.bytes, t, aem=aem, rssi=-60.0) for t in range(0, 900, 10)]
@@ -278,7 +347,7 @@ class TestRiskScore:
         assert result.alert
 
     def test_permutation_invariant(self):
-        aemk = gaen.derive_aemk(GOLDEN_TEK)
+        aemk = gaen.derive_subkeys(GOLDEN_TEK)[1]
         rpi = gaen.expand_diagnosis_key(GOLDEN_TEK, PARAMS)[0]
         aem = gaen.encrypt_aem(aemk, rpi.bytes, -20)
         observations = [_obs(rpi.bytes, t, aem=aem, rssi=-55.0) for t in range(0, 600, 10)]
@@ -290,7 +359,7 @@ class TestRiskScore:
         )
 
     def test_gap_longer_than_two_beacons_splits_contact(self):
-        aemk = gaen.derive_aemk(GOLDEN_TEK)
+        aemk = gaen.derive_subkeys(GOLDEN_TEK)[1]
         rpi = gaen.expand_diagnosis_key(GOLDEN_TEK, PARAMS)[0]
         aem = gaen.encrypt_aem(aemk, rpi.bytes, -20)
         times = list(range(0, 300, 10)) + list(range(1000, 1300, 10))
@@ -301,7 +370,7 @@ class TestRiskScore:
         assert result.score == pytest.approx(10.0)
 
     def test_weak_signal_contributes_nothing(self):
-        aemk = gaen.derive_aemk(GOLDEN_TEK)
+        aemk = gaen.derive_subkeys(GOLDEN_TEK)[1]
         rpi = gaen.expand_diagnosis_key(GOLDEN_TEK, PARAMS)[0]
         aem = gaen.encrypt_aem(aemk, rpi.bytes, -20)
         # attenuation 75 dB > 60 dB threshold
@@ -419,7 +488,8 @@ def test_aem_round_trip_property(tx, key):
 def test_key_schedule_fan_out_property(tek_bytes):
     # subkeys differ and the day's pseudonyms are pairwise distinct
     tek = gaen.Tek(bytes=tek_bytes, day_index=0)
-    assert gaen.derive_rpik(tek) != gaen.derive_aemk(tek)
+    rpik, aemk = gaen.derive_subkeys(tek)
+    assert rpik != aemk
     rpis = gaen.expand_diagnosis_key(tek, PARAMS)
     assert len({r.bytes for r in rpis}) == len(rpis) == 12
 

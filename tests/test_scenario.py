@@ -16,11 +16,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from relaysim import scenario
-from relaysim.backend import BackendUnavailable
 from relaysim.params import NEIGHBORHOOD_MAX, AttackSpec, SimParams
 from relaysim.scenario import ConfigError
 
 from conftest import JSON_VALUES, json_paths, replaced
+from oracles import BackendUnavailable
 
 # A value to mutate a config with: a boundary number, an ordinary one, or any JSON value.
 MUTATIONS = (

@@ -38,7 +38,7 @@ from relaysim.params import SimParams
 from relaysim.scenario import ActorSpec, World, load_config
 
 from golden.gen_reports import REPORTS, golden_config, golden_names
-from oracles import EveryTickWorld, naive_links
+from oracles import EveryTickWorld, capture_entries, naive_links
 
 
 def _recording(owner, attr: str, calls: list):
@@ -298,7 +298,7 @@ def test_capture_runs_open_per_new_sniffer_inbox(name):
     database = world.database
     assert len(database.runs) == new_inboxes
     captures = sum(a.captures for a in world.actors if isinstance(a, SnifferAdversary))
-    assert len(database) == len(database.entries) == captures
+    assert len(database) == len(capture_entries(database)) == captures
     if captures:
         assert len(database.runs) * 10 < world.config.duration // tick
 

@@ -3,7 +3,7 @@
 Each contact is reduced to a single SHA-256 digest over the two pseudonyms
 (sorted bytewise so both endpoints agree), the scanner's quantized grid
 cell, and the quantized time bucket.  ``contact_rows`` derives a device's
-contact rows (those inputs, no digest) from its observation runs, a range of
+contact rows (those inputs, no digest) from its inbox spans, a range of
 buckets at a time (``ContactSpan``).  They are hashed only when read: every
 row's buckets for the upload (``digests``), and, to verify a matched
 pseudonym, only that pseudonym's rows.  Only digests leave the device; a
@@ -111,31 +111,23 @@ def record_contact(
     return row
 
 
-class Sighted(Protocol):
-    """What row derivation reads of an observation run."""
-
-    rpi: bytes
-    first: int
-    last: int
-    scanned_as: tuple[bytes, tuple[float, float]]
-
-
-def contact_rows(runs: Iterable[Sighted], params: SimParams) -> list[ContactSpan]:
-    """Every contact row of the runs, a range at a time: for each (pair,
-    cell) in order of first scan, the union of its runs' scan buckets."""
+def contact_rows(spans: Iterable[list], params: SimParams) -> list[ContactSpan]:
+    """Every contact row of a device's inbox spans, ``[sightings,
+    (own RPI, position), first, last]`` (see ``agents.HonestDevice``), a
+    range at a time: for each (pair, cell) in order of first scan, the union
+    of its sightings' scan buckets.  A span's sightings share its cell and
+    scan buckets, each worked out once per span."""
     tick, bucket = params.tick_seconds, params.bucket_seconds
-    spans: dict[tuple, list[range]] = {}
-    for run in runs:
-        own, position = run.scanned_as
-        lo, hi = sorted((own, run.rpi))
-        cell, first = quantize(position, run.first, params)
-        ranges = spans.setdefault((lo, hi, cell), [])
+    rows: dict[tuple, list[range]] = {}
+    for sightings, (own, position), first, last in spans:
+        cell, start = quantize(position, first, params)
         if tick <= bucket:  # consecutive scans skip no bucket
-            ranges.append(range(first, run.last // bucket + 1))
+            buckets = [range(start, last // bucket + 1)]
         else:  # each scan is in a bucket of its own
-            ranges += (range(t // bucket, t // bucket + 1)
-                       for t in range(run.first, run.last + 1, tick))
-    return [(*key, r) for key, ranges in spans.items() for r in union(ranges)]
+            buckets = [range(t // bucket, t // bucket + 1) for t in range(first, last + 1, tick)]
+        for _, _, _, frame in sightings:
+            rows.setdefault((*sorted((own, frame[0])), cell), []).extend(buckets)
+    return [(*key, r) for key, ranges in rows.items() for r in union(ranges)]
 
 
 def digests(rows: Iterable[ContactSpan]) -> set[bytes]:

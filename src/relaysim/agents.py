@@ -147,20 +147,20 @@ class SnifferAdversary:
         self.place_name = place_name
         self.database = database
         self.rank = database.join()
-        self._inbox: Sequence[radio.Delivery] | None = None
+        self._inbox: Sequence[tuple] | None = None
         self._last_scan = 0
 
     def outgoing_packets(self, now: int) -> tuple[bytes, ...]:
         return ()
 
-    def sniff_tick(self, deliveries: Sequence[radio.Delivery], now: int) -> list[dict]:
+    def sniff_tick(self, deliveries: Sequence[tuple], now: int) -> list[dict]:
         """Capture every protocol packet delivered to us; returns a capture
         event for each one no sniffer had captured before, in delivery order."""
         if deliveries is self._inbox and now - self._last_scan == self.database.tick_seconds:
             self.database.extend(self.rank, now)
             self._last_scan = now
             return []
-        packets = tuple(d.packet for d in deliveries if d.frame is not None)
+        packets = tuple([packet for _, packet, _, frame in deliveries if frame is not None])
         new = self.database.capture(self.rank, packets, now)
         self._inbox = deliveries
         self._last_scan = now
@@ -170,7 +170,7 @@ class SnifferAdversary:
             for p in new
         ]
 
-    def on_deliveries(self, deliveries: Sequence[radio.Delivery], now: int) -> list[dict]:
+    def on_deliveries(self, deliveries: Sequence[tuple], now: int) -> list[dict]:
         return self.sniff_tick(deliveries, now)
 
     def quiet_until(self, now: int) -> float:
@@ -303,7 +303,7 @@ class RebroadcastAdversary:
         at = -(-max(capture + 1, capture + self.relay_delay) // tick) * tick
         return at if at < capture + self.replay_ttl else math.inf
 
-    def on_deliveries(self, deliveries: Sequence[radio.Delivery], now: int) -> list[dict]:
+    def on_deliveries(self, deliveries: Sequence[tuple], now: int) -> list[dict]:
         """A relay event for each packet of this tick's replay queue that is
         on the air for the first time; what it hears is of no use to it."""
         queue = self.replay_queue
@@ -337,21 +337,16 @@ class RebroadcastAdversary:
 
 
 class ObservationRun:
-    """One packet heard at one rssi from one place on consecutive ticks: the
-    sightings at scan times ``first``, ``first + tick``, ..., ``last``.
-    ``scanned_as`` is the scanner's (own RPI, position), shared per inbox."""
+    """One packet heard at one rssi on every scan of an inbox span, built
+    only for a delivery that matched (``HonestDevice._matched``); its match
+    runs carry the scan times."""
 
-    __slots__ = ("rpi", "aem", "rssi", "first", "last", "scanned_as")
+    __slots__ = ("rpi", "aem", "rssi")
 
-    def __init__(
-        self, rpi: bytes, aem: bytes, rssi: float, first: int, last: int, scanned_as: tuple
-    ) -> None:
+    def __init__(self, rpi: bytes, aem: bytes, rssi: float) -> None:
         self.rpi = rpi
         self.aem = aem
         self.rssi = rssi
-        self.first = first
-        self.last = last
-        self.scanned_as = scanned_as
 
 
 class DownloadedChunk(NamedTuple):
@@ -371,7 +366,7 @@ class DownloadLog:
     the world polls once per round that published a chunk: each new chunk
     is fetched and expanded once, through ``until`` (in full by default):
     the index matches only scans by then.  A world's log expands through its
-    last tick, so a scan after that is outside the contract."""
+    last tick, and the world refuses any tick after it (``RunEndedError``)."""
 
     def __init__(self, params: SimParams, until: float = math.inf) -> None:
         self.params = params
@@ -395,6 +390,12 @@ class DownloadLog:
         return [chunk.index for chunk, _ in fetched]
 
 
+# An inbox span, a device's record of one inbox, is a list [sightings,
+# scanned_as, first, last]: a tuple of the inbox's sightings, its delivery
+# tuples in inbox order, scanned as (own RPI, position) on every tick from
+# first through last.  Only last changes, as the span extends.
+_LAST = 3
+
 # A match run: an observation run paired with one index entry of its RPI,
 # with the scan times inside the entry's window, widened by the clock
 # tolerance, and the transmit power decrypted from the run's AEM.
@@ -417,24 +418,25 @@ class ExposureState(NamedTuple):
 class HonestDevice:
     """A protocol-running device, optionally with the hash defense enabled
     (``defended``): the upload hashes every row ``contact_rows`` derives
-    from its runs, and verification reads only a matched pseudonym's rows;
+    from its spans, and verification reads only a matched pseudonym's rows;
     each chunk's hash batch rides on its ``DownloadedChunk``.
 
     ``downloads`` holds the downloaded chunks and their RPI index.  The
     devices of a world share one (see ``DownloadLog``); a device given none
     keeps its own.
 
-    Sightings are stored as observation runs, indexed by RPI.  A new inbox
-    opens one run per sighting in it.  While ``receive`` is handed the same
-    inbox object exactly one tick after its last scan, with its own RPI and
-    position unchanged, the open runs share that scan: storing the tick's
-    sightings costs O(1).
+    Sightings are stored as inbox spans: a new inbox that holds a sighting
+    (a protocol delivery that is not an echo of the device's own RPI) opens
+    one, holding its sightings, the delivery tuples themselves in inbox
+    order.  While ``receive`` is handed the same inbox object exactly one
+    tick after its last scan, with its own RPI and position unchanged, the
+    open span extends: storing the tick's sightings costs O(1).
 
-    Matching works on runs, never on single sightings, and only when a
-    result is read: during a run a device only stores sightings, and its
-    world polls the download log.  Each read looks each
-    run up once in the index, whatever the chunk count (see ``_matched``):
-    a run paired with an entry of its RPI is a match run if some of its
+    Matching works on sightings over all of their span's scan times, and
+    only when a result is read: during a run a device only stores spans,
+    and its world polls the download log.  Each read looks each sighting up
+    once in the index, whatever the chunk count (see ``_matched``): a
+    sighting paired with an entry of its RPI is a match run if some of its
     scan times fall inside the entry's window, widened by the clock
     tolerance.  ``evaluate_exposure`` scores every match so far and
     derives from the chunks' poll ticks when each diagnosis first matched.
@@ -465,9 +467,9 @@ class HonestDevice:
         self._outgoing: tuple[bytes, ...] = ()  # (current_packet,)
         self._slot = (0, 0)  # the current pseudonym's [start, end) in seconds
 
-        self._runs: list[ObservationRun] = []
-        self._open_runs: list[ObservationRun] = []  # their ``last`` is ``_last_scan``
-        self._inbox: Sequence[radio.Delivery] | None = None
+        self._spans: list[list] = []  # inbox spans, in opening order
+        self._open: list | None = None  # the span the last scan extends, if any
+        self._inbox: Sequence[tuple] | None = None
         self._last_scan = -1
         self._scanned_as: tuple | None = None  # (own RPI, position) at the last new inbox
         self.defended = actguard_enabled
@@ -518,54 +520,44 @@ class HonestDevice:
 
     # --- scanning ---------------------------------------------------------
 
-    def receive(self, deliveries: Sequence[radio.Delivery], now: int) -> int:
-        """Store one sighting per protocol delivery, own echoes dropped, and
-        return how many were stored.  Scans must come in time order."""
+    def receive(self, deliveries: Sequence[tuple], now: int) -> int:
+        """Scan ``deliveries``, plain ``(sender, packet, rssi, frame)``
+        tuples; returns how many sightings the open span holds.  The same
+        inbox object one tick later, scanned as the same (own RPI, position),
+        extends that span; any other inbox closes it and, if it holds a
+        sighting, opens a span of its sightings (protocol deliveries, own
+        echoes dropped).  Scans must come in time order."""
         if now <= self._last_scan:
             raise ValueError(f"scan at t={now} does not follow the last one at t={self._last_scan}")
         self.ensure_interval(now)
         assert self.current_rpi is not None
         own = self.current_rpi.bytes
         scanned_as = (own, self.position)
+        span = self._open
         if (
             deliveries is not self._inbox
             or now - self._last_scan != self.params.tick_seconds
             or scanned_as != self._scanned_as
         ):
-            self._close_runs()
-            open_runs = []
-            for _, _, rssi, frame in deliveries:
-                if frame is None or frame[0] == own:
-                    continue
-                run = ObservationRun(*frame, rssi, now, now, scanned_as)
-                self._runs.append(run)
-                open_runs.append(run)
-            self._open_runs = open_runs
+            # A tuple, sized exactly: a span lives to the end of the run.
+            sightings = tuple([d for d in deliveries if (f := d[3]) is not None and f[0] != own])
+            span = None
+            if sightings:
+                span = [sightings, scanned_as, now, now]
+                self._spans.append(span)
+            self._open = span
             self._inbox = deliveries
             self._scanned_as = scanned_as
+        elif span is not None:
+            span[_LAST] = now
         self._last_scan = now
-        return len(self._open_runs)
-
-    def _close_runs(self) -> None:
-        """Write the shared last scan into the open runs."""
-        for run in self._open_runs:
-            run.last = self._last_scan
+        return 0 if span is None else len(span[0])
 
     def contact_rows(self) -> list[actguard.ContactSpan]:
         """Every contact row, a range at a time (``actguard.contact_rows``)."""
-        self._close_runs()
-        return actguard.contact_rows(self._runs, self.params)
+        return actguard.contact_rows(self._spans, self.params)
 
-    @property
-    def observations(self) -> list[gaen.Observation]:
-        """Every stored sighting, ordered by scan time, then by run creation
-        (for tests and oracles)."""
-        self._close_runs()
-        runs, tick = self._runs, self.params.tick_seconds
-        scans = sorted((t, i) for i, r in enumerate(runs) for t in range(r.first, r.last + 1, tick))
-        return [gaen.Observation(runs[i].rpi, runs[i].aem, runs[i].rssi, t) for t, i in scans]
-
-    def on_deliveries(self, deliveries: Sequence[radio.Delivery], now: int) -> tuple[()]:
+    def on_deliveries(self, deliveries: Sequence[tuple], now: int) -> tuple[()]:
         self.receive(deliveries, now)
         return ()
 
@@ -575,7 +567,9 @@ class HonestDevice:
 
     def repeat(self, through: int) -> None:
         """Scan the last inbox again on every tick up to ``through``: the
-        open runs extend, nothing else changes."""
+        open span extends, nothing else changes."""
+        if self._open is not None:
+            self._open[_LAST] = through
         self._last_scan = through
 
     # --- diagnosis and exposure checking -----------------------------------
@@ -603,39 +597,30 @@ class HonestDevice:
 
     def _matched(self) -> dict[int, list[ClippedRun]]:
         """Each downloaded chunk's match runs, by diagnosis id, in (run,
-        entry) order: one lookup per run, each hit's scan times clipped to
-        the entry's widened window, and the AEM decrypted for a non-empty
-        clip only."""
-        self._close_runs()
+        entry) order, a run being a span's sighting, spans in opening order:
+        one lookup per sighting, each hit's scan times clipped to the entry's
+        widened window, and the run built and its AEM decrypted for a
+        non-empty clip only."""
         index = self.downloads.index
         tolerance = self.params.clock_tolerance_seconds
         tick = self.params.tick_seconds
         matched: dict[int, list[ClippedRun]] = {}
-        for run in self._runs:
-            entries = index.get(run.rpi)
-            if entries is None:
-                continue
-            times = range(run.first, run.last + 1, tick)
-            for diagnosis_id, entry in entries:
-                lo = bisect.bisect_left(times, entry.start - tolerance)
-                hi = bisect.bisect_left(times, entry.end + tolerance)
-                if lo < hi:
-                    tx = gaen.decrypt_aem(entry.aemk, run.rpi, run.aem)
-                    matched.setdefault(diagnosis_id, []).append((times[lo:hi], entry, tx, run))
+        for sightings, _, first, last in self._spans:
+            times = range(first, last + 1, tick)
+            for _, _, rssi, frame in sightings:
+                entries = index.get(frame[0])
+                if entries is None:
+                    continue
+                run = None
+                for diagnosis_id, entry in entries:
+                    lo = bisect.bisect_left(times, entry.start - tolerance)
+                    hi = bisect.bisect_left(times, entry.end + tolerance)
+                    if lo < hi:
+                        if run is None:
+                            run = ObservationRun(*frame, rssi)
+                        tx = gaen.decrypt_aem(entry.aemk, run.rpi, run.aem)
+                        matched.setdefault(diagnosis_id, []).append((times[lo:hi], entry, tx, run))
         return matched
-
-    def chunk_matches(self, diagnosis_id: int) -> list[gaen.ExposureMatch]:
-        """The chunk's matches, one per matched sighting, in (scan time, run,
-        entry) order (for tests and oracles)."""
-        matched = self._matched().get(diagnosis_id, [])
-        sightings = sorted((t, k, match) for k, match in enumerate(matched) for t in match[0])
-        return [
-            gaen.ExposureMatch(
-                entry.tek, run.rpi, entry.interval_index, tx,
-                gaen.Observation(run.rpi, run.aem, run.rssi, t),
-            )
-            for t, _, (_, entry, tx, run) in sightings
-        ]
 
     def evaluate_exposure(self) -> ExposureState:
         """Alert, risk score, verdicts and first matches over every sighting
@@ -709,7 +694,7 @@ class HonestDevice:
         """The report row, and a match event for each matched diagnosis at
         its first match (at ``end`` if no poll followed it), counting the
         matched sightings scanned by then, in (t, diagnosis id) order."""
-        exposure = self.evaluate_exposure()  # closes the open runs
+        exposure = self.evaluate_exposure()
         events = [
             {"t": end if t == math.inf else t, "event": "match", "actor": self.name,
              "diagnosis_id": diagnosis_id, "matches": count}
@@ -721,7 +706,10 @@ class HonestDevice:
             "actguard": self.defended,
             "gaen_alert": exposure.gaen_alert,
             "risk_score": exposure.risk_score,
-            "observations": sum((r.last - r.first) // tick + 1 for r in self._runs),
+            "observations": sum(
+                len(sightings) * ((last - first) // tick + 1)
+                for sightings, _, first, last in self._spans
+            ),
             "contact_records": exposure.contact_records,
             "verdicts": [
                 {"diagnosis_id": d, "verdict": v.kind.value, "rpi": v.rpi.hex()}

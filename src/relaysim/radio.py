@@ -6,6 +6,9 @@ it reaches and those it hears: the world builds a receiver's inbox straight
 from its own links.  ``broadcast_step`` is the sender-ordered reference
 fan-out over a table, regrouped into each receiver's inbox.
 
+The world builds stations and deliveries as plain tuples, which every
+reader unpacks by position; ``Station`` and ``Delivery`` name their fields.
+
 The over-the-air record is frozen at 22 bytes: the 16-bit service UUID
 0xFD6F little-endian, then 16 bytes of RPI, then 4 bytes of AEM.  Anything
 that does not parse to that shape is classified as a non-protocol packet,
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from itertools import product
+from operator import itemgetter
 from typing import NamedTuple
 
 from .gaen import AEM_LENGTH, RPI_LENGTH
@@ -72,8 +76,8 @@ def path_loss_db(distance_m: float, params: SimParams) -> float:
 
 
 class Station(NamedTuple):
-    """One radio participant for a single tick: position plus outgoing
-    packets.  Every station sends at ``params.tx_power_dbm``."""
+    """One radio participant for a tick (the world's is a plain tuple):
+    position plus outgoing packets, all sent at ``params.tx_power_dbm``."""
 
     name: str
     position: tuple[float, float]
@@ -81,9 +85,9 @@ class Station(NamedTuple):
 
 
 class Delivery(NamedTuple):
-    """One packet in a receiver's inbox for one tick.  ``frame`` is the
-    packet's ``decode_advertisement``: its (rpi, aem), or None for a
-    non-protocol packet."""
+    """One packet in a receiver's inbox for one tick (the world's is a plain
+    tuple).  ``frame`` is the packet's ``decode_advertisement``: its (rpi,
+    aem), or None for a non-protocol packet."""
 
     sender: str
     packet: bytes
@@ -92,10 +96,11 @@ class Delivery(NamedTuple):
 
 
 LinkTable = dict[str, tuple[tuple[str, float], ...]]
-Inboxes = dict[str, tuple[Delivery, ...]]  # receiver name -> its deliveries
+# receiver name -> its deliveries, ``Delivery`` fields in a named or plain tuple
+Inboxes = dict[str, tuple[tuple, ...]]
 
 
-def link_table(stations: list[Station], params: SimParams) -> LinkTable:
+def link_table(stations: list[tuple], params: SimParams) -> LinkTable:
     """For each station, the (name, rssi) of every other station in range,
     in name order.  rssi = tx_power - path_loss(distance), so a table stays
     valid until a station moves.  A link is the same both ways: every
@@ -114,12 +119,12 @@ def link_table(stations: list[Station], params: SimParams) -> LinkTable:
     the same operations as ``haversine_m``, so every rssi is the same float
     as in an all-pairs table.
     """
-    ordered = sorted(stations, key=lambda s: s.name)
-    names = [s.name for s in ordered]
+    ordered = sorted(stations, key=itemgetter(0))
+    names = [name for name, _, _ in ordered]
     reach, tx_power = params.ble_range_m, params.tx_power_dbm
     # The extra metre covers coordinate rounding at Earth radius and keeps cube indices finite.
     scale = EARTH_RADIUS_M / (reach + 1.0)
-    points = [_point(s.position) for s in ordered]
+    points = [_point(position) for _, position, _ in ordered]
     homes = []
     cubes: dict[tuple[int, int, int], list[int]] = {}
     for n, (lat, lon, cos_lat) in enumerate(points):
@@ -156,9 +161,9 @@ def broadcast_step(stations: list[Station], links: LinkTable) -> Inboxes:
     from each receiver's own links, decoding each packet once.
     """
     inboxes: dict[str, list[Delivery]] = {}
-    for sender in sorted(stations, key=lambda s: s.name):
-        for receiver, rssi in links[sender.name]:
-            for packet in sender.packets:
-                delivery = Delivery(sender.name, packet, rssi, decode_advertisement(packet))
+    for sender, _, packets in sorted(stations, key=itemgetter(0)):
+        for receiver, rssi in links[sender]:
+            for packet in packets:
+                delivery = Delivery(sender, packet, rssi, decode_advertisement(packet))
                 inboxes.setdefault(receiver, []).append(delivery)
     return {receiver: tuple(inboxes[receiver]) for receiver in sorted(inboxes)}

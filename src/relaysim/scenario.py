@@ -23,16 +23,17 @@ while it does not change: a device's packet tuple until it rotates, the
 rebroadcaster's queue until the replay window changes it.  The radio link
 table (who hears whom, at what rssi, the same both ways) is rebuilt only on
 a tick where a walker moved, and so is every inbox then: the deliveries an
-actor hears, as a read-only tuple, each carrying its packet's decoding,
-made once per new packets object.  On a tick where only packets changed,
-only the inboxes of actors that hear an actor with new packets are rebuilt.
-A rebuilt inbox that equals the last one by value is handed out as that
-inbox again, the same object.  On a tick with neither signal no station is
-built, radio delivery is skipped and every actor gets its last inbox.
-An actor handed its last inbox one tick later costs O(1): an honest device
-extends its observation runs and the sniffer its capture runs instead of
-storing each sighting or capture anew, and the rebroadcaster hands out its
-cached queue.
+actor hears, as a read-only tuple of plain tuples, each carrying its
+packet's decoding, made once per new packets object.  On a tick where only
+packets changed, only the inboxes of actors that hear an actor with new
+packets are rebuilt.  A rebuilt inbox that equals the last one by value is
+handed out as that inbox again, the same object.  On a tick with neither
+signal no station is built, radio delivery is skipped and every actor gets
+its last inbox.  A new inbox costs an honest device one inbox span, which
+holds the inbox's sighting tuples, and its last inbox one tick later
+O(1): the device extends that span and the sniffer its capture runs
+instead of storing each sighting or capture anew, and the rebroadcaster
+hands out its cached queue.
 
 Such a tick costs O(1) for the whole world: it is repeated, not run.  After
 each tick run in full the world takes its horizon, the earliest time at
@@ -80,6 +81,10 @@ MAX_TICKS = 10_000_000
 
 class ConfigError(ValueError):
     """A scenario file failed validation; the message names the offender."""
+
+
+class RunEndedError(RuntimeError):
+    """A world was stepped at a tick after its run's last one."""
 
 
 _as = partial(as_number, error=ConfigError)
@@ -479,10 +484,10 @@ class World:
     which share the world's one ``downloads`` log.  The world polls it once
     per round that published a chunk, so a chunk is fetched and expanded
     once; a ``BackendError`` skips the round and leaves the log as it was.
-    It expands a published key only through the last tick ``run`` steps;
-    stepping a world past it is outside the contract.  Actor state is read
-    only after the actors caught up with the repeated ticks: on the next
-    tick run in full, or in ``finish``.
+    It expands a published key only through the last tick ``run`` steps, so
+    ``step`` refuses any tick after that one (``RunEndedError``).  Actor
+    state is read only after the actors caught up with the repeated ticks:
+    on the next tick run in full, or in ``finish``.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -493,8 +498,8 @@ class World:
         self.database = MaliciousDatabase(self.params.tick_seconds)
         self.events: list[dict] = []
 
-        last_tick = (config.duration // self.params.tick_seconds - 1) * self.params.tick_seconds
-        self.downloads = DownloadLog(self.params, last_tick)  # shared by every device of this run
+        self._final_tick = (config.duration // self.params.tick_seconds - 1) * self.params.tick_seconds
+        self.downloads = DownloadLog(self.params, self._final_tick)  # shared by the devices
         specs = sorted(config.actors, key=lambda a: a.name)
         self.actors = [self._new_actor(spec) for spec in specs]
         self.devices = {a.name: a for a in self.actors if isinstance(a, HonestDevice)}
@@ -561,21 +566,21 @@ class World:
         sent = self._sent
         if moved or any(sent.get(a.name) is not out for a, out in zip(self.actors, packets)):
             actors = zip(self.actors, packets)
-            self.deliver([radio.Station(a.name, a.position, out) for a, out in actors], moved)
+            self.deliver([(a.name, a.position, out) for a, out in actors], moved)
         return self._inboxes
 
-    def deliver(self, stations: list[radio.Station], moved: bool) -> radio.Inboxes:
-        """Each receiver's inbox, as ``radio.broadcast_step`` gives it, but
-        with each new packets object decoded once, its frames shared by
-        every delivery of its packets.  When a station ``moved`` (and on the
-        first call) the link table is rebuilt, and so is every inbox.
-        Otherwise only the inboxes of receivers that hear a sender whose
-        packets are not the object it sent last time are rebuilt; every
-        other receiver keeps its inbox.  A rebuilt inbox that equals the
-        last one by value is that inbox again, the same object; an empty
+    def deliver(self, stations: list[tuple], moved: bool) -> radio.Inboxes:
+        """Each receiver's inbox, as ``radio.broadcast_step`` gives it, but of
+        plain tuples, with each new packets object decoded once, its frames
+        shared by every delivery of its packets.  When a station ``moved``
+        (and on the first call) the link table is rebuilt, and so is every
+        inbox.  Otherwise only the inboxes of receivers that hear a sender
+        whose packets are not the object it sent last time are rebuilt;
+        every other receiver keeps its inbox.  A rebuilt inbox that equals
+        the last one by value is that inbox again, the same object; an empty
         one is no entry."""
         last_sent, last_frames = self._sent, self._frames
-        self._sent = sent = {s.name: s.packets for s in stations}
+        self._sent = sent = {name: out for name, _, out in stations}
         self._frames = frames = {
             name: last_frames[name] if out is last_sent.get(name)
             else [(packet, radio.decode_advertisement(packet)) for packet in out]
@@ -590,10 +595,9 @@ class World:
             changed = [name for name, out in sent.items() if out is not last_sent.get(name)]
             receivers = dict.fromkeys(r for name in changed for r, _ in links[name])
             self._inboxes = inboxes = dict(last)
-        delivery = radio.Delivery
         for receiver in receivers:
             inbox = tuple([
-                delivery(sender, packet, rssi, frame)
+                (sender, packet, rssi, frame)
                 for sender, rssi in links[receiver]
                 for packet, frame in frames[sender]
             ])
@@ -605,12 +609,17 @@ class World:
 
     def step(self) -> None:
         """Run the tick at ``now``.  A tick that directly follows the last
-        one, before the horizon, repeats it: only the clock moves."""
+        one, before the horizon, repeats it: only the clock moves.  A tick
+        after the run's last one, past every horizon, raises ``RunEndedError``."""
         now, tick = self.now, self.params.tick_seconds
         if now == self._last_tick + tick and now < self._quiet_until:
             self._last_tick = self._repeated_through = now
             self.now += tick
             return
+        if now > self._final_tick:
+            raise RunEndedError(
+                f"tick at t={now} comes after the run's last tick at t={self._final_tick}"
+            )
         self._catch_up()
         inboxes = self._on_air(now, self._move_actors(now))
         for actor in self._by_phase:
@@ -632,12 +641,14 @@ class World:
     def _horizon(self, now: int) -> float:
         """The earliest time a tick after ``now`` might do more than repeat
         the tick at ``now``: a walker's next waypoint, the next diagnosis
-        (chunks come only with diagnoses) or an actor's own horizon."""
-        times = [a.quiet_until(now) for a in self.actors]
+        (chunks come only with diagnoses), an actor's own horizon or the
+        tick after the run's last one, which raises."""
+        times = [self._final_tick + self.params.tick_seconds]
+        times += [a.quiet_until(now) for a in self.actors]
         times += [w[reached][0] for _, w, reached in self._movers if reached < len(w)]
         if self._pending_diagnoses:
             times.append(self._pending_diagnoses[0].at_time)
-        return min(times, default=math.inf)
+        return min(times)
 
     def _catch_up(self) -> None:
         """Have every actor, in phase order, repeat the ticks it was spared."""

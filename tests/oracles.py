@@ -23,6 +23,10 @@ no tick.  The per-sighting device records each sighting's contact row
 with ``actguard.record_contact`` into ``IndexedContactsTable``, a table of
 rows with an index by pseudonym, and verifies each match against that
 pseudonym's rows, one bucket at a time.
+
+``observations`` and ``chunk_matches`` are the per-sighting views of a
+device that the tests compare: read from an ``HonestDevice``'s inbox spans
+and match runs, or straight from a ``PerSightingDevice``'s lists.
 """
 
 from __future__ import annotations
@@ -305,10 +309,6 @@ class PerSightingDevice(EveryTick, HonestDevice):
     def contact_rows(self):
         return spans(self.contacts)
 
-    @property
-    def observations(self):
-        return list(self.stored)
-
     def on_deliveries(self, deliveries, now):
         self._catch_up_downloads()
         return super().on_deliveries(deliveries, now)
@@ -317,14 +317,14 @@ class PerSightingDevice(EveryTick, HonestDevice):
         self.ensure_interval(now)
         own = self.current_rpi.bytes
         before = len(self.stored)
-        for d in deliveries:
-            if d.frame is None:
+        for _, _, rssi, parsed in deliveries:
+            if parsed is None:
                 continue
-            rpi, aem = d.frame
+            rpi, aem = parsed
             if rpi == own:
                 continue
             self.positions_by_rpi.setdefault(rpi, []).append(len(self.stored))
-            self.stored.append(gaen.Observation(rpi, aem, d.rssi, now))
+            self.stored.append(gaen.Observation(rpi, aem, rssi, now))
             if self.contacts is not None:
                 actguard.record_contact(self.contacts, own, rpi, self.position, now, self.params)
         return len(self.stored) - before
@@ -369,9 +369,6 @@ class PerSightingDevice(EveryTick, HonestDevice):
             positions += [i for i in self.positions_by_rpi[rpi] if i >= start]
         positions.sort()
         return [self.stored[i] for i in positions]
-
-    def chunk_matches(self, diagnosis_id):
-        return list(self.matches.get(diagnosis_id, ()))
 
     def _score(self):
         all_matches, verdicts, counts = [], {}, {}
@@ -424,6 +421,47 @@ class PerSightingDevice(EveryTick, HonestDevice):
             for t, d, n in firsts
         ]
         return row | {"observations": len(self.stored)}, events
+
+
+def sightings(device):
+    """(rpi, aem, rssi, first, last) of each sighting an ``HonestDevice``'s
+    inbox spans hold, span by span in opening order, each in inbox order."""
+    return [
+        (*parsed, rssi, first, last)
+        for seen, _, first, last in device._spans
+        for _, _, rssi, parsed in seen
+    ]
+
+
+def observations(device):
+    """Every sighting a device stored, one ``Observation`` per scan:
+    ordered by scan time, then by sighting order for an ``HonestDevice``,
+    in storing order for a ``PerSightingDevice``."""
+    if isinstance(device, PerSightingDevice):
+        return list(device.stored)
+    tick = device.params.tick_seconds
+    seen = sightings(device)
+    scans = sorted(
+        (t, i) for i, (*_, first, last) in enumerate(seen) for t in range(first, last + 1, tick)
+    )
+    return [gaen.Observation(*seen[i][:3], t) for t, i in scans]
+
+
+def chunk_matches(device, diagnosis_id):
+    """A chunk's matches, one ``ExposureMatch`` per matched sighting: in
+    (scan time, run, entry) order from an ``HonestDevice``'s match runs, in
+    matching order for a ``PerSightingDevice``."""
+    if isinstance(device, PerSightingDevice):
+        return list(device.matches.get(diagnosis_id, ()))
+    matched = device._matched().get(diagnosis_id, [])
+    sightings = sorted((t, k, match) for k, match in enumerate(matched) for t in match[0])
+    return [
+        gaen.ExposureMatch(
+            entry.tek, run.rpi, entry.interval_index, tx,
+            gaen.Observation(run.rpi, run.aem, run.rssi, t),
+        )
+        for t, _, (_, entry, tx, run) in sightings
+    ]
 
 
 class EveryTickWorld(scenario.World):
@@ -501,14 +539,14 @@ class PerCaptureSniffer(EveryTick):
 
     def on_deliveries(self, deliveries, now):
         events = []
-        for d in deliveries:
-            if d.frame is None:
+        for _, packet, _, parsed in deliveries:
+            if parsed is None:
                 continue
             self.captures += 1
-            if self.database.append(d.packet, now):
+            if self.database.append(packet, now):
                 events.append(
                     {"t": now, "event": "capture", "actor": self.name,
-                     "place": self.place_name, "packet": d.packet.hex()}
+                     "place": self.place_name, "packet": packet.hex()}
                 )
         return events
 

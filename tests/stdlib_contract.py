@@ -2,7 +2,9 @@
 """The behaviour contract, checked with the standard library alone.
 
 Runs every golden config to its report and table bytes and compares them
-with ``golden/reports`` and ``golden/tables``, checks the boundary cases of
+with ``golden/reports`` and ``golden/tables``, steps every golden world once
+more after its last tick, which must raise ``RunEndedError`` and leave the
+report bytes as they were, checks the boundary cases of
 expanding a published key through a bound (the prefix of its pseudonyms
 whose widened windows start by then, all of them when unbounded), replays
 the HTTP exchanges of ``golden/wire_fixtures.json`` against a
@@ -92,6 +94,25 @@ def _golden() -> list[str]:
         ):
             if got != path.read_bytes():
                 failed.append(f"{name}: {kind} differs from {path.name}")
+    return failed
+
+
+def _past_last_tick() -> list[str]:
+    from golden.gen_reports import REPORTS, golden_config, golden_names
+    from relaysim.scenario import RunEndedError, World
+
+    failed = []
+    for name in golden_names():
+        world = World(golden_config(name))
+        for _ in range(world.config.duration // world.params.tick_seconds):
+            world.step()
+        try:
+            world.step()
+            failed.append(f"{name}: a tick after the last one ran")
+        except RunEndedError:
+            pass
+        if world.finish().to_json_bytes() != (REPORTS / f"{name}.json").read_bytes():
+            failed.append(f"{name}: the report after a refused tick differs from the golden one")
     return failed
 
 
@@ -194,7 +215,7 @@ def _cli() -> list[str]:
 def main() -> int:
     sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
     failures = []
-    for check in (_golden, _expansion, _wire, _cli):
+    for check in (_golden, _past_last_tick, _expansion, _wire, _cli):
         failed = check()
         print(f"{check.__name__[1:]}: {'ok' if not failed else 'FAILED'}")
         failures += failed

@@ -65,14 +65,14 @@ class TestHonestDevice:
         dev.ensure_interval(0)
         echo = _delivery(dev.current_packet)
         assert dev.receive([echo], 0) == 0
-        assert dev.observations == []
+        assert oracles.observations(dev) == []
 
     def test_observation_stored_per_delivery(self):
         dev = _device()
         dev.ensure_interval(0)
         packet, _, rpi = _peer_packet()
         assert dev.receive([_delivery(packet)], 0) == 1
-        (obs,) = dev.observations
+        (obs,) = oracles.observations(dev)
         assert obs.rpi == rpi.bytes
         assert obs.scan_time == 0
 
@@ -83,7 +83,7 @@ class TestHonestDevice:
             dev.ensure_interval(t)
             dev.receive([_delivery(packet)], t)
         assert len(oracles.records(dev.contact_rows())) == 1
-        assert len(dev.observations) == 3
+        assert len(oracles.observations(dev)) == 3
 
     def test_unchanged_inbox_extends_one_run(self):
         dev = _device(actguard=True)
@@ -91,8 +91,8 @@ class TestHonestDevice:
         inbox = (_delivery(packet),)
         for t in range(0, 610, 10):
             assert dev.receive(inbox, t) == 1
-        assert len(dev._runs) == 1
-        assert [o.scan_time for o in dev.observations] == list(range(0, 610, 10))
+        assert len(dev._spans) == 1
+        assert [o.scan_time for o in oracles.observations(dev)] == list(range(0, 610, 10))
         assert dev.report(610)[0]["observations"] == 61
         # one contact row per time bucket, not per sighting
         assert [bucket for *_, bucket in oracles.records(dev.contact_rows())] == [0, 1, 2]
@@ -104,7 +104,7 @@ class TestHonestDevice:
         for t in (10, 5):
             with pytest.raises(ValueError, match="does not follow"):
                 dev.receive([_delivery(packet)], t)
-        assert len(dev.observations) == 1
+        assert len(oracles.observations(dev)) == 1
 
     def test_tek_retention_purges_old_days(self):
         dev = _device()
@@ -475,8 +475,8 @@ class TestExposureCheck:
             for device, twin in pairs:
                 state = device.evaluate_exposure()
                 assert state == twin.evaluate_exposure()
-                assert {d: device.chunk_matches(d) for d in device.downloads.chunks} == {
-                    d: twin.chunk_matches(d) for d in twin.downloads.chunks
+                assert {d: oracles.chunk_matches(device, d) for d in device.downloads.chunks} == {
+                    d: oracles.chunk_matches(twin, d) for d in twin.downloads.chunks
                 }
                 states.append((state.matches_by_diagnosis, sorted(state.verdicts)))
             return polls, states

@@ -22,9 +22,11 @@ from relaysim.params import SECONDS_PER_DAY, SimParams
 from oracles import (
     aem_tx_power,
     brute_force_matches,
+    chunk_matches,
     delivery,
     hkdf16,
     naive_verdict,
+    observations,
     records,
     risk_score,
     rpi_bytes,
@@ -65,7 +67,7 @@ def _reference_match(tek: gaen.Tek, obs: gaen.Observation, rotation: int) -> gae
 def _reference_state(device: HonestDevice, backend: BackendStore, now: int):
     """(alert, score, matches per diagnosis in scan order, verdicts) from scratch."""
     params = device.params
-    position = {obs: i for i, obs in enumerate(device.observations)}
+    position = {obs: i for i, obs in enumerate(observations(device))}
     table = records(device.contact_rows()) if device.defended else ()
     flat = [(lo, hi, *cell, bucket) for lo, hi, cell, bucket in table]
     all_matches, per_diagnosis, verdicts = [], {}, {}
@@ -74,7 +76,7 @@ def _reference_state(device: HonestDevice, backend: BackendStore, now: int):
             continue
         teks = [gaen.Tek(bytes=b, day_index=d) for b, d in chunk.teks]
         found = brute_force_matches(
-            teks, device.observations, params.clock_tolerance_seconds, params.rotation_seconds
+            teks, observations(device), params.clock_tolerance_seconds, params.rotation_seconds
         )
         if not found:
             continue
@@ -99,7 +101,7 @@ def _reference_state(device: HonestDevice, backend: BackendStore, now: int):
 
 def _check(device: HonestDevice, backend: BackendStore, now: int) -> None:
     state = device.evaluate_exposure()
-    matches = {d: m for d in device.downloads.chunks if (m := device.chunk_matches(d))}
+    matches = {d: m for d in device.downloads.chunks if (m := chunk_matches(device, d))}
     assert state.matches_by_diagnosis == {d: len(m) for d, m in matches.items()}
     got = (
         state.gaen_alert,

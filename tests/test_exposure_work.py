@@ -6,10 +6,12 @@ the world polls its devices' one ``DownloadLog`` once per round that
 published a chunk, which fetches each chunk and its hash batch once, and
 each device reads and scores once in all, for its report.  The tick test
 pins that no tick looks a run up or scores: all of it happens after the last
-tick.  The lookup test pins how matching works: on observation runs, each
-looked up at most once per read in the log's one index over every downloaded
-chunk, whatever the chunk count, with no per-sighting ``Observation`` or
-``ExposureMatch`` built.  The expansion test pins that the devices of a run
+tick.  The lookup test pins how matching works: on the sightings of inbox
+spans, each looked up at most once per read in the log's one index over
+every downloaded chunk, whatever the chunk count, with no per-sighting
+``Observation`` or ``ExposureMatch`` built.  The run-record test pins that
+no tick builds an ``ObservationRun``, and that the end of a run builds one
+per sighting that matched, whatever the chunks and entries it matched.  The expansion test pins that the devices of a run
 share that index, which grows chunk by chunk: each published key is expanded
 once, however often exposure is read mid-run, and only through the run's
 last tick, so a run that ends early in the keys' day derives few of its
@@ -24,12 +26,13 @@ from unittest import mock
 
 import pytest
 
-from relaysim import gaen
+from relaysim import agents, gaen
 from relaysim.agents import DownloadLog, HonestDevice
 from relaysim.backend import BackendStore
 from relaysim.scenario import World
 
 from golden.gen_reports import REPORTS, golden_config, golden_names
+from oracles import sightings
 
 
 def _counting(owner, attr: str, calls: Counter):
@@ -144,13 +147,13 @@ def test_each_run_is_looked_up_once_per_chunk_and_no_sighting_is_built(name):
     # Once per read in the index over every chunk, so at most once per chunk.
     world = World(golden_config(name))
     calls: Counter = Counter()
-    reads: list = []  # (device's runs by RPI, the index it read), per _matched call
+    reads: list = []  # (device's sightings by RPI, the index it read), per _matched call
     matched = HonestDevice._matched
 
     def reading(device):
         downloads, index = device.downloads, device.downloads.index
         table = downloads.index = CountingIndex(index)
-        reads.append((Counter(run.rpi for run in device._runs), table))
+        reads.append((Counter(rpi for rpi, *_ in sightings(device)), table))
         try:
             return matched(device)
         finally:
@@ -165,8 +168,52 @@ def test_each_run_is_looked_up_once_per_chunk_and_no_sighting_is_built(name):
     assert calls == Counter()
     assert reads
     for runs, table in reads:
-        assert table.lookups <= runs  # one lookup per run at most
+        assert table.lookups <= runs  # one lookup per sighting at most
     assert sum(table.lookups.total() for _, table in reads) > 0
+
+
+def _matching_sightings(device: HonestDevice) -> int:
+    """How many of the device's sightings have a scan time inside the
+    clock-widened window of an index entry of their RPI."""
+    tolerance, tick = device.params.clock_tolerance_seconds, device.params.tick_seconds
+    return sum(
+        any(
+            entry.start - tolerance <= t < entry.end + tolerance
+            for _, entry in device.downloads.index.get(rpi, ())
+            for t in range(first, last + 1, tick)
+        )
+        for rpi, _, _, first, last in sightings(device)
+    )
+
+
+@pytest.mark.parametrize("name", golden_names())
+def test_only_the_end_of_a_run_builds_observation_runs_one_per_match(name):
+    world = World(golden_config(name))
+    built: list = []  # the tick each ObservationRun was built in, None outside a tick
+    ticking: list = []
+    record, step = agents.ObservationRun, World.step
+
+    def counted(*args):
+        built.append(ticking[-1] if ticking else None)
+        return record(*args)
+
+    def flagged_step(world):
+        ticking.append(world.now)
+        try:
+            step(world)
+        finally:
+            ticking.pop()
+
+    with (
+        mock.patch.object(agents, "ObservationRun", counted),
+        mock.patch.object(World, "step", flagged_step),
+    ):
+        for _ in range(world.config.duration // world.params.tick_seconds):
+            world.step()
+        assert built == []
+        report = world.finish().to_json_bytes()
+    assert report == (REPORTS / f"{name}.json").read_bytes()
+    assert built == [None] * sum(map(_matching_sightings, world.devices.values()))
 
 
 class FullExpansionWorld(World):

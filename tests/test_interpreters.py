@@ -1,9 +1,10 @@
 """Every other supported interpreter keeps the behaviour contract.
 
-Runs ``stdlib_contract.py`` (golden report and table bytes, the wire
-fixtures, the CLI's exit-2 paths) under each Python 3.10 or later found on
-``PATH`` or under ``$(pyenv root)/versions/*/bin/python``, other than the
-one running the tests.  Those interpreters need no pytest: the script uses
+Runs ``stdlib_contract.py`` (golden report and table bytes, the refused
+tick after a run's last one, the wire fixtures, the CLI's exit-2 paths)
+under each Python 3.10 or later found on ``PATH`` or under
+``$(pyenv root)/versions/*/bin/python``, other than the one running the
+tests.  Those interpreters need no pytest: the script uses
 the standard library alone.  A name that does not start an interpreter (a
 pyenv shim for a version not selected, say) is passed over.
 """

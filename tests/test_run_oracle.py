@@ -41,7 +41,10 @@ across the device's own rotations (an inbox may carry its own current or
 earlier packet) and time buckets, with duplicate packets heard at two
 rssi values and with the device moving under an unchanged inbox.  A chunk
 holding every stored RPI then matches exactly the sightings inside its
-window.
+window.  Explicit cases feed the pair the inbox sequences that end an open
+inbox span: an inbox of only an own echo or only non-advertisements between
+two scans of one inbox, one inbox object across a rotation and after a gap
+of more than a tick, and a list changed after its scan.
 
 The sixth property runs random attacked worlds and checks each defended
 device's report against its full contact table: the row count it reports
@@ -53,6 +56,7 @@ over every row of the table.
 from itertools import combinations
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relaysim import actguard, gaen, scenario
@@ -60,8 +64,8 @@ from relaysim.agents import DownloadedChunk, HonestDevice
 from relaysim.params import SimParams
 
 from oracles import (
-    PER_CAPTURE_ADVERSARIES, EveryTickWorld, PerSightingDevice, capture_entries, delivery,
-    naive_verdict, records,
+    PER_CAPTURE_ADVERSARIES, EveryTickWorld, PerSightingDevice, capture_entries, chunk_matches,
+    delivery, naive_verdict, observations, records,
 )
 
 METERS_PER_DEGREE = 6371000.0 * 3.141592653589793 / 180.0
@@ -267,8 +271,8 @@ def walk_in(second_diagnosis: bool) -> tuple[dict, list[int]]:
 
 def _state(device: HonestDevice) -> tuple:
     return (
-        device.observations,
-        {d: device.chunk_matches(d) for d in device.downloads.chunks},
+        observations(device),
+        {d: chunk_matches(device, d) for d in device.downloads.chunks},
         set(records(device.contact_rows())) if device.defended else None,
     )
 
@@ -330,7 +334,7 @@ def _exposure(world: scenario.World) -> tuple:
     for name, device in world.devices.items():
         exposure = device.evaluate_exposure()
         devices[name] = (
-            {d: device.chunk_matches(d) for d in device.downloads.chunks},
+            {d: chunk_matches(device, d) for d in device.downloads.chunks},
             exposure.matches_by_diagnosis,
             exposure.risk_score.hex(),
             exposure.gaen_alert,
@@ -389,7 +393,7 @@ def test_counted_rows_and_verdicts_equal_the_full_contact_tables(world):
         flat = [(lo, hi, *cell, bucket) for lo, hi, cell, bucket in table]
         for d, verdict in exposure.verdicts.items():
             expected = naive_verdict(
-                [m.rpi for m in device.chunk_matches(d)],
+                [m.rpi for m in chunk_matches(device, d)],
                 flat,
                 device.downloads.chunks[d].batch,
                 params.neighborhood_cells,
@@ -502,28 +506,102 @@ def test_any_inbox_sequence_stores_what_per_sighting_stores(
                 **{n: p.outgoing_packets(now)[0] for n, p in peers.items()},
             }
             inbox = tuple(delivery(sender, packets[src], rssi) for sender, src, rssi in deliveries)
-        stored = []
         for device in devices:
             if move:
                 device.position = FAR if device.position == HERE else HERE
-            stored.append(device.receive(inbox, now))
-        assert stored[0] == stored[1]
-    device, reference = devices
+        _receive_alike(devices, inbox, now)
+    _store_alike(*devices, now)
+
+
+def _receive_alike(devices: list, inbox, now: int) -> None:
+    """Hand ``inbox`` to a device and its per-sighting reference at ``now``:
+    both hold as many sightings of it."""
+    assert devices[0].receive(inbox, now) == devices[1].receive(inbox, now)
+
+
+def _store_alike(device: HonestDevice, reference: PerSightingDevice, now: int) -> None:
+    """The device and its reference report and store the same sightings,
+    and derive the same contact rows; and a chunk holding, in one window,
+    every stored RPI matches exactly the sightings inside the window, open
+    spans clipped too."""
     assert device.report(now + TICK) == reference.report(now + TICK)
-    expected = reference.observations
-    assert device.observations == expected
-    if defended:
+    expected = observations(reference)
+    assert observations(device) == expected
+    if device.defended:
         assert set(records(device.contact_rows())) == set(reference.contacts)
         assert actguard.digests(device.contact_rows()) == {
             actguard.contact_hash(*r) for r in reference.contacts
         }
-    # A chunk holding every stored RPI in one window matches the sightings
-    # inside the window, open runs clipped too.
     tek = gaen.Tek(bytes(16), 0)
     cuts = sorted({o.scan_time for o in expected[::3]} | {now + 1})
     device.downloads.chunks[0] = DownloadedChunk((), None, now)
     for since, until in combinations(cuts, 2):
         entry = gaen.IndexedRpi(tek, gaen.derive_subkeys(tek)[1], 0, since, until)
         device.downloads.index = {o.rpi: [(0, entry)] for o in expected}
-        got = [m.observation for m in device.chunk_matches(0)]
+        got = [m.observation for m in chunk_matches(device, 0)]
         assert got == [o for o in expected if since <= o.scan_time < until]
+
+
+def _device_and_reference(rotation: int = 600) -> list:
+    params = SimParams(rotation_seconds=rotation)
+    return [
+        cls("me", b"me" * 8, HERE, params=params, actguard_enabled=True)
+        for cls in (HonestDevice, PerSightingDevice)
+    ]
+
+
+def _peer_delivery(now: int, rssi: float = -50.0):
+    peer = HonestDevice("p0", b"p0" * 8, HERE, params=SimParams())
+    return delivery("p0", peer.outgoing_packets(now)[0], rssi)
+
+
+@pytest.mark.parametrize("middle", ["own", "junk"])
+def test_an_inbox_without_sightings_between_two_scans_of_one_inbox(middle):
+    # The inbox of only an own echo or of only bytes that are no
+    # advertisement opens no span, but it is the last inbox: the inbox
+    # handed over again one tick after it opens a new span, and the tick
+    # between holds no sighting.
+    devices = _device_and_reference()
+    inbox = (_peer_delivery(0), _peer_delivery(0, -70.0))
+    packet = devices[0].outgoing_packets(20)[0] if middle == "own" else b"\x00" * 22
+    between = (delivery("relay", packet, -50.0),) * 2
+    for scan, now in ((inbox, 0), (inbox, 10), (between, 20), (inbox, 30), (inbox, 40)):
+        _receive_alike(devices, scan, now)
+    assert [(first, last) for _, _, first, last in devices[0]._spans] == [(0, 10), (30, 40)]
+    _store_alike(*devices, 40)
+
+
+def test_one_inbox_across_a_rotation():
+    # One inbox object, one tick apart, holds a peer's packet and the
+    # device's own packet of before its rotation at 600 s: an echo until
+    # then, a sighting from then on, in a new span scanned as the new RPI.
+    devices = _device_and_reference()
+    own_then = devices[0].outgoing_packets(580)[0]
+    inbox = (delivery("relay", own_then, -50.0), _peer_delivery(580))
+    for now in range(580, 630, TICK):
+        _receive_alike(devices, inbox, now)
+    assert [(first, last, len(seen)) for seen, _, first, last in devices[0]._spans] == [
+        (580, 590, 1), (600, 620, 2)
+    ]
+    _store_alike(*devices, 620)
+
+
+def test_one_inbox_after_a_gap_longer_than_a_tick():
+    devices = _device_and_reference()
+    inbox = (_peer_delivery(0),)
+    for now in (0, 10, 30, 40):  # no scan at 20
+        _receive_alike(devices, inbox, now)
+    assert [(first, last) for _, _, first, last in devices[0]._spans] == [(0, 10), (30, 40)]
+    _store_alike(*devices, 40)
+
+
+def test_a_list_mutated_after_its_scan():
+    # A span keeps what the inbox held when it was scanned; handed over
+    # again after a gap, the changed list opens a span of what it holds then.
+    devices = _device_and_reference()
+    inbox = [_peer_delivery(0), delivery("relay", b"\x00" * 22, -50.0)]
+    _receive_alike(devices, inbox, 0)
+    inbox[:] = [delivery("relay", b"\x00" * 22, -60.0), _peer_delivery(0, -70.0)] * 2
+    _receive_alike(devices, (), 10)
+    _receive_alike(devices, inbox, 30)
+    _store_alike(*devices, 30)

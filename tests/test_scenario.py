@@ -20,7 +20,8 @@ from relaysim.params import NEIGHBORHOOD_MAX, AttackSpec, SimParams
 from relaysim.scenario import ConfigError
 
 from conftest import JSON_VALUES, json_paths, replaced
-from oracles import BackendUnavailable
+from golden.gen_reports import REPORTS, golden_config, golden_names
+from oracles import BackendUnavailable, observations
 
 # A value to mutate a config with: a boundary number, an ordinary one, or any JSON value.
 MUTATIONS = (
@@ -616,7 +617,7 @@ class TestRun:
         world = scenario.World(scenario.load_config(data))
         world.run()
         for name in ("a", "b"):
-            scan_times = [o.scan_time for o in world.devices[name].observations]
+            scan_times = [o.scan_time for o in observations(world.devices[name])]
             assert scan_times == list(range(300, 600, 10))
 
     def test_self_report_never_alerts(self):
@@ -653,6 +654,23 @@ class TestRun:
             (600, "a", 1), (600, "a", 2), (600, "b", 2), (600, "c", 1),
         ]
         assert report["actors"]["a"]["gaen_alert"] is True
+
+    @pytest.mark.parametrize("name", golden_names())
+    def test_a_tick_after_the_last_one_is_refused(self, name):
+        # The world's download log expands published keys only through the
+        # last tick, so a later tick would miss matches: stepping one raises,
+        # naming both ticks, and leaves the world to finish as ``run`` does.
+        world = scenario.World(golden_config(name))
+        tick = world.params.tick_seconds
+        ticks = world.config.duration // tick
+        for _ in range(ticks):
+            world.step()
+        last = (ticks - 1) * tick
+        for now in (last + tick, last + 5 * tick):
+            world.now = now
+            with pytest.raises(scenario.RunEndedError, match=rf"t={now} .* last tick at t={last}$"):
+                world.step()
+        assert world.finish().to_json_bytes() == (REPORTS / f"{name}.json").read_bytes()
 
 
 # Report-shaped JSON trees: keys and strings that look like JSON syntax,

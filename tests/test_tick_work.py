@@ -2,10 +2,10 @@
 which nothing can change costs O(1) for the whole world.
 
 For every golden config these tests pin, from outside the package, that:
-no ``radio.Station`` is built on a tick where no actor's position or
-packets changed; every actor is handed its inbox once on each tick run in
-full, and a new inbox object only on a tick where its deliveries differ by
-value from its last inbox; more than 80 % of the ticks are repeated, calling
+no station is built (``World.deliver`` is not called) on a tick where no
+actor's position or packets changed; every actor is handed its inbox once
+on each tick run in full, and a new inbox object only on a tick where its
+deliveries differ by value from its last inbox; more than 80 % of the ticks are repeated, calling
 no actor method and no ``radio`` function; a walker keeps
 its position object while its position is equal, and its waypoint cursor
 only moves forward, to the waypoints reached by the tick; the capture
@@ -17,8 +17,9 @@ or a run reached an event: its first capture entering the window, the
 runs ahead of it catching up with its first capture, or its first or last
 capture leaving the window; a run that closed out of a window shorter
 than one tick ends the ticks run in full.  A delivery on which nothing
-moved builds only the inboxes of receivers that hear a sender whose
-packets changed, and the world decodes each packet once per new packets
+moved reads the links of, and rebuilds the inboxes of, only the receivers
+that hear a sender whose packets changed (every other receiver keeps its
+inbox object), and the world decodes each packet once per new packets
 object put on the air, however many receivers hear it.  A link-table build
 converts each station's coordinates once and measures each pair of
 stations in neighbouring grid cubes once.  The contact-hash defense runs
@@ -38,7 +39,7 @@ from relaysim.params import SimParams
 from relaysim.scenario import ActorSpec, World, load_config
 
 from golden.gen_reports import REPORTS, golden_config, golden_names
-from oracles import EveryTickWorld, capture_entries, naive_links
+from oracles import EveryTickWorld, capture_entries, naive_deliveries, naive_links
 
 
 def _recording(owner, attr: str, calls: list):
@@ -55,7 +56,7 @@ def _recording(owner, attr: str, calls: list):
 
 class WatchedWorld(World):
     """Records, for every tick, what every actor had on air and how many
-    stations were built."""
+    stations were built and handed to ``deliver``."""
 
     def __init__(self, config):
         super().__init__(config)
@@ -71,6 +72,10 @@ class WatchedWorld(World):
 
             actor.outgoing_packets = outgoing_packets
 
+    def deliver(self, stations, moved):
+        self.stations["built"] += len(stations)
+        return super().deliver(stations, moved)
+
     def step(self):
         built = self.stations["built"]
         super().step()
@@ -81,14 +86,7 @@ class WatchedWorld(World):
 @pytest.mark.parametrize("name", golden_names())
 def test_no_station_is_built_while_nothing_on_air_changes(name):
     world = WatchedWorld(golden_config(name))
-    station = radio.Station
-
-    def counted(*args):
-        world.stations["built"] += 1
-        return station(*args)
-
-    with mock.patch.object(radio, "Station", counted):
-        world.run()
+    world.run()
     quiet = 0
     previous = None
     for air, built in world.ticks:
@@ -103,43 +101,55 @@ def test_no_station_is_built_while_nothing_on_air_changes(name):
 
 @pytest.mark.parametrize("name", golden_names())
 def test_a_delivery_without_a_move_rebuilds_only_changed_senders_inboxes(name):
-    # Counts the ``radio.Delivery`` records each ``deliver`` call builds.  A
-    # call after a move (and the first) builds every delivery; any other
-    # only the inboxes of receivers that hear a sender whose packets are
-    # not the object it sent on the last call, each inbox in full.
+    # Counts each ``deliver`` call's reads of the link table, by station.  A
+    # call after a move (and the first) builds a table and reads every
+    # station's links once, to build its inbox; any other reads the links of
+    # each sender whose packets are not the object it sent on the last call,
+    # to find who hears it, and of each receiver that hears such a sender,
+    # to rebuild its inbox, and of no other station.  Each inbox holds every
+    # delivery its receiver hears (it equals ``naive_deliveries``), and it is
+    # the last call's object exactly when it was not rebuilt or was rebuilt
+    # equal by value.
     world = World(golden_config(name))
-    built = Counter()
-    delivery = radio.Delivery
+    reads: Counter = Counter()
 
-    def counted(*args):
-        built["deliveries"] += 1
-        return delivery(*args)
+    class CountedLinks(dict):
+        def __getitem__(self, station):
+            reads[station] += 1
+            return dict.__getitem__(self, station)
 
-    calls: list = []  # (stations, moved, deliveries built) per call
-    deliver = world.deliver
+    calls: list = []  # (stations, moved, link reads, inboxes) per call
+    deliver, table = world.deliver, radio.link_table
 
     def recorded(stations, moved):
-        before = built["deliveries"]
+        reads.clear()
         inboxes = deliver(stations, moved)
-        calls.append((stations, moved, built["deliveries"] - before))
+        calls.append((stations, moved, Counter(reads), dict(inboxes)))
         return inboxes
 
     world.deliver = recorded
-    with mock.patch.object(radio, "Delivery", counted):
+    with mock.patch.object(radio, "link_table", lambda *args: CountedLinks(table(*args))):
         world.run()
     last: dict = {}
-    for stations, moved, count in calls:
+    last_inboxes: dict = {}
+    rebuilt = 0
+    for stations, moved, read, inboxes in calls:
+        stations = [radio.Station(*s) for s in stations]
         links = naive_links(stations, world.params)
+        assert inboxes == naive_deliveries(stations, world.params)
         packets = {s.name: s.packets for s in stations}
         if moved or not last:
-            receivers = {r for heard in links.values() for r, _ in heard}
+            changed, receivers = [], set(packets)
         else:
             changed = [s for s, out in packets.items() if out is not last[s]]
             receivers = {r for s in changed for r, _ in links[s]}
-        assert count == sum(
-            len(packets[s]) for s, heard in links.items() for r, _ in heard if r in receivers
-        )
-        last = packets
+        assert read == Counter(changed) + Counter(receivers)
+        for receiver, inbox in inboxes.items():
+            kept = receiver not in receivers or inbox == last_inboxes.get(receiver)
+            assert (inbox is last_inboxes.get(receiver)) == kept, receiver
+            rebuilt += not kept
+        last, last_inboxes = packets, inboxes
+    assert rebuilt > 0
 
 
 @pytest.mark.parametrize("name", golden_names())
@@ -171,10 +181,10 @@ def test_each_packet_is_decoded_once(name):
     last: dict = {}
     expected = 0
     for stations, count in calls:
-        new = sum(len(s.packets) for s in stations if s.packets is not last.get(s.name))
+        new = sum(len(out) for name, _, out in stations if out is not last.get(name))
         assert count == new
         expected += new
-        last = {s.name: s.packets for s in stations}
+        last = {name: out for name, _, out in stations}
     assert len(decoded) == expected > 0
 
 
@@ -292,7 +302,7 @@ def test_capture_runs_open_per_new_sniffer_inbox(name):
             continue
         inbox, now = call
         again = sniffer.name in last and last[sniffer.name] == (id(inbox), now - tick)
-        heard = any(d.frame is not None for d in inbox)
+        heard = any(frame is not None for _, _, _, frame in inbox)
         new_inboxes += heard and not again
         last[sniffer.name] = (id(inbox), now)
     database = world.database

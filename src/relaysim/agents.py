@@ -112,16 +112,12 @@ class MaliciousDatabase:
             raise ValueError(f"capture at t={now} precedes the last one at t={self._latest}")
         self._latest = now
 
-    def captures(self, rank: int | None = None) -> int:
-        """How many captures sniffer ``rank`` made, or everyone if None."""
+    def captures(self, rank: int) -> int:
+        """How many captures sniffer ``rank`` made."""
         tick = self.tick_seconds
         return sum(
-            len(r.packets) * ((r.last - r.first) // tick + 1)
-            for r in self.runs if rank is None or r.rank == rank
+            len(r.packets) * ((r.last - r.first) // tick + 1) for r in self.runs if r.rank == rank
         )
-
-    def __len__(self) -> int:
-        return self.captures()
 
 
 class SnifferAdversary:
@@ -182,12 +178,8 @@ class SnifferAdversary:
         self.database.extend(self.rank, through)
         self._last_scan = through
 
-    @property
-    def captures(self) -> int:
-        return self.database.captures(self.rank)
-
     def report(self, end: int) -> tuple[dict, list[dict]]:
-        return {"role": "sniffer", "captures": self.captures}, []
+        return {"role": "sniffer", "captures": self.database.captures(self.rank)}, []
 
 
 class RebroadcastAdversary:
@@ -336,19 +328,6 @@ class RebroadcastAdversary:
         return row, []
 
 
-class ObservationRun:
-    """One packet heard at one rssi on every scan of an inbox span, built
-    only for a delivery that matched (``HonestDevice._matched``); its match
-    runs carry the scan times."""
-
-    __slots__ = ("rpi", "aem", "rssi")
-
-    def __init__(self, rpi: bytes, aem: bytes, rssi: float) -> None:
-        self.rpi = rpi
-        self.aem = aem
-        self.rssi = rssi
-
-
 class DownloadedChunk(NamedTuple):
     """A downloaded chunk's keys, its hash batch (None if it has none) and
     ``at``, the tick of the poll that brought it."""
@@ -362,11 +341,12 @@ class DownloadLog:
     """The downloaded chunks by diagnosis id, in download order (ids
     ascend), and one RPI index over them: an RPI maps to (diagnosis id,
     entry) for each of its entries, chunk by chunk, in each chunk's
-    ``build_rpi_index`` order.  The devices of a world share one log, which
-    the world polls once per round that published a chunk: each new chunk
-    is fetched and expanded once, through ``until`` (in full by default):
-    the index matches only scans by then.  A world's log expands through its
-    last tick, and the world refuses any tick after it (``RunEndedError``)."""
+    ``build_rpi_index`` order.  Every device reads one it is given, and
+    the devices of a world share the world's log, which the world polls
+    once per round that published a chunk: each new chunk is fetched and
+    expanded once, through ``until`` (in full by default): the index
+    matches only scans by then.  A world's log expands through its last
+    tick, and the world refuses any tick after it (``RunEndedError``)."""
 
     def __init__(self, params: SimParams, until: float = math.inf) -> None:
         self.params = params
@@ -396,17 +376,11 @@ class DownloadLog:
 # first through last.  Only last changes, as the span extends.
 _LAST = 3
 
-# A match run: an observation run paired with one index entry of its RPI,
-# with the scan times inside the entry's window, widened by the clock
-# tolerance, and the transmit power decrypted from the run's AEM.
-ClippedRun = tuple[range, gaen.IndexedRpi, int, ObservationRun]
-
 
 class ExposureState(NamedTuple):
     gaen_alert: bool
     risk_score: float
     verdicts: dict[int, actguard.Verdict]
-    matches_by_diagnosis: dict[int, int]
     contact_records: int  # the buckets of ``contact_rows``, counted, not expanded
     # (t, diagnosis id, matches scanned by t) of each matched diagnosis, in
     # id order: t is the first tick at which a poll brought chunks that is
@@ -421,9 +395,8 @@ class HonestDevice:
     from its spans, and verification reads only a matched pseudonym's rows;
     each chunk's hash batch rides on its ``DownloadedChunk``.
 
-    ``downloads`` holds the downloaded chunks and their RPI index.  The
-    devices of a world share one (see ``DownloadLog``); a device given none
-    keeps its own.
+    ``downloads`` holds the downloaded chunks and their RPI index: the log
+    the devices of a world share (see ``DownloadLog``).
 
     Sightings are stored as inbox spans: a new inbox that holds a sighting
     (a protocol delivery that is not an echo of the device's own RPI) opens
@@ -438,8 +411,9 @@ class HonestDevice:
     once in the index, whatever the chunk count (see ``_matched``): a
     sighting paired with an entry of its RPI is a match run if some of its
     scan times fall inside the entry's window, widened by the clock
-    tolerance.  ``evaluate_exposure`` scores every match so far and
-    derives from the chunks' poll ticks when each diagnosis first matched.
+    tolerance.  ``evaluate_exposure`` builds one ``gaen.MatchedSightings``
+    per match run so far; scoring, verdicts and the first match of each
+    diagnosis, taken from the chunks' poll ticks, all read those.
     """
 
     phase = 2
@@ -452,19 +426,18 @@ class HonestDevice:
         *,
         params: SimParams,
         actguard_enabled: bool = False,
-        downloads: DownloadLog | None = None,
+        downloads: DownloadLog,
     ):
         self.name = name
         self.seed = seed
         self.position = position
         self.params = params
-        self.downloads = DownloadLog(params) if downloads is None else downloads
+        self.downloads = downloads
 
         self.teks: dict[int, gaen.Tek] = {}
         self._subkeys: dict[int, tuple[gaen.HmacSha256, gaen.HmacSha256]] = {}  # (rpik, aemk)
         self.current_rpi: gaen.Rpi | None = None
-        self.current_packet: bytes | None = None
-        self._outgoing: tuple[bytes, ...] = ()  # (current_packet,)
+        self._outgoing: tuple[bytes, ...] = ()  # (the current pseudonym's packet,)
         self._slot = (0, 0)  # the current pseudonym's [start, end) in seconds
 
         self._spans: list[list] = []  # inbox spans, in opening order
@@ -506,8 +479,7 @@ class HonestDevice:
         rpi = gaen.derive_rpi(rpik, interval, self.params)
         aem = gaen.encrypt_aem(aemk, rpi.bytes, self.params.tx_power_dbm)
         self.current_rpi = rpi
-        self.current_packet = radio.encode_advertisement(rpi.bytes, aem)
-        self._outgoing = (self.current_packet,)
+        self._outgoing = (radio.encode_advertisement(rpi.bytes, aem),)
         start = now - now % rotation
         self._slot = (start, start + rotation)
         return True
@@ -595,31 +567,33 @@ class HonestDevice:
         polls its devices' shared log itself."""
         return self.downloads.poll(backend, now)
 
-    def _matched(self) -> dict[int, list[ClippedRun]]:
-        """Each downloaded chunk's match runs, by diagnosis id, in (run,
-        entry) order, a run being a span's sighting, spans in opening order:
-        one lookup per sighting, each hit's scan times clipped to the entry's
-        widened window, and the run built and its AEM decrypted for a
-        non-empty clip only."""
+    def _matched(self) -> dict[int, list[tuple]]:
+        """Each downloaded chunk's match runs, by diagnosis id, in (sighting,
+        entry) order, spans in opening order.  A match run, ``(times, entry,
+        tx, sighting)``, pairs a span's sighting (its delivery tuple) with one
+        index entry of its RPI: the span's scan times inside the entry's
+        window, widened by the clock tolerance, and the transmit power
+        decrypted from the sighting's AEM.  One lookup per sighting; the AEM
+        is decrypted for a non-empty clip only."""
         index = self.downloads.index
         tolerance = self.params.clock_tolerance_seconds
         tick = self.params.tick_seconds
-        matched: dict[int, list[ClippedRun]] = {}
+        matched: dict[int, list[tuple]] = {}
         for sightings, _, first, last in self._spans:
             times = range(first, last + 1, tick)
-            for _, _, rssi, frame in sightings:
+            for sighting in sightings:
+                frame = sighting[3]
                 entries = index.get(frame[0])
                 if entries is None:
                     continue
-                run = None
                 for diagnosis_id, entry in entries:
                     lo = bisect.bisect_left(times, entry.start - tolerance)
                     hi = bisect.bisect_left(times, entry.end + tolerance)
                     if lo < hi:
-                        if run is None:
-                            run = ObservationRun(*frame, rssi)
-                        tx = gaen.decrypt_aem(entry.aemk, run.rpi, run.aem)
-                        matched.setdefault(diagnosis_id, []).append((times[lo:hi], entry, tx, run))
+                        tx = gaen.decrypt_aem(entry.aemk, *frame)
+                        matched.setdefault(diagnosis_id, []).append(
+                            (times[lo:hi], entry, tx, sighting)
+                        )
         return matched
 
     def evaluate_exposure(self) -> ExposureState:
@@ -637,42 +611,39 @@ class HonestDevice:
             rows.setdefault(row[1], []).append(row)
         scored: list[gaen.MatchedSightings] = []
         verdicts: dict[int, actguard.Verdict] = {}
-        counts: dict[int, int] = {}
         firsts: list[tuple[float, int, int]] = []
         for diagnosis_id in sorted(matched):
-            runs = matched[diagnosis_id]
-            counts[diagnosis_id] = sum(len(times) for times, _, _, _ in runs)
-            scored += [
-                gaen.MatchedSightings(diagnosis_id, run.rpi, tx - run.rssi, times)
-                for times, _, tx, run in runs
+            runs = [
+                gaen.MatchedSightings(diagnosis_id, frame[0], tx - rssi, times)
+                for times, _, tx, (_, _, rssi, frame) in matched[diagnosis_id]
             ]
+            scored += runs
             if self.defended:
                 verdicts[diagnosis_id] = self._verdict_for(diagnosis_id, runs, rows)
-            first = min(times[0] for times, _, _, _ in runs)
+            first = min(run.times[0] for run in runs)
             i = bisect.bisect_left(polls, max(chunks[diagnosis_id].at, first))
             t = polls[i] if i < len(polls) else math.inf
-            count = sum(bisect.bisect_right(times, t) for times, _, _, _ in runs)
+            count = sum(bisect.bisect_right(run.times, t) for run in runs)
             firsts.append((t, diagnosis_id, count))
         risk = gaen.risk_score(scored, self.params)
         return ExposureState(
             gaen_alert=risk.alert,
             risk_score=risk.score,
             verdicts=verdicts,
-            matches_by_diagnosis=counts,
             contact_records=sum(len(buckets) for *_, buckets in contacts),
             first_matches=firsts,
         )
 
     def _verdict_for(
-        self, diagnosis_id: int, matched: list[ClippedRun], rows: dict[bytes, list]
+        self, diagnosis_id: int, matched: list[gaen.MatchedSightings], rows: dict[bytes, list]
     ) -> actguard.Verdict:
         # One verdict per diagnosis: confirmation by any match wins, else the
         # first match's verdict.  A match's verdict depends only on its RPI,
         # so each distinct RPI is verified once, in first-match order: by
-        # scan time of each match run's first match, then (run, entry), the
-        # order of ``matched``.
-        first_by_rpi: dict[bytes, ObservationRun] = {}
-        for _, _, run in sorted((ts[0], k, run) for k, (ts, _, _, run) in enumerate(matched)):
+        # scan time of each match run's first match, then (sighting, entry),
+        # the order of ``matched``.
+        first_by_rpi: dict[bytes, gaen.MatchedSightings] = {}
+        for _, _, run in sorted((run.times[0], k, run) for k, run in enumerate(matched)):
             first_by_rpi.setdefault(run.rpi, run)
         first: actguard.Verdict | None = None
         for run in first_by_rpi.values():

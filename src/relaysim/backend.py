@@ -67,8 +67,8 @@ class Otp:
 
 class TekChunk(FrozenRecord):
     """A published diagnosis; ``teks`` holds (tek bytes, day_index) pairs,
-    device-anonymous.  Each chunk read scans the stored chunks, so this is
-    a ``__slots__`` record."""
+    device-anonymous.  A chunk read slices the stored chunks from the
+    reader's newest one (``fetch_chunks``) and reads each chunk it returns."""
 
     __slots__ = ("index", "teks", "published_at")
 

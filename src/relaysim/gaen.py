@@ -76,13 +76,6 @@ class HmacSha256:
         return outer.digest()
 
 
-Key = bytes | HmacSha256  # a subkey, raw or already keyed
-
-
-def _keyed(key: Key) -> HmacSha256:
-    return key if type(key) is HmacSha256 else HmacSha256(key)
-
-
 _EXTRACT = HmacSha256(bytes(32))  # HKDF-extract with no salt: HashLen zero bytes
 
 
@@ -149,27 +142,27 @@ def derive_subkeys(tek: Tek) -> tuple[bytes, ...]:
     return _hkdf16(tek.bytes, RPIK_LABEL, AEMK_LABEL)
 
 
-def derive_rpi(rpik: Key, interval_index: int, params: SimParams) -> Rpi:
+def derive_rpi(rpik: HmacSha256, interval_index: int, params: SimParams) -> Rpi:
     """Pseudonym for one rotation window; the index must fall within the day."""
     n = params.intervals_per_day
     if not 0 <= interval_index < n:
         raise ValueError(f"interval_index {interval_index} outside [0, {n})")
-    mac = _keyed(rpik).digest(RPI_LABEL + struct.pack(">I", interval_index))
+    mac = rpik.digest(RPI_LABEL + struct.pack(">I", interval_index))
     return Rpi(bytes=mac[:RPI_LENGTH], interval_index=interval_index)
 
 
-def _aem_keystream(aemk: Key, rpi: bytes) -> bytes:
-    return _keyed(aemk).digest(AEM_LABEL + rpi)[:AEM_LENGTH]
+def _aem_keystream(aemk: HmacSha256, rpi: bytes) -> bytes:
+    return aemk.digest(AEM_LABEL + rpi)[:AEM_LENGTH]
 
 
-def encrypt_aem(aemk: Key, rpi: bytes, tx_power_dbm: int) -> bytes:
+def encrypt_aem(aemk: HmacSha256, rpi: bytes, tx_power_dbm: int) -> bytes:
     if not TX_POWER_MIN <= tx_power_dbm <= TX_POWER_MAX:
         raise ValueError(f"tx_power {tx_power_dbm} outside [{TX_POWER_MIN}, {TX_POWER_MAX}]")
     ks = int.from_bytes(_aem_keystream(aemk, rpi), "big")
     return ((tx_power_dbm & 0xFFFFFFFF) ^ ks).to_bytes(AEM_LENGTH, "big")  # int32_be XOR keystream
 
 
-def decrypt_aem(aemk: Key, rpi: bytes, aem: bytes) -> int:
+def decrypt_aem(aemk: HmacSha256, rpi: bytes, aem: bytes) -> int:
     if len(aem) != AEM_LENGTH:
         raise ValueError(f"aem must be {AEM_LENGTH} bytes, got {len(aem)}")
     plain = int.from_bytes(aem, "big") ^ int.from_bytes(_aem_keystream(aemk, rpi), "big")
@@ -200,7 +193,7 @@ class IndexedRpi(NamedTuple):
     """One expanded pseudonym of a diagnosed key, ready to match."""
 
     tek: Tek
-    aemk: Key
+    aemk: HmacSha256
     interval_index: int
     start: int  # validity window [start, end) in sim seconds
     end: int
@@ -211,7 +204,8 @@ DiagnosisEntry = tuple[int, IndexedRpi]  # (diagnosis id, entry): see agents.Dow
 
 
 class MatchedSightings(NamedTuple):
-    """What risk scoring reads of one match run."""
+    """One match run, as risk scoring, verification (``rpi``) and a
+    device's first-match events read it."""
 
     chunk: int  # the chunk's diagnosis id
     rpi: bytes

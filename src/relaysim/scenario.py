@@ -84,7 +84,8 @@ class ConfigError(ValueError):
 
 
 class RunEndedError(RuntimeError):
-    """A world was stepped at a tick after its run's last one."""
+    """A world was stepped at a tick after its run's last one, or finished
+    a second time."""
 
 
 _as = partial(as_number, error=ConfigError)
@@ -168,6 +169,13 @@ def _field(item: dict, key: str, owner: str):
         raise ConfigError(f"{owner} has no {key!r}") from None
 
 
+def _text(value, what: str) -> str:
+    """A JSON string, or a ConfigError naming ``what``."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def load_config(
     source: str | os.PathLike | dict, *, seed_override: int | None = None
 ) -> ScenarioConfig:
@@ -196,7 +204,7 @@ def load_config(
     if seed_override is not None:
         data["seed"] = seed_override
 
-    name = str(data.get("name", "unnamed"))
+    name = _text(data.get("name", "unnamed"), "scenario name")
     seed = _as(int, data.get("seed", 0), "seed")
     try:
         str(seed)  # device seeds and the report write it out in decimal
@@ -208,7 +216,7 @@ def load_config(
 
     places: dict[str, tuple[float, float]] = {}
     for i, p in enumerate(_objects(data, "places")):
-        place_name = str(_field(p, "name", f"place #{i}"))
+        place_name = _text(_field(p, "name", f"place #{i}"), f"place #{i} name")
         owner = f"place {place_name!r}"
         _only(p, ("name", "lat", "lon", "radius_m"), owner)
         center = _coordinates(_field(p, "lat", owner), _field(p, "lon", owner), owner)
@@ -221,15 +229,15 @@ def load_config(
     actors: list[ActorSpec] = []
     seen = set()
     for i, a in enumerate(_objects(data, "actors")):
-        actor_name = str(_field(a, "name", f"actor #{i}"))
+        actor_name = _text(_field(a, "name", f"actor #{i}"), f"actor #{i} name")
         _only(a, _ACTOR_KEYS, f"actor {actor_name!r}")
         if actor_name in seen:
             raise ConfigError(f"duplicate actor name {actor_name!r}")
         seen.add(actor_name)
-        role = str(a.get("role", "honest"))
+        role = _text(a.get("role", "honest"), f"actor {actor_name!r} role")
         if role not in ROLES:
             raise ConfigError(f"unknown actor role {role!r} for actor {actor_name!r}")
-        place = str(a.get("place", ""))
+        place = _text(a.get("place", ""), f"actor {actor_name!r} place")
         if place not in places:
             raise ConfigError(f"actor {actor_name!r} references unknown place {place!r}")
         actguard = a.get("actguard", False)
@@ -293,7 +301,7 @@ def load_config(
     for i, e in enumerate(_objects(data, "diagnosis_events")):
         owner = f"diagnosis event #{i}"
         _only(e, ("actor", "at_time"), owner)
-        target = str(_field(e, "actor", owner))
+        target = _text(_field(e, "actor", owner), f"{owner} actor")
         at_time = _as(int, _field(e, "at_time", owner), f"{owner} at_time")
         if target not in by_name:
             raise ConfigError(f"diagnosis event names unknown actor {target!r}")
@@ -329,7 +337,7 @@ def load_config(
         attack=attack,
         diagnosis_events=events,
         params=params,
-        description=str(data.get("description", "")),
+        description=_text(data.get("description", ""), "scenario description"),
         raw=data,
     )
 
@@ -441,9 +449,6 @@ class ScenarioReport:
     def __init__(self, data: dict):
         self.data = data
 
-    def to_dict(self) -> dict:
-        return self.data
-
     def to_json_bytes(self) -> bytes:
         if json.encoder.c_make_encoder is None:
             return json.dumps(self.data, sort_keys=True, indent=2).encode() + b"\n"
@@ -462,9 +467,6 @@ class ScenarioReport:
                 f"{str(a.get('gaen_alert', '-')):<6} {risk:>7}  {verdicts or '-'}"
             )
         return "\n".join(rows) + "\n"
-
-    def actor(self, name: str) -> dict:
-        return self.data["actors"][name]
 
 
 def emit_report(report: ScenarioReport, fmt: str = "json") -> bytes:
@@ -485,7 +487,8 @@ class World:
     per round that published a chunk, so a chunk is fetched and expanded
     once; a ``BackendError`` skips the round and leaves the log as it was.
     It expands a published key only through the last tick ``run`` steps, so
-    ``step`` refuses any tick after that one (``RunEndedError``).  Actor
+    ``step`` refuses any tick after that one (``RunEndedError``), as
+    ``finish`` refuses a second call.  Actor
     state is read only after the actors caught up with the repeated ticks:
     on the next tick run in full, or in ``finish``.
     """
@@ -519,6 +522,7 @@ class World:
         self._last_tick = -math.inf  # the last tick run or repeated
         self._quiet_until: float = -math.inf  # ticks before it repeat the last one run
         self._repeated_through: int | None = None  # the last tick repeated since then
+        self._finished = False
 
     def _new_actor(self, spec: ActorSpec):
         # A waypoint at or before time 0 is reached on the first tick.
@@ -680,7 +684,11 @@ class World:
         """End the run: catch the actors up, then have each actor, in name
         order, report its row and log its end-of-run events (a device's
         match events).  Within a tick those come after every other event;
-        the sort is stable and the events are in time order."""
+        the sort is stable and the events are in time order.  A second call
+        raises ``RunEndedError``: the events are logged once."""
+        if self._finished:
+            raise RunEndedError("the run has already finished")
+        self._finished = True
         self._catch_up()
         rows = {}
         for actor in self.actors:

@@ -24,9 +24,10 @@ with ``actguard.record_contact`` into ``IndexedContactsTable``, a table of
 rows with an index by pseudonym, and verifies each match against that
 pseudonym's rows, one bucket at a time.
 
-``observations`` and ``chunk_matches`` are the per-sighting views of a
-device that the tests compare: read from an ``HonestDevice``'s inbox spans
-and match runs, or straight from a ``PerSightingDevice``'s lists.
+``observations``, ``chunk_matches`` and ``match_counts`` are the
+per-sighting views of a device that the tests compare: read from an
+``HonestDevice``'s inbox spans and match runs, or straight from a
+``PerSightingDevice``'s lists.
 """
 
 from __future__ import annotations
@@ -371,13 +372,12 @@ class PerSightingDevice(EveryTick, HonestDevice):
         return [self.stored[i] for i in positions]
 
     def _score(self):
-        all_matches, verdicts, counts = [], {}, {}
+        all_matches, verdicts = [], {}
         for diagnosis_id in sorted(self.downloads.chunks):
             matches = self.matches.get(diagnosis_id)
             if not matches:
                 continue
             all_matches += matches
-            counts[diagnosis_id] = len(matches)
             if self.contacts is not None:
                 verdicts[diagnosis_id] = self._per_match_verdict(diagnosis_id, matches)
         risk = risk_score(all_matches, self.params)
@@ -385,7 +385,6 @@ class PerSightingDevice(EveryTick, HonestDevice):
             gaen_alert=risk.alert,
             risk_score=risk.score,
             verdicts=verdicts,
-            matches_by_diagnosis=counts,
             contact_records=len(self.contacts) if self.contacts is not None else 0,
         )
 
@@ -457,11 +456,16 @@ def chunk_matches(device, diagnosis_id):
     sightings = sorted((t, k, match) for k, match in enumerate(matched) for t in match[0])
     return [
         gaen.ExposureMatch(
-            entry.tek, run.rpi, entry.interval_index, tx,
-            gaen.Observation(run.rpi, run.aem, run.rssi, t),
+            entry.tek, rpi, entry.interval_index, tx, gaen.Observation(rpi, aem, rssi, t)
         )
-        for t, _, (_, entry, tx, run) in sightings
+        for t, _, (_, entry, tx, (_, _, rssi, (rpi, aem))) in sightings
     ]
+
+
+def match_counts(device):
+    """How many sightings each matched diagnosis matched, by diagnosis id."""
+    counts = {d: len(chunk_matches(device, d)) for d in device.downloads.chunks}
+    return {d: n for d, n in counts.items() if n}
 
 
 class EveryTickWorld(scenario.World):

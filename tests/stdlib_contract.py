@@ -4,10 +4,11 @@
 Runs every golden config to its report and table bytes and compares them
 with ``golden/reports`` and ``golden/tables``, steps every golden world once
 more after its last tick, which must raise ``RunEndedError`` and leave the
-report bytes as they were, checks the boundary cases of
-expanding a published key through a bound (the prefix of its pseudonyms
-whose widened windows start by then, all of them when unbounded), replays
-the HTTP exchanges of ``golden/wire_fixtures.json`` against a
+report bytes as they were, and so must finishing it a second time, checks
+the boundary cases of expanding a published key through a bound (the
+prefix of its pseudonyms whose widened windows start by then, all of them
+when unbounded), replays the HTTP exchanges of
+``golden/wire_fixtures.json`` against a
 ``BackendHTTPServer`` on a free port, and runs each way the CLI exits with
 status 2.  It imports nothing outside the standard library and ``relaysim``
 (from ``src/``), so any supported interpreter can run it, with or without
@@ -111,8 +112,16 @@ def _past_last_tick() -> list[str]:
             failed.append(f"{name}: a tick after the last one ran")
         except RunEndedError:
             pass
-        if world.finish().to_json_bytes() != (REPORTS / f"{name}.json").read_bytes():
+        report = world.finish()
+        if report.to_json_bytes() != (REPORTS / f"{name}.json").read_bytes():
             failed.append(f"{name}: the report after a refused tick differs from the golden one")
+        try:
+            world.finish()
+            failed.append(f"{name}: a second finish ran")
+        except RunEndedError:
+            pass
+        if report.to_json_bytes() != (REPORTS / f"{name}.json").read_bytes():
+            failed.append(f"{name}: the report after a refused finish differs from the golden one")
     return failed
 
 
@@ -161,10 +170,14 @@ def _exit_2_cases(tmp: Path, held_port: int) -> list[tuple[list[str], str | None
     """(argv, start of the stderr message or None for an argparse error)."""
     (tmp / "broken.json").write_text("{not json")
     (tmp / "no_duration.json").write_text(json.dumps({"name": "x", "duration": 0}))
+    (tmp / "null_actor.json").write_text(
+        json.dumps({"duration": 10, "places": [], "actors": [{"name": None}]})
+    )
     return [
         (["run", "no_such_scenario"], "relaysim: no bundled scenario 'no_such_scenario'"),
         (["run", str(tmp / "broken.json")], "relaysim: a scenario must be JSON: "),
         (["run", str(tmp / "no_duration.json")], "relaysim: duration must be a positive number"),
+        (["run", str(tmp / "null_actor.json")], "relaysim: actor #0 name must be a string, got None"),
         (
             ["run", "no_attack", "--out", str(tmp / "no" / "such" / "x.json")],
             "relaysim: cannot write the report: ",

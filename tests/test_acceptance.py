@@ -33,7 +33,7 @@ def criterion(number: int, title: str):
 
 
 def _verdicts(report, actor):
-    return {v["diagnosis_id"]: v["verdict"] for v in report.actor(actor)["verdicts"]}
+    return {v["diagnosis_id"]: v["verdict"] for v in report.data["actors"][actor]["verdicts"]}
 
 
 def test_criterion_1_vulnerability_reproduction():
@@ -41,9 +41,9 @@ def test_criterion_1_vulnerability_reproduction():
         started = time.monotonic()
         report = scenario.run(scenario.load_builtin("relay_gaen_only"))
         elapsed = time.monotonic() - started
-        assert report.actor("A")["gaen_alert"] is True
-        assert report.actor("C")["gaen_alert"] is True
-        assert report.actor("A")["gaen_alert"] == report.actor("C")["gaen_alert"]
+        assert report.data["actors"]["A"]["gaen_alert"] is True
+        assert report.data["actors"]["C"]["gaen_alert"] is True
+        assert report.data["actors"]["A"]["gaen_alert"] == report.data["actors"]["C"]["gaen_alert"]
         assert elapsed < 5.0, f"run took {elapsed:.2f}s"
 
 
@@ -52,8 +52,8 @@ def test_criterion_2_defense_scenario1():
         report = scenario.run(scenario.load_builtin("scenario1"))
         assert _verdicts(report, "C") == {1: "ConfirmedContact"}
         assert _verdicts(report, "A") == {1: "RelaySuspected"}
-        assert report.actor("A")["gaen_alert"] is True
-        assert report.actor("C")["gaen_alert"] is True
+        assert report.data["actors"]["A"]["gaen_alert"] is True
+        assert report.data["actors"]["C"]["gaen_alert"] is True
 
 
 def test_criterion_3_defense_limit_scenario2():
@@ -71,7 +71,7 @@ def test_criterion_4_two_hour_window():
             data = json.loads(json.dumps(base))
             data["attack"]["relay_delay"] = delay
             report = scenario.run(scenario.load_config(data))
-            alerts.append(report.actor("A")["gaen_alert"])
+            alerts.append(report.data["actors"]["A"]["gaen_alert"])
         assert alerts == [True, True, False]
 
 

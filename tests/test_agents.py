@@ -22,8 +22,9 @@ HERE = (44.63, 10.94)
 
 
 def _device(name="dev", *, actguard=False, position=HERE, downloads=None):
-    return HonestDevice(name, seed=name.encode() * 4, position=position,
-                        params=PARAMS, actguard_enabled=actguard, downloads=downloads)
+    """A device with a download log of its own, unless given one to share."""
+    return HonestDevice(name, seed=name.encode() * 4, position=position, params=PARAMS,
+                        actguard_enabled=actguard, downloads=downloads or DownloadLog(PARAMS))
 
 
 def _delivery(packet, *, sender="peer", rssi=-45.0):
@@ -32,7 +33,7 @@ def _delivery(packet, *, sender="peer", rssi=-45.0):
 
 def _peer_packet(seed=b"peerseed", day=0, interval=0, tx=-20):
     tek = gaen.generate_tek(seed, day)
-    rpik, aemk = gaen.derive_subkeys(tek)
+    rpik, aemk = map(gaen.HmacSha256, gaen.derive_subkeys(tek))
     rpi = gaen.derive_rpi(rpik, interval, PARAMS)
     aem = gaen.encrypt_aem(aemk, rpi.bytes, tx)
     return radio.encode_advertisement(rpi.bytes, aem), tek, rpi
@@ -43,7 +44,7 @@ class TestHonestDevice:
         dev = _device()
         dev.ensure_interval(0)
         tek = gaen.generate_tek(dev.seed, 0)
-        expected = gaen.derive_rpi(gaen.derive_subkeys(tek)[0], 0, PARAMS)
+        expected = gaen.derive_rpi(gaen.HmacSha256(gaen.derive_subkeys(tek)[0]), 0, PARAMS)
         assert dev.current_rpi == expected
 
     def test_rotation_at_two_hour_boundary(self):
@@ -63,7 +64,7 @@ class TestHonestDevice:
     def test_own_echo_filtered(self):
         dev = _device()
         dev.ensure_interval(0)
-        echo = _delivery(dev.current_packet)
+        echo = _delivery(dev.outgoing_packets(0)[0])
         assert dev.receive([echo], 0) == 0
         assert oracles.observations(dev) == []
 
@@ -130,7 +131,7 @@ class TestHonestDevice:
         packets = []
         for t in range(0, 20 * 86400, PARAMS.rotation_seconds):
             dev.ensure_interval(t)
-            packets.append(dev.current_packet)
+            packets.append(dev.outgoing_packets(t)[0])
         assert extracted == [oracles.tek_bytes(dev.seed, day) for day in range(20)]
         assert sorted(dev._subkeys) == sorted(dev.teks) == list(range(6, 20))
         expected = []
@@ -151,7 +152,7 @@ class TestSniffer:
         packet, _, _ = _peer_packet()
         for t in (0, 10, 20):
             sniffer.sniff_tick([_delivery(packet, sender="victim")], t)
-        assert len(db) == sniffer.captures == 3
+        assert len(oracles.capture_entries(db)) == db.captures(sniffer.rank) == 3
         assert [e.capture_time for e in oracles.capture_entries(db)] == [0, 10, 20]
         assert all(e.packet == packet for e in oracles.capture_entries(db))
 
@@ -160,7 +161,7 @@ class TestSniffer:
         sniffer = SnifferAdversary("adv2", HERE, "Y", db)
         bogus = (0x1809).to_bytes(2, "little") + bytes(20)
         sniffer.sniff_tick([_delivery(bogus, sender="thermometer")], 0)
-        assert len(db) == sniffer.captures == 0
+        assert len(oracles.capture_entries(db)) == db.captures(sniffer.rank) == 0
 
     def test_never_transmits(self):
         sniffer = SnifferAdversary("adv2", HERE, "Y", MaliciousDatabase(PARAMS.tick_seconds))
@@ -338,8 +339,8 @@ class TestRebroadcaster:
                 captures += [(now, i, p) for p in heard[i]]
         in_order = [(p, t) for t, _, p in sorted(captures, key=lambda c: c[:2])]
         assert oracles.capture_entries(db) == in_order
-        assert len(db) == len(captures)
-        assert sum(s.captures for s in sniffers) == sum(1 for c in captures if c[1] >= 0)
+        assert len(oracles.capture_entries(db)) == len(captures)
+        assert sum(db.captures(s.rank) for s in sniffers) == sum(1 for c in captures if c[1] >= 0)
 
 
 class TestDiagnosisUpload:
@@ -396,7 +397,7 @@ class TestExposureCheck:
         positive = _device("positive")
         positive.ensure_interval(0)
         # victim hears the positive device for 15 minutes
-        aem_packet = positive.current_packet
+        aem_packet = positive.outgoing_packets(0)[0]
         for t in range(0, 900, 10):
             victim.ensure_interval(t)
             victim.receive([_delivery(aem_packet, sender="positive")], t)
@@ -409,7 +410,7 @@ class TestExposureCheck:
         victim.poll_backend(backend, now=900)
         state = victim.evaluate_exposure()
         assert state.gaen_alert
-        assert state.matches_by_diagnosis == {1: 90}
+        assert oracles.match_counts(victim) == {1: 90}
         assert state.verdicts == {}  # defense disabled
 
     def test_poll_reads_the_newest_id_without_scanning_the_rest(self):
@@ -478,7 +479,7 @@ class TestExposureCheck:
                 assert {d: oracles.chunk_matches(device, d) for d in device.downloads.chunks} == {
                     d: oracles.chunk_matches(twin, d) for d in twin.downloads.chunks
                 }
-                states.append((state.matches_by_diagnosis, sorted(state.verdicts)))
+                states.append((oracles.match_counts(device), sorted(state.verdicts)))
             return polls, states
 
         assert publish_and_read(positives[0], 900) == (

@@ -102,7 +102,6 @@ def _reference_state(device: HonestDevice, backend: BackendStore, now: int):
 def _check(device: HonestDevice, backend: BackendStore, now: int) -> None:
     state = device.evaluate_exposure()
     matches = {d: m for d in device.downloads.chunks if (m := chunk_matches(device, d))}
-    assert state.matches_by_diagnosis == {d: len(m) for d, m in matches.items()}
     got = (
         state.gaen_alert,
         state.risk_score,
@@ -176,7 +175,8 @@ def test_incremental_exposure_equals_from_scratch(ops, tolerance, cells, buckets
         for n, g in OBSERVERS
     ]
     peers = [
-        HonestDevice(n, n.encode() * 4, HERE, params=params, actguard_enabled=g)
+        HonestDevice(n, n.encode() * 4, HERE, params=params, actguard_enabled=g,
+                     downloads=DownloadLog(params))
         for n, g in PEERS
     ]
     now = 0
@@ -189,9 +189,11 @@ def test_incremental_exposure_equals_from_scratch(ops, tolerance, cells, buckets
             observer.ensure_interval(now)
             peer.ensure_interval(now + leads[p])
             observer.position = FAR if relayed else HERE
-            observer.receive([delivery(peer.name, peer.current_packet, rssi)], now)
+            packet = peer.outgoing_packets(now + leads[p])[0]
+            observer.receive([delivery(peer.name, packet, rssi)], now)
             if not relayed:
-                peer.receive([delivery(observer.name, observer.current_packet, rssi)], now)
+                packet = observer.outgoing_packets(now)[0]
+                peer.receive([delivery(observer.name, packet, rssi)], now)
         elif op[0] == "lead":
             leads[op[1]] = op[2]
         elif op[0] == "diagnose":

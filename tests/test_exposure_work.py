@@ -10,12 +10,13 @@ tick.  The lookup test pins how matching works: on the sightings of inbox
 spans, each looked up at most once per read in the log's one index over
 every downloaded chunk, whatever the chunk count, with no per-sighting
 ``Observation`` or ``ExposureMatch`` built.  The run-record test pins that
-no tick builds an ``ObservationRun``, and that the end of a run builds one
-per sighting that matched, whatever the chunks and entries it matched.  The expansion test pins that the devices of a run
-share that index, which grows chunk by chunk: each published key is expanded
-once, however often exposure is read mid-run, and only through the run's
-last tick, so a run that ends early in the keys' day derives few of its
-pseudonyms.  The twin test runs every golden config again with a log that
+no tick builds a match record, a ``gaen.MatchedSightings``, and that the end
+of a run builds one per match run: per sighting and index entry of its RPI
+with a scan time in the entry's window.  The expansion test pins that the
+devices of a run share that index, which grows chunk by chunk: each
+published key is expanded once, however often exposure is read mid-run,
+and only through the run's last tick, so a run that ends early in the keys'
+day derives few of its pseudonyms.  The twin test runs every golden config again with a log that
 expands each key in full and checks that the report bytes do not change.
 The purity test evaluates every device's exposure after every tick and
 checks that the report bytes do not change.
@@ -26,7 +27,7 @@ from unittest import mock
 
 import pytest
 
-from relaysim import agents, gaen
+from relaysim import gaen
 from relaysim.agents import DownloadLog, HonestDevice
 from relaysim.backend import BackendStore
 from relaysim.scenario import World
@@ -98,7 +99,7 @@ def test_polls_once_per_chunk_and_scores_once(name):
         _counting(HonestDevice, "evaluate_exposure", calls),
         _counting(gaen, "risk_score", calls),
     ):
-        report = world.run().to_dict()
+        report = world.run().data
     chunks = world.backend.chunk_count
     publishing_ticks = {e["t"] for e in report["events"] if e["event"] == "diagnosis"}
     assert chunks == len(publishing_ticks) > 0
@@ -172,26 +173,26 @@ def test_each_run_is_looked_up_once_per_chunk_and_no_sighting_is_built(name):
     assert sum(table.lookups.total() for _, table in reads) > 0
 
 
-def _matching_sightings(device: HonestDevice) -> int:
-    """How many of the device's sightings have a scan time inside the
-    clock-widened window of an index entry of their RPI."""
+def _match_runs(device: HonestDevice) -> int:
+    """How many pairs of one of the device's sightings and an index entry
+    of its RPI have a scan time inside the entry's clock-widened window."""
     tolerance, tick = device.params.clock_tolerance_seconds, device.params.tick_seconds
     return sum(
         any(
             entry.start - tolerance <= t < entry.end + tolerance
-            for _, entry in device.downloads.index.get(rpi, ())
             for t in range(first, last + 1, tick)
         )
         for rpi, _, _, first, last in sightings(device)
+        for _, entry in device.downloads.index.get(rpi, ())
     )
 
 
 @pytest.mark.parametrize("name", golden_names())
 def test_only_the_end_of_a_run_builds_observation_runs_one_per_match(name):
     world = World(golden_config(name))
-    built: list = []  # the tick each ObservationRun was built in, None outside a tick
+    built: list = []  # the tick each match record was built in, None outside a tick
     ticking: list = []
-    record, step = agents.ObservationRun, World.step
+    record, step = gaen.MatchedSightings, World.step
 
     def counted(*args):
         built.append(ticking[-1] if ticking else None)
@@ -205,7 +206,7 @@ def test_only_the_end_of_a_run_builds_observation_runs_one_per_match(name):
             ticking.pop()
 
     with (
-        mock.patch.object(agents, "ObservationRun", counted),
+        mock.patch.object(gaen, "MatchedSightings", counted),
         mock.patch.object(World, "step", flagged_step),
     ):
         for _ in range(world.config.duration // world.params.tick_seconds):
@@ -213,7 +214,7 @@ def test_only_the_end_of_a_run_builds_observation_runs_one_per_match(name):
         assert built == []
         report = world.finish().to_json_bytes()
     assert report == (REPORTS / f"{name}.json").read_bytes()
-    assert built == [None] * sum(map(_matching_sightings, world.devices.values()))
+    assert built == [None] * sum(map(_match_runs, world.devices.values()))
 
 
 class FullExpansionWorld(World):

@@ -26,6 +26,11 @@ GOLDEN_AEM_M20 = "df70ea43"
 PARAMS = SimParams()
 
 
+def _hmac_subkeys(tek):
+    """A key's (rpik, aemk), keyed as ``derive_rpi`` and the AEM cipher take them."""
+    return [gaen.HmacSha256(k) for k in gaen.derive_subkeys(tek)]
+
+
 def _obs(rpi, scan_time, *, aem=b"\x00" * 4, rssi=-50.0):
     return gaen.Observation(rpi=rpi, aem=aem, rssi=rssi, scan_time=scan_time)
 
@@ -58,6 +63,7 @@ class TestKeySchedule:
         assert gaen.generate_tek(GOLDEN_SEED, 5).bytes.hex() == GOLDEN_TEK_DAY5
         rpik, aemk = gaen.derive_subkeys(GOLDEN_TEK)
         assert (rpik.hex(), aemk.hex()) == (GOLDEN_RPIK, GOLDEN_AEMK)
+        rpik, aemk = gaen.HmacSha256(rpik), gaen.HmacSha256(aemk)
         assert gaen.derive_rpi(rpik, 0, PARAMS).bytes.hex() == GOLDEN_RPI_0
         assert gaen.derive_rpi(rpik, 3, PARAMS).bytes.hex() == GOLDEN_RPI_3
         assert gaen.encrypt_aem(aemk, bytes.fromhex(GOLDEN_RPI_0), -20).hex() == GOLDEN_AEM_M20
@@ -120,7 +126,7 @@ class TestKeySchedule:
 
 class TestRpi:
     def test_deterministic(self):
-        rpik = gaen.derive_subkeys(GOLDEN_TEK)[0]
+        rpik = _hmac_subkeys(GOLDEN_TEK)[0]
         assert gaen.derive_rpi(rpik, 4, PARAMS) == gaen.derive_rpi(rpik, 4, PARAMS)
 
     def test_twelve_distinct_per_day(self):
@@ -130,14 +136,14 @@ class TestRpi:
         assert len({r.bytes for r in rpis}) == 12
 
     def test_interval_out_of_range(self):
-        rpik = gaen.derive_subkeys(GOLDEN_TEK)[0]
+        rpik = _hmac_subkeys(GOLDEN_TEK)[0]
         with pytest.raises(ValueError):
             gaen.derive_rpi(rpik, 12, PARAMS)
         with pytest.raises(ValueError):
             gaen.derive_rpi(rpik, -1, PARAMS)
 
     def test_expand_matches_direct_derivation(self):
-        rpik = gaen.derive_subkeys(GOLDEN_TEK)[0]
+        rpik = _hmac_subkeys(GOLDEN_TEK)[0]
         expanded = gaen.expand_diagnosis_key(GOLDEN_TEK, PARAMS)
         for i, rpi in enumerate(expanded):
             assert rpi.interval_index == i
@@ -219,27 +225,27 @@ class TestExpansionBound:
 
 class TestAem:
     def test_round_trip(self):
-        aemk = gaen.derive_subkeys(GOLDEN_TEK)[1]
+        aemk = _hmac_subkeys(GOLDEN_TEK)[1]
         rpi = bytes.fromhex(GOLDEN_RPI_0)
         assert gaen.decrypt_aem(aemk, rpi, gaen.encrypt_aem(aemk, rpi, -20)) == -20
 
     def test_length_is_4(self):
-        aemk = gaen.derive_subkeys(GOLDEN_TEK)[1]
+        aemk = _hmac_subkeys(GOLDEN_TEK)[1]
         assert len(gaen.encrypt_aem(aemk, bytes.fromhex(GOLDEN_RPI_0), 7)) == 4
 
     def test_round_trip_entire_power_range(self):
-        aemk = gaen.derive_subkeys(GOLDEN_TEK)[1]
+        aemk = _hmac_subkeys(GOLDEN_TEK)[1]
         rpi = bytes.fromhex(GOLDEN_RPI_3)
         for tx in range(-127, 128):
             assert gaen.decrypt_aem(aemk, rpi, gaen.encrypt_aem(aemk, rpi, tx)) == tx
 
     def test_out_of_range_power_rejected(self):
-        aemk = gaen.derive_subkeys(GOLDEN_TEK)[1]
+        aemk = _hmac_subkeys(GOLDEN_TEK)[1]
         with pytest.raises(ValueError):
             gaen.encrypt_aem(aemk, bytes.fromhex(GOLDEN_RPI_0), 128)
 
     def test_wrong_rpi_garbles_without_error(self):
-        aemk = gaen.derive_subkeys(GOLDEN_TEK)[1]
+        aemk = _hmac_subkeys(GOLDEN_TEK)[1]
         rpi = bytes.fromhex(GOLDEN_RPI_0)
         aem = gaen.encrypt_aem(aemk, rpi, -20)
         rng = random.Random(99)
@@ -275,7 +281,7 @@ class TestMatching:
 
     def test_decrypted_power_rides_along(self):
         # Each sighting's own AEM is decrypted, also when its RPI repeats.
-        aemk = gaen.derive_subkeys(GOLDEN_TEK)[1]
+        aemk = _hmac_subkeys(GOLDEN_TEK)[1]
         rpi = gaen.expand_diagnosis_key(GOLDEN_TEK, PARAMS)[1]
         powers = [-7, -30, -7]
         observations = [
@@ -337,7 +343,7 @@ class TestRiskScore:
 
     def test_fifteen_minute_close_contact_alerts(self):
         # 90 beacons at 10 s spacing, 1 m away: 900 s = 15 min, attenuation 40 dB
-        aemk = gaen.derive_subkeys(GOLDEN_TEK)[1]
+        aemk = _hmac_subkeys(GOLDEN_TEK)[1]
         rpi = gaen.expand_diagnosis_key(GOLDEN_TEK, PARAMS)[0]
         aem = gaen.encrypt_aem(aemk, rpi.bytes, -20)
         observations = [_obs(rpi.bytes, t, aem=aem, rssi=-60.0) for t in range(0, 900, 10)]
@@ -347,7 +353,7 @@ class TestRiskScore:
         assert result.alert
 
     def test_permutation_invariant(self):
-        aemk = gaen.derive_subkeys(GOLDEN_TEK)[1]
+        aemk = _hmac_subkeys(GOLDEN_TEK)[1]
         rpi = gaen.expand_diagnosis_key(GOLDEN_TEK, PARAMS)[0]
         aem = gaen.encrypt_aem(aemk, rpi.bytes, -20)
         observations = [_obs(rpi.bytes, t, aem=aem, rssi=-55.0) for t in range(0, 600, 10)]
@@ -359,7 +365,7 @@ class TestRiskScore:
         )
 
     def test_gap_longer_than_two_beacons_splits_contact(self):
-        aemk = gaen.derive_subkeys(GOLDEN_TEK)[1]
+        aemk = _hmac_subkeys(GOLDEN_TEK)[1]
         rpi = gaen.expand_diagnosis_key(GOLDEN_TEK, PARAMS)[0]
         aem = gaen.encrypt_aem(aemk, rpi.bytes, -20)
         times = list(range(0, 300, 10)) + list(range(1000, 1300, 10))
@@ -370,7 +376,7 @@ class TestRiskScore:
         assert result.score == pytest.approx(10.0)
 
     def test_weak_signal_contributes_nothing(self):
-        aemk = gaen.derive_subkeys(GOLDEN_TEK)[1]
+        aemk = _hmac_subkeys(GOLDEN_TEK)[1]
         rpi = gaen.expand_diagnosis_key(GOLDEN_TEK, PARAMS)[0]
         aem = gaen.encrypt_aem(aemk, rpi.bytes, -20)
         # attenuation 75 dB > 60 dB threshold
@@ -481,7 +487,8 @@ def test_risk_score_over_match_runs_equals_per_sighting_score(runs, chunks, thre
 @given(tx=st.integers(min_value=-127, max_value=127), key=st.binary(min_size=16, max_size=16))
 def test_aem_round_trip_property(tx, key):
     rpi = bytes.fromhex(GOLDEN_RPI_0)
-    assert gaen.decrypt_aem(key, rpi, gaen.encrypt_aem(key, rpi, tx)) == tx
+    aemk = gaen.HmacSha256(key)
+    assert gaen.decrypt_aem(aemk, rpi, gaen.encrypt_aem(aemk, rpi, tx)) == tx
 
 
 @given(tek_bytes=st.binary(min_size=16, max_size=16))

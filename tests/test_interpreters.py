@@ -1,7 +1,8 @@
 """Every other supported interpreter keeps the behaviour contract.
 
 Runs ``stdlib_contract.py`` (golden report and table bytes, the refused
-tick after a run's last one, the wire fixtures, the CLI's exit-2 paths)
+tick after a run's last one and second finish, the wire fixtures, the
+CLI's exit-2 paths)
 under each Python 3.10 or later found on ``PATH`` or under
 ``$(pyenv root)/versions/*/bin/python``, other than the one running the
 tests.  Those interpreters need no pytest: the script uses

@@ -60,12 +60,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relaysim import actguard, gaen, scenario
-from relaysim.agents import DownloadedChunk, HonestDevice
+from relaysim.agents import DownloadedChunk, DownloadLog, HonestDevice
 from relaysim.params import SimParams
 
 from oracles import (
     PER_CAPTURE_ADVERSARIES, EveryTickWorld, PerSightingDevice, capture_entries, chunk_matches,
-    delivery, naive_verdict, observations, records,
+    delivery, match_counts, naive_verdict, observations, records,
 )
 
 METERS_PER_DEGREE = 6371000.0 * 3.141592653589793 / 180.0
@@ -335,7 +335,7 @@ def _exposure(world: scenario.World) -> tuple:
         exposure = device.evaluate_exposure()
         devices[name] = (
             {d: chunk_matches(device, d) for d in device.downloads.chunks},
-            exposure.matches_by_diagnosis,
+            match_counts(device),
             exposure.risk_score.hex(),
             exposure.gaen_alert,
             {d: (v.kind, v.rpi) for d, v in exposure.verdicts.items()},
@@ -488,10 +488,14 @@ def test_any_inbox_sequence_stores_what_per_sighting_stores(
 ):
     params = SimParams(rotation_seconds=rotation, bucket_seconds=bucket)
     devices = [
-        cls("me", b"me" * 8, HERE, params=params, actguard_enabled=defended)
+        cls("me", b"me" * 8, HERE, params=params, actguard_enabled=defended,
+            downloads=DownloadLog(params))
         for cls in (HonestDevice, PerSightingDevice)
     ]
-    peers = {n: HonestDevice(n, n.encode() * 8, HERE, params=params) for n in ("p0", "p1")}
+    peers = {
+        n: HonestDevice(n, n.encode() * 8, HERE, params=params, downloads=DownloadLog(params))
+        for n in ("p0", "p1")
+    }
     now = rotation - start * TICK
     first_packet = devices[0].outgoing_packets(now)[0]
     inbox: tuple = ()
@@ -536,7 +540,7 @@ def _store_alike(device: HonestDevice, reference: PerSightingDevice, now: int) -
     cuts = sorted({o.scan_time for o in expected[::3]} | {now + 1})
     device.downloads.chunks[0] = DownloadedChunk((), None, now)
     for since, until in combinations(cuts, 2):
-        entry = gaen.IndexedRpi(tek, gaen.derive_subkeys(tek)[1], 0, since, until)
+        entry = gaen.IndexedRpi(tek, gaen.HmacSha256(gaen.derive_subkeys(tek)[1]), 0, since, until)
         device.downloads.index = {o.rpi: [(0, entry)] for o in expected}
         got = [m.observation for m in chunk_matches(device, 0)]
         assert got == [o for o in expected if since <= o.scan_time < until]
@@ -545,13 +549,15 @@ def _store_alike(device: HonestDevice, reference: PerSightingDevice, now: int) -
 def _device_and_reference(rotation: int = 600) -> list:
     params = SimParams(rotation_seconds=rotation)
     return [
-        cls("me", b"me" * 8, HERE, params=params, actguard_enabled=True)
+        cls("me", b"me" * 8, HERE, params=params, actguard_enabled=True,
+            downloads=DownloadLog(params))
         for cls in (HonestDevice, PerSightingDevice)
     ]
 
 
 def _peer_delivery(now: int, rssi: float = -50.0):
-    peer = HonestDevice("p0", b"p0" * 8, HERE, params=SimParams())
+    params = SimParams()
+    peer = HonestDevice("p0", b"p0" * 8, HERE, params=params, downloads=DownloadLog(params))
     return delivery("p0", peer.outgoing_packets(now)[0], rssi)
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pickle
+import re
 import socket
 import subprocess
 import sys
@@ -136,7 +137,7 @@ class TestLoadConfig:
             params={field: NEIGHBORHOOD_MAX},
             actors=[{"name": n, "role": "honest", "place": "P", "actguard": True} for n in "ab"],
         )
-        row = scenario.run(scenario.load_config(config)).actor("a")
+        row = scenario.run(scenario.load_config(config)).data["actors"]["a"]
         assert [v["verdict"] for v in row["verdicts"]] == ["ConfirmedContact"]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -361,6 +362,28 @@ class TestLoadConfig:
         assume(config.duration // config.params.tick_seconds <= 3000 and len(config.actors) <= 20)
         assert scenario.run(config).to_json_bytes()
 
+    @pytest.mark.parametrize("value", [None, 7, ["a"]], ids=["null", "number", "list"])
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            (("name",), "scenario name"),
+            (("description",), "scenario description"),
+            (("places", 0, "name"), "place #0 name"),
+            (("actors", 1, "name"), "actor #1 name"),
+            (("actors", 0, "role"), "actor 'a' role"),
+            (("actors", 0, "place"), "actor 'a' place"),
+            (("diagnosis_events", 0, "actor"), "diagnosis event #0 actor"),
+        ],
+    )
+    def test_a_name_that_is_not_a_string_is_named(self, path, field, value):
+        # Before, each went through str(): a null actor name loaded as actor
+        # "None", which a diagnosis event with a null actor then targeted.
+        data = _minimal_config()
+        _at(data, path[:-1])[path[-1]] = value
+        message = f"^{field} must be a string, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            scenario.load_config(data)
+
     @pytest.mark.parametrize(
         "text, offender",
         [
@@ -568,15 +591,17 @@ class TestSimParams:
 class TestRun:
     def test_no_attack_baseline(self):
         report = scenario.run(scenario.load_builtin("no_attack"))
-        assert report.actor("A")["gaen_alert"] is False
-        assert report.actor("A")["verdicts"] == []
-        c_verdicts = {v["diagnosis_id"]: v["verdict"] for v in report.actor("C")["verdicts"]}
+        assert report.data["actors"]["A"]["gaen_alert"] is False
+        assert report.data["actors"]["A"]["verdicts"] == []
+        c_verdicts = {
+            v["diagnosis_id"]: v["verdict"] for v in report.data["actors"]["C"]["verdicts"]
+        }
         assert c_verdicts == {1: "ConfirmedContact"}
 
     def test_minimal_contact_alerts(self):
         report = scenario.run(scenario.load_config(_minimal_config()))
-        assert report.actor("a")["gaen_alert"] is True
-        assert report.actor("b")["gaen_alert"] is False
+        assert report.data["actors"]["a"]["gaen_alert"] is True
+        assert report.data["actors"]["b"]["gaen_alert"] is False
 
     def test_event_log_has_diagnosis_and_match(self):
         report = scenario.run(scenario.load_config(_minimal_config()))
@@ -606,8 +631,8 @@ class TestRun:
             "waypoints": [{"at": 300, "lat": 0.01, "lon": 0.0}]
         }
         report = scenario.run(scenario.load_config(data))
-        assert report.actor("a")["gaen_alert"] is False
-        assert report.actor("a")["observations"] == 30
+        assert report.data["actors"]["a"]["gaen_alert"] is False
+        assert report.data["actors"]["a"]["observations"] == 30
 
     def test_walking_into_range_is_heard_from_that_tick_on(self):
         # b starts ~1.1 km away and arrives at a's place at t=300
@@ -622,7 +647,7 @@ class TestRun:
 
     def test_self_report_never_alerts(self):
         report = scenario.run(scenario.load_config(_minimal_config()))
-        assert report.actor("b")["risk_score"] == 0.0
+        assert report.data["actors"]["b"]["risk_score"] == 0.0
 
     def test_unreachable_backend_skips_the_worlds_poll_round(self):
         # The backend is out of reach for the round after b's upload at 300:
@@ -646,7 +671,7 @@ class TestRun:
             world.step()
             if world.now <= 600:  # every tick before c's upload
                 assert (world.downloads.chunks, world.downloads.index) == ({}, {})
-        report = world.finish().to_dict()
+        report = world.finish().data
         assert failed == [300]
         assert {d: chunk.at for d, chunk in world.downloads.chunks.items()} == {1: 600, 2: 600}
         matches = [e for e in report["events"] if e["event"] == "match"]
@@ -671,6 +696,17 @@ class TestRun:
             with pytest.raises(scenario.RunEndedError, match=rf"t={now} .* last tick at t={last}$"):
                 world.step()
         assert world.finish().to_json_bytes() == (REPORTS / f"{name}.json").read_bytes()
+
+    def test_a_second_finish_is_refused(self):
+        # Before, a second finish logged every end-of-run event again, into
+        # the event list the first report holds too: on scenario1 both then
+        # held 9 events, 4 of them matches, for 7 and 2.
+        world = scenario.World(golden_config("scenario1"))
+        report = world.run()
+        with pytest.raises(scenario.RunEndedError, match="^the run has already finished$"):
+            world.finish()
+        assert report.to_json_bytes() == (REPORTS / "scenario1.json").read_bytes()
+        assert [e["event"] for e in world.events].count("match") == 2
 
 
 # Report-shaped JSON trees: keys and strings that look like JSON syntax,
@@ -712,7 +748,7 @@ class TestReport:
     def test_json_round_trips(self):
         report = scenario.run(scenario.load_config(_minimal_config()))
         blob = scenario.emit_report(report, "json")
-        assert json.loads(blob) == report.to_dict()
+        assert json.loads(blob) == report.data
 
     def test_byte_identical_reruns(self):
         config = _minimal_config()

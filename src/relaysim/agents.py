@@ -329,8 +329,10 @@ class RebroadcastAdversary:
 
 
 class DownloadedChunk(NamedTuple):
-    """A downloaded chunk's keys, its hash batch (None if it has none) and
-    ``at``, the tick of the poll that brought it."""
+    """A downloaded chunk's keys, its hash batch as a set of digests (None if
+    it has none) and ``at``, the tick of the poll that brought it.  The
+    set is built once, by ``DownloadLog.poll``, from the backend's byte
+    string."""
 
     teks: tuple[tuple[bytes, int], ...]
     batch: frozenset[bytes] | None
@@ -346,7 +348,10 @@ class DownloadLog:
     once per round that published a chunk: each new chunk is fetched and
     expanded once, through ``until`` (in full by default): the index
     matches only scans by then.  A world's log expands through its last
-    tick, and the world refuses any tick after it (``RunEndedError``)."""
+    tick, and the world refuses any tick after it (``RunEndedError``).
+    Each new chunk's hash batch, which the backend stores as one sorted
+    byte string, is split here into the ``frozenset`` of digests that its
+    ``DownloadedChunk`` keeps and verification reads."""
 
     def __init__(self, params: SimParams, until: float = math.inf) -> None:
         self.params = params
@@ -363,6 +368,9 @@ class DownloadLog:
             for chunk in backend.fetch_chunks(next(reversed(self.chunks), 0), now)
         ]
         for chunk, batch in fetched:
+            if batch is not None:
+                step = actguard.CONTACT_HASH_LENGTH
+                batch = frozenset(batch[i : i + step] for i in range(0, len(batch), step))
             self.chunks[chunk.index] = DownloadedChunk(chunk.teks, batch, now)
             teks = [gaen.Tek(b, d) for b, d in chunk.teks]
             for rpi, entries in gaen.build_rpi_index(teks, self.params, self.until).items():

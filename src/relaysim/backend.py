@@ -8,7 +8,8 @@ simulation clock in-process and under a wall clock behind the HTTP wire
 Diagnosis uploads are published as immutable chunks with strictly
 incremental indices; a hash batch uploaded alongside is stored under the
 same index, which is what lets verifiers tell "no batch" (unverifiable)
-from "batch without a match" (relay suspected).
+from "batch without a match" (relay suspected).  A stored batch is one
+byte string, its digests in ascending order.
 """
 
 from __future__ import annotations
@@ -84,6 +85,12 @@ class BackendStore:
     real deployments to fall back to ``secrets``.  A simulation run's
     ``audit`` keeps every entry, OTP codes included, for its report; a
     deployment's keeps the newest ``DEPLOYMENT_AUDIT_ENTRIES`` and no code.
+
+    Each non-empty hash batch is kept as one immutable ``bytes``: its
+    distinct digests, ``CONTACT_HASH_LENGTH`` bytes each, sorted ascending
+    and concatenated (about 35 bytes a digest, against about 124 as a
+    ``frozenset`` of ``bytes``).  Readers that test membership split it
+    into a set themselves (``agents.DownloadLog``).
     """
 
     def __init__(self, params: SimParams, *, rng: random.Random | None = None):
@@ -91,7 +98,7 @@ class BackendStore:
         self._retention_days = params.tek_retention_days
         self._otps: dict[str, Otp] = {}
         self._chunks: list[TekChunk] = []
-        self._batches: dict[int, frozenset[bytes]] = {}
+        self._batches: dict[int, bytes] = {}
         self.audit: list[dict] | deque[dict] = (
             [] if rng is not None else deque(maxlen=DEPLOYMENT_AUDIT_ENTRIES)
         )
@@ -172,7 +179,7 @@ class BackendStore:
         )
         self._chunks.append(chunk)
         if hash_batch:
-            self._batches[index] = frozenset(hash_batch)
+            self._batches[index] = b"".join(sorted(hash_batch))
         self._audit(
             {
                 "op": "ingest",
@@ -195,7 +202,11 @@ class BackendStore:
             if now - c.published_at <= horizon
         ]
 
-    def fetch_hash_batch(self, diagnosis_id: int) -> frozenset[bytes] | None:
+    def fetch_hash_batch(self, diagnosis_id: int) -> bytes | None:
+        """The diagnosis's hash batch as stored: its digests sorted ascending
+        and concatenated, ``CONTACT_HASH_LENGTH`` bytes each; None if it has
+        none.  ``digest in batch`` on it is a substring search: split it
+        into digests to test membership."""
         return self._batches.get(diagnosis_id)
 
     @property
@@ -266,5 +277,9 @@ def encode_chunks(chunks: list[TekChunk]) -> bytes:
     )
 
 
-def encode_hash_batch(hashes: frozenset[bytes]) -> bytes:
-    return canonical_json({"hashes": sorted(h.hex() for h in hashes)})
+def encode_hash_batch(batch: bytes) -> bytes:
+    """The ``/hashes`` reply for a stored batch: its digests in lowercase hex,
+    in the stored (ascending) order, with no sort per request."""
+    hexed = batch.hex()
+    step = 2 * CONTACT_HASH_LENGTH
+    return canonical_json({"hashes": [hexed[i : i + step] for i in range(0, len(hexed), step)]})

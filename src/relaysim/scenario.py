@@ -61,6 +61,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import radio
+from .actguard import CONTACT_HASH_LENGTH
 from .agents import (
     DownloadLog,
     HonestDevice,
@@ -84,8 +85,8 @@ class ConfigError(ValueError):
 
 
 class RunEndedError(RuntimeError):
-    """A world was stepped at a tick after its run's last one, or finished
-    a second time."""
+    """A world was stepped at a tick after its run's last one or after it
+    finished, or finished a second time."""
 
 
 _as = partial(as_number, error=ConfigError)
@@ -614,12 +615,15 @@ class World:
     def step(self) -> None:
         """Run the tick at ``now``.  A tick that directly follows the last
         one, before the horizon, repeats it: only the clock moves.  A tick
-        after the run's last one, past every horizon, raises ``RunEndedError``."""
+        after the run's last one, past every horizon, raises ``RunEndedError``,
+        and so does any tick once the world finished, which leaves no horizon."""
         now, tick = self.now, self.params.tick_seconds
         if now == self._last_tick + tick and now < self._quiet_until:
             self._last_tick = self._repeated_through = now
             self.now += tick
             return
+        if self._finished:
+            raise RunEndedError("the run has already finished")
         if now > self._final_tick:
             raise RunEndedError(
                 f"tick at t={now} comes after the run's last tick at t={self._final_tick}"
@@ -676,7 +680,8 @@ class World:
             actor=actor,
             diagnosis_id=diagnosis_id,
             teks=len(device.teks),
-            hashes=len(self.backend.fetch_hash_batch(diagnosis_id) or ()),  # one per contact row
+            # one digest per contact row
+            hashes=len(self.backend.fetch_hash_batch(diagnosis_id) or b"") // CONTACT_HASH_LENGTH,
             payload=payload.decode(),
         )
 
@@ -685,10 +690,12 @@ class World:
         order, report its row and log its end-of-run events (a device's
         match events).  Within a tick those come after every other event;
         the sort is stable and the events are in time order.  A second call
-        raises ``RunEndedError``: the events are logged once."""
+        raises ``RunEndedError``: the events are logged once.  No tick
+        repeats after it, so ``step`` refuses every later tick."""
         if self._finished:
             raise RunEndedError("the run has already finished")
         self._finished = True
+        self._quiet_until = -math.inf
         self._catch_up()
         rows = {}
         for actor in self.actors:

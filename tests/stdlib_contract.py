@@ -4,15 +4,16 @@
 Runs every golden config to its report and table bytes and compares them
 with ``golden/reports`` and ``golden/tables``, steps every golden world once
 more after its last tick, which must raise ``RunEndedError`` and leave the
-report bytes as they were, and so must finishing it a second time, checks
-the boundary cases of expanding a published key through a bound (the
-prefix of its pseudonyms whose widened windows start by then, all of them
-when unbounded), replays the HTTP exchanges of
-``golden/wire_fixtures.json`` against a
-``BackendHTTPServer`` on a free port, and runs each way the CLI exits with
-status 2.  It imports nothing outside the standard library and ``relaysim``
-(from ``src/``), so any supported interpreter can run it, with or without
-pytest:
+report bytes as they were, and so must finishing it a second time and
+stepping it after it finished, checks the boundary cases of expanding a
+published key through a bound (the prefix of its pseudonyms whose widened
+windows start by then, all of them when unbounded), round-trips seeded
+hash batches through the store and the ``/hashes`` encoder (``bytes``
+order, ``.hex()`` and compact ``json``), replays the HTTP exchanges of
+``golden/wire_fixtures.json`` against a ``BackendHTTPServer`` on a free
+port, and runs each way the CLI exits with status 2.  It imports nothing
+outside the standard library and ``relaysim`` (from ``src/``), so any
+supported interpreter can run it, with or without pytest:
 
     python3.10 tests/stdlib_contract.py
 
@@ -122,6 +123,18 @@ def _past_last_tick() -> list[str]:
             pass
         if report.to_json_bytes() != (REPORTS / f"{name}.json").read_bytes():
             failed.append(f"{name}: the report after a refused finish differs from the golden one")
+        world = World(golden_config(name))
+        report = world.finish()
+        events = json.dumps(report.data["events"])
+        for _ in range(30):
+            try:
+                world.step()
+                failed.append(f"{name}: a step after finish ran")
+                break
+            except RunEndedError:
+                pass
+        if json.dumps(report.data["events"]) != events:
+            failed.append(f"{name}: a step after finish changed the report's events")
     return failed
 
 
@@ -144,6 +157,30 @@ def _expansion() -> list[str]:
         for until, count in counts.items():
             if gaen.expand_diagnosis_key(tek, params, until) != full[:count]:
                 failed.append(f"tolerance {tolerance}, until {until}: not the first {count}")
+    return failed
+
+
+def _hash_batches() -> list[str]:
+    from relaysim.backend import BackendStore, encode_hash_batch
+    from relaysim.gaen import Tek
+    from relaysim.params import SimParams
+
+    rng = random.Random("stdlib-hash-batches")
+    store = BackendStore(SimParams(), rng=rng)
+    failed = []
+    for size in (1, 2, 17, 300):
+        digests = {rng.randbytes(32) for _ in range(size)}
+        otp = store.authorize_otp(3600, now=0)
+        diagnosis_id = store.ingest_diagnosis([Tek(bytes(16), 0)], otp.code, digests, now=0)
+        stored = store.fetch_hash_batch(diagnosis_id)
+        if stored != b"".join(sorted(digests)):
+            failed.append(f"{size} digests: the stored batch is not the sorted digests joined")
+            continue
+        expected = json.dumps(
+            {"hashes": sorted(h.hex() for h in digests)}, sort_keys=True, separators=(",", ":")
+        ).encode()
+        if encode_hash_batch(stored) != expected:
+            failed.append(f"{size} digests: the /hashes reply differs from the sorted hex list")
     return failed
 
 
@@ -228,7 +265,7 @@ def _cli() -> list[str]:
 def main() -> int:
     sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
     failures = []
-    for check in (_golden, _past_last_tick, _expansion, _wire, _cli):
+    for check in (_golden, _past_last_tick, _expansion, _hash_batches, _wire, _cli):
         failed = check()
         print(f"{check.__name__[1:]}: {'ok' if not failed else 'FAILED'}")
         failures += failed

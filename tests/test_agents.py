@@ -386,8 +386,8 @@ class TestDiagnosisUpload:
         otp = backend.authorize_otp(3600, now=400)
         diagnosis_id, _ = dev.diagnose_and_upload(backend, otp.code, now=400)
         batch = backend.fetch_hash_batch(diagnosis_id)
-        assert batch == frozenset(actguard.digests(dev.contact_rows()))
-        assert len(batch) == 2  # two buckets spanned
+        assert batch == b"".join(sorted(actguard.digests(dev.contact_rows())))
+        assert len(batch) == 2 * actguard.CONTACT_HASH_LENGTH  # two buckets spanned
 
 
 class TestExposureCheck:

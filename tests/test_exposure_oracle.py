@@ -88,10 +88,11 @@ def _reference_state(device: HonestDevice, backend: BackendStore, now: int):
         all_matches += matches
         per_diagnosis[chunk.index] = matches
         if device.defended:
+            batch = backend.fetch_hash_batch(chunk.index) or b""
             verdicts[chunk.index] = naive_verdict(
                 [m.rpi for m in matches],
                 flat,
-                backend.fetch_hash_batch(chunk.index),
+                {batch[i : i + 32] for i in range(0, len(batch), 32)},  # its digests
                 params.neighborhood_cells,
                 params.neighborhood_buckets,
             )

@@ -1,8 +1,10 @@
 """Every other supported interpreter keeps the behaviour contract.
 
 Runs ``stdlib_contract.py`` (golden report and table bytes, the refused
-tick after a run's last one and second finish, the wire fixtures, the
-CLI's exit-2 paths)
+tick after a run's last one, second finish and step after finish, the
+stored hash batch and its ``/hashes`` reply, which rest on ``bytes``
+order, ``.hex()`` and compact ``json``, the wire fixtures, the CLI's
+exit-2 paths)
 under each Python 3.10 or later found on ``PATH`` or under
 ``$(pyenv root)/versions/*/bin/python``, other than the one running the
 tests.  Those interpreters need no pytest: the script uses

@@ -708,6 +708,19 @@ class TestRun:
         assert report.to_json_bytes() == (REPORTS / "scenario1.json").read_bytes()
         assert [e["event"] for e in world.events].count("match") == 2
 
+    def test_a_step_after_finish_is_refused(self):
+        # Before, a finished world still ran any tick up to the last one and
+        # appended its events to the report's list: on scenario1, 30 steps
+        # after finish grew the report's events from 0 to 4.
+        world = scenario.World(golden_config("scenario1"))
+        report = world.finish()
+        events = json.dumps(report.data["events"])
+        for _ in range(30):
+            with pytest.raises(scenario.RunEndedError, match="^the run has already finished$"):
+                world.step()
+        assert json.dumps(report.data["events"]) == events == "[]"
+        assert world.now == 0
+
 
 # Report-shaped JSON trees: keys and strings that look like JSON syntax,
 # control and non-ASCII characters, empty containers at every depth, lists

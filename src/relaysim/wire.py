@@ -9,15 +9,22 @@ Endpoints (JSON bodies, lowercase hex, frozen by golden fixtures):
 
 N and <id> are an optional ``-`` and ASCII digits; anything else gets a 400.
 
-The store itself is single-writer; a lock serializes handler access so
-concurrent clients observe the same semantics as sequential calls.
+Each connection is served on a handler thread of its own, as many at once
+as there are connections open at once, so a stalled client delays no other.
+A handler thread that finishes its connection waits for the next one
+instead of exiting, so a client that opens one connection per request pays
+no thread start once the server has warmed up.  The store itself is
+single-writer; a lock serializes handler access so concurrent clients
+observe the same semantics as sequential calls.
 """
 
 from __future__ import annotations
 
+import queue
 import socket
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Callable
 from urllib.parse import parse_qs, urlparse
 
@@ -57,9 +64,70 @@ def _decimal(text: str) -> int | None:
         return None
 
 
-class _Server(ThreadingHTTPServer):
+class _Server(HTTPServer):
+    """An HTTP server that hands each connection to an idle handler thread,
+    starting a daemon thread only when none is idle.
+
+    A handler thread serves one connection at a time and then waits for the
+    next, so there are never more of them than the most connections open at
+    once, and a stalled connection holds only its own.  ``server_close``
+    ends the idle ones, and one still serving ends when its connection does.
+    """
+
     # socketserver's backlog of 5 drops simultaneous connects, retried after 1 s.
     request_queue_size = socket.SOMAXCONN
+
+    def __init__(self, server_address, handler_class):
+        # Set before binding: TCPServer.__init__ calls server_close when the
+        # bind fails.
+        self._handoff: queue.SimpleQueue = queue.SimpleQueue()
+        self._idle_lock = threading.Lock()
+        self._idle = 0  # handler threads waiting on _handoff, not yet claimed
+        self._closed = False
+        super().__init__(server_address, handler_class)
+
+    def process_request(self, request, client_address):
+        with self._idle_lock:
+            reuse = self._idle > 0
+            if reuse:
+                self._idle -= 1
+        if reuse:
+            self._handoff.put((request, client_address))
+        else:
+            threading.Thread(
+                target=self._serve_connections, args=(request, client_address), daemon=True
+            ).start()
+
+    def _serve_connections(self, request, client_address) -> None:
+        while True:
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            except BaseException:
+                self.shutdown_request(request)
+                raise
+            # Idle before the client sees its connection close: a client that
+            # waits for the close then finds this thread for its next one.
+            with self._idle_lock:
+                closed = self._closed
+                if not closed:
+                    self._idle += 1
+            self.shutdown_request(request)
+            if closed:
+                return
+            handoff = self._handoff.get()
+            if handoff is None:
+                return
+            request, client_address = handoff
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._idle_lock:
+            self._closed = True
+            idle, self._idle = self._idle, 0
+        for _ in range(idle):
+            self._handoff.put(None)
 
 
 class BackendHTTPServer:
@@ -95,10 +163,15 @@ class BackendHTTPServer:
         self._thread.start()
 
     def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        """Stop serving, close the socket and end the idle handler threads.
+        Returns at once on a server that was never started or already
+        stopped."""
         if self._thread is not None:
+            # shutdown() waits for serve_forever to return, so only after start().
+            self._httpd.shutdown()
             self._thread.join()
+            self._thread = None
+        self._httpd.server_close()
 
     def serve_forever(self) -> None:
         self._httpd.serve_forever()
@@ -151,8 +224,22 @@ def _make_handler(server: BackendHTTPServer):
         # line.
         default_request_version = "HTTP/1.0"
 
+        # The current second and its Date header text.
+        _date = (None, "")
+
         def log_message(self, fmt, *args):  # quiet by default
             pass
+
+        def date_time_string(self, timestamp=None):
+            # The stdlib formats the date anew for every reply; the text
+            # changes once a second.
+            if timestamp is not None:
+                return super().date_time_string(timestamp)
+            second = int(time.time())
+            cached = Handler._date
+            if cached[0] != second:
+                cached = Handler._date = (second, super().date_time_string(second))
+            return cached[1]
 
         def send_error(self, code, message=None, explain=None):
             # The stdlib answers an unknown method 501 and an HTTP/2 request

@@ -11,9 +11,11 @@ windows start by then, all of them when unbounded), round-trips seeded
 hash batches through the store and the ``/hashes`` encoder (``bytes``
 order, ``.hex()`` and compact ``json``), replays the HTTP exchanges of
 ``golden/wire_fixtures.json`` against a ``BackendHTTPServer`` on a free
-port, and runs each way the CLI exits with status 2.  It imports nothing
-outside the standard library and ``relaysim`` (from ``src/``), so any
-supported interpreter can run it, with or without pytest:
+port, checks that sequential requests reuse one handler thread and that
+``stop()`` of a server never started returns, and runs each way the CLI
+exits with status 2.  It imports nothing outside the standard library and
+``relaysim`` (from ``src/``), so any supported interpreter can run it, with
+or without pytest:
 
     python3.10 tests/stdlib_contract.py
 
@@ -31,6 +33,7 @@ import random
 import socket
 import sys
 import tempfile
+import threading
 from http.client import HTTPConnection
 from pathlib import Path
 from unittest import mock
@@ -184,6 +187,15 @@ def _hash_batches() -> list[str]:
     return failed
 
 
+def _read_to_close(port: int, request: bytes) -> bytes:
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    return reply
+
+
 def _wire() -> list[str]:
     from relaysim.backend import BackendStore
     from relaysim.params import SimParams
@@ -194,13 +206,29 @@ def _wire() -> list[str]:
     store = BackendStore(params, rng=random.Random("wire-golden"))
     server = BackendHTTPServer(store, clock, params)
     server.start()
+    failed = []
     try:
         replay_wire_fixtures(server, clock)
+        # A client that reads each reply to the close finds the handler
+        # thread of its last request idle.
+        with mock.patch.object(
+            threading.Thread, "start", autospec=True, side_effect=threading.Thread.start
+        ) as start:
+            for _ in range(5):
+                _read_to_close(server.port, b"POST /otp HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}")
+        if start.call_count > 1:
+            failed.append(f"5 sequential requests started {start.call_count} handler threads")
     except AssertionError as exc:
-        return [f"wire exchange {exc}"]
+        failed.append(f"wire exchange {exc}")
     finally:
         server.stop()
-    return []
+    never_started = BackendHTTPServer(store, clock, params)
+    stopper = threading.Thread(target=never_started.stop, daemon=True)
+    stopper.start()
+    stopper.join(5)
+    if stopper.is_alive():
+        failed.append("stop() of a server never started did not return within 5 s")
+    return failed
 
 
 def _exit_2_cases(tmp: Path, held_port: int) -> list[tuple[list[str], str | None]]:

@@ -1,5 +1,7 @@
-"""HTTP wire mode: golden exchange replay, error paths, concurrent clients."""
+"""HTTP wire mode: golden exchange replay, error paths, concurrent clients,
+reused handler threads."""
 
+import email.utils
 import json
 import random
 import socket
@@ -304,3 +306,88 @@ def test_any_request_gets_a_4xx_or_better_or_a_timely_close(impatient_server, re
     if reply:
         assert reply.startswith((b"HTTP/1.0 ", b"HTTP/1.1 "))
         assert 200 <= int(reply[9:12]) < 500
+
+
+OTP_REQUEST = b"POST /otp HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}"
+
+
+def test_sequential_requests_reuse_one_handler_thread(server):
+    # Each reply is read to the server's close, as a client that waits for it
+    # does.  Before, every connection started a thread of its own.
+    with mock.patch.object(
+        threading.Thread, "start", autospec=True, side_effect=threading.Thread.start
+    ) as start:
+        for _ in range(20):
+            reply, _ = _exchange(server.port, OTP_REQUEST, False)
+            assert reply.startswith(b"HTTP/1.0 200 ")
+    assert start.call_count <= 1
+
+
+def test_a_stalled_client_delays_no_other(server):
+    # The stalled connection takes the idle handler thread and holds it for
+    # the 5 s request timeout: the next client must get a thread of its own.
+    _exchange(server.port, OTP_REQUEST, False)
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as stalled:
+        stalled.sendall(b"POST /otp HTTP/1.1\r\n")
+        start = time.monotonic()
+        conn = HTTPConnection("127.0.0.1", server.port, timeout=10)
+        conn.request("POST", "/otp", body=b"{}")
+        assert conn.getresponse().status == 200
+        conn.close()
+        assert time.monotonic() - start < 1
+        stalled.sendall(b"Content-Length: 2\r\n\r\n{}")  # and it is still served
+        assert stalled.recv(4096).startswith(b"HTTP/1.0 200 ")
+
+
+def test_stop_ends_every_handler_thread():
+    before = set(threading.enumerate())
+    srv = _serve()
+    socks = [socket.create_connection(("127.0.0.1", srv.port), timeout=10) for _ in range(3)]
+    for sock in socks:  # three connections open at once: three handler threads
+        sock.sendall(OTP_REQUEST[:10])
+    for sock in socks:
+        with sock:
+            sock.sendall(OTP_REQUEST[10:])
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+            assert reply.startswith(b"HTTP/1.0 200 ")
+    started = set(threading.enumerate()) - before
+    assert len(started) >= 3
+    srv.stop()
+    deadline = time.monotonic() + 1
+    for thread in started:
+        thread.join(max(deadline - time.monotonic(), 0))
+    assert [t for t in started if t.is_alive()] == []
+
+
+@pytest.mark.parametrize("started", [False, True])
+def test_stop_returns_and_closes_the_socket(started):
+    # Before, stop() on a server never started waited for ever for a
+    # serve_forever that never ran.
+    srv = BackendHTTPServer(BackendStore(PARAMS), ManualClock(0), PARAMS)
+    if started:
+        srv.start()
+    stopper = threading.Thread(target=lambda: (srv.stop(), srv.stop()), daemon=True)
+    stopper.start()
+    stopper.join(5)
+    assert not stopper.is_alive()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", srv.port), timeout=5).close()
+
+
+def test_date_header_formatted_once_a_second(server):
+    now = [0.0]
+    stdlib = wire.BaseHTTPRequestHandler
+    with mock.patch.object(wire.time, "time", lambda: now[0]), mock.patch.object(
+        stdlib, "date_time_string", autospec=True, side_effect=stdlib.date_time_string
+    ) as formatted:
+        dates = []
+        for now[0] in (1_700_000_000.25, 1_700_000_000.75, 1_700_000_001.0):
+            conn = HTTPConnection("127.0.0.1", server.port, timeout=10)
+            conn.request("POST", "/otp", body=b"{}")
+            dates.append(conn.getresponse().getheader("Date"))
+            conn.close()
+    seconds = (1_700_000_000, 1_700_000_000, 1_700_000_001)
+    assert dates == [email.utils.formatdate(second, usegmt=True) for second in seconds]
+    assert formatted.call_count == 2  # once for each second

@@ -329,12 +329,10 @@ class RebroadcastAdversary:
 
 
 class DownloadedChunk(NamedTuple):
-    """A downloaded chunk's keys, its hash batch as a set of digests (None if
-    it has none) and ``at``, the tick of the poll that brought it.  The
-    set is built once, by ``DownloadLog.poll``, from the backend's byte
-    string."""
+    """A downloaded chunk's hash batch as a set of digests (None if it has
+    none) and ``at``, the tick of the poll that brought it.  The set is
+    built once, by ``DownloadLog.poll``, from the backend's byte string."""
 
-    teks: tuple[tuple[bytes, int], ...]
     batch: frozenset[bytes] | None
     at: int
 
@@ -371,7 +369,7 @@ class DownloadLog:
             if batch is not None:
                 step = actguard.CONTACT_HASH_LENGTH
                 batch = frozenset(batch[i : i + step] for i in range(0, len(batch), step))
-            self.chunks[chunk.index] = DownloadedChunk(chunk.teks, batch, now)
+            self.chunks[chunk.index] = DownloadedChunk(batch, now)
             teks = [gaen.Tek(b, d) for b, d in chunk.teks]
             for rpi, entries in gaen.build_rpi_index(teks, self.params, self.until).items():
                 self.index.setdefault(rpi, []).extend((chunk.index, e) for e in entries)

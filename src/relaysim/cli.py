@@ -66,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"relaysim: cannot write the report: {exc}", file=sys.stderr)
                 return 2
         else:
-            sys.stdout.write(blob.decode())
+            sys.stdout.buffer.write(blob)
         return 0
 
     if args.command == "serve-backend":

@@ -370,26 +370,17 @@ def _device_seed(scenario_seed: int, actor_name: str) -> bytes:
 _CONTAINERS = (dict, list, tuple)
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 _JSON_DEFAULT = json.JSONEncoder().default
-
-
-class _Raw(str):
-    """Text already encoded, which a raw encoder writes as it is."""
-
-
-def _escaped_unless_raw(s: str) -> str:
-    return s if type(s) is _Raw else json.encoder.encode_basestring_ascii(s)
+_JSON_STRING = json.encoder.encode_basestring_ascii
 
 
 @cache
-def _one_line_encoder(depth: int, raw: bool = False):
+def _one_line_encoder(depth: int):
     """``json``'s C encoder with ``sort_keys`` and the item separator that
     ``indent=2`` writes between items at ``depth``.  It writes every
     container on one line, so it gets a flat container right but for the
-    newlines after its opening and before its closing bracket.  A raw one
-    writes a ``_Raw`` string as it is (and calls back for every string)."""
-    strings = _escaped_unless_raw if raw else json.encoder.encode_basestring_ascii
+    newlines after its opening and before its closing bracket."""
     return json.encoder.c_make_encoder(
-        None, _JSON_DEFAULT, strings, None, ": ", ",\n" + "  " * depth, True, False, True
+        None, _JSON_DEFAULT, _JSON_STRING, None, ": ", ",\n" + "  " * depth, True, False, True
     )
 
 
@@ -399,43 +390,44 @@ def _is_flat(values) -> bool:
     return set(map(type, filter(None, values))) <= _SCALARS
 
 
-def _indented(o, depth: int) -> str:
-    """``json.dumps(o, sort_keys=True, indent=2)`` as written at ``depth``.
+def _write(o, depth: int, out: list[str]) -> None:
+    """Append ``json.dumps(o, sort_keys=True, indent=2)``, as written at
+    ``depth``, to ``out``.  Every key is a string: names are validated as
+    strings, ``config.raw`` is parsed JSON, and rows, events and audit
+    entries have literal keys.
 
-    A flat container takes one C encoder call, with the newlines after its
-    opening and before its closing bracket spliced in after.  So does a
-    list of flat objects: encoded strings never hold a raw newline, so in
-    its one-line text ``},<pad>{`` occurs only between two objects (inside
-    one, a separator is followed by a key's quote) and can be rewritten.
-    Any other container's non-empty containers are written first, and it
-    takes one raw encoder call with their text in their place."""
+    A scalar or an empty container takes one C encoder call.  So does a
+    flat container, with the newlines after its opening and before its
+    closing bracket added around its text.  So does a list of flat objects:
+    encoded strings never hold a raw newline, so in its one-line text
+    ``},<pad>{`` occurs only between two objects (inside one, a separator
+    is followed by a key's quote) and can be rewritten.  Any other
+    container writes its items one by one."""
     if not (isinstance(o, _CONTAINERS) and o):
-        return "".join(_one_line_encoder(0)(o, 0))
+        out.append("".join(_one_line_encoder(0)(o, 0)))
+        return
     outer = "\n" + "  " * depth
     inner = outer + "  "
     is_dict = isinstance(o, dict)
     if _is_flat(o.values() if is_dict else o):
         text = "".join(_one_line_encoder(depth + 1)(o, 0))
+        out.append(text[0] + inner + text[1:-1] + outer + text[-1])
     elif not is_dict and all(o) and set(map(type, o)) == {dict} and _is_flat(
         chain.from_iterable(map(dict.values, o))
     ):
         field = inner + "  "
-        text = "".join(_one_line_encoder(depth + 2)(o, 0))
-        text = text[2:-2].replace("}," + field + "{", inner + "}," + inner + "{" + field)
-        return "[" + inner + "{" + field + text + inner + "}" + outer + "]"
+        text = "".join(_one_line_encoder(depth + 2)(o, 0))[2:-2]
+        out.append("[" + inner + "{" + field)
+        out.append(text.replace("}," + field + "{", inner + "}," + inner + "{" + field))
+        out.append(inner + "}" + outer + "]")
     else:
-        child = depth + 1
-        if is_dict:
-            shallow = {
-                k: _Raw(_indented(v, child)) if isinstance(v, _CONTAINERS) and v else v
-                for k, v in o.items()
-            }
-        else:
-            shallow = [
-                _Raw(_indented(v, child)) if isinstance(v, _CONTAINERS) and v else v for v in o
-            ]
-        text = "".join(_one_line_encoder(child, raw=True)(shallow, 0))
-    return text[0] + inner + text[1:-1] + outer + text[-1]
+        separator = inner
+        out.append("{" if is_dict else "[")
+        for key, value in sorted(o.items()) if is_dict else enumerate(o):
+            out.append(separator + _JSON_STRING(key) + ": " if is_dict else separator)
+            _write(value, depth + 1, out)
+            separator = "," + inner
+        out.append(outer + ("}" if is_dict else "]"))
 
 
 class ScenarioReport:
@@ -443,9 +435,10 @@ class ScenarioReport:
 
     The report bytes are ``json.dumps(data, sort_keys=True, indent=2)``
     encoded, plus a newline.  ``to_json_bytes`` writes exactly those bytes
-    through ``json``'s C encoder (see ``_indented``), since ``indent`` makes
-    ``json.dumps`` fall back to its pure-Python encoder; on an interpreter
-    without the C encoder it calls ``json.dumps``."""
+    through ``json``'s C encoder, since ``indent`` makes ``json.dumps`` fall
+    back to its pure-Python encoder: ``_write`` appends the pieces to one
+    list, which is joined and encoded once.  On an interpreter without the
+    C encoder it calls ``json.dumps``."""
 
     def __init__(self, data: dict):
         self.data = data
@@ -453,7 +446,12 @@ class ScenarioReport:
     def to_json_bytes(self) -> bytes:
         if json.encoder.c_make_encoder is None:
             return json.dumps(self.data, sort_keys=True, indent=2).encode() + b"\n"
-        return (_indented(self.data, 0) + "\n").encode()
+        out: list[str] = []
+        _write(self.data, 0, out)
+        out.append("\n")
+        text = "".join(out)
+        out.clear()
+        return text.encode()
 
     def to_table(self) -> str:
         rows = [f"{'actor':<10} {'role':<14} {'guard':<6} {'alert':<6} {'risk':>7}  verdicts"]

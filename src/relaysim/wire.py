@@ -8,6 +8,8 @@ Endpoints (JSON bodies, lowercase hex, frozen by golden fixtures):
     GET  /hashes/<id>                             -> 200 {"hashes": [...]} | 400 | 404
 
 N and <id> are an optional ``-`` and ASCII digits; anything else gets a 400.
+So does a request whose header block the end of the stream cuts off before
+its blank line.
 
 Each connection is served on a handler thread of its own, as many at once
 as there are connections open at once, so a stalled client delays no other.
@@ -62,6 +64,20 @@ def _decimal(text: str) -> int | None:
         return int(text)
     except ValueError:  # over the interpreter's limit on digits
         return None
+
+
+class _LastLine:
+    """A reader whose ``readline`` keeps the last line it read: the stdlib's
+    header parser takes the end of the stream (an empty line) for the blank
+    line that ends a header block."""
+
+    def __init__(self, rfile) -> None:
+        self.rfile = rfile
+        self.last = b""
+
+    def readline(self, limit: int) -> bytes:
+        self.last = self.rfile.readline(limit)
+        return self.last
 
 
 class _Server(HTTPServer):
@@ -240,6 +256,24 @@ def _make_handler(server: BackendHTTPServer):
             if cached[0] != second:
                 cached = Handler._date = (second, super().date_time_string(second))
             return cached[1]
+
+        def parse_request(self) -> bool:
+            # A header block cut off by the end of the stream is no request:
+            # it gets a 400 and reaches no handler.
+            lines = self.rfile = _LastLine(self.rfile)
+            try:
+                if not super().parse_request():
+                    return False
+            finally:
+                self.rfile = lines.rfile
+            if lines.last:
+                return True
+            self.close_connection = True
+            try:
+                self.send_error(400, "header block cut off")
+            except ConnectionError:  # a client that already left gets no answer
+                pass
+            return False
 
         def send_error(self, code, message=None, explain=None):
             # The stdlib answers an unknown method 501 and an HTTP/2 request

@@ -41,7 +41,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from relaysim import actguard, gaen, radio, scenario
-from relaysim.agents import ExposureState, HonestDevice
+from relaysim.agents import DownloadLog, ExposureState, HonestDevice
 from relaysim.backend import BackendError
 
 SECONDS_PER_DAY = 86400
@@ -276,17 +276,33 @@ class EveryTick:
         raise AssertionError(f"{self.name} is a reference actor and never repeats a tick")
 
 
+class KeyKeepingLog(DownloadLog):
+    """The package's download log, which also keeps the keys of each chunk
+    a poll brought (``teks``, by diagnosis id), as the backend served them,
+    for a ``PerSightingDevice`` to index itself."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.teks: dict = {}
+
+    def poll(self, backend, now):
+        since = next(reversed(self.chunks), 0)
+        new = super().poll(backend, now)
+        self.teks.update((c.index, c.teks) for c in backend.fetch_chunks(since, now))
+        return new
+
+
 class PerSightingDevice(EveryTick, HonestDevice):
     """The honest device storing one ``Observation`` per sighting, in
     receive order, with each RPI's list positions, and one ``ExposureMatch``
     list per chunk, matched against an RPI index of the chunk's keys that
-    it builds itself; a chunk's cursor counts the observations it was
-    matched against.  A defended one records each sighting's contact row as it
-    receives it, into a table it keeps (``contacts``), and its
-    ``contact_rows`` are that table's rows, one bucket a range.  Key schedule,
-    the download log and verification are the package's; what a match pass
-    scans and builds, how matches are scored and when matching runs are
-    replaced.
+    it builds itself (its ``KeyKeepingLog`` keeps them); a chunk's cursor
+    counts the observations it was matched against.  A defended one
+    records each sighting's contact row as it receives it, into a table it
+    keeps (``contacts``), and its ``contact_rows`` are that table's rows,
+    one bucket a range.  Key schedule, the download log and verification
+    are the package's; what a match pass scans and builds, how matches are
+    scored and when matching runs are replaced.
 
     Match events follow the incremental rule: every poll that brings
     chunks matches the new sightings against every chunk, and a
@@ -336,7 +352,7 @@ class PerSightingDevice(EveryTick, HonestDevice):
         chunks = self.downloads.chunks
         new_ids = [d for d in chunks if d not in self.indexes]
         for d in new_ids:
-            teks = [gaen.Tek(b, day) for b, day in chunks[d].teks]
+            teks = [gaen.Tek(b, day) for b, day in self.downloads.teks[d]]
             self.indexes[d] = gaen.build_rpi_index(teks, self.params)
         polls = {chunks[d].at for d in new_ids}
         assert len(polls) <= 1, f"{self.name} missed a poll: {sorted(polls)}"

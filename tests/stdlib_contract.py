@@ -9,13 +9,16 @@ stepping it after it finished, checks the boundary cases of expanding a
 published key through a bound (the prefix of its pseudonyms whose widened
 windows start by then, all of them when unbounded), round-trips seeded
 hash batches through the store and the ``/hashes`` encoder (``bytes``
-order, ``.hex()`` and compact ``json``), replays the HTTP exchanges of
-``golden/wire_fixtures.json`` against a ``BackendHTTPServer`` on a free
-port, checks that sequential requests reuse one handler thread and that
-``stop()`` of a server never started returns, and runs each way the CLI
-exits with status 2.  It imports nothing outside the standard library and
-``relaysim`` (from ``src/``), so any supported interpreter can run it, with
-or without pytest:
+order, ``.hex()`` and compact ``json``), compares the report writer, which
+calls the private ``c_make_encoder``, with ``json.dumps(tree,
+sort_keys=True, indent=2)`` on a fixed corpus of trees, replays the HTTP
+exchanges of ``golden/wire_fixtures.json`` against a ``BackendHTTPServer``
+on a free port, checks that sequential requests reuse one handler thread,
+that a header block cut off by a half-close gets a 400 and reaches no
+handler, and that ``stop()`` of a server never started returns, and runs
+each way the CLI exits with status 2.  It imports nothing outside the
+standard library and ``relaysim`` (from ``src/``), so any supported
+interpreter can run it, with or without pytest:
 
     python3.10 tests/stdlib_contract.py
 
@@ -187,9 +190,13 @@ def _hash_batches() -> list[str]:
     return failed
 
 
-def _read_to_close(port: int, request: bytes) -> bytes:
+def _read_to_close(port: int, request: bytes, shut: bool = False) -> bytes:
+    """Send ``request``, shutting our side if ``shut``, and read the reply
+    until the server closes."""
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
         sock.sendall(request)
+        if shut:
+            sock.shutdown(socket.SHUT_WR)
         reply = b""
         while chunk := sock.recv(4096):
             reply += chunk
@@ -218,6 +225,11 @@ def _wire() -> list[str]:
                 _read_to_close(server.port, b"POST /otp HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}")
         if start.call_count > 1:
             failed.append(f"5 sequential requests started {start.call_count} handler threads")
+        # A header block that the client's half-close cuts off is no request.
+        audit = len(store.audit)
+        reply = _read_to_close(server.port, b"POST /otp HTTP/1.1\r\n", shut=True)
+        if reply.split(b"\r\n", 1)[0].split()[1:2] != [b"400"] or len(store.audit) != audit:
+            failed.append(f"headers cut off by a half-close: got {reply[:30]!r}")
     except AssertionError as exc:
         failed.append(f"wire exchange {exc}")
     finally:
@@ -228,6 +240,25 @@ def _wire() -> list[str]:
     stopper.join(5)
     if stopper.is_alive():
         failed.append("stop() of a server never started did not return within 5 s")
+    return failed
+
+
+def _report_writer() -> list[str]:
+    from relaysim.scenario import ScenarioReport
+
+    events = [{"t": 0, "event": "a\nb", "x": -0.0}, {"t": 2**70, "y": [], "z": {}}]
+    corpus = [
+        {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-0.0": -0.0, "big": 2**70},
+        {"text": ["\x00\x1f\x7f\t", "\u00e9\u2603\U0001f600", '{"[],:\\'], "\u2603\n": {"k": [""]}},
+        {"empty": [{}, [], (), {"a": {}, "b": [[]], "c": ()}], "at": {"depth": {"two": {}}}},
+        {"run": {"events": events, "deeper": {"still": tuple(events)}}, "top": events},
+        {"tuples": ((1, (2.5, None)), ({"k": (True, False)},), ())},
+    ]
+    failed = []
+    for i, tree in enumerate(corpus):
+        expected = json.dumps(tree, sort_keys=True, indent=2).encode() + b"\n"
+        if ScenarioReport(tree).to_json_bytes() != expected:
+            failed.append(f"tree {i}: to_json_bytes differs from json.dumps with indent=2")
     return failed
 
 
@@ -293,7 +324,9 @@ def _cli() -> list[str]:
 def main() -> int:
     sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
     failures = []
-    for check in (_golden, _past_last_tick, _expansion, _hash_batches, _wire, _cli):
+    for check in (
+        _golden, _past_last_tick, _expansion, _hash_batches, _report_writer, _wire, _cli
+    ):
         failed = check()
         print(f"{check.__name__[1:]}: {'ok' if not failed else 'FAILED'}")
         failures += failed

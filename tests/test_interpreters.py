@@ -3,10 +3,13 @@
 Runs ``stdlib_contract.py`` (golden report and table bytes, the refused
 tick after a run's last one, second finish and step after finish, the
 stored hash batch and its ``/hashes`` reply, which rest on ``bytes``
-order, ``.hex()`` and compact ``json``, the wire fixtures, one handler
-thread reused across sequential requests and ``stop()`` of a server never
-started, which rest on the ``socketserver`` hooks the wire server
-overrides, the CLI's exit-2 paths)
+order, ``.hex()`` and compact ``json``, the report writer against
+``json.dumps`` on a fixed corpus, which rests on the private
+``c_make_encoder``, the wire fixtures, one handler thread reused across
+sequential requests, a 400 for a header block cut off by a half-close and
+``stop()`` of a server never started, which rest on the ``socketserver``
+and ``http.server`` hooks the wire server overrides, the CLI's exit-2
+paths)
 under each Python 3.10 or later found on ``PATH`` or under
 ``$(pyenv root)/versions/*/bin/python``, other than the one running the
 tests.  Those interpreters need no pytest: the script uses

@@ -64,8 +64,8 @@ from relaysim.agents import DownloadedChunk, DownloadLog, HonestDevice
 from relaysim.params import SimParams
 
 from oracles import (
-    PER_CAPTURE_ADVERSARIES, EveryTickWorld, PerSightingDevice, capture_entries, chunk_matches,
-    delivery, match_counts, naive_verdict, observations, records,
+    PER_CAPTURE_ADVERSARIES, EveryTickWorld, KeyKeepingLog, PerSightingDevice, capture_entries,
+    chunk_matches, delivery, match_counts, naive_verdict, observations, records,
 )
 
 METERS_PER_DEGREE = 6371000.0 * 3.141592653589793 / 180.0
@@ -155,7 +155,10 @@ def _run(
 ) -> tuple[scenario.World, bytes]:
     """Step the world at ``times``, then finish the run as ``World.run``
     does; returns the world and its report bytes."""
-    with mock.patch.dict(vars(scenario), {"HonestDevice": device_class, **(adversaries or {})}):
+    replaced = {"HonestDevice": device_class, **(adversaries or {})}
+    if device_class is PerSightingDevice:  # it indexes each chunk's keys itself
+        replaced["DownloadLog"] = KeyKeepingLog
+    with mock.patch.dict(vars(scenario), replaced):
         world = world_class(scenario.load_config(config))
     for t in times:
         world.now = t
@@ -538,7 +541,7 @@ def _store_alike(device: HonestDevice, reference: PerSightingDevice, now: int) -
         }
     tek = gaen.Tek(bytes(16), 0)
     cuts = sorted({o.scan_time for o in expected[::3]} | {now + 1})
-    device.downloads.chunks[0] = DownloadedChunk((), None, now)
+    device.downloads.chunks[0] = DownloadedChunk(None, now)
     for since, until in combinations(cuts, 2):
         entry = gaen.IndexedRpi(tek, gaen.HmacSha256(gaen.derive_subkeys(tek)[1]), 0, since, until)
         device.downloads.index = {o.rpi: [(0, entry)] for o in expected}

@@ -10,6 +10,7 @@ import re
 import socket
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -747,6 +748,40 @@ REPORT_TREES = st.recursive(
 )
 
 
+def _report_shaped() -> dict:
+    """A report-shaped tree built without a run: 20,000 flat match events,
+    200 actor rows with their verdicts, and a config whose actors have a
+    position and waypoints."""
+    names = [f"d{i:03d}" for i in range(200)]
+    actors = {
+        name: {
+            "role": "honest", "actguard": i % 2 == 0, "gaen_alert": i % 5 == 0,
+            "risk_score": i / 7, "verdicts": [{"diagnosis_id": 1, "verdict": "ok"}] * (i % 3),
+        }
+        for i, name in enumerate(names)
+    }
+    config = {
+        "actors": [
+            {
+                "name": name, "role": "honest", "place": "P0", "position": [i / 1000, 0.0],
+                "movement": {"waypoints": [{"at": t, "lat": 0.0, "lon": 0.0} for t in (60, 120)]},
+            }
+            for i, name in enumerate(names)
+        ],
+        "places": [{"name": "P0", "lat": 0.0, "lon": 0.0, "radius_m": 20.0}],
+        "params": {"tick_seconds": 10},
+    }
+    return {
+        "actors": actors,
+        "config": config,
+        "events": [
+            {"t": i, "event": "match", "actor": names[i % 200], "diagnosis_id": 1, "matches": i}
+            for i in range(20_000)
+        ],
+        "scenario": "synthetic",
+    }
+
+
 class TestReport:
     @pytest.mark.parametrize("c_encoder", [True, False], ids=["c_encoder", "no_c_encoder"])
     @settings(max_examples=400, deadline=None)
@@ -757,6 +792,21 @@ class TestReport:
         with mock.patch("json.encoder.c_make_encoder", present if c_encoder else None):
             got = scenario.ScenarioReport(data).to_json_bytes()
         assert got == json.dumps(data, sort_keys=True, indent=2).encode() + b"\n"
+
+    def test_writing_holds_at_most_three_and_a_half_times_the_report(self):
+        # Before, each level's text was copied again into the level above
+        # it, and writing this report peaked at 4.00 times its size.
+        report = scenario.ScenarioReport(_report_shaped())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            blob = report.to_json_bytes()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert json.loads(blob) == report.data
+        assert peak <= 3.5 * len(blob)
 
     def test_json_round_trips(self):
         report = scenario.run(scenario.load_config(_minimal_config()))
@@ -819,6 +869,12 @@ class TestCli:
         report = json.loads(out.read_bytes())
         assert report["scenario"] == "no_attack"
         assert report["actors"]["A"]["gaen_alert"] is False
+
+    def test_run_bundled_to_stdout_writes_the_golden_bytes(self, capsysbinary):
+        from relaysim.cli import main
+
+        assert main(["run", "scenario1"]) == 0
+        assert capsysbinary.readouterr().out == (REPORTS / "scenario1.json").read_bytes()
 
     def test_run_config_file_table_stdout(self, tmp_path, capsys):
         from relaysim.cli import main

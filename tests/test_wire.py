@@ -207,6 +207,43 @@ def test_stalled_request_closed_within_timeout(impatient_server, sent):
     assert [entry["op"] for entry in server.store.audit] == ["authorize_otp"]
 
 
+@pytest.mark.parametrize(
+    "sent", [b"POST /otp HTTP/1.1\r\n", b"GET /chunks?since=0 HTTP/1.1\r\nHost: x\r\n"]
+)
+def test_headers_cut_off_by_a_half_close_400_and_no_store_call(server, sent):
+    # The client shuts its side before the blank line that ends the headers;
+    # before, the stdlib took the end of the stream for that line and served
+    # the request: a POST /otp got a 200 and authorized an OTP.
+    store = server.store = mock.create_autospec(BackendStore, instance=True)
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+        sock.sendall(sent)
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    assert reply.split(b"\r\n", 1)[0].split()[1] == b"400"
+    assert store.mock_calls == []
+
+
+def test_headers_cut_off_by_a_full_close_print_nothing(server, capsys):
+    # Before, the request was served to a client that had gone, and the reply
+    # died on BrokenPipeError with a traceback on stderr.
+    store = server.store = mock.create_autospec(BackendStore, instance=True)
+    closed = threading.Event()
+    shutdown_request = wire._Server.shutdown_request
+
+    def shutdown_and_tell(self, request):
+        shutdown_request(self, request)
+        closed.set()
+
+    with mock.patch.object(wire._Server, "shutdown_request", shutdown_and_tell):
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(b"POST /otp HTTP/1.1\r\n")
+        assert closed.wait(5)
+    assert store.mock_calls == []
+    assert capsys.readouterr().err == ""
+
+
 def test_concurrent_clients_see_sequential_semantics(server):
     codes: list[str] = []
     lock = threading.Lock()

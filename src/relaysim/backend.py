@@ -142,9 +142,11 @@ class BackendStore:
         or older than the retention window, and every digest must be
         ``CONTACT_HASH_LENGTH`` bytes.  Rejections leave the store untouched
         (the OTP stays unused).  An empty hash batch is treated as absent:
-        only users of the defense upload one at all.
+        only users of the defense upload one at all.  ``now`` must be an
+        ``int``: a ``bool`` or ``float`` raises ValueError, as ``Tek``'s
+        ``day_index`` does, so a published chunk holds ints alone.
         """
-        diagnosis_day = now // SECONDS_PER_DAY
+        diagnosis_day = as_number(int, now, "now") // SECONDS_PER_DAY
         try:
             otp = self._check_otp(otp_code, now)
             if not teks:
@@ -265,21 +267,28 @@ def decode_diagnosis_payload(raw: bytes) -> tuple[list[Tek], str, set[bytes] | N
 
 
 def encode_chunks(chunks: list[TekChunk]) -> bytes:
-    return canonical_json(
-        [
-            {
-                "index": c.index,
-                "published_at": c.published_at,
-                "teks": [{"tek_hex": b.hex(), "day": d} for b, d in c.teks],
-            }
+    """The ``/chunks`` reply: ``canonical_json`` of a list of
+    ``{"index", "published_at", "teks": [{"day", "tek_hex"}]}`` objects,
+    written directly.  Every number in a chunk is an ``int`` (``Tek`` and
+    ``ingest_diagnosis`` refuse any other type), which formats as ``json``
+    writes it."""
+    return (
+        "["
+        + ",".join(
+            f'{{"index":{c.index},"published_at":{c.published_at},"teks":['
+            + ",".join(f'{{"day":{d},"tek_hex":"{b.hex()}"}}' for b, d in c.teks)
+            + "]}"
             for c in chunks
-        ]
-    )
+        )
+        + "]"
+    ).encode()
 
 
 def encode_hash_batch(batch: bytes) -> bytes:
-    """The ``/hashes`` reply for a stored batch: its digests in lowercase hex,
-    in the stored (ascending) order, with no sort per request."""
-    hexed = batch.hex()
-    step = 2 * CONTACT_HASH_LENGTH
-    return canonical_json({"hashes": [hexed[i : i + step] for i in range(0, len(hexed), step)]})
+    """The ``/hashes`` reply for a stored batch: ``canonical_json`` of
+    ``{"hashes": [...]}`` with its digests in lowercase hex, in the stored
+    (ascending) order, written directly with no sort per request."""
+    if not batch:
+        return b'{"hashes":[]}'
+    hexed = batch.hex(",", CONTACT_HASH_LENGTH).encode()
+    return b'{"hashes":["' + hexed.replace(b",", b'","') + b'"]}'

@@ -65,8 +65,10 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as exc:
                 print(f"relaysim: cannot write the report: {exc}", file=sys.stderr)
                 return 2
-        else:
+        elif hasattr(sys.stdout, "buffer"):
             sys.stdout.buffer.write(blob)
+        else:  # a text-only stream, such as redirect_stdout(io.StringIO())
+            sys.stdout.write(blob.decode())
         return 0
 
     if args.command == "serve-backend":

@@ -36,7 +36,7 @@ from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
-from .params import SECONDS_PER_DAY, TX_POWER_MAX, TX_POWER_MIN, FrozenRecord, SimParams
+from .params import SECONDS_PER_DAY, TX_POWER_MAX, TX_POWER_MIN, FrozenRecord, SimParams, as_number
 
 TEK_LENGTH = 16
 KEY_LENGTH = 16
@@ -80,14 +80,15 @@ _EXTRACT = HmacSha256(bytes(32))  # HKDF-extract with no salt: HashLen zero byte
 
 
 class Tek(FrozenRecord):
-    """Daily 16-byte temporary exposure key."""
+    """Daily 16-byte temporary exposure key; ``day_index`` is an ``int``
+    of 0 or more (a ``bool`` or ``float`` raises ValueError)."""
 
     __slots__ = ("bytes", "day_index")
 
     def __init__(self, bytes: bytes, day_index: int) -> None:
         if len(bytes) != TEK_LENGTH:
             raise ValueError(f"tek must be {TEK_LENGTH} bytes, got {len(bytes)}")
-        if day_index < 0:
+        if as_number(int, day_index, "day_index") < 0:
             raise ValueError("day_index must be >= 0")
         self._set(bytes, day_index)
 

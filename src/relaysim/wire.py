@@ -8,8 +8,15 @@ Endpoints (JSON bodies, lowercase hex, frozen by golden fixtures):
     GET  /hashes/<id>                             -> 200 {"hashes": [...]} | 400 | 404
 
 N and <id> are an optional ``-`` and ASCII digits; anything else gets a 400.
-So does a request whose header block the end of the stream cuts off before
-its blank line.
+
+The handler reads each header block itself (``_read_headers``), not through
+the ``email`` parser, into a dict keyed by lowercased name.  A header line
+over 65,536 bytes, or more than 100 of them, gets a 431.  A 400, with no
+handler run, goes to a block that the end of the stream cuts off before its
+blank line and to one that two parsers could frame two ways (RFC 7230
+sections 3.2.4 and 3.3.3): a line with no colon, an empty name or
+whitespace in or after the name, an obs-fold continuation line, two
+``Content-Length`` values that differ, or any ``Transfer-Encoding``.
 
 Each connection is served on a handler thread of its own, as many at once
 as there are connections open at once, so a stalled client delays no other.
@@ -23,6 +30,7 @@ observe the same semantics as sequential calls.
 from __future__ import annotations
 
 import queue
+import re
 import socket
 import threading
 import time
@@ -52,6 +60,14 @@ REQUEST_TIMEOUT_SECONDS = 5.0
 # contact digests; the benchmark's largest upload is about 27 KB.
 MAX_BODY_BYTES = 1 << 20
 
+# The stdlib's limits on a header block (``http.client``): a longer line, or
+# more lines before the blank one, gets a 431.
+MAX_HEADER_LINE = 65536
+MAX_HEADER_LINES = 100
+
+# An RFC 7230 token: what a header name must be.
+_TOKEN = re.compile(r"[-!#$%&'*+.^_`|~0-9A-Za-z]+")
+
 
 def _decimal(text: str) -> int | None:
     """An optional ``-`` and ASCII digits as an int; None for any other
@@ -66,18 +82,46 @@ def _decimal(text: str) -> int | None:
         return None
 
 
-class _LastLine:
-    """A reader whose ``readline`` keeps the last line it read: the stdlib's
-    header parser takes the end of the stream (an empty line) for the blank
-    line that ends a header block."""
+def _http_version(text: str) -> tuple[int, int] | None:
+    """``HTTP/<major>.<minor>`` as two ints, each of 1 to 10 ASCII digits;
+    None for any other text."""
+    if not text.startswith("HTTP/"):
+        return None
+    numbers = text[5:].split(".")
+    if len(numbers) != 2 or not all(
+        n.isascii() and n.isdigit() and len(n) <= 10 for n in numbers
+    ):
+        return None
+    return int(numbers[0]), int(numbers[1])
 
-    def __init__(self, rfile) -> None:
-        self.rfile = rfile
-        self.last = b""
 
-    def readline(self, limit: int) -> bytes:
-        self.last = self.rfile.readline(limit)
-        return self.last
+def _read_headers(rfile) -> dict[str, str] | tuple[int, str]:
+    """The header block that ``rfile`` holds next, up to and including its
+    blank line, as a dict from each lowercased name to its value with the
+    spaces and tabs around it stripped; or the status and reason it is
+    refused (the rules are in the module docstring), with the rest of the
+    block unread.  A ``Transfer-Encoding`` is refused because this server
+    reads no framing but ``Content-Length``."""
+    headers: dict[str, str] = {}
+    for _ in range(MAX_HEADER_LINES + 1):
+        line = rfile.readline(MAX_HEADER_LINE + 1)
+        if len(line) > MAX_HEADER_LINE:
+            return 431, "header line too long"
+        if line in (b"\r\n", b"\n"):
+            return headers
+        if not line:
+            return 400, "header block cut off"
+        name, colon, value = str(line, "iso-8859-1").partition(":")
+        if not colon or not _TOKEN.fullmatch(name):
+            return 400, "malformed header line"  # an obs-fold line included
+        name = name.lower()
+        value = value.strip(" \t\r\n")
+        if name == "transfer-encoding":
+            return 400, "transfer-encoding not supported"
+        if name == "content-length" and headers.get(name, value) != value:
+            return 400, "conflicting content-length"
+        headers[name] = value
+    return 431, f"more than {MAX_HEADER_LINES} header lines"
 
 
 class _Server(HTTPServer):
@@ -258,27 +302,47 @@ def _make_handler(server: BackendHTTPServer):
             return cached[1]
 
         def parse_request(self) -> bool:
-            # A header block cut off by the end of the stream is no request:
-            # it gets a 400 and reaches no handler.
-            lines = self.rfile = _LastLine(self.rfile)
-            try:
-                if not super().parse_request():
-                    return False
-            finally:
-                self.rfile = lines.rfile
-            if lines.last:
-                return True
+            # The stdlib's request-line rules, but an HTTP/2 request line gets
+            # a 400, not a 505; the headers go to _read_headers, not to the
+            # email parser.  Every connection closes after one request
+            # (protocol_version is HTTP/1.0), so Connection and Expect
+            # headers change nothing.
+            self.command = None
+            self.request_version = self.default_request_version
             self.close_connection = True
+            self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+            words = self.requestline.split()
+            if not words:
+                return False
+            if len(words) >= 3:
+                version = _http_version(words[-1])
+                if version is None or version >= (2, 0):
+                    self.send_error(400, f"Bad request version ({words[-1]!r})")
+                    return False
+                self.request_version = words[-1]
+            if not 2 <= len(words) <= 3:
+                self.send_error(400, f"Bad request syntax ({self.requestline!r})")
+                return False
+            if len(words) == 2 and words[0] != "GET":
+                self.send_error(400, f"Bad HTTP/0.9 request type ({words[0]!r})")
+                return False
+            self.command, self.path = words[:2]
+            if self.path.startswith("//"):  # not an authority: gh-87389
+                self.path = "/" + self.path.lstrip("/")
+            headers = _read_headers(self.rfile)
+            if isinstance(headers, dict):
+                self.headers = headers
+                return True
             try:
-                self.send_error(400, "header block cut off")
+                self.send_error(*headers)
             except ConnectionError:  # a client that already left gets no answer
                 pass
             return False
 
         def send_error(self, code, message=None, explain=None):
-            # The stdlib answers an unknown method 501 and an HTTP/2 request
-            # line 505; neither is the server failing, so both get a 4xx.
-            super().send_error({501: 405, 505: 400}.get(code, code), message, explain)
+            # The stdlib answers an unknown method 501, which is not the
+            # server failing.
+            super().send_error(405 if code == 501 else code, message, explain)
 
         def _reply(self, status: int, body: bytes) -> None:
             self.send_response(status)
@@ -292,7 +356,7 @@ def _make_handler(server: BackendHTTPServer):
             Content-Length is not a non-negative decimal integer (400), is
             over ``MAX_BODY_BYTES`` (413), or the body ends (or stalls)
             before that many bytes (400)."""
-            length = self.headers.get("Content-Length", "0").strip()
+            length = self.headers.get("content-length", "0")
             if not (length.isascii() and length.isdigit()):
                 return 400, "bad content-length"
             digits = length.lstrip("0") or "0"  # int() takes at most 4,300 digits

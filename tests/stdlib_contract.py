@@ -9,13 +9,17 @@ stepping it after it finished, checks the boundary cases of expanding a
 published key through a bound (the prefix of its pseudonyms whose widened
 windows start by then, all of them when unbounded), round-trips seeded
 hash batches through the store and the ``/hashes`` encoder (``bytes``
-order, ``.hex()`` and compact ``json``), compares the report writer, which
+order, ``.hex()`` and compact ``json``), compares the ``/chunks`` and
+``/hashes`` encoders, which format their replies directly, with
+``json.dumps`` of seeded chunks and digest batches (none to four chunks, an
+empty batch to 500 digests), compares the report writer, which
 calls the private ``c_make_encoder``, with ``json.dumps(tree,
 sort_keys=True, indent=2)`` on a fixed corpus of trees, replays the HTTP
 exchanges of ``golden/wire_fixtures.json`` against a ``BackendHTTPServer``
 on a free port, checks that sequential requests reuse one handler thread,
 that a header block cut off by a half-close gets a 400 and reaches no
-handler, and that ``stop()`` of a server never started returns, and runs
+handler, and so does one with a line that has no colon, a space before its
+colon or a ``Transfer-Encoding``, and that ``stop()`` of a server never started returns, and runs
 each way the CLI exits with status 2.  It imports nothing outside the
 standard library and ``relaysim`` (from ``src/``), so any supported
 interpreter can run it, with or without pytest:
@@ -190,6 +194,44 @@ def _hash_batches() -> list[str]:
     return failed
 
 
+def _reply_encoders() -> list[str]:
+    from relaysim.backend import TekChunk, encode_chunks, encode_hash_batch
+
+    def dumps(value) -> bytes:
+        return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+    rng = random.Random("stdlib-reply-encoders")
+    failed = []
+    for count in range(5):
+        chunks = [
+            TekChunk(
+                rng.randrange(1, 2**40),
+                tuple(
+                    (rng.randbytes(16), rng.randrange(2**40)) for _ in range(rng.randint(1, 14))
+                ),
+                rng.randrange(2**40),
+            )
+            for _ in range(count)
+        ]
+        expected = dumps(
+            [
+                {
+                    "index": c.index,
+                    "published_at": c.published_at,
+                    "teks": [{"tek_hex": b.hex(), "day": d} for b, d in c.teks],
+                }
+                for c in chunks
+            ]
+        )
+        if encode_chunks(chunks) != expected:
+            failed.append(f"{count} chunks: the /chunks reply differs from json.dumps")
+    for size in (0, 1, 2, 17, 500):
+        digests = [rng.randbytes(32) for _ in range(size)]
+        if encode_hash_batch(b"".join(digests)) != dumps({"hashes": [d.hex() for d in digests]}):
+            failed.append(f"{size} digests: the /hashes reply differs from json.dumps")
+    return failed
+
+
 def _read_to_close(port: int, request: bytes, shut: bool = False) -> bytes:
     """Send ``request``, shutting our side if ``shut``, and read the reply
     until the server closes."""
@@ -230,6 +272,17 @@ def _wire() -> list[str]:
         reply = _read_to_close(server.port, b"POST /otp HTTP/1.1\r\n", shut=True)
         if reply.split(b"\r\n", 1)[0].split()[1:2] != [b"400"] or len(store.audit) != audit:
             failed.append(f"headers cut off by a half-close: got {reply[:30]!r}")
+        # Header blocks that two parsers could frame two ways get a 400 and
+        # reach no handler, whatever body follows.
+        for header_lines in (
+            b"Garbage\r\nContent-Length: 11\r\n",
+            b"Content-Length : 11\r\n",
+            b"Transfer-Encoding: chunked\r\n",
+        ):
+            request = b"POST /otp HTTP/1.1\r\n" + header_lines + b'\r\n{"ttl": -5}'
+            reply = _read_to_close(server.port, request)
+            if reply.split(b"\r\n", 1)[0].split()[1:2] != [b"400"] or len(store.audit) != audit:
+                failed.append(f"header lines {header_lines!r}: got {reply[:30]!r}")
     except AssertionError as exc:
         failed.append(f"wire exchange {exc}")
     finally:
@@ -325,7 +378,14 @@ def main() -> int:
     sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
     failures = []
     for check in (
-        _golden, _past_last_tick, _expansion, _hash_batches, _report_writer, _wire, _cli
+        _golden,
+        _past_last_tick,
+        _expansion,
+        _hash_batches,
+        _reply_encoders,
+        _report_writer,
+        _wire,
+        _cli,
     ):
         failed = check()
         print(f"{check.__name__[1:]}: {'ok' if not failed else 'FAILED'}")

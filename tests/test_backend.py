@@ -18,6 +18,7 @@ from relaysim.backend import (
     NoTeksError,
     OtpError,
     StaleTekError,
+    TekChunk,
     canonical_json,
     decode_diagnosis_payload,
     encode_chunks,
@@ -132,6 +133,17 @@ class TestIngest:
         assert stored == b"".join(sorted(batch))
         assert len(stored) == 2 * CONTACT_HASH_LENGTH
 
+    @pytest.mark.parametrize("now", [True, 0.0, 100.5 * DAY, "0", None])
+    def test_now_must_be_an_int_and_a_refused_one_changes_nothing(self, now):
+        # A chunk's published_at is the upload's now, which the /chunks
+        # encoder writes as an int: json would write True as true.
+        store = BackendStore(PARAMS)
+        otp = store.authorize_otp(3600, now=0)
+        with pytest.raises(ValueError, match="^now must be an integer, got "):
+            store.ingest_diagnosis(_teks(day=0), otp.code, None, now=now)
+        assert store.chunk_count == 0
+        assert store.ingest_diagnosis(_teks(day=0), otp.code, None, now=0) == 1
+
     def test_missing_or_empty_batch_absent(self):
         store = BackendStore(PARAMS)
         otp1 = store.authorize_otp(3600, now=0)
@@ -181,6 +193,54 @@ class TestHashBatchLayout:
             tracemalloc.stop()
         assert store.chunk_count == batches
         assert retained / (batches * size) < 40
+
+
+def _json_chunks(chunks: list[TekChunk]) -> bytes:
+    """The ``/chunks`` reply as ``json`` wrote it before it was formatted
+    directly."""
+    return canonical_json(
+        [
+            {
+                "index": c.index,
+                "published_at": c.published_at,
+                "teks": [{"tek_hex": b.hex(), "day": d} for b, d in c.teks],
+            }
+            for c in chunks
+        ]
+    )
+
+
+CHUNKS = st.lists(
+    st.builds(
+        TekChunk,
+        st.integers(1, 2**40),
+        st.lists(
+            st.tuples(st.binary(min_size=16, max_size=16), st.integers(0, 2**40)),
+            min_size=1,
+            max_size=14,
+        ).map(tuple),
+        st.integers(0, 2**40),
+    ),
+    max_size=4,
+)
+
+
+class TestReplyEncoders:
+    """The ``/chunks`` and ``/hashes`` replies, formatted directly, are the
+    bytes ``canonical_json`` writes for the same lists and objects."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(CHUNKS)
+    def test_chunks_reply_is_the_json_of_the_chunks(self, chunks):
+        assert encode_chunks(chunks) == _json_chunks(chunks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.binary(min_size=CONTACT_HASH_LENGTH, max_size=CONTACT_HASH_LENGTH),
+                    max_size=500))
+    def test_hashes_reply_is_the_json_of_the_hex_digests(self, digests):
+        assert encode_hash_batch(b"".join(digests)) == canonical_json(
+            {"hashes": [d.hex() for d in digests]}
+        )
 
 
 class TestFetchChunks:

@@ -123,6 +123,12 @@ class TestKeySchedule:
         with pytest.raises(AttributeError):
             tek.day_index = 3
 
+    @pytest.mark.parametrize("day", [True, 1.0, 2.5, "1", None])
+    def test_tek_day_must_be_an_int(self, day):
+        # A published chunk's days are written as ints by the /chunks encoder.
+        with pytest.raises(ValueError, match="^day_index must be an integer, got "):
+            gaen.Tek(bytes(16), day)
+
 
 class TestRpi:
     def test_deterministic(self):

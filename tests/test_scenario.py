@@ -1,7 +1,9 @@
 """Scenario loading, validation, the tick loop, and report emission."""
 
 import ast
+import contextlib
 import copy
+import io
 import json
 import math
 import os
@@ -22,7 +24,7 @@ from relaysim.params import NEIGHBORHOOD_MAX, AttackSpec, SimParams
 from relaysim.scenario import ConfigError
 
 from conftest import JSON_VALUES, json_paths, replaced
-from golden.gen_reports import REPORTS, golden_config, golden_names
+from golden.gen_reports import REPORTS, TABLES, golden_config, golden_names
 from oracles import BackendUnavailable, observations
 
 # A value to mutate a config with: a boundary number, an ordinary one, or any JSON value.
@@ -875,6 +877,18 @@ class TestCli:
 
         assert main(["run", "scenario1"]) == 0
         assert capsysbinary.readouterr().out == (REPORTS / "scenario1.json").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_run_to_a_text_only_stdout_writes_the_golden_text(self, fmt):
+        # A stream with no binary buffer, as an embedding caller swaps in:
+        # before, the report ran and then the write raised AttributeError.
+        from relaysim.cli import main
+
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["run", "scenario1", "--format", fmt]) == 0
+        golden = REPORTS / "scenario1.json" if fmt == "json" else TABLES / "scenario1.txt"
+        assert out.getvalue() == golden.read_text()
 
     def test_run_config_file_table_stdout(self, tmp_path, capsys):
         from relaysim.cli import main

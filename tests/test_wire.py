@@ -2,6 +2,8 @@
 reused handler threads."""
 
 import email.utils
+import http.client
+import io
 import json
 import random
 import socket
@@ -242,6 +244,116 @@ def test_headers_cut_off_by_a_full_close_print_nothing(server, capsys):
         assert closed.wait(5)
     assert store.mock_calls == []
     assert capsys.readouterr().err == ""
+
+
+NEGATIVE_TTL = b'{"ttl": -5}'
+
+
+def _post_otp(port: int, header_lines: bytes) -> bytes:
+    """The status line of the reply to ``POST /otp`` with these header
+    lines and a body of ``NEGATIVE_TTL``, whatever its declared length."""
+    request = b"POST /otp HTTP/1.1\r\n" + header_lines + b"\r\n" + NEGATIVE_TTL
+    return _exchange(port, request, True)[0].split(b"\r\n", 1)[0]
+
+
+MALFORMED = b"400 malformed header line"
+CONFLICTING = b"400 conflicting content-length"
+TRANSFER_ENCODING = b"400 transfer-encoding not supported"
+CL = b"Content-Length: 11\r\n"
+
+
+@pytest.mark.parametrize(
+    "header_lines, status",
+    [
+        # The email parser gave each of the first three a 200 and an OTP with
+        # the default ttl: it took the lines after a malformed one for a
+        # body, and read no chunked body.
+        pytest.param(b"Garbage\r\n" + CL, MALFORMED, id="no-colon"),
+        pytest.param(b"Content-Length : 11\r\n", MALFORMED, id="space-before-colon"),
+        pytest.param(b"Transfer-Encoding: chunked\r\n", TRANSFER_ENCODING, id="chunked"),
+        pytest.param(
+            b"Transfer-Encoding: chunked\r\n" + CL, TRANSFER_ENCODING, id="chunked-and-length"
+        ),
+        pytest.param(CL + b"Transfer-Encoding: identity\r\n", TRANSFER_ENCODING, id="identity"),
+        pytest.param(b": 11\r\n" + CL, MALFORMED, id="empty-name"),
+        pytest.param(b"Content Length: 11\r\n", MALFORMED, id="space-in-name"),
+        pytest.param(b"X-Note: a\r\n b\r\n" + CL, MALFORMED, id="obs-fold-space"),
+        pytest.param(b"X-Note: a\r\n\tContent-Length: 11\r\n", MALFORMED, id="obs-fold-tab"),
+        pytest.param(CL + b"Content-Length: 12\r\n", CONFLICTING, id="two-lengths"),
+        pytest.param(
+            b"content-length: 11\r\nCONTENT-LENGTH: 011\r\n", CONFLICTING, id="one-length-two-ways"
+        ),
+        pytest.param(
+            b"X: y\r\n" * wire.MAX_HEADER_LINES + CL,
+            b"431 more than %d header lines" % wire.MAX_HEADER_LINES,
+            id="101-lines",
+        ),
+        pytest.param(
+            b"X: " + b"y" * wire.MAX_HEADER_LINE + b"\r\n" + CL,
+            b"431 header line too long",
+            id="long-line",
+        ),
+    ],
+)
+def test_rejected_header_block_reaches_no_handler(server, header_lines, status):
+    store = server.store
+    spy = server.store = mock.Mock(wraps=store)
+    assert _post_otp(server.port, header_lines) == b"HTTP/1.0 " + status
+    assert spy.mock_calls == []
+    assert store.audit == []
+
+
+@pytest.mark.parametrize(
+    "header_lines",
+    [
+        b"Content-Length: 11\r\n",
+        b"content-LENGTH:11\r\n",
+        b"Content-Length: \t11 \t\r\n",
+        b"Content-Length: 11\nHost: x\n",
+        b"Content-Length: 11\r\ncontent-length: 11\r\n",
+        b"X: y\r\n" * (wire.MAX_HEADER_LINES - 1) + b"Content-Length: 11\r\n",
+    ],
+    ids=[
+        "plain", "any-case", "spaces-and-tabs", "bare-newlines", "same-length-twice", "100-lines"
+    ],
+)
+def test_accepted_header_block_has_its_body_read(server, header_lines):
+    # The body is read: its negative ttl gets a 400 from the otp handler.
+    assert _post_otp(server.port, header_lines).split()[1] == b"400"
+    assert server.store.audit == []
+    assert _post_otp(server.port, header_lines.replace(b"11", b"10")).split()[1] == b"400"
+
+
+HEADER_NAMES = st.from_regex(r"[-!#$%&'*+.^_`|~0-9A-Za-z]{1,12}", fullmatch=True).filter(
+    lambda name: name.lower() not in ("content-length", "transfer-encoding")
+)
+HEADER_VALUES = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=20)
+
+
+@st.composite
+def header_blocks(draw):
+    """A well-formed header block: extra headers in any order around zero,
+    one or two equal Content-Length lines, names in any case, optional
+    spaces and tabs around the values, CRLF or bare LF line ends."""
+    lines = [(name, draw(HEADER_VALUES)) for name in draw(st.lists(HEADER_NAMES, max_size=8))]
+    cases = draw(st.lists(st.booleans(), min_size=14, max_size=14))
+    spelled = "".join(c.upper() if up else c for c, up in zip("content-length", cases))
+    lines += [(spelled, str(draw(st.integers(0, 10**6))))] * draw(st.integers(0, 2))
+    space = st.sampled_from(["", " ", "\t", " \t "])
+    end = draw(st.sampled_from(["\r\n", "\n"]))
+    return "".join(
+        f"{name}:{draw(space)}{value}{draw(space)}{end}"
+        for name, value in draw(st.permutations(lines))
+    ).encode() + end.encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=header_blocks())
+def test_header_reader_finds_the_content_length_http_client_finds(block):
+    ours = wire._read_headers(io.BytesIO(block))
+    theirs = http.client.parse_headers(io.BytesIO(block)).get("Content-Length")
+    assert isinstance(ours, dict)
+    assert ours.get("content-length") == (None if theirs is None else theirs.strip(" \t"))
 
 
 def test_concurrent_clients_see_sequential_semantics(server):

@@ -18,23 +18,29 @@ sections 3.2.4 and 3.3.3): a line with no colon, an empty name or
 whitespace in or after the name, an obs-fold continuation line, two
 ``Content-Length`` values that differ, or any ``Transfer-Encoding``.
 
-Each connection is served on a handler thread of its own, as many at once
-as there are connections open at once, so a stalled client delays no other.
-A handler thread that finishes its connection waits for the next one
-instead of exiting, so a client that opens one connection per request pays
-no thread start once the server has warmed up.  The store itself is
-single-writer; a lock serializes handler access so concurrent clients
-observe the same semantics as sequential calls.
+Every error reply, the request-line and header-block ones included, is
+``{"error": <reason>}`` as JSON, and each reply, status line, headers and
+body, goes out in one send.
+
+One handler thread serves a connection from its ``accept`` to its close.
+Every idle handler thread waits in ``accept`` itself; the one that takes a
+connection first starts another thread if no other is left waiting, so a
+stalled client delays no other, and there are never more handler threads
+than the most connections open at once, plus one.  The server speaks
+HTTP/1.0, so a client opens one connection per request; once the server has
+warmed up, a request costs no thread start and no hand-off between threads.
+The store itself is single-writer; a lock serializes handler access so
+concurrent clients observe the same semantics as sequential calls.
 """
 
 from __future__ import annotations
 
-import queue
 import re
 import socket
+import socketserver
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler
 from typing import Callable
 from urllib.parse import parse_qs, urlparse
 
@@ -124,42 +130,67 @@ def _read_headers(rfile) -> dict[str, str] | tuple[int, str]:
     return 431, f"more than {MAX_HEADER_LINES} header lines"
 
 
-class _Server(HTTPServer):
-    """An HTTP server that hands each connection to an idle handler thread,
-    starting a daemon thread only when none is idle.
+class _Server(socketserver.TCPServer):
+    """A TCP server whose handler threads accept their own connections.
 
-    A handler thread serves one connection at a time and then waits for the
-    next, so there are never more of them than the most connections open at
-    once, and a stalled connection holds only its own.  ``server_close``
-    ends the idle ones, and one still serving ends when its connection does.
+    Each thread that serves waits in ``accept``; the one that takes a
+    connection hands its place there to a new daemon thread when no other
+    thread is left waiting, serves the connection, closes it and waits
+    again.  The thread that calls ``serve_forever`` takes its turns like
+    any other.  ``shutdown`` (and ``server_close``) wakes every waiting
+    thread, and one still serving ends when its connection does: neither
+    waits for it.
     """
 
+    # As HTTPServer, whose server_bind also looks the host's name up
+    # (socket.getfqdn): nothing reads it, and a slow resolver stalls the start.
+    allow_reuse_address = True
     # socketserver's backlog of 5 drops simultaneous connects, retried after 1 s.
     request_queue_size = socket.SOMAXCONN
 
     def __init__(self, server_address, handler_class):
         # Set before binding: TCPServer.__init__ calls server_close when the
         # bind fails.
-        self._handoff: queue.SimpleQueue = queue.SimpleQueue()
-        self._idle_lock = threading.Lock()
-        self._idle = 0  # handler threads waiting on _handoff, not yet claimed
+        self._lock = threading.Lock()
+        self._waiting = 0  # threads in accept, or started to wait there
         self._closed = False
         super().__init__(server_address, handler_class)
 
-    def process_request(self, request, client_address):
-        with self._idle_lock:
-            reuse = self._idle > 0
-            if reuse:
-                self._idle -= 1
-        if reuse:
-            self._handoff.put((request, client_address))
-        else:
-            threading.Thread(
-                target=self._serve_connections, args=(request, client_address), daemon=True
-            ).start()
+    def serve_forever(self, poll_interval=None) -> None:
+        with self._lock:
+            if self._closed:
+                return
+            self._waiting += 1
+        self._take_turns()
 
-    def _serve_connections(self, request, client_address) -> None:
+    def _take_turns(self) -> None:
+        """Accept a connection, serve it, close it and accept again, until
+        the server closes.  The caller has counted this thread in
+        ``_waiting``."""
         while True:
+            try:
+                request, client_address = self.get_request()
+            except OSError:  # shutdown() woke this thread, or accept failed
+                with self._lock:
+                    if self._closed:
+                        self._waiting -= 1
+                        return
+                continue
+            except BaseException:  # a KeyboardInterrupt in the CLI's thread
+                with self._lock:
+                    self._waiting -= 1
+                raise
+            with self._lock:
+                # The last thread waiting hands its place to a new one.
+                spawn = self._waiting == 1 and not self._closed
+                if not spawn:
+                    self._waiting -= 1
+            if spawn:
+                try:
+                    threading.Thread(target=self._take_turns, daemon=True).start()
+                except RuntimeError:  # no thread to spare: this one accepts next
+                    with self._lock:
+                        self._waiting -= 1
             try:
                 self.finish_request(request, client_address)
             except Exception:
@@ -167,31 +198,34 @@ class _Server(HTTPServer):
             except BaseException:
                 self.shutdown_request(request)
                 raise
-            # Idle before the client sees its connection close: a client that
-            # waits for the close then finds this thread for its next one.
-            with self._idle_lock:
+            # Waiting again before the client sees its connection close: a
+            # client that waits for the close finds no thread started for
+            # its next one.
+            with self._lock:
                 closed = self._closed
                 if not closed:
-                    self._idle += 1
+                    self._waiting += 1
             self.shutdown_request(request)
             if closed:
                 return
-            handoff = self._handoff.get()
-            if handoff is None:
-                return
-            request, client_address = handoff
+
+    def shutdown(self) -> None:
+        with self._lock:
+            self._closed = True
+        try:
+            # Wakes every thread blocked in accept, and fails every later
+            # accept, on Linux.
+            self.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:  # already closed
+            pass
 
     def server_close(self) -> None:
+        self.shutdown()
         super().server_close()
-        with self._idle_lock:
-            self._closed = True
-            idle, self._idle = self._idle, 0
-        for _ in range(idle):
-            self._handoff.put(None)
 
 
 class BackendHTTPServer:
-    """Serve a BackendStore over HTTP from a background thread.
+    """Serve a BackendStore over HTTP from background threads.
 
     ``clock`` supplies the store's notion of now; inject a controllable
     callable in tests, pass ``time.time`` for a real deployment.  An OTP
@@ -212,25 +246,19 @@ class BackendHTTPServer:
         self._lock = threading.Lock()
         handler = _make_handler(self)
         self._httpd = _Server((host, port), handler)
-        self._thread: threading.Thread | None = None
 
     @property
     def port(self) -> int:
         return self._httpd.server_address[1]
 
     def start(self) -> None:
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
-        self._thread.start()
+        threading.Thread(target=self._httpd.serve_forever, daemon=True).start()
 
     def stop(self) -> None:
-        """Stop serving, close the socket and end the idle handler threads.
-        Returns at once on a server that was never started or already
+        """Stop serving, close the socket and end the waiting handler
+        threads; one still serving a connection ends when the connection
+        does.  Returns at once, also on a server never started or already
         stopped."""
-        if self._thread is not None:
-            # shutdown() waits for serve_forever to return, so only after start().
-            self._httpd.shutdown()
-            self._thread.join()
-            self._thread = None
         self._httpd.server_close()
 
     def serve_forever(self) -> None:
@@ -340,16 +368,27 @@ def _make_handler(server: BackendHTTPServer):
             return False
 
         def send_error(self, code, message=None, explain=None):
-            # The stdlib answers an unknown method 501, which is not the
-            # server failing.
-            super().send_error(405 if code == 501 else code, message, explain)
+            # JSON, not the stdlib's HTML page; and the stdlib answers an
+            # unknown method 501, which is not the server failing.
+            code = 405 if code == 501 else int(code)
+            reason = self.responses[code][0] if message is None else message
+            self._reply(code, canonical_json({"error": reason}), reason)
 
-        def _reply(self, status: int, body: bytes) -> None:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+        def _reply(self, status: int, body: bytes, reason: str | None = None) -> None:
+            """Send the status line, the Server, Date, Content-Type and
+            Content-Length headers and ``body`` in one send.  As the stdlib
+            does, a HEAD request gets no body and an HTTP/0.9 one nothing
+            but the body."""
+            if reason is None:
+                reason = self.responses[status][0]
+            head = b"" if self.request_version == "HTTP/0.9" else (
+                f"{self.protocol_version} {status} {reason}\r\n"
+                f"Server: {self.version_string()}\r\n"
+                f"Date: {self.date_time_string()}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n"
+            ).encode("latin-1")
+            self.wfile.write(head if self.command == "HEAD" else head + body)
 
         def _read_body(self) -> bytes | tuple[int, str]:
             """The request body, or the status and reason it cannot be had:

@@ -2,7 +2,11 @@
 
 from hypothesis import strategies as st
 
-from stdlib_contract import ManualClock, replay_wire_fixtures  # re-exported to the tests
+from stdlib_contract import (  # re-exported to the tests
+    ManualClock,
+    replay_wire_fixtures,
+    server_sends,
+)
 
 
 JSON_VALUES = st.recursive(

@@ -19,15 +19,20 @@ exchanges of ``golden/wire_fixtures.json`` against a ``BackendHTTPServer``
 on a free port, checks that sequential requests reuse one handler thread,
 that a header block cut off by a half-close gets a 400 and reaches no
 handler, and so does one with a line that has no colon, a space before its
-colon or a ``Transfer-Encoding``, and that ``stop()`` of a server never started returns, and runs
-each way the CLI exits with status 2.  It imports nothing outside the
+colon or a ``Transfer-Encoding``, that a reply goes out in one
+``sendall``, that ``stop()`` with a client stalled in its headers returns
+within 1 s and leaves the port refusing connections (handler threads wait
+in ``accept`` themselves, and ``stop()`` wakes them), and that ``stop()`` of
+a server never started returns, and runs each way the CLI exits with
+status 2.  It imports nothing outside the
 standard library and ``relaysim`` (from ``src/``), so any supported
 interpreter can run it, with or without pytest:
 
     python3.10 tests/stdlib_contract.py
 
 It prints one line per check and exits 0 when every check holds, 1 when
-one does not.  ``conftest.py`` takes the wire replay from here.
+one does not.  ``conftest.py`` takes the wire replay and ``server_sends``
+from here.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import socket
 import sys
 import tempfile
 import threading
+import time
 from http.client import HTTPConnection
 from pathlib import Path
 from unittest import mock
@@ -232,6 +238,22 @@ def _reply_encoders() -> list[str]:
     return failed
 
 
+@contextlib.contextmanager
+def server_sends(port: int):
+    """The data of each ``socket.sendall`` call made by a socket whose local
+    port is ``port``: the server's side of its connections."""
+    sent: list[bytes] = []
+    sendall = socket.socket.sendall
+
+    def record(sock, data, flags=0):
+        if sock.getsockname()[1] == port:
+            sent.append(bytes(data))
+        return sendall(sock, data, flags)
+
+    with mock.patch.object(socket.socket, "sendall", autospec=record, side_effect=record):
+        yield sent
+
+
 def _read_to_close(port: int, request: bytes, shut: bool = False) -> bytes:
     """Send ``request``, shutting our side if ``shut``, and read the reply
     until the server closes."""
@@ -283,10 +305,31 @@ def _wire() -> list[str]:
             reply = _read_to_close(server.port, request)
             if reply.split(b"\r\n", 1)[0].split()[1:2] != [b"400"] or len(store.audit) != audit:
                 failed.append(f"header lines {header_lines!r}: got {reply[:30]!r}")
+        # Each reply, status line, headers and body, goes out in one send.
+        with server_sends(server.port) as sent:
+            reply = _read_to_close(server.port, b"GET /chunks?since=0 HTTP/1.1\r\n\r\n")
+        if sent != [reply]:
+            failed.append(f"a /chunks reply went out in {len(sent)} sends, not one")
     except AssertionError as exc:
         failed.append(f"wire exchange {exc}")
     finally:
         server.stop()
+    # stop() waits for no thread serving a connection: a fresh server's first
+    # one goes to the thread that called serve_forever.
+    server = BackendHTTPServer(store, clock, params)
+    server.start()
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as stalled:
+        stalled.sendall(b"POST /otp HTTP/1.1\r\n")
+        time.sleep(0.1)
+        start = time.monotonic()
+        server.stop()
+        if time.monotonic() - start > 1:
+            failed.append("stop() with a client stalled in its headers took over 1 s")
+        try:
+            socket.create_connection(("127.0.0.1", server.port), timeout=5).close()
+            failed.append("a stopped server still accepts connections")
+        except ConnectionRefusedError:
+            pass
     never_started = BackendHTTPServer(store, clock, params)
     stopper = threading.Thread(target=never_started.stop, daemon=True)
     stopper.start()

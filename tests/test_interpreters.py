@@ -9,10 +9,11 @@ and ``/hashes`` replies against ``json.dumps``, the report writer against
 ``c_make_encoder``, the wire fixtures, one handler thread reused across
 sequential requests, a 400 for a header block cut off by a half-close or
 framed two ways (a line with no colon or a space before it, a
-``Transfer-Encoding``), and
-``stop()`` of a server never started, which rest on the ``socketserver``
-and ``http.server`` hooks the wire server overrides, the CLI's exit-2
-paths)
+``Transfer-Encoding``), a reply in one ``sendall``, a prompt ``stop()``
+with a client stalled in its headers, which rests on ``stop()`` waking the
+handler threads blocked in ``accept``, and ``stop()`` of a server never
+started, which rest on the ``socketserver`` and ``http.server`` hooks the
+wire server overrides, the CLI's exit-2 paths)
 under each Python 3.10 or later found on ``PATH`` or under
 ``$(pyenv root)/versions/*/bin/python``, other than the one running the
 tests.  Those interpreters need no pytest: the script uses

@@ -1,5 +1,5 @@
 """HTTP wire mode: golden exchange replay, error paths, concurrent clients,
-reused handler threads."""
+reused handler threads, reply bytes."""
 
 import email.utils
 import http.client
@@ -21,7 +21,7 @@ from relaysim.gaen import Tek
 from relaysim.params import SimParams
 from relaysim.wire import BackendHTTPServer
 
-from conftest import ManualClock, replay_wire_fixtures
+from conftest import ManualClock, replay_wire_fixtures, server_sends
 
 PARAMS = SimParams()
 
@@ -472,6 +472,19 @@ def test_sequential_requests_reuse_one_handler_thread(server):
     assert start.call_count <= 1
 
 
+def test_requests_are_served_when_no_thread_can_start():
+    # The thread that takes a connection serves it, and accepts the next
+    # one, when it cannot start a thread to wait in accept meanwhile.
+    srv = _serve()
+    try:
+        with mock.patch.object(threading.Thread, "start", side_effect=RuntimeError):
+            for _ in range(3):
+                reply, _ = _exchange(srv.port, OTP_REQUEST, False)
+                assert reply.startswith(b"HTTP/1.0 200 ")
+    finally:
+        srv.stop()
+
+
 def test_a_stalled_client_delays_no_other(server):
     # The stalled connection takes the idle handler thread and holds it for
     # the 5 s request timeout: the next client must get a thread of its own.
@@ -540,3 +553,144 @@ def test_date_header_formatted_once_a_second(server):
     seconds = (1_700_000_000, 1_700_000_000, 1_700_000_001)
     assert dates == [email.utils.formatdate(second, usegmt=True) for second in seconds]
     assert formatted.call_count == 2  # once for each second
+
+
+HANDLER = wire.BaseHTTPRequestHandler
+SERVER_HEADER = f"{HANDLER.server_version} {HANDLER.sys_version}"
+
+
+def _dated_exchange(port: int, request: bytes) -> tuple[bytes, list[bytes]]:
+    """The reply to ``request``, dated 1_700_000_000, and what each of the
+    server's sends sent."""
+    with mock.patch.object(wire.time, "time", lambda: 1_700_000_000.5), server_sends(port) as sent:
+        reply, _ = _exchange(port, request, True)
+    return reply, sent
+
+
+def _error_body(reason: str) -> bytes:
+    return json.dumps({"error": reason}, separators=(",", ":")).encode()
+
+
+def _layout(status: int, body: bytes, reason: str | None = None) -> bytes:
+    """A reply as the server has always laid it out, dated 1_700_000_000."""
+    reason = HANDLER.responses[status][0] if reason is None else reason
+    return (
+        f"HTTP/1.0 {status} {reason}\r\n"
+        f"Server: {SERVER_HEADER}\r\n"
+        f"Date: {email.utils.formatdate(1_700_000_000, usegmt=True)}\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    ).encode() + body
+
+
+@pytest.mark.parametrize(
+    "request_bytes, status, body",
+    [
+        pytest.param(b"GET /chunks?since=0 HTTP/1.1\r\n\r\n", 200, b"[]", id="200"),
+        pytest.param(
+            b"GET /chunks?since=x HTTP/1.1\r\n\r\n",
+            400,
+            b'{"error":"bad since parameter"}',
+            id="400",
+        ),
+        pytest.param(
+            b'POST /diagnosis HTTP/1.1\r\nContent-Length: 23\r\n\r\n{"otp":"no","teks":[]}\n',
+            403,
+            b'{"error":"unknown otp"}',
+            id="403",
+        ),
+        pytest.param(
+            b"GET /hashes/7 HTTP/1.1\r\n\r\n",
+            404,
+            b'{"error":"no hash batch for diagnosis 7"}',
+            id="404",
+        ),
+        pytest.param(
+            b"POST /otp HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (wire.MAX_BODY_BYTES + 1),
+            413,
+            b'{"error":"body longer than %d bytes"}' % wire.MAX_BODY_BYTES,
+            id="413",
+        ),
+    ],
+)
+def test_reply_bytes_go_out_in_one_send(server, request_bytes, status, body):
+    # Before, end_headers() sent the status line and headers, and a second
+    # sendall the body.
+    reply, sent = _dated_exchange(server.port, request_bytes)
+    assert reply == _layout(status, body)
+    assert sent == [reply]
+
+
+LONG_LINE = b"X: " + b"y" * (wire.MAX_HEADER_LINE - 2)  # one byte over the limit, no newline
+
+
+@pytest.mark.parametrize(
+    "request_bytes, status, reason",
+    [
+        pytest.param(
+            b"POST /otp HTTP/1.1\r\nGarbage\r\n\r\n", 400, "malformed header line", id="header-400"
+        ),
+        pytest.param(
+            b"POST /otp HTTP/1.1\r\n" + LONG_LINE, 431, "header line too long", id="header-431"
+        ),
+        pytest.param(
+            b"GET / HTTP/x\r\n\r\n", 400, "Bad request version ('HTTP/x')", id="request-line-400"
+        ),
+        pytest.param(
+            b"BREW /otp HTTP/1.1\r\n\r\n", 405, "Unsupported method ('BREW')", id="method-405"
+        ),
+        pytest.param(
+            b"G" * (wire.MAX_HEADER_LINE + 1),
+            414,
+            HANDLER.responses[414][0],
+            id="request-line-414",
+        ),
+    ],
+)
+def test_error_replies_are_json(server, request_bytes, status, reason):
+    # Before, each was the stdlib's HTML error page, sent in two writes.
+    reply, sent = _dated_exchange(server.port, request_bytes)
+    assert reply == _layout(status, _error_body(reason), reason)
+    assert sent == [reply]
+
+
+def test_a_head_request_gets_its_error_reply_with_no_body(server):
+    reply, sent = _dated_exchange(server.port, b"HEAD /chunks HTTP/1.1\r\n\r\n")
+    reason = "Unsupported method ('HEAD')"
+    body = _error_body(reason)
+    assert reply == _layout(405, body, reason)[: -len(body)]
+    assert sent == [reply]
+
+
+def test_the_server_starts_without_a_name_lookup():
+    # Before, HTTPServer.server_bind looked the host's name up at every start.
+    with mock.patch.object(socket, "getfqdn", side_effect=AssertionError("looked up")):
+        srv = _serve()
+    try:
+        conn = HTTPConnection("127.0.0.1", srv.port, timeout=10)
+        conn.request("GET", "/chunks?since=0")
+        assert conn.getresponse().status == 200
+        conn.close()
+    finally:
+        srv.stop()
+
+
+def test_stop_waits_for_no_stalled_client(monkeypatch, capsys):
+    # A fresh server's first connection goes to the thread that called
+    # serve_forever: stop() must not wait for that thread.
+    monkeypatch.setattr(wire, "REQUEST_TIMEOUT_SECONDS", 2.0)
+    srv = _serve()
+    errors = []
+    with mock.patch.object(wire._Server, "handle_error", lambda self, *args: errors.append(args)):
+        with socket.create_connection(("127.0.0.1", srv.port), timeout=10) as stalled:
+            stalled.sendall(b"POST /otp HTTP/1.1\r\n")
+            time.sleep(0.1)  # taken by a handler thread
+            start = time.monotonic()
+            srv.stop()
+            assert time.monotonic() - start < 1
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(("127.0.0.1", srv.port), timeout=5).close()
+            assert stalled.recv(4096) == b""  # closed at its timeout, with no reply
+            assert time.monotonic() - start < wire.REQUEST_TIMEOUT_SECONDS + 1
+    assert errors == []
+    assert capsys.readouterr().err == ""

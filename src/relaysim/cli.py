@@ -7,7 +7,6 @@ import os
 import sys
 import time
 
-from . import scenario
 from .backend import BackendStore
 from .params import SimParams
 
@@ -44,12 +43,16 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "list-scenarios":
+        from . import scenario  # the simulator, which serve-backend does not load
+
         for name in scenario.builtin_scenario_names():
             config = scenario.load_builtin(name)
             print(f"{name:<18} {config.description}")
         return 0
 
     if args.command == "run":
+        from . import scenario
+
         load = scenario.load_config if os.path.exists(args.config) else scenario.load_builtin
         try:
             config = load(args.config, seed_override=args.seed)

@@ -9,14 +9,24 @@ Endpoints (JSON bodies, lowercase hex, frozen by golden fixtures):
 
 N and <id> are an optional ``-`` and ASCII digits; anything else gets a 400.
 
-The handler reads each header block itself (``_read_headers``), not through
-the ``email`` parser, into a dict keyed by lowercased name.  A header line
-over 65,536 bytes, or more than 100 of them, gets a 431.  A 400, with no
-handler run, goes to a block that the end of the stream cuts off before its
-blank line and to one that two parsers could frame two ways (RFC 7230
-sections 3.2.4 and 3.3.3): a line with no colon, an empty name or
-whitespace in or after the name, an obs-fold continuation line, two
-``Content-Length`` values that differ, or any ``Transfer-Encoding``.
+The server is built on ``socketserver`` alone, without ``http.server`` or the
+``email`` package: its handler, a ``StreamRequestHandler``, reads each
+request and writes each reply itself.  A request line must be ``<method>
+<target> HTTP/1.<digits>``: any other, HTTP/0.9 and HTTP/2 included, gets a
+400, one over 65,536 bytes a 414, and an empty or blank one a close with no
+reply.  A method other than GET and POST gets a 405, with no body for a HEAD
+request.  The reply head's reason phrases, ``Server`` and ``Date`` text are
+those ``http.server`` writes.
+
+The handler reads each header block (``_read_headers``) into a dict keyed
+by lowercased name.  A header line over 65,536 bytes, or more than 100 of
+them, gets a 431.  A 400, with no handler run, goes to a block that the end
+of the stream cuts off before its blank line and to one that two parsers
+could frame two ways (RFC 7230 sections 3.2.4 and 3.3.3): a line with no
+colon, an empty name or whitespace in or after the name, an obs-fold
+continuation line, two ``Content-Length`` values that differ, or any
+``Transfer-Encoding``.  A client that stalls for ``REQUEST_TIMEOUT_SECONDS``
+before the end of its headers, or leaves, gets no answer.
 
 Every error reply, the request-line and header-block ones included, is
 ``{"error": <reason>}`` as JSON, and each reply, status line, headers and
@@ -35,12 +45,14 @@ concurrent clients observe the same semantics as sequential calls.
 
 from __future__ import annotations
 
+import math
 import re
 import socket
 import socketserver
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler
+from http import HTTPStatus
 from typing import Callable
 from urllib.parse import parse_qs, urlparse
 
@@ -73,6 +85,13 @@ MAX_HEADER_LINES = 100
 
 # An RFC 7230 token: what a header name must be.
 _TOKEN = re.compile(r"[-!#$%&'*+.^_`|~0-9A-Za-z]+")
+# The versions a request line may name.
+_HTTP_1 = re.compile(r"HTTP/1\.[0-9]+")
+
+# The reply head's Server text, as ``http.server`` writes it.
+_SERVER_TEXT = "BaseHTTP/0.6 Python/" + sys.version.split()[0]
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
 
 def _decimal(text: str) -> int | None:
@@ -88,17 +107,17 @@ def _decimal(text: str) -> int | None:
         return None
 
 
-def _http_version(text: str) -> tuple[int, int] | None:
-    """``HTTP/<major>.<minor>`` as two ints, each of 1 to 10 ASCII digits;
-    None for any other text."""
-    if not text.startswith("HTTP/"):
-        return None
-    numbers = text[5:].split(".")
-    if len(numbers) != 2 or not all(
-        n.isascii() and n.isdigit() and len(n) <= 10 for n in numbers
-    ):
-        return None
-    return int(numbers[0]), int(numbers[1])
+def _http_date(timestamp: float) -> str:
+    """A timestamp of 0 or later as Date header text, as
+    ``email.utils.formatdate(timestamp, usegmt=True)`` writes it: in GMT,
+    with English names whatever the locale, after rounding the time to the
+    microsecond, half to even."""
+    fraction, whole = math.modf(timestamp)
+    t = time.gmtime(int(whole) + (round(fraction * 1e6) == 1_000_000))
+    return (
+        f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} {t.tm_year:04d}"
+        f" {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT"
+    )
 
 
 def _read_headers(rfile) -> dict[str, str] | tuple[int, str]:
@@ -305,86 +324,62 @@ class BackendHTTPServer:
 
 
 def _make_handler(server: BackendHTTPServer):
-    class Handler(BaseHTTPRequestHandler):
+    class Handler(socketserver.StreamRequestHandler):
         timeout = REQUEST_TIMEOUT_SECONDS
-        # The version a reply takes when the request line gives none or a bad
-        # one: the stdlib's "HTTP/0.9" would send such replies with no status
-        # line.
-        default_request_version = "HTTP/1.0"
+        command = ""  # the method, once the request line is accepted
 
         # The current second and its Date header text.
         _date = (None, "")
 
-        def log_message(self, fmt, *args):  # quiet by default
-            pass
-
-        def date_time_string(self, timestamp=None):
-            # The stdlib formats the date anew for every reply; the text
-            # changes once a second.
-            if timestamp is not None:
-                return super().date_time_string(timestamp)
-            second = int(time.time())
-            cached = Handler._date
-            if cached[0] != second:
-                cached = Handler._date = (second, super().date_time_string(second))
-            return cached[1]
-
-        def parse_request(self) -> bool:
-            # The stdlib's request-line rules, but an HTTP/2 request line gets
-            # a 400, not a 505; the headers go to _read_headers, not to the
-            # email parser.  Every connection closes after one request
-            # (protocol_version is HTTP/1.0), so Connection and Expect
-            # headers change nothing.
-            self.command = None
-            self.request_version = self.default_request_version
-            self.close_connection = True
-            self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
-            words = self.requestline.split()
-            if not words:
-                return False
-            if len(words) >= 3:
-                version = _http_version(words[-1])
-                if version is None or version >= (2, 0):
-                    self.send_error(400, f"Bad request version ({words[-1]!r})")
-                    return False
-                self.request_version = words[-1]
-            if not 2 <= len(words) <= 3:
-                self.send_error(400, f"Bad request syntax ({self.requestline!r})")
-                return False
-            if len(words) == 2 and words[0] != "GET":
-                self.send_error(400, f"Bad HTTP/0.9 request type ({words[0]!r})")
-                return False
-            self.command, self.path = words[:2]
-            if self.path.startswith("//"):  # not an authority: gh-87389
-                self.path = "/" + self.path.lstrip("/")
-            headers = _read_headers(self.rfile)
-            if isinstance(headers, dict):
-                self.headers = headers
-                return True
+        def handle(self) -> None:
+            # One request per connection (the server speaks HTTP/1.0), so
+            # Connection and Expect headers change nothing.
             try:
-                self.send_error(*headers)
-            except ConnectionError:  # a client that already left gets no answer
-                pass
-            return False
+                line = self.rfile.readline(MAX_HEADER_LINE + 1)
+                if len(line) > MAX_HEADER_LINE:
+                    self._error(414, HTTPStatus(414).phrase)
+                    return
+                requestline = str(line, "iso-8859-1").rstrip("\r\n")
+                words = requestline.split()
+                if not words:  # nothing, or a blank line: no request
+                    return
+                if len(words) != 3:
+                    self._error(400, f"Bad request syntax ({requestline!r})")
+                    return
+                if not _HTTP_1.fullmatch(words[2]):
+                    self._error(400, f"Bad request version ({words[2]!r})")
+                    return
+                self.command, self.path = words[:2]
+                if self.path.startswith("//"):  # not an authority: gh-87389
+                    self.path = "/" + self.path.lstrip("/")
+                headers = _read_headers(self.rfile)
+                if not isinstance(headers, dict):
+                    self._error(*headers)
+                    return
+                self.headers = headers
+                method = getattr(self, "do_" + self.command, None)
+                if method is None:
+                    self._error(405, f"Unsupported method ({self.command!r})")
+                    return
+                method()
+            except (TimeoutError, ConnectionError):
+                pass  # a client that stalls or leaves gets no answer
 
-        def send_error(self, code, message=None, explain=None):
-            # JSON, not the stdlib's HTML page; and the stdlib answers an
-            # unknown method 501, which is not the server failing.
-            code = 405 if code == 501 else int(code)
-            reason = self.responses[code][0] if message is None else message
-            self._reply(code, canonical_json({"error": reason}), reason)
+        def _error(self, status: int, reason: str) -> None:
+            self._reply(status, canonical_json({"error": reason}), reason)
 
         def _reply(self, status: int, body: bytes, reason: str | None = None) -> None:
             """Send the status line, the Server, Date, Content-Type and
-            Content-Length headers and ``body`` in one send.  As the stdlib
-            does, a HEAD request gets no body and an HTTP/0.9 one nothing
-            but the body."""
-            if reason is None:
-                reason = self.responses[status][0]
-            head = b"" if self.request_version == "HTTP/0.9" else (
-                f"{self.protocol_version} {status} {reason}\r\n"
-                f"Server: {self.version_string()}\r\n"
-                f"Date: {self.date_time_string()}\r\n"
+            Content-Length headers and ``body`` (none for a HEAD request)
+            in one send."""
+            second = int(time.time())
+            date = Handler._date
+            if date[0] != second:  # the text changes once a second
+                date = Handler._date = (second, _http_date(second))
+            head = (
+                f"HTTP/1.0 {status} {HTTPStatus(status).phrase if reason is None else reason}\r\n"
+                f"Server: {_SERVER_TEXT}\r\n"
+                f"Date: {date[1]}\r\n"
                 "Content-Type: application/json\r\n"
                 f"Content-Length: {len(body)}\r\n\r\n"
             ).encode("latin-1")
@@ -411,13 +406,7 @@ def _make_handler(server: BackendHTTPServer):
             path = urlparse(self.path).path
             raw = self._read_body()
             if isinstance(raw, tuple):
-                # The body is unknown or unread, so the connection cannot be
-                # reused; a client that already left gets no answer.
-                self.close_connection = True
-                try:
-                    self._reply(raw[0], canonical_json({"error": raw[1]}))
-                except ConnectionError:
-                    pass
+                self._reply(raw[0], canonical_json({"error": raw[1]}))
                 return
             with server._lock:
                 if path == "/otp":

@@ -23,10 +23,13 @@ colon or a ``Transfer-Encoding``, that a reply goes out in one
 ``sendall``, that ``stop()`` with a client stalled in its headers returns
 within 1 s and leaves the port refusing connections (handler threads wait
 in ``accept`` themselves, and ``stop()`` wakes them), and that ``stop()`` of
-a server never started returns, and runs each way the CLI exits with
-status 2.  It imports nothing outside the
-standard library and ``relaysim`` (from ``src/``), so any supported
-interpreter can run it, with or without pytest:
+a server never started returns, checks the reply head against
+``http.server`` and ``email.utils`` on the running interpreter (the reason
+phrase of each status the server sends, the ``Server`` text and the
+``Date`` text) and that an HTTP/0.9 request line gets a 400 with a status
+line, and runs each way the CLI exits with status 2.  It imports nothing
+outside the standard library and ``relaysim`` (from ``src/``), so any
+supported interpreter can run it, with or without pytest:
 
     python3.10 tests/stdlib_contract.py
 
@@ -339,6 +342,57 @@ def _wire() -> list[str]:
     return failed
 
 
+def _reply_heads() -> list[str]:
+    import email.utils
+    from http import HTTPStatus
+    from http.server import BaseHTTPRequestHandler as Stdlib
+
+    from relaysim import wire
+    from relaysim.backend import BackendStore
+    from relaysim.params import SimParams
+
+    failed = []
+    # wire reads its reason phrases from HTTPStatus, as http.server does.
+    for status in (200, 400, 403, 404, 405, 413, 414, 431):
+        if HTTPStatus(status).phrase != Stdlib.responses[status][0]:
+            failed.append(f"{status}: the reason phrase differs from http.server's")
+    rng = random.Random("stdlib-date-text")
+    timestamps = [0, 0.9999995, 0.9999994, 951_782_399.9999996, 2**32]
+    timestamps += [rng.uniform(0, 2**32) for _ in range(2000)]
+    for timestamp in timestamps:
+        if wire._http_date(timestamp) != email.utils.formatdate(timestamp, usegmt=True):
+            failed.append(f"{timestamp!r}: the Date text differs from email.utils.formatdate")
+    # (request, status, reason: None for the status's phrase)
+    cases = [
+        (b"GET /chunks?since=0 HTTP/1.1\r\n\r\n", 200, None),
+        (b"GET /chunks?since=x HTTP/1.1\r\n\r\n", 400, None),
+        (b'POST /diagnosis HTTP/1.1\r\nContent-Length: 22\r\n\r\n{"otp":"no","teks":[]}', 403, None),
+        (b"GET /hashes/7 HTTP/1.1\r\n\r\n", 404, None),
+        (b"BREW /otp HTTP/1.1\r\n\r\n", 405, "Unsupported method ('BREW')"),
+        (b"POST /otp HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (wire.MAX_BODY_BYTES + 1), 413, None),
+        (b"G" * (wire.MAX_HEADER_LINE + 1), 414, None),
+        (b"POST /otp HTTP/1.1\r\nX: " + b"y" * wire.MAX_HEADER_LINE, 431, "header line too long"),
+        (b"GET /chunks?since=0 HTTP/0.9\r\n\r\n", 400, "Bad request version ('HTTP/0.9')"),
+    ]
+    params = SimParams()
+    server = wire.BackendHTTPServer(BackendStore(params), ManualClock(0), params)
+    server.start()
+    try:
+        with mock.patch.object(wire.time, "time", lambda: 1_700_000_000.5):
+            for request, status, reason in cases:
+                head = (
+                    f"HTTP/1.0 {status} {reason or Stdlib.responses[status][0]}\r\n"
+                    f"Server: {Stdlib.server_version} {Stdlib.sys_version}\r\n"
+                    f"Date: {email.utils.formatdate(1_700_000_000, usegmt=True)}\r\n"
+                ).encode()
+                reply = _read_to_close(server.port, request, shut=True)
+                if not reply.startswith(head):
+                    failed.append(f"{request[:30]!r}: got {reply[:120]!r}, not {head!r}")
+    finally:
+        server.stop()
+    return failed
+
+
 def _report_writer() -> list[str]:
     from relaysim.scenario import ScenarioReport
 
@@ -428,6 +482,7 @@ def main() -> int:
         _reply_encoders,
         _report_writer,
         _wire,
+        _reply_heads,
         _cli,
     ):
         failed = check()

@@ -12,8 +12,11 @@ framed two ways (a line with no colon or a space before it, a
 ``Transfer-Encoding``), a reply in one ``sendall``, a prompt ``stop()``
 with a client stalled in its headers, which rests on ``stop()`` waking the
 handler threads blocked in ``accept``, and ``stop()`` of a server never
-started, which rest on the ``socketserver`` and ``http.server`` hooks the
-wire server overrides, the CLI's exit-2 paths)
+started, which rest on the ``socketserver`` hooks the wire server
+overrides, the reply head's reason phrases, ``Server`` and ``Date`` text
+against ``http.server`` and ``email.utils``, which the server does not
+import, a 400 with a status line for an HTTP/0.9 request line, the CLI's
+exit-2 paths)
 under each Python 3.10 or later found on ``PATH`` or under
 ``$(pyenv root)/versions/*/bin/python``, other than the one running the
 tests.  Those interpreters need no pytest: the script uses

@@ -3,6 +3,7 @@ reused handler threads, reply bytes."""
 
 import email.utils
 import http.client
+import http.server
 import io
 import json
 import random
@@ -540,9 +541,8 @@ def test_stop_returns_and_closes_the_socket(started):
 
 def test_date_header_formatted_once_a_second(server):
     now = [0.0]
-    stdlib = wire.BaseHTTPRequestHandler
     with mock.patch.object(wire.time, "time", lambda: now[0]), mock.patch.object(
-        stdlib, "date_time_string", autospec=True, side_effect=stdlib.date_time_string
+        wire, "_http_date", side_effect=wire._http_date
     ) as formatted:
         dates = []
         for now[0] in (1_700_000_000.25, 1_700_000_000.75, 1_700_000_001.0):
@@ -555,7 +555,18 @@ def test_date_header_formatted_once_a_second(server):
     assert formatted.call_count == 2  # once for each second
 
 
-HANDLER = wire.BaseHTTPRequestHandler
+@settings(max_examples=500, deadline=None)
+@example(timestamp=0.0)
+@example(timestamp=0.9999995)  # rounds up to the next second
+@example(timestamp=0.9999994)
+@example(timestamp=951_782_399.9999996)  # into a leap day
+@example(timestamp=float(2**32))
+@given(timestamp=st.floats(0, 2**32) | st.integers(0, 2**32))
+def test_date_text_is_what_the_email_package_writes(timestamp):
+    assert wire._http_date(timestamp) == email.utils.formatdate(timestamp, usegmt=True)
+
+
+HANDLER = http.server.BaseHTTPRequestHandler
 SERVER_HEADER = f"{HANDLER.server_version} {HANDLER.sys_version}"
 
 
@@ -635,6 +646,26 @@ LONG_LINE = b"X: " + b"y" * (wire.MAX_HEADER_LINE - 2)  # one byte over the limi
         ),
         pytest.param(
             b"GET / HTTP/x\r\n\r\n", 400, "Bad request version ('HTTP/x')", id="request-line-400"
+        ),
+        # Before, the first got the bare body, with no status line or
+        # headers, and the second was served as a GET.
+        pytest.param(
+            b"GET /chunks?since=0 HTTP/0.9\r\n\r\n",
+            400,
+            "Bad request version ('HTTP/0.9')",
+            id="http-0.9-400",
+        ),
+        pytest.param(
+            b"GET /chunks?since=0\r\n\r\n",
+            400,
+            "Bad request syntax ('GET /chunks?since=0')",
+            id="two-words-400",
+        ),
+        pytest.param(
+            b"GET /chunks?since=0 HTTP/2.0\r\n\r\n",
+            400,
+            "Bad request version ('HTTP/2.0')",
+            id="http-2-400",
         ),
         pytest.param(
             b"BREW /otp HTTP/1.1\r\n\r\n", 405, "Unsupported method ('BREW')", id="method-405"
